@@ -17,7 +17,7 @@
 
 use rand::prelude::*;
 use reason_neural::{Matrix, Mlp, TrainableMlp};
-use reason_pc::{Circuit, CompiledWmc, EvalBuffer, Evidence, WmcWeights};
+use reason_pc::{compile_cnf, Circuit, EvalBuffer, Evidence, WmcWeights};
 use reason_sat::Cnf;
 
 /// Training schedule for [`PredictionNet::train_from_circuit`].
@@ -139,10 +139,8 @@ impl PredictionNet {
     }
 
     /// Trains a predictor straight from a CNF formula: compiles it once
-    /// through the exact engine's compiled-reuse oracle
-    /// ([`reason_pc::CompiledWmc`], backed by the top-down
-    /// component-caching compiler) and labels the training set from the
-    /// cached circuit. Returns `None` when the formula carries no
+    /// ([`reason_pc::compile_cnf`], the top-down component-caching
+    /// compiler) and labels the training set from the circuit. Returns `None` when the formula carries no
     /// satisfying mass under `weights` — unsatisfiable outright, or
     /// every model killed by a zero-probability weight — since there
     /// is then no conditional distribution to learn.
@@ -151,8 +149,7 @@ impl PredictionNet {
         weights: &WmcWeights,
         cfg: &PredictConfig,
     ) -> Option<(Self, f32)> {
-        let oracle = CompiledWmc::new(cnf, weights);
-        oracle.circuit().map(|c| Self::train_from_circuit(c, weights, cfg))
+        compile_cnf(cnf, weights).map(|c| Self::train_from_circuit(&c, weights, cfg))
     }
 
     /// Number of variables the predictor covers.

@@ -46,8 +46,8 @@ fn bench_happy_path_overhead(c: &mut Criterion) {
                     }
                     let kb = cluster.register("bench", &cnf, WmcWeights::uniform(12));
                     let batch: Vec<_> =
-                        (0..16).map(|_| (kb, Query::exact(QueryKind::Wmc))).collect();
-                    black_box(cluster.serve(&batch).unwrap().outcomes.len())
+                        (0..16).map(|_| (kb, Query::exact(QueryKind::Wmc), 0.0)).collect();
+                    black_box(cluster.serve_at(&batch).unwrap().outcomes.len())
                 })
             },
         );
@@ -70,8 +70,8 @@ fn bench_crash_failover(c: &mut Criterion) {
                 FaultPlan::new().crash(home, 0.0, 1e6),
                 FaultConfig::default(),
             );
-            let batch: Vec<_> = (0..16).map(|_| (kb, Query::exact(QueryKind::Wmc))).collect();
-            black_box(cluster.serve(&batch).unwrap().outcomes.len())
+            let batch: Vec<_> = (0..16).map(|_| (kb, Query::exact(QueryKind::Wmc), 0.0)).collect();
+            black_box(cluster.serve_at(&batch).unwrap().outcomes.len())
         })
     });
     group.finish();

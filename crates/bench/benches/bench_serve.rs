@@ -1,6 +1,6 @@
 //! Serving-engine benchmarks: cold registration+compile against warm
-//! store-served queries, the d-DNNF arena fast path, and incremental
-//! recompilation through the persistent component cache.
+//! store-served queries (a batch of one and a batch of eight), and
+//! incremental recompilation through the persistent component cache.
 //!
 //! `cargo bench --bench bench_serve` (shimmed timing; raise
 //! `CRITERION_SHIM_ITERS` for real measurements).
@@ -31,15 +31,15 @@ fn bench_cold_serve(c: &mut Criterion) {
             b.iter(|| {
                 let mut engine = ServeEngine::new(ServeConfig::default());
                 let id = engine.register("bench", cnf, WmcWeights::uniform(cnf.num_vars()));
-                black_box(engine.query(id, &QueryKind::Wmc).unwrap())
+                black_box(engine.serve(id, &[Query::exact(QueryKind::Wmc)]).unwrap().outcomes.len())
             })
         });
     }
     group.finish();
 }
 
-/// The warm paths the store buys: arena fast-path queries and routed
-/// executor batches against the hot artifact.
+/// The warm path the store buys: routed executor batches of one and of
+/// eight against the hot artifact.
 fn bench_warm_serve(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_warm");
     for (n, m) in [(12usize, 36usize), (20, 44)] {
@@ -49,14 +49,13 @@ fn bench_warm_serve(c: &mut Criterion) {
         engine.warm(id).unwrap();
         let mut ev = Evidence::empty(n);
         ev.set(0, 1).set(n - 1, 0);
-        let posterior = QueryKind::Posterior(ev);
-        group.bench_function(BenchmarkId::new("arena_posterior", n), |b| {
-            b.iter(|| black_box(engine.query(id, &posterior).unwrap()))
-        });
-        let batch: Vec<Query> = (0..8).map(|_| Query::exact(posterior.clone())).collect();
-        group.bench_function(BenchmarkId::new("routed_batch_8", n), |b| {
-            b.iter(|| black_box(engine.serve(id, &batch).unwrap().outcomes.len()))
-        });
+        let batch: Vec<Query> =
+            (0..8).map(|_| Query::exact(QueryKind::Posterior(ev.clone()))).collect();
+        for width in [1, 8] {
+            group.bench_function(BenchmarkId::new(format!("routed_batch_{width}"), n), |b| {
+                b.iter(|| black_box(engine.serve(id, &batch[..width]).unwrap().outcomes.len()))
+            });
+        }
     }
     group.finish();
 }
@@ -74,7 +73,7 @@ fn bench_incremental(c: &mut Criterion) {
             let id = engine.register("bench", &cnf, WmcWeights::uniform(n));
             engine.warm(id).unwrap();
             engine.add_clause(id, &[1, -2, 3]);
-            black_box(engine.query(id, &QueryKind::Wmc).unwrap())
+            black_box(engine.serve(id, &[Query::exact(QueryKind::Wmc)]).unwrap().outcomes.len())
         })
     });
     group.finish();

@@ -126,8 +126,8 @@ fn bench_serve_overhead(c: &mut Criterion) {
                     }
                     let kb = cluster.register("bench", &cnf, WmcWeights::uniform(12));
                     let batch: Vec<_> =
-                        (0..16).map(|_| (kb, Query::exact(QueryKind::Wmc))).collect();
-                    black_box(cluster.serve(&batch).unwrap().outcomes.len())
+                        (0..16).map(|_| (kb, Query::exact(QueryKind::Wmc), 0.0)).collect();
+                    black_box(cluster.serve_at(&batch).unwrap().outcomes.len())
                 })
             },
         );

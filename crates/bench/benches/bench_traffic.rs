@@ -85,8 +85,9 @@ fn bench_cluster_batch(c: &mut Criterion) {
             b.iter(|| {
                 let mut cluster = ServeCluster::new(ClusterConfig::with_shards(s));
                 let kb = cluster.register("bench", &cnf, WmcWeights::uniform(12));
-                let batch: Vec<_> = (0..16).map(|_| (kb, Query::exact(QueryKind::Wmc))).collect();
-                black_box(cluster.serve(&batch).unwrap().outcomes.len())
+                let batch: Vec<_> =
+                    (0..16).map(|_| (kb, Query::exact(QueryKind::Wmc), 0.0)).collect();
+                black_box(cluster.serve_at(&batch).unwrap().outcomes.len())
             })
         });
     }

@@ -33,7 +33,10 @@ use rand::prelude::*;
 use reason_arch::{ArchConfig, VliwExecutor};
 use reason_compiler::ReasonCompiler;
 use reason_core::{dag_from_circuit, regularize};
-use reason_pc::{BatchBuffer, CompiledWmc, Dnnf, DnnfBatch, DnnfBuffer, Evidence, WmcWeights};
+use reason_pc::{
+    BatchBuffer, Circuit, CompiledWmc, Dnnf, DnnfBatch, DnnfBuffer, EvalBuffer, Evidence,
+    WmcWeights,
+};
 use reason_sat::gen::random_ksat;
 
 use crate::json::Json;
@@ -128,15 +131,18 @@ fn evidence_batch(n: usize, lanes: usize, rng: &mut StdRng) -> Vec<Evidence> {
     evs
 }
 
-/// The bit-identity guard for one packed batch: WMC on every lane plus
-/// marginal and MPE spot lanes, each against the single-query path.
+/// The bit-identity guard for one packed batch: WMC on every lane
+/// against the arena's single-query path, marginals and MPE against the
+/// source circuit's.
 fn batch_matches_per_query(
+    circuit: &Circuit,
     arena: &Dnnf,
     evs: &[Evidence],
     batch: &DnnfBatch,
     rng: &mut StdRng,
 ) -> bool {
     let mut sbuf = DnnfBuffer::new();
+    let mut cbuf = EvalBuffer::new();
     let mut bbuf = BatchBuffer::new();
     let n = arena.num_vars();
     let mut ok = true;
@@ -147,11 +153,11 @@ fn batch_matches_per_query(
     let var = rng.gen_range(0..n);
     let marginals = arena.marginal_batch(batch, var, &mut bbuf);
     for (ev, got) in evs.iter().zip(&marginals) {
-        ok &= *got == arena.marginal(ev, var, &mut sbuf);
+        ok &= *got == circuit.marginal_with(ev, var, &mut cbuf);
     }
     let mpes = arena.mpe_batch(batch, &mut bbuf);
     for (ev, got) in evs.iter().zip(&mpes) {
-        let want = arena.mpe(ev, &mut sbuf);
+        let want = circuit.mpe_with(ev, &mut cbuf);
         ok &= got.assignment == want.assignment && got.log_prob == want.log_prob;
     }
     ok
@@ -203,7 +209,7 @@ pub fn batch_rows_for(
                 batched_s = batched_s.min(t0.elapsed().as_secs_f64());
             }
 
-            let bit_identical = batch_matches_per_query(&arena, &evs, &batch, &mut rng);
+            let bit_identical = batch_matches_per_query(circuit, &arena, &evs, &batch, &mut rng);
             assert!(bit_identical, "n={n} B={lanes}: batched answers diverged from per-query");
             rows.push(BatchRow {
                 num_vars: n,

@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use reason_pc::{compile_cnf_with_stats, CompileConfig, CompileStats, Evidence};
+use reason_pc::{compile_cnf_with, CompileOptions, CompileStats, Evidence};
 use reason_sat::gen::{graph_coloring, random_ksat};
 use reason_sat::{weighted_count, Cnf};
 
@@ -82,7 +82,7 @@ fn try_topdown(family: &'static str, cnf: &Cnf, seed: u64) -> Option<CompileRow>
     let n = cnf.num_vars();
     let weights = sweep_weights(n);
     let t0 = Instant::now();
-    let (circuit, stats) = compile_cnf_with_stats(cnf, &weights, &CompileConfig::default());
+    let (circuit, stats) = compile_cnf_with(cnf, &weights, CompileOptions::default());
     let z = circuit?.probability(&Evidence::empty(n));
     let new_s = t0.elapsed().as_secs_f64();
     if z <= 0.0 {

@@ -650,15 +650,17 @@ pub fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
     let marginals =
         verdicts.iter().filter(|v| matches!(v, reason_system::Verdict::LogMarginal(_))).count();
     let wmc = verdicts.iter().filter(|v| matches!(v, reason_system::Verdict::Wmc { .. })).count();
+    let served = verdicts.iter().filter(|v| matches!(v, reason_system::Verdict::Batch(_))).count();
     let swept: Vec<String> = sweep.iter().map(|w| format!("{w}-worker")).collect();
     let _ = writeln!(
         out,
         "verdicts identical across serial / {} runs: {} SAT, {} PC marginals, {} WMC \
-         (approx + exact)",
+         (approx + exact), {} served batches",
         swept.join(" / "),
         sat,
         marginals,
-        wmc
+        wmc,
+        served
     );
 
     // Part 2: calibrated stage durations — validate the flow-shop cost

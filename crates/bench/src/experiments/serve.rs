@@ -345,7 +345,7 @@ fn rows_to_text(summary: &ServeSummary) -> String {
     let _ = writeln!(
         out,
         "(speedup = (cold compile + first query) / mean warm query; second-and-later queries are \
-         served from the store's d-DNNF arena through shared CompiledWmc oracles — peak {best:.0}x \
+         served from the store's d-DNNF arena, one batched traversal per kernel — peak {best:.0}x \
          on this ladder; deadline rounds degrade cold KBs to anytime bounds and ns deadlines to \
          the prediction net)"
     );

@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 
-use reason_sat::{Clause, ClausePool, Cnf, Lit, Propagator, Var};
+use reason_sat::{ClausePool, Cnf, Lit, Propagator, Var};
 use reason_telemetry::Telemetry;
 
 use crate::circuit::{Circuit, CircuitBuilder, NodeId, PcNode};
@@ -90,12 +90,13 @@ impl WmcWeights {
 
 /// How the top-down compiler picks the branching variable inside a
 /// component.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum VarOrder {
     /// Branch on the variable with the most occurrences in the
     /// component's residual clauses (ties broken by lowest index) —
     /// the default dynamic order, which maximizes how much each
     /// decision satisfies/shrinks.
+    #[default]
     MostOccurrences,
     /// Branch on the lowest-indexed variable of the component — the
     /// legacy static order, useful for apples-to-apples comparisons
@@ -114,20 +115,29 @@ pub enum VarOrder {
     Scored(Vec<f64>),
 }
 
-/// Configuration of the top-down compiler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompileConfig {
+/// What one [`compile_cnf_with`] call runs with; `default()` is what
+/// [`compile_cnf`] uses.
+#[derive(Debug, Default)]
+pub struct CompileOptions<'a> {
     /// Branching-variable order (see [`VarOrder`]).
     pub order: VarOrder,
+    /// A caller-held cross-query cache: components whose fingerprints
+    /// survive from earlier compilations of *related* formulas (same
+    /// clause-pool ids, same weights) are spliced from cached fragments
+    /// instead of recompiled — how a serving knowledge base recompiles
+    /// only the components an added clause touches. The cache binds to
+    /// the first weight vector it compiles under.
+    pub cache: Option<&'a mut PersistentComponentCache>,
+    /// An observability sink: the propagate / component-split /
+    /// cache-probe phases emit child spans under a `pc.compile` root and
+    /// the [`CompileStats`] counters land in the registry
+    /// (`pc_propagations_total`, `pc_cache_probes_total{result}`, ...).
+    /// Phase timing only *reads* the injected clock, so the compiled
+    /// circuit never depends on it.
+    pub telemetry: Option<&'a Telemetry>,
 }
 
-impl Default for CompileConfig {
-    fn default() -> Self {
-        CompileConfig { order: VarOrder::MostOccurrences }
-    }
-}
-
-/// Counters reported by [`compile_cnf_with_stats`]: what the
+/// Counters reported by [`compile_cnf_with`]: what the
 /// propagate → decompose → decide → cache pipeline actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileStats {
@@ -142,7 +152,7 @@ pub struct CompileStats {
     /// Component-cache misses (compiled components).
     pub cache_misses: u64,
     /// Components answered by a cross-query [`PersistentComponentCache`]
-    /// (always 0 for the uncached entry points).
+    /// (always 0 without [`CompileOptions::cache`]).
     pub persistent_hits: u64,
     /// Component fragments stored into the cross-query cache.
     pub persistent_stores: u64,
@@ -190,80 +200,28 @@ impl CompileStats {
 /// assert!((pr - 0.75).abs() < 1e-12);
 /// ```
 pub fn compile_cnf(cnf: &Cnf, weights: &WmcWeights) -> Option<Circuit> {
-    compile_cnf_with(cnf, weights, &CompileConfig::default())
+    compile_cnf_with(cnf, weights, CompileOptions::default()).0
 }
 
-/// [`compile_cnf`] with an explicit [`CompileConfig`].
-pub fn compile_cnf_with(
-    cnf: &Cnf,
-    weights: &WmcWeights,
-    config: &CompileConfig,
-) -> Option<Circuit> {
-    compile_cnf_with_stats(cnf, weights, config).0
-}
-
-/// [`compile_cnf_with`], also reporting [`CompileStats`].
-pub fn compile_cnf_with_stats(
-    cnf: &Cnf,
-    weights: &WmcWeights,
-    config: &CompileConfig,
-) -> (Option<Circuit>, CompileStats) {
-    compile_cnf_inner(cnf, weights, config, None, None)
-}
-
-/// [`compile_cnf_with_stats`] through a caller-held cross-query
-/// [`PersistentComponentCache`]: components whose fingerprints survive
-/// from earlier compilations of *related* formulas (same clause-pool
-/// ids, same weights) are spliced from cached fragments instead of
-/// recompiled. This is how a serving knowledge base recompiles only the
-/// components an added clause actually touches.
-///
-/// The cache binds to the first weight vector it compiles under.
+/// [`compile_cnf`] under explicit [`CompileOptions`], also reporting
+/// [`CompileStats`].
 ///
 /// # Panics
 ///
-/// Panics on weight/score arity mismatches (as [`compile_cnf_with`])
-/// and if `cache` was previously used with different weights.
-pub fn compile_cnf_cached(
+/// Panics on weight/score arity mismatches and if `options.cache` was
+/// previously used with different weights.
+pub fn compile_cnf_with(
     cnf: &Cnf,
     weights: &WmcWeights,
-    config: &CompileConfig,
-    cache: &mut PersistentComponentCache,
+    options: CompileOptions<'_>,
 ) -> (Option<Circuit>, CompileStats) {
-    compile_cnf_observed(cnf, weights, config, Some(cache), None)
-}
-
-/// The fully-instrumented entry point every other `compile_cnf*`
-/// variant funnels into: an optional cross-query cache plus an optional
-/// [`Telemetry`] sink. With telemetry attached, the
-/// propagate / component-split / cache-probe phases emit child spans
-/// under a `pc.compile` root, and the [`CompileStats`] counters land in
-/// the registry (`pc_propagations_total`, `pc_components_total`,
-/// `pc_cache_probes_total{result}`, ...). Instrumentation never changes
-/// the compiled circuit: phase timing only *reads* the injected clock.
-pub fn compile_cnf_observed(
-    cnf: &Cnf,
-    weights: &WmcWeights,
-    config: &CompileConfig,
-    mut cache: Option<&mut PersistentComponentCache>,
-    telemetry: Option<&Telemetry>,
-) -> (Option<Circuit>, CompileStats) {
-    if let Some(cache) = cache.as_deref_mut() {
-        cache.bind_weights(weights);
-    }
-    compile_cnf_inner(cnf, weights, config, cache, telemetry)
-}
-
-fn compile_cnf_inner(
-    cnf: &Cnf,
-    weights: &WmcWeights,
-    config: &CompileConfig,
-    persistent: Option<&mut PersistentComponentCache>,
-    telemetry: Option<&Telemetry>,
-) -> (Option<Circuit>, CompileStats) {
+    let CompileOptions { order, cache: mut persistent, telemetry } = options;
     assert_eq!(weights.len(), cnf.num_vars(), "weights arity mismatch");
-    if let VarOrder::Scored(scores) = &config.order {
+    if let VarOrder::Scored(scores) = &order {
         assert_eq!(scores.len(), cnf.num_vars(), "score vector arity mismatch");
+    }
+    if let Some(cache) = persistent.as_deref_mut() {
+        cache.bind_weights(weights);
     }
     let num_vars = cnf.num_vars();
     let pool = ClausePool::new(cnf);
@@ -274,7 +232,7 @@ fn compile_cnf_inner(
         prop: Propagator::new(num_vars),
         builder: CircuitBuilder::new(vec![2; num_vars]),
         weights,
-        order: &config.order,
+        order: &order,
         cache: HashMap::new(),
         persistent,
         persist_depth,
@@ -473,7 +431,7 @@ impl PersistentCacheStats {
 ///
 /// The cache binds to the weight vector of its first compilation;
 /// reusing it under different weights would splice stale leaf
-/// probabilities, so [`compile_cnf_cached`] panics on a mismatch.
+/// probabilities, so [`compile_cnf_with`] panics on a mismatch.
 #[derive(Debug, Clone)]
 pub struct PersistentComponentCache {
     entries: HashMap<Vec<u64>, Option<Fragment>>,
@@ -1003,10 +961,9 @@ pub fn weighted_model_count(cnf: &Cnf, weights: &WmcWeights) -> f64 {
 /// A compiled-once, query-many exact WMC oracle.
 ///
 /// Compiles the formula a single time and answers every subsequent
-/// query from the cached circuit through a reused [`EvalBuffer`] — the
-/// executor's exact-WMC lane and the approximate engine's
-/// training-label generation both route through this instead of
-/// recompiling per query.
+/// query from the cached circuit through a reused [`EvalBuffer`]. No
+/// serving path evaluates it: it is the reference the tests, benches
+/// and `reason-eval` sweeps hold served answers against.
 ///
 /// ```
 /// use reason_sat::Cnf;
@@ -1023,7 +980,6 @@ pub fn weighted_model_count(cnf: &Cnf, weights: &WmcWeights) -> f64 {
 #[derive(Debug, Clone)]
 pub struct CompiledWmc {
     circuit: Option<Circuit>,
-    num_vars: usize,
     z: f64,
     buf: EvalBuffer,
 }
@@ -1036,25 +992,12 @@ impl CompiledWmc {
     ///
     /// Panics if `weights.len() != cnf.num_vars()`.
     pub fn new(cnf: &Cnf, weights: &WmcWeights) -> Self {
-        Self::from_circuit(compile_cnf(cnf, weights), cnf.num_vars())
-    }
-
-    /// Wraps an already-compiled circuit (`None` for a massless
-    /// formula) without recompiling — the serving layer's path: compile
-    /// once through the persistent cache, then share the oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit's variable count differs from `num_vars`.
-    pub fn from_circuit(circuit: Option<Circuit>, num_vars: usize) -> Self {
-        if let Some(c) = &circuit {
-            assert_eq!(c.num_vars(), num_vars, "circuit arity mismatch");
-        }
+        let circuit = compile_cnf(cnf, weights);
         let mut buf = EvalBuffer::new();
         let z = circuit
             .as_ref()
-            .map_or(0.0, |c| c.probability_with(&Evidence::empty(num_vars), &mut buf));
-        CompiledWmc { circuit, num_vars, z, buf }
+            .map_or(0.0, |c| c.probability_with(&Evidence::empty(cnf.num_vars()), &mut buf));
+        CompiledWmc { circuit, z, buf }
     }
 
     /// The weighted model count `Pr[φ]` (0 for unsatisfiable formulas).
@@ -1070,11 +1013,6 @@ impl CompiledWmc {
     /// [`compile_cnf`]'s `None`.
     pub fn has_mass(&self) -> bool {
         self.circuit.is_some()
-    }
-
-    /// Number of variables in the formula's universe.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
     }
 
     /// The compiled circuit, when the formula is satisfiable.
@@ -1101,34 +1039,6 @@ impl CompiledWmc {
         let joint = self.probability(evidence);
         Some(joint / self.z)
     }
-
-    /// [`probability`](Self::probability) through a caller-held
-    /// [`EvalBuffer`] — the `&self` path that lets one compiled
-    /// knowledge base be shared (e.g. behind an `Arc`) across serving
-    /// worker threads, each holding its own buffer.
-    pub fn probability_with(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
-        match &self.circuit {
-            Some(c) => c.probability_with(evidence, buf),
-            None => 0.0,
-        }
-    }
-
-    /// [`posterior`](Self::posterior) through a caller-held
-    /// [`EvalBuffer`] (`&self`, shareable across threads).
-    pub fn posterior_with(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> Option<f64> {
-        if self.z == 0.0 {
-            return None;
-        }
-        Some(self.probability_with(evidence, buf) / self.z)
-    }
-}
-
-/// Compiles a single clause (disjunction) to a circuit — convenience for
-/// rule-based workloads.
-pub fn compile_clause(clause: &Clause, num_vars: usize, weights: &WmcWeights) -> Option<Circuit> {
-    let mut cnf = Cnf::new(num_vars);
-    cnf.add_clause(clause.clone());
-    compile_cnf(&cnf, weights)
 }
 
 // ---------------------------------------------------------------------------
@@ -1278,6 +1188,18 @@ mod tests {
     use reason_sat::gen::random_ksat;
     use reason_sat::{brute_force, count_models};
 
+    fn cached(
+        cnf: &Cnf,
+        weights: &WmcWeights,
+        cache: &mut PersistentComponentCache,
+    ) -> (Option<Circuit>, CompileStats) {
+        compile_cnf_with(
+            cnf,
+            weights,
+            CompileOptions { cache: Some(cache), ..CompileOptions::default() },
+        )
+    }
+
     fn brute_wmc(cnf: &Cnf, weights: &WmcWeights) -> f64 {
         let n = cnf.num_vars();
         let mut total = 0.0;
@@ -1304,10 +1226,12 @@ mod tests {
         let tel = Telemetry::with_clock(clock);
         let cnf = random_ksat(8, 20, 3, 7);
         let weights = WmcWeights::uniform(8);
-        let (observed, stats) =
-            compile_cnf_observed(&cnf, &weights, &CompileConfig::default(), None, Some(&tel));
-        let (plain, plain_stats) =
-            compile_cnf_with_stats(&cnf, &weights, &CompileConfig::default());
+        let (observed, stats) = compile_cnf_with(
+            &cnf,
+            &weights,
+            CompileOptions { telemetry: Some(&tel), ..CompileOptions::default() },
+        );
+        let (plain, plain_stats) = compile_cnf_with(&cnf, &weights, CompileOptions::default());
         // Instrumentation must not perturb the compilation itself.
         assert_eq!(observed.is_some(), plain.is_some());
         assert_eq!(stats, plain_stats);
@@ -1466,8 +1390,7 @@ mod tests {
         // x0 & (!x0 | x1) & (x2 | x3): the first two clauses are fully
         // implied, only the third needs one decision.
         let cnf = Cnf::from_clauses(4, vec![vec![1], vec![-1, 2], vec![3, 4]]);
-        let (c, stats) =
-            compile_cnf_with_stats(&cnf, &WmcWeights::uniform(4), &CompileConfig::default());
+        let (c, stats) = compile_cnf_with(&cnf, &WmcWeights::uniform(4), CompileOptions::default());
         let c = c.unwrap();
         // x0 and x1 are implied at the top level; deciding x2 = false
         // unit-implies x3 inside the branch.
@@ -1482,8 +1405,7 @@ mod tests {
         // Three variable-disjoint clauses: component decomposition must
         // compile them independently (3 components, ≤ 1 decision each).
         let cnf = Cnf::from_clauses(6, vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
-        let (c, stats) =
-            compile_cnf_with_stats(&cnf, &WmcWeights::uniform(6), &CompileConfig::default());
+        let (c, stats) = compile_cnf_with(&cnf, &WmcWeights::uniform(6), CompileOptions::default());
         assert!(stats.components >= 3, "expected ≥ 3 components, got {}", stats.components);
         let z = c.unwrap().probability(&Evidence::empty(6));
         assert!((z - 0.75f64.powi(3)).abs() < 1e-12);
@@ -1496,7 +1418,7 @@ mod tests {
         // sub-problems inside one component's search do hit.
         let cnf = random_ksat(12, 36, 3, 2);
         let (_, stats) =
-            compile_cnf_with_stats(&cnf, &WmcWeights::uniform(12), &CompileConfig::default());
+            compile_cnf_with(&cnf, &WmcWeights::uniform(12), CompileOptions::default());
         assert!(stats.cache_misses > 0);
         assert!(stats.hit_rate() >= 0.0);
     }
@@ -1508,10 +1430,10 @@ mod tests {
         let expect = brute_wmc(&cnf, &weights);
         let scored = VarOrder::Scored((0..8).map(|v| ((v * 7) % 5) as f64).collect());
         for order in [VarOrder::MostOccurrences, VarOrder::Static, scored] {
-            let config = CompileConfig { order };
-            let c = compile_cnf_with(&cnf, &weights, &config);
+            let options = CompileOptions { order: order.clone(), ..CompileOptions::default() };
+            let (c, _) = compile_cnf_with(&cnf, &weights, options);
             let z = c.map_or(0.0, |c| c.probability(&Evidence::empty(8)));
-            assert!((z - expect).abs() < 1e-9, "{config:?}: {z} vs {expect}");
+            assert!((z - expect).abs() < 1e-9, "{order:?}: {z} vs {expect}");
         }
     }
 
@@ -1530,7 +1452,6 @@ mod tests {
         let w = WmcWeights::new(vec![0.4, 0.6, 0.5]);
         let mut oracle = CompiledWmc::new(&cnf, &w);
         assert!(oracle.has_mass());
-        assert_eq!(oracle.num_vars(), 3);
         let expect = brute_wmc(&cnf, &w);
         assert!((oracle.wmc() - expect).abs() < 1e-12);
         // Conditional mass queries answer from the cached circuit.
@@ -1589,7 +1510,7 @@ mod tests {
         let cnf = random_ksat(10, 26, 3, 21);
         let w = WmcWeights::uniform(10);
         let mut cache = PersistentComponentCache::new();
-        let (cached, stats) = compile_cnf_cached(&cnf, &w, &CompileConfig::default(), &mut cache);
+        let (cached, stats) = cached(&cnf, &w, &mut cache);
         let plain = compile_cnf(&cnf, &w);
         // Probes never alter the search, so a cold cached compile emits
         // the identical circuit (and reports its probes as misses).
@@ -1604,9 +1525,8 @@ mod tests {
         let cnf = random_ksat(12, 32, 3, 5);
         let w = WmcWeights::new((0..12).map(|v| 0.35 + 0.02 * v as f64).collect());
         let mut cache = PersistentComponentCache::new();
-        let config = CompileConfig::default();
-        let (cold, _) = compile_cnf_cached(&cnf, &w, &config, &mut cache);
-        let (warm, warm_stats) = compile_cnf_cached(&cnf, &w, &config, &mut cache);
+        let (cold, _) = cached(&cnf, &w, &mut cache);
+        let (warm, warm_stats) = cached(&cnf, &w, &mut cache);
         assert!(warm_stats.persistent_hits > 0, "second compile must reuse components");
         let z_cold = cold.unwrap().probability(&Evidence::empty(12));
         let z_warm = warm.unwrap().probability(&Evidence::empty(12));
@@ -1621,12 +1541,11 @@ mod tests {
             vec![vec![1, 2], vec![-2, 3], vec![-1, 3, 4], vec![5, 6], vec![-6, 7], vec![-5, 7, 8]];
         let cnf = Cnf::from_clauses(8, clauses.clone());
         let w = WmcWeights::uniform(8);
-        let config = CompileConfig::default();
         let mut cache = PersistentComponentCache::new();
-        let _ = compile_cnf_cached(&cnf, &w, &config, &mut cache);
+        let _ = cached(&cnf, &w, &mut cache);
         clauses.push(vec![-7, -8]);
         let extended = Cnf::from_clauses(8, clauses);
-        let (warm, stats) = compile_cnf_cached(&extended, &w, &config, &mut cache);
+        let (warm, stats) = cached(&extended, &w, &mut cache);
         assert!(stats.persistent_hits > 0, "untouched block must be reused: {stats:?}");
         let expect = weighted_model_count(&extended, &w);
         let z = warm.unwrap().probability(&Evidence::empty(8));
@@ -1638,16 +1557,15 @@ mod tests {
         let mut clauses = vec![vec![1, 2], vec![-2, 3], vec![3, 4], vec![-1, -4], vec![2, -3]];
         let cnf = Cnf::from_clauses(4, clauses.clone());
         let w = WmcWeights::uniform(4);
-        let config = CompileConfig::default();
         let mut cache = PersistentComponentCache::new();
-        let _ = compile_cnf_cached(&cnf, &w, &config, &mut cache);
+        let _ = cached(&cnf, &w, &mut cache);
         // Retract clause 1: ids 1.. shift, so their fingerprints die.
         clauses.remove(1);
         let removed = cache.invalidate_clauses_from(1);
         assert!(removed > 0);
         assert!(cache.stats().invalidated >= removed as u64);
         let retracted = Cnf::from_clauses(4, clauses);
-        let (warm, _) = compile_cnf_cached(&retracted, &w, &config, &mut cache);
+        let (warm, _) = cached(&retracted, &w, &mut cache);
         let expect = weighted_model_count(&retracted, &w);
         let z = warm.unwrap().probability(&Evidence::empty(4));
         assert!((z - expect).abs() < 1e-12, "{z} vs {expect}");
@@ -1658,7 +1576,7 @@ mod tests {
         let cnf = random_ksat(9, 24, 3, 11);
         let w = WmcWeights::uniform(9);
         let mut cache = PersistentComponentCache::with_depth(2);
-        let _ = compile_cnf_cached(&cnf, &w, &CompileConfig::default(), &mut cache);
+        let _ = cached(&cnf, &w, &mut cache);
         assert!(!cache.is_empty());
         assert!(cache.bytes() > 0);
         assert!(cache.stats().stores > 0);
@@ -1671,13 +1589,8 @@ mod tests {
     fn cache_rejects_weight_changes() {
         let cnf = random_ksat(6, 14, 3, 2);
         let mut cache = PersistentComponentCache::new();
-        let _ = compile_cnf_cached(
-            &cnf,
-            &WmcWeights::uniform(6),
-            &CompileConfig::default(),
-            &mut cache,
-        );
+        let _ = cached(&cnf, &WmcWeights::uniform(6), &mut cache);
         let other = WmcWeights::new(vec![0.3; 6]);
-        let _ = compile_cnf_cached(&cnf, &other, &CompileConfig::default(), &mut cache);
+        let _ = cached(&cnf, &other, &mut cache);
     }
 }

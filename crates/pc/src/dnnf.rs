@@ -95,8 +95,6 @@ pub struct Dnnf {
 #[derive(Debug, Clone, Default)]
 pub struct DnnfBuffer {
     vals: Vec<f64>,
-    arg: Vec<u32>,
-    stack: Vec<u32>,
 }
 
 impl DnnfBuffer {
@@ -377,98 +375,6 @@ impl Dnnf {
         self.log_probability(evidence, buf).exp()
     }
 
-    /// The marginal distribution of `var` given `evidence` (any setting
-    /// of `var` inside `evidence` is ignored), normalized; uniform when
-    /// the evidence itself has zero probability. Mirrors
-    /// [`Circuit::marginal_with`].
-    pub fn marginal(&self, evidence: &Evidence, var: usize, buf: &mut DnnfBuffer) -> Vec<f64> {
-        let mut ev = evidence.clone();
-        ev.clear(var);
-        let log_z = self.log_probability(&ev, buf);
-        if log_z == f64::NEG_INFINITY {
-            return vec![0.5; 2];
-        }
-        (0..2)
-            .map(|v| {
-                ev.set(var, v);
-                (self.log_probability(&ev, buf) - log_z).exp()
-            })
-            .collect()
-    }
-
-    /// Most probable explanation: completes `evidence` with the
-    /// max-product maximizing assignment. Exact for the deterministic
-    /// circuits the compiler emits; mirrors [`Circuit::mpe_with`].
-    pub fn mpe(&self, evidence: &Evidence, buf: &mut DnnfBuffer) -> MpeResult {
-        assert_eq!(evidence.len(), self.num_vars, "evidence arity mismatch");
-        let n = self.nodes.len();
-        buf.vals.clear();
-        buf.vals.resize(n, 0.0);
-        buf.arg.clear();
-        buf.arg.resize(n, 0);
-        let (vals, arg) = (&mut buf.vals, &mut buf.arg);
-        for (i, node) in self.nodes.iter().enumerate() {
-            match *node {
-                Node::Indicator { var, value } => {
-                    vals[i] = match evidence.value(var as usize) {
-                        Some(v) if (v == 1) == value => 0.0,
-                        Some(_) => f64::NEG_INFINITY,
-                        None => 0.0,
-                    };
-                }
-                Node::Leaf { var, log_p } => {
-                    vals[i] = match evidence.value(var as usize) {
-                        Some(v) => log_p[v],
-                        None => log_p[0].max(log_p[1]),
-                    };
-                }
-                Node::And { start, len } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    vals[i] = self.edges[s..e].iter().map(|&c| vals[c as usize]).sum();
-                }
-                Node::Or { start, len } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    let (best, best_val) = self.edges[s..e]
-                        .iter()
-                        .zip(&self.edge_log_weights[s..e])
-                        .enumerate()
-                        .map(|(k, (&c, lw))| (k, lw + vals[c as usize]))
-                        .fold((0, f64::NEG_INFINITY), |acc, x| if x.1 > acc.1 { x } else { acc });
-                    vals[i] = best_val;
-                    arg[i] = best as u32;
-                }
-            }
-        }
-        // Downward trace selecting one child per disjunction.
-        let mut assignment: Vec<usize> =
-            (0..self.num_vars).map(|v| evidence.value(v).unwrap_or(0)).collect();
-        let stack = &mut buf.stack;
-        stack.clear();
-        stack.push(self.root);
-        while let Some(id) = stack.pop() {
-            match self.nodes[id as usize] {
-                Node::Indicator { var, value } => {
-                    if evidence.value(var as usize).is_none() {
-                        assignment[var as usize] = usize::from(value);
-                    }
-                }
-                Node::Leaf { var, log_p } => {
-                    if evidence.value(var as usize).is_none() {
-                        assignment[var as usize] = usize::from(log_p[1] > log_p[0]);
-                    }
-                }
-                Node::And { start, len } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    stack.extend(self.edges[s..e].iter().copied());
-                }
-                Node::Or { start, .. } => {
-                    stack.push(self.edges[(start + arg[id as usize]) as usize]);
-                }
-            }
-        }
-        MpeResult { assignment, log_prob: vals[self.root as usize] }
-    }
-
     /// Batched log-probabilities: one arena traversal evaluates every
     /// lane of `batch`, returning `log Pr[φ ∧ e_k]` per lane.
     ///
@@ -623,7 +529,7 @@ impl Dnnf {
 
     /// Batched marginal distributions of `var`: three traversals (the
     /// cleared normalizer, then `var = 0`, `var = 1`) answer every lane,
-    /// mirroring [`marginal`](Self::marginal) lane-for-lane (including
+    /// mirroring [`Circuit::marginal_with`] lane-for-lane (including
     /// the uniform fallback for zero-probability evidence).
     pub fn marginal_batch(
         &self,
@@ -653,7 +559,7 @@ impl Dnnf {
 
     /// Batched most-probable explanations: one max-product up-pass over
     /// all lanes plus a per-lane downward trace, mirroring
-    /// [`mpe`](Self::mpe) lane-for-lane.
+    /// [`Circuit::mpe_with`] lane-for-lane.
     ///
     /// # Panics
     ///
@@ -806,17 +712,18 @@ mod tests {
     fn marginal_and_mpe_match_circuit() {
         let (circuit, arena) = compiled(3, 9, 22).expect("seed 3 is satisfiable");
         let mut cbuf = EvalBuffer::new();
-        let mut abuf = DnnfBuffer::new();
+        let mut bbuf = BatchBuffer::new();
         let mut ev = Evidence::empty(9);
         ev.set(2, 1);
+        let one = DnnfBatch::pack(std::slice::from_ref(&ev));
         for var in [0, 4, 8] {
             assert_eq!(
                 circuit.marginal_with(&ev, var, &mut cbuf),
-                arena.marginal(&ev, var, &mut abuf)
+                arena.marginal_batch(&one, var, &mut bbuf)[0]
             );
         }
         let cm = circuit.mpe_with(&ev, &mut cbuf);
-        let am = arena.mpe(&ev, &mut abuf);
+        let am = &arena.mpe_batch(&one, &mut bbuf)[0];
         assert_eq!(cm.assignment, am.assignment);
         assert_eq!(cm.log_prob, am.log_prob);
     }
@@ -885,24 +792,24 @@ mod tests {
 
     #[test]
     fn batched_marginal_and_mpe_match_single_query_lane_for_lane() {
-        let (_, arena) = compiled(3, 9, 22).expect("seed 3 is satisfiable");
+        let (circuit, arena) = compiled(3, 9, 22).expect("seed 3 is satisfiable");
         let lanes = lanes(9);
         let batch = DnnfBatch::pack(&lanes);
-        let mut sbuf = DnnfBuffer::new();
+        let mut cbuf = EvalBuffer::new();
         let mut bbuf = BatchBuffer::new();
         for var in [0, 4, 8] {
             let dists = arena.marginal_batch(&batch, var, &mut bbuf);
             for (lane, ev) in lanes.iter().enumerate() {
                 assert_eq!(
                     dists[lane],
-                    arena.marginal(ev, var, &mut sbuf),
+                    circuit.marginal_with(ev, var, &mut cbuf),
                     "var {var} lane {lane}"
                 );
             }
         }
         let results = arena.mpe_batch(&batch, &mut bbuf);
         for (lane, ev) in lanes.iter().enumerate() {
-            let single = arena.mpe(ev, &mut sbuf);
+            let single = circuit.mpe_with(ev, &mut cbuf);
             assert_eq!(results[lane].assignment, single.assignment, "lane {lane}");
             assert_eq!(results[lane].log_prob.to_bits(), single.log_prob.to_bits(), "lane {lane}");
         }

@@ -23,9 +23,10 @@
 //!   component-caching (sharpSAT/c2d-style) engine: unit propagation,
 //!   connected-component decomposition, dynamic variable ordering, and
 //!   hashed component fingerprints over `reason_sat`'s shared clause
-//!   pool. [`CompiledWmc`] answers repeated queries from one
-//!   compilation, and [`PersistentComponentCache`] carries compiled
-//!   components *across* compilations for serving knowledge bases.
+//!   pool. [`PersistentComponentCache`] carries compiled components
+//!   *across* compilations for serving knowledge bases; [`CompiledWmc`]
+//!   is the compile-once reference oracle tests and benches compare
+//!   served answers against.
 //! * [`dnnf`] — compiled circuits flattened into evaluation-ready
 //!   d-DNNF arenas ([`Dnnf`]), the artifact a serving circuit store
 //!   keeps hot; answers are bit-identical to circuit evaluation.
@@ -69,9 +70,9 @@ pub mod structure;
 
 pub use circuit::{Circuit, CircuitBuilder, CircuitError, NodeId, PcNode};
 pub use compile::{
-    compile_cnf, compile_cnf_cached, compile_cnf_observed, compile_cnf_shannon, compile_cnf_with,
-    compile_cnf_with_stats, weighted_model_count, CompileConfig, CompileStats, CompiledWmc,
-    PersistentCacheStats, PersistentComponentCache, VarOrder, WmcWeights,
+    compile_cnf, compile_cnf_shannon, compile_cnf_with, weighted_model_count, CompileOptions,
+    CompileStats, CompiledWmc, PersistentCacheStats, PersistentComponentCache, VarOrder,
+    WmcWeights,
 };
 pub use dnnf::{BatchBuffer, Dnnf, DnnfBatch, DnnfBuffer, DnnfError};
 pub use fingerprint::{ring_mix, FormulaFingerprint};

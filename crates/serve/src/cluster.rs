@@ -578,21 +578,9 @@ impl ServeCluster {
         &self.shards
     }
 
-    /// Serves a batch arriving all at once (virtual time zero). See
-    /// [`serve_at`](Self::serve_at).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::NoMass`] when an exact-routed query forces a
-    /// compilation and its formula has no satisfying mass.
-    pub fn serve(&mut self, batch: &[(ClusterKbId, Query)]) -> Result<ClusterReport, ServeError> {
-        let arrivals: Vec<(ClusterKbId, Query, f64)> =
-            batch.iter().map(|(id, q)| (*id, q.clone(), 0.0)).collect();
-        self.serve_at(&arrivals)
-    }
-
     /// Serves an open-loop workload: `(kb, query, arrival_seconds)`
-    /// triples in nondecreasing arrival order.
+    /// triples in nondecreasing arrival order (a batch arriving all at
+    /// once is every arrival at `0.0`).
     ///
     /// Admission runs first, in arrival order, against the
     /// deterministic cost model and each shard's virtual clock: a
@@ -616,7 +604,10 @@ impl ServeCluster {
     /// # Errors
     ///
     /// [`ServeError::NoMass`] when an exact-routed query forces a
-    /// compilation and its formula has no satisfying mass.
+    /// compilation and its formula has no satisfying mass;
+    /// [`ServeError::BadQuery`] when a query does not fit its knowledge
+    /// base. Neither can succeed on another route, so both fail the
+    /// call instead of degrading.
     pub fn serve_at(
         &mut self,
         arrivals: &[(ClusterKbId, Query, f64)],
@@ -836,7 +827,7 @@ impl ServeCluster {
             let routes: Vec<Route> = entries.iter().map(|(_, _, r)| *r).collect();
             let report = match self.shards[shard].serve_routed(kb, &queries, &routes) {
                 Ok(report) => Some(report),
-                Err(err @ ServeError::NoMass(_)) => return Err(err),
+                Err(err @ (ServeError::NoMass(_) | ServeError::BadQuery(_))) => return Err(err),
                 Err(_) => {
                     // A hot-path failure (eviction race, lost
                     // predictor) degrades this group instead of
@@ -871,7 +862,7 @@ impl ServeCluster {
     }
 
     /// Fires every cache wipe scheduled at or before `t` that has not
-    /// fired yet: the shard's store and oracles are genuinely dropped
+    /// fired yet: the shard's store and source circuits are genuinely dropped
     /// (the next exact query recompiles through the KB's persistent
     /// component cache) and the admission model forgets the artifacts.
     fn apply_due_wipes(&mut self, domain: &mut FaultDomain, t: f64, tel: Option<&Telemetry>) {
@@ -1299,8 +1290,9 @@ mod tests {
 
         let mut cluster = ServeCluster::new(ClusterConfig::with_shards(3));
         let kb = cluster.register("chain", &cnf, weights.clone());
-        let batch: Vec<(ClusterKbId, Query)> = queries.iter().map(|q| (kb, q.clone())).collect();
-        let report = cluster.serve(&batch).unwrap();
+        let batch: Vec<(ClusterKbId, Query, f64)> =
+            queries.iter().map(|q| (kb, q.clone(), 0.0)).collect();
+        let report = cluster.serve_at(&batch).unwrap();
 
         let mut single = ServeEngine::new(ServeConfig::default());
         let sid = single.register("chain", &cnf, weights);
@@ -1313,6 +1305,28 @@ mod tests {
         }
         assert_eq!(report.stats.exact, 3);
         assert_eq!(report.stats.rejected, 0);
+    }
+
+    #[test]
+    fn hostile_queries_fail_the_call_and_leave_the_cluster_serving() {
+        let cnf = chain_cnf(8);
+        let mut cluster = ServeCluster::new(ClusterConfig::with_shards(2));
+        let kb = cluster.register("chain", &cnf, WmcWeights::uniform(8));
+        let valid = (kb, Query::exact(QueryKind::Marginal(reason_pc::Evidence::empty(8), 7)), 0.0);
+        for kind in [
+            QueryKind::Probability(reason_pc::Evidence::empty(9)),
+            QueryKind::Mpe(reason_pc::Evidence::empty(7)),
+            QueryKind::Marginal(reason_pc::Evidence::empty(8), 8),
+        ] {
+            let got = cluster.serve_at(&[valid.clone(), (kb, Query::exact(kind.clone()), 0.0)]);
+            assert!(matches!(got, Err(ServeError::BadQuery(_))), "{kind:?}: {got:?}");
+        }
+        let mut fresh = ServeCluster::new(ClusterConfig::with_shards(2));
+        let fresh_kb = fresh.register("chain", &cnf, WmcWeights::uniform(8));
+        let after = cluster.serve_at(std::slice::from_ref(&valid)).unwrap();
+        let reference = fresh.serve_at(&[(fresh_kb, valid.1, 0.0)]).unwrap();
+        assert_eq!(after.outcomes[0].answer, reference.outcomes[0].answer);
+        assert!(matches!(after.outcomes[0].answer, Some(Answer::Distribution(_))));
     }
 
     #[test]
@@ -1365,7 +1379,7 @@ mod tests {
         }
 
         // The degraded bracket must contain the exact answer.
-        let exact_report = cluster.serve(&[(kb, Query::exact(QueryKind::Wmc))]).unwrap();
+        let exact_report = cluster.serve_at(&[(kb, Query::exact(QueryKind::Wmc), 0.0)]).unwrap();
         let Answer::Exact(exact) = exact_report.outcomes[0].answer.clone().unwrap() else {
             panic!("deadline-free query is exact");
         };
@@ -1558,9 +1572,9 @@ mod tests {
             kbs.iter().map(|&id| cluster.shard_of(id)).collect();
         assert!(shards.len() > 1, "8 KBs all hashed to one shard");
 
-        let batch: Vec<(ClusterKbId, Query)> =
-            kbs.iter().map(|&id| (id, Query::exact(QueryKind::Wmc))).collect();
-        let report = cluster.serve(&batch).unwrap();
+        let batch: Vec<(ClusterKbId, Query, f64)> =
+            kbs.iter().map(|&id| (id, Query::exact(QueryKind::Wmc), 0.0)).collect();
+        let report = cluster.serve_at(&batch).unwrap();
         assert_eq!(report.outcomes.len(), 8);
         for (outcome, &id) in report.outcomes.iter().zip(&kbs) {
             assert_eq!(outcome.shard, cluster.shard_of(id));

@@ -5,11 +5,10 @@
 //! knowledge base once ([`ServeEngine::register`]), then throw batches
 //! of [`Query`]s at it. The first query pays one compilation; every
 //! later query is answered from the [`CircuitStore`]'s hot artifact —
-//! the shared d-DNNF arena, walked once per query on the single-query
-//! fast path ([`ServeEngine::query`]) and once per *batch* on the batch
-//! path ([`ServeEngine::serve`]), where every exact-routed query
-//! becomes one lane of a single `ServeBatch` executor task answered by
-//! the batched arena kernels.
+//! the shared d-DNNF arena, walked once per *batch*
+//! ([`ServeEngine::serve`]): every exact-routed query becomes one lane
+//! of a single `ServeBatch` executor task answered by the batched arena
+//! kernels. A single query is a batch of one.
 //!
 //! Each batch query is admitted by the [`QueryRouter`]: exact compiled
 //! evaluation when the deadline allows, anytime Monte-Carlo bounds with
@@ -23,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use reason_approx::{ApproxConfig, Method, PredictConfig, PredictionNet, SampleConfig};
 use reason_neural::Mlp;
-use reason_pc::{CompileStats, CompiledWmc, Dnnf, DnnfBuffer, Evidence, WmcWeights};
+use reason_pc::{Circuit, CompileStats, Dnnf, DnnfBuffer, Evidence, WmcWeights};
 use reason_sat::Cnf;
 use reason_system::{
     BatchExecutor, BatchTask, ExecutorConfig, NeuralStage, PipelineReport, ServeQuery,
@@ -88,6 +87,11 @@ pub enum ServeError {
     NotDegradable(String),
     /// A compiled circuit failed to flatten into an evaluation arena.
     BadCircuit(String),
+    /// A query does not fit the knowledge base it was sent to: its
+    /// evidence covers a different number of variables, fixes a
+    /// non-binary value, or its marginal variable is out of range.
+    /// Rejected before any work is dispatched.
+    BadQuery(String),
     /// An internal routing invariant was violated — a bug guard that
     /// fails the batch instead of aborting the process.
     Internal(&'static str),
@@ -111,6 +115,7 @@ impl std::fmt::Display for ServeError {
             ServeError::BadCircuit(detail) => {
                 write!(f, "compiled circuit failed to flatten: {detail}")
             }
+            ServeError::BadQuery(detail) => write!(f, "malformed query: {detail}"),
             ServeError::Internal(detail) => write!(f, "serve invariant violated: {detail}"),
         }
     }
@@ -167,10 +172,10 @@ pub struct ServeReport {
 
 /// How one query maps onto executor tasks.
 enum Plan {
-    /// Exact: one lane of the batch's shared `ServeBatch` task — every
-    /// exact-routed query in the batch rides the same task, answered in
-    /// one batched arena traversal per kernel.
-    Batch { task: usize, lane: usize, route: Route },
+    /// Exact: one lane of the batch's shared `ServeBatch` task (always
+    /// task 0) — every exact-routed query in the batch rides the same
+    /// task, answered in one batched arena traversal per kernel.
+    Batch { lane: usize },
     /// Plain-approximate: one task, answer from its verdict.
     Single { task: usize, route: Route },
     /// Approximate posterior with no trusted normalizer: a joint-mass
@@ -192,9 +197,10 @@ enum Plan {
 
 struct KbEntry {
     kb: KnowledgeBase,
-    /// The shared exact oracle, rebuilt per revision.
-    oracle: Option<Arc<CompiledWmc>>,
-    oracle_revision: u64,
+    /// The current revision's source circuit — the allocation the
+    /// store's artifact holds, not a copy. Every edit and store wipe
+    /// clears it, so `Some` always means "compiled at this revision".
+    circuit: Option<Arc<Circuit>>,
     /// Frozen prediction net plus the `Z` and revision it was trained
     /// against.
     predictor: Option<(Mlp, f64, u64)>,
@@ -214,7 +220,6 @@ pub struct ServeEngine {
     store: CircuitStore,
     router: QueryRouter,
     kbs: Vec<KbEntry>,
-    buf: DnnfBuffer,
     served: u64,
     /// Attached observability sink (shared with the store; `None` =
     /// zero-overhead unobserved serving).
@@ -232,7 +237,6 @@ impl ServeEngine {
             store: CircuitStore::new(config.store),
             router: QueryRouter::new(config.router),
             kbs: Vec::new(),
-            buf: DnnfBuffer::new(),
             served: 0,
             telemetry: None,
             shard_label: "0".to_string(),
@@ -265,8 +269,7 @@ impl ServeEngine {
         let telemetry = KbTelemetry::prior(kb.num_vars(), kb.num_clauses());
         self.kbs.push(KbEntry {
             kb,
-            oracle: None,
-            oracle_revision: 0,
+            circuit: None,
             predictor: None,
             telemetry,
             last_stats: CompileStats::default(),
@@ -303,7 +306,7 @@ impl ServeEngine {
         self.store.stats()
     }
 
-    /// Drops every stored artifact and live oracle — the fault layer's
+    /// Drops every stored artifact and source circuit — the fault layer's
     /// cache-wipe injection. Registered knowledge bases (and their
     /// persistent component caches) survive, so the next exact query
     /// per KB pays a genuine — but component-cache-accelerated —
@@ -312,7 +315,7 @@ impl ServeEngine {
     pub fn wipe_store(&mut self) {
         self.store.clear();
         for entry in &mut self.kbs {
-            entry.oracle = None;
+            entry.circuit = None;
             entry.telemetry.compiled = false;
         }
     }
@@ -328,7 +331,7 @@ impl ServeEngine {
     pub fn add_clause(&mut self, id: KbId, dimacs: &[i32]) {
         let entry = &mut self.kbs[id.0];
         entry.kb.add_clause(dimacs);
-        entry.oracle = None;
+        entry.circuit = None;
         entry.telemetry.compiled = false;
         // The net was trained on the previous formula; retrain on the
         // next compile rather than serve stale predictions.
@@ -339,7 +342,7 @@ impl ServeEngine {
     pub fn retract_clause(&mut self, id: KbId, index: usize) {
         let entry = &mut self.kbs[id.0];
         entry.kb.retract_clause(index);
-        entry.oracle = None;
+        entry.circuit = None;
         entry.telemetry.compiled = false;
         entry.telemetry.has_predictor = false;
     }
@@ -353,43 +356,6 @@ impl ServeEngine {
         self.ensure_compiled(id)
     }
 
-    /// Answers one query on the store's d-DNNF arena — the single-query
-    /// fast path (no executor round-trip). Compiles on first use.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::NoMass`] when the formula has no satisfying mass;
-    /// [`ServeError::ArtifactMissing`] when the artifact is lost to an
-    /// eviction race between compilation and evaluation.
-    pub fn query(&mut self, id: KbId, kind: &QueryKind) -> Result<Answer, ServeError> {
-        self.ensure_compiled(id)?;
-        let fp = self.kbs[id.0].kb.fingerprint();
-        // ensure_compiled already paid the counted lookup.
-        let stored = self
-            .store
-            .peek(&fp)
-            .ok_or_else(|| ServeError::ArtifactMissing(self.kbs[id.0].kb.name().to_string()))?;
-        let buf = &mut self.buf;
-        let t0 = Instant::now();
-        let answer = match kind {
-            QueryKind::Wmc => Answer::Exact(stored.dnnf.probability(&empty(stored), buf)),
-            QueryKind::Probability(ev) => Answer::Exact(stored.dnnf.probability(ev, buf)),
-            QueryKind::Posterior(ev) => Answer::Exact(stored.dnnf.probability(ev, buf) / stored.z),
-            QueryKind::Marginal(ev, var) => {
-                Answer::Distribution(stored.dnnf.marginal(ev, *var, buf))
-            }
-            QueryKind::Mpe(ev) => {
-                let res = stored.dnnf.mpe(ev, buf);
-                Answer::Assignment { assignment: res.assignment, log_prob: res.log_prob }
-            }
-        };
-        let dt = t0.elapsed().as_secs_f64();
-        let entry = &mut self.kbs[id.0];
-        entry.telemetry.eval_s = ewma(entry.telemetry.eval_s, dt / kind.exact_evals());
-        self.served += 1;
-        Ok(answer)
-    }
-
     /// Serves a batch: routes every query, executes the admitted tasks
     /// through the threaded `BatchExecutor` (exact queries become lanes
     /// of one batched-arena task sharing a single traversal per
@@ -398,16 +364,15 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoMass`] when an exact-routed query forces a
-    /// compilation and the formula has no satisfying mass.
+    /// As [`serve_routed`](Self::serve_routed).
     pub fn serve(&mut self, id: KbId, queries: &[Query]) -> Result<ServeReport, ServeError> {
         // Refresh the hotness bit from ground truth before routing: the
         // artifact may have been evicted by another KB's traffic since
         // the last serve, and the router must charge the rebuild.
         {
             let entry = &mut self.kbs[id.0];
-            let fresh = entry.oracle.is_some() && entry.oracle_revision == entry.kb.revision();
-            entry.telemetry.compiled = fresh && self.store.contains(&entry.kb.fingerprint());
+            entry.telemetry.compiled =
+                entry.circuit.is_some() && self.store.contains(&entry.kb.fingerprint());
         }
         let routes: Vec<Route> = {
             let telemetry = self.kbs[id.0].telemetry;
@@ -435,6 +400,9 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
+    /// [`ServeError::BadQuery`] when a query's evidence or marginal
+    /// variable does not fit the knowledge base (checked before
+    /// anything is dispatched, whatever the route);
     /// [`ServeError::NoMass`] when an exact-routed query forces a
     /// compilation and the formula has no satisfying mass;
     /// [`ServeError::ArtifactMissing`] on an eviction race;
@@ -451,6 +419,14 @@ impl ServeEngine {
         routes: &[Route],
     ) -> Result<ServeReport, ServeError> {
         assert_eq!(routes.len(), queries.len(), "one route per query");
+        let kb = &self.kbs[id.0].kb;
+        if let Some(bad) = queries.iter().position(|q| !fits(&q.kind, kb.num_vars())) {
+            return Err(ServeError::BadQuery(format!(
+                "query {bad} does not fit the {} binary variables of `{}`",
+                kb.num_vars(),
+                kb.name()
+            )));
+        }
         if let Some(tel) = &self.telemetry {
             for route in routes {
                 let name = match route {
@@ -483,50 +459,39 @@ impl ServeEngine {
         // single `ServeBatch` task over the stored arena: the executor
         // answers the whole group in one batched traversal per kernel
         // instead of re-walking the arena per query. Lane answers are
-        // bit-identical to the per-query path, so batching is invisible
-        // to callers except in latency.
-        let exact_lanes: Vec<ServeQuery> = queries
+        // bit-identical to a batch of one, so batching is invisible to
+        // callers except in latency.
+        let exact: Vec<&Query> = queries
             .iter()
             .zip(routes)
             .filter(|(_, r)| matches!(r, Route::Exact))
-            .map(|(q, _)| to_serve_query(&q.kind))
+            .map(|(q, _)| q)
             .collect();
-        // The shared exact task inherits the *earliest* deadline of its
-        // lanes: it must clear the pipeline before the tightest one.
-        let exact_deadline = queries
-            .iter()
-            .zip(routes)
-            .filter(|(_, r)| matches!(r, Route::Exact))
-            .filter_map(|(q, _)| q.deadline)
-            .min();
-        let exact_task = if exact_lanes.is_empty() {
-            None
-        } else {
+        if !exact.is_empty() {
             let stored = self
                 .store
                 .peek(&entry.kb.fingerprint())
                 .ok_or_else(|| ServeError::ArtifactMissing(entry.kb.name().to_string()))?;
+            // Always task 0. It inherits the *earliest* deadline of its
+            // lanes: it must clear the pipeline before the tightest one.
             tasks.push(BatchTask {
                 name: "exact-batch".into(),
                 neural: NeuralStage::Synthetic { duration: Duration::ZERO },
                 symbolic: SymbolicStage::ServeBatch {
                     arena: Arc::clone(&stored.dnnf),
                     z: stored.z,
-                    queries: exact_lanes,
+                    queries: exact.iter().map(|q| to_serve_query(&q.kind)).collect(),
                 },
-                deadline: exact_deadline,
+                deadline: exact.iter().filter_map(|q| q.deadline).min(),
             });
-            Some(tasks.len() - 1)
-        };
+        }
         let mut exact_lane = 0usize;
 
         for (qi, (query, route)) in queries.iter().zip(routes).enumerate() {
             let seed = self.config.approx_seed ^ (self.served << 20) ^ qi as u64;
             match route {
                 Route::Exact => {
-                    let task = exact_task
-                        .ok_or(ServeError::Internal("exact routes share the batch task"))?;
-                    plans.push(Plan::Batch { task, lane: exact_lane, route: *route });
+                    plans.push(Plan::Batch { lane: exact_lane });
                     exact_lane += 1;
                 }
                 Route::Approx { samples } => {
@@ -634,8 +599,7 @@ impl ServeEngine {
         // Feed measured latencies back into the telemetry. The exact
         // lanes share one batched task, so its measured duration is
         // spread over the batch's total arena evaluations: every exact
-        // query contributes the same per-eval latency sample, keeping
-        // the EWMA cadence of the per-task path.
+        // query contributes the same per-eval latency sample.
         let batch_evals: f64 = plans
             .iter()
             .zip(queries)
@@ -646,8 +610,8 @@ impl ServeEngine {
             let entry = &mut self.kbs[id.0];
             for plan in &plans {
                 match plan {
-                    Plan::Batch { task, route: Route::Exact, .. } => {
-                        let dt = report.results[*task].symbolic_s;
+                    Plan::Batch { .. } => {
+                        let dt = report.results[0].symbolic_s;
                         entry.telemetry.eval_s = ewma(entry.telemetry.eval_s, dt / batch_evals);
                     }
                     Plan::Single { task, route: Route::Approx { samples } }
@@ -667,8 +631,10 @@ impl ServeEngine {
             }
         }
 
-        let outcomes: Vec<ServeOutcome> =
-            plans.iter().map(|plan| outcome(plan, &report.results)).collect();
+        let outcomes = plans
+            .iter()
+            .map(|plan| outcome(plan, &report.results))
+            .collect::<Result<Vec<ServeOutcome>, ServeError>>()?;
         if let Some(tel) = &self.telemetry {
             let latency =
                 tel.registry.histogram("serve_latency_seconds", &[("shard", &self.shard_label)]);
@@ -679,28 +645,28 @@ impl ServeEngine {
         Ok(ServeReport { outcomes, measured: report.measured })
     }
 
-    /// Guarantees the artifact is compiled, hot in the store, and
-    /// wrapped in a shareable oracle; measures compile and warm-eval
-    /// latency into the telemetry; trains the prediction net on first
-    /// compile when configured.
+    /// Guarantees the artifact is hot in the store and the entry holds
+    /// its source circuit; measures compile and first-eval latency into
+    /// the telemetry; trains the prediction net once per revision when
+    /// configured.
     fn ensure_compiled(&mut self, id: KbId) -> Result<(), ServeError> {
         let telemetry = self.telemetry.clone();
         let entry = &mut self.kbs[id.0];
         let revision = entry.kb.revision();
         let fp = entry.kb.fingerprint();
-        let oracle_fresh = entry.oracle.is_some() && entry.oracle_revision == revision;
+        let fresh = entry.circuit.is_some();
         // One counted lookup: serving traffic registers as store hits
         // and refreshes the artifact's LRU recency, so a hot KB is
         // never the eviction victim of its own traffic.
         let hot = self.store.get(&fp).is_some();
-        if oracle_fresh && hot {
+        if fresh && hot {
             return Ok(());
         }
         if let Some(tel) = &telemetry {
-            let kind = if self.store.contains(&fp) {
-                "rehydrate" // artifact hot, oracle stale
-            } else if oracle_fresh {
-                "reflatten" // oracle fresh, artifact evicted
+            let kind = if hot {
+                "rehydrate" // artifact hot, entry's circuit stale
+            } else if fresh {
+                "reflatten" // circuit current, artifact evicted
             } else {
                 "cold" // full compilation
             };
@@ -711,30 +677,23 @@ impl ServeEngine {
                 )
                 .inc();
         }
+        let flatten = |circuit: &Circuit, name: &str| {
+            Dnnf::from_circuit(circuit)
+                .map(Arc::new)
+                .map_err(|e| ServeError::BadCircuit(format!("{name}: {e:?}")))
+        };
         if let Some(stored) = self.store.peek(&fp) {
-            // Rehydrate the oracle from the stored artifact.
+            // Rehydrate the entry from the stored artifact.
             entry.z = stored.z;
             entry.last_stats = stored.stats;
             entry.last_compile_s = stored.compile_s;
-            entry.oracle = Some(Arc::new(CompiledWmc::from_circuit(
-                Some(stored.circuit.clone()),
-                stored.dnnf.num_vars(),
-            )));
-        } else if oracle_fresh {
-            // Evicted while the shared oracle still holds the current
+            entry.circuit = Some(Arc::clone(&stored.circuit));
+        } else if let Some(circuit) = entry.circuit.clone() {
+            // Evicted while the entry still holds the current
             // revision's circuit: rebuild the store artifact from it —
             // a linear flattening, not a recompile.
-            let circuit = entry
-                .oracle
-                .as_ref()
-                .and_then(|o| o.circuit().cloned())
-                .ok_or_else(|| ServeError::ArtifactMissing(entry.kb.name().to_string()))?;
-            let dnnf = Arc::new(
-                Dnnf::from_circuit(&circuit)
-                    .map_err(|e| ServeError::BadCircuit(format!("{}: {e:?}", entry.kb.name())))?,
-            );
-            let z = entry.z;
-            let (compile_s, stats) = (entry.last_compile_s, entry.last_stats);
+            let dnnf = flatten(&circuit, entry.kb.name())?;
+            let (z, compile_s, stats) = (entry.z, entry.last_compile_s, entry.last_stats);
             self.store.insert(fp, StoredCircuit { dnnf, circuit, z, compile_s, stats });
         } else {
             let span = telemetry.as_ref().map(|tel| {
@@ -750,49 +709,29 @@ impl ServeEngine {
             if let Some(span) = span {
                 span.end();
             }
-            let Some(circuit) = circuit else {
+            let Some(circuit) = circuit.map(Arc::new) else {
                 return Err(ServeError::NoMass(entry.kb.name().to_string()));
             };
-            let dnnf = Arc::new(
-                Dnnf::from_circuit(&circuit)
-                    .map_err(|e| ServeError::BadCircuit(format!("{}: {e:?}", entry.kb.name())))?,
-            );
+            let dnnf = flatten(&circuit, entry.kb.name())?;
+            // The evaluation that computes `Z` is also the router's
+            // first exact-latency sample for this knowledge base.
+            let t0 = Instant::now();
             let z = dnnf.probability(&Evidence::empty(entry.kb.num_vars()), &mut DnnfBuffer::new());
+            entry.telemetry.eval_s = t0.elapsed().as_secs_f64().max(1e-9);
             entry.z = z;
             entry.last_stats = stats;
             entry.last_compile_s = compile_s;
             entry.telemetry.compile_s = compile_s.max(1e-9);
-            entry.oracle = Some(Arc::new(CompiledWmc::from_circuit(
-                Some(circuit.clone()),
-                entry.kb.num_vars(),
-            )));
+            entry.circuit = Some(Arc::clone(&circuit));
             self.store.insert(fp, StoredCircuit { dnnf, circuit, z, compile_s, stats });
         }
-        let entry = &mut self.kbs[id.0];
-        entry.oracle_revision = revision;
         entry.z_revision = Some(revision);
         entry.telemetry.compiled = true;
-        // Warm-eval measurement: two evaluations, keep the faster.
-        let oracle =
-            entry.oracle.as_ref().ok_or(ServeError::Internal("compiled oracle was just built"))?;
-        let empty_ev = Evidence::empty(entry.kb.num_vars());
-        let mut ebuf = reason_pc::EvalBuffer::new();
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            let _ = oracle.probability_with(&empty_ev, &mut ebuf);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        entry.telemetry.eval_s = best.max(1e-9);
         // Train the prediction net once per revision, when configured.
-        let needs_net = self.config.predictor.is_some()
-            && entry.predictor.as_ref().is_none_or(|(_, _, rev)| *rev != revision);
-        if needs_net {
-            let cfg = self.config.predictor.expect("checked above");
-            let circuit = entry.oracle.as_ref().and_then(|o| o.circuit().cloned());
-            if let Some(circuit) = circuit {
+        if let (Some(cfg), Some(circuit)) = (self.config.predictor, &entry.circuit) {
+            if entry.predictor.as_ref().is_none_or(|(_, _, rev)| *rev != revision) {
                 let (net, _loss) =
-                    PredictionNet::train_from_circuit(&circuit, entry.kb.weights(), &cfg);
+                    PredictionNet::train_from_circuit(circuit, entry.kb.weights(), &cfg);
                 entry.predictor = Some((net.to_mlp(), entry.z, revision));
                 entry.telemetry.has_predictor = true;
             }
@@ -801,43 +740,52 @@ impl ServeEngine {
     }
 }
 
-/// Builds one query's [`ServeOutcome`] from its executed task(s).
-fn outcome(plan: &Plan, results: &[TaskResult]) -> ServeOutcome {
-    match plan {
-        Plan::Batch { task, lane, route } => {
-            let r = &results[*task];
+/// Builds one query's [`ServeOutcome`] from its executed task(s). A
+/// task whose worker panicked ([`Verdict::Failed`]) or that reported
+/// the wrong verdict shape fails the batch with a typed error.
+fn outcome(plan: &Plan, results: &[TaskResult]) -> Result<ServeOutcome, ServeError> {
+    /// The `(estimate, lower, upper)` of an approximate lane.
+    fn bracket(r: &TaskResult) -> Result<(f64, f64, f64), ServeError> {
+        match &r.verdict {
+            Verdict::Wmc { estimate, lower, upper } => Ok((*estimate, *lower, *upper)),
+            _ => Err(ServeError::Internal("an approximate task did not report a WMC bracket")),
+        }
+    }
+    Ok(match plan {
+        Plan::Batch { lane } => {
+            let r = &results[0];
             let Verdict::Batch(answers) = &r.verdict else {
-                unreachable!("the exact batch task reports a batch verdict");
+                return Err(ServeError::Internal("the exact batch task did not report its lanes"));
             };
-            let answer = match &answers[*lane] {
-                Verdict::Wmc { estimate, .. } => Answer::Exact(*estimate),
-                Verdict::Distribution(d) => Answer::Distribution(d.clone()),
-                Verdict::Assignment { assignment, log_prob } => {
+            let answer = match answers.get(*lane) {
+                Some(Verdict::Wmc { estimate, .. }) => Answer::Exact(*estimate),
+                Some(Verdict::Distribution(d)) => Answer::Distribution(d.clone()),
+                Some(Verdict::Assignment { assignment, log_prob }) => {
                     Answer::Assignment { assignment: assignment.clone(), log_prob: *log_prob }
                 }
-                other => unreachable!("serve lanes produce WMC-family verdicts: {other:?}"),
+                _ => return Err(ServeError::Internal("an exact lane reported no answer")),
             };
             // One task served every exact lane; attribute an equal
             // share of its wall time to each query.
             let share = answers.len().max(1) as f64;
-            ServeOutcome { route: *route, answer, latency_s: (r.neural_s + r.symbolic_s) / share }
+            ServeOutcome {
+                route: Route::Exact,
+                answer,
+                latency_s: (r.neural_s + r.symbolic_s) / share,
+            }
         }
         Plan::Single { task, route } => {
             let r = &results[*task];
-            let Verdict::Wmc { estimate, lower, upper } = &r.verdict else {
-                unreachable!("approx lanes produce WMC verdicts");
-            };
+            let (estimate, lower, upper) = bracket(r)?;
             ServeOutcome {
                 route: *route,
-                answer: Answer::Bounds { estimate: *estimate, lower: *lower, upper: *upper },
+                answer: Answer::Bounds { estimate, lower, upper },
                 latency_s: r.neural_s + r.symbolic_s,
             }
         }
         Plan::ApproxOverZ { joint, z, route } => {
             let r = &results[*joint];
-            let Verdict::Wmc { estimate, lower, upper } = &r.verdict else {
-                unreachable!("approx lanes produce WMC verdicts");
-            };
+            let (estimate, lower, upper) = bracket(r)?;
             ServeOutcome {
                 route: *route,
                 answer: Answer::Bounds {
@@ -850,17 +798,11 @@ fn outcome(plan: &Plan, results: &[TaskResult]) -> ServeOutcome {
         }
         Plan::ApproxPair { joint, base, route } => {
             let (rj, rb) = (&results[*joint], &results[*base]);
-            let (
-                Verdict::Wmc { estimate: ej, lower: lj, upper: uj },
-                Verdict::Wmc { estimate: eb, lower: lb, upper: ub },
-            ) = (&rj.verdict, &rb.verdict)
-            else {
-                unreachable!("approx lanes produce WMC verdicts");
-            };
+            let ((ej, lj, uj), (eb, lb, ub)) = (bracket(rj)?, bracket(rb)?);
             // Conservative interval division: joint / base.
-            let estimate = if *eb > 0.0 { (ej / eb).clamp(0.0, 1.0) } else { 0.0 };
-            let lower = if *ub > 0.0 { (lj / ub).clamp(0.0, 1.0) } else { 0.0 };
-            let upper = if *lb > 0.0 { (uj / lb).clamp(0.0, 1.0) } else { 1.0 };
+            let estimate = if eb > 0.0 { (ej / eb).clamp(0.0, 1.0) } else { 0.0 };
+            let lower = if ub > 0.0 { (lj / ub).clamp(0.0, 1.0) } else { 0.0 };
+            let upper = if lb > 0.0 { (uj / lb).clamp(0.0, 1.0) } else { 1.0 };
             ServeOutcome {
                 route: *route,
                 answer: Answer::Bounds { estimate, lower, upper },
@@ -870,7 +812,11 @@ fn outcome(plan: &Plan, results: &[TaskResult]) -> ServeOutcome {
         Plan::Predicted { task, prior, z, kind_is_posterior, kind_is_probability } => {
             let r = &results[*task];
             // The sigmoid head's single output is Pr[φ | e].
-            let conditional = r.neural_output[0].clamp(0.0, 1.0);
+            let conditional = r
+                .neural_output
+                .first()
+                .ok_or(ServeError::Internal("the prediction task produced no output"))?
+                .clamp(0.0, 1.0);
             let value = if *kind_is_posterior {
                 // Pr[e | φ] = Pr[φ | e] · Pr[e] / Pr[φ].
                 if *z > 0.0 {
@@ -890,7 +836,7 @@ fn outcome(plan: &Plan, results: &[TaskResult]) -> ServeOutcome {
                 latency_s: r.neural_s + r.symbolic_s,
             }
         }
-    }
+    })
 }
 
 /// EWMA with a 0.3 step — fast enough to track warm-up, smooth enough
@@ -899,8 +845,19 @@ fn ewma(old: f64, new: f64) -> f64 {
     0.7 * old + 0.3 * new.max(1e-9)
 }
 
-fn empty(stored: &StoredCircuit) -> Evidence {
-    Evidence::empty(stored.dnnf.num_vars())
+/// `true` when the query can be asked of a knowledge base over
+/// `num_vars` binary variables: its evidence covers exactly those
+/// variables with values in `{0, 1}`, and a marginal's variable is one
+/// of them.
+fn fits(kind: &QueryKind, num_vars: usize) -> bool {
+    let (evidence, var) = match kind {
+        QueryKind::Wmc => return true,
+        QueryKind::Probability(ev) | QueryKind::Posterior(ev) | QueryKind::Mpe(ev) => (ev, None),
+        QueryKind::Marginal(ev, var) => (ev, Some(*var)),
+    };
+    evidence.len() == num_vars
+        && var.is_none_or(|var| var < num_vars)
+        && (0..num_vars).all(|v| evidence.value(v).is_none_or(|x| x < 2))
 }
 
 fn push_task(
@@ -967,7 +924,7 @@ fn prior_mass(weights: &WmcWeights, evidence: &Evidence) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reason_pc::weighted_model_count;
+    use reason_pc::{weighted_model_count, CompiledWmc};
     use reason_sat::gen::random_ksat;
 
     fn engine() -> ServeEngine {
@@ -1030,19 +987,40 @@ mod tests {
         assert_eq!(engine.router_stats().exact, 7);
     }
 
+    /// The one exact answer of a single-query batch.
+    fn exact_one(engine: &mut ServeEngine, id: KbId, kind: QueryKind) -> f64 {
+        match engine.serve(id, &[Query::exact(kind)]).unwrap().outcomes.remove(0).answer {
+            Answer::Exact(x) => x,
+            other => panic!("expected an exact answer, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn fast_path_agrees_with_batch_path_bit_for_bit() {
+    fn batch_of_one_equals_lane_k_of_a_wide_batch_bit_for_bit() {
         let (cnf, w) = sat_instance(9, 24, 3);
         let mut engine = engine();
         let id = engine.register("kb", &cnf, w);
-        let mut ev = Evidence::empty(9);
-        ev.set(2, 1);
-        let fast = engine.query(id, &QueryKind::Posterior(ev.clone())).unwrap();
-        let batch = engine.serve(id, &[Query::exact(QueryKind::Posterior(ev))]).unwrap();
-        let (Answer::Exact(a), Answer::Exact(b)) = (&fast, &batch.outcomes[0].answer) else {
-            panic!("both paths are exact");
-        };
-        assert_eq!(a.to_bits(), b.to_bits(), "arena and oracle agree bit-for-bit");
+        let wide: Vec<Query> = (0..12usize)
+            .map(|k| {
+                let mut ev = Evidence::empty(9);
+                ev.set(k % 9, k % 2).set((k + 4) % 9, 1);
+                Query::exact(match k % 4 {
+                    0 => QueryKind::Posterior(ev),
+                    1 => QueryKind::Probability(ev),
+                    2 => QueryKind::Marginal(ev, k % 9),
+                    _ => QueryKind::Mpe(ev),
+                })
+            })
+            .collect();
+        let batch = engine.serve(id, &wide).unwrap();
+        for (k, q) in wide.iter().enumerate() {
+            let alone = engine.serve(id, std::slice::from_ref(q)).unwrap().outcomes.remove(0);
+            assert_eq!(alone.answer, batch.outcomes[k].answer, "lane {k}");
+            if let (Answer::Exact(a), Answer::Exact(b)) = (alone.answer, &batch.outcomes[k].answer)
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "lane {k}");
+            }
+        }
     }
 
     #[test]
@@ -1080,9 +1058,7 @@ mod tests {
             "incremental recompile must reuse components: {warm_stats:?}"
         );
         // Answers stay exact after the edit.
-        let Answer::Exact(z) = engine.query(id, &QueryKind::Wmc).unwrap() else {
-            panic!("exact");
-        };
+        let z = exact_one(&mut engine, id, QueryKind::Wmc);
         let expect = weighted_model_count(&engine.kb(id).cnf(), &w);
         assert!((z - expect).abs() < 1e-12);
     }
@@ -1120,28 +1096,110 @@ mod tests {
         assert_eq!(engine.warm(id), Err(ServeError::NoMass("empty".to_string())));
     }
 
-    #[test]
-    fn eviction_roundtrip_preserves_answers_bit_for_bit() {
-        let cfg = ServeConfig {
+    /// Tenants "a" and "b" on an engine whose store holds one artifact.
+    fn two_tenants_one_slot() -> (ServeEngine, KbId, KbId) {
+        let mut engine = ServeEngine::new(ServeConfig {
             store: StoreConfig { max_entries: 1, max_bytes: usize::MAX, ..Default::default() },
             ..ServeConfig::default()
-        };
-        let mut engine = ServeEngine::new(cfg);
+        });
         let (cnf_a, w_a) = sat_instance(9, 22, 21);
         let (cnf_b, w_b) = sat_instance(10, 24, 22);
         let a = engine.register("a", &cnf_a, w_a);
         let b = engine.register("b", &cnf_b, w_b);
-        let Answer::Exact(z_first) = engine.query(a, &QueryKind::Wmc).unwrap() else {
-            panic!("exact");
-        };
-        // Serving B evicts A (1-entry store); serving A again
-        // recompiles and must reproduce the identical bits.
-        let _ = engine.query(b, &QueryKind::Wmc).unwrap();
+        (engine, a, b)
+    }
+
+    #[test]
+    fn eviction_roundtrip_preserves_answers_bit_for_bit() {
+        let (mut engine, a, b) = two_tenants_one_slot();
+        let z_first = exact_one(&mut engine, a, QueryKind::Wmc);
+        // Serving B evicts A (1-entry store); serving A again rebuilds
+        // its artifact and must reproduce the identical bits.
+        let _ = exact_one(&mut engine, b, QueryKind::Wmc);
         assert_eq!(engine.store_stats().evictions, 1);
-        let Answer::Exact(z_again) = engine.query(a, &QueryKind::Wmc).unwrap() else {
-            panic!("exact");
-        };
+        let z_again = exact_one(&mut engine, a, QueryKind::Wmc);
         assert_eq!(z_first.to_bits(), z_again.to_bits());
         assert_eq!(engine.store_stats().insertions, 3);
+    }
+
+    #[test]
+    fn every_compile_kind_shares_one_circuit_and_reproduces_z() {
+        let tel = Telemetry::shared();
+        let (mut engine, a, b) = two_tenants_one_slot();
+        engine.attach_telemetry(Arc::clone(&tel), 0);
+        let compiles = |kind: &str| {
+            let labels = [("shard", "0"), ("tenant", "a"), ("kind", kind)];
+            tel.registry.counter("serve_compiles_total", &labels).get()
+        };
+
+        type Step = fn(&mut ServeEngine, KbId, KbId);
+        let steps: [(&str, Step); 3] = [
+            ("cold", |_, _, _| {}),
+            // Edit and undo without serving in between: the store still
+            // holds the artifact, the entry dropped its circuit.
+            ("rehydrate", |engine, a, _| {
+                engine.add_clause(a, &[1, -2, 3]);
+                engine.retract_clause(a, engine.kb(a).num_clauses() - 1);
+            }),
+            // B's compile evicts A from the 1-entry store; the entry
+            // keeps A's circuit.
+            ("reflatten", |engine, _, b| {
+                let _ = exact_one(engine, b, QueryKind::Wmc);
+            }),
+        ];
+        let mut z_bits = None;
+        for (kind, disturb) in steps {
+            disturb(&mut engine, a, b);
+            let before: Vec<u64> = steps.iter().map(|(k, _)| compiles(k)).collect();
+            let z = exact_one(&mut engine, a, QueryKind::Wmc);
+            for ((k, _), was) in steps.iter().zip(before) {
+                assert_eq!(compiles(k) - was, u64::from(*k == kind), "{kind} step, {k} counter");
+            }
+            assert_eq!(*z_bits.get_or_insert(z.to_bits()), z.to_bits(), "{kind}");
+            let entry = engine.kbs[a.0].circuit.as_ref().expect("compiled");
+            let stored = engine.store.peek(&engine.kb(a).fingerprint()).expect("hot");
+            assert!(Arc::ptr_eq(entry, &stored.circuit), "{kind}: one circuit, not a copy");
+        }
+    }
+
+    #[test]
+    fn hostile_queries_are_rejected_and_leave_the_engine_serving() {
+        let n = 9;
+        let (cnf, w) = sat_instance(n, 24, 3);
+        let mut ev = Evidence::empty(n);
+        ev.set(2, 1);
+        let valid = [
+            Query::exact(QueryKind::Posterior(ev.clone())),
+            Query::exact(QueryKind::Marginal(ev.clone(), n - 1)),
+            Query::exact(QueryKind::Mpe(ev.clone())),
+        ];
+        let mut non_binary = ev.clone();
+        non_binary.set(4, 2);
+        let mut engine = engine();
+        let id = engine.register("kb", &cnf, w.clone());
+        for kind in [
+            QueryKind::Probability(Evidence::empty(n + 1)),
+            QueryKind::Posterior(Evidence::empty(n - 1)),
+            QueryKind::Mpe(Evidence::empty(n + 1)),
+            QueryKind::Marginal(Evidence::empty(n - 1), 0),
+            QueryKind::Marginal(ev, n),
+            QueryKind::Probability(non_binary),
+        ] {
+            // Behind a valid exact lane, and alone on the approximate
+            // route (which would conjoin the evidence onto the formula).
+            let batch = [valid[0].clone(), Query::exact(kind.clone())];
+            let exact = engine.serve(id, &batch);
+            let approx = engine.serve_routed(id, &batch[1..], &[Route::Approx { samples: 16 }]);
+            for got in [exact, approx] {
+                assert!(matches!(got, Err(ServeError::BadQuery(_))), "{kind:?}: {got:?}");
+            }
+        }
+        let mut fresh = self::engine();
+        let fresh_id = fresh.register("kb", &cnf, w);
+        let after = engine.serve(id, &valid).unwrap();
+        let reference = fresh.serve(fresh_id, &valid).unwrap();
+        for (got, want) in after.outcomes.iter().zip(&reference.outcomes) {
+            assert_eq!(got.answer, want.answer);
+        }
     }
 }

@@ -55,7 +55,7 @@ pub struct CompileFaultWindow {
 }
 
 /// A one-shot cache wipe: at `at_s` the shard's circuit store and live
-/// oracles are dropped, forcing genuine recompiles (through the surviving
+/// source circuits are dropped, forcing genuine recompiles (through the surviving
 /// per-KB persistent component caches) on the next exact queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheWipe {

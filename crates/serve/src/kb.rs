@@ -21,8 +21,7 @@
 //! function of the logic, not of literal spelling.
 
 use reason_pc::{
-    compile_cnf_observed, Circuit, CompileConfig, CompileStats, PersistentComponentCache,
-    WmcWeights,
+    compile_cnf_with, Circuit, CompileOptions, CompileStats, PersistentComponentCache, WmcWeights,
 };
 use reason_sat::{Clause, Cnf, Lit};
 use reason_telemetry::Telemetry;
@@ -38,9 +37,8 @@ pub struct KnowledgeBase {
     clauses: Vec<Clause>,
     weights: WmcWeights,
     cache: PersistentComponentCache,
-    config: CompileConfig,
     /// Bumped on every mutation; serving layers use it to notice stale
-    /// derived state (oracles, trained predictors).
+    /// derived state (source circuits, trained predictors).
     revision: u64,
 }
 
@@ -66,7 +64,6 @@ impl KnowledgeBase {
             clauses: cnf.clauses().iter().map(canonical_clause).collect(),
             weights,
             cache: PersistentComponentCache::new(),
-            config: CompileConfig::default(),
             revision: 0,
         }
     }
@@ -162,18 +159,15 @@ impl KnowledgeBase {
 
     /// [`compile`](Self::compile) with an optional telemetry sink: the
     /// compiler's propagate / component-split / cache-probe phases emit
-    /// spans and counters (see [`reason_pc::compile_cnf_observed`]).
+    /// spans and counters (see [`reason_pc::CompileOptions::telemetry`]).
     pub fn compile_observed(
         &mut self,
         telemetry: Option<&Telemetry>,
     ) -> (Option<Circuit>, CompileStats) {
-        compile_cnf_observed(
-            &self.cnf(),
-            &self.weights,
-            &self.config,
-            Some(&mut self.cache),
-            telemetry,
-        )
+        let cnf = self.cnf();
+        let options =
+            CompileOptions { cache: Some(&mut self.cache), telemetry, ..CompileOptions::default() };
+        compile_cnf_with(&cnf, &self.weights, options)
     }
 
     /// The cross-query component cache (sizes, probe counters).

@@ -84,8 +84,8 @@ pub use fault::{
 };
 pub use kb::KnowledgeBase;
 /// Canonical formula fingerprints — the circuit store's keys. The type
-/// lives in `reason_pc` (the batch executor groups exact tasks by it);
-/// re-exported here because the store's API is keyed by it.
+/// lives in `reason_pc`; re-exported here because the store's API is
+/// keyed by it.
 pub use reason_pc::fingerprint;
 pub use reason_pc::{ring_mix, FormulaFingerprint};
 /// SLO machinery the cluster's live evaluation builds on, re-exported

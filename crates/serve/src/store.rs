@@ -4,9 +4,11 @@
 //! artifacts so that *every* query after a knowledge base's first
 //! compilation is answered from the store instead of repaying
 //! compilation. Entries carry the flat d-DNNF arena (the serving hot
-//! path), the source circuit (rehydrating shared [`reason_pc::CompiledWmc`]
-//! oracles for executor lanes), the cached weighted model count, and
-//! the compile telemetry the router's cost model feeds on.
+//! path), the source circuit (one allocation shared with the owning
+//! knowledge base's engine entry, which re-flattens it after an
+//! eviction and trains the predictor from it), the cached weighted
+//! model count, and the compile telemetry the router's cost model
+//! feeds on.
 //!
 //! The store is bounded two ways — entry count and total artifact
 //! bytes — and evicts entries when either bound is crossed. The
@@ -72,8 +74,9 @@ pub struct StoredCircuit {
     /// hands the same arena to `reason_system`'s batched serve lane
     /// without copying the node table.
     pub dnnf: Arc<Dnnf>,
-    /// The source circuit (rehydrates shared `CompiledWmc` oracles).
-    pub circuit: Circuit,
+    /// The source circuit, shared (not copied) with the engine entry of
+    /// the knowledge base it was compiled for.
+    pub circuit: Arc<Circuit>,
     /// The weighted model count, cached at insertion.
     pub z: f64,
     /// Seconds the producing compilation took.
@@ -358,7 +361,7 @@ impl CircuitStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reason_pc::{compile_cnf, compile_cnf_with_stats, CompileConfig, WmcWeights};
+    use reason_pc::{compile_cnf, compile_cnf_with, CompileOptions, WmcWeights};
     use reason_sat::gen::random_ksat;
     use reason_sat::Cnf;
 
@@ -371,8 +374,8 @@ mod tests {
         loop {
             let cnf = random_ksat(8, 20, 3, s);
             let w = WmcWeights::uniform(8);
-            let (circuit, stats) = compile_cnf_with_stats(&cnf, &w, &CompileConfig::default());
-            if let Some(circuit) = circuit {
+            let (circuit, stats) = compile_cnf_with(&cnf, &w, CompileOptions::default());
+            if let Some(circuit) = circuit.map(Arc::new) {
                 let dnnf = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
                 let mut buf = reason_pc::DnnfBuffer::new();
                 let z = dnnf.probability(&reason_pc::Evidence::empty(8), &mut buf);

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use reason::pc::{compile_cnf_with_stats, CompileConfig, Dnnf, DnnfBuffer, Evidence, WmcWeights};
+use reason::pc::{compile_cnf_with, CompileOptions, Dnnf, DnnfBuffer, Evidence, WmcWeights};
 use reason::sat::gen::random_ksat;
 use reason::serve::{CircuitStore, EvictionPolicy, FormulaFingerprint, StoreConfig, StoredCircuit};
 
@@ -24,8 +24,8 @@ fn artifact(seed: u64, compile_s: f64) -> (FormulaFingerprint, StoredCircuit) {
     loop {
         let cnf = random_ksat(8, 20, 3, s);
         let w = WmcWeights::uniform(8);
-        let (circuit, stats) = compile_cnf_with_stats(&cnf, &w, &CompileConfig::default());
-        if let Some(circuit) = circuit {
+        let (circuit, stats) = compile_cnf_with(&cnf, &w, CompileOptions::default());
+        if let Some(circuit) = circuit.map(Arc::new) {
             let dnnf = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
             let z = dnnf.probability(&Evidence::empty(8), &mut DnnfBuffer::new());
             let fp = FormulaFingerprint::new(&cnf, &w);

@@ -238,14 +238,17 @@ proptest! {
         let c = circuit.log_probability_with(&evidence, &mut cbuf);
         let a = arena.log_probability(&evidence, &mut abuf);
         prop_assert!(c == a || (c.is_nan() && a.is_nan()), "circuit {} vs arena {}", c, a);
+        // Marginals and MPE run on the arena as a batch of one.
+        let one = reason::pc::DnnfBatch::pack(std::slice::from_ref(&evidence));
+        let mut bbuf = reason::pc::BatchBuffer::new();
         let var = rng.gen_range(0..n);
         prop_assert_eq!(
-            circuit.marginal_with(&evidence, var, &mut cbuf),
-            arena.marginal(&evidence, var, &mut abuf)
+            &circuit.marginal_with(&evidence, var, &mut cbuf),
+            &arena.marginal_batch(&one, var, &mut bbuf)[0]
         );
         let cm = circuit.mpe_with(&evidence, &mut cbuf);
-        let am = arena.mpe(&evidence, &mut abuf);
-        prop_assert_eq!(cm.assignment, am.assignment);
+        let am = &arena.mpe_batch(&one, &mut bbuf)[0];
+        prop_assert_eq!(&cm.assignment, &am.assignment);
         prop_assert_eq!(cm.log_prob.to_bits(), am.log_prob.to_bits());
     }
 
@@ -255,7 +258,9 @@ proptest! {
         // transformation, not a numerical one: every lane of a mixed
         // WMC/marginal/MPE batch — including duplicated queries, which
         // the packer collapses onto a shared storage lane — must
-        // reproduce the single-query DnnfBuffer answer bit-for-bit.
+        // reproduce the single-query answer bit-for-bit (the arena's
+        // own for probabilities, the source circuit's for marginals
+        // and MPE).
         use rand::{Rng, SeedableRng};
         let m = 2 * n + (seed % 13) as usize;
         let cnf = reason::sat::gen::random_ksat(n, m, 3, seed);
@@ -285,6 +290,7 @@ proptest! {
         let batch = reason::pc::DnnfBatch::pack(&evidences);
         prop_assert_eq!(batch.lanes(), lanes);
         let mut sbuf = reason::pc::DnnfBuffer::new();
+        let mut cbuf = reason::pc::EvalBuffer::new();
         let mut bbuf = reason::pc::BatchBuffer::new();
         let logp = arena.log_probability_batch(&batch, &mut bbuf);
         let wmc = arena.wmc_batch(&batch, &mut bbuf);
@@ -299,9 +305,9 @@ proptest! {
                 "lane {}: batched logp {} vs single {}", lane, logp[lane], lp
             );
             prop_assert_eq!(wmc[lane].to_bits(), lp.exp().to_bits());
-            let sm = arena.marginal(ev, var, &mut sbuf);
+            let sm = circuit.marginal_with(ev, var, &mut cbuf);
             prop_assert_eq!(&marg[lane], &sm, "lane {} marginal", lane);
-            let single = arena.mpe(ev, &mut sbuf);
+            let single = circuit.mpe_with(ev, &mut cbuf);
             prop_assert_eq!(&mpe[lane].assignment, &single.assignment, "lane {} mpe", lane);
             prop_assert_eq!(mpe[lane].log_prob.to_bits(), single.log_prob.to_bits());
         }
@@ -312,7 +318,7 @@ proptest! {
         // Insert → evict → recompile through a 1-entry serving store:
         // the recompiled artifact must reproduce the original answers
         // bit-for-bit (eviction costs latency, never correctness).
-        use reason::serve::{Answer, QueryKind, ServeConfig, ServeEngine, StoreConfig};
+        use reason::serve::{Answer, Query, QueryKind, ServeConfig, ServeEngine, StoreConfig};
         use rand::{Rng, SeedableRng};
         let m = 2 * n + (seed % 11) as usize;
         let cnf = reason::sat::gen::random_ksat(n, m, 3, seed);
@@ -336,19 +342,23 @@ proptest! {
         let kb = engine.register("kb", &cnf, weights);
         let mut evidence = Evidence::empty(n);
         evidence.set(rng.gen_range(0..n), usize::from(rng.gen_bool(0.5)));
-        let kind = QueryKind::Posterior(evidence);
-        let Answer::Exact(first) = engine.query(kb, &kind).unwrap() else { unreachable!() };
+        let query = [Query::exact(QueryKind::Posterior(evidence))];
+        let Answer::Exact(first) = engine.serve(kb, &query).unwrap().outcomes[0].answer else {
+            unreachable!()
+        };
         // Fill the 1-entry store with another KB: the first artifact is
         // evicted and the next query recompiles it.
         let filler = engine.register("filler", &other, WmcWeights::uniform(6));
         engine.warm(filler).unwrap();
         prop_assert!(engine.store_stats().evictions >= 1);
-        // Stale the live oracle too (add + retract restores the same
+        // Drop the entry's circuit too (add + retract restores the same
         // fingerprint at a new revision), so the next query is a
         // genuine recompile, not a rebuild from the cached circuit.
         engine.add_clause(kb, &[1]);
         engine.retract_clause(kb, engine.kb(kb).num_clauses() - 1);
-        let Answer::Exact(again) = engine.query(kb, &kind).unwrap() else { unreachable!() };
+        let Answer::Exact(again) = engine.serve(kb, &query).unwrap().outcomes[0].answer else {
+            unreachable!()
+        };
         prop_assert_eq!(first.to_bits(), again.to_bits(),
             "evict + recompile changed an answer: {} vs {}", first, again);
     }
