@@ -228,14 +228,8 @@ impl CircuitBuilder {
         (self.arities, self.nodes)
     }
 
-    /// The nodes added so far — read access for in-crate compilers
-    /// that extract subgraphs (persistent component-cache fragments).
-    pub(crate) fn nodes(&self) -> &[PcNode] {
-        &self.nodes
-    }
-
     /// Appends a pre-built node without linear↔log weight conversion —
-    /// for in-crate compilers splicing cached fragments whose
+    /// for in-crate compilers splicing cached subgraphs whose
     /// log-weights must survive bit-for-bit (an `exp`/`ln` round trip
     /// can move the last ulp). The caller guarantees children precede
     /// the node.
@@ -450,18 +444,27 @@ impl Circuit {
     /// preserving relative order. Returns the compacted circuit and the
     /// number of nodes dropped.
     pub fn compact(&self) -> (Circuit, usize) {
-        let mut reachable = vec![false; self.nodes.len()];
-        reachable[self.root.index()] = true;
-        for i in (0..self.nodes.len()).rev() {
+        let compacted = Circuit::compacted(self.arities.clone(), &self.nodes, self.root);
+        let dropped = self.nodes.len() - compacted.nodes.len();
+        (compacted, dropped)
+    }
+
+    /// [`compact`](Self::compact) over a borrowed children-first node
+    /// slice: the live subgraph under `root` is the only copy made, so
+    /// an in-crate compiler can keep (or hand on) the slice's owner.
+    pub(crate) fn compacted(arities: Vec<usize>, all: &[PcNode], root: NodeId) -> Circuit {
+        let mut reachable = vec![false; all.len()];
+        reachable[root.index()] = true;
+        for i in (0..all.len()).rev() {
             if reachable[i] {
-                for c in self.nodes[i].children() {
+                for c in all[i].children() {
                     reachable[c.index()] = true;
                 }
             }
         }
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
+        let mut remap: Vec<Option<NodeId>> = vec![None; all.len()];
         let mut nodes: Vec<PcNode> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in all.iter().enumerate() {
             if !reachable[i] {
                 continue;
             }
@@ -477,9 +480,8 @@ impl Circuit {
             remap[i] = Some(NodeId(nodes.len() as u32));
             nodes.push(node);
         }
-        let dropped = self.nodes.len() - nodes.len();
-        let root = remap[self.root.index()].expect("root is reachable");
-        (Circuit { arities: self.arities.clone(), nodes, root }, dropped)
+        let root = remap[root.index()].expect("root is reachable");
+        Circuit { arities, nodes, root }
     }
 }
 

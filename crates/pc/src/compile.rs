@@ -30,7 +30,8 @@
 //! sweep measures speedups against, and the regression guard that pins
 //! the new compiler's circuit sizes from above.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use reason_sat::{ClausePool, Cnf, Lit, Propagator, Var};
 use reason_telemetry::Telemetry;
@@ -123,15 +124,16 @@ pub struct CompileOptions<'a> {
     pub order: VarOrder,
     /// A caller-held cross-query cache: components whose fingerprints
     /// survive from earlier compilations of *related* formulas (same
-    /// clause-pool ids, same weights) are spliced from cached fragments
-    /// instead of recompiled — how a serving knowledge base recompiles
-    /// only the components an added clause touches. The cache binds to
-    /// the first weight vector it compiles under.
+    /// clause-pool ids, same weights) are spliced from the cached node
+    /// arrays instead of recompiled — how a serving knowledge base
+    /// recompiles only the components an added clause touches. The cache
+    /// binds to the first weight vector it compiles under.
     pub cache: Option<&'a mut PersistentComponentCache>,
     /// An observability sink: the propagate / component-split /
     /// cache-probe phases emit child spans under a `pc.compile` root and
     /// the [`CompileStats`] counters land in the registry
-    /// (`pc_propagations_total`, `pc_cache_probes_total{result}`, ...).
+    /// (`pc_propagations_total`, `pc_cache_probes_total{result}`, ...),
+    /// with an attached cache's footprint as `pc_persistent_cache_bytes`.
     /// Phase timing only *reads* the injected clock, so the compiled
     /// circuit never depends on it.
     pub telemetry: Option<&'a Telemetry>,
@@ -154,8 +156,11 @@ pub struct CompileStats {
     /// Components answered by a cross-query [`PersistentComponentCache`]
     /// (always 0 without [`CompileOptions::cache`]).
     pub persistent_hits: u64,
-    /// Component fragments stored into the cross-query cache.
+    /// Components stored into the cross-query cache.
     pub persistent_stores: u64,
+    /// Nodes the search built, dead branches included — what an attached
+    /// cross-query cache retains of this compilation.
+    pub built_nodes: usize,
     /// Nodes in the final (compacted) circuit; 0 for UNSAT inputs.
     pub nodes: usize,
     /// Edges in the final (compacted) circuit; 0 for UNSAT inputs.
@@ -236,6 +241,8 @@ pub fn compile_cnf_with(
         cache: HashMap::new(),
         persistent,
         persist_depth,
+        persisted: Vec::new(),
+        spliced: HashMap::new(),
         depth: 0,
         indicator_memo: vec![[None; 2]; num_vars],
         free_memo: vec![None; num_vars],
@@ -254,24 +261,29 @@ pub fn compile_cnf_with(
     let t_begin = telemetry.map(|t| t.now_s());
     let root = compiler.compile_top();
     let phases = (compiler.phase_prop_s, compiler.phase_split_s, compiler.phase_probe_s);
-    let mut stats = compiler.stats;
-    let result = match root {
-        None => (None, stats),
-        Some(root) => {
-            let (arities, nodes) = compiler.builder.into_parts();
-            // Branches killed by a sibling conflict leave unreachable
-            // nodes behind; compact to the live circuit.
-            let (circuit, _dropped) = Circuit::from_parts(arities, nodes, root).compact();
-            debug_assert!(circuit.validate().is_ok(), "compiler emits valid circuits");
-            stats.nodes = circuit.num_nodes();
-            stats.edges = circuit.num_edges();
-            (Some(circuit), stats)
-        }
-    };
-    if let (Some(tel), Some(t0)) = (telemetry, t_begin) {
-        record_compile_telemetry(tel, t0, &result.1, result.0.is_some(), phases);
+    let TopDown { builder, persistent, persisted, mut stats, .. } = compiler;
+    let (arities, nodes) = builder.into_parts();
+    stats.built_nodes = nodes.len();
+    // Branches killed by a sibling conflict leave unreachable nodes
+    // behind; compact to the live circuit.
+    let circuit = root.map(|root| Circuit::compacted(arities, &nodes, root));
+    if let Some(circuit) = &circuit {
+        debug_assert!(circuit.validate().is_ok(), "compiler emits valid circuits");
+        stats.nodes = circuit.num_nodes();
+        stats.edges = circuit.num_edges();
     }
-    result
+    // The search's own vector, dead branches and all, becomes the one
+    // array every component persisted by this compilation points into.
+    if let Some(cache) = persistent {
+        cache.adopt(nodes, persisted);
+        if let Some(tel) = telemetry {
+            tel.registry.gauge("pc_persistent_cache_bytes", &[]).set(cache.bytes() as f64);
+        }
+    }
+    if let (Some(tel), Some(t0)) = (telemetry, t_begin) {
+        record_compile_telemetry(tel, t0, &stats, circuit.is_some(), phases);
+    }
+    (circuit, stats)
 }
 
 /// Pushes one compilation into an attached [`Telemetry`]: a
@@ -328,64 +340,12 @@ const WIDE_ENTRY: u64 = 1 << 63;
 /// clear on the leading clause-id entry.
 const WIDE_LIT: u64 = 1 << 62;
 
-/// A self-contained compiled component: nodes with fragment-local ids
-/// (children-first), plus the fragment's root. Spliced into a later
-/// compilation's builder by [`TopDown::splice_fragment`].
-#[derive(Debug, Clone, PartialEq)]
-struct Fragment {
+/// One compilation's node array, shared by every component that
+/// compilation persisted, with its estimated heap footprint.
+#[derive(Debug)]
+struct SharedNodes {
     nodes: Vec<PcNode>,
-    root: NodeId,
-}
-
-impl Fragment {
-    /// Extracts the subgraph reachable from `root` out of a builder's
-    /// node array, preserving relative (topological) order and internal
-    /// sharing.
-    fn extract(nodes: &[PcNode], root: NodeId) -> Fragment {
-        let mut reachable: Vec<u32> = vec![root.0];
-        let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        seen.insert(root.0);
-        let mut cursor = 0;
-        while cursor < reachable.len() {
-            let id = reachable[cursor];
-            cursor += 1;
-            for c in nodes[id as usize].children() {
-                if seen.insert(c.0) {
-                    reachable.push(c.0);
-                }
-            }
-        }
-        reachable.sort_unstable();
-        let remap: HashMap<u32, u32> =
-            reachable.iter().enumerate().map(|(local, &id)| (id, local as u32)).collect();
-        let local_nodes = reachable
-            .iter()
-            .map(|&id| {
-                let mut node = nodes[id as usize].clone();
-                match &mut node {
-                    PcNode::Sum { children, .. } | PcNode::Product { children } => {
-                        for c in children.iter_mut() {
-                            *c = NodeId(remap[&c.0]);
-                        }
-                    }
-                    _ => {}
-                }
-                node
-            })
-            .collect();
-        Fragment { nodes: local_nodes, root: NodeId(remap[&root.0]) }
-    }
-
-    /// Estimated heap footprint in bytes.
-    fn bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| {
-                std::mem::size_of::<PcNode>()
-                    + n.children().len() * (std::mem::size_of::<NodeId>() + 8)
-            })
-            .sum()
-    }
+    bytes: usize,
 }
 
 /// Counters of a [`PersistentComponentCache`].
@@ -395,7 +355,7 @@ pub struct PersistentCacheStats {
     pub hits: u64,
     /// Probes that missed (the component was then compiled and stored).
     pub misses: u64,
-    /// Fragments stored.
+    /// Components stored.
     pub stores: u64,
     /// Entries dropped by clause invalidation.
     pub invalidated: u64,
@@ -421,20 +381,27 @@ impl PersistentCacheStats {
 /// ids stay stable: the owning knowledge base appends new clauses at
 /// fresh ids (old fingerprints stay valid) and calls
 /// [`invalidate_clauses_from`](Self::invalidate_clauses_from) when a
-/// retraction shifts ids. Values are self-contained circuit
-/// fragments (or a cached UNSAT verdict), spliced into the next
-/// compilation's builder with their log-weights preserved bit-for-bit.
+/// retraction shifts ids.
+///
+/// Every compiled node is stored once. A compilation hands its whole
+/// node vector over when it finishes, and each component it persisted
+/// is a root id into that one shared array (or a cached UNSAT verdict);
+/// a later hit walks from the root and splices what it reaches into the
+/// new compilation's builder, log-weights preserved bit-for-bit. An
+/// array lives exactly as long as some entry points into it, so a cache
+/// holds at most the nodes of the compilations it still references.
 ///
 /// Only components discovered within `persist_depth` decisions of the
-/// root are persisted — deep, tiny components churn the map without
-/// paying for their extraction cost.
+/// root are persisted. That costs a key and a map insert, never a copy:
+/// depth bounds the number of keys, which deep, tiny components would
+/// multiply without ever being hit.
 ///
 /// The cache binds to the weight vector of its first compilation;
 /// reusing it under different weights would splice stale leaf
 /// probabilities, so [`compile_cnf_with`] panics on a mismatch.
 #[derive(Debug, Clone)]
 pub struct PersistentComponentCache {
-    entries: HashMap<Vec<u64>, Option<Fragment>>,
+    entries: HashMap<Vec<u64>, Option<(Arc<SharedNodes>, NodeId)>>,
     persist_depth: u32,
     weights_sig: Option<Vec<u64>>,
     stats: PersistentCacheStats,
@@ -449,8 +416,8 @@ impl Default for PersistentComponentCache {
 impl PersistentComponentCache {
     /// Default persistence depth: components within 12 decisions of
     /// the root. Measured on random 3-SAT (n = 12–20, m/n = 3), hits
-    /// after a one-clause edit saturate by depth ~8–12 while cache
-    /// bytes stay within ~2× of depth 4; deeper settings buy nothing.
+    /// after a one-clause edit saturate by depth ~8–12; deeper settings
+    /// add keys and buy no hits.
     pub const DEFAULT_DEPTH: u32 = 12;
 
     /// An empty cache with the default persistence depth.
@@ -484,13 +451,29 @@ impl PersistentComponentCache {
         self.stats
     }
 
-    /// Estimated heap footprint of keys plus fragments, in bytes.
+    /// The distinct node arrays some entry still points into.
+    fn arrays(&self) -> impl Iterator<Item = &Arc<SharedNodes>> {
+        let mut seen = HashSet::new();
+        self.entries
+            .values()
+            .filter_map(|entry| entry.as_ref().map(|(array, _)| array))
+            .filter(move |array| seen.insert(Arc::as_ptr(array)))
+    }
+
+    /// Nodes held across all shared arrays, each array counted once.
+    pub fn retained_nodes(&self) -> usize {
+        self.arrays().map(|array| array.nodes.len()).sum()
+    }
+
+    /// Estimated heap footprint in bytes: every key, plus every shared
+    /// node array once.
     pub fn bytes(&self) -> usize {
-        self.entries.iter().map(|(k, v)| k.len() * 8 + v.as_ref().map_or(0, Fragment::bytes)).sum()
+        let keys: usize = self.entries.keys().map(|k| k.len() * 8).sum();
+        keys + self.arrays().map(|array| array.bytes).sum::<usize>()
     }
 
     /// Drops everything, including the weight binding — with no
-    /// fragments left there is nothing to go stale, so the cache may be
+    /// components left there is nothing to go stale, so the cache may be
     /// rebound to new weights (counters survive).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -522,22 +505,29 @@ impl PersistentComponentCache {
         }
     }
 
-    fn probe(&mut self, key: &[u64]) -> Option<Option<Fragment>> {
-        match self.entries.get(key) {
-            Some(frag) => {
-                self.stats.hits += 1;
-                Some(frag.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+    /// `Some(entry)` on a hit; the entry shares its array, it copies
+    /// no node.
+    fn probe(&mut self, key: &[u64]) -> Option<Option<(Arc<SharedNodes>, NodeId)>> {
+        let hit = self.entries.get(key).cloned();
+        match hit {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        hit
     }
 
-    fn store(&mut self, key: Vec<u64>, fragment: Option<Fragment>) {
-        self.stats.stores += 1;
-        self.entries.insert(key, fragment);
+    /// Takes over a finished compilation's node vector and points every
+    /// component it persisted (`None` = UNSAT verdict) into it.
+    fn adopt(&mut self, mut nodes: Vec<PcNode>, persisted: Vec<(Vec<u64>, Option<NodeId>)>) {
+        self.stats.stores += persisted.len() as u64;
+        nodes.shrink_to_fit(); // held for as long as the entries are
+        let edges: usize = nodes.iter().map(|n| n.children().len()).sum();
+        let bytes = nodes.len() * std::mem::size_of::<PcNode>()
+            + edges * (std::mem::size_of::<NodeId>() + 8);
+        let array = Arc::new(SharedNodes { nodes, bytes });
+        for (key, root) in persisted {
+            self.entries.insert(key, root.map(|root| (Arc::clone(&array), root)));
+        }
     }
 }
 
@@ -562,10 +552,16 @@ struct TopDown<'a> {
     /// compiled node (`None` caches UNSAT components too).
     cache: HashMap<Vec<u64>, Option<NodeId>>,
     /// Cross-query component cache (see [`PersistentComponentCache`]),
-    /// probed on in-compile misses and fed on compiled components up to
-    /// `persist_depth` decisions from the root.
+    /// probed on in-compile misses up to `persist_depth` decisions from
+    /// the root; the components compiled there are noted in `persisted`
+    /// and handed over with the node vector when the search ends.
     persistent: Option<&'a mut PersistentComponentCache>,
     persist_depth: u32,
+    persisted: Vec<(Vec<u64>, Option<NodeId>)>,
+    /// Per cached array (by address; the cache keeps it alive), the
+    /// builder id each of its nodes was spliced to, so hits whose
+    /// subgraphs overlap share nodes.
+    spliced: HashMap<*const SharedNodes, Vec<Option<NodeId>>>,
     /// Decisions on the current search path.
     depth: u32,
     /// Hash-consed leaves: indicator `[x_v = b]`, free Bernoulli leaf,
@@ -728,9 +724,9 @@ impl TopDown<'_> {
         let cached =
             if persist { self.persistent.as_mut().and_then(|p| p.probe(&key)) } else { None };
         self.phase_probe_s += self.phase_elapsed(t0);
-        if let Some(fragment) = cached {
+        if let Some(component) = cached {
             self.stats.persistent_hits += 1;
-            let node = fragment.map(|f| self.splice_fragment(&f));
+            let node = component.map(|(array, root)| self.splice(&array, root));
             self.cache.insert(key, node);
             return node;
         }
@@ -761,44 +757,48 @@ impl TopDown<'_> {
             Some(self.builder.sum(children, ws))
         };
         if persist {
-            let fragment = result.map(|root| Fragment::extract(self.builder.nodes(), root));
             self.stats.persistent_stores += 1;
-            if let Some(p) = self.persistent.as_mut() {
-                p.store(key.clone(), fragment);
-            }
+            self.persisted.push((key.clone(), result));
         }
         self.cache.insert(key, result);
         result
     }
 
-    /// Splices a cached fragment into the builder: leaves are
-    /// hash-consed through the usual memos, interior nodes are appended
-    /// raw so their log-weights survive bit-for-bit. Returns the
-    /// builder id of the fragment's root.
-    fn splice_fragment(&mut self, fragment: &Fragment) -> NodeId {
-        let mut map: Vec<NodeId> = Vec::with_capacity(fragment.nodes.len());
-        for node in &fragment.nodes {
-            let id = match node {
-                PcNode::Indicator { var, value } => {
-                    self.indicator_leaf(Var::new(*var), *value == 1)
-                }
-                // Free Bernoulli leaves are the only categoricals the
-                // compiler emits; the cache's weight binding guarantees
-                // the memoized leaf carries the same probabilities.
-                PcNode::Categorical { var, .. } => self.free_leaf(Var::new(*var)),
-                PcNode::Sum { children, log_weights } => {
-                    let children = children.iter().map(|c| map[c.index()]).collect();
-                    self.builder
-                        .push_raw(PcNode::Sum { children, log_weights: log_weights.clone() })
-                }
-                PcNode::Product { children } => {
-                    let children = children.iter().map(|c| map[c.index()]).collect();
-                    self.builder.push_raw(PcNode::Product { children })
-                }
-            };
-            map.push(id);
+    /// Splices the subgraph under `root` of a cached array into the
+    /// builder, recursing no deeper than the search that built it:
+    /// leaves are hash-consed through the usual memos, interior nodes
+    /// appended raw so their log-weights survive bit-for-bit, nodes an
+    /// earlier hit spliced reused. Returns the builder id of `root`.
+    fn splice(&mut self, array: &Arc<SharedNodes>, root: NodeId) -> NodeId {
+        let nodes = &array.nodes;
+        let mut memo =
+            self.spliced.remove(&Arc::as_ptr(array)).unwrap_or_else(|| vec![None; nodes.len()]);
+        let spliced = self.splice_node(nodes, &mut memo, root);
+        self.spliced.insert(Arc::as_ptr(array), memo);
+        spliced
+    }
+
+    fn splice_node(&mut self, nodes: &[PcNode], memo: &mut [Option<NodeId>], id: NodeId) -> NodeId {
+        if let Some(spliced) = memo[id.index()] {
+            return spliced;
         }
-        map[fragment.root.index()]
+        let spliced = match &nodes[id.index()] {
+            PcNode::Indicator { var, value } => self.indicator_leaf(Var::new(*var), *value == 1),
+            // Free Bernoulli leaves are the only categoricals the
+            // compiler emits; the cache's weight binding guarantees
+            // the memoized leaf carries the same probabilities.
+            PcNode::Categorical { var, .. } => self.free_leaf(Var::new(*var)),
+            PcNode::Sum { children, log_weights } => {
+                let children = children.iter().map(|&c| self.splice_node(nodes, memo, c)).collect();
+                self.builder.push_raw(PcNode::Sum { children, log_weights: log_weights.clone() })
+            }
+            PcNode::Product { children } => {
+                let children = children.iter().map(|&c| self.splice_node(nodes, memo, c)).collect();
+                self.builder.push_raw(PcNode::Product { children })
+            }
+        };
+        memo[id.index()] = Some(spliced);
+        spliced
     }
 
     /// One decision branch: assume `v = value`, propagate within the
@@ -1576,12 +1576,70 @@ mod tests {
         let cnf = random_ksat(9, 24, 3, 11);
         let w = WmcWeights::uniform(9);
         let mut cache = PersistentComponentCache::with_depth(2);
-        let _ = cached(&cnf, &w, &mut cache);
+        let (_, stats) = cached(&cnf, &w, &mut cache);
         assert!(!cache.is_empty());
-        assert!(cache.bytes() > 0);
         assert!(cache.stats().stores > 0);
+        // Every entry points into the one array the compile handed over.
+        assert_eq!(cache.arrays().count(), 1);
+        assert_eq!(cache.retained_nodes(), stats.built_nodes);
+        let keys: usize = cache.entries.keys().map(|k| k.len() * 8).sum();
+        assert!(cache.bytes() > keys);
+        let array = Arc::downgrade(cache.arrays().next().unwrap());
         cache.clear();
         assert!(cache.is_empty());
+        assert_eq!((cache.bytes(), cache.retained_nodes()), (0, 0));
+        assert!(array.upgrade().is_none(), "clear() must release the array");
+    }
+
+    #[test]
+    fn an_array_lives_exactly_as_long_as_an_entry_points_into_it() {
+        // The added clause sits on two so-far-free variables, so the
+        // only component the recompile compiles (and persists) is that
+        // clause's own; the block beside it is spliced.
+        let mut clauses = vec![vec![1, 2], vec![-2, 3], vec![-1, 3, 4]];
+        let w = WmcWeights::uniform(6);
+        let mut cache = PersistentComponentCache::new();
+        let _ = cached(&Cnf::from_clauses(6, clauses.clone()), &w, &mut cache);
+        let first = Arc::downgrade(cache.arrays().next().unwrap());
+        clauses.push(vec![5, 6]);
+        let (_, stats) = cached(&Cnf::from_clauses(6, clauses), &w, &mut cache);
+        assert!(stats.persistent_hits > 0 && stats.persistent_stores > 0);
+        let second = cache
+            .arrays()
+            .map(Arc::downgrade)
+            .find(|a| !a.ptr_eq(&first))
+            .expect("the recompile persisted components of its own");
+        let both = cache.bytes();
+
+        // Retracting the added clause drops the second array's last entry.
+        cache.invalidate_clauses_from(3);
+        assert!(second.upgrade().is_none(), "no entry left, yet the array is held");
+        assert!(first.upgrade().is_some());
+        assert_eq!(cache.arrays().count(), 1);
+        assert!(cache.bytes() < both);
+
+        cache.invalidate_clauses_from(0);
+        assert!(first.upgrade().is_none());
+        assert_eq!((cache.len(), cache.bytes(), cache.retained_nodes()), (0, 0, 0));
+    }
+
+    #[test]
+    fn observed_cached_compile_reports_the_cache_footprint() {
+        use reason_telemetry::{MetricValue, Telemetry, VirtualClock};
+        let tel = Telemetry::with_clock(VirtualClock::shared());
+        let cnf = random_ksat(9, 24, 3, 11);
+        let mut cache = PersistentComponentCache::new();
+        let options = CompileOptions {
+            cache: Some(&mut cache),
+            telemetry: Some(&tel),
+            ..CompileOptions::default()
+        };
+        let _ = compile_cnf_with(&cnf, &WmcWeights::uniform(9), options);
+        let gauge = tel.registry.snapshot().into_iter().find_map(|m| match m.value {
+            MetricValue::Gauge(v) if m.name == "pc_persistent_cache_bytes" => Some(v),
+            _ => None,
+        });
+        assert_eq!(gauge, Some(cache.bytes() as f64));
     }
 
     #[test]
