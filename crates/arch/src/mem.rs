@@ -42,14 +42,26 @@ pub struct MemoryStats {
 
 /// The banked register file with dual-port banks and automatic write
 /// addressing.
+///
+/// Registers live in one bank-major array (`bank * regs_per_bank +
+/// addr`). The live count of every bank and their sum are kept up to
+/// date by [`alloc_write`](Self::alloc_write),
+/// [`write_at`](Self::write_at) and [`free`](Self::free), so register
+/// pressure is read off in O(1) instead of recounted from the bitmap.
 #[derive(Debug, Clone)]
 pub struct RegisterBanks {
     num_banks: usize,
     regs_per_bank: usize,
-    /// `values[bank][addr]`.
-    values: Vec<Vec<f64>>,
-    /// Occupancy bitmap per bank.
-    occupied: Vec<Vec<bool>>,
+    values: Vec<f64>,
+    /// Occupancy bitmap, same layout as `values`.
+    occupied: Vec<bool>,
+    /// Set bits of `occupied` per bank.
+    live: Vec<usize>,
+    /// Sum of `live`.
+    live_total: usize,
+    /// Reads per bank within one [`conflict_penalty`](Self::conflict_penalty)
+    /// call; all zero between calls.
+    port_reads: Vec<u64>,
     stats: MemoryStats,
 }
 
@@ -59,8 +71,11 @@ impl RegisterBanks {
         RegisterBanks {
             num_banks,
             regs_per_bank,
-            values: vec![vec![0.0; regs_per_bank]; num_banks],
-            occupied: vec![vec![false; regs_per_bank]; num_banks],
+            values: vec![0.0; num_banks * regs_per_bank],
+            occupied: vec![false; num_banks * regs_per_bank],
+            live: vec![0; num_banks],
+            live_total: 0,
+            port_reads: vec![0; num_banks],
             stats: MemoryStats::default(),
         }
     }
@@ -80,6 +95,43 @@ impl RegisterBanks {
         &self.stats
     }
 
+    /// The occupancy bits of one bank.
+    fn bank_bits(&self, bank: usize) -> &[bool] {
+        &self.occupied[bank * self.regs_per_bank..(bank + 1) * self.regs_per_bank]
+    }
+
+    /// Index of `at` in the bank-major arrays.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range locations (an unchecked address would
+    /// alias a register of the next bank).
+    fn slot(&self, at: BankAddr) -> usize {
+        assert!((at.bank as usize) < self.num_banks, "bank out of range");
+        assert!((at.addr as usize) < self.regs_per_bank, "address out of range");
+        at.bank as usize * self.regs_per_bank + at.addr as usize
+    }
+
+    /// Marks `at` occupied or free and returns its index, keeping the
+    /// live counts equal to the bitmap whatever the register held before.
+    fn set_occupied(&mut self, at: BankAddr, occupied: bool) -> usize {
+        let slot = self.slot(at);
+        let bank = at.bank as usize;
+        if self.occupied[slot] != occupied {
+            self.occupied[slot] = occupied;
+            if occupied {
+                self.live[bank] += 1;
+                self.live_total += 1;
+            } else {
+                self.live[bank] -= 1;
+                self.live_total -= 1;
+            }
+        }
+        debug_assert_eq!(self.live[bank], self.bank_bits(bank).iter().filter(|&&o| o).count());
+        debug_assert_eq!(self.live_total, self.live.iter().sum::<usize>());
+        slot
+    }
+
     /// Writes `value` at the lowest free address of `bank` (the paper's
     /// automatic write-address generation), returning the location.
     ///
@@ -87,22 +139,23 @@ impl RegisterBanks {
     ///
     /// Panics if the bank is full or out of range.
     pub fn alloc_write(&mut self, bank: usize, value: f64) -> BankAddr {
-        assert!(bank < self.num_banks, "bank out of range");
-        let addr = self.occupied[bank]
-            .iter()
-            .position(|&o| !o)
+        let at = self
+            .peek_write_addr(bank)
             .unwrap_or_else(|| panic!("bank {bank} is full (register spill required)"));
-        self.occupied[bank][addr] = true;
-        self.values[bank][addr] = value;
-        self.stats.writes += 1;
-        BankAddr::new(bank, addr)
+        self.write_at(at, value);
+        at
     }
 
     /// Predicts the location [`alloc_write`](Self::alloc_write) would use
     /// for `bank` without performing the write — the compiler-side mirror
     /// of automatic write addressing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank is out of range.
     pub fn peek_write_addr(&self, bank: usize) -> Option<BankAddr> {
-        self.occupied[bank].iter().position(|&o| !o).map(|addr| BankAddr::new(bank, addr))
+        assert!(bank < self.num_banks, "bank out of range");
+        self.bank_bits(bank).iter().position(|&o| !o).map(|addr| BankAddr::new(bank, addr))
     }
 
     /// Writes to an explicit location (program loads, spill restores).
@@ -111,10 +164,8 @@ impl RegisterBanks {
     ///
     /// Panics on out-of-range locations.
     pub fn write_at(&mut self, at: BankAddr, value: f64) {
-        assert!((at.bank as usize) < self.num_banks, "bank out of range");
-        assert!((at.addr as usize) < self.regs_per_bank, "address out of range");
-        self.values[at.bank as usize][at.addr as usize] = value;
-        self.occupied[at.bank as usize][at.addr as usize] = true;
+        let slot = self.set_occupied(at, true);
+        self.values[slot] = value;
         self.stats.writes += 1;
     }
 
@@ -124,18 +175,20 @@ impl RegisterBanks {
     ///
     /// Panics on out-of-range or unoccupied locations.
     pub fn read(&mut self, at: BankAddr) -> f64 {
-        assert!((at.bank as usize) < self.num_banks, "bank out of range");
-        assert!(
-            self.occupied[at.bank as usize][at.addr as usize],
-            "read of unwritten register {at:?}"
-        );
+        let slot = self.slot(at);
+        assert!(self.occupied[slot], "read of unwritten register {at:?}");
         self.stats.reads += 1;
-        self.values[at.bank as usize][at.addr as usize]
+        self.values[slot]
     }
 
-    /// Frees a location for reuse (end of live range).
+    /// Frees a location for reuse (end of live range). Freeing a
+    /// location that holds nothing changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range locations.
     pub fn free(&mut self, at: BankAddr) {
-        self.occupied[at.bank as usize][at.addr as usize] = false;
+        self.set_occupied(at, false);
     }
 
     /// Extra cycles needed to serve a set of same-cycle reads given
@@ -143,19 +196,28 @@ impl RegisterBanks {
     ///
     /// Records the conflict penalty in the statistics.
     pub fn conflict_penalty(&mut self, reads: &[BankAddr]) -> u64 {
-        let mut per_bank = vec![0u64; self.num_banks];
+        let mut busiest = 0u64;
         for r in reads {
-            per_bank[r.bank as usize] += 1;
+            let n = &mut self.port_reads[r.bank as usize];
+            *n += 1;
+            busiest = busiest.max(*n);
         }
-        let worst = per_bank.iter().map(|&n| n.div_ceil(2)).max().unwrap_or(0);
-        let penalty = worst.saturating_sub(1);
+        for r in reads {
+            self.port_reads[r.bank as usize] = 0;
+        }
+        let penalty = busiest.div_ceil(2).saturating_sub(1);
         self.stats.conflict_cycles += penalty;
         penalty
     }
 
     /// Live register count per bank (register-pressure diagnostics).
-    pub fn occupancy(&self) -> Vec<usize> {
-        self.occupied.iter().map(|b| b.iter().filter(|&&o| o).count()).collect()
+    pub fn occupancy(&self) -> &[usize] {
+        &self.live
+    }
+
+    /// Live registers across all banks.
+    pub fn live_registers(&self) -> usize {
+        self.live_total
     }
 }
 
@@ -236,6 +298,66 @@ mod tests {
         let reads: Vec<BankAddr> = (0..4).map(|b| BankAddr::new(b, 0)).collect();
         assert_eq!(rf.conflict_penalty(&reads), 0);
         assert_eq!(rf.stats().conflict_cycles, 1);
+    }
+
+    #[test]
+    fn live_counts_follow_allocs_and_frees() {
+        let mut rf = RegisterBanks::new(2, 4);
+        let a = rf.alloc_write(0, 1.0);
+        let b = rf.alloc_write(1, 2.0);
+        rf.write_at(BankAddr::new(1, 3), 3.0);
+        assert_eq!(rf.occupancy(), [1, 2]);
+        assert_eq!(rf.live_registers(), 3);
+        rf.free(a);
+        rf.free(b);
+        assert_eq!(rf.occupancy(), [0, 1]);
+        assert_eq!(rf.live_registers(), 1);
+    }
+
+    #[test]
+    fn freeing_an_unoccupied_location_keeps_the_counts() {
+        let mut rf = RegisterBanks::new(2, 4);
+        let a = rf.alloc_write(0, 1.0);
+        rf.free(BankAddr::new(0, 2));
+        rf.free(BankAddr::new(1, 0));
+        assert_eq!(rf.occupancy(), [1, 0]);
+        rf.free(a);
+        rf.free(a);
+        assert_eq!(rf.occupancy(), [0, 0]);
+        assert_eq!(rf.live_registers(), 0);
+        assert_eq!(rf.alloc_write(0, 2.0), a, "a double free does not lose the slot");
+    }
+
+    #[test]
+    fn overwriting_an_occupied_location_keeps_the_counts() {
+        let mut rf = RegisterBanks::new(2, 4);
+        let at = BankAddr::new(1, 2);
+        rf.write_at(at, 1.0);
+        rf.write_at(at, 2.0);
+        assert_eq!(rf.occupancy(), [0, 1]);
+        assert_eq!(rf.live_registers(), 1);
+        assert_eq!(rf.read(at), 2.0);
+        let a = rf.alloc_write(0, 3.0);
+        rf.write_at(a, 4.0);
+        assert_eq!(rf.occupancy(), [1, 1]);
+        assert_eq!(rf.stats().writes, 4, "every write is still counted");
+    }
+
+    #[test]
+    #[should_panic(expected = "address out of range")]
+    fn an_address_past_the_bank_does_not_alias_the_next_bank() {
+        let mut rf = RegisterBanks::new(2, 4);
+        rf.write_at(BankAddr::new(1, 0), 1.0);
+        let _ = rf.read(BankAddr::new(0, 4));
+    }
+
+    #[test]
+    fn conflict_scratch_is_clean_between_calls() {
+        let mut rf = RegisterBanks::new(4, 8);
+        let crowded: Vec<BankAddr> = (0..6).map(|a| BankAddr::new(2, a)).collect();
+        assert_eq!(rf.conflict_penalty(&crowded), 2);
+        assert_eq!(rf.conflict_penalty(&crowded[..2]), 0, "earlier reads must not linger");
+        assert_eq!(rf.conflict_penalty(&[]), 0);
     }
 
     #[test]

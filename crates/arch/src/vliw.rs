@@ -10,8 +10,6 @@
 //! the real values, verified against DAG evaluation) and *timed* (issue
 //! pipelining, RAW hazards, dual-port bank conflicts, energy events).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::config::ArchConfig;
@@ -96,7 +94,9 @@ impl VliwProgram {
     /// # Panics
     ///
     /// Panics when the program is incompatible with `config` (bank count,
-    /// block depth) or self-inconsistent (operand indices).
+    /// block depth, a location outside the register file) or
+    /// self-inconsistent (operand indices out of range, a node reading a
+    /// node that is not strictly before it).
     pub fn validate(&self, config: &ArchConfig) {
         assert!(self.num_banks <= config.num_banks, "program uses too many banks");
         assert!(
@@ -106,21 +106,30 @@ impl VliwProgram {
             config.tree_depth
         );
         assert!(self.output_instr < self.instructions.len(), "output index out of range");
+        let in_regfile = |at: &BankAddr| {
+            (at.bank as usize) < config.num_banks && (at.addr as usize) < config.regs_per_bank
+        };
+        assert!(self.preload.iter().all(|(at, _)| in_regfile(at)), "preload outside register file");
         for (k, instr) in self.instructions.iter().enumerate() {
             assert!(!instr.nodes.is_empty(), "instruction {k} has no nodes");
-            assert!(instr.block_depth() <= self.max_block_depth, "instruction {k} too deep");
-            for node in &instr.nodes {
+            assert!(
+                instr.reads.iter().chain(&instr.frees).all(in_regfile),
+                "instruction {k} names a location outside the register file"
+            );
+            for (pos, node) in instr.nodes.iter().enumerate() {
                 for op in &node.inputs {
                     match op {
                         BlockOperand::Read(i) => {
                             assert!(*i < instr.reads.len(), "instruction {k} read out of range")
                         }
-                        BlockOperand::Node(j) => {
-                            assert!(*j < instr.nodes.len(), "instruction {k} node ref out of range")
-                        }
+                        BlockOperand::Node(j) => assert!(
+                            *j < pos,
+                            "instruction {k} node {pos} has forward reference to node {j}"
+                        ),
                     }
                 }
             }
+            assert!(instr.block_depth() <= self.max_block_depth, "instruction {k} too deep");
         }
     }
 }
@@ -208,13 +217,19 @@ impl VliwExecutor {
             0
         };
 
-        // producer[addr] = completion cycle of the instruction that wrote it.
-        let mut ready_at: HashMap<BankAddr, u64> = HashMap::new();
+        // Per register, bank-major: completion cycle of the instruction
+        // that wrote it, 0 when it was preloaded or freed (no issue
+        // happens before cycle 1, so 0 never stalls).
+        let regs_per_bank = self.config.regs_per_bank;
+        let register = |at: BankAddr| at.bank as usize * regs_per_bank + at.addr as usize;
+        let mut ready_at = vec![0u64; self.config.regfile_words()];
         let mut cycle: u64 = 0;
         let mut raw_stalls = 0u64;
         let mut conflict_stalls = 0u64;
-        let mut results: Vec<f64> = Vec::with_capacity(program.instructions.len());
         let mut output = 0.0f64;
+        // Block-evaluation buffers, reused across instructions.
+        let mut operand_values: Vec<f64> = Vec::new();
+        let mut node_values: Vec<f64> = Vec::new();
         // The array issues one block per tree PE per cycle: instruction k
         // lands on PE (k mod num_pes), which frees one cycle after its
         // previous issue.
@@ -233,12 +248,11 @@ impl VliwExecutor {
             let mut issue = pe_free[pe] + 1;
             if self.config.ablation.scheduling {
                 // ...and RAW hazards require operands written back.
-                for r in &instr.reads {
-                    if let Some(&t) = ready_at.get(r) {
-                        if t > issue {
-                            raw_stalls += t - issue;
-                            issue = t;
-                        }
+                for &r in &instr.reads {
+                    let t = ready_at[register(r)];
+                    if t > issue {
+                        raw_stalls += t - issue;
+                        issue = t;
                     }
                 }
             } else {
@@ -251,8 +265,9 @@ impl VliwExecutor {
             let issue = issue + conflict;
 
             // Functional evaluation of the block.
-            let operand_values: Vec<f64> = instr.reads.iter().map(|&r| rf.read(r)).collect();
-            let mut node_values: Vec<f64> = Vec::with_capacity(instr.nodes.len());
+            operand_values.clear();
+            operand_values.extend(instr.reads.iter().map(|&r| rf.read(r)));
+            node_values.clear();
             for node in &instr.nodes {
                 let fetch = |op: &BlockOperand| -> f64 {
                     match op {
@@ -277,12 +292,11 @@ impl VliwExecutor {
                 );
             }
             let completion = issue + pipeline_depth;
-            ready_at.insert(written, completion);
-            for f in &instr.frees {
-                rf.free(*f);
-                ready_at.remove(f);
+            ready_at[register(written)] = completion;
+            for &f in &instr.frees {
+                rf.free(f);
+                ready_at[register(f)] = 0;
             }
-            results.push(result);
             if k == program.output_instr {
                 output = result;
             }
@@ -301,8 +315,6 @@ impl VliwExecutor {
         // Drain the pipeline.
         let total_cycles = cycle + pipeline_depth;
         events.cycles = total_cycles;
-        let mem = rf.stats();
-        let _ = mem;
         let energy = self.energy_model.report(&events);
         ExecutionReport {
             cycles: total_cycles,
@@ -466,6 +478,73 @@ mod tests {
         let mut program = sum_product_program();
         program.instructions[0].predicted_write = Some(BankAddr::new(0, 5));
         VliwExecutor::new(ArchConfig::paper()).execute(&program);
+    }
+
+    #[test]
+    #[should_panic(expected = "forward reference")]
+    fn forward_node_references_are_rejected() {
+        let mut program = sum_product_program();
+        // Node 0 reads node 1, which comes after it.
+        program.instructions[0].nodes[0].inputs[1] = BlockOperand::Node(1);
+        program.validate(&ArchConfig::paper());
+    }
+
+    #[test]
+    #[should_panic(expected = "forward reference")]
+    fn self_references_are_rejected() {
+        let mut program = sum_product_program();
+        program.instructions[0].nodes[2].inputs[0] = BlockOperand::Node(2);
+        program.validate(&ArchConfig::paper());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the register file")]
+    fn reads_past_a_bank_are_rejected() {
+        let mut program = sum_product_program();
+        let regs = ArchConfig::paper().regs_per_bank;
+        program.instructions[0].reads[1] = BankAddr::new(0, regs);
+        program.validate(&ArchConfig::paper());
+    }
+
+    #[test]
+    fn reused_register_stalls_its_reader_on_the_new_producer() {
+        // Instruction 0 writes bank 2 and instruction 1 frees that
+        // register; instruction 2 reuses the address. Instruction 3 reads
+        // it and waits for instruction 2.
+        let a = BankAddr::new(0, 0);
+        let b = BankAddr::new(1, 0);
+        let out = BankAddr::new(2, 0);
+        let add = |reads: Vec<BankAddr>, write_bank, frees| VliwInstr {
+            reads,
+            nodes: vec![BlockNode {
+                op: TreeOp::Add,
+                inputs: [BlockOperand::Read(0), BlockOperand::Read(1)],
+            }],
+            write_bank,
+            predicted_write: None,
+            frees,
+        };
+        let program = VliwProgram {
+            preload: vec![(a, 2.0), (b, 3.0)],
+            instructions: vec![
+                add(vec![a, b], 2, vec![]),
+                add(vec![out, a], 3, vec![out]),
+                add(vec![b, b], 2, vec![]),
+                add(vec![out, a], 3, vec![]),
+            ],
+            output_instr: 3,
+            num_banks: 4,
+            max_block_depth: 1,
+        };
+        let mut one_pe = ArchConfig::paper();
+        one_pe.num_pes = 1;
+        let report = VliwExecutor::new(one_pe).execute(&program);
+        assert_eq!(report.output, 8.0);
+        // Issues at 1, 6 (RAW on 0), 7, 12 (RAW on 2): two stalls of
+        // pipeline_depth - 1 cycles each.
+        let depth = one_pe.pipeline_depth() as u64;
+        assert_eq!(report.raw_stall_cycles, 2 * (depth - 1));
+        assert_eq!(report.cycles, 2 + 2 * depth + depth);
     }
 
     #[test]

@@ -95,6 +95,8 @@ pub fn decompose_blocks(dag: &Dag, max_depth: usize) -> BlockDecomposition {
     // Roots: compute nodes that do not fuse upward.
     let mut block_of: Vec<Option<usize>> = vec![None; n];
     let mut blocks: Vec<Block> = Vec::new();
+    // operand_of[v] == b once v has been listed as an operand of block b.
+    let mut operand_of = vec![usize::MAX; n];
     for i in 0..n {
         if !is_compute(i) || fuses_up[i] {
             continue;
@@ -106,9 +108,8 @@ pub fn decompose_blocks(dag: &Dag, max_depth: usize) -> BlockDecomposition {
         members.reverse(); // children-first
 
         // Deduplicate operands preserving order.
-        let mut seen = std::collections::HashSet::new();
-        operands.retain(|o| seen.insert(*o));
         let block_idx = blocks.len();
+        operands.retain(|o| std::mem::replace(&mut operand_of[o.index()], block_idx) != block_idx);
         for m in &members {
             block_of[m.index()] = Some(block_idx);
         }

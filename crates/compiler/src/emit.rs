@@ -5,8 +5,12 @@
 //! instruction's write location is *predicted* exactly and checked by the
 //! executor at runtime. Live-range analysis attaches register frees to
 //! the last reader so long kernels recycle the register file.
-
-use std::collections::HashMap;
+//!
+//! Every per-value table here (`location`, `last_use`, the block-local
+//! operand encoding) is a `Vec` indexed by [`NodeId::index`], and the
+//! mirror keeps its own per-bank live counts, so emission is linear in
+//! the DAG plus O(banks) per instruction only when a preferred bank is
+//! full.
 
 use reason_arch::{
     ArchConfig, BankAddr, BlockNode, BlockOperand, RegisterBanks, TreeOp, VliwInstr, VliwProgram,
@@ -115,8 +119,10 @@ pub fn emit_program(
     banks: &BankAssignment,
     config: &ArchConfig,
 ) -> Result<CompiledKernel, CompileError> {
+    let n = dag.num_nodes();
     let mut mirror = RegisterBanks::new(config.num_banks, config.regs_per_bank);
-    let mut location: HashMap<NodeId, BankAddr> = HashMap::new();
+    // Register holding each value, once materialized.
+    let mut location: Vec<Option<BankAddr>> = vec![None; n];
     let mut preload: Vec<(BankAddr, f64)> = Vec::new();
     let mut input_slots: Vec<(u32, BankAddr)> = Vec::new();
 
@@ -127,12 +133,12 @@ pub fn emit_program(
             DagOp::Const(c) => {
                 let at = alloc(&mut mirror, banks.bank_of(id), config)?;
                 preload.push((at, c));
-                location.insert(id, at);
+                location[i] = Some(at);
             }
             DagOp::Input(slot) => {
                 let at = alloc(&mut mirror, banks.bank_of(id), config)?;
                 input_slots.push((slot, at));
-                location.insert(id, at);
+                location[i] = Some(at);
             }
             _ => {}
         }
@@ -140,10 +146,10 @@ pub fn emit_program(
 
     // Last-use analysis over the scheduled instruction order.
     // Instruction k reads the operands of block order[k].
-    let mut last_use: HashMap<NodeId, usize> = HashMap::new();
+    let mut last_use = vec![usize::MAX; n];
     for (k, &bi) in order.iter().enumerate() {
         for op in &decomposition.blocks[bi].operands {
-            last_use.insert(*op, k);
+            last_use[op.index()] = k;
         }
     }
 
@@ -152,6 +158,10 @@ pub fn emit_program(
     let mut total_reads = 0usize;
     let mut max_depth = 0usize;
     let mut peak_live = 0usize;
+    // How the current block's nodes fetch each DAG node: its operands as
+    // `Read`, its members as `Node`. A member's children are all one or
+    // the other, so entries left by earlier blocks are never consulted.
+    let mut fetch = vec![BlockOperand::Read(usize::MAX); n];
 
     for (k, &bi) in order.iter().enumerate() {
         let block = &decomposition.blocks[bi];
@@ -162,14 +172,16 @@ pub fn emit_program(
             .operands
             .iter()
             .map(|op| {
-                *location.get(op).unwrap_or_else(|| panic!("operand {op} not yet materialized"))
+                location[op.index()].unwrap_or_else(|| panic!("operand {op} not yet materialized"))
             })
             .collect();
         total_reads += reads.len();
-        let operand_index: HashMap<NodeId, usize> =
-            block.operands.iter().enumerate().map(|(i, o)| (*o, i)).collect();
-        let member_index: HashMap<NodeId, usize> =
-            block.members.iter().enumerate().map(|(i, m)| (*m, i)).collect();
+        for (i, op) in block.operands.iter().enumerate() {
+            fetch[op.index()] = BlockOperand::Read(i);
+        }
+        for (j, m) in block.members.iter().enumerate() {
+            fetch[m.index()] = BlockOperand::Node(j);
+        }
 
         // Encode block nodes in intra-block topological order.
         let nodes: Vec<BlockNode> = block
@@ -177,20 +189,10 @@ pub fn emit_program(
             .iter()
             .map(|m| {
                 let dnode = &dag.nodes()[m.index()];
-                let fetch = |c: &NodeId| -> BlockOperand {
-                    if let Some(&j) = member_index.get(c) {
-                        BlockOperand::Node(j)
-                    } else {
-                        BlockOperand::Read(operand_index[c])
-                    }
-                };
-                let inputs = match dnode.children.len() {
-                    1 => {
-                        let x = fetch(&dnode.children[0]);
-                        [x, x]
-                    }
-                    2 => [fetch(&dnode.children[0]), fetch(&dnode.children[1])],
-                    n => unreachable!("two-input regular DAG has fan-in {n}"),
+                let inputs = match dnode.children[..] {
+                    [x] => [fetch[x.index()]; 2],
+                    [x, y] => [fetch[x.index()], fetch[y.index()]],
+                    _ => unreachable!("two-input regular DAG has fan-in {}", dnode.children.len()),
                 };
                 // Single-child associative ops are identity passes.
                 let op = if dnode.children.len() == 1 && dnode.op.is_associative() {
@@ -205,20 +207,19 @@ pub fn emit_program(
         // Writeback: the mirror allocator predicts the hardware address.
         let write_bank = pick_bank_with_space(&mirror, banks.bank_of(block.root), config)?;
         let predicted = mirror.alloc_write(write_bank, 0.0);
-        location.insert(block.root, predicted);
+        location[block.root.index()] = Some(predicted);
 
         // Frees: values whose last use is this instruction (never the
         // kernel output).
         let mut frees: Vec<BankAddr> = Vec::new();
-        for op in &block.operands {
-            if last_use.get(op) == Some(&k) && *op != dag.output() {
-                let at = location[op];
+        for (op, &at) in block.operands.iter().zip(&reads) {
+            if last_use[op.index()] == k && *op != dag.output() {
                 mirror.free(at);
                 frees.push(at);
             }
         }
 
-        peak_live = peak_live.max(mirror.occupancy().iter().sum());
+        peak_live = peak_live.max(mirror.live_registers());
         if block.root == dag.output() {
             output_instr = Some(instructions.len());
         }
@@ -235,7 +236,7 @@ pub fn emit_program(
     let output_instr = match output_instr {
         Some(k) => k,
         None => {
-            let at = location[&dag.output()];
+            let at = location[dag.output().index()].expect("sources are preloaded");
             let write_bank = pick_bank_with_space(&mirror, at.bank as usize, config)?;
             let predicted = mirror.alloc_write(write_bank, 0.0);
             instructions.push(VliwInstr {

@@ -11,20 +11,36 @@
 //! 2. **PE and register mapping** ([`mapping`]) — every live value
 //!    (constant, kernel input, block result) is assigned a register bank
 //!    by a conflict-aware heuristic that minimizes same-cycle dual-port
-//!    collisions among co-read operands; a round-robin fallback models the
+//!    collisions among co-read operands: the first bank minimizing
+//!    `conflicts * 4096 + load`; a round-robin fallback models the
 //!    paper's bank-mapping ablation.
 //! 3. **Tree mapping** — fusion happens during decomposition; block node
 //!    lists are emitted in intra-block topological order so they drop
 //!    directly onto the PE tree levels.
 //! 4. **Reordering** ([`schedule`]) — pipeline-aware list scheduling
 //!    interleaves independent blocks between dependent ones to hide the
-//!    tree pipeline latency; disabled under the scheduling ablation.
+//!    tree pipeline latency: the ready block whose latest producer issued
+//!    longest ago goes next, lowest block index on ties; disabled under
+//!    the scheduling ablation. (Reordering runs before bank mapping,
+//!    which places block results in issue order.)
 //!
 //! Emission ([`emit`]) runs a compile-time mirror of the hardware's
 //! automatic write-address allocator, so every instruction carries the
 //! *predicted* write location that `reason-arch` verifies at runtime —
 //! the paper's "the compiler precisely predicts these write addresses at
 //! compile time".
+//!
+//! # Cost
+//!
+//! Lowering is linear in the DAG, plus `B log B` for the scheduler's
+//! heap over `B` blocks and `O(banks)` per placed value for the bank
+//! choice. Every per-value table in the four passes — fan-out, block
+//! membership, readers, bank, register location, last use — is a `Vec`
+//! indexed by [`reason_core::NodeId::index`]; none is a hash map. The
+//! cost key and tie-break of each greedy choice are documented in
+//! [`mapping`] and [`schedule`], and the formulas they replaced (a cost
+//! recount per candidate bank, a scan of the ready set per issue) live on
+//! as `#[cfg(test)]` oracles that the passes are proptested equal to.
 //!
 //! # Example
 //!
@@ -126,7 +142,7 @@ impl ReasonCompiler {
             return Err(CompileError::NotTwoInputRegular { fan_in });
         }
         let decomposition = decompose_blocks(dag, self.config.tree_depth);
-        let order = schedule_blocks(dag, &decomposition, self.config.ablation.scheduling);
+        let order = schedule_blocks(&decomposition, self.config.ablation.scheduling);
         let banks = assign_banks(
             dag,
             &decomposition,
@@ -135,6 +151,35 @@ impl ReasonCompiler {
             self.config.ablation.bank_mapping,
         );
         emit::emit_program(dag, &decomposition, &order, &banks, &self.config)
+    }
+}
+
+/// Random two-input-regular DAGs for the pass-equivalence proptests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use reason_core::{dag_from_circuit, dag_from_cnf, dag_from_hmm, regularize, Dag};
+    use reason_pc::{random_mixture_circuit, StructureConfig};
+    use reason_sat::gen::random_ksat;
+
+    /// A regularized DAG from one of the three front ends (`family % 3`:
+    /// CNF, circuit, HMM), growing with `size`.
+    pub(crate) fn random_regular_dag(family: usize, size: usize, seed: u64) -> Dag {
+        let dag = match family % 3 {
+            0 => dag_from_cnf(&random_ksat(4 + size, 6 + 4 * size, 3, seed)).0,
+            1 => {
+                let config = StructureConfig {
+                    num_vars: 3 + size,
+                    depth: 1 + size / 2,
+                    num_components: 1 + size % 3,
+                    seed,
+                };
+                dag_from_circuit(&random_mixture_circuit(&config)).0
+            }
+            _ => {
+                dag_from_hmm(&reason_hmm::Hmm::random(2 + size / 2, 2 + size % 4, seed), 2 + size).0
+            }
+        };
+        regularize(&dag)
     }
 }
 

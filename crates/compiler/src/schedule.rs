@@ -5,8 +5,22 @@
 //! below greedily picks, among ready blocks, the one whose most recent
 //! producer was scheduled longest ago — maximizing the slack available to
 //! hide the tree pipeline latency.
+//!
+//! # Selection key
+//!
+//! At every step the ready block with the largest slack `now - t` issues,
+//! where `t` is the issue slot of its latest producer; a block with no
+//! producer has infinite slack, and ties go to the lowest block index.
+//! `now` is the same for every candidate and `t` is fixed from the moment
+//! a block becomes ready (all its producers have issued by then), so the
+//! choice is the minimum of `(t, block index)` with producer-less blocks
+//! first — a key that never changes while a block waits. The ready set is
+//! therefore a binary heap on that key, and the schedule costs
+//! O(E + B log B) for B blocks and E block-level dependency edges instead
+//! of a scan of the whole ready set per issue.
 
-use reason_core::Dag;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::blocks::BlockDecomposition;
 
@@ -15,45 +29,43 @@ use crate::blocks::BlockDecomposition;
 /// With `pipeline_aware == false` the natural topological order is
 /// returned (the paper's scheduling ablation); otherwise a slack-greedy
 /// list schedule.
-pub fn schedule_blocks(
-    dag: &Dag,
-    decomposition: &BlockDecomposition,
-    pipeline_aware: bool,
-) -> Vec<usize> {
+pub fn schedule_blocks(decomposition: &BlockDecomposition, pipeline_aware: bool) -> Vec<usize> {
     let n = decomposition.blocks.len();
     if !pipeline_aware || n <= 1 {
         return (0..n).collect();
     }
 
-    // Block-level dependency edges: block b depends on producer blocks of
-    // its operands.
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Block-level dependency edges: block b waits for the producer blocks
+    // of its operands, each counted once.
+    let mut pending = vec![0usize; n];
     let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // feeds[p] == b once the edge p -> b has been recorded.
+    let mut feeds = vec![usize::MAX; n];
     for (bi, block) in decomposition.blocks.iter().enumerate() {
         for op in &block.operands {
             if let Some(producer) = decomposition.block_of[op.index()] {
-                if producer != bi && !deps[bi].contains(&producer) {
-                    deps[bi].push(producer);
+                if producer != bi && std::mem::replace(&mut feeds[producer], bi) != bi {
+                    pending[bi] += 1;
                     consumers[producer].push(bi);
                 }
             }
         }
     }
-    let _ = dag;
 
-    let mut pending: Vec<usize> = deps.iter().map(Vec::len).collect();
-    let mut scheduled_at: Vec<Option<usize>> = vec![None; n];
-    let mut ready: Vec<usize> = (0..n).filter(|&b| pending[b] == 0).collect();
+    // Min-heap on (issue slot of the latest producer, block index);
+    // `None` (no producer) orders before every `Some`.
+    let mut ready: BinaryHeap<Reverse<(Option<usize>, usize)>> =
+        (0..n).filter(|&b| pending[b] == 0).map(|b| Reverse((None, b))).collect();
     let mut order: Vec<usize> = Vec::with_capacity(n);
-
-    while let Some(pick_pos) = pick_most_slack(&ready, &deps, &scheduled_at, order.len()) {
-        let b = ready.swap_remove(pick_pos);
-        scheduled_at[b] = Some(order.len());
+    while let Some(Reverse((_, b))) = ready.pop() {
+        let now = order.len();
         order.push(b);
         for &c in &consumers[b] {
             pending[c] -= 1;
             if pending[c] == 0 {
-                ready.push(c);
+                // `b` is the last of c's producers to issue, hence the
+                // latest.
+                ready.push(Reverse((Some(now), c)));
             }
         }
     }
@@ -61,45 +73,82 @@ pub fn schedule_blocks(
     order
 }
 
-/// Among ready blocks, pick the one whose latest producer is oldest
-/// (maximum pipeline slack); ties break toward the lowest block index to
-/// keep the schedule deterministic.
-fn pick_most_slack(
-    ready: &[usize],
-    deps: &[Vec<usize>],
-    scheduled_at: &[Option<usize>],
-    now: usize,
-) -> Option<usize> {
-    if ready.is_empty() {
-        return None;
-    }
-    let mut best_pos = 0;
-    let mut best_key = (usize::MIN, usize::MAX);
-    for (pos, &b) in ready.iter().enumerate() {
-        let latest_producer = deps[b]
-            .iter()
-            .map(|&p| scheduled_at[p].expect("producers scheduled before consumers"))
-            .max();
-        // Slack: distance from the latest producer (blocks with no
-        // producers have infinite slack).
-        let slack = match latest_producer {
-            None => usize::MAX,
-            Some(t) => now - t,
-        };
-        let key = (slack, usize::MAX - b);
-        if key > best_key {
-            best_key = key;
-            best_pos = pos;
-        }
-    }
-    Some(best_pos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blocks::decompose_blocks;
-    use reason_core::{DagBuilder, DagOp, NodeKind};
+    use crate::testing::random_regular_dag;
+    use proptest::prelude::*;
+    use reason_core::{Dag, DagBuilder, DagOp, NodeKind};
+
+    /// The reference list scheduler: rescans the whole ready set at every
+    /// issue for the block with the most slack since its latest producer.
+    fn schedule_by_slack_scan(decomposition: &BlockDecomposition) -> Vec<usize> {
+        let n = decomposition.blocks.len();
+        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (bi, block) in decomposition.blocks.iter().enumerate() {
+            for op in &block.operands {
+                if let Some(producer) = decomposition.block_of[op.index()] {
+                    if producer != bi && !deps[bi].contains(&producer) {
+                        deps[bi].push(producer);
+                        consumers[producer].push(bi);
+                    }
+                }
+            }
+        }
+        let mut pending: Vec<usize> = deps.iter().map(Vec::len).collect();
+        let mut scheduled_at: Vec<Option<usize>> = vec![None; n];
+        let mut ready: Vec<usize> = (0..n).filter(|&b| pending[b] == 0).collect();
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        while !ready.is_empty() {
+            let now = order.len();
+            let mut best_pos = 0;
+            let mut best_key = (usize::MIN, usize::MAX);
+            for (pos, &b) in ready.iter().enumerate() {
+                let latest_producer = deps[b]
+                    .iter()
+                    .map(|&p| scheduled_at[p].expect("producers scheduled before consumers"))
+                    .max();
+                // Blocks with no producers have infinite slack.
+                let slack = latest_producer.map_or(usize::MAX, |t| now - t);
+                let key = (slack, usize::MAX - b);
+                if key > best_key {
+                    best_key = key;
+                    best_pos = pos;
+                }
+            }
+            let b = ready.swap_remove(best_pos);
+            scheduled_at[b] = Some(now);
+            order.push(b);
+            for &c in &consumers[b] {
+                pending[c] -= 1;
+                if pending[c] == 0 {
+                    ready.push(c);
+                }
+            }
+        }
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn heap_schedule_equals_the_slack_scan(
+            family in 0usize..3,
+            size in 0usize..7,
+            seed in any::<u64>(),
+            tree_depth in 1usize..5,
+        ) {
+            let dag = random_regular_dag(family, size, seed);
+            let d = decompose_blocks(&dag, tree_depth);
+            let order = schedule_blocks(&d, true);
+            prop_assert_eq!(&order, &schedule_by_slack_scan(&d));
+            prop_assert_eq!(order.len(), d.blocks.len());
+            prop_assert_eq!(schedule_blocks(&d, false), (0..d.blocks.len()).collect::<Vec<_>>());
+        }
+    }
 
     /// Two independent chains: a good schedule interleaves them.
     fn two_chains() -> Dag {
@@ -120,7 +169,7 @@ mod tests {
     fn respects_dependencies() {
         let dag = two_chains();
         let d = decompose_blocks(&dag, 1);
-        let order = schedule_blocks(&dag, &d, true);
+        let order = schedule_blocks(&d, true);
         let mut position = vec![0usize; order.len()];
         for (pos, &b) in order.iter().enumerate() {
             position[b] = pos;
@@ -138,7 +187,7 @@ mod tests {
     fn interleaves_independent_chains() {
         let dag = two_chains();
         let d = decompose_blocks(&dag, 1);
-        let order = schedule_blocks(&dag, &d, true);
+        let order = schedule_blocks(&d, true);
         // Count adjacent pairs that are dependent (producer immediately
         // before consumer): interleaving should avoid most of them.
         let mut adjacent_dependent = 0;
@@ -162,7 +211,7 @@ mod tests {
     fn disabled_scheduling_is_identity() {
         let dag = two_chains();
         let d = decompose_blocks(&dag, 1);
-        let order = schedule_blocks(&dag, &d, false);
+        let order = schedule_blocks(&d, false);
         assert_eq!(order, (0..d.blocks.len()).collect::<Vec<_>>());
     }
 }

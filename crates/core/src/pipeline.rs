@@ -181,24 +181,23 @@ impl ReasonPipeline {
     /// unroll length.
     pub fn compile(&self, source: KernelSource<'_>) -> Result<OptimizedKernel, PipelineError> {
         let kind = source.kind();
-        let (before_dag, prune_report, optimized_dag) = match source {
+        // Each arm yields the shape of the unoptimized lowering, the
+        // pruning report, and the DAG to regularize; when nothing is
+        // pruned that DAG is the unoptimized lowering itself, moved.
+        let unpruned = |before: Dag| (before.stats(), UnifiedPruneReport::default(), before);
+        let (before, prune_report, optimized_dag) = match source {
             KernelSource::Sat(cnf) => {
                 let (before, _) = dag_from_cnf(cnf);
                 if self.config.prune {
                     let result = Preprocessor::new().run(cnf);
                     let report = UnifiedPruneReport::from(&result.stats);
                     let (dag, _) = dag_from_cnf(&result.cnf);
-                    (before, report, dag)
+                    (before.stats(), report, dag)
                 } else {
-                    let dag = before.clone();
-                    (before, UnifiedPruneReport::default(), dag)
+                    unpruned(before)
                 }
             }
-            KernelSource::Pc(circuit) => {
-                let (before, _) = dag_from_circuit(circuit);
-                let dag = before.clone();
-                (before, UnifiedPruneReport::default(), dag)
-            }
+            KernelSource::Pc(circuit) => unpruned(dag_from_circuit(circuit).0),
             KernelSource::PcWithData { circuit, data, prune_fraction } => {
                 let (before, _) = dag_from_circuit(circuit);
                 if self.config.prune {
@@ -208,19 +207,16 @@ impl ReasonPipeline {
                     let pr = reason_pc::prune_by_flow(circuit, data, prune_fraction);
                     let report = UnifiedPruneReport::from(&pr);
                     let (dag, _) = dag_from_circuit(&pr.circuit);
-                    (before, report, dag)
+                    (before.stats(), report, dag)
                 } else {
-                    let dag = before.clone();
-                    (before, UnifiedPruneReport::default(), dag)
+                    unpruned(before)
                 }
             }
             KernelSource::Hmm { hmm, len } => {
                 if len == 0 {
                     return Err(PipelineError::ZeroLength);
                 }
-                let (before, _) = dag_from_hmm(hmm, len);
-                let dag = before.clone();
-                (before, UnifiedPruneReport::default(), dag)
+                unpruned(dag_from_hmm(hmm, len).0)
             }
             KernelSource::HmmWithData { hmm, len, data, usage_threshold } => {
                 if len == 0 {
@@ -234,10 +230,9 @@ impl ReasonPipeline {
                     let pr = reason_hmm::prune_transitions(hmm, data, usage_threshold);
                     let report = UnifiedPruneReport::from(&pr);
                     let (dag, _) = dag_from_hmm(&pr.hmm, len);
-                    (before, report, dag)
+                    (before.stats(), report, dag)
                 } else {
-                    let dag = before.clone();
-                    (before, UnifiedPruneReport::default(), dag)
+                    unpruned(before)
                 }
             }
         };
@@ -246,11 +241,7 @@ impl ReasonPipeline {
             if self.config.regularize { regularize(&optimized_dag) } else { optimized_dag };
         Ok(OptimizedKernel {
             kind,
-            stats: PipelineStats {
-                before: before_dag.stats(),
-                after: final_dag.stats(),
-                prune: prune_report,
-            },
+            stats: PipelineStats { before, after: final_dag.stats(), prune: prune_report },
             dag: final_dag,
         })
     }
