@@ -108,14 +108,28 @@ impl DnnfBuffer {
 /// [`DnnfBatch`] lane; observed lanes store the value itself (0 or 1).
 const MARGINALIZED: u8 = 2;
 
+/// Storage lanes one node-table walk evaluates. A batch wider than this
+/// is walked in tiles, so the value table is `nodes × TILE` however
+/// many lanes arrive. Chosen by measurement on 256-lane serve batches
+/// (`benchmark/`'s `hot_wide`): 32 serves a tenth fewer queries per
+/// second (node decode amortizes over fewer lanes), 128 serves as many
+/// as 64 on a table twice the size.
+const TILE: usize = 64;
+
+/// The storage-lane tiles `(first lane, width)` of a `lanes`-wide slab.
+fn tiles(lanes: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..lanes).step_by(TILE).map(move |t0| (t0, TILE.min(lanes - t0)))
+}
+
 /// A batch of B evidence lanes packed structure-of-arrays: one byte per
 /// `(variable, lane)` pair, variable-major, so a batched traversal reads
 /// each variable's codes as one contiguous run. This is the weight
 /// slab the batched evaluators ([`Dnnf::wmc_batch`],
 /// [`Dnnf::marginal_batch`], [`Dnnf::mpe_batch`]) consume: B queries
-/// against one arena become a single traversal with tight inner loops
-/// over lanes, answers bit-identical per lane to the single-query
-/// [`DnnfBuffer`] path.
+/// against one arena become one traversal per fixed-width tile of
+/// distinct lanes, with tight inner loops over the tile's lanes and
+/// answers bit-identical per lane to the single-query [`DnnfBuffer`]
+/// path.
 ///
 /// Duplicate queries collapse at pack time: identical evidence columns
 /// share one *storage* lane, evaluated once, and the answers fan back
@@ -144,30 +158,42 @@ impl DnnfBatch {
     /// Panics if `evidences` is empty or the lanes disagree on arity.
     pub fn pack(evidences: &[Evidence]) -> Self {
         assert!(!evidences.is_empty(), "a batch needs at least one lane");
-        let num_vars = evidences[0].len();
+        Self::from_columns(evidences[0].len(), evidences.iter().map(|ev| (ev, None)))
+    }
+
+    /// Packs one query lane per column straight from borrowed evidence,
+    /// collapsing duplicates as they arrive. A column is its evidence,
+    /// with `var := code` where an override `(var, code)` is given.
+    fn from_columns<'a>(
+        num_vars: usize,
+        columns: impl Iterator<Item = (&'a Evidence, Option<(usize, u8)>)>,
+    ) -> Self {
         let mut index: HashMap<Vec<u8>, u32> = HashMap::new();
-        let mut columns: Vec<Vec<u8>> = Vec::new();
-        let mut expand = Vec::with_capacity(evidences.len());
-        for (lane, ev) in evidences.iter().enumerate() {
+        let mut expand = Vec::with_capacity(columns.size_hint().0);
+        let mut col = vec![MARGINALIZED; num_vars];
+        for (lane, (ev, set)) in columns.enumerate() {
             assert_eq!(ev.len(), num_vars, "lane {lane} arity mismatch");
-            let col: Vec<u8> =
-                (0..num_vars).map(|var| ev.value(var).map_or(MARGINALIZED, |v| v as u8)).collect();
+            for (var, c) in col.iter_mut().enumerate() {
+                *c = ev.value(var).map_or(MARGINALIZED, |v| v as u8);
+            }
+            if let Some((var, code)) = set {
+                col[var] = code;
+            }
             let id = match index.get(&col) {
                 Some(&id) => id,
                 None => {
-                    let id = columns.len() as u32;
+                    let id = index.len() as u32;
                     index.insert(col.clone(), id);
-                    columns.push(col);
                     id
                 }
             };
             expand.push(id);
         }
-        let lanes = columns.len();
+        let lanes = index.len();
         let mut codes = vec![MARGINALIZED; num_vars * lanes];
-        for (lane, col) in columns.iter().enumerate() {
+        for (col, &lane) in &index {
             for (var, &c) in col.iter().enumerate() {
-                codes[var * lanes + lane] = c;
+                codes[var * lanes + lane as usize] = c;
             }
         }
         DnnfBatch { num_vars, lanes, codes, expand }
@@ -192,10 +218,7 @@ impl DnnfBatch {
     /// The evidence value of `var` in query lane `lane` (`None` =
     /// marginalized).
     pub fn value(&self, var: usize, lane: usize) -> Option<usize> {
-        match self.codes[var * self.lanes + self.expand[lane] as usize] {
-            MARGINALIZED => None,
-            v => Some(v as usize),
-        }
+        self.storage_value(var, self.expand[lane] as usize)
     }
 
     /// Fans a per-storage-lane result vector back out to query lanes.
@@ -212,35 +235,76 @@ impl DnnfBatch {
         }
     }
 
-    /// Overwrites `var`'s code in every storage lane (the batched
-    /// analogue of `Evidence::set`/`clear` across the whole batch).
-    fn set_all(&mut self, var: usize, code: u8) {
-        self.codes[var * self.lanes..(var + 1) * self.lanes].fill(code);
+    /// The contiguous code run of one variable over the storage lanes
+    /// `t0..t0 + w` of one tile.
+    fn tile_codes(&self, var: usize, t0: usize, w: usize) -> &[u8] {
+        &self.codes[var * self.lanes + t0..var * self.lanes + t0 + w]
     }
 
-    /// The contiguous code run of one variable (storage lanes).
-    fn var_codes(&self, var: usize) -> &[u8] {
-        &self.codes[var * self.lanes..(var + 1) * self.lanes]
+    /// The slab of every storage column's marginal triplet for `var`:
+    /// storage lanes `3s`, `3s + 1` and `3s + 2` are column `s` with
+    /// `var` marginalized, `= 0` and `= 1`.
+    fn triplets(&self, var: usize) -> DnnfBatch {
+        let l = self.lanes;
+        let mut codes = Vec::with_capacity(3 * self.codes.len());
+        for (v, row) in self.codes.chunks_exact(l).enumerate() {
+            if v == var {
+                codes.extend((0..l).flat_map(|_| [MARGINALIZED, 0, 1]));
+            } else {
+                codes.extend(row.iter().flat_map(|&c| [c; 3]));
+            }
+        }
+        let expand = (0..3 * l as u32).collect();
+        DnnfBatch { num_vars: self.num_vars, lanes: 3 * l, codes, expand }
     }
 }
 
+/// `[Pr[v = 0 | e], Pr[v = 1 | e]]` per marginal lane, from the
+/// log-probabilities of its three consecutive columns (`e∖v`,
+/// `e ∧ v=0`, `e ∧ v=1`), mirroring [`Circuit::marginal_with`] —
+/// including the uniform fallback for zero-probability evidence.
+fn marginals_from_logs(triplets: &[f64]) -> Vec<Vec<f64>> {
+    let marginal = |t: &[f64]| {
+        if t[0] == f64::NEG_INFINITY {
+            vec![0.5; 2]
+        } else {
+            vec![(t[1] - t[0]).exp(), (t[2] - t[0]).exp()]
+        }
+    };
+    triplets.chunks_exact(3).map(marginal).collect()
+}
+
 /// Reusable scratch space for batched arena evaluation: the node-value
-/// slab (`nodes × lanes`, node-major chunks), the per-node argmax slab
-/// for MPE, and a lane-wide accumulator for the log-sum-exp second
-/// pass. One buffer per worker thread makes every batch after the first
-/// allocation-free.
+/// table of one lane tile (`nodes × TILE` at most, node-major chunks,
+/// however wide the batch), the per-node argmax table for MPE, and a
+/// tile-wide accumulator for the log-sum-exp second pass. The tables
+/// only ever grow, to the tallest arena seen; one buffer per worker
+/// thread makes every batch after the first allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct BatchBuffer {
     vals: Vec<f64>,
     arg: Vec<u32>,
     acc: Vec<f64>,
     stack: Vec<u32>,
+    walks: u64,
 }
 
 impl BatchBuffer {
     /// An empty buffer; the first batch sizes it.
     pub fn new() -> Self {
         BatchBuffer::default()
+    }
+
+    /// Node-table walks (sum-product or max-product, one per lane tile)
+    /// run against this buffer since it was created.
+    pub fn walks(&self) -> u64 {
+        self.walks
+    }
+
+    /// Bytes held by the value and argmax tables.
+    pub fn slab_bytes(&self) -> usize {
+        self.vals.capacity() * std::mem::size_of::<f64>()
+            + self.arg.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -375,25 +439,46 @@ impl Dnnf {
         self.log_probability(evidence, buf).exp()
     }
 
-    /// Batched log-probabilities: one arena traversal evaluates every
-    /// lane of `batch`, returning `log Pr[φ ∧ e_k]` per lane.
+    /// Batched log-probabilities: one arena traversal per lane tile
+    /// evaluates every lane of `batch`, returning `log Pr[φ ∧ e_k]` per
+    /// lane.
     ///
     /// Per lane this performs *exactly* the floating-point operation
     /// sequence of [`log_probability`](Self::log_probability) — same
     /// child order, same two-pass inline log-sum-exp — so each lane's
     /// answer is bit-identical to the single-query path. The batch only
-    /// amortizes node decode, edge indexing, and memory traffic over B
-    /// lanes.
+    /// amortizes node decode, edge indexing, and memory traffic over
+    /// the lanes of a tile.
     ///
     /// # Panics
     ///
     /// Panics if `batch.num_vars() != self.num_vars()`.
     pub fn log_probability_batch(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<f64> {
+        batch.fan_out(&self.log_roots(batch, buf))
+    }
+
+    /// `log Pr[φ ∧ e_s]` per *storage* lane of `batch`.
+    fn log_roots(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<f64> {
         assert_eq!(batch.num_vars, self.num_vars, "batch arity mismatch");
-        let l = batch.lanes;
-        // No clear: every node chunk is fully written before it is read
-        // (children precede parents in the arena).
-        buf.vals.resize(self.nodes.len() * l, 0.0);
+        let mut roots = Vec::with_capacity(batch.lanes);
+        for (t0, l) in tiles(batch.lanes) {
+            self.sum_product_walk(batch, t0, l, buf);
+            let root = self.root as usize * l;
+            roots.extend_from_slice(&buf.vals[root..root + l]);
+        }
+        roots
+    }
+
+    /// One sum-product walk of the node table over the `l` storage
+    /// lanes from `t0`, leaving node `i`'s values in
+    /// `buf.vals[i * l..(i + 1) * l]`.
+    fn sum_product_walk(&self, batch: &DnnfBatch, t0: usize, l: usize, buf: &mut BatchBuffer) {
+        buf.walks += 1;
+        // Grow only, and no clear: every node chunk is fully written
+        // before it is read (children precede parents in the arena).
+        if buf.vals.len() < self.nodes.len() * l {
+            buf.vals.resize(self.nodes.len() * l, 0.0);
+        }
         buf.acc.resize(l, 0.0);
         for (i, node) in self.nodes.iter().enumerate() {
             let base = i * l;
@@ -407,13 +492,13 @@ impl Dnnf {
                     // -inf, marginalized → 0 (Σ_v [v = value] = 1).
                     let hit = [0.0, f64::NEG_INFINITY];
                     let table = [hit[usize::from(value)], hit[usize::from(!value)], 0.0];
-                    for (o, &c) in out.iter_mut().zip(batch.var_codes(var as usize)) {
+                    for (o, &c) in out.iter_mut().zip(batch.tile_codes(var as usize, t0, l)) {
                         *o = table[c as usize];
                     }
                 }
                 Node::Leaf { var, log_p } => {
                     let table = [log_p[0], log_p[1], 0.0];
-                    for (o, &c) in out.iter_mut().zip(batch.var_codes(var as usize)) {
+                    for (o, &c) in out.iter_mut().zip(batch.tile_codes(var as usize, t0, l)) {
                         *o = table[c as usize];
                     }
                 }
@@ -516,8 +601,6 @@ impl Dnnf {
                 }
             }
         }
-        let root = self.root as usize * l;
-        batch.fan_out(&buf.vals[root..root + l])
     }
 
     /// Batched weighted model counts / evidence probabilities (linear
@@ -527,38 +610,73 @@ impl Dnnf {
         self.log_probability_batch(batch, buf).into_iter().map(f64::exp).collect()
     }
 
-    /// Batched marginal distributions of `var`: three traversals (the
-    /// cleared normalizer, then `var = 0`, `var = 1`) answer every lane,
-    /// mirroring [`Circuit::marginal_with`] lane-for-lane (including
-    /// the uniform fallback for zero-probability evidence).
+    /// Batched marginal distributions of `var`: every distinct lane
+    /// contributes its three columns (`var` marginalized, `= 0`, `= 1`)
+    /// to one slab of triple width, walked like any other — one
+    /// traversal per lane tile, not three per call — mirroring
+    /// [`Circuit::marginal_with`] lane-for-lane (including the uniform
+    /// fallback for zero-probability evidence).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch.num_vars() != self.num_vars()` or `var` is out
+    /// of range.
     pub fn marginal_batch(
         &self,
         batch: &DnnfBatch,
         var: usize,
         buf: &mut BatchBuffer,
     ) -> Vec<Vec<f64>> {
-        let mut ev = batch.clone();
-        ev.set_all(var, MARGINALIZED);
-        let log_z = self.log_probability_batch(&ev, buf);
-        ev.set_all(var, 0);
-        let p0 = self.log_probability_batch(&ev, buf);
-        ev.set_all(var, 1);
-        let p1 = self.log_probability_batch(&ev, buf);
-        log_z
-            .iter()
-            .zip(p0.iter().zip(&p1))
-            .map(|(&z, (&a, &b))| {
-                if z == f64::NEG_INFINITY {
-                    vec![0.5; 2]
-                } else {
-                    vec![(a - z).exp(), (b - z).exp()]
-                }
-            })
-            .collect()
+        assert_eq!(batch.num_vars, self.num_vars, "batch arity mismatch");
+        assert!(var < self.num_vars, "marginal variable {var} out of range");
+        let logs = self.log_roots(&batch.triplets(var), buf);
+        batch.fan_out(&marginals_from_logs(&logs))
     }
 
-    /// Batched most-probable explanations: one max-product up-pass over
-    /// all lanes plus a per-lane downward trace, mirroring
+    /// Answers a mixed query batch straight from borrowed evidence:
+    /// `Pr[φ ∧ e]` per `probabilities` lane, the marginal distribution
+    /// of `var` given `e` per `marginals` lane, and the most probable
+    /// explanation per `mpes` lane, each in lane order.
+    ///
+    /// Probability lanes and the three columns of every marginal lane
+    /// are packed into **one** slab, so duplicate columns collapse
+    /// across kinds and the whole batch costs one sum-product traversal
+    /// per lane tile, however many variables the marginals ask about.
+    /// MPE lanes share one max-product pass of their own. Any group may
+    /// be empty. Answers are bit-identical per lane to
+    /// [`wmc_batch`](Self::wmc_batch),
+    /// [`marginal_batch`](Self::marginal_batch) and
+    /// [`mpe_batch`](Self::mpe_batch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane's arity differs from `self.num_vars()` or a
+    /// marginal variable is out of range.
+    pub fn query_batch(
+        &self,
+        probabilities: &[&Evidence],
+        marginals: &[(&Evidence, usize)],
+        mpes: &[&Evidence],
+        buf: &mut BatchBuffer,
+    ) -> (Vec<f64>, Vec<Vec<f64>>, Vec<MpeResult>) {
+        let columns = marginals.iter().flat_map(|&(ev, var)| {
+            assert!(var < self.num_vars, "marginal variable {var} out of range");
+            [MARGINALIZED, 0, 1].map(|code| (ev, Some((var, code))))
+        });
+        let sum_lanes = probabilities.iter().map(|&ev| (ev, None)).chain(columns);
+        let logs =
+            self.log_probability_batch(&DnnfBatch::from_columns(self.num_vars, sum_lanes), buf);
+        let (ps, triplets) = logs.split_at(probabilities.len());
+        let max_lanes = mpes.iter().map(|&ev| (ev, None));
+        (
+            ps.iter().map(|lp| lp.exp()).collect(),
+            marginals_from_logs(triplets),
+            self.mpe_batch(&DnnfBatch::from_columns(self.num_vars, max_lanes), buf),
+        )
+    }
+
+    /// Batched most-probable explanations: one max-product up-pass per
+    /// lane tile plus a per-lane downward trace, mirroring
     /// [`Circuit::mpe_with`] lane-for-lane.
     ///
     /// # Panics
@@ -566,17 +684,65 @@ impl Dnnf {
     /// Panics if `batch.num_vars() != self.num_vars()`.
     pub fn mpe_batch(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<MpeResult> {
         assert_eq!(batch.num_vars, self.num_vars, "batch arity mismatch");
-        let l = batch.lanes;
+        let mut per_storage = Vec::with_capacity(batch.lanes);
+        for (t0, l) in tiles(batch.lanes) {
+            self.max_product_walk(batch, t0, l, buf);
+            // Per-storage-lane downward trace selecting one child per
+            // disjunction; duplicate query lanes share the traced result.
+            let (vals, arg, stack) = (&buf.vals, &buf.arg, &mut buf.stack);
+            per_storage.extend((0..l).map(|lane| {
+                let observed = |var: usize| batch.storage_value(var, t0 + lane);
+                let mut assignment: Vec<usize> =
+                    (0..self.num_vars).map(|v| observed(v).unwrap_or(0)).collect();
+                stack.clear();
+                stack.push(self.root);
+                while let Some(id) = stack.pop() {
+                    match self.nodes[id as usize] {
+                        Node::Indicator { var, value } => {
+                            if observed(var as usize).is_none() {
+                                assignment[var as usize] = usize::from(value);
+                            }
+                        }
+                        Node::Leaf { var, log_p } => {
+                            if observed(var as usize).is_none() {
+                                assignment[var as usize] = usize::from(log_p[1] > log_p[0]);
+                            }
+                        }
+                        Node::And { start, len } => {
+                            let (s, e) = (start as usize, (start + len) as usize);
+                            stack.extend(self.edges[s..e].iter().copied());
+                        }
+                        Node::Or { start, .. } => {
+                            let k = arg[id as usize * l + lane];
+                            stack.push(self.edges[(start + k) as usize]);
+                        }
+                    }
+                }
+                MpeResult { assignment, log_prob: vals[self.root as usize * l + lane] }
+            }));
+        }
+        batch.fan_out(&per_storage)
+    }
+
+    /// One max-product walk of the node table over the `l` storage
+    /// lanes from `t0`: values in `buf.vals`, the winning child of each
+    /// disjunction in `buf.arg`, both `nodes × l`.
+    fn max_product_walk(&self, batch: &DnnfBatch, t0: usize, l: usize, buf: &mut BatchBuffer) {
+        buf.walks += 1;
         let n = self.nodes.len();
-        buf.vals.resize(n * l, 0.0);
-        buf.arg.resize(n * l, 0);
+        if buf.vals.len() < n * l {
+            buf.vals.resize(n * l, 0.0);
+        }
+        if buf.arg.len() < n * l {
+            buf.arg.resize(n * l, 0);
+        }
         for (i, node) in self.nodes.iter().enumerate() {
             let base = i * l;
             let (lo, hi) = buf.vals.split_at_mut(base);
             let out = &mut hi[..l];
             match *node {
                 Node::Indicator { var, value } => {
-                    for (o, &c) in out.iter_mut().zip(batch.var_codes(var as usize)) {
+                    for (o, &c) in out.iter_mut().zip(batch.tile_codes(var as usize, t0, l)) {
                         *o = if c == MARGINALIZED || (c == 1) == value {
                             0.0
                         } else {
@@ -585,7 +751,7 @@ impl Dnnf {
                     }
                 }
                 Node::Leaf { var, log_p } => {
-                    for (o, &c) in out.iter_mut().zip(batch.var_codes(var as usize)) {
+                    for (o, &c) in out.iter_mut().zip(batch.tile_codes(var as usize, t0, l)) {
                         *o = if c == MARGINALIZED {
                             log_p[0].max(log_p[1])
                         } else {
@@ -625,41 +791,6 @@ impl Dnnf {
                 }
             }
         }
-        // Per-storage-lane downward trace selecting one child per
-        // disjunction; duplicate query lanes share the traced result.
-        let (vals, arg, stack) = (&buf.vals, &buf.arg, &mut buf.stack);
-        let per_storage: Vec<MpeResult> = (0..l)
-            .map(|lane| {
-                let mut assignment: Vec<usize> =
-                    (0..self.num_vars).map(|v| batch.storage_value(v, lane).unwrap_or(0)).collect();
-                stack.clear();
-                stack.push(self.root);
-                while let Some(id) = stack.pop() {
-                    match self.nodes[id as usize] {
-                        Node::Indicator { var, value } => {
-                            if batch.storage_value(var as usize, lane).is_none() {
-                                assignment[var as usize] = usize::from(value);
-                            }
-                        }
-                        Node::Leaf { var, log_p } => {
-                            if batch.storage_value(var as usize, lane).is_none() {
-                                assignment[var as usize] = usize::from(log_p[1] > log_p[0]);
-                            }
-                        }
-                        Node::And { start, len } => {
-                            let (s, e) = (start as usize, (start + len) as usize);
-                            stack.extend(self.edges[s..e].iter().copied());
-                        }
-                        Node::Or { start, .. } => {
-                            let k = arg[id as usize * l + lane];
-                            stack.push(self.edges[(start + k) as usize]);
-                        }
-                    }
-                }
-                MpeResult { assignment, log_prob: vals[self.root as usize * l + lane] }
-            })
-            .collect();
-        batch.fan_out(&per_storage)
     }
 }
 
@@ -828,17 +959,95 @@ mod tests {
         }
     }
 
+    /// `count` pairwise-distinct evidence lanes over `n` variables (lane
+    /// `k` spells `k` in base 3: marginalized / 0 / 1 per variable).
+    fn distinct_lanes(n: usize, count: usize) -> Vec<Evidence> {
+        let digit = |k: usize, v: usize| [None, Some(0), Some(1)][k / 3usize.pow(v as u32) % 3];
+        (0..count)
+            .map(|k| Evidence::from_values(&(0..n).map(|v| digit(k, v)).collect::<Vec<_>>()))
+            .collect()
+    }
+
+    #[test]
+    fn batch_of_one_equals_lane_k_of_a_wide_batch_across_a_tile_boundary() {
+        let (circuit, arena) = compiled(3, 9, 22).expect("seed 3 is satisfiable");
+        let lanes = distinct_lanes(9, TILE + 9);
+        let wide = DnnfBatch::pack(&lanes);
+        assert_eq!(wide.distinct_lanes(), TILE + 9, "the batch must span two tiles");
+        let mut buf = BatchBuffer::new();
+        let mut cbuf = EvalBuffer::new();
+        let logp = arena.log_probability_batch(&wide, &mut buf);
+        let marg = arena.marginal_batch(&wide, 4, &mut buf);
+        let mpe = arena.mpe_batch(&wide, &mut buf);
+        for k in [0, TILE - 1, TILE, TILE + 8] {
+            let one = DnnfBatch::pack(std::slice::from_ref(&lanes[k]));
+            let single = arena.log_probability_batch(&one, &mut buf)[0];
+            assert_eq!(single.to_bits(), logp[k].to_bits(), "lane {k}");
+            assert_eq!(
+                single.to_bits(),
+                circuit.log_probability_with(&lanes[k], &mut cbuf).to_bits()
+            );
+            assert_eq!(arena.marginal_batch(&one, 4, &mut buf)[0], marg[k], "lane {k}");
+            assert_eq!(marg[k], circuit.marginal_with(&lanes[k], 4, &mut cbuf), "lane {k}");
+            assert_eq!(arena.mpe_batch(&one, &mut buf)[0], mpe[k], "lane {k}");
+            assert_eq!(mpe[k], circuit.mpe_with(&lanes[k], &mut cbuf), "lane {k}");
+        }
+    }
+
+    #[test]
+    fn query_batch_matches_the_per_kind_kernels_and_tolerates_empty_groups() {
+        let (_, arena) = compiled(3, 9, 22).expect("seed 3 is satisfiable");
+        let lanes = lanes(9);
+        let refs: Vec<&Evidence> = lanes.iter().collect();
+        let marginals: Vec<(&Evidence, usize)> =
+            lanes.iter().enumerate().map(|(k, ev)| (ev, k % 9)).collect();
+        let mut buf = BatchBuffer::new();
+        let batch = DnnfBatch::pack(&lanes);
+        let (ps, dists, mpes) = arena.query_batch(&refs, &marginals, &refs, &mut buf);
+        assert_eq!(ps, arena.wmc_batch(&batch, &mut buf));
+        for (k, dist) in dists.iter().enumerate() {
+            assert_eq!(dist, &arena.marginal_batch(&batch, k % 9, &mut buf)[k], "lane {k}");
+        }
+        assert_eq!(mpes, arena.mpe_batch(&batch, &mut buf));
+        // Each kind alone, and nothing at all: no group may be required.
+        assert_eq!(arena.query_batch(&refs, &[], &[], &mut buf), (ps, vec![], vec![]));
+        assert_eq!(arena.query_batch(&[], &marginals, &[], &mut buf), (vec![], dists, vec![]));
+        assert_eq!(arena.query_batch(&[], &[], &refs, &mut buf), (vec![], vec![], mpes));
+        let walks = buf.walks();
+        assert_eq!(arena.query_batch(&[], &[], &[], &mut buf), (vec![], vec![], vec![]));
+        assert_eq!(buf.walks(), walks, "an empty batch walks nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "marginal variable 9 out of range")]
+    fn marginal_batch_rejects_an_out_of_range_variable() {
+        let (_, arena) = compiled(3, 9, 22).expect("seed 3 is satisfiable");
+        arena.marginal_batch(&DnnfBatch::pack(&lanes(9)), 9, &mut BatchBuffer::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch arity mismatch")]
+    fn marginal_batch_rejects_a_batch_of_another_arity() {
+        let (_, arena) = compiled(3, 9, 22).expect("seed 3 is satisfiable");
+        arena.marginal_batch(&DnnfBatch::pack(&lanes(8)), 0, &mut BatchBuffer::new());
+    }
+
     #[test]
     fn batch_buffer_reuse_is_stable_across_batches_of_different_widths() {
         let (_, arena) = compiled(5, 8, 20).expect("seed 5 is satisfiable");
-        let mut buf = BatchBuffer::new();
-        let wide = DnnfBatch::pack(&lanes(8));
-        let first = arena.wmc_batch(&wide, &mut buf);
-        // A narrower batch in between must not leak state into a rerun.
+        // Two tiles (a full one, then a narrower one), a one-lane batch
+        // and an MPE pass, each against a fresh buffer for reference.
+        let wide = DnnfBatch::pack(&distinct_lanes(8, TILE + 5));
         let narrow = DnnfBatch::pack(&[Evidence::empty(8)]);
-        let _ = arena.mpe_batch(&narrow, &mut buf);
-        let again = arena.wmc_batch(&wide, &mut buf);
-        assert_eq!(first, again, "a reused buffer must not leak state between batches");
+        let fresh_wmc = arena.wmc_batch(&wide, &mut BatchBuffer::new());
+        let fresh_marg = arena.marginal_batch(&narrow, 3, &mut BatchBuffer::new());
+        let fresh_mpe = arena.mpe_batch(&wide, &mut BatchBuffer::new());
+        let mut buf = BatchBuffer::new();
+        for round in 0..2 {
+            assert_eq!(arena.wmc_batch(&wide, &mut buf), fresh_wmc, "round {round}");
+            assert_eq!(arena.marginal_batch(&narrow, 3, &mut buf), fresh_marg, "round {round}");
+            assert_eq!(arena.mpe_batch(&wide, &mut buf), fresh_mpe, "round {round}");
+        }
     }
 
     #[test]

@@ -174,7 +174,8 @@ pub struct ServeReport {
 enum Plan {
     /// Exact: one lane of the batch's shared `ServeBatch` task (always
     /// task 0) — every exact-routed query in the batch rides the same
-    /// task, answered in one batched arena traversal per kernel.
+    /// task, answered in one sum-product arena traversal (MPE lanes
+    /// in one max-product pass).
     Batch { lane: usize },
     /// Plain-approximate: one task, answer from its verdict.
     Single { task: usize, route: Route },
@@ -358,8 +359,8 @@ impl ServeEngine {
 
     /// Serves a batch: routes every query, executes the admitted tasks
     /// through the threaded `BatchExecutor` (exact queries become lanes
-    /// of one batched-arena task sharing a single traversal per
-    /// kernel), and feeds the measured latencies back into the router's
+    /// of one batched-arena task sharing a single sum-product
+    /// traversal), and feeds the measured latencies back into the router's
     /// telemetry.
     ///
     /// # Errors
@@ -457,8 +458,8 @@ impl ServeEngine {
 
         // Every exact-routed query in the batch becomes one lane of a
         // single `ServeBatch` task over the stored arena: the executor
-        // answers the whole group in one batched traversal per kernel
-        // instead of re-walking the arena per query. Lane answers are
+        // answers the whole group in one sum-product traversal (plus a
+        // max-product pass when it holds MPE lanes) instead of re-walking the arena per query. Lane answers are
         // bit-identical to a batch of one, so batching is invisible to
         // callers except in latency.
         let exact: Vec<&Query> = queries

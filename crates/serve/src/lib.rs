@@ -25,8 +25,10 @@
 //! * [`ServeEngine`] ([`engine`]) — ties it together and executes
 //!   admitted batches through `reason_system::BatchExecutor`'s
 //!   threaded lanes; a batch's exact queries share one batched-arena
-//!   task (`SymbolicStage::ServeBatch`), answered in a single d-DNNF
-//!   traversal per kernel, drained earliest-deadline-first.
+//!   task (`SymbolicStage::ServeBatch`): probability, posterior and
+//!   marginal lanes ride one slab through a single sum-product d-DNNF
+//!   traversal (walked in fixed-width lane tiles), MPE lanes share one
+//!   max-product pass, and tasks drain earliest-deadline-first.
 //! * [`ServeCluster`] ([`cluster`]) — the sharded front-end:
 //!   fingerprints consistent-hash onto a [`HashRing`] of engine
 //!   shards, and every query passes deadline-aware *pre-dispatch*

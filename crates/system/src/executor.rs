@@ -34,6 +34,7 @@
 //! assert_eq!(threaded.measured.tasks, 4);
 //! ```
 
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,7 +46,7 @@ use reason_approx::{ApproxConfig, ApproxEngine};
 use reason_neural::{LlmProxy, Matrix, Mlp, MlpBuilder};
 use reason_pc::{
     compile_cnf, random_mixture_circuit, weighted_model_count, BatchBuffer, Circuit, Dnnf,
-    DnnfBatch, DnnfBuffer, EvalBuffer, Evidence, StructureConfig, WmcWeights,
+    DnnfBuffer, EvalBuffer, Evidence, StructureConfig, WmcWeights,
 };
 use reason_sat::gen::random_ksat;
 use reason_sat::{Cnf, CubeAndConquer, CubeConfig, Solution};
@@ -135,10 +136,13 @@ pub enum SymbolicStage {
         probs: Vec<f64>,
     },
     /// A whole batch of queries against one shared compiled knowledge
-    /// base, answered through the batched d-DNNF path: one
-    /// [`Dnnf::wmc_batch`] traversal covers every probability-flavored
-    /// lane, marginals share a traversal per queried variable, and MPE
-    /// lanes share one max-product pass. Per-query answers are
+    /// base, answered through the batched d-DNNF path
+    /// ([`Dnnf::query_batch`]): every probability-flavored lane and the
+    /// three evidence columns of every marginal lane — whatever
+    /// variables they ask about — share one slab and **one** sum-product
+    /// traversal (per lane tile; duplicate columns collapse across
+    /// kinds), and MPE lanes share one max-product pass. The traversal
+    /// scratch is kept per executing thread. Per-query answers are
     /// bit-identical to evaluating the source circuit one query at a
     /// time — batching changes the schedule, never the verdicts. This
     /// is the lane `reason-serve` routes every exact query through; a
@@ -563,9 +567,10 @@ fn symbolic_stage(
             match outcome {
                 Ok(verdict) => (verdict, symbolic_s),
                 Err(payload) => {
-                    // The buffer may have been half-updated when the
+                    // The buffers may have been half-updated when the
                     // task died: start the lane fresh.
                     *eval_buf = EvalBuffer::new();
+                    SERVE_SCRATCH.with(|buf| *buf.borrow_mut() = BatchBuffer::new());
                     (Verdict::Failed { reason: panic_message(&*payload) }, symbolic_s)
                 }
             }
@@ -637,70 +642,70 @@ fn run_symbolic(stage: &SymbolicStage, eval_buf: &mut EvalBuffer) -> Verdict {
     }
 }
 
+thread_local! {
+    /// The batched kernels' scratch tables, one per executing thread:
+    /// they outlive the task, so a thread's serve batches after its
+    /// first allocate nothing for the traversal.
+    static SERVE_SCRATCH: RefCell<BatchBuffer> = RefCell::new(BatchBuffer::new());
+}
+
 /// Answers a whole query batch against one shared arena with the
-/// batched d-DNNF kernels: WMC/probability/posterior lanes share a
-/// single [`Dnnf::wmc_batch`] traversal, marginal lanes share one
-/// [`Dnnf::marginal_batch`] per queried variable, and MPE lanes share
-/// one [`Dnnf::mpe_batch`] pass. Every per-query verdict is
-/// bit-identical to evaluating the source circuit on that query alone:
-/// the batched kernels replicate the single-query operation order per
-/// lane, and the arena itself evaluates bit-identically to the source
-/// circuit.
+/// batched d-DNNF kernel [`Dnnf::query_batch`]: probability, posterior
+/// and marginal lanes — whatever variables the marginals ask about —
+/// ride one slab through **one** sum-product traversal (per lane tile),
+/// and MPE lanes share one max-product pass. Lanes are packed straight
+/// from the task's evidence. Every per-query verdict is bit-identical
+/// to evaluating the source circuit on that query alone: the batched
+/// kernels replicate the single-query operation order per lane, and
+/// the arena itself evaluates bit-identically to the source circuit.
 fn run_serve_batch(arena: &Dnnf, z: f64, queries: &[ServeQuery]) -> Verdict {
-    let mut buf = BatchBuffer::new();
     let mut verdicts: Vec<Option<Verdict>> = vec![None; queries.len()];
     let degenerate = |p: f64| Verdict::Wmc { estimate: p, lower: p, upper: p };
 
-    // Partition the batch into lanes per kernel. `Wmc` asks for the
-    // partition function itself — already cached, no lane needed.
-    let mut prob: Vec<(usize, Evidence, bool)> = Vec::new(); // (query, evidence, is_posterior)
-    let mut marginals: Vec<(usize, Vec<(usize, Evidence)>)> = Vec::new(); // per queried var
-    let mut mpe: Vec<(usize, Evidence)> = Vec::new();
+    // Partition the batch into lanes per answer kind, remembering each
+    // lane's query index. `Wmc` asks for the partition function itself
+    // — already cached, no lane needed.
+    let (mut prob, mut prob_at) = (Vec::new(), Vec::new()); // at: (query, is_posterior)
+    let (mut marginal, mut marginal_at) = (Vec::new(), Vec::new());
+    let (mut mpe, mut mpe_at) = (Vec::new(), Vec::new());
     for (q, query) in queries.iter().enumerate() {
         match query {
             ServeQuery::Wmc => verdicts[q] = Some(degenerate(z)),
-            ServeQuery::Probability(ev) => prob.push((q, ev.clone(), false)),
-            ServeQuery::Posterior(ev) => prob.push((q, ev.clone(), true)),
-            ServeQuery::Marginal(ev, var) => match marginals.iter_mut().find(|(v, _)| v == var) {
-                Some((_, lanes)) => lanes.push((q, ev.clone())),
-                None => marginals.push((*var, vec![(q, ev.clone())])),
-            },
-            ServeQuery::Mpe(ev) => mpe.push((q, ev.clone())),
+            ServeQuery::Probability(ev) | ServeQuery::Posterior(ev) => {
+                prob.push(ev);
+                prob_at.push((q, matches!(query, ServeQuery::Posterior(_))));
+            }
+            ServeQuery::Marginal(ev, var) => {
+                marginal.push((ev, *var));
+                marginal_at.push(q);
+            }
+            ServeQuery::Mpe(ev) => {
+                mpe.push(ev);
+                mpe_at.push(q);
+            }
         }
     }
 
-    if !prob.is_empty() {
-        let evs: Vec<Evidence> = prob.iter().map(|(_, ev, _)| ev.clone()).collect();
-        let ps = arena.wmc_batch(&DnnfBatch::pack(&evs), &mut buf);
-        for ((q, _, posterior), p) in prob.iter().zip(ps) {
-            // Posterior of a massless formula: no conditional exists;
-            // report 0.
-            let ans = if *posterior {
-                if z == 0.0 {
-                    0.0
-                } else {
-                    p / z
-                }
-            } else {
-                p
-            };
-            verdicts[*q] = Some(degenerate(ans));
-        }
+    let (ps, dists, results) =
+        SERVE_SCRATCH.with(|buf| arena.query_batch(&prob, &marginal, &mpe, &mut buf.borrow_mut()));
+    for ((q, posterior), p) in prob_at.into_iter().zip(ps) {
+        // Posterior of a massless formula: no conditional exists;
+        // report 0.
+        let ans = if !posterior {
+            p
+        } else if z == 0.0 {
+            0.0
+        } else {
+            p / z
+        };
+        verdicts[q] = Some(degenerate(ans));
     }
-    for (var, lanes) in &marginals {
-        let evs: Vec<Evidence> = lanes.iter().map(|(_, ev)| ev.clone()).collect();
-        let dists = arena.marginal_batch(&DnnfBatch::pack(&evs), *var, &mut buf);
-        for ((q, _), dist) in lanes.iter().zip(dists) {
-            verdicts[*q] = Some(Verdict::Distribution(dist));
-        }
+    for (q, dist) in marginal_at.into_iter().zip(dists) {
+        verdicts[q] = Some(Verdict::Distribution(dist));
     }
-    if !mpe.is_empty() {
-        let evs: Vec<Evidence> = mpe.iter().map(|(_, ev)| ev.clone()).collect();
-        let results = arena.mpe_batch(&DnnfBatch::pack(&evs), &mut buf);
-        for ((q, _), res) in mpe.iter().zip(results) {
-            verdicts[*q] =
-                Some(Verdict::Assignment { assignment: res.assignment, log_prob: res.log_prob });
-        }
+    for (q, res) in mpe_at.into_iter().zip(results) {
+        verdicts[q] =
+            Some(Verdict::Assignment { assignment: res.assignment, log_prob: res.log_prob });
     }
     Verdict::Batch(verdicts.into_iter().map(|v| v.expect("every query answered")).collect())
 }
@@ -1101,6 +1106,84 @@ mod tests {
         // And the threaded executor agrees with the serial one.
         let threaded = BatchExecutor::new(ExecutorConfig::overlapped(3)).run(&batched);
         assert!(threaded.agrees_with(&report));
+    }
+
+    /// A serve arena with mass, its source circuit and its `Pr[φ]`.
+    fn serve_kb(n: usize) -> (Circuit, Arc<Dnnf>, f64) {
+        let cnf = random_ksat(n, 2 * n + 6, 3, 8);
+        let weights = WmcWeights::new((0..n).map(|v| 0.3 + 0.04 * v as f64).collect());
+        let circuit = compile_cnf(&cnf, &weights).expect("seed 8 instance must carry mass");
+        let arena = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
+        let z = circuit.probability(&Evidence::empty(n));
+        (circuit, arena, z)
+    }
+
+    fn serve_task(name: &str, arena: &Arc<Dnnf>, z: f64, queries: Vec<ServeQuery>) -> BatchTask {
+        BatchTask {
+            name: name.into(),
+            neural: NeuralStage::Synthetic { duration: Duration::ZERO },
+            symbolic: SymbolicStage::ServeBatch { arena: Arc::clone(arena), z, queries },
+            deadline: None,
+        }
+    }
+
+    #[test]
+    fn serve_batch_of_a_single_query_kind_needs_no_other_lanes() {
+        let (circuit, arena, z) = serve_kb(10);
+        let mut ev = Evidence::empty(10);
+        ev.set(1, 1);
+        let mpe = circuit.mpe(&ev);
+        let cases = [
+            (vec![ServeQuery::Wmc; 3], Verdict::Wmc { estimate: z, lower: z, upper: z }),
+            (vec![ServeQuery::Marginal(ev.clone(), 4); 2], {
+                Verdict::Distribution(circuit.marginal(&ev, 4))
+            }),
+            (
+                vec![ServeQuery::Mpe(ev.clone())],
+                Verdict::Assignment { assignment: mpe.assignment, log_prob: mpe.log_prob },
+            ),
+            (Vec::new(), Verdict::Done),
+        ];
+        for (queries, want) in cases {
+            let lanes = queries.len();
+            let report = BatchExecutor::new(ExecutorConfig::sequential())
+                .run(&[serve_task("one-kind", &arena, z, queries)]);
+            assert_eq!(report.results[0].verdict, Verdict::Batch(vec![want; lanes]));
+        }
+    }
+
+    #[test]
+    fn panicking_serve_batch_leaves_the_threads_next_batch_correct() {
+        let (_, arena, z) = serve_kb(10);
+        let mut ev = Evidence::empty(10);
+        ev.set(2, 0).set(5, 1);
+        let good = vec![
+            ServeQuery::Posterior(ev.clone()),
+            ServeQuery::Marginal(ev.clone(), 3),
+            ServeQuery::Mpe(ev.clone()),
+        ];
+        // Variable 10 does not exist: the kernel's range assert fires
+        // after the thread's scratch has been borrowed.
+        let poison = vec![ServeQuery::Probability(ev.clone()), ServeQuery::Marginal(ev, 10)];
+        let tasks = [
+            serve_task("before", &arena, z, good.clone()),
+            serve_task("poison", &arena, z, poison),
+            serve_task("after", &arena, z, good),
+        ];
+        // Inline, and one symbolic worker: all three tasks share a thread.
+        for config in [ExecutorConfig::sequential(), ExecutorConfig::overlapped(1)] {
+            let report = BatchExecutor::new(config).run(&tasks);
+            match &report.results[1].verdict {
+                Verdict::Failed { reason } => {
+                    assert!(reason.contains("out of range"), "unexpected panic message: {reason}");
+                }
+                other => panic!("poisoned slot must fail, got {other:?}"),
+            }
+            assert!(
+                matches!(&report.results[0].verdict, Verdict::Batch(lanes) if lanes.len() == 3)
+            );
+            assert_eq!(report.results[2].verdict, report.results[0].verdict, "{config:?}");
+        }
     }
 
     #[test]

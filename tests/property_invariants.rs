@@ -314,6 +314,131 @@ proptest! {
     }
 
     #[test]
+    fn serve_batch_lanes_equal_per_query_circuit_answers_bit_for_bit(
+        n in 4usize..=16,
+        seed in 0u64..10_000,
+        width in 0usize..5,
+    ) {
+        // A `ServeBatch` task packs every probability, posterior and
+        // marginal lane into one slab walked in lane tiles. Whatever
+        // the mix and the batch width (below, at and across tile
+        // boundaries), every lane must reproduce the source circuit's
+        // single-query answer bit-for-bit, inline and on the pools.
+        use rand::{Rng, SeedableRng};
+        use reason::system::{
+            BatchExecutor, BatchTask, ExecutorConfig, NeuralStage, ServeQuery, SymbolicStage,
+            Verdict,
+        };
+        // reason-pc's private lane-tile width (pinned by
+        // tests/batch_traversal_guard.rs).
+        const TILE: usize = 64;
+        let lanes = [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5][width];
+        let m = 2 * n + (seed % 13) as usize;
+        let cnf = reason::sat::gen::random_ksat(n, m, 3, seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5E7B);
+        let probs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..0.95)).collect();
+        let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs)) else {
+            return Ok(());
+        };
+        let arena = std::sync::Arc::new(reason::pc::Dnnf::from_circuit(&circuit).expect("binary"));
+        let mut cbuf = reason::pc::EvalBuffer::new();
+        let z = circuit.probability_with(&Evidence::empty(n), &mut cbuf);
+
+        let mut queries: Vec<ServeQuery> = (0..lanes)
+            .map(|_| {
+                let mut ev = Evidence::empty(n);
+                for v in 0..n {
+                    if rng.gen_bool(0.3) {
+                        ev.set(v, usize::from(rng.gen_bool(0.5)));
+                    }
+                }
+                match rng.gen_range(0..10) {
+                    0 => ServeQuery::Wmc,
+                    1..=3 => ServeQuery::Probability(ev),
+                    4..=5 => ServeQuery::Posterior(ev),
+                    6..=8 => ServeQuery::Marginal(ev, rng.gen_range(0..n)),
+                    _ => ServeQuery::Mpe(ev),
+                }
+            })
+            .collect();
+        if lanes >= TILE - 1 {
+            // The shapes the merged slab must get right: a marginal
+            // whose evidence already fixes its variable, a probability
+            // lane equal to that marginal's `e∖v` column (cross-kind
+            // dedup), zero-mass evidence (the first clause falsified)
+            // asked every way, and a repeated lane.
+            let var = rng.gen_range(0..n);
+            let mut fixed = Evidence::empty(n);
+            fixed.set(var, 1).set((var + 1) % n, 0);
+            let mut cleared = fixed.clone();
+            cleared.clear(var);
+            let mut massless = Evidence::empty(n);
+            for lit in cnf.clauses()[0].lits() {
+                massless.set(lit.var().index(), usize::from(lit.is_neg()));
+            }
+            let free = (0..n).find(|&v| massless.value(v).is_none()).expect("clauses have <= 3 vars");
+            queries[0] = ServeQuery::Marginal(fixed, var);
+            queries[1] = ServeQuery::Probability(cleared);
+            queries[2] = ServeQuery::Posterior(massless.clone());
+            queries[3] = ServeQuery::Marginal(massless.clone(), free);
+            queries[4] = ServeQuery::Mpe(massless);
+            queries[lanes - 1] = queries[0].clone();
+            queries[lanes - 2] = queries[1].clone();
+        }
+
+        let degenerate = |p: f64| Verdict::Wmc { estimate: p, lower: p, upper: p };
+        let want: Vec<Verdict> = queries
+            .iter()
+            .map(|query| match query {
+                ServeQuery::Wmc => degenerate(z),
+                ServeQuery::Probability(ev) => degenerate(circuit.probability_with(ev, &mut cbuf)),
+                ServeQuery::Posterior(ev) => degenerate(circuit.probability_with(ev, &mut cbuf) / z),
+                ServeQuery::Marginal(ev, var) => {
+                    Verdict::Distribution(circuit.marginal_with(ev, *var, &mut cbuf))
+                }
+                ServeQuery::Mpe(ev) => {
+                    let res = circuit.mpe_with(ev, &mut cbuf);
+                    Verdict::Assignment { assignment: res.assignment, log_prob: res.log_prob }
+                }
+            })
+            .collect();
+        if lanes >= TILE - 1 {
+            prop_assert_eq!(&want[2], &degenerate(0.0));
+            prop_assert_eq!(&want[3], &Verdict::Distribution(vec![0.5, 0.5]));
+        }
+
+        // Two tasks, so both pool lanes (and a reused scratch) see work.
+        let tasks: Vec<BatchTask> = (0..2)
+            .map(|i| BatchTask {
+                name: format!("serve-{i}"),
+                neural: NeuralStage::Synthetic { duration: std::time::Duration::ZERO },
+                symbolic: SymbolicStage::ServeBatch {
+                    arena: std::sync::Arc::clone(&arena),
+                    z,
+                    queries: queries.clone(),
+                },
+                deadline: None,
+            })
+            .collect();
+        for config in [ExecutorConfig::sequential(), ExecutorConfig::overlapped(2)] {
+            for result in BatchExecutor::new(config).run(&tasks).results {
+                let Verdict::Batch(got) = result.verdict else {
+                    return Err(TestCaseError::fail(format!("{config:?}: {:?}", result.verdict)));
+                };
+                prop_assert_eq!(got.len(), want.len());
+                // `Debug` spells an f64 out exactly, so equal strings are
+                // equal bits (and -0.0 differs from 0.0).
+                for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(
+                        format!("{g:?}"), format!("{w:?}"),
+                        "{:?} lane {} ({:?})", config, lane, &queries[lane]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn circuit_store_roundtrip_preserves_answers_bit_for_bit(n in 4usize..=12, seed in 0u64..10_000) {
         // Insert → evict → recompile through a 1-entry serving store:
         // the recompiled artifact must reproduce the original answers
