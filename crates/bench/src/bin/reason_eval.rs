@@ -13,17 +13,21 @@
 //!             on the threaded BatchExecutor with [workers] symbolic
 //!             workers
 //!   approx:   exact-vs-approximate WMC sweep (reason-approx)
-//!   compile:  knowledge-compilation scaling sweep — top-down
-//!             component-caching compiler vs the legacy Shannon
-//!             baseline; [tasks] caps the baseline's variable count
-//!             (default 28)
+//!   compile:  knowledge-compilation scaling sweep — node, decision
+//!             and cache counts of the top-down component-caching
+//!             compiler vs the legacy Shannon baseline's circuit size;
+//!             [tasks] caps the baseline's variable count (default 28)
 //!   serve:    knowledge-base serving sweep (reason-serve) — persistent
-//!             circuit store, repeated-query speedups, router deadline
-//!             fallbacks, incremental clause edits
-//!   batch:    batched d-DNNF arena evaluation sweep — per-query vs
-//!             one-traversal throughput, bit-identity guard, and the
+//!             circuit store, repeated queries held bit-exact to the
+//!             oracle, router deadline fallbacks, incremental clause
+//!             edits
+//!   batch:    batched d-DNNF arena evaluation sweep — one traversal
+//!             held bit-identical to per-query walks, and the
 //!             compiled-kernel lowering onto the simulated accelerator
 //!             (predicted vs measured cycles)
+//!             (compile, serve and batch report counts and verdicts
+//!             only, byte-identical per seed; wall-clock speed is
+//!             measured by benchmark/run.sh)
 //!   traffic:  sharded-cluster traffic harness — open-loop Poisson
 //!             arrivals with Zipf tenant/query skew swept over offered
 //!             QPS and shard count; p50/p99 modeled latency,
@@ -57,11 +61,10 @@
 //!             differential profile of the crash plan vs the no-fault
 //!             baseline, and worst-query tail exemplars with full
 //!             admit -> route -> compile -> eval span chains
-//!   audit:    the perf-regression sentinel — re-runs the sweep behind
+//!   audit:    the regression sentinel — re-runs the sweep behind
 //!             every committed BENCH_*.json baseline and compares
-//!             field-by-field under per-metric tolerance bands (zero
-//!             for deterministic metrics, infinite for wall-clock
-//!             timings); exits 1 on any mismatch, so it gates CI
+//!             every field bit-exact (no key is skipped); exits 1 on
+//!             any mismatch, so it gates CI
 //!   --seed N: seeds the seedable experiments (approx, pipeline,
 //!             compile, serve, batch, traffic, trace, chaos, slo,
 //!             profile)

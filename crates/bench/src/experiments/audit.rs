@@ -2,16 +2,13 @@
 //! cheap sweeps behind every committed `BENCH_*.json` baseline and
 //! compares the fresh reports field-by-field.
 //!
-//! The comparison applies **per-metric tolerance bands**. This repo's
-//! evaluation is deterministic by construction — seeded workloads,
-//! virtual clocks, canonical orderings — so the band for almost every
-//! metric is *zero*: counts, availability, modeled latencies, circuit
-//! shapes, and answers must match the committed bytes exactly, and a
-//! drift of even one ULP is a reported regression. The only exception
-//! is the explicit **noisy** set per file: wall-clock measurements
-//! (`*_s` timings and the speedups derived from them) whose band is
-//! infinite — they are skipped (and counted) rather than compared, so
-//! the verdict never depends on machine speed.
+//! Every leaf is compared at **band zero**. The audited sweeps are
+//! deterministic by construction — seeded workloads, virtual clocks,
+//! canonical orderings, no wall-clock column — so counts, availability,
+//! modeled latencies, circuit shapes, and answers must match the
+//! committed bytes exactly, and a drift of even one ULP is a reported
+//! regression. Wall-clock speed is not this gate's business: it is
+//! measured by `benchmark/` against the bounds in `BENCHMARK.json`.
 //!
 //! The verdict is machine-readable (`reason-eval audit --json`),
 //! byte-deterministic when passing, and drives the process exit code
@@ -32,36 +29,19 @@ pub struct AuditRule {
     pub file: &'static str,
     /// The `reason-eval` experiment that regenerates it.
     pub experiment: &'static str,
-    /// Keys with an *infinite* tolerance band: wall-clock measurements
-    /// skipped during comparison. A key in this list suppresses the
-    /// whole subtree under any object key of that name. Every other
-    /// leaf is held to band zero (exact equality).
-    pub noisy: &'static [&'static str],
 }
 
 /// Every committed baseline the sentinel re-derives. `BENCH_obs_trace.json`
 /// (the Chrome-trace artifact) is exercised separately by the CI
 /// byte-determinism check on `--trace-out`.
 pub const RULES: &[AuditRule] = &[
-    AuditRule {
-        file: "BENCH_pc.json",
-        experiment: "compile",
-        noisy: &["new_s", "old_s", "speedup"],
-    },
-    AuditRule {
-        file: "BENCH_serve.json",
-        experiment: "serve",
-        noisy: &["compile_s", "first_query_s", "warm_mean_s", "speedup", "incremental_compile_s"],
-    },
-    AuditRule {
-        file: "BENCH_batch.json",
-        experiment: "batch",
-        noisy: &["per_query_s", "batched_s", "speedup"],
-    },
-    AuditRule { file: "BENCH_traffic.json", experiment: "traffic", noisy: &[] },
-    AuditRule { file: "BENCH_obs.json", experiment: "trace", noisy: &[] },
-    AuditRule { file: "BENCH_chaos.json", experiment: "chaos", noisy: &[] },
-    AuditRule { file: "BENCH_slo.json", experiment: "slo", noisy: &[] },
+    AuditRule { file: "BENCH_pc.json", experiment: "compile" },
+    AuditRule { file: "BENCH_serve.json", experiment: "serve" },
+    AuditRule { file: "BENCH_batch.json", experiment: "batch" },
+    AuditRule { file: "BENCH_traffic.json", experiment: "traffic" },
+    AuditRule { file: "BENCH_obs.json", experiment: "trace" },
+    AuditRule { file: "BENCH_chaos.json", experiment: "chaos" },
+    AuditRule { file: "BENCH_slo.json", experiment: "slo" },
 ];
 
 /// The verdict for one baseline file.
@@ -75,8 +55,6 @@ pub struct AuditCheck {
     pub seed: u64,
     /// Leaves compared at band zero.
     pub compared: usize,
-    /// Subtrees skipped under the infinite band (noisy keys).
-    pub skipped_noisy: usize,
     /// Human-readable mismatch descriptions (`path: committed vs
     /// fresh`). Empty iff the check passed.
     pub mismatches: Vec<String>,
@@ -110,30 +88,18 @@ fn push_mismatch(out: &mut Vec<String>, msg: String) {
     }
 }
 
-fn walk(
-    path: &str,
-    committed: &Json,
-    fresh: &Json,
-    noisy: &[&str],
-    compared: &mut usize,
-    skipped: &mut usize,
-    out: &mut Vec<String>,
-) {
+fn walk(path: &str, committed: &Json, fresh: &Json, compared: &mut usize, out: &mut Vec<String>) {
     match (committed, fresh) {
         (Json::Obj(a), Json::Obj(b)) => {
             for (key, av) in a {
                 let sub = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
-                if noisy.contains(&key.as_str()) {
-                    *skipped += 1;
-                    continue;
-                }
                 match b.iter().find(|(k, _)| k == key) {
-                    Some((_, bv)) => walk(&sub, av, bv, noisy, compared, skipped, out),
+                    Some((_, bv)) => walk(&sub, av, bv, compared, out),
                     None => push_mismatch(out, format!("{sub}: missing from the fresh report")),
                 }
             }
             for (key, _) in b {
-                if !a.iter().any(|(k, _)| k == key) && !noisy.contains(&key.as_str()) {
+                if !a.iter().any(|(k, _)| k == key) {
                     let sub = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
                     push_mismatch(out, format!("{sub}: not in the committed baseline"));
                 }
@@ -148,7 +114,7 @@ fn walk(
                 return;
             }
             for (i, (av, bv)) in a.iter().zip(b).enumerate() {
-                walk(&format!("{path}[{i}]"), av, bv, noisy, compared, skipped, out);
+                walk(&format!("{path}[{i}]"), av, bv, compared, out);
             }
         }
         (Json::Num(a), Json::Num(b)) => {
@@ -179,18 +145,14 @@ fn walk(
     }
 }
 
-/// Compares a fresh report against a committed baseline under the
-/// rule's tolerance bands. Returns `(compared, skipped_noisy,
-/// mismatches)`; the check passes iff `mismatches` is empty.
-pub fn audit_compare(
-    committed: &Json,
-    fresh: &Json,
-    noisy: &[&str],
-) -> (usize, usize, Vec<String>) {
-    let (mut compared, mut skipped) = (0, 0);
+/// Compares a fresh report against a committed baseline, every leaf at
+/// band zero. Returns `(compared, mismatches)`; the check passes iff
+/// `mismatches` is empty.
+pub fn audit_compare(committed: &Json, fresh: &Json) -> (usize, Vec<String>) {
+    let mut compared = 0;
     let mut out = Vec::new();
-    walk("", committed, fresh, noisy, &mut compared, &mut skipped, &mut out);
-    (compared, skipped, out)
+    walk("", committed, fresh, &mut compared, &mut out);
+    (compared, out)
 }
 
 /// Regenerates the report a rule's baseline was committed from.
@@ -216,7 +178,6 @@ fn check_rule(dir: &Path, rule: &AuditRule) -> AuditCheck {
         experiment: rule.experiment.to_string(),
         seed: 0,
         compared: 0,
-        skipped_noisy: 0,
         mismatches: Vec::new(),
     };
     let text = match std::fs::read_to_string(&path) {
@@ -239,10 +200,7 @@ fn check_rule(dir: &Path, rule: &AuditRule) -> AuditCheck {
     };
     check.seed = seed as u64;
     let fresh = rerun(rule.experiment, check.seed);
-    let (compared, skipped, mismatches) = audit_compare(&committed, &fresh, rule.noisy);
-    check.compared = compared;
-    check.skipped_noisy = skipped;
-    check.mismatches = mismatches;
+    (check.compared, check.mismatches) = audit_compare(&committed, &fresh);
     check
 }
 
@@ -261,7 +219,6 @@ fn check_to_json(check: &AuditCheck) -> Json {
         ("experiment".into(), Json::Str(check.experiment.clone())),
         ("seed".into(), Json::Num(check.seed as f64)),
         ("compared".into(), Json::Num(check.compared as f64)),
-        ("skipped_noisy".into(), Json::Num(check.skipped_noisy as f64)),
         (
             "mismatches".into(),
             Json::Arr(check.mismatches.iter().map(|m| Json::Str(m.clone())).collect()),
@@ -294,13 +251,12 @@ pub fn audit_render_text(checks: &[AuditCheck]) -> String {
     for check in checks {
         let _ = writeln!(
             out,
-            "{:>5}  {:<18} ({:<7} seed {}) {} exact, {} noisy-skipped",
+            "{:>5}  {:<18} ({:<7} seed {}) {} exact",
             if check.pass() { "ok" } else { "FAIL" },
             check.file,
             check.experiment,
             check.seed,
             check.compared,
-            check.skipped_noisy,
         );
         for m in &check.mismatches {
             let _ = writeln!(out, "         {m}");
@@ -337,12 +293,12 @@ mod tests {
                 Json::Arr(vec![
                     obj(vec![
                         ("nodes", Json::Num(61.0)),
-                        ("new_s", Json::Num(0.0123)),
+                        ("z", Json::Num(0.0123)),
                         ("ok", Json::Bool(true)),
                     ]),
                     obj(vec![
                         ("nodes", Json::Num(85.0)),
-                        ("new_s", Json::Num(0.0456)),
+                        ("z", Json::Num(0.0456)),
                         ("ok", Json::Bool(true)),
                     ]),
                 ]),
@@ -352,46 +308,47 @@ mod tests {
 
     #[test]
     fn identical_reports_pass_with_zero_band() {
-        let (compared, skipped, mismatches) = audit_compare(&sample(), &sample(), &["new_s"]);
+        let (compared, mismatches) = audit_compare(&sample(), &sample());
         assert!(mismatches.is_empty(), "{mismatches:?}");
-        assert_eq!(skipped, 2, "one noisy key per row");
-        assert_eq!(compared, 6, "experiment, seed, 2x(nodes, ok)");
+        assert_eq!(compared, 8, "experiment, seed, 2x(nodes, z, ok)");
+    }
+
+    /// Flips the `target`-th leaf (depth-first) of `v`; `seen` counts
+    /// the leaves passed so far.
+    fn flip_leaf(v: &mut Json, target: usize, seen: &mut usize) {
+        match v {
+            Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, c)| flip_leaf(c, target, seen)),
+            Json::Arr(items) => items.iter_mut().for_each(|c| flip_leaf(c, target, seen)),
+            leaf => {
+                if *seen == target {
+                    *leaf = match leaf {
+                        Json::Num(x) => Json::Num(f64::from_bits(x.to_bits() ^ 1)),
+                        Json::Bool(b) => Json::Bool(!*b),
+                        Json::Str(s) => Json::Str(format!("{s}'")),
+                        _ => Json::Bool(false),
+                    };
+                }
+                *seen += 1;
+            }
+        }
     }
 
     #[test]
     fn injected_synthetic_regression_is_caught() {
-        // The sentinel's core promise: a deterministic metric drifting
-        // by even one ULP fails the audit.
-        let mut fresh = sample();
-        if let Json::Obj(top) = &mut fresh {
-            if let Some((_, Json::Arr(rows))) = top.iter_mut().find(|(k, _)| k == "rows") {
-                if let Json::Obj(row) = &mut rows[1] {
-                    if let Some((_, v)) = row.iter_mut().find(|(k, _)| k == "nodes") {
-                        *v = Json::Num(85.0 + f64::EPSILON * 64.0);
-                    }
-                }
+        // The sentinel's core promise, with no key exempt: whichever
+        // single leaf drifts — by one ULP for a number — fails the
+        // audit, and the report names that leaf.
+        let (leaves, _) = audit_compare(&sample(), &sample());
+        for target in 0..leaves {
+            let mut fresh = sample();
+            flip_leaf(&mut fresh, target, &mut 0);
+            let (compared, mismatches) = audit_compare(&sample(), &fresh);
+            assert_eq!(compared, leaves);
+            assert_eq!(mismatches.len(), 1, "leaf {target}: {mismatches:?}");
+            if target == 5 {
+                assert!(mismatches[0].starts_with("rows[1].nodes:"), "{}", mismatches[0]);
             }
         }
-        let (_, _, mismatches) = audit_compare(&sample(), &fresh, &["new_s"]);
-        assert_eq!(mismatches.len(), 1, "{mismatches:?}");
-        assert!(mismatches[0].starts_with("rows[1].nodes:"), "{}", mismatches[0]);
-    }
-
-    #[test]
-    fn noisy_keys_have_an_infinite_band() {
-        let mut fresh = sample();
-        if let Json::Obj(top) = &mut fresh {
-            if let Some((_, Json::Arr(rows))) = top.iter_mut().find(|(k, _)| k == "rows") {
-                if let Json::Obj(row) = &mut rows[0] {
-                    if let Some((_, v)) = row.iter_mut().find(|(k, _)| k == "new_s") {
-                        *v = Json::Num(99.9); // a wildly slower machine
-                    }
-                }
-            }
-        }
-        let (_, skipped, mismatches) = audit_compare(&sample(), &fresh, &["new_s"]);
-        assert!(mismatches.is_empty(), "{mismatches:?}");
-        assert_eq!(skipped, 2);
     }
 
     #[test]
@@ -401,7 +358,7 @@ mod tests {
         if let Json::Obj(top) = &mut fresh {
             top.retain(|(k, _)| k != "seed");
         }
-        let (_, _, mismatches) = audit_compare(&sample(), &fresh, &[]);
+        let (_, mismatches) = audit_compare(&sample(), &fresh);
         assert!(mismatches.iter().any(|m| m.starts_with("seed:")), "{mismatches:?}");
 
         // Extra row: array lengths are part of the contract.
@@ -412,7 +369,7 @@ mod tests {
                 rows.push(extra);
             }
         }
-        let (_, _, mismatches) = audit_compare(&sample(), &fresh, &[]);
+        let (_, mismatches) = audit_compare(&sample(), &fresh);
         assert!(mismatches.iter().any(|m| m.contains("length 2 committed vs 3")), "{mismatches:?}");
 
         // Type change.
@@ -422,7 +379,7 @@ mod tests {
                 *v = Json::Str("42".into());
             }
         }
-        let (_, _, mismatches) = audit_compare(&sample(), &fresh, &[]);
+        let (_, mismatches) = audit_compare(&sample(), &fresh);
         assert!(
             mismatches.iter().any(|m| m.contains("number committed vs string")),
             "{mismatches:?}"
@@ -433,23 +390,15 @@ mod tests {
     fn mismatch_flood_is_capped() {
         let committed = Json::Arr((0..100).map(|i| Json::Num(i as f64)).collect());
         let fresh = Json::Arr((0..100).map(|i| Json::Num(i as f64 + 1.0)).collect());
-        let (_, _, mismatches) = audit_compare(&committed, &fresh, &[]);
+        let (_, mismatches) = audit_compare(&committed, &fresh);
         assert_eq!(mismatches.len(), MAX_MISMATCHES);
     }
 
     #[test]
     fn rules_cover_every_committed_baseline() {
-        // Every rule re-runs a known experiment, and the noisy sets
-        // only name wall-clock keys.
         for rule in RULES {
             assert!(rule.file.starts_with("BENCH_"));
             assert!(!rule.experiment.is_empty());
-            for key in rule.noisy {
-                assert!(
-                    key.ends_with("_s") || *key == "speedup",
-                    "noisy keys must be wall-clock measurements: {key}"
-                );
-            }
         }
     }
 }

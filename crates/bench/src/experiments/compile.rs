@@ -1,7 +1,7 @@
 //! Knowledge-compilation scaling sweep (`reason-eval compile`).
 //!
 //! The experiment behind the top-down compiler rewrite: across a
-//! ladder of random 3-SAT instances it times the component-caching
+//! ladder of random 3-SAT instances it sizes the component-caching
 //! compiler ([`reason_pc::compile_cnf`]) head-to-head against the
 //! legacy static-order Shannon baseline
 //! ([`reason_pc::compile_cnf_shannon`]), asserting their weighted model
@@ -10,11 +10,14 @@
 //! structured instances (implication chains, graph-coloring encodings)
 //! at n ≥ 60 — sizes the old compiler cannot touch.
 //!
+//! Every column is a count or an answer, so the report is
+//! byte-identical per seed; compile *time* is `benchmark/`'s
+//! `cold_ladder` `pc.compile.call_ms`.
+//!
 //! `reason-eval compile --json > BENCH_pc.json` regenerates the
 //! committed bench baseline.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use reason_pc::{compile_cnf_with, CompileOptions, CompileStats, Evidence};
 use reason_sat::gen::{graph_coloring, random_ksat};
@@ -34,26 +37,15 @@ pub struct CompileRow {
     pub num_clauses: usize,
     /// Seed the instance was generated from.
     pub seed: u64,
-    /// Top-down compile seconds (compile + root evaluation).
-    pub new_s: f64,
     /// Weighted model count from the top-down circuit.
     pub z: f64,
     /// Top-down compiler counters (nodes, decisions, cache traffic).
     pub stats: CompileStats,
-    /// Legacy Shannon compile seconds, when the baseline ran.
-    pub old_s: Option<f64>,
     /// Legacy circuit node count, when the baseline ran.
     pub old_nodes: Option<usize>,
     /// Brute-enumeration agreement check (`None` above the
     /// enumeration limit).
     pub brute_ok: Option<bool>,
-}
-
-impl CompileRow {
-    /// Legacy-over-top-down compile-time ratio, when the baseline ran.
-    pub fn speedup(&self) -> Option<f64> {
-        self.old_s.map(|old| old / self.new_s.max(1e-12))
-    }
 }
 
 /// The random-3-SAT comparison ladder `(num_vars, num_clauses)` —
@@ -74,17 +66,15 @@ fn chain_cnf(num_vars: usize) -> Cnf {
     Cnf::from_clauses(num_vars, clauses)
 }
 
-/// Times the top-down compiler on `cnf`, returning a row (without
+/// Runs the top-down compiler on `cnf`, returning a row (without
 /// baseline columns). Returns `None` for instances with no satisfying
 /// mass — sweep loops walk seeds until one sticks, and the single
-/// timed compilation doubles as the satisfiability probe.
+/// compilation doubles as the satisfiability probe.
 fn try_topdown(family: &'static str, cnf: &Cnf, seed: u64) -> Option<CompileRow> {
     let n = cnf.num_vars();
     let weights = sweep_weights(n);
-    let t0 = Instant::now();
     let (circuit, stats) = compile_cnf_with(cnf, &weights, CompileOptions::default());
     let z = circuit?.probability(&Evidence::empty(n));
-    let new_s = t0.elapsed().as_secs_f64();
     if z <= 0.0 {
         return None;
     }
@@ -98,24 +88,20 @@ fn try_topdown(family: &'static str, cnf: &Cnf, seed: u64) -> Option<CompileRow>
         num_vars: n,
         num_clauses: cnf.num_clauses(),
         seed,
-        new_s,
         z,
         stats,
-        old_s: None,
         old_nodes: None,
         brute_ok,
     })
 }
 
-/// Adds the legacy-baseline columns to a row and asserts old/new WMC
+/// Adds the legacy-baseline node count to a row and asserts old/new WMC
 /// agreement.
 fn add_baseline(row: &mut CompileRow, cnf: &Cnf) {
     let weights = sweep_weights(cnf.num_vars());
-    let t0 = Instant::now();
     let old =
         reason_pc::compile_cnf_shannon(cnf, &weights).expect("baseline agrees on satisfiability");
     let z_old = old.probability(&Evidence::empty(cnf.num_vars()));
-    row.old_s = Some(t0.elapsed().as_secs_f64());
     row.old_nodes = Some(old.num_nodes());
     assert!(
         (z_old - row.z).abs() < 1e-9 * z_old.max(1.0),
@@ -172,44 +158,29 @@ fn rows_to_text(rows: &[CompileRow]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>10} {:>5} {:>7} {:>10} {:>8} {:>9} {:>7} {:>10} {:>9} {:>12}",
-        "family",
-        "vars",
-        "clauses",
-        "new ms",
-        "nodes",
-        "decisions",
-        "hit %",
-        "old ms",
-        "old nds",
-        "speedup"
+        "{:>10} {:>5} {:>7} {:>8} {:>9} {:>7} {:>9}",
+        "family", "vars", "clauses", "nodes", "decisions", "hit %", "old nds"
     );
     for r in rows {
-        let old_ms = r.old_s.map_or("-".to_string(), |s| format!("{:.2}", 1e3 * s));
         let old_nodes = r.old_nodes.map_or("-".to_string(), |n| n.to_string());
-        let speedup = r.speedup().map_or("-".to_string(), |s| format!("{s:.1}x"));
         let _ = writeln!(
             out,
-            "{:>10} {:>5} {:>7} {:>10.2} {:>8} {:>9} {:>7.1} {:>10} {:>9} {:>12}",
+            "{:>10} {:>5} {:>7} {:>8} {:>9} {:>7.1} {:>9}",
             r.family,
             r.num_vars,
             r.num_clauses,
-            1e3 * r.new_s,
             r.stats.nodes,
             r.stats.decisions,
             100.0 * r.stats.hit_rate(),
-            old_ms,
             old_nodes,
-            speedup,
         );
     }
-    let best = rows.iter().filter_map(CompileRow::speedup).fold(f64::NEG_INFINITY, f64::max);
     let largest = rows.iter().map(|r| r.num_vars).max().unwrap_or(0);
     let _ = writeln!(
         out,
-        "(propagate → decompose → decide → cache; best measured speedup {best:.0}x over the \
-         static-order Shannon baseline, exact rungs up to n={largest}; node counts never exceed \
-         the baseline's on shared instances)"
+        "(propagate → decompose → decide → cache; exact rungs up to n={largest}; node counts \
+         never exceed the static-order Shannon baseline's on shared instances; compile time is \
+         benchmark/'s cold_ladder pc.compile.call_ms)"
     );
     out
 }
@@ -228,7 +199,6 @@ fn rows_to_json(rows: &[CompileRow], seed: u64) -> Json {
                             ("num_vars".into(), Json::Num(r.num_vars as f64)),
                             ("num_clauses".into(), Json::Num(r.num_clauses as f64)),
                             ("instance_seed".into(), Json::Num(r.seed as f64)),
-                            ("new_s".into(), Json::Num(r.new_s)),
                             ("z".into(), Json::Num(r.z)),
                             ("nodes".into(), Json::Num(r.stats.nodes as f64)),
                             ("edges".into(), Json::Num(r.stats.edges as f64)),
@@ -245,10 +215,8 @@ fn rows_to_json(rows: &[CompileRow], seed: u64) -> Json {
                                 Json::Num((16 * r.stats.nodes + 8 * r.stats.edges) as f64),
                             ),
                         ];
-                        if let (Some(old_s), Some(old_nodes)) = (r.old_s, r.old_nodes) {
-                            fields.push(("old_s".into(), Json::Num(old_s)));
+                        if let Some(old_nodes) = r.old_nodes {
                             fields.push(("old_nodes".into(), Json::Num(old_nodes as f64)));
-                            fields.push(("speedup".into(), Json::Num(r.speedup().unwrap_or(0.0))));
                         }
                         if let Some(ok) = r.brute_ok {
                             fields.push(("brute_ok".into(), Json::Bool(ok)));
@@ -262,7 +230,7 @@ fn rows_to_json(rows: &[CompileRow], seed: u64) -> Json {
 }
 
 /// Text report of the compilation sweep. `baseline_max_vars` caps how
-/// far up the ladder the (slow) legacy baseline is timed.
+/// far up the ladder the (slow) legacy baseline runs.
 pub fn compile_report(seed: u64, baseline_max_vars: usize) -> String {
     rows_to_text(&compile_rows(seed, baseline_max_vars))
 }
@@ -302,8 +270,6 @@ mod tests {
             assert_eq!(r.brute_ok, Some(true), "n={} disagrees with enumeration", r.num_vars);
         }
         let with_baseline = &rows[0];
-        assert!(with_baseline.old_s.is_some());
-        assert!(with_baseline.speedup().unwrap() > 0.0);
         assert!(
             with_baseline.stats.nodes <= with_baseline.old_nodes.unwrap(),
             "top-down must not exceed the baseline's circuit size"
@@ -324,7 +290,7 @@ mod tests {
         let rows = small_rows();
         let text = rows_to_text(&rows);
         assert!(text.contains("top-down component-caching"));
-        assert!(text.contains("speedup"));
+        assert!(text.contains("old nds"));
         for r in &rows {
             assert!(text.contains(&format!("{:>5} {:>7}", r.num_vars, r.num_clauses)));
         }
@@ -338,7 +304,6 @@ mod tests {
         let rows = parsed.get("rows").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 2);
         for row in rows {
-            assert!(row.get("new_s").unwrap().as_f64().is_some());
             assert!(row.get("nodes").unwrap().as_f64().is_some());
             assert_eq!(row.get("brute_ok").unwrap().as_bool(), Some(true));
             // Cache traffic and sizes are emitted raw, not just as a
@@ -347,6 +312,16 @@ mod tests {
             assert!(row.get("cache_misses").unwrap().as_f64().unwrap() > 0.0);
             assert!(row.get("circuit_bytes").unwrap().as_f64().unwrap() > 0.0);
         }
-        assert!(rows[0].get("speedup").is_some(), "baseline rung carries a speedup");
+        assert!(rows[0].get("old_nodes").is_some(), "baseline rung carries the Shannon size");
+        assert!(rows[1].get("old_nodes").is_none(), "rungs past the cap carry no baseline");
+    }
+
+    #[test]
+    fn compile_json_is_byte_identical_across_runs() {
+        // Two sweeps render identical JSON for the same seed: every
+        // column is a count or an answer, none a measured time.
+        let a = rows_to_json(&small_rows(), 7).render();
+        let b = rows_to_json(&small_rows(), 7).render();
+        assert_eq!(a, b);
     }
 }

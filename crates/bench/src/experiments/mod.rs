@@ -33,7 +33,7 @@ pub use profile::{
     profile, profile_artifact, profile_json, profile_summary, ProfileSummary, PROFILE_QPS,
     PROFILE_QUERIES, PROFILE_SHARDS,
 };
-pub use serve::{serve, serve_json, serve_rows_for, serve_summary, ServeRow, SERVE_SIZES};
+pub use serve::{serve, serve_json, serve_rows_for, ServeRow, SERVE_SIZES};
 pub use slo::{
     slo, slo_cells_for, slo_json, slo_summary, SloCell, SloSummary, SLO_QPS, SLO_QUERIES,
     SLO_SCENARIOS, SLO_SHARDS,

@@ -17,8 +17,9 @@
 //! it, on the threaded `reason_system::BatchExecutor`, and prints the
 //! flow-shop cost model's prediction next to the measured wall clock.
 //!
-//! Criterion-style benches live in `benches/` (shimmed timing, smoke-run
-//! by CI; raise `CRITERION_SHIM_ITERS` for real measurements). See
+//! This crate reports counts, modeled latencies and answers; it times
+//! nothing the `audit` gate compares. Wall-clock speed is measured by
+//! the standalone `benchmark/` package (`BENCHMARK.json`) only. See
 //! `docs/ARCHITECTURE.md` for where this harness sits in the workspace.
 
 pub mod experiments;

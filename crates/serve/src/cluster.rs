@@ -390,8 +390,7 @@ impl ServeCluster {
     /// deterministic backoff, ring failover with recompilation on the
     /// surviving shard, and ladder degradation when exact capacity is
     /// lost. Installing `FaultPlan::new()` (no faults) keeps behavior
-    /// identical to the bare cluster while exercising the machinery —
-    /// the happy-path overhead `bench_fault` pins.
+    /// identical to the bare cluster while exercising the machinery.
     pub fn install_fault_domain(&mut self, plan: FaultPlan, config: FaultConfig) {
         let wipes_applied = vec![false; plan.wipes().len()];
         self.fault = Some(FaultDomain {
@@ -407,14 +406,6 @@ impl ServeCluster {
     /// [`install_fault_domain`](Self::install_fault_domain).
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.fault.as_ref().map(|f| f.stats)
-    }
-
-    /// Per-shard circuit-breaker states; empty before
-    /// [`install_fault_domain`](Self::install_fault_domain).
-    pub fn breaker_states(&self) -> Vec<BreakerState> {
-        self.fault
-            .as_ref()
-            .map_or_else(Vec::new, |f| f.health.iter().map(ShardHealth::state).collect())
     }
 
     /// Attaches an observability sink. The cluster records labeled
@@ -510,11 +501,6 @@ impl ServeCluster {
         self.slo.as_ref().map_or(&[], |m| m.alerts())
     }
 
-    /// The installed SLO monitor, if any.
-    pub fn slo_monitor(&self) -> Option<&SloMonitor> {
-        self.slo.as_ref()
-    }
-
     /// Resolves every still-active SLO alert at virtual time `t` (end
     /// of sweep), recording their spans. No-op without a monitor.
     pub fn finish_slos(&mut self, t: f64) {
@@ -566,11 +552,6 @@ impl ServeCluster {
     /// The shard the ring placed `id` on.
     pub fn shard_of(&self, id: ClusterKbId) -> usize {
         self.kbs[id.index].shard
-    }
-
-    /// The ring.
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
     }
 
     /// Shard engines, for inspection (store/router statistics).

@@ -255,13 +255,6 @@ impl ServeEngine {
         self.telemetry = Some(telemetry);
     }
 
-    /// The live routing cost model of every registered knowledge base,
-    /// as `(name, telemetry)` pairs — the serializable snapshot
-    /// (`KbTelemetry::snapshot`) `reason-eval` emits as JSON.
-    pub fn telemetry_snapshots(&self) -> Vec<(String, KbTelemetry)> {
-        self.kbs.iter().map(|e| (e.kb.name().to_string(), e.telemetry)).collect()
-    }
-
     /// Registers a knowledge base. Registration is cheap — compilation
     /// happens on the first query that needs the exact artifact (or
     /// eagerly via [`warm`](Self::warm)).
@@ -295,11 +288,6 @@ impl ServeEngine {
     /// shows up as `persistent_hits`).
     pub fn last_compile_stats(&self, id: KbId) -> CompileStats {
         self.kbs[id.0].last_stats
-    }
-
-    /// The last measured compile seconds (0 before the first compile).
-    pub fn last_compile_s(&self, id: KbId) -> f64 {
-        self.kbs[id.0].last_compile_s
     }
 
     /// The circuit store's counters and occupancy.

@@ -78,7 +78,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// An empty plan: no faults ever fire, but the retry/breaker machinery
-    /// still runs (the happy-path overhead measured by `bench_fault`).
+    /// still runs.
     #[must_use]
     pub fn new() -> Self {
         Self::default()

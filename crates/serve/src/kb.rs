@@ -19,6 +19,29 @@
 //! Clauses are canonicalized on entry (literals sorted, duplicates
 //! dropped) so the fingerprint a [`crate::CircuitStore`] keys on is a
 //! function of the logic, not of literal spelling.
+//!
+//! # Does the cache earn its keep? (ROADMAP item 4a, measured at PR 16)
+//!
+//! Yes, in throughput; it costs memory. The prototype was one line on a
+//! scratch copy — `cache: None` in
+//! [`KnowledgeBase::compile_observed`], every check kept — run as four
+//! alternating 8 s pairs of `benchmark/run.sh` at seed 42, `--trace 0`:
+//!
+//! | `edit_churn` | with the cache | `cache: None` |
+//! |---|---|---|
+//! | `ops_per_s` | 858–935 | 735–773 (median −14 %, cache wins 4/4) |
+//! | `call_p50_us` | 1011–1095 | 1213–1277 |
+//! | `peak_rss_mb` | 48.2 | 20.6 |
+//!
+//! `cold_ladder` `ops_per_s` read 422–454 with and 425–457 without: no
+//! difference. So the cache pays for itself on the workload built for
+//! it and costs about 28 MiB there; it stays. The ROADMAP's "0.94 ms vs
+//! 0.67 ms" compared a recompile that includes flatten, store insert
+//! and first eval against a bare `compile_cnf`. Four pairs is below the
+//! ten-pair house rule: this is evidence for leaving the cache alone,
+//! not a claimed gain. (A second set of four pairs on a noisier host
+//! phase read 676–858 vs 579–762 `ops_per_s`, median −13 %, the cache
+//! winning 3/4, `peak_rss_mb` 48.2 → 20.5.)
 
 use reason_pc::{
     compile_cnf_with, Circuit, CompileOptions, CompileStats, PersistentComponentCache, WmcWeights,

@@ -711,7 +711,7 @@ fn run_serve_batch(arena: &Dnnf, z: f64, queries: &[ServeQuery]) -> Verdict {
 }
 
 /// A seeded mixed batch with MLP neural stages — the workload the
-/// `reason-eval pipeline` experiment and the pipeline bench drive.
+/// `reason-eval pipeline` experiment drives.
 /// Lanes rotate all five symbolic stages: SAT cube-and-conquer, exact
 /// PC marginal inference, anytime approximate WMC (a trimmed-budget
 /// [`ApproxConfig`], so demo batches stay interactive), exact WMC
