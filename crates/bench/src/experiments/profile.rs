@@ -26,9 +26,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use reason_serve::{
-    ClusterConfig, ClusterKbId, FaultConfig, FaultPlan, Query, RetryConfig, ServeCluster,
-};
+use reason_serve::{ClusterConfig, ClusterKbId, FaultPlan, Query, ServeCluster};
 use reason_telemetry::profile::{exemplars, Exemplar, Hotspot, Profile, StackDelta};
 use reason_telemetry::{is_well_formed_forest, Telemetry, VirtualClock};
 
@@ -87,7 +85,6 @@ fn run_profile_cell(
     let mut cluster = ServeCluster::new(ClusterConfig {
         shards: PROFILE_SHARDS,
         engine: traffic_engine_config(seed),
-        ..ClusterConfig::default()
     });
     cluster.attach_telemetry(telemetry.clone());
     let ids: Vec<ClusterKbId> =
@@ -95,10 +92,7 @@ fn run_profile_cell(
     if faulted {
         cluster.install_fault_domain(
             FaultPlan::new().crash(0, 0.2 * horizon_s, 0.6 * horizon_s),
-            FaultConfig {
-                retry: RetryConfig { seed, ..RetryConfig::default() },
-                ..Default::default()
-            },
+            seed,
         );
     }
     let arrivals: Vec<(ClusterKbId, Query, f64)> = workload

@@ -37,8 +37,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use reason_serve::{
-    ClusterConfig, ClusterKbId, FaultConfig, FaultPlan, Objective, Query, RetryConfig,
-    ServeCluster, SloAlert, SloSpec, SLO_TRACK,
+    ClusterConfig, ClusterKbId, FaultPlan, Objective, Query, ServeCluster, SloAlert, SloSpec,
+    SLO_TRACK,
 };
 use reason_telemetry::{is_well_formed_forest, Telemetry, VirtualClock};
 
@@ -133,11 +133,8 @@ fn run_slo_cell(
 ) -> SloCell {
     let horizon_s = workload.last().map_or(0.0, |a| a.3).max(f64::MIN_POSITIVE);
     let telemetry = Arc::new(Telemetry::with_clock(VirtualClock::shared()));
-    let mut cluster = ServeCluster::new(ClusterConfig {
-        shards,
-        engine: traffic_engine_config(seed),
-        ..ClusterConfig::default()
-    });
+    let mut cluster =
+        ServeCluster::new(ClusterConfig { shards, engine: traffic_engine_config(seed) });
     cluster.attach_telemetry(telemetry.clone());
     let ids: Vec<ClusterKbId> =
         kbs.iter().map(|kb| cluster.register(&kb.name, &kb.cnf, kb.weights.clone())).collect();
@@ -152,10 +149,7 @@ fn run_slo_cell(
         .collect();
     cluster.serve_at(&warm).expect("mass-probed tenants");
 
-    cluster.install_fault_domain(
-        offset_plan(scenario, shards, SLO_WARM_PAD_S, horizon_s),
-        FaultConfig { retry: RetryConfig { seed, ..RetryConfig::default() }, ..Default::default() },
-    );
+    cluster.install_fault_domain(offset_plan(scenario, shards, SLO_WARM_PAD_S, horizon_s), seed);
     cluster.install_slos(ServeCluster::default_slo_specs(horizon_s));
 
     let arrivals: Vec<(ClusterKbId, Query, f64)> = workload

@@ -181,11 +181,8 @@ fn run_trace_cell(
     seed: u64,
 ) -> (TraceCell, Arc<Telemetry>, Vec<KbModelRow>) {
     let telemetry = Arc::new(Telemetry::with_clock(VirtualClock::shared()));
-    let mut cluster = ServeCluster::new(ClusterConfig {
-        shards,
-        engine: traffic_engine_config(seed),
-        ..ClusterConfig::default()
-    });
+    let mut cluster =
+        ServeCluster::new(ClusterConfig { shards, engine: traffic_engine_config(seed) });
     cluster.attach_telemetry(telemetry.clone());
     let ids: Vec<ClusterKbId> =
         kbs.iter().map(|kb| cluster.register(&kb.name, &kb.cnf, kb.weights.clone())).collect();

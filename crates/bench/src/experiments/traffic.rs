@@ -238,7 +238,7 @@ fn traffic_predictor() -> reason_approx::PredictConfig {
 /// on so the degrade ladder's last rung is reachable.
 pub(crate) fn traffic_engine_config(seed: u64) -> ServeConfig {
     ServeConfig {
-        router: RouterConfig { max_approx_samples: 2048, ..RouterConfig::default() },
+        router: RouterConfig { max_approx_samples: 2048 },
         predictor: Some(traffic_predictor()),
         approx_seed: seed,
         ..ServeConfig::default()
@@ -290,11 +290,8 @@ fn run_cell(
     shards: usize,
     seed: u64,
 ) -> TrafficCell {
-    let mut cluster = ServeCluster::new(ClusterConfig {
-        shards,
-        engine: traffic_engine_config(seed),
-        ..ClusterConfig::default()
-    });
+    let mut cluster =
+        ServeCluster::new(ClusterConfig { shards, engine: traffic_engine_config(seed) });
     let ids: Vec<ClusterKbId> =
         kbs.iter().map(|kb| cluster.register(&kb.name, &kb.cnf, kb.weights.clone())).collect();
     let arrivals: Vec<(ClusterKbId, Query, f64)> = workload

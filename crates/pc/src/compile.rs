@@ -99,10 +99,6 @@ pub enum VarOrder {
     /// decision satisfies/shrinks.
     #[default]
     MostOccurrences,
-    /// Branch on the lowest-indexed variable of the component — the
-    /// legacy static order, useful for apples-to-apples comparisons
-    /// against [`compile_cnf_shannon`].
-    Static,
     /// Branch on the component variable with the highest external
     /// score (ties broken by lowest index). This is the hook for
     /// learned branching proxies: any per-variable score vector works —
@@ -869,7 +865,6 @@ impl TopDown<'_> {
     /// The decide step's variable choice (see [`VarOrder`]).
     fn pick_var(&mut self, comp: &Component) -> Var {
         match self.order {
-            VarOrder::Static => comp.vars[0],
             VarOrder::MostOccurrences => {
                 for &c in &comp.clauses {
                     for &l in self.pool.clause(c) {
@@ -1429,7 +1424,7 @@ mod tests {
         let weights = WmcWeights::new((0..8).map(|v| 0.35 + 0.04 * v as f64).collect());
         let expect = brute_wmc(&cnf, &weights);
         let scored = VarOrder::Scored((0..8).map(|v| ((v * 7) % 5) as f64).collect());
-        for order in [VarOrder::MostOccurrences, VarOrder::Static, scored] {
+        for order in [VarOrder::MostOccurrences, scored] {
             let options = CompileOptions { order: order.clone(), ..CompileOptions::default() };
             let (c, _) = compile_cnf_with(&cnf, &weights, options);
             let z = c.map_or(0.0, |c| c.probability(&Evidence::empty(8)));

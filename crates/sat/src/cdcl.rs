@@ -18,36 +18,16 @@ use crate::cnf::Cnf;
 use crate::types::{Lit, Var};
 use crate::Solution;
 
-/// Tunable solver parameters.
-#[derive(Debug, Clone)]
-pub struct CdclConfig {
-    /// Conflicts per Luby-restart unit.
-    pub restart_base: u64,
-    /// Multiplicative VSIDS decay applied after each conflict.
-    pub var_decay: f64,
-    /// Activity decay for learnt clauses.
-    pub clause_decay: f64,
-    /// Initial learnt-clause budget as a fraction of the problem clauses.
-    pub learntsize_factor: f64,
-    /// Growth of the learnt-clause budget at each database reduction.
-    pub learntsize_inc: f64,
-    /// Hard cap on conflicts (0 = unlimited); exceeded searches return
-    /// `None` from [`CdclSolver::solve_limited`].
-    pub conflict_limit: u64,
-}
-
-impl Default for CdclConfig {
-    fn default() -> Self {
-        CdclConfig {
-            restart_base: 100,
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            learntsize_factor: 1.0 / 3.0,
-            learntsize_inc: 1.1,
-            conflict_limit: 0,
-        }
-    }
-}
+/// Conflicts per Luby-restart unit.
+const RESTART_BASE: u64 = 100;
+/// Multiplicative VSIDS decay applied after each conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Activity decay for learnt clauses.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Initial learnt-clause budget as a fraction of the problem clauses.
+const LEARNTSIZE_FACTOR: f64 = 1.0 / 3.0;
+/// Growth of the learnt-clause budget at each database reduction.
+const LEARNTSIZE_INC: f64 = 1.1;
 
 /// Aggregate search statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -317,7 +297,9 @@ pub struct CdclSolver {
     phase: Vec<bool>,
     seen: Vec<bool>,
     ok: bool,
-    config: CdclConfig,
+    /// Hard cap on conflicts (0 = unlimited), set per call by
+    /// [`CdclSolver::solve_limited`].
+    conflict_limit: u64,
     stats: SolverStats,
     num_original: usize,
     max_learnts: f64,
@@ -327,11 +309,6 @@ impl CdclSolver {
     /// Builds a solver for `cnf`, normalizing away tautologies and duplicate
     /// literals at ingest.
     pub fn new(cnf: &Cnf) -> Self {
-        Self::with_config(cnf, CdclConfig::default())
-    }
-
-    /// Builds a solver with explicit [`CdclConfig`] parameters.
-    pub fn with_config(cnf: &Cnf, config: CdclConfig) -> Self {
         let n = cnf.num_vars();
         let mut s = CdclSolver {
             num_vars: n,
@@ -350,7 +327,7 @@ impl CdclSolver {
             phase: vec![false; n],
             seen: vec![false; n],
             ok: true,
-            config,
+            conflict_limit: 0,
             stats: SolverStats::default(),
             num_original: 0,
             max_learnts: 0.0,
@@ -368,7 +345,7 @@ impl CdclSolver {
             }
         }
         s.num_original = s.clauses.len();
-        s.max_learnts = s.num_original as f64 * s.config.learntsize_factor + 100.0;
+        s.max_learnts = s.num_original as f64 * LEARNTSIZE_FACTOR + 100.0;
         s
     }
 
@@ -727,7 +704,7 @@ impl CdclSolver {
     /// Solves with a conflict budget; returns `None` if the budget was
     /// exhausted before an answer was found.
     pub fn solve_limited(&mut self, conflict_limit: u64) -> Option<Solution> {
-        self.config.conflict_limit = conflict_limit;
+        self.conflict_limit = conflict_limit;
         self.solve_with(&mut NullObserver, &[])
     }
 
@@ -740,8 +717,8 @@ impl CdclSolver {
 
     /// Observer events plus assumptions, with VSIDS branching.
     ///
-    /// Returns `None` only if [`CdclConfig::conflict_limit`] is non-zero and
-    /// exhausted.
+    /// Returns `None` only inside [`solve_limited`](Self::solve_limited),
+    /// when its conflict budget is exhausted.
     pub fn solve_with<O: SolverObserver>(
         &mut self,
         obs: &mut O,
@@ -753,8 +730,8 @@ impl CdclSolver {
     /// Full-control entry point: observer events, assumptions, and an
     /// external branching heuristic.
     ///
-    /// Returns `None` only if [`CdclConfig::conflict_limit`] is non-zero and
-    /// exhausted.
+    /// Returns `None` only inside [`solve_limited`](Self::solve_limited),
+    /// when its conflict budget is exhausted.
     pub fn solve_full<O: SolverObserver, H: BranchingHeuristic>(
         &mut self,
         obs: &mut O,
@@ -772,7 +749,7 @@ impl CdclSolver {
 
         let mut curr_restarts = 0u64;
         loop {
-            let budget = (Self::luby(2.0, curr_restarts) * self.config.restart_base as f64) as u64;
+            let budget = (Self::luby(2.0, curr_restarts) * RESTART_BASE as f64) as u64;
             match self.search(budget, obs, assumptions, heuristic) {
                 SearchResult::Sat => {
                     let model = (0..self.num_vars)
@@ -792,9 +769,7 @@ impl CdclSolver {
                     self.stats.restarts += 1;
                     obs.on_restart();
                     self.cancel_until(0);
-                    if self.config.conflict_limit != 0
-                        && self.stats.conflicts >= self.config.conflict_limit
-                    {
+                    if self.conflict_limit != 0 && self.stats.conflicts >= self.conflict_limit {
                         self.cancel_until(0);
                         return None;
                     }
@@ -847,13 +822,13 @@ impl CdclSolver {
                     self.enqueue(asserting, Some(cref));
                 }
                 self.stats.learned += 1;
-                self.var_inc /= self.config.var_decay;
-                self.cla_inc /= self.config.clause_decay;
+                self.var_inc /= VAR_DECAY;
+                self.cla_inc /= CLAUSE_DECAY;
 
                 let learnt_count = self.clauses.len() - self.num_original;
                 if learnt_count as f64 > self.max_learnts {
                     self.reduce_db();
-                    self.max_learnts *= self.config.learntsize_inc;
+                    self.max_learnts *= LEARNTSIZE_INC;
                 }
             } else {
                 if conflicts_here >= conflict_budget {

@@ -9,35 +9,29 @@
 
 use crossbeam::thread;
 
-use crate::cdcl::{CdclConfig, CdclSolver};
+use crate::cdcl::CdclSolver;
 use crate::cnf::Cnf;
 use crate::lookahead::Lookahead;
 use crate::types::Lit;
 use crate::Solution;
+
+/// Lookahead candidates evaluated per split.
+const LOOKAHEAD_CANDIDATES: usize = 8;
 
 /// Parameters for cube generation and conquering.
 #[derive(Debug, Clone)]
 pub struct CubeConfig {
     /// Maximum cube depth (number of split literals per cube).
     pub max_depth: usize,
-    /// Lookahead candidates evaluated per split.
-    pub lookahead_candidates: usize,
     /// Number of conquer worker threads (1 = sequential incremental
     /// solving; > 1 = threaded conquering with deterministic answer
     /// selection — see [`CubeAndConquer::solve`]).
     pub workers: usize,
-    /// CDCL configuration for the conquer solvers.
-    pub cdcl: CdclConfig,
 }
 
 impl Default for CubeConfig {
     fn default() -> Self {
-        CubeConfig {
-            max_depth: 4,
-            lookahead_candidates: 8,
-            workers: 1,
-            cdcl: CdclConfig::default(),
-        }
+        CubeConfig { max_depth: 4, workers: 1 }
     }
 }
 
@@ -97,7 +91,7 @@ impl CubeAndConquer {
             return;
         }
         let frozen: Vec<_> = prefix.iter().map(|l| l.var()).collect();
-        let scores = lookahead.score_candidates(self.config.lookahead_candidates, &frozen);
+        let scores = lookahead.score_candidates(LOOKAHEAD_CANDIDATES, &frozen);
         let best = scores.into_iter().max_by_key(|s| s.product());
         match best {
             None => cubes.push(prefix),
@@ -157,7 +151,7 @@ impl CubeAndConquer {
     }
 
     fn conquer_sequential(&self, cubes: &[Vec<Lit>]) -> (Solution, usize) {
-        let mut solver = CdclSolver::with_config(&self.cnf, self.config.cdcl.clone());
+        let mut solver = CdclSolver::new(&self.cnf);
         for (i, cube) in cubes.iter().enumerate() {
             if let Solution::Sat(model) = solver.solve_with_assumptions(cube) {
                 return (Solution::Sat(model), i + 1);
@@ -170,7 +164,7 @@ impl CubeAndConquer {
     ///
     /// Workers claim cube indices in increasing order from a shared
     /// counter and solve each claimed cube with a *fresh* CDCL solver, so
-    /// every cube's result is a pure function of `(cnf, cube, config)`.
+    /// every cube's result is a pure function of `(cnf, cube)`.
     /// The first-found SAT cube only *bounds* the search: claims stop past
     /// the best (lowest) SAT index seen so far, but every lower-indexed
     /// cube was already claimed and will be finished, so after the join
@@ -197,7 +191,7 @@ impl CubeAndConquer {
                     if i >= cubes.len() || i > best_sat.load(Ordering::SeqCst) {
                         return;
                     }
-                    let mut solver = CdclSolver::with_config(&self.cnf, self.config.cdcl.clone());
+                    let mut solver = CdclSolver::new(&self.cnf);
                     let sol = solver.solve_with_assumptions(&cubes[i]);
                     solved.fetch_add(1, Ordering::SeqCst);
                     if let Solution::Sat(model) = sol {
@@ -263,7 +257,7 @@ mod tests {
     #[test]
     fn planted_sat_found() {
         let cnf = planted_ksat(20, 80, 3, 5);
-        let config = CubeConfig { max_depth: 3, workers: 2, ..CubeConfig::default() };
+        let config = CubeConfig { max_depth: 3, workers: 2 };
         let outcome = CubeAndConquer::new(&cnf, config).solve();
         assert!(outcome.solution.is_sat());
     }

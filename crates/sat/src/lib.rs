@@ -61,8 +61,7 @@ pub mod types;
 
 pub use brute::{brute_force, count_models, weighted_count};
 pub use cdcl::{
-    BranchView, BranchingHeuristic, CdclConfig, CdclSolver, SolverObserver, SolverStats,
-    VsidsBranching,
+    BranchView, BranchingHeuristic, CdclSolver, SolverObserver, SolverStats, VsidsBranching,
 };
 pub use cnf::{Cnf, DimacsError};
 pub use cube::{CubeAndConquer, CubeConfig, CubeOutcome};

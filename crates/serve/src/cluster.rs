@@ -1,32 +1,47 @@
 //! The sharded serving front-end: consistent hashing, deadline-aware
-//! admission control, and virtual-time queue modeling over a pool of
-//! [`ServeEngine`] shards.
+//! admission control, fault tolerance, and virtual-time queue modeling
+//! over a pool of [`ServeEngine`] shards.
 //!
 //! A [`ServeCluster`] owns `N` independent [`ServeEngine`]s and places
 //! every registered knowledge base on exactly one of them by
 //! consistent-hashing its [`FormulaFingerprint`] onto a [`HashRing`] of
 //! virtual nodes. Placement is a pure function of `(fingerprint, shard
-//! count, replicas, salt)`, so growing or shrinking the pool by one
-//! shard remaps only the keys the new/removed shard's arc covers —
-//! about `1/N` of them — instead of reshuffling everything the way
-//! `digest % N` would.
+//! count)` (the ring's 32 points per shard and its salt are constants),
+//! so growing or shrinking the pool by one shard remaps only the keys
+//! the new/removed shard's arc covers — about `1/N` of them — instead
+//! of reshuffling everything the way `digest % N` would.
 //!
-//! Admission happens *before* dispatch. Each arriving query is judged
-//! by [`QueryRouter::admit`] against a deterministic cost model (the
-//! [`KbTelemetry::prior`] fit, upgraded as the cluster observes its own
-//! dispatch decisions) plus the destination shard's modeled queue
-//! backlog at arrival time. A query whose deadline budget the backlog
-//! has already consumed is [`Admission::Reject`]ed outright — it never
-//! occupies an executor lane only to miss — and a query that can still
-//! make its deadline on a cheaper rung is degraded *now*, not after an
-//! exact attempt times out. Rejected queries stay in the report: every
-//! submitted query has exactly one [`ClusterOutcome`], admitted or not.
+//! Every arrival of [`ServeCluster::serve_at`] takes the same walk, over
+//! plain data, in this order:
 //!
-//! Because admission reads only the deterministic model (never wall
-//! clocks), a replayed workload re-derives the identical admission and
-//! routing sequence; the engines then execute the pre-decided routes
-//! via [`ServeEngine::serve_routed`], whose answers are bit-identical
-//! to a single engine serving the same queries on the same routes.
+//! 1. **Place** — find a shard that takes the query *now*: the ring
+//!    primary unless its breaker is open or the [`FaultPlan`] has it
+//!    crashed, in which case the query backs off and retries, fails
+//!    over along the ring, or waits out the earliest recovery. A fresh
+//!    cluster runs under an empty plan: the primary, at arrival time.
+//! 2. **Admit** — [`QueryRouter::admit_explained`] judges the query
+//!    against a deterministic cost model (the [`KbTelemetry::prior`]
+//!    fit plus what the cluster knows it compiled where) and the
+//!    shard's modeled queue backlog. A query whose deadline budget the
+//!    backlog has consumed is [`Admission::Reject`]ed outright — it
+//!    never occupies an executor lane only to miss — and one that can
+//!    still make its deadline on a cheaper rung is degraded *now*, not
+//!    after an exact attempt times out. A transient compile fault masks
+//!    the exact rung ([`QueryRouter::admit_under_failure`]).
+//! 3. **Charge** — the route's modeled cost (stretched by a slow-shard
+//!    window) is charged to the shard's virtual clock and the arrival's
+//!    one [`ClusterOutcome`] is built; rejects stay in the report.
+//! 4. **Record** — one function turns that outcome into counters and
+//!    the query's span chain.
+//! 5. **Dispatch** — after the last arrival, the admitted queries
+//!    execute for real, grouped per `(shard, knowledge base)`, on their
+//!    pre-decided routes via [`ServeEngine::serve_routed`], whose
+//!    answers are bit-identical to a single engine serving the same
+//!    queries on the same routes.
+//!
+//! Steps 1–4 read only the deterministic model (never wall clocks), so
+//! a replayed workload re-derives the identical admission and routing
+//! sequence.
 
 use std::sync::Arc;
 
@@ -36,10 +51,9 @@ use reason_telemetry::profile::{exemplars, Exemplar};
 use reason_telemetry::slo::{Objective, SloAlert, SloMonitor, SloSpec};
 use reason_telemetry::Telemetry;
 
-use crate::engine::{Answer, KbId, ServeConfig, ServeEngine, ServeError};
-use crate::fault::{BreakerState, FaultConfig, FaultPlan, FaultStats, ShardHealth};
-use crate::router::{Admission, KbTelemetry, Query, QueryRouter, Route};
-
+use crate::engine::{fits, Answer, KbId, ServeConfig, ServeEngine, ServeError};
+use crate::fault::{backoff_s, FaultPlan, FaultStats, ShardHealth, MAX_ATTEMPTS};
+use crate::router::{Admission, KbTelemetry, Query, QueryRouter, Route, MIN_APPROX_SAMPLES};
 /// A consistent-hash ring mapping fingerprints to shard indices.
 ///
 /// Each shard contributes `replicas` virtual points placed by the
@@ -50,7 +64,6 @@ use crate::router::{Admission, KbTelemetry, Query, QueryRouter, Route};
 pub struct HashRing {
     /// `(point, shard)` pairs sorted by point.
     points: Vec<(u64, usize)>,
-    shards: usize,
     salt: u64,
 }
 
@@ -78,12 +91,7 @@ impl HashRing {
             }
         }
         points.sort_unstable();
-        HashRing { points, shards, salt }
-    }
-
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
+        HashRing { points, salt }
     }
 
     /// The shard owning `fingerprint`: the first virtual point at or
@@ -100,8 +108,7 @@ impl HashRing {
     /// dies. Exactly symmetric to growing the ring: keys owned by
     /// surviving shards keep their owning points and never move; only
     /// the dead shard's arcs fall to their clockwise successors. The
-    /// shard index space is unchanged (`shards()` still reports the
-    /// configured width), so surviving indices stay valid.
+    /// shard index space is unchanged, so surviving indices stay valid.
     ///
     /// # Panics
     ///
@@ -110,27 +117,28 @@ impl HashRing {
         let points: Vec<(u64, usize)> =
             self.points.iter().copied().filter(|&(_, s)| s != shard).collect();
         assert!(!points.is_empty(), "cannot remove the last live shard from the ring");
-        HashRing { points, shards: self.shards, salt: self.salt }
+        HashRing { points, salt: self.salt }
     }
 }
+
+/// Virtual points per shard on the [`HashRing`].
+const RING_REPLICAS: usize = 32;
+/// Ring salt: changing it would reshuffle placement wholesale.
+const RING_SALT: u64 = 0xC1A5;
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
     /// Number of [`ServeEngine`] shards.
     pub shards: usize,
-    /// Virtual points per shard on the [`HashRing`].
-    pub replicas: usize,
-    /// Ring salt: changing it reshuffles placement wholesale, so keep
-    /// it fixed for the lifetime of a deployment.
-    pub salt: u64,
-    /// Per-shard engine configuration (every shard is identical).
+    /// Per-shard engine configuration (every shard is identical). Its
+    /// router knobs also drive the cluster's pre-dispatch admission.
     pub engine: ServeConfig,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        ClusterConfig { shards: 2, replicas: 32, salt: 0xC1A5, engine: ServeConfig::default() }
+        ClusterConfig { shards: 2, engine: ServeConfig::default() }
     }
 }
 
@@ -176,7 +184,8 @@ impl StageBreakdown {
 /// admission decided, and what came back.
 #[derive(Debug, Clone)]
 pub struct ClusterOutcome {
-    /// The shard the ring routed the knowledge base to.
+    /// The shard the query was placed on (the ring's choice, or a
+    /// failover shard).
     pub shard: usize,
     /// The pre-dispatch admission verdict.
     pub decision: Admission,
@@ -219,8 +228,21 @@ pub struct AdmissionStats {
     /// Queries rejected before dispatch.
     pub rejected: u64,
     /// Admitted queries whose modeled latency still missed their
-    /// deadline (the backlog estimate was optimistic).
+    /// deadline (the backlog estimate was optimistic), plus every
+    /// reject.
     pub deadline_misses: u64,
+}
+
+impl AdmissionStats {
+    fn count(&mut self, outcome: &ClusterOutcome) {
+        match outcome.decision {
+            Admission::Admit(Route::Exact) => self.exact += 1,
+            Admission::Admit(Route::Approx { .. }) => self.approx += 1,
+            Admission::Admit(Route::Predicted) => self.predicted += 1,
+            Admission::Reject { .. } => self.rejected += 1,
+        }
+        self.deadline_misses += u64::from(outcome.deadline_miss);
+    }
 }
 
 /// The result of one cluster batch.
@@ -239,36 +261,49 @@ pub struct ClusterReport {
 /// admission history, so replays reproduce it exactly.
 #[derive(Debug, Clone)]
 struct KbModel {
-    shard: usize,
-    kb: KbId,
     /// Registration name — the `tenant` label on cluster metrics and
     /// spans.
     name: String,
-    telemetry: KbTelemetry,
-    /// The placement key, kept so the fault layer can re-route through
-    /// a shrunken ring on failover.
+    /// The cost numbers every home shares (`compile_s`, `eval_s`,
+    /// `sample_s`); the compiled/predictor bits live per [`Home`].
+    costs: KbTelemetry,
+    /// The placement key, kept so failover can re-route through a
+    /// shrunken ring.
     fingerprint: FormulaFingerprint,
-    /// Failover replicas the fault layer registered on other shards,
-    /// with their own compiled/predictor bits (the shared cost numbers
-    /// stay in `telemetry`).
-    failovers: Vec<FailoverReplica>,
+    /// Every shard the knowledge base is registered on: the ring's
+    /// primary at index 0, then failover registrations in the order the
+    /// fault walk made them.
+    homes: Vec<Home>,
 }
 
-/// One failover registration of a knowledge base on a non-primary
-/// shard.
-#[derive(Debug, Clone, Copy)]
-struct FailoverReplica {
+/// One registration of a knowledge base on one shard.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Home {
     shard: usize,
     kb: KbId,
     compiled: bool,
     has_predictor: bool,
 }
 
-/// The cluster's live fault-tolerance state: the injected plan, the
-/// policy, one breaker per shard, and the lifetime counters.
+impl KbModel {
+    /// The cost model admission judges with on `shard`: the shared cost
+    /// numbers with that home's bits (cold and predictor-less where the
+    /// knowledge base is not registered yet).
+    fn view(&self, shard: usize) -> KbTelemetry {
+        let home = self.homes.iter().find(|h| h.shard == shard);
+        KbTelemetry {
+            compiled: home.is_some_and(|h| h.compiled),
+            has_predictor: home.is_some_and(|h| h.has_predictor),
+            ..self.costs
+        }
+    }
+}
+
+/// The cluster's fault-tolerance state: the injected plan, the jitter
+/// seed, one breaker per shard, and the lifetime counters.
 struct FaultDomain {
     plan: FaultPlan,
-    config: FaultConfig,
+    jitter_seed: u64,
     health: Vec<ShardHealth>,
     /// One flag per scheduled wipe: fired yet?
     wipes_applied: Vec<bool>,
@@ -276,32 +311,52 @@ struct FaultDomain {
 }
 
 impl FaultDomain {
-    /// Publishes a breaker state change (if any) to the registry:
-    /// `breaker_state{shard}` gauge plus
+    fn new(plan: FaultPlan, jitter_seed: u64, shards: usize) -> Self {
+        FaultDomain {
+            wipes_applied: vec![false; plan.wipes().len()],
+            plan,
+            jitter_seed,
+            health: vec![ShardHealth::default(); shards],
+            stats: FaultStats::default(),
+        }
+    }
+
+    /// Runs `step` on `shard`'s breaker and publishes the state change
+    /// (if any) to the registry: `breaker_state{shard}` gauge plus
     /// `breaker_transitions_total{shard, to}`.
-    fn observe_breaker(&self, tel: Option<&Telemetry>, shard: usize, before: BreakerState) {
+    fn breaker<R>(
+        &mut self,
+        tel: Option<&Telemetry>,
+        shard: usize,
+        step: impl FnOnce(&mut ShardHealth) -> R,
+    ) -> R {
+        let before = self.health[shard].state();
+        let result = step(&mut self.health[shard]);
         let after = self.health[shard].state();
-        if before == after {
-            return;
-        }
-        if let Some(tel) = tel {
-            let shard_label = shard.to_string();
+        if let (true, Some(tel)) = (before != after, tel) {
             tel.registry
-                .gauge("breaker_state", &[("shard", &shard_label)])
+                .gauge("breaker_state", &[("shard", &shard.to_string())])
                 .set(after.gauge_value());
-            tel.registry
-                .counter(
-                    "breaker_transitions_total",
-                    &[("shard", &shard_label), ("to", after.label())],
-                )
-                .inc();
+            count(Some(tel), "breaker_transitions_total", shard, &[("to", after.label())]);
         }
+        result
+    }
+}
+
+/// Bumps the fault-layer counter `name{shard, ..extra}` when a sink is
+/// attached.
+fn count(tel: Option<&Telemetry>, name: &str, shard: usize, extra: &[(&str, &str)]) {
+    if let Some(tel) = tel {
+        let shard_label = shard.to_string();
+        let mut labels = vec![("shard", shard_label.as_str())];
+        labels.extend_from_slice(extra);
+        tel.registry.counter(name, &labels).inc();
     }
 }
 
 /// One fault-layer decision on a query's path to dispatch, kept so the
-/// admission telemetry can trace it as a child span of the query's
-/// `cluster.query` root.
+/// recorder can trace it as a child span of the query's `cluster.query`
+/// root.
 #[derive(Debug, Clone, Copy)]
 struct FaultEvent {
     name: &'static str,
@@ -309,21 +364,58 @@ struct FaultEvent {
     end: f64,
 }
 
-/// Where (and when) the fault layer decided one query dispatches.
-struct Placement {
-    shard: usize,
-    kb: KbId,
-    /// Decision time after backoffs and recovery waits (`>=` arrival).
+/// One arrival's walk through placement: where and when it stands, how
+/// it got there, and the fault-layer decisions it met on the way.
+struct Walk {
+    /// Arrival time.
+    t: f64,
+    /// Decision time after backoffs and recovery waits (`>= t`).
     now: f64,
+    shard: usize,
+    /// Shards found unreachable since the last recovery wait.
+    excluded: Vec<usize>,
+    /// Dispatch attempts on the current shard.
+    attempts_here: u32,
     attempts: u32,
     failover: bool,
+    events: Vec<FaultEvent>,
+}
+
+impl Walk {
+    /// An arrival at `t`, standing on its knowledge base's ring primary.
+    fn new(t: f64, shard: usize) -> Self {
+        Walk {
+            t,
+            now: t,
+            shard,
+            excluded: Vec::new(),
+            attempts_here: 1,
+            attempts: 1,
+            failover: false,
+            events: Vec::new(),
+        }
+    }
+
+    /// Notes a fault-layer decision taken now and lasting until `end`.
+    fn event(&mut self, name: &'static str, end: f64) {
+        self.events.push(FaultEvent { name, start: self.now, end });
+    }
+}
+
+/// What admission decided where the walk stands.
+struct Verdict {
+    /// The cost model admission judged with (that shard's view).
+    model: KbTelemetry,
+    decision: Admission,
+    reason: &'static str,
+    degraded_by_fault: bool,
 }
 
 /// One knowledge base's admitted queries within a batch on one shard,
-/// in admission order: (arrival index, query, decided route). The key
-/// carries the shard and engine-local id because failover can split a
-/// KB's traffic across shards within a single batch.
-type AdmittedGroup = ((ClusterKbId, usize, KbId), Vec<(usize, Query, Route)>);
+/// in admission order: (arrival index, decided route). The key carries
+/// the shard and engine-local id because failover can split a KB's
+/// traffic across shards within a single batch.
+type AdmittedGroup = ((ClusterKbId, usize, KbId), Vec<(usize, Route)>);
 
 /// The sharded serving front-end (see the [module docs](self)).
 pub struct ServeCluster {
@@ -348,9 +440,9 @@ pub struct ServeCluster {
     /// time, which a shared track could not represent as a well-formed
     /// forest.
     next_track: u64,
-    /// Fault-tolerance state; `None` (the default) keeps the serve path
-    /// exactly as fast as before the fault layer existed.
-    fault: Option<FaultDomain>,
+    /// Fault-tolerance state; an empty plan until
+    /// [`install_fault_domain`](Self::install_fault_domain).
+    fault: FaultDomain,
     /// Live SLO evaluation; `None` (the default) adds no per-arrival
     /// work. Alert spans land on [`SLO_TRACK`].
     slo: Option<SloMonitor>,
@@ -361,13 +453,14 @@ pub struct ServeCluster {
 pub const SLO_TRACK: u64 = u64::MAX;
 
 impl ServeCluster {
-    /// A cluster of `config.shards` identically configured engines.
+    /// A cluster of `config.shards` identically configured engines,
+    /// running under an empty [`FaultPlan`].
     ///
     /// # Panics
     ///
-    /// Panics when `config.shards` or `config.replicas` is zero.
+    /// Panics when `config.shards` is zero.
     pub fn new(config: ClusterConfig) -> Self {
-        let ring = HashRing::new(config.shards, config.replicas, config.salt);
+        let ring = HashRing::new(config.shards, RING_REPLICAS, RING_SALT);
         let shards = (0..config.shards).map(|_| ServeEngine::new(config.engine)).collect();
         ServeCluster {
             config,
@@ -378,47 +471,37 @@ impl ServeCluster {
             free_at: vec![0.0; config.shards],
             telemetry: None,
             next_track: 1,
-            fault: None,
+            // No backoff is ever drawn under an empty plan, so the seed
+            // is moot until a plan is installed with its own.
+            fault: FaultDomain::new(FaultPlan::new(), 0, config.shards),
             slo: None,
         }
     }
 
-    /// Installs (or replaces) the fault domain: the injected
-    /// [`FaultPlan`] plus the breaker/retry policy. From now on every
-    /// [`serve_at`](Self::serve_at) arrival walks the fault-aware
-    /// dispatch path — breaker checks, hedged retries with
-    /// deterministic backoff, ring failover with recompilation on the
-    /// surviving shard, and ladder degradation when exact capacity is
-    /// lost. Installing `FaultPlan::new()` (no faults) keeps behavior
-    /// identical to the bare cluster while exercising the machinery.
-    pub fn install_fault_domain(&mut self, plan: FaultPlan, config: FaultConfig) {
-        let wipes_applied = vec![false; plan.wipes().len()];
-        self.fault = Some(FaultDomain {
-            plan,
-            config,
-            health: (0..self.config.shards).map(|_| ShardHealth::new(config.breaker)).collect(),
-            wipes_applied,
-            stats: FaultStats::default(),
-        });
+    /// Replaces the fault domain: the injected [`FaultPlan`], fresh
+    /// (closed) breakers and zeroed [`FaultStats`], with hedged-retry
+    /// jitter drawn from `jitter_seed`. Arrivals walk the same path
+    /// whatever the plan — breaker checks, hedged retries, ring
+    /// failover, ladder degradation — and under an empty plan none of
+    /// it fires. The thresholds are constants of [`crate::fault`].
+    pub fn install_fault_domain(&mut self, plan: FaultPlan, jitter_seed: u64) {
+        self.fault = FaultDomain::new(plan, jitter_seed, self.shards.len());
     }
 
-    /// The fault layer's lifetime counters; `None` before
-    /// [`install_fault_domain`](Self::install_fault_domain).
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.fault.as_ref().map(|f| f.stats)
+    /// The fault layer's counters since the last
+    /// [`install_fault_domain`](Self::install_fault_domain) (or since
+    /// construction).
+    pub fn fault_stats(&self) -> FaultStats {
+        self.fault.stats
     }
 
     /// Attaches an observability sink. The cluster records labeled
     /// admission counters (`cluster_admissions_total{shard, tenant,
     /// route, reason}`, `cluster_rejects_total`,
     /// `cluster_deadline_miss_total`) and, for every query, a modeled
-    /// span chain on its own track — `cluster.query` spanning arrival
-    /// to modeled completion, with `cluster.admit`, `cluster.route`,
-    /// `queue.wait`, `store.probe`, `serve.compile` (cold exact only)
-    /// and `serve.eval` children, every span labeled with shard and
-    /// tenant — all stamped with virtual (modeled) timestamps, so
-    /// traces replay byte-identically. Each shard engine is attached
-    /// too, contributing its wall-clock store and compile
+    /// span chain on its own track (see `record`), stamped with virtual
+    /// timestamps so traces replay byte-identically. Each shard engine
+    /// is attached too, contributing its wall-clock store and compile
     /// instrumentation on track 0.
     pub fn attach_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         for (shard, engine) in self.shards.iter_mut().enumerate() {
@@ -521,7 +604,10 @@ impl ServeCluster {
     /// The deterministic per-KB cost models admission judges against,
     /// as `(tenant, shard, model)` rows in registration order.
     pub fn kb_models(&self) -> Vec<(String, usize, KbTelemetry)> {
-        self.kbs.iter().map(|m| (m.name.clone(), m.shard, m.telemetry)).collect()
+        self.kbs
+            .iter()
+            .map(|m| (m.name.clone(), m.homes[0].shard, m.view(m.homes[0].shard)))
+            .collect()
     }
 
     /// Registers a knowledge base on the shard its fingerprint hashes
@@ -539,19 +625,17 @@ impl ServeCluster {
         let kb = self.shards[shard].register(name.clone(), cnf, weights);
         let registered = self.shards[shard].kb(kb);
         self.kbs.push(KbModel {
-            shard,
-            kb,
             name,
-            telemetry: KbTelemetry::prior(registered.num_vars(), registered.num_clauses()),
+            costs: KbTelemetry::prior(registered.num_vars(), registered.num_clauses()),
             fingerprint,
-            failovers: Vec::new(),
+            homes: vec![Home { shard, kb, compiled: false, has_predictor: false }],
         });
         ClusterKbId { index: self.kbs.len() - 1 }
     }
 
     /// The shard the ring placed `id` on.
     pub fn shard_of(&self, id: ClusterKbId) -> usize {
-        self.kbs[id.index].shard
+        self.kbs[id.index].homes[0].shard
     }
 
     /// Shard engines, for inspection (store/router statistics).
@@ -563,16 +647,12 @@ impl ServeCluster {
     /// triples in nondecreasing arrival order (a batch arriving all at
     /// once is every arrival at `0.0`).
     ///
-    /// Admission runs first, in arrival order, against the
-    /// deterministic cost model and each shard's virtual clock: a
-    /// query's backlog is how far its shard's modeled queue extends
-    /// past its arrival, its admitted route is charged to the clock,
-    /// and a query whose deadline budget the backlog consumes is
-    /// rejected without ever dispatching. The admitted queries are then
-    /// executed for real, grouped per `(shard, knowledge base)` through
-    /// [`ServeEngine::serve_routed`] (preserving submission order
-    /// within each group, with deadlines riding along for EDF
-    /// dispatch), and the measured latencies land in
+    /// Every arrival takes the place → admit → charge → record walk of
+    /// the [module docs](self), in arrival order; a query's backlog is
+    /// how far its shard's modeled queue extends past the decision
+    /// time. The admitted queries are then dispatched for real
+    /// (submission order preserved within each group, deadlines riding
+    /// along for EDF), and the measured latencies land in
     /// [`ClusterOutcome::latency_s`] next to the modeled ones.
     ///
     /// The virtual clock persists across calls, so successive
@@ -580,233 +660,79 @@ impl ServeCluster {
     ///
     /// # Panics
     ///
-    /// Panics when arrivals are not sorted by arrival time.
+    /// Panics when arrivals are not sorted by arrival time — before any
+    /// arrival is admitted.
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoMass`] when an exact-routed query forces a
-    /// compilation and its formula has no satisfying mass;
     /// [`ServeError::BadQuery`] when a query does not fit its knowledge
-    /// base. Neither can succeed on another route, so both fail the
+    /// base: every arrival is checked before the first one is admitted,
+    /// so the failed call leaves clocks, trace tracks, the admission
+    /// model, counters and spans untouched.
+    /// [`ServeError::NoMass`] when an exact-routed query forces a
+    /// compilation and its formula has no satisfying mass; that takes a
+    /// compile to detect, so the admissions of the failed call stay
+    /// charged. Neither can succeed on another route, so both fail the
     /// call instead of degrading.
     pub fn serve_at(
         &mut self,
         arrivals: &[(ClusterKbId, Query, f64)],
     ) -> Result<ClusterReport, ServeError> {
-        // Taken out of `self` so the fault-aware helpers can borrow the
-        // cluster mutably (lazy failover registration, cache wipes)
-        // while walking the domain; restored before returning. The SLO
-        // monitor rides along the same way.
-        let mut fault = self.fault.take();
-        let mut slo = self.slo.take();
-        let result = self.serve_at_inner(arrivals, &mut fault, &mut slo);
-        self.fault = fault;
-        self.slo = slo;
-        result
-    }
-
-    fn serve_at_inner(
-        &mut self,
-        arrivals: &[(ClusterKbId, Query, f64)],
-        fault: &mut Option<FaultDomain>,
-        slo: &mut Option<SloMonitor>,
-    ) -> Result<ClusterReport, ServeError> {
+        self.check(arrivals)?;
         let tel = self.telemetry.clone();
+        let tel = tel.as_deref();
         let mut stats = AdmissionStats::default();
         let mut outcomes: Vec<ClusterOutcome> = Vec::with_capacity(arrivals.len());
         let mut groups: Vec<AdmittedGroup> = Vec::new();
 
-        let mut last_t = f64::NEG_INFINITY;
         for (i, (id, query, t)) in arrivals.iter().enumerate() {
-            assert!(*t >= last_t, "arrivals must be sorted by arrival time");
-            last_t = *t;
-            let mut events: Vec<FaultEvent> = Vec::new();
-            // Resolve where and when the query dispatches, and what
-            // admission decided there. Without a fault domain this is
-            // the primary shard at arrival time, judged exactly as
-            // before the fault layer existed.
-            let (place, tel_eff, decision, reason, degraded_by_fault) = match fault {
-                None => {
-                    let model = &self.kbs[id.index];
-                    let shard = model.shard;
-                    let backlog_s = (self.free_at[shard] - t).max(0.0);
-                    let (decision, reason) =
-                        self.admission.admit_explained(query, &model.telemetry, backlog_s);
-                    let place =
-                        Placement { shard, kb: model.kb, now: *t, attempts: 1, failover: false };
-                    (place, model.telemetry, decision, reason, false)
-                }
-                Some(domain) => {
-                    self.apply_due_wipes(domain, *t, tel.as_deref());
-                    self.admit_under_faults(domain, *id, query, *t, tel.as_deref(), &mut events)
+            self.apply_due_wipes(*t, tel);
+            let mut walk = Walk::new(*t, self.kbs[id.index].homes[0].shard);
+            let verdict = loop {
+                self.place(*id, query, &mut walk, tel);
+                if let Some(verdict) = self.admit(*id, query, &mut walk, tel) {
+                    break verdict;
                 }
             };
-            let Placement { shard, kb, now, attempts, failover } = place;
-            let model_name = self.kbs[id.index].name.clone();
-            match decision {
-                Admission::Reject { .. } => {
-                    stats.rejected += 1;
-                    stats.deadline_misses += 1;
-                    if let Some(tel) = &tel {
-                        let track = self.next_track;
-                        let shard_label = shard.to_string();
-                        let labels: [(&str, &str); 3] =
-                            [("shard", &shard_label), ("tenant", &model_name), ("reason", reason)];
-                        tel.registry.counter("cluster_rejects_total", &labels).inc();
-                        tel.registry
-                            .counter("cluster_deadline_miss_total", &[("shard", &shard_label)])
-                            .inc();
-                        let root = tel.tracer.record_span(
-                            track,
-                            "cluster.query",
-                            &[
-                                ("shard", &shard_label),
-                                ("tenant", &model_name),
-                                ("route", "reject"),
-                                ("reason", reason),
-                            ],
-                            *t,
-                            now.max(*t),
-                        );
-                        tel.tracer.record_span_under(
-                            track,
-                            "cluster.admit",
-                            &[("decision", "reject")],
-                            *t,
-                            *t,
-                            root,
-                        );
-                        record_fault_events(tel, track, root, &events, *t, now.max(*t));
-                    }
-                    self.next_track += 1;
-                    let backlog_s = (self.free_at[shard] - t).max(0.0) + (now - t).max(0.0);
-                    outcomes.push(ClusterOutcome {
-                        shard,
-                        decision,
-                        reason,
-                        answer: None,
-                        modeled_latency_s: backlog_s,
-                        stage: StageBreakdown { queue_s: backlog_s, compile_s: 0.0, exec_s: 0.0 },
-                        deadline_miss: true,
-                        latency_s: 0.0,
-                        attempts,
-                        failover,
-                        degraded_by_fault,
-                    });
+            let home = self.home_on(*id, walk.shard);
+            let (outcome, start, cold) = self.charge(query, &mut walk, verdict, tel);
+            if let Some(tel) = tel {
+                let tenant = &self.kbs[id.index].name;
+                record(tel, self.next_track, tenant, &walk, start, &outcome, cold);
+            }
+            self.next_track += 1;
+            stats.count(&outcome);
+            if let Admission::Admit(route) = outcome.decision {
+                let home = &mut self.kbs[id.index].homes[home];
+                if route == Route::Exact {
+                    // The dispatch below compiles the artifact (and
+                    // trains the predictor, when configured): upgrade
+                    // the model so later arrivals are judged against
+                    // warm costs.
+                    home.compiled = true;
+                    home.has_predictor = self.config.engine.predictor.is_some();
                 }
-                Admission::Admit(route) => {
-                    let cold = matches!(route, Route::Exact) && !tel_eff.compiled;
-                    // Slow-shard windows stretch the modeled service
-                    // (compile and execution alike) by their factor.
-                    let start = self.free_at[shard].max(now);
-                    let mult = match fault {
-                        Some(domain) => {
-                            let m = domain.plan.slow_multiplier(shard, start);
-                            if m > 1.0 {
-                                domain.stats.slowdowns_hit += 1;
-                                if let Some(tel) = &tel {
-                                    let shard_label = shard.to_string();
-                                    tel.registry
-                                        .counter(
-                                            "fault_injected_total",
-                                            &[("shard", &shard_label), ("kind", "slow")],
-                                        )
-                                        .inc();
-                                }
-                                events.push(FaultEvent { name: "fault.slow", start, end: start });
-                            }
-                            m
-                        }
-                        None => 1.0,
-                    };
-                    let cost_s = modeled_cost(route, query, &tel_eff) * mult;
-                    let compile_s = if cold { tel_eff.compile_s * mult } else { 0.0 };
-                    self.free_at[shard] = start + cost_s;
-                    let stage = StageBreakdown {
-                        queue_s: (start - t).max(0.0),
-                        compile_s,
-                        exec_s: cost_s - compile_s,
-                    };
-                    // The reported latency is *defined* as the stage
-                    // sum, so the breakdown partitions it bit-exactly
-                    // instead of drifting by a rounding term from
-                    // `(start + cost) - t`.
-                    let modeled_latency_s = stage.total();
-                    let deadline_miss =
-                        query.deadline.is_some_and(|d| modeled_latency_s > d.as_secs_f64());
-                    let route_label = match route {
-                        Route::Exact => "exact",
-                        Route::Approx { .. } => "approx",
-                        Route::Predicted => "predicted",
-                    };
-                    if let Some(tel) = &tel {
-                        record_admit_telemetry(
-                            tel,
-                            self.next_track,
-                            shard,
-                            &model_name,
-                            route_label,
-                            reason,
-                            deadline_miss,
-                            *t,
-                            start,
-                            &stage,
-                            cold,
-                            matches!(route, Route::Exact),
-                            &events,
-                        );
-                    }
-                    self.next_track += 1;
-                    match route {
-                        Route::Exact => {
-                            stats.exact += 1;
-                            // The dispatch below compiles the artifact
-                            // (and trains the predictor, when
-                            // configured): upgrade the model so later
-                            // arrivals are judged against warm costs.
-                            self.mark_compiled(*id, shard);
-                        }
-                        Route::Approx { .. } => stats.approx += 1,
-                        Route::Predicted => stats.predicted += 1,
-                    }
-                    if deadline_miss {
-                        stats.deadline_misses += 1;
-                    }
-                    outcomes.push(ClusterOutcome {
-                        shard,
-                        decision,
-                        reason,
-                        answer: None,
-                        modeled_latency_s,
-                        stage,
-                        deadline_miss,
-                        latency_s: 0.0,
-                        attempts,
-                        failover,
-                        degraded_by_fault,
-                    });
-                    let key = (*id, shard, kb);
-                    match groups.iter_mut().find(|(gid, _)| *gid == key) {
-                        Some((_, entries)) => entries.push((i, query.clone(), route)),
-                        None => groups.push((key, vec![(i, query.clone(), route)])),
-                    }
+                let key = (*id, home.shard, home.kb);
+                match groups.iter_mut().find(|(gid, _)| *gid == key) {
+                    Some((_, entries)) => entries.push((i, route)),
+                    None => groups.push((key, vec![(i, route)])),
                 }
             }
+            outcomes.push(outcome);
             // Re-measure the objectives now that this arrival's
             // counters landed — burn-rate windows advance in the same
             // virtual time admission models.
-            if let Some(monitor) = slo.as_mut() {
+            if let Some(monitor) = &mut self.slo {
                 monitor.observe(*t);
             }
         }
 
         // Dispatch: every admitted query executes for real on its
         // shard, on the route admission pre-decided.
-        let floor = self.config.engine.router.min_approx_samples.max(1);
         for ((_, shard, kb), entries) in groups {
-            let queries: Vec<Query> = entries.iter().map(|(_, q, _)| q.clone()).collect();
-            let routes: Vec<Route> = entries.iter().map(|(_, _, r)| *r).collect();
-            let report = match self.shards[shard].serve_routed(kb, &queries, &routes) {
+            let routed: Vec<(&Query, Route)> =
+                entries.iter().map(|&(i, route)| (&arrivals[i].1, route)).collect();
+            let report = match self.shards[shard].serve_routed(kb, &routed) {
                 Ok(report) => Some(report),
                 Err(err @ (ServeError::NoMass(_) | ServeError::BadQuery(_))) => return Err(err),
                 Err(_) => {
@@ -814,27 +740,27 @@ impl ServeCluster {
                     // predictor) degrades this group instead of
                     // killing the whole batch: retry once on the
                     // cheapest sound routes.
-                    let fallback: Vec<Route> = queries
+                    let floor = Route::Approx { samples: MIN_APPROX_SAMPLES };
+                    let fallback: Vec<(&Query, Route)> = routed
                         .iter()
-                        .zip(&routes)
-                        .map(|(q, r)| match r {
-                            Route::Exact if q.kind.degradable() => Route::Approx { samples: floor },
-                            Route::Predicted => Route::Approx { samples: floor },
-                            other => *other,
+                        .map(|&(q, route)| match route {
+                            Route::Exact if q.kind.degradable() => (q, floor),
+                            Route::Predicted => (q, floor),
+                            other => (q, other),
                         })
                         .collect();
-                    for (((i, _, _), r), f) in entries.iter().zip(&routes).zip(&fallback) {
-                        if r != f {
-                            outcomes[*i].degraded_by_fault = true;
+                    for (&(i, decided), &(_, retried)) in entries.iter().zip(&fallback) {
+                        if decided != retried {
+                            outcomes[i].degraded_by_fault = true;
                         }
                     }
-                    self.shards[shard].serve_routed(kb, &queries, &fallback).ok()
+                    self.shards[shard].serve_routed(kb, &fallback).ok()
                 }
             };
             if let Some(report) = report {
-                for ((i, _, _), outcome) in entries.iter().zip(report.outcomes) {
-                    outcomes[*i].answer = Some(outcome.answer);
-                    outcomes[*i].latency_s = outcome.latency_s;
+                for (&(i, _), outcome) in entries.iter().zip(report.outcomes) {
+                    outcomes[i].answer = Some(outcome.answer);
+                    outcomes[i].latency_s = outcome.latency_s;
                 }
             }
         }
@@ -842,342 +768,316 @@ impl ServeCluster {
         Ok(ClusterReport { outcomes, stats })
     }
 
+    /// The preconditions of [`serve_at`](Self::serve_at), checked in one
+    /// pass before the first admission so a refused call changes
+    /// nothing: arrivals sorted by time, every query shaped for its
+    /// knowledge base.
+    fn check(&self, arrivals: &[(ClusterKbId, Query, f64)]) -> Result<(), ServeError> {
+        let mut last_t = f64::NEG_INFINITY;
+        for (i, (id, query, t)) in arrivals.iter().enumerate() {
+            assert!(*t >= last_t, "arrivals must be sorted by arrival time");
+            last_t = *t;
+            let primary = self.kbs[id.index].homes[0];
+            let kb = self.shards[primary.shard].kb(primary.kb);
+            if !fits(&query.kind, kb.num_vars()) {
+                return Err(ServeError::BadQuery(format!(
+                    "arrival {i} does not fit the {} binary variables of `{}`",
+                    kb.num_vars(),
+                    kb.name()
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Fires every cache wipe scheduled at or before `t` that has not
-    /// fired yet: the shard's store and source circuits are genuinely dropped
-    /// (the next exact query recompiles through the KB's persistent
-    /// component cache) and the admission model forgets the artifacts.
-    fn apply_due_wipes(&mut self, domain: &mut FaultDomain, t: f64, tel: Option<&Telemetry>) {
-        for wi in 0..domain.plan.wipes().len() {
-            let wipe = domain.plan.wipes()[wi];
-            if domain.wipes_applied[wi] || wipe.at_s > t || wipe.shard >= self.shards.len() {
+    /// fired yet: the shard's store and source circuits are genuinely
+    /// dropped (the next exact query recompiles through the KB's
+    /// persistent component cache) and the admission model forgets the
+    /// artifacts of every home on that shard.
+    fn apply_due_wipes(&mut self, t: f64, tel: Option<&Telemetry>) {
+        for wi in 0..self.fault.wipes_applied.len() {
+            let wipe = self.fault.plan.wipes()[wi];
+            if self.fault.wipes_applied[wi] || wipe.at_s > t || wipe.shard >= self.shards.len() {
                 continue;
             }
-            domain.wipes_applied[wi] = true;
-            domain.stats.cache_wipes += 1;
+            self.fault.wipes_applied[wi] = true;
+            self.fault.stats.cache_wipes += 1;
             self.shards[wipe.shard].wipe_store();
-            for model in &mut self.kbs {
-                if model.shard == wipe.shard {
-                    model.telemetry.compiled = false;
-                }
-                for replica in &mut model.failovers {
-                    if replica.shard == wipe.shard {
-                        replica.compiled = false;
-                    }
+            for home in self.kbs.iter_mut().flat_map(|model| &mut model.homes) {
+                if home.shard == wipe.shard {
+                    home.compiled = false;
                 }
             }
-            if let Some(tel) = tel {
-                let shard_label = wipe.shard.to_string();
-                tel.registry
-                    .counter(
-                        "fault_injected_total",
-                        &[("shard", &shard_label), ("kind", "cache_wipe")],
-                    )
-                    .inc();
-            }
+            count(tel, "fault_injected_total", wipe.shard, &[("kind", "cache_wipe")]);
         }
     }
 
-    /// The fault-aware path to admission for one arrival: walk the
-    /// breaker → crash-retry → ring-failover ladder in virtual time
-    /// until a dispatchable shard is found, then run admission there —
-    /// degrading past the exact rung when a transient compile fault
-    /// blocks it. Crash windows are finite, so the walk always
-    /// terminates: a query that finds every shard down waits for the
-    /// earliest recovery instead of being dropped (zero lost queries).
-    fn admit_under_faults(
-        &mut self,
-        domain: &mut FaultDomain,
-        id: ClusterKbId,
-        query: &Query,
-        t: f64,
-        tel: Option<&Telemetry>,
-        events: &mut Vec<FaultEvent>,
-    ) -> (Placement, KbTelemetry, Admission, &'static str, bool) {
-        let mut now = t;
-        let mut shard = self.kbs[id.index].shard;
-        let mut excluded: Vec<usize> = Vec::new();
-        let mut attempts_here: u32 = 1;
-        let mut total_attempts: u32 = 1;
-        let mut failover = false;
-        let deadline_cutoff = t + query.deadline.map_or(f64::INFINITY, |d| d.as_secs_f64());
-        // Per-query jitter salt: the placement key hashed with the
-        // query's (deterministic) trace track.
-        let salt = self.kbs[id.index].fingerprint.ring_hash(self.next_track);
-        let count = |name: &str, kind: &str, shard: usize| {
-            if let Some(tel) = tel {
-                let shard_label = shard.to_string();
-                let labels: [(&str, &str); 2] = [("shard", &shard_label), ("kind", kind)];
-                let trimmed = if kind.is_empty() { &labels[..1] } else { &labels[..] };
-                tel.registry.counter(name, trimmed).inc();
-            }
-        };
+    /// Step 1, place: advance the walk in virtual time along the
+    /// breaker → crash-retry → ring-failover ladder until it stands on
+    /// a shard that takes a dispatch now. Crash windows are finite, so
+    /// the walk always terminates: a query that finds every shard down
+    /// waits for the earliest recovery instead of being dropped (zero
+    /// lost queries).
+    fn place(&mut self, id: ClusterKbId, query: &Query, walk: &mut Walk, tel: Option<&Telemetry>) {
+        let deadline_cutoff = walk.t + query.deadline.map_or(f64::INFINITY, |d| d.as_secs_f64());
         loop {
-            let before = domain.health[shard].state();
-            let admits = domain.health[shard].admits(now);
-            domain.observe_breaker(tel, shard, before);
-            if admits {
-                let dispatch_start = self.free_at[shard].max(now);
-                if domain.plan.crashed(shard, dispatch_start) {
-                    domain.stats.crashes_hit += 1;
-                    count("fault_injected_total", "crash", shard);
-                    events.push(FaultEvent { name: "fault.crash", start: now, end: now });
-                    let before = domain.health[shard].state();
-                    domain.health[shard].record_failure(now);
-                    domain.observe_breaker(tel, shard, before);
-                    let backoff = domain.config.retry.backoff_s(attempts_here, salt);
-                    // Hedge: when the backoff would blow the deadline,
-                    // skip straight to failover instead of retrying.
-                    if attempts_here < domain.config.retry.max_attempts
-                        && now + backoff <= deadline_cutoff
-                    {
-                        domain.stats.retries += 1;
-                        count("retry_attempts_total", "", shard);
-                        events.push(FaultEvent {
-                            name: "fault.retry",
-                            start: now,
-                            end: now + backoff,
-                        });
-                        now += backoff;
-                        attempts_here += 1;
-                        total_attempts += 1;
-                        continue;
-                    }
-                } else {
-                    // The shard is dispatchable: run admission here.
-                    let tel_eff = self.effective_telemetry(id, shard);
-                    let backlog_s = (self.free_at[shard] - now).max(0.0);
-                    let spent_s = now - t;
-                    let (decision, reason) =
-                        self.admission.admit_explained(query, &tel_eff, backlog_s + spent_s);
-                    let compile_blocked = matches!(decision, Admission::Admit(Route::Exact))
-                        && !tel_eff.compiled
-                        && domain.plan.compile_faulted(shard, dispatch_start);
-                    if compile_blocked {
-                        domain.stats.compile_faults_hit += 1;
-                        count("fault_injected_total", "compile_fault", shard);
-                        events.push(FaultEvent { name: "fault.compile", start: now, end: now });
-                        let before = domain.health[shard].state();
-                        domain.health[shard].record_failure(now);
-                        domain.observe_breaker(tel, shard, before);
-                        if let Some((degraded, why)) =
-                            self.admission.admit_under_failure(query, &tel_eff, backlog_s + spent_s)
-                        {
-                            domain.stats.degraded_under_failure += 1;
-                            count("fault_degrade_total", "", shard);
-                            events.push(FaultEvent { name: "fault.degrade", start: now, end: now });
-                            let place = Placement {
-                                shard,
-                                kb: self.replica_kb(id, shard),
-                                now,
-                                attempts: total_attempts,
-                                failover,
-                            };
-                            return (place, tel_eff, degraded, why, true);
-                        }
-                        // No degraded rung (distribution/assignment
-                        // query): wait the fault window out, then
-                        // re-resolve — the shard may have crashed in
-                        // the meantime.
-                        let recover = domain.plan.compile_recovery_time(shard, dispatch_start);
-                        domain.stats.waited_for_recovery += 1;
-                        events.push(FaultEvent { name: "fault.wait", start: now, end: recover });
-                        now = recover.max(now);
-                        continue;
-                    }
-                    let before = domain.health[shard].state();
-                    domain.health[shard].record_success();
-                    domain.observe_breaker(tel, shard, before);
-                    let place = Placement {
-                        shard,
-                        kb: self.replica_kb(id, shard),
-                        now,
-                        attempts: total_attempts,
-                        failover,
-                    };
-                    return (place, tel_eff, decision, reason, false);
+            let (shard, now) = (walk.shard, walk.now);
+            if self.fault.breaker(tel, shard, |health| health.admits(now)) {
+                if !self.fault.plan.crashed(shard, self.free_at[shard].max(now)) {
+                    return;
+                }
+                self.fault.stats.crashes_hit += 1;
+                count(tel, "fault_injected_total", shard, &[("kind", "crash")]);
+                walk.event("fault.crash", now);
+                self.fault.breaker(tel, shard, |health| health.record_failure(now));
+                // Per-query jitter salt: the placement key hashed with
+                // the query's (deterministic) trace track.
+                let salt = self.kbs[id.index].fingerprint.ring_hash(self.next_track);
+                let backoff = backoff_s(self.fault.jitter_seed, walk.attempts_here, salt);
+                // Hedge: when the backoff would blow the deadline,
+                // skip straight to failover instead of retrying.
+                if walk.attempts_here < MAX_ATTEMPTS && now + backoff <= deadline_cutoff {
+                    self.fault.stats.retries += 1;
+                    count(tel, "retry_attempts_total", shard, &[]);
+                    walk.event("fault.retry", now + backoff);
+                    walk.now += backoff;
+                    walk.attempts_here += 1;
+                    walk.attempts += 1;
+                    continue;
                 }
             } else {
-                domain.stats.breaker_rejections += 1;
-                count("fault_breaker_rejected_total", "", shard);
-                events.push(FaultEvent { name: "breaker.reject", start: now, end: now });
+                self.fault.stats.breaker_rejections += 1;
+                count(tel, "fault_breaker_rejected_total", shard, &[]);
+                walk.event("breaker.reject", now);
             }
             // Failover: drop the unreachable shard from the ring and
             // re-route. When every shard is unreachable, wait until the
             // earliest one comes back (crash recovery or breaker
             // cooldown) — never drop the query.
-            if !excluded.contains(&shard) {
-                excluded.push(shard);
+            if !walk.excluded.contains(&shard) {
+                walk.excluded.push(shard);
             }
-            if excluded.len() >= self.config.shards {
-                let target = (0..self.config.shards)
+            if walk.excluded.len() >= self.shards.len() {
+                let target = (0..self.shards.len())
                     .map(|s| {
                         let t0 = self.free_at[s].max(now);
-                        domain.plan.recovery_time(s, t0).max(domain.health[s].ready_at(now))
+                        self.fault.plan.recovery_time(s, t0).max(self.fault.health[s].ready_at(now))
                     })
-                    .fold(f64::INFINITY, f64::min);
-                domain.stats.waited_for_recovery += 1;
-                events.push(FaultEvent { name: "fault.wait", start: now, end: target.max(now) });
-                now = target.max(now);
-                excluded.clear();
-                attempts_here = 1;
+                    .fold(f64::INFINITY, f64::min)
+                    .max(now);
+                self.fault.stats.waited_for_recovery += 1;
+                walk.event("fault.wait", target);
+                walk.now = target;
+                walk.excluded.clear();
+                walk.attempts_here = 1;
                 continue;
             }
             let mut ring = self.ring.clone();
-            for &dead in &excluded {
+            for &dead in &walk.excluded {
                 ring = ring.remove_shard(dead);
             }
-            let next = ring.shard_for(&self.kbs[id.index].fingerprint);
-            domain.stats.failovers += 1;
-            count("fault_failover_total", "", next);
-            events.push(FaultEvent { name: "fault.failover", start: now, end: now });
-            total_attempts += 1;
-            attempts_here = 1;
-            failover = true;
-            shard = next;
+            walk.shard = ring.shard_for(&self.kbs[id.index].fingerprint);
+            self.fault.stats.failovers += 1;
+            count(tel, "fault_failover_total", walk.shard, &[]);
+            walk.event("fault.failover", now);
+            walk.attempts += 1;
+            walk.attempts_here = 1;
+            walk.failover = true;
         }
     }
 
-    /// The admission-model view of `id` on `shard`: the KB's shared
-    /// cost numbers with the per-replica compiled/predictor bits.
-    fn effective_telemetry(&self, id: ClusterKbId, shard: usize) -> KbTelemetry {
-        let model = &self.kbs[id.index];
-        if model.shard == shard {
-            return model.telemetry;
+    /// Step 2, admit: judge the query where the walk stands, with the
+    /// time it already spent walking counted against its budget. A
+    /// transient compile fault on a cold exact admission degrades past
+    /// the exact rung; `None` when the query has no degraded rung
+    /// (distribution/assignment kinds) — the walk has then waited the
+    /// fault window out and must be placed again, since the shard may
+    /// have crashed in the meantime.
+    fn admit(
+        &mut self,
+        id: ClusterKbId,
+        query: &Query,
+        walk: &mut Walk,
+        tel: Option<&Telemetry>,
+    ) -> Option<Verdict> {
+        let (shard, now) = (walk.shard, walk.now);
+        let model = self.kbs[id.index].view(shard);
+        let behind_s = (self.free_at[shard] - now).max(0.0) + (now - walk.t);
+        let (decision, reason) = self.admission.admit_explained(query, &model, behind_s);
+        let dispatch_start = self.free_at[shard].max(now);
+        if decision != Admission::Admit(Route::Exact)
+            || model.compiled
+            || !self.fault.plan.compile_faulted(shard, dispatch_start)
+        {
+            self.fault.breaker(tel, shard, ShardHealth::record_success);
+            return Some(Verdict { model, decision, reason, degraded_by_fault: false });
         }
-        let replica = model.failovers.iter().find(|r| r.shard == shard);
-        KbTelemetry {
-            compiled: replica.is_some_and(|r| r.compiled),
-            has_predictor: replica.is_some_and(|r| r.has_predictor),
-            ..model.telemetry
-        }
-    }
-
-    /// The engine-local id of `id` on `shard`, registering a failover
-    /// replica there on first use: the formula and weights are cloned
-    /// from the primary registration, and the replica's first exact
-    /// dispatch recompiles through its own knowledge base's persistent
-    /// component cache on the failover shard.
-    fn replica_kb(&mut self, id: ClusterKbId, shard: usize) -> KbId {
-        let model = &self.kbs[id.index];
-        if model.shard == shard {
-            return model.kb;
-        }
-        if let Some(replica) = model.failovers.iter().find(|r| r.shard == shard) {
-            return replica.kb;
-        }
-        let (name, cnf, weights) = {
-            let primary = self.shards[model.shard].kb(model.kb);
-            (model.name.clone(), primary.cnf(), primary.weights().clone())
+        self.fault.stats.compile_faults_hit += 1;
+        count(tel, "fault_injected_total", shard, &[("kind", "compile_fault")]);
+        walk.event("fault.compile", now);
+        self.fault.breaker(tel, shard, |health| health.record_failure(now));
+        let Some((decision, reason)) = self.admission.admit_under_failure(query, &model, behind_s)
+        else {
+            let recover = self.fault.plan.compile_recovery_time(shard, dispatch_start);
+            self.fault.stats.waited_for_recovery += 1;
+            walk.event("fault.wait", recover);
+            walk.now = recover.max(now);
+            return None;
         };
-        let kb = self.shards[shard].register(name, &cnf, weights);
-        self.kbs[id.index].failovers.push(FailoverReplica {
-            shard,
-            kb,
-            compiled: false,
-            has_predictor: false,
-        });
-        kb
+        self.fault.stats.degraded_under_failure += 1;
+        count(tel, "fault_degrade_total", shard, &[]);
+        walk.event("fault.degrade", now);
+        Some(Verdict { model, decision, reason, degraded_by_fault: true })
     }
 
-    /// Marks `id` compiled (with a predictor when configured) on
-    /// `shard` — primary or failover replica — so later arrivals are
-    /// judged against warm costs.
-    fn mark_compiled(&mut self, id: ClusterKbId, shard: usize) {
-        let has_predictor = self.config.engine.predictor.is_some();
+    /// The index in `homes` of `id`'s registration on `shard`,
+    /// registering a failover home there on first use: the formula and
+    /// weights are cloned from the primary registration, and the new
+    /// home's first exact dispatch recompiles through its own knowledge
+    /// base's persistent component cache on the failover shard.
+    fn home_on(&mut self, id: ClusterKbId, shard: usize) -> usize {
         let model = &mut self.kbs[id.index];
-        if model.shard == shard {
-            model.telemetry.compiled = true;
-            model.telemetry.has_predictor = has_predictor;
-        } else if let Some(replica) = model.failovers.iter_mut().find(|r| r.shard == shard) {
-            replica.compiled = true;
-            replica.has_predictor = has_predictor;
+        if let Some(home) = model.homes.iter().position(|h| h.shard == shard) {
+            return home;
         }
+        let primary = self.shards[model.homes[0].shard].kb(model.homes[0].kb);
+        let (cnf, weights) = (primary.cnf(), primary.weights().clone());
+        let kb = self.shards[shard].register(model.name.clone(), &cnf, weights);
+        model.homes.push(Home { shard, kb, compiled: false, has_predictor: false });
+        model.homes.len() - 1
+    }
+
+    /// Step 3, charge: bill the verdict to the shard's virtual clock and
+    /// build the arrival's one outcome, admitted or not. Also returns
+    /// the virtual time service starts (for a reject: the time it was
+    /// refused) and whether the route pays a cold compile — what the
+    /// recorder needs beyond the outcome.
+    fn charge(
+        &mut self,
+        query: &Query,
+        walk: &mut Walk,
+        verdict: Verdict,
+        tel: Option<&Telemetry>,
+    ) -> (ClusterOutcome, f64, bool) {
+        let Verdict { model, decision, reason, degraded_by_fault } = verdict;
+        let (shard, t) = (walk.shard, walk.t);
+        let (start, stage, cold) = match decision {
+            Admission::Reject { .. } => {
+                // The backlog that sank the query: the shard's queue
+                // plus the time the walk spent backing off and waiting.
+                let backlog_s = (self.free_at[shard] - t).max(0.0) + (walk.now - t).max(0.0);
+                (walk.now, StageBreakdown { queue_s: backlog_s, ..Default::default() }, false)
+            }
+            Admission::Admit(route) => {
+                let cold = route == Route::Exact && !model.compiled;
+                let start = self.free_at[shard].max(walk.now);
+                // Slow-shard windows stretch the modeled service
+                // (compile and execution alike) by their factor.
+                let mult = self.fault.plan.slow_multiplier(shard, start);
+                if mult > 1.0 {
+                    self.fault.stats.slowdowns_hit += 1;
+                    count(tel, "fault_injected_total", shard, &[("kind", "slow")]);
+                    walk.events.push(FaultEvent { name: "fault.slow", start, end: start });
+                }
+                let cost_s = modeled_cost(route, query, &model) * mult;
+                let compile_s = if cold { model.compile_s * mult } else { 0.0 };
+                self.free_at[shard] = start + cost_s;
+                let queue_s = (start - t).max(0.0);
+                (start, StageBreakdown { queue_s, compile_s, exec_s: cost_s - compile_s }, cold)
+            }
+        };
+        // The reported latency is *defined* as the stage sum, so the
+        // breakdown partitions it bit-exactly instead of drifting by a
+        // rounding term from `(start + cost) - t`.
+        let modeled_latency_s = stage.total();
+        let outcome = ClusterOutcome {
+            shard,
+            decision,
+            reason,
+            answer: None,
+            modeled_latency_s,
+            stage,
+            deadline_miss: decision.route().is_none()
+                || query.deadline.is_some_and(|d| modeled_latency_s > d.as_secs_f64()),
+            latency_s: 0.0,
+            attempts: walk.attempts,
+            failover: walk.failover,
+            degraded_by_fault,
+        };
+        (outcome, start, cold)
     }
 }
 
-/// Emits the counters and the modeled span chain for one admitted
-/// query: a `cluster.query` root on the query's own track spanning
-/// arrival to modeled completion, with instantaneous `cluster.admit` /
-/// `cluster.route` markers, a `queue.wait` child covering the backlog,
-/// a `store.probe` marker on exact routes (`result = hit|miss`), a
-/// `serve.compile` child on cold exact routes, and a `serve.eval`
-/// child for the service itself. All timestamps are virtual (modeled)
-/// seconds, so the chain is identical on every replay of a workload.
-#[allow(clippy::too_many_arguments)]
-fn record_admit_telemetry(
+/// Step 4, record: the counters and the modeled span chain of one
+/// decided arrival. The chain is a `cluster.query` root on the query's
+/// own track spanning arrival to modeled completion (for a reject: to
+/// the refusal) with an instantaneous `cluster.admit` marker; an
+/// admitted query adds a `cluster.route` marker, a `queue.wait` child
+/// covering the backlog, a `store.probe` marker on exact routes
+/// (`result = hit|miss`), a `serve.compile` child on cold exact routes,
+/// and a `serve.eval` child for the service itself. The fault-layer
+/// decisions (retries, failovers, breaker rejections, degrades, waits)
+/// nest last, clamped into the root interval so the trace forest stays
+/// well formed. All timestamps are virtual (modeled) seconds, so the
+/// chain is identical on every replay of a workload.
+fn record(
     tel: &Telemetry,
     track: u64,
-    shard: usize,
     tenant: &str,
-    route_label: &'static str,
-    reason: &'static str,
-    deadline_miss: bool,
-    t: f64,
+    walk: &Walk,
     start: f64,
-    stage: &StageBreakdown,
+    outcome: &ClusterOutcome,
     cold: bool,
-    exact: bool,
-    events: &[FaultEvent],
 ) {
-    let shard_label = shard.to_string();
-    let labels: [(&str, &str); 4] =
-        [("shard", &shard_label), ("tenant", tenant), ("route", route_label), ("reason", reason)];
-    tel.registry.counter("cluster_admissions_total", &labels).inc();
-    if deadline_miss {
-        tel.registry.counter("cluster_deadline_miss_total", &[("shard", &shard_label)]).inc();
+    let t = walk.t;
+    let route = outcome.decision.route();
+    let shard_label = outcome.shard.to_string();
+    let labels: [(&str, &str); 4] = [
+        ("shard", &shard_label),
+        ("tenant", tenant),
+        ("route", route.map_or("reject", Route::label)),
+        ("reason", outcome.reason),
+    ];
+    let [shard, tenant, route_label, reason] = labels;
+    if route.is_some() {
+        tel.registry.counter("cluster_admissions_total", &labels).inc();
+        // Modeled arrival-to-completion latency, per shard — the
+        // histogram the default latency SLO watches (merge the shards'
+        // snapshots via `Histogram::merge` for the cluster-wide view).
+        tel.registry
+            .histogram("cluster_modeled_latency_seconds", &[shard])
+            .record(outcome.modeled_latency_s);
+    } else {
+        tel.registry.counter("cluster_rejects_total", &[shard, tenant, reason]).inc();
     }
-    // Modeled arrival-to-completion latency, per shard — the histogram
-    // the default latency SLO watches (merge the shards' snapshots via
-    // `Histogram::merge` for the cluster-wide view).
-    tel.registry
-        .histogram("cluster_modeled_latency_seconds", &[("shard", &shard_label)])
-        .record(stage.total());
-    let end = start + stage.compile_s + stage.exec_s;
+    if outcome.deadline_miss {
+        tel.registry.counter("cluster_deadline_miss_total", &[shard]).inc();
+    }
+    let compiled_at = start + outcome.stage.compile_s;
+    // A reject's stage is all queue, so its chain ends where it starts.
+    let end = compiled_at + outcome.stage.exec_s;
+    let span = |name: &str, labels: &[(&str, &str)], from: f64, to: f64, root: u64| {
+        tel.tracer.record_span_under(track, name, labels, from, to, root);
+    };
     let root = tel.tracer.record_span(track, "cluster.query", &labels, t, end);
-    tel.tracer.record_span_under(track, "cluster.admit", &[("decision", "admit")], t, t, root);
-    tel.tracer.record_span_under(track, "cluster.route", &[("route", route_label)], t, t, root);
-    tel.tracer.record_span_under(track, "queue.wait", &[], t, start, root);
-    if exact {
-        let result = if cold { "miss" } else { "hit" };
-        tel.tracer.record_span_under(
-            track,
-            "store.probe",
-            &[("result", result)],
-            start,
-            start,
-            root,
-        );
+    let verdict = if route.is_some() { "admit" } else { "reject" };
+    span("cluster.admit", &[("decision", verdict)], t, t, root);
+    if let Some(route) = route {
+        span("cluster.route", &[route_label], t, t, root);
+        span("queue.wait", &[], t, start, root);
+        if route == Route::Exact {
+            let result = if cold { "miss" } else { "hit" };
+            span("store.probe", &[("result", result)], start, start, root);
+        }
+        if cold {
+            span("serve.compile", &[tenant], start, compiled_at, root);
+        }
+        span("serve.eval", &[], compiled_at, end, root);
     }
-    if cold {
-        tel.tracer.record_span_under(
-            track,
-            "serve.compile",
-            &[("tenant", tenant)],
-            start,
-            start + stage.compile_s,
-            root,
-        );
-    }
-    tel.tracer.record_span_under(track, "serve.eval", &[], start + stage.compile_s, end, root);
-    record_fault_events(tel, track, root, events, t, end);
-}
-
-/// Nests the fault-layer decisions (retries, failovers, breaker
-/// rejections, degrades, waits) for one query under its root span,
-/// clamped into the root interval so the trace forest stays well
-/// formed.
-fn record_fault_events(
-    tel: &Telemetry,
-    track: u64,
-    root: u64,
-    events: &[FaultEvent],
-    t: f64,
-    end: f64,
-) {
-    for ev in events {
-        let start = ev.start.clamp(t, end);
-        let stop = ev.end.clamp(start, end);
-        tel.tracer.record_span_under(track, ev.name, &[], start, stop, root);
+    for ev in &walk.events {
+        let from = ev.start.clamp(t, end);
+        span(ev.name, &[], from, ev.end.clamp(from, end), root);
     }
 }
 
@@ -1290,8 +1190,12 @@ mod tests {
 
     #[test]
     fn hostile_queries_fail_the_call_and_leave_the_cluster_serving() {
+        use reason_telemetry::{Telemetry, VirtualClock};
+
+        let tel = Arc::new(Telemetry::with_clock(VirtualClock::shared()));
         let cnf = chain_cnf(8);
         let mut cluster = ServeCluster::new(ClusterConfig::with_shards(2));
+        cluster.attach_telemetry(tel.clone());
         let kb = cluster.register("chain", &cnf, WmcWeights::uniform(8));
         let valid = (kb, Query::exact(QueryKind::Marginal(reason_pc::Evidence::empty(8), 7)), 0.0);
         for kind in [
@@ -1302,12 +1206,23 @@ mod tests {
             let got = cluster.serve_at(&[valid.clone(), (kb, Query::exact(kind.clone()), 0.0)]);
             assert!(matches!(got, Err(ServeError::BadQuery(_))), "{kind:?}: {got:?}");
         }
+        // Unsorted arrivals panic before the first one is admitted.
+        let unsorted = [(kb, valid.1.clone(), 1.0), valid.clone()];
+        let call = std::panic::AssertUnwindSafe(|| cluster.serve_at(&unsorted));
+        assert!(std::panic::catch_unwind(call).is_err());
+        // The failed calls left no trace: no span, no compiled bit, no
+        // phantom queue — the next query reads as on a fresh cluster.
+        assert!(tel.tracer.finished().iter().all(|s| s.name != "cluster.query"));
         let mut fresh = ServeCluster::new(ClusterConfig::with_shards(2));
         let fresh_kb = fresh.register("chain", &cnf, WmcWeights::uniform(8));
+        assert_eq!(format!("{:?}", cluster.kb_models()), format!("{:?}", fresh.kb_models()));
         let after = cluster.serve_at(std::slice::from_ref(&valid)).unwrap();
         let reference = fresh.serve_at(&[(fresh_kb, valid.1, 0.0)]).unwrap();
-        assert_eq!(after.outcomes[0].answer, reference.outcomes[0].answer);
-        assert!(matches!(after.outcomes[0].answer, Some(Answer::Distribution(_))));
+        let (after, reference) = (&after.outcomes[0], &reference.outcomes[0]);
+        assert_eq!(after.answer, reference.answer);
+        assert!(matches!(after.answer, Some(Answer::Distribution(_))));
+        assert_eq!(after.stage, reference.stage);
+        assert_eq!(after.modeled_latency_s.to_bits(), reference.modeled_latency_s.to_bits());
     }
 
     #[test]
@@ -1579,36 +1494,35 @@ mod tests {
 
     #[test]
     fn empty_fault_plan_is_invisible() {
-        let cnf = chain_cnf(8);
-        let arrivals = |cluster: &mut ServeCluster, kb: ClusterKbId| {
-            let batch = vec![
-                (kb, Query::exact(QueryKind::Wmc), 0.0),
-                (kb, Query::exact(QueryKind::Wmc), 1.0),
-                (kb, Query::with_deadline(QueryKind::Wmc, Duration::from_nanos(1)), 1.0),
-            ];
-            cluster.serve_at(&batch).unwrap()
-        };
+        let mut cluster = ServeCluster::new(ClusterConfig::with_shards(2));
+        let kb = cluster.register("chain", &chain_cnf(8), WmcWeights::uniform(8));
+        cluster.install_fault_domain(FaultPlan::new(), 7);
+        let batch = vec![
+            (kb, Query::exact(QueryKind::Wmc), 0.0),
+            (kb, Query::exact(QueryKind::Wmc), 1.0),
+            (kb, Query::with_deadline(QueryKind::Wmc, Duration::from_nanos(1)), 1.0),
+        ];
+        let report = cluster.serve_at(&batch).unwrap();
 
-        let mut plain = ServeCluster::new(ClusterConfig::with_shards(2));
-        let kb = plain.register("chain", &cnf, WmcWeights::uniform(8));
-        let baseline = arrivals(&mut plain, kb);
-
-        let mut guarded = ServeCluster::new(ClusterConfig::with_shards(2));
-        let kb = guarded.register("chain", &cnf, WmcWeights::uniform(8));
-        guarded.install_fault_domain(FaultPlan::new(), FaultConfig::default());
-        let report = arrivals(&mut guarded, kb);
-
-        for (got, want) in report.outcomes.iter().zip(&baseline.outcomes) {
-            assert_eq!(got.answer, want.answer);
-            assert_eq!(got.decision, want.decision);
-            assert_eq!(got.reason, want.reason);
-            assert_eq!(got.modeled_latency_s, want.modeled_latency_s);
-            assert_eq!(got.attempts, 1);
-            assert!(!got.failover);
-            assert!(!got.degraded_by_fault);
+        // Pinned from the commit before the fault walk became the only
+        // path, where these arrivals took the bare (fault-free) arm:
+        // (decision, reason, [latency, queue, compile, exec] bits).
+        let exact = Admission::Admit(Route::Exact);
+        let reject = Admission::Reject { backlog_s: 1.600000000046009e-6 };
+        let bare: [(Admission, &str, [u64; 4]); 3] = [
+            (exact, "no_deadline", [0x3f1fe07017c01026, 0, 0x3f1f75104d551d69, 0x3ebad7f29abcaf40]),
+            (exact, "no_deadline", [0x3ebad7f29abcaf48, 0, 0, 0x3ebad7f29abcaf48]),
+            (reject, "backlog_reject", [0x3ebad7f29ac00000, 0x3ebad7f29ac00000, 0, 0]),
+        ];
+        for (got, (decision, reason, bits)) in report.outcomes.iter().zip(bare) {
+            assert_eq!((got.decision, got.reason), (decision, reason));
+            let StageBreakdown { queue_s, compile_s, exec_s } = got.stage;
+            assert_eq!([got.modeled_latency_s, queue_s, compile_s, exec_s].map(f64::to_bits), bits);
+            assert_eq!(got.answer.is_some(), decision.route().is_some());
+            assert_eq!((got.attempts, got.failover, got.degraded_by_fault), (1, false, false));
         }
-        let stats = guarded.fault_stats().unwrap();
-        assert_eq!(stats, FaultStats::default(), "empty plan must leave no trace");
+        assert_eq!(report.outcomes[0].answer, report.outcomes[1].answer);
+        assert_eq!(cluster.fault_stats(), FaultStats::default(), "empty plan must leave no trace");
     }
 
     #[test]
@@ -1620,8 +1534,7 @@ mod tests {
         let mut cluster = ServeCluster::new(ClusterConfig::with_shards(3));
         let kb = cluster.register("chain", &cnf, weights.clone());
         let home = cluster.shard_of(kb);
-        cluster
-            .install_fault_domain(FaultPlan::new().crash(home, 0.0, 1e6), FaultConfig::default());
+        cluster.install_fault_domain(FaultPlan::new().crash(home, 0.0, 1e6), 7);
 
         let arrivals: Vec<(ClusterKbId, Query, f64)> =
             queries.iter().map(|q| (kb, q.clone(), 0.0)).collect();
@@ -1637,7 +1550,7 @@ mod tests {
             assert!(got.attempts > 1);
             assert_eq!(got.answer.as_ref().unwrap(), &want.answer, "failover changed the answer");
         }
-        let stats = cluster.fault_stats().unwrap();
+        let stats = cluster.fault_stats();
         assert!(stats.crashes_hit > 0);
         assert!(stats.failovers >= 1);
         assert!(stats.retries >= 1, "hedged retries precede failover");
@@ -1650,8 +1563,7 @@ mod tests {
         let mut cluster = ServeCluster::new(ClusterConfig::with_shards(2));
         let kb = cluster.register("chain", &cnf, weights);
         let home = cluster.shard_of(kb);
-        cluster
-            .install_fault_domain(FaultPlan::new().wipe_cache(home, 0.5), FaultConfig::default());
+        cluster.install_fault_domain(FaultPlan::new().wipe_cache(home, 0.5), 7);
 
         let arrivals = vec![
             (kb, Query::exact(QueryKind::Wmc), 0.0),
@@ -1664,7 +1576,7 @@ mod tests {
             "post-wipe query must pay the recompile: {:?}",
             report.outcomes[1]
         );
-        assert_eq!(cluster.fault_stats().unwrap().cache_wipes, 1);
+        assert_eq!(cluster.fault_stats().cache_wipes, 1);
     }
 
     #[test]
@@ -1673,10 +1585,7 @@ mod tests {
         let mut cluster = ServeCluster::new(ClusterConfig::with_shards(2));
         let kb = cluster.register("chain", &cnf, WmcWeights::uniform(8));
         let home = cluster.shard_of(kb);
-        cluster.install_fault_domain(
-            FaultPlan::new().fail_compiles(home, 0.0, 1e6),
-            FaultConfig::default(),
-        );
+        cluster.install_fault_domain(FaultPlan::new().fail_compiles(home, 0.0, 1e6), 7);
 
         let report = cluster.serve_at(&[(kb, Query::exact(QueryKind::Wmc), 0.0)]).unwrap();
         let outcome = &report.outcomes[0];
@@ -1688,6 +1597,100 @@ mod tests {
         // chain_cnf(8) over uniform weights has exact WMC 9/256.
         let exact = 9.0 / 256.0;
         assert!(lower <= exact + 1e-12 && exact <= upper + 1e-12);
-        assert_eq!(cluster.fault_stats().unwrap().degraded_under_failure, 1);
+        assert_eq!(cluster.fault_stats().degraded_under_failure, 1);
+    }
+
+    /// A one-tenant cluster whose knowledge base also has a failover
+    /// home, plus the indices of its primary and failover shards.
+    fn cluster_with_failover_home() -> (ServeCluster, ClusterKbId, usize, usize) {
+        let mut cluster = ServeCluster::new(ClusterConfig::with_shards(2));
+        let kb = cluster.register("chain", &chain_cnf(8), WmcWeights::uniform(8));
+        let primary = cluster.shard_of(kb);
+        assert_eq!(cluster.home_on(kb, 1 - primary), 1);
+        (cluster, kb, primary, 1 - primary)
+    }
+
+    /// `decision` charged for a WMC query with a 1 ms deadline that
+    /// arrived at 0.1 and, one retry later, stands at 0.1001 on its cold
+    /// primary, whose queue drains at 0.3 inside a 3.7x slow window.
+    fn charged(decision: Admission) -> (ServeCluster, Walk, (ClusterOutcome, f64, bool)) {
+        let (mut cluster, kb, shard, _) = cluster_with_failover_home();
+        cluster.install_fault_domain(FaultPlan::new().slow(shard, 0.0, 1.0, 3.7), 7);
+        cluster.free_at[shard] = 0.3;
+        let model = cluster.kbs[kb.index].view(shard);
+        let query = Query::with_deadline(QueryKind::Wmc, Duration::from_millis(1));
+        let mut walk = Walk::new(0.1, shard);
+        walk.event("fault.retry", 0.1 + 1e-4);
+        (walk.now, walk.attempts) = (0.1 + 1e-4, 2);
+        let verdict = Verdict { model, decision, reason: "pinned", degraded_by_fault: false };
+        let charged = cluster.charge(&query, &mut walk, verdict, None);
+        (cluster, walk, charged)
+    }
+
+    #[test]
+    fn charge_partitions_the_latency_bit_exactly_under_a_slow_multiplier() {
+        let (cluster, walk, (outcome, start, cold)) = charged(Admission::Admit(Route::Exact));
+        assert!(cold && start == 0.3);
+        let model = cluster.kbs[0].view(walk.shard);
+        let stage = outcome.stage;
+        assert_eq!(stage.total().to_bits(), outcome.modeled_latency_s.to_bits());
+        assert_eq!(stage.queue_s, 0.3 - 0.1);
+        assert_eq!(stage.compile_s, model.compile_s * 3.7);
+        let cost_s = model.exact_cost(&QueryKind::Wmc) * 3.7;
+        assert_eq!(stage.exec_s, cost_s - stage.compile_s);
+        assert_eq!(cluster.free_at[walk.shard], 0.3 + cost_s);
+        assert!(outcome.deadline_miss, "0.2 s of queue misses a 1 ms deadline");
+        assert_eq!((outcome.attempts, outcome.failover), (2, false));
+        assert_eq!(cluster.fault_stats().slowdowns_hit, 1);
+    }
+
+    #[test]
+    fn a_wipe_on_a_failover_shard_clears_only_that_home() {
+        let (mut cluster, kb, primary, failover) = cluster_with_failover_home();
+        cluster.install_fault_domain(FaultPlan::new().wipe_cache(failover, 0.5), 7);
+        for home in &mut cluster.kbs[kb.index].homes {
+            home.compiled = true;
+        }
+        cluster.apply_due_wipes(0.4, None);
+        assert!(cluster.kbs[kb.index].homes.iter().all(|h| h.compiled), "not due yet");
+        cluster.apply_due_wipes(0.6, None);
+        let homes = &cluster.kbs[kb.index].homes;
+        assert_eq!((homes[0].shard, homes[0].compiled), (primary, true));
+        assert_eq!((homes[1].shard, homes[1].compiled), (failover, false));
+        assert!(cluster.kbs[kb.index].view(primary).compiled);
+        assert!(!cluster.kbs[kb.index].view(failover).compiled);
+        assert_eq!(cluster.fault_stats().cache_wipes, 1);
+        cluster.apply_due_wipes(0.7, None);
+        assert_eq!(cluster.fault_stats().cache_wipes, 1, "a wipe fires once");
+    }
+
+    #[test]
+    fn recorder_emits_the_pinned_span_chains() {
+        use reason_telemetry::{Telemetry, VirtualClock};
+
+        let tel = Telemetry::with_clock(VirtualClock::shared());
+        let (_, walk, (cold_exact, start, cold)) = charged(Admission::Admit(Route::Exact));
+        record(&tel, 1, "chain", &walk, start, &cold_exact, cold);
+        let (_, walk, (reject, start, cold)) = charged(Admission::Reject { backlog_s: 0.2 });
+        record(&tel, 2, "chain", &walk, start, &reject, cold);
+
+        // Span names in record order (`finished` sorts by start time),
+        // as the commit before `record` replaced the inline reject block
+        // and `record_admit_telemetry` emitted them.
+        let mut spans = tel.tracer.finished();
+        assert!(reason_telemetry::is_well_formed_forest(&spans));
+        spans.sort_by_key(|s| s.id);
+        let names = |track| -> Vec<&str> {
+            spans.iter().filter(|s| s.track == track).map(|s| s.name.as_str()).collect()
+        };
+        let admit_chain = "cluster.query cluster.admit cluster.route queue.wait store.probe \
+                           serve.compile serve.eval fault.retry fault.slow";
+        assert_eq!(names(1), admit_chain.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(names(2), ["cluster.query", "cluster.admit", "fault.retry"]);
+        let end = 0.3 + cold_exact.stage.compile_s + cold_exact.stage.exec_s;
+        assert_eq!((spans[0].start_s, spans[0].end_s), (0.1, end));
+        let reject_root = spans.iter().find(|s| s.track == 2 && s.parent.is_none()).unwrap();
+        assert_eq!((reject_root.start_s, reject_root.end_s), (0.1, 0.1 + 1e-4));
+        assert!(reject_root.labels.contains(&("route".into(), "reject".into())));
     }
 }

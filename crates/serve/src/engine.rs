@@ -39,7 +39,8 @@ use crate::store::{CacheStats, CircuitStore, StoreConfig, StoredCircuit};
 pub struct ServeConfig {
     /// Circuit-store bounds.
     pub store: StoreConfig,
-    /// Router knobs.
+    /// The router's one knob: the approximate rung's sample cap (its
+    /// other thresholds are constants of [`crate::router`]).
     pub router: RouterConfig,
     /// Worker-pool shape batches execute with.
     pub executor: ExecutorConfig,
@@ -363,16 +364,15 @@ impl ServeEngine {
             entry.telemetry.compiled =
                 entry.circuit.is_some() && self.store.contains(&entry.kb.fingerprint());
         }
-        let routes: Vec<Route> = {
-            let telemetry = self.kbs[id.0].telemetry;
-            queries.iter().map(|q| self.router.route(q, &telemetry)).collect()
-        };
-        self.serve_routed(id, queries, &routes)
+        let telemetry = self.kbs[id.0].telemetry;
+        let routed: Vec<(&Query, Route)> =
+            queries.iter().map(|q| (q, self.router.route(q, &telemetry))).collect();
+        self.serve_routed(id, &routed)
     }
 
     /// [`serve`](Self::serve) with the routing decided by the caller:
-    /// executes `queries[i]` on `routes[i]` instead of consulting the
-    /// engine's own adaptive router. This is the dispatch path of the
+    /// executes each borrowed query on the route paired with it instead
+    /// of consulting the engine's own adaptive router. This is the dispatch path of the
     /// sharded front-end ([`crate::cluster`]), whose admission
     /// controller decides routes *before* dispatch from a deterministic
     /// cost model — the engine then just executes them, so a replayed
@@ -381,11 +381,6 @@ impl ServeEngine {
     /// along: each admitted query's deadline becomes its executor
     /// task's [`BatchTask::deadline`] (the shared exact-batch task takes
     /// the earliest one), so the executor drains the queue EDF.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `routes.len() != queries.len()` — a caller bug, not
-    /// a serving condition.
     ///
     /// # Errors
     ///
@@ -404,12 +399,10 @@ impl ServeEngine {
     pub fn serve_routed(
         &mut self,
         id: KbId,
-        queries: &[Query],
-        routes: &[Route],
+        routed: &[(&Query, Route)],
     ) -> Result<ServeReport, ServeError> {
-        assert_eq!(routes.len(), queries.len(), "one route per query");
         let kb = &self.kbs[id.0].kb;
-        if let Some(bad) = queries.iter().position(|q| !fits(&q.kind, kb.num_vars())) {
+        if let Some(bad) = routed.iter().position(|(q, _)| !fits(&q.kind, kb.num_vars())) {
             return Err(ServeError::BadQuery(format!(
                 "query {bad} does not fit the {} binary variables of `{}`",
                 kb.num_vars(),
@@ -417,21 +410,16 @@ impl ServeEngine {
             )));
         }
         if let Some(tel) = &self.telemetry {
-            for route in routes {
-                let name = match route {
-                    Route::Exact => "exact",
-                    Route::Approx { .. } => "approx",
-                    Route::Predicted => "predicted",
-                };
+            for (_, route) in routed {
                 tel.registry
                     .counter(
                         "serve_queries_total",
-                        &[("shard", &self.shard_label), ("route", name)],
+                        &[("shard", &self.shard_label), ("route", route.label())],
                     )
                     .inc();
             }
         }
-        if routes.iter().any(|r| matches!(r, Route::Exact)) {
+        if routed.iter().any(|(_, r)| matches!(r, Route::Exact)) {
             self.ensure_compiled(id)?;
         }
 
@@ -442,7 +430,7 @@ impl ServeEngine {
         let z_trusted = (entry.z_revision == Some(entry.kb.revision())).then_some(entry.z);
 
         let mut tasks: Vec<BatchTask> = Vec::new();
-        let mut plans: Vec<Plan> = Vec::with_capacity(queries.len());
+        let mut plans: Vec<Plan> = Vec::with_capacity(routed.len());
 
         // Every exact-routed query in the batch becomes one lane of a
         // single `ServeBatch` task over the stored arena: the executor
@@ -450,12 +438,8 @@ impl ServeEngine {
         // max-product pass when it holds MPE lanes) instead of re-walking the arena per query. Lane answers are
         // bit-identical to a batch of one, so batching is invisible to
         // callers except in latency.
-        let exact: Vec<&Query> = queries
-            .iter()
-            .zip(routes)
-            .filter(|(_, r)| matches!(r, Route::Exact))
-            .map(|(q, _)| q)
-            .collect();
+        let exact: Vec<&Query> =
+            routed.iter().filter(|(_, r)| matches!(r, Route::Exact)).map(|&(q, _)| q).collect();
         if !exact.is_empty() {
             let stored = self
                 .store
@@ -476,7 +460,7 @@ impl ServeEngine {
         }
         let mut exact_lane = 0usize;
 
-        for (qi, (query, route)) in queries.iter().zip(routes).enumerate() {
+        for (qi, (query, route)) in routed.iter().enumerate() {
             let seed = self.config.approx_seed ^ (self.served << 20) ^ qi as u64;
             match route {
                 Route::Exact => {
@@ -583,7 +567,7 @@ impl ServeEngine {
 
         let report = BatchExecutor::new(self.config.executor)
             .run_with_telemetry(&tasks, self.telemetry.as_deref());
-        self.served += queries.len() as u64;
+        self.served += routed.len() as u64;
 
         // Feed measured latencies back into the telemetry. The exact
         // lanes share one batched task, so its measured duration is
@@ -591,9 +575,9 @@ impl ServeEngine {
         // query contributes the same per-eval latency sample.
         let batch_evals: f64 = plans
             .iter()
-            .zip(queries)
+            .zip(routed)
             .filter(|(plan, _)| matches!(plan, Plan::Batch { .. }))
-            .map(|(_, q)| q.kind.exact_evals())
+            .map(|(_, (q, _))| q.kind.exact_evals())
             .sum();
         {
             let entry = &mut self.kbs[id.0];
@@ -838,7 +822,7 @@ fn ewma(old: f64, new: f64) -> f64 {
 /// `num_vars` binary variables: its evidence covers exactly those
 /// variables with values in `{0, 1}`, and a marginal's variable is one
 /// of them.
-fn fits(kind: &QueryKind, num_vars: usize) -> bool {
+pub(crate) fn fits(kind: &QueryKind, num_vars: usize) -> bool {
     let (evidence, var) = match kind {
         QueryKind::Wmc => return true,
         QueryKind::Probability(ev) | QueryKind::Posterior(ev) | QueryKind::Mpe(ev) => (ev, None),
@@ -1178,7 +1162,7 @@ mod tests {
             // route (which would conjoin the evidence onto the formula).
             let batch = [valid[0].clone(), Query::exact(kind.clone())];
             let exact = engine.serve(id, &batch);
-            let approx = engine.serve_routed(id, &batch[1..], &[Route::Approx { samples: 16 }]);
+            let approx = engine.serve_routed(id, &[(&batch[1], Route::Approx { samples: 16 })]);
             for got in [exact, approx] {
                 assert!(matches!(got, Err(ServeError::BadQuery(_))), "{kind:?}: {got:?}");
             }

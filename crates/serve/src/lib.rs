@@ -39,7 +39,9 @@
 //! * [`FaultPlan`] ([`fault`]) — the failure-domain layer: seeded
 //!   deterministic fault injection (shard crashes, slow shards,
 //!   transient compile faults, cache wipes), per-shard [`ShardHealth`]
-//!   circuit breakers, and hedged [`RetryConfig`] backoff. The cluster
+//!   circuit breakers, and hedged retries with deterministic backoff
+//!   (fixed thresholds; callers choose the plan and the jitter seed).
+//!   The cluster
 //!   reroutes around dead shards through [`HashRing::remove_shard`]
 //!   failover, recompiles on the failover shard, and degrades down the
 //!   exact → anytime-bounds → prediction ladder instead of erroring —
@@ -80,10 +82,7 @@ pub use cluster::{
     ServeCluster, StageBreakdown, SLO_TRACK,
 };
 pub use engine::{Answer, KbId, ServeConfig, ServeEngine, ServeError, ServeOutcome, ServeReport};
-pub use fault::{
-    BreakerConfig, BreakerState, CacheWipe, CompileFaultWindow, CrashWindow, FaultConfig,
-    FaultPlan, FaultStats, RetryConfig, ShardHealth, SlowWindow,
-};
+pub use fault::{BreakerState, CacheWipe, FaultPlan, FaultStats, ShardHealth};
 pub use kb::KnowledgeBase;
 /// Canonical formula fingerprints — the circuit store's keys. The type
 /// lives in `reason_pc`; re-exported here because the store's API is

@@ -27,7 +27,12 @@
 //! budget before walking the rungs, and when the backlog alone has
 //! consumed the deadline it returns [`Admission::Reject`] — the query
 //! is refused up front instead of being dispatched into a guaranteed
-//! miss.
+//! miss. When a fault takes exact capacity away the cluster walks the
+//! same ladder with the exact rung masked off
+//! ([`QueryRouter::admit_under_failure`]). The sample cap is the one
+//! knob ([`RouterConfig::max_approx_samples`]); the deadline head-room
+//! (0.5) and the fewest samples worth an approximate answer (512) are
+//! constants — no caller ever set another value.
 
 use std::time::Duration;
 
@@ -100,6 +105,17 @@ pub enum Route {
     Predicted,
 }
 
+impl Route {
+    /// The stable `route` label value on metrics and spans.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Route::Exact => "exact",
+            Route::Approx { .. } => "approx",
+            Route::Predicted => "predicted",
+        }
+    }
+}
+
 /// A pre-dispatch admission verdict (see [`QueryRouter::admit`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Admission {
@@ -124,15 +140,16 @@ impl Admission {
     }
 }
 
+/// Fraction of the deadline a predicted cost must fit inside —
+/// head-room against prediction error.
+const DEADLINE_SAFETY: f64 = 0.5;
+/// Fewest samples an approximate answer is worth; below this the ladder
+/// falls through to the prediction network.
+pub(crate) const MIN_APPROX_SAMPLES: u64 = 512;
+
 /// Router knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterConfig {
-    /// Fraction of the deadline a predicted cost must fit inside —
-    /// head-room against prediction error (default 0.5).
-    pub deadline_safety: f64,
-    /// Fewest samples an approximate answer is worth (default 512);
-    /// below this the ladder falls through to the prediction network.
-    pub min_approx_samples: u64,
     /// Sample budget cap, so lax deadlines don't buy pointless work
     /// (default 65 536).
     pub max_approx_samples: u64,
@@ -140,7 +157,7 @@ pub struct RouterConfig {
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig { deadline_safety: 0.5, min_approx_samples: 512, max_approx_samples: 1 << 16 }
+        RouterConfig { max_approx_samples: 1 << 16 }
     }
 }
 
@@ -227,31 +244,22 @@ impl QueryRouter {
         QueryRouter { config, stats: RouterStats::default() }
     }
 
-    /// The knobs.
-    pub fn config(&self) -> RouterConfig {
-        self.config
-    }
-
     /// Admission counters so far.
     pub fn stats(&self) -> RouterStats {
         self.stats
     }
 
     /// Picks the route for one query given its knowledge base's live
-    /// telemetry, recording the decision in the counters.
+    /// telemetry — admission on an idle shard — recording the decision
+    /// in the counters.
     pub fn route(&mut self, query: &Query, telemetry: &KbTelemetry) -> Route {
-        let route = self.decide(query, telemetry);
+        let (route, _) = self.ladder(query, telemetry, budget_s(query, 0.0), true);
         match route {
             Route::Exact => self.stats.exact += 1,
-            Route::Approx { .. } => {
-                self.stats.approx += 1;
-                self.stats.deadline_fallbacks += 1;
-            }
-            Route::Predicted => {
-                self.stats.predicted += 1;
-                self.stats.deadline_fallbacks += 1;
-            }
+            Route::Approx { .. } => self.stats.approx += 1,
+            Route::Predicted => self.stats.predicted += 1,
         }
+        self.stats.deadline_fallbacks += u64::from(route != Route::Exact);
         route
     }
 
@@ -280,102 +288,103 @@ impl QueryRouter {
         t: &KbTelemetry,
         backlog_s: f64,
     ) -> (Admission, &'static str) {
-        let Some(deadline) = query.deadline else {
-            return (Admission::Admit(Route::Exact), "no_deadline");
-        };
-        let budget_s = deadline.as_secs_f64() * self.config.deadline_safety - backlog_s.max(0.0);
-        if budget_s <= 0.0 {
-            return (Admission::Reject { backlog_s }, "backlog_reject");
-        }
-        let (route, reason) = self.ladder(query, t, budget_s);
-        (Admission::Admit(route), reason)
+        self.admit_within(query, t, backlog_s, true)
     }
 
     /// [`admit_explained`](Self::admit_explained) with the exact rung
     /// masked off — the step the fault-tolerant cluster takes when
     /// exact capacity is lost (transient compile failures, dead
     /// shards): the query walks the remaining anytime-bounds →
-    /// prediction ladder instead of erroring. Deadline-free queries get
-    /// the full sample cap; deadlined ones the backlog-trimmed fit.
-    /// Returns `None` for kinds with no degraded rung
-    /// ([`QueryKind::Marginal`]/[`QueryKind::Mpe`]), which must wait
-    /// for exact capacity instead.
+    /// prediction ladder instead of erroring, and the reasons read
+    /// `fault_approx` / `fault_predicted` / `fault_approx_floor`.
+    /// Deadline-free queries get the full sample cap; deadlined ones
+    /// the backlog-trimmed fit. Returns `None` for kinds with no
+    /// degraded rung ([`QueryKind::Marginal`]/[`QueryKind::Mpe`]),
+    /// which must wait for exact capacity instead.
     pub fn admit_under_failure(
         &self,
         query: &Query,
         t: &KbTelemetry,
         backlog_s: f64,
     ) -> Option<(Admission, &'static str)> {
-        if !query.kind.degradable() {
-            return None;
-        }
-        let budget_s = match query.deadline {
-            None => f64::INFINITY,
-            Some(d) => d.as_secs_f64() * self.config.deadline_safety - backlog_s.max(0.0),
-        };
-        if budget_s <= 0.0 {
-            return Some((Admission::Reject { backlog_s }, "backlog_reject"));
-        }
-        let samples = if budget_s.is_finite() {
-            ((budget_s / t.sample_s.max(1e-12)) as u64).max(1)
-        } else {
-            self.config.max_approx_samples.max(1)
-        };
-        if samples >= self.config.min_approx_samples {
-            let samples = samples.min(self.config.max_approx_samples).max(1);
-            return Some((Admission::Admit(Route::Approx { samples }), "fault_approx"));
-        }
-        if t.has_predictor {
-            return Some((Admission::Admit(Route::Predicted), "fault_predicted"));
-        }
-        Some((
-            Admission::Admit(Route::Approx { samples: self.config.min_approx_samples.max(1) }),
-            "fault_approx_floor",
-        ))
+        query.kind.degradable().then(|| self.admit_within(query, t, backlog_s, false))
     }
 
-    fn decide(&self, query: &Query, t: &KbTelemetry) -> Route {
-        let Some(deadline) = query.deadline else {
-            return Route::Exact;
-        };
-        self.ladder(query, t, deadline.as_secs_f64() * self.config.deadline_safety).0
+    /// Reject when the backlog has consumed the budget, else the ladder.
+    fn admit_within(
+        &self,
+        query: &Query,
+        t: &KbTelemetry,
+        backlog_s: f64,
+        exact_available: bool,
+    ) -> (Admission, &'static str) {
+        let budget_s = budget_s(query, backlog_s);
+        if budget_s <= 0.0 {
+            return (Admission::Reject { backlog_s }, "backlog_reject");
+        }
+        let (route, reason) = self.ladder(query, t, budget_s, exact_available);
+        (Admission::Admit(route), reason)
     }
 
     /// The degrade ladder under an effective budget of `budget_s`,
     /// returning the route plus its reason label (see
-    /// [`admit_explained`](Self::admit_explained)).
-    fn ladder(&self, query: &Query, t: &KbTelemetry, budget_s: f64) -> (Route, &'static str) {
-        if t.exact_cost(&query.kind) <= budget_s {
-            return (Route::Exact, "exact_fit");
-        }
-        if !query.kind.degradable() {
-            // Distribution/assignment queries have no approximate rung:
-            // they take the exact path even past their deadline.
-            return (Route::Exact, "not_degradable");
-        }
+    /// [`admit_explained`](Self::admit_explained)). With
+    /// `exact_available` false the walk starts one rung down and the
+    /// labels name the fault instead of the deadline.
+    fn ladder(
+        &self,
+        query: &Query,
+        t: &KbTelemetry,
+        budget_s: f64,
+        exact_available: bool,
+    ) -> (Route, &'static str) {
+        let [approx, predicted, floor] = if exact_available {
+            if query.deadline.is_none() {
+                return (Route::Exact, "no_deadline");
+            }
+            if t.exact_cost(&query.kind) <= budget_s {
+                return (Route::Exact, "exact_fit");
+            }
+            if !query.kind.degradable() {
+                // Distribution/assignment queries have no approximate rung:
+                // they take the exact path even past their deadline.
+                return (Route::Exact, "not_degradable");
+            }
+            ["deadline_approx", "deadline_predicted", "approx_floor"]
+        } else {
+            ["fault_approx", "fault_predicted", "fault_approx_floor"]
+        };
         // Truncation floors the fitted budget at 0 under deadlines
-        // tighter than one sample's latency; clamp to 1 so the anytime
-        // rung always draws at least one sample (a zero-sample
-        // "estimate" would be a silent non-answer).
-        let samples = ((budget_s / t.sample_s.max(1e-12)) as u64).max(1);
-        if samples >= self.config.min_approx_samples {
+        // tighter than one sample's latency, and saturates it under an
+        // infinite (deadline-free) budget; the floor falls through to
+        // the cheaper rungs and the cap trims the ceiling.
+        let samples = (budget_s / t.sample_s.max(1e-12)) as u64;
+        if samples >= MIN_APPROX_SAMPLES {
             // The trailing clamp keeps a degenerate zero cap from
-            // resurrecting the zero-sample budget.
+            // producing a zero-sample budget (a silent non-answer).
             let samples = samples.min(self.config.max_approx_samples).max(1);
-            return (Route::Approx { samples }, "deadline_approx");
+            return (Route::Approx { samples }, approx);
         }
         if t.has_predictor {
-            return (Route::Predicted, "deadline_predicted");
+            return (Route::Predicted, predicted);
         }
         // No predictor trained yet: the smallest sound approximation is
         // still better than silently blowing the deadline on exact.
-        (Route::Approx { samples: self.config.min_approx_samples.max(1) }, "approx_floor")
+        (Route::Approx { samples: MIN_APPROX_SAMPLES }, floor)
     }
+}
+
+/// The effective budget of `query` behind `backlog_s` seconds of queue:
+/// the deadline scaled by the safety head-room, minus the backlog;
+/// infinite without a deadline.
+fn budget_s(query: &Query, backlog_s: f64) -> f64 {
+    query.deadline.map_or(f64::INFINITY, |d| d.as_secs_f64() * DEADLINE_SAFETY - backlog_s.max(0.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hot_telemetry() -> KbTelemetry {
         KbTelemetry {
@@ -428,7 +437,7 @@ mod tests {
         let t = KbTelemetry { has_predictor: false, ..hot_telemetry() };
         match router.route(&q, &t) {
             Route::Approx { samples } => {
-                assert_eq!(samples, RouterConfig::default().min_approx_samples);
+                assert_eq!(samples, MIN_APPROX_SAMPLES);
             }
             other => panic!("no predictor must degrade to minimum bounds, got {other:?}"),
         }
@@ -462,35 +471,17 @@ mod tests {
 
     #[test]
     fn tight_deadlines_never_produce_a_zero_sample_budget() {
-        // Regression: a deadline tighter than one sample's latency
-        // truncated the fitted budget to 0, and with a permissive
-        // `min_approx_samples` the anytime rung ran zero samples — a
-        // silent non-answer. The budget must clamp to ≥ 1 everywhere.
-        let mut router =
-            QueryRouter::new(RouterConfig { min_approx_samples: 0, ..RouterConfig::default() });
         // No predictor: the ladder cannot skip past the approx rung.
         let t = KbTelemetry { compiled: false, has_predictor: false, ..hot_telemetry() };
-        // 100 ns deadline, 2 µs/sample: the raw budget truncates to 0.
+        // 100 ns deadline, 2 µs/sample: the fitted budget truncates to
+        // 0 and the floor answers with the minimum worthwhile budget.
         let q = Query::with_deadline(QueryKind::Wmc, Duration::from_nanos(100));
-        match router.route(&q, &t) {
-            Route::Approx { samples } => {
-                assert!(samples >= 1, "anytime rung must draw at least one sample");
-            }
-            other => panic!("expected approx, got {other:?}"),
-        }
-        // The min-budget fall-through clamps too (min_approx_samples=0
-        // with a trained predictor unavailable must not emit 0 either).
-        let mut strict = QueryRouter::new(RouterConfig {
-            min_approx_samples: 0,
-            max_approx_samples: 0,
-            ..RouterConfig::default()
-        });
-        match strict.route(&q, &t) {
-            // Even a degenerate zero *cap* cannot resurrect the
-            // zero-sample budget.
-            Route::Approx { samples } => assert_eq!(samples, 1),
-            other => panic!("expected approx, got {other:?}"),
-        }
+        assert_eq!(QueryRouter::default().route(&q, &t), Route::Approx { samples: 512 });
+        // A degenerate zero *cap* cannot produce a zero-sample budget
+        // (a silent non-answer) either: it clamps to one sample.
+        let mut capped = QueryRouter::new(RouterConfig { max_approx_samples: 0 });
+        let lax = Query::with_deadline(QueryKind::Wmc, Duration::from_millis(10));
+        assert_eq!(capped.route(&lax, &t), Route::Approx { samples: 1 });
     }
 
     #[test]
@@ -583,5 +574,71 @@ mod tests {
         assert!(large.compile_s > small.compile_s * 100.0);
         assert!(large.sample_s > small.sample_s);
         assert!(!small.compiled && !small.has_predictor);
+    }
+
+    /// The parent commit's `admit_under_failure`, kept verbatim (knobs
+    /// inlined at their constant values) as the oracle the masked
+    /// ladder is pinned against.
+    fn admit_under_failure_oracle(
+        max_approx_samples: u64,
+        query: &Query,
+        t: &KbTelemetry,
+        backlog_s: f64,
+    ) -> Option<(Admission, &'static str)> {
+        if !query.kind.degradable() {
+            return None;
+        }
+        let budget_s = match query.deadline {
+            None => f64::INFINITY,
+            Some(d) => d.as_secs_f64() * 0.5 - backlog_s.max(0.0),
+        };
+        if budget_s <= 0.0 {
+            return Some((Admission::Reject { backlog_s }, "backlog_reject"));
+        }
+        let samples = if budget_s.is_finite() {
+            ((budget_s / t.sample_s.max(1e-12)) as u64).max(1)
+        } else {
+            max_approx_samples.max(1)
+        };
+        if samples >= 512 {
+            let samples = samples.min(max_approx_samples).max(1);
+            return Some((Admission::Admit(Route::Approx { samples }), "fault_approx"));
+        }
+        if t.has_predictor {
+            return Some((Admission::Admit(Route::Predicted), "fault_predicted"));
+        }
+        Some((Admission::Admit(Route::Approx { samples: 512 }), "fault_approx_floor"))
+    }
+
+    proptest! {
+        #[test]
+        fn masked_ladder_matches_the_parent_admit_under_failure(
+            kind in 0usize..5,
+            // Log-uniform nanoseconds, 1 ns .. ~1 s; 0 draws "no deadline".
+            deadline_exp in 0u32..31,
+            bits in (any::<bool>(), any::<bool>(), any::<bool>()),
+            sample_s in 1e-9f64..1e-5,
+            backlog_s in -1e-4f64..2e-3,
+        ) {
+            let ev = Evidence::empty(4);
+            let kind = match kind {
+                0 => QueryKind::Wmc,
+                1 => QueryKind::Probability(ev),
+                2 => QueryKind::Posterior(ev),
+                3 => QueryKind::Marginal(ev, 1),
+                _ => QueryKind::Mpe(ev),
+            };
+            let deadline = (deadline_exp > 0).then(|| Duration::from_nanos(1 << (deadline_exp - 1)));
+            let query = Query { kind, deadline };
+            let (compiled, has_predictor, wide_cap) = bits;
+            let t = KbTelemetry { compiled, has_predictor, sample_s, ..hot_telemetry() };
+            // The two caps in use: the default and the traffic sweeps'.
+            let cap = if wide_cap { 1 << 16 } else { 2048 };
+            let router = QueryRouter::new(RouterConfig { max_approx_samples: cap });
+            prop_assert_eq!(
+                router.admit_under_failure(&query, &t, backlog_s),
+                admit_under_failure_oracle(cap, &query, &t, backlog_s)
+            );
+        }
     }
 }

@@ -278,9 +278,8 @@ pub struct TaskResult {
 /// Worker-pool shape of a [`BatchExecutor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Threads in the neural (stage 1) pool.
-    pub neural_workers: usize,
-    /// Threads in the symbolic (stage 2) pool.
+    /// Threads in the symbolic (stage 2) pool; the neural stage (one
+    /// device in the paper's pipeline) always runs on one thread.
     pub symbolic_workers: usize,
     /// `false` runs both stages inline on the caller thread — the serial
     /// baseline the paper ablates against (no overlap, no pools).
@@ -290,17 +289,13 @@ pub struct ExecutorConfig {
 impl ExecutorConfig {
     /// The serial baseline: no threads, no overlap.
     pub fn sequential() -> Self {
-        ExecutorConfig { neural_workers: 1, symbolic_workers: 1, overlap: false }
+        ExecutorConfig { symbolic_workers: 1, overlap: false }
     }
 
     /// The paper's two-level pipeline (one device per stage), widened to
     /// `symbolic_workers` parallel symbolic lanes.
     pub fn overlapped(symbolic_workers: usize) -> Self {
-        ExecutorConfig {
-            neural_workers: 1,
-            symbolic_workers: symbolic_workers.max(1),
-            overlap: true,
-        }
+        ExecutorConfig { symbolic_workers: symbolic_workers.max(1), overlap: true }
     }
 }
 
@@ -433,7 +428,7 @@ impl BatchExecutor {
         BatchReport { results, measured }
     }
 
-    /// Threaded path: `neural_workers` producers feed `symbolic_workers`
+    /// Threaded path: one neural producer feeds `symbolic_workers`
     /// consumers through shared memory plus a ready queue.
     fn run_overlapped(
         &self,
@@ -450,25 +445,20 @@ impl BatchExecutor {
             tasks.iter().map(|_| Mutex::new(None)).collect();
 
         thread::scope(|scope| {
-            for _ in 0..self.config.neural_workers.max(1) {
-                let task_rx = task_rx.clone();
-                let ready_tx = ready_tx.clone();
-                let shm = shm.clone();
-                scope.spawn(move |_| {
-                    while let Ok(i) = task_rx.recv() {
-                        // The buffer crosses through shared memory; the
-                        // ready queue carries the rest of the outcome.
-                        let mut neural = neural_stage(&tasks[i]);
-                        shm.publish_neural(i as u64, std::mem::take(&mut neural.buffer));
-                        // Receivers only disappear if a symbolic worker
-                        // died; the scope join will surface that.
-                        let _ = ready_tx.send((i, neural));
-                    }
-                });
-            }
-            // Only worker clones may keep the ready queue open: symbolic
-            // workers drain until the last neural worker exits.
-            drop(ready_tx);
+            // The neural worker owns the only ready-queue sender:
+            // symbolic workers drain until it exits.
+            let neural_shm = shm.clone();
+            scope.spawn(move |_| {
+                while let Ok(i) = task_rx.recv() {
+                    // The buffer crosses through shared memory; the
+                    // ready queue carries the rest of the outcome.
+                    let mut neural = neural_stage(&tasks[i]);
+                    neural_shm.publish_neural(i as u64, std::mem::take(&mut neural.buffer));
+                    // Receivers only disappear if a symbolic worker
+                    // died; the scope join will surface that.
+                    let _ = ready_tx.send((i, neural));
+                }
+            });
 
             for lane in 0..self.config.symbolic_workers.max(1) {
                 let ready_rx = ready_rx.clone();

@@ -315,7 +315,7 @@ fn threaded_executor_is_deterministic_across_the_stack() {
     for config in [
         ExecutorConfig::overlapped(1),
         ExecutorConfig::overlapped(4),
-        ExecutorConfig { neural_workers: 2, symbolic_workers: 3, overlap: true },
+        ExecutorConfig::overlapped(3),
     ] {
         let threaded = BatchExecutor::new(config).run(&tasks);
         assert!(threaded.agrees_with(&serial), "{config:?}");

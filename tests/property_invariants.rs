@@ -686,8 +686,8 @@ proptest! {
         use std::time::Duration;
         use reason::pc::CompiledWmc;
         use reason::serve::{
-            Admission, Answer, ClusterConfig, FaultConfig, FaultPlan, Query, QueryKind, Route,
-            ServeCluster, ServeConfig, ServeEngine,
+            Admission, Answer, ClusterConfig, FaultPlan, Query, QueryKind, Route, ServeCluster,
+            ServeConfig, ServeEngine,
         };
         let weights = WmcWeights::uniform(8);
         if !CompiledWmc::new(&cnf, &weights).has_mass() {
@@ -701,7 +701,7 @@ proptest! {
         // A fault plan over the whole workload horizon, seeded from the
         // case seed: any mix of crashes, slowdowns, compile faults and
         // cache wipes the generator can produce.
-        cluster.install_fault_domain(FaultPlan::seeded(seed, shards, 8.0), FaultConfig::default());
+        cluster.install_fault_domain(FaultPlan::seeded(seed, shards, 8.0), seed);
         let arrivals: Vec<_> = (0..8)
             .map(|i| {
                 let q = match i % 3 {
@@ -789,7 +789,7 @@ proptest! {
         use std::time::Duration;
         use reason::pc::CompiledWmc;
         use reason::serve::{
-            ClusterConfig, FaultConfig, FaultPlan, Query, QueryKind, ServeCluster, ServeConfig,
+            ClusterConfig, FaultPlan, Query, QueryKind, ServeCluster, ServeConfig,
         };
         let weights = WmcWeights::uniform(8);
         if !CompiledWmc::new(&cnf, &weights).has_mass() {
@@ -801,10 +801,7 @@ proptest! {
         let mut cluster = ServeCluster::new(config);
         let kb = cluster.register("kb", &cnf, weights);
         if faulted {
-            cluster.install_fault_domain(
-                FaultPlan::seeded(seed, shards, 8.0),
-                FaultConfig::default(),
-            );
+            cluster.install_fault_domain(FaultPlan::seeded(seed, shards, 8.0), seed);
         }
         let arrivals: Vec<_> = (0..8)
             .map(|i| {
