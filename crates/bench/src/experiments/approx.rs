@@ -17,9 +17,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use reason_approx::{ApproxConfig, ApproxEngine, SampleConfig};
-use reason_pc::{compile_cnf, Evidence, WmcWeights};
+use reason_pc::{compile_cnf, Evidence};
 use reason_sat::gen::random_ksat;
 
+use super::registry::{Args, Output};
+use super::replay::sweep_weights;
 use crate::json::Json;
 
 /// One instance size of the sweep.
@@ -64,13 +66,6 @@ impl ApproxRow {
 /// ladder now extends well past the old wall.
 pub const SWEEP_SIZES: [(usize, usize); 7] =
     [(12, 36), (16, 40), (20, 44), (24, 48), (28, 52), (40, 64), (60, 84)];
-
-/// Alternating mildly skewed per-variable marginals — shared with the
-/// `compile` sweep so the two ladders stay instance-for-instance
-/// comparable.
-pub(crate) fn sweep_weights(num_vars: usize) -> WmcWeights {
-    WmcWeights::new((0..num_vars).map(|v| 0.45 + 0.1 * (v % 2) as f64).collect())
-}
 
 /// The estimator budget for an instance size: linear in the variable
 /// count (`2048·n` samples), 16 anytime checkpoints.
@@ -127,14 +122,10 @@ pub fn approx_rows_for(sizes: &[(usize, usize)], seed: u64) -> Vec<ApproxRow> {
         .collect()
 }
 
-/// Runs the full sweep ladder ([`SWEEP_SIZES`]).
-pub fn approx_rows(seed: u64) -> Vec<ApproxRow> {
-    approx_rows_for(&SWEEP_SIZES, seed)
-}
-
-/// Text report of the sweep.
-pub fn approx(seed: u64) -> String {
-    rows_to_text(&approx_rows(seed))
+/// The registry row: one run of the full ladder, both views.
+pub(crate) fn run(args: &Args) -> Output {
+    let rows = approx_rows_for(&SWEEP_SIZES, args.seed);
+    Output::sweep(rows_to_text(&rows), rows_to_json(&rows, args.seed))
 }
 
 fn rows_to_text(rows: &[ApproxRow]) -> String {
@@ -213,11 +204,6 @@ fn rows_to_json(rows: &[ApproxRow], seed: u64) -> Json {
             ),
         ),
     ])
-}
-
-/// JSON report of the sweep (for `reason-eval approx --json`).
-pub fn approx_json(seed: u64) -> Json {
-    rows_to_json(&approx_rows(seed), seed)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The perf-regression sentinel (`reason-eval audit`): re-runs the
-//! cheap sweeps behind every committed `BENCH_*.json` baseline and
-//! compares the fresh reports field-by-field.
+//! sweep of every [`REGISTRY`] row that names a committed `BENCH_*.json`
+//! baseline and compares the fresh report field-by-field.
 //!
 //! Every leaf is compared at **band zero**. The audited sweeps are
 //! deterministic by construction — seeded workloads, virtual clocks,
@@ -19,30 +19,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use super::registry::{Args, Experiment, REGISTRY};
 use crate::json::{self, Json};
-
-/// One committed baseline file with its regeneration recipe.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditRule {
-    /// The committed file, relative to the baseline directory
-    /// (normally the repo root).
-    pub file: &'static str,
-    /// The `reason-eval` experiment that regenerates it.
-    pub experiment: &'static str,
-}
-
-/// Every committed baseline the sentinel re-derives. `BENCH_obs_trace.json`
-/// (the Chrome-trace artifact) is exercised separately by the CI
-/// byte-determinism check on `--trace-out`.
-pub const RULES: &[AuditRule] = &[
-    AuditRule { file: "BENCH_pc.json", experiment: "compile" },
-    AuditRule { file: "BENCH_serve.json", experiment: "serve" },
-    AuditRule { file: "BENCH_batch.json", experiment: "batch" },
-    AuditRule { file: "BENCH_traffic.json", experiment: "traffic" },
-    AuditRule { file: "BENCH_obs.json", experiment: "trace" },
-    AuditRule { file: "BENCH_chaos.json", experiment: "chaos" },
-    AuditRule { file: "BENCH_slo.json", experiment: "slo" },
-];
 
 /// The verdict for one baseline file.
 #[derive(Debug, Clone)]
@@ -155,60 +133,43 @@ pub fn audit_compare(committed: &Json, fresh: &Json) -> (usize, Vec<String>) {
     (compared, out)
 }
 
-/// Regenerates the report a rule's baseline was committed from.
-fn rerun(experiment: &str, seed: u64) -> Json {
-    match experiment {
-        // The compile sweep's second positional arg is the Shannon
-        // baseline's variable cap; committed runs use the default 28.
-        "compile" => super::compile_json(seed, 28),
-        "serve" => super::serve_json(seed),
-        "batch" => super::batch_json(seed),
-        "traffic" => super::traffic_json(seed),
-        "trace" => super::trace_json(seed),
-        "chaos" => super::chaos_json(seed),
-        "slo" => super::slo_json(seed),
-        other => unreachable!("no audit recipe for experiment `{other}`"),
-    }
+/// The committed report in `dir/file` and the seed it records.
+fn committed_baseline(dir: &Path, file: &str) -> Result<(Json, u64), String> {
+    let path = dir.join(file);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|err| format!("unreadable baseline {}: {err}", path.display()))?;
+    let committed = json::parse(&text)
+        .map_err(|err| format!("unparseable baseline {}: {err}", path.display()))?;
+    let seed = committed
+        .get("seed")
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("{file}: no `seed` field to re-run with"))?;
+    Ok((committed, seed as u64))
 }
 
-fn check_rule(dir: &Path, rule: &AuditRule) -> AuditCheck {
-    let path = dir.join(rule.file);
-    let mut check = AuditCheck {
-        file: rule.file.to_string(),
-        experiment: rule.experiment.to_string(),
-        seed: 0,
-        compared: 0,
-        mismatches: Vec::new(),
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) => {
-            check.mismatches.push(format!("unreadable baseline {}: {err}", path.display()));
-            return check;
+/// Re-derives `file`: `row` at the file's seed, defaults otherwise.
+fn check_baseline(dir: &Path, file: &str, row: &Experiment) -> AuditCheck {
+    let (file, experiment) = (file.to_string(), row.name.to_string());
+    let mut check = AuditCheck { file, experiment, seed: 0, compared: 0, mismatches: Vec::new() };
+    match committed_baseline(dir, &check.file) {
+        Ok((committed, seed)) => {
+            check.seed = seed;
+            let fresh = (row.run)(&Args { seed, ..Args::default() })
+                .json
+                .expect("a row with a baseline renders native JSON");
+            (check.compared, check.mismatches) = audit_compare(&committed, &fresh);
         }
-    };
-    let committed = match json::parse(&text) {
-        Ok(v) => v,
-        Err(err) => {
-            check.mismatches.push(format!("unparseable baseline {}: {err}", path.display()));
-            return check;
-        }
-    };
-    let Some(seed) = committed.get("seed").and_then(Json::as_f64) else {
-        check.mismatches.push(format!("{}: no `seed` field to re-run with", rule.file));
-        return check;
-    };
-    check.seed = seed as u64;
-    let fresh = rerun(rule.experiment, check.seed);
-    (check.compared, check.mismatches) = audit_compare(&committed, &fresh);
+        Err(unusable) => check.mismatches.push(unusable),
+    }
     check
 }
 
-/// Runs every [`RULES`] entry against the baselines in `dir` (normally
-/// the repo root). Returns the per-file checks and the overall
-/// verdict: `true` iff every baseline reproduced.
+/// Checks every [`REGISTRY`] row that names a baseline against the
+/// files in `dir` (normally the repo root). Returns the per-file checks
+/// and the overall verdict: `true` iff every baseline reproduced.
 pub fn audit_verdict(dir: &Path) -> (Vec<AuditCheck>, bool) {
-    let checks: Vec<AuditCheck> = RULES.iter().map(|rule| check_rule(dir, rule)).collect();
+    let checks: Vec<AuditCheck> =
+        REGISTRY.iter().filter_map(|row| Some(check_baseline(dir, row.baseline?, row))).collect();
     let pass = checks.iter().all(AuditCheck::pass);
     (checks, pass)
 }
@@ -238,11 +199,6 @@ pub fn audit_render_json(checks: &[AuditCheck]) -> Json {
     ])
 }
 
-/// Machine-readable verdict over the baselines in `dir`.
-pub fn audit_json(dir: &Path) -> Json {
-    audit_render_json(&audit_verdict(dir).0)
-}
-
 /// Renders checks as the text verdict, one line per baseline plus
 /// mismatch details.
 pub fn audit_render_text(checks: &[AuditCheck]) -> String {
@@ -269,11 +225,6 @@ pub fn audit_render_text(checks: &[AuditCheck]) -> String {
          if the change is intended\n"
     });
     out
-}
-
-/// Text verdict over the baselines in `dir`.
-pub fn audit(dir: &Path) -> String {
-    audit_render_text(&audit_verdict(dir).0)
 }
 
 #[cfg(test)]
@@ -396,9 +347,9 @@ mod tests {
 
     #[test]
     fn rules_cover_every_committed_baseline() {
-        for rule in RULES {
-            assert!(rule.file.starts_with("BENCH_"));
-            assert!(!rule.experiment.is_empty());
-        }
+        // Which files those are is the registry's own test.
+        let audited: Vec<&str> = REGISTRY.iter().filter_map(|row| row.baseline).collect();
+        assert_eq!(audited.len(), 7);
+        assert!(audited.iter().all(|file| file.starts_with("BENCH_")));
     }
 }

@@ -34,22 +34,15 @@ use reason_compiler::ReasonCompiler;
 use reason_core::{dag_from_circuit, regularize};
 use reason_pc::{
     BatchBuffer, Circuit, CompiledWmc, Dnnf, DnnfBatch, DnnfBuffer, EvalBuffer, Evidence,
-    WmcWeights,
 };
-use reason_sat::gen::random_ksat;
 
-use crate::json::Json;
-
+use super::registry::{Args, Output};
+use super::replay::{instance_with_mass, sweep_weights};
 use super::serve::SERVE_SIZES;
+use crate::json::Json;
 
 /// Batch widths swept per rung.
 pub const BATCH_LANES: [usize; 3] = [8, 32, 128];
-
-/// Mildly skewed per-variable marginals (the serve sweep's shape, so
-/// both experiments exercise the same artifacts).
-fn batch_weights(num_vars: usize) -> WmcWeights {
-    WmcWeights::new((0..num_vars).map(|v| 0.45 + 0.1 * (v % 2) as f64).collect())
-}
 
 /// One `(knowledge base, batch width)` cell of the bit-identity sweep.
 #[derive(Debug, Clone)]
@@ -164,15 +157,10 @@ pub fn batch_rows_for(sizes: &[(usize, usize)], lanes_list: &[usize], seed: u64)
     let mut accel = Vec::with_capacity(sizes.len());
     let config = ArchConfig::paper();
     for &(n, m) in sizes {
-        let weights = batch_weights(n);
-        let mut instance_seed = seed;
-        let cnf = loop {
-            let cnf = random_ksat(n, m, 3, instance_seed);
-            if reason_pc::weighted_model_count(&cnf, &weights) > 0.0 {
-                break cnf;
-            }
-            instance_seed += 1;
-        };
+        // The serve sweep's weights and draw, so both experiments
+        // exercise the same artifacts.
+        let weights = sweep_weights(n);
+        let (cnf, instance_seed) = instance_with_mass((n, m), &weights, seed, 0.0);
         let oracle = CompiledWmc::new(&cnf, &weights);
         let circuit = oracle.circuit().expect("probed mass above");
         let arena = Dnnf::from_circuit(circuit).expect("compiled circuits are binary");
@@ -354,15 +342,10 @@ fn rows_to_json(summary: &BatchSummary, seed: u64) -> Json {
     ])
 }
 
-/// Text report of the batched-evaluation sweep.
-pub fn batch(seed: u64) -> String {
-    rows_to_text(&batch_summary(seed))
-}
-
-/// JSON report of the batched-evaluation sweep (for
-/// `reason-eval batch --json`, the `BENCH_batch.json` generator).
-pub fn batch_json(seed: u64) -> Json {
-    rows_to_json(&batch_summary(seed), seed)
+/// The registry row: one sweep, both views.
+pub(crate) fn run(args: &Args) -> Output {
+    let summary = batch_summary(args.seed);
+    Output::sweep(rows_to_text(&summary), rows_to_json(&summary, args.seed))
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //! (`reason-eval chaos`).
 //!
 //! The traffic harness's seeded workloads, replayed against a
-//! [`ServeCluster`] with a deterministic [`FaultPlan`] installed. Three
-//! scenarios exercise the failure-domain ladder:
+//! [`reason_serve::ServeCluster`] with a deterministic
+//! [`reason_serve::FaultPlan`] installed. Three scenarios exercise the
+//! failure-domain ladder:
 //!
 //! * **crash_one_shard** — the busiest shard is dead for the middle 40%
 //!   of the workload horizon; its queries must hedge, trip the breaker,
@@ -32,14 +33,12 @@
 
 use std::fmt::Write as _;
 
-use reason_serve::{
-    Admission, Answer, ClusterConfig, ClusterKbId, FaultPlan, FaultStats, Query, Route,
-    ServeCluster,
-};
+use reason_serve::{Answer, FaultStats};
 
+use super::registry::{Args, Output};
+use super::replay::{arrivals_at, fresh_cluster, horizon_of, scenario_plan, score};
 use super::traffic::{
-    percentile, reference_answers, traffic_engine_config, traffic_kbs, traffic_workload, Arrival,
-    TrafficKb,
+    percentile, reference_answers, traffic_kbs, traffic_workload, Arrival, TrafficKb,
 };
 use crate::json::Json;
 
@@ -119,31 +118,10 @@ pub struct ChaosSummary {
     pub kbs: usize,
 }
 
-/// The deterministic fault plan for one scenario over `horizon_s`
-/// seconds of virtual time on a `shards`-wide cluster.
-fn plan_for(scenario: &str, shards: usize, horizon_s: f64) -> FaultPlan {
-    match scenario {
-        // The availability anchor: no faults at all.
-        "baseline" => FaultPlan::new(),
-        // Shard 0 is dead for the middle 40% of the horizon.
-        "crash_one_shard" => FaultPlan::new().crash(0, 0.2 * horizon_s, 0.6 * horizon_s),
-        // An 8x slowdown rolls across the shards, one equal slice each.
-        "rolling_slow" => {
-            let slice = horizon_s / shards as f64;
-            (0..shards).fold(FaultPlan::new(), |plan, s| {
-                plan.slow(s, s as f64 * slice, (s + 1) as f64 * slice, 8.0)
-            })
-        }
-        // Every shard's store is wiped at 30% and 60% of the horizon.
-        "cache_wipe_storm" => (0..shards).fold(FaultPlan::new(), |plan, s| {
-            plan.wipe_cache(s, 0.3 * horizon_s).wipe_cache(s, 0.6 * horizon_s)
-        }),
-        other => panic!("unknown chaos scenario {other:?}"),
-    }
-}
-
-/// Replays one workload through a fresh faulted cluster and scores it
-/// against the single-engine reference.
+/// Replays one workload through a fresh cluster under the scenario's
+/// fault plan and scores it against the single-engine reference.
+/// `baseline_rejected`: the no-fault cell's rejects at this width
+/// (`None` marks that cell itself, which anchors on its own).
 fn run_cell(
     kbs: &[TrafficKb],
     workload: &[Arrival],
@@ -151,71 +129,35 @@ fn run_cell(
     scenario: &'static str,
     shards: usize,
     seed: u64,
-    baseline_rejected: u64,
+    baseline_rejected: Option<u64>,
 ) -> ChaosCell {
-    let horizon_s = workload.last().map_or(0.0, |a| a.3).max(f64::MIN_POSITIVE);
-    let mut cluster =
-        ServeCluster::new(ClusterConfig { shards, engine: traffic_engine_config(seed) });
-    let ids: Vec<ClusterKbId> =
-        kbs.iter().map(|kb| cluster.register(&kb.name, &kb.cnf, kb.weights.clone())).collect();
-    cluster.install_fault_domain(plan_for(scenario, shards, horizon_s), seed);
-    let arrivals: Vec<(ClusterKbId, Query, f64)> = workload
-        .iter()
-        .map(|&(kb, shape, deadline, t)| {
-            let kind = kbs[kb].shapes[shape].clone();
-            (ids[kb], Query { kind, deadline }, t)
-        })
-        .collect();
+    let (mut cluster, ids) = fresh_cluster(kbs, shards, seed, None);
+    cluster.install_fault_domain(scenario_plan(scenario, shards, 0.0, horizon_of(workload)), seed);
+    let arrivals = arrivals_at(kbs, &ids, workload, 0.0);
     let report = cluster.serve_at(&arrivals).expect("mass-probed tenants");
-    assert_eq!(report.outcomes.len(), workload.len(), "every query keeps an outcome");
-
-    let mut lost = 0u64;
-    let mut answered = 0u64;
-    let mut degraded_by_fault = 0u64;
-    let mut exact_bit_identical = true;
-    let mut latencies: Vec<f64> = Vec::with_capacity(workload.len());
-    for (outcome, want) in report.outcomes.iter().zip(reference) {
-        if outcome.degraded_by_fault {
-            degraded_by_fault += 1;
-        }
-        match outcome.decision {
-            Admission::Reject { .. } => assert!(outcome.answer.is_none()),
-            Admission::Admit(route) => {
-                match &outcome.answer {
-                    Some(answer) => {
-                        answered += 1;
-                        if matches!(route, Route::Exact) && !outcome.degraded_by_fault {
-                            exact_bit_identical &= answer == want;
-                        }
-                    }
-                    None => lost += 1,
-                }
-                latencies.push(outcome.modeled_latency_s);
-            }
-        }
-    }
-    latencies.sort_by(f64::total_cmp);
+    let scored = score(&report, reference);
 
     let stats = report.stats;
     let total = workload.len() as f64;
+    let baseline_rejected = baseline_rejected.unwrap_or(stats.rejected);
     let excess_rejects = stats.rejected.saturating_sub(baseline_rejected);
     ChaosCell {
         scenario,
         shards,
         queries: workload.len(),
-        lost,
-        answered,
-        availability: 1.0 - (lost + excess_rejects) as f64 / total,
+        lost: scored.lost,
+        answered: scored.answered,
+        availability: 1.0 - (scored.lost + excess_rejects) as f64 / total,
         rejected: stats.rejected,
         baseline_rejected,
         exact: stats.exact,
         approx: stats.approx,
         predicted: stats.predicted,
-        degraded_by_fault,
-        p50_s: percentile(&latencies, 0.50),
-        p99_s: percentile(&latencies, 0.99),
+        degraded_by_fault: scored.degraded_by_fault,
+        p50_s: percentile(&scored.latencies, 0.50),
+        p99_s: percentile(&scored.latencies, 0.99),
         degrade_rate: (stats.approx + stats.predicted) as f64 / total,
-        exact_bit_identical,
+        exact_bit_identical: scored.exact_bit_identical,
         fault: cluster.fault_stats(),
     }
 }
@@ -236,13 +178,11 @@ pub fn chaos_cells_for(
     let reference = reference_answers(&kbs, &workload, seed);
     let mut cells = Vec::with_capacity((scenarios.len() + 1) * shard_counts.len());
     for &shards in shard_counts {
-        let mut baseline = run_cell(&kbs, &workload, &reference, "baseline", shards, seed, 0);
         // The baseline anchors itself: with no faults installed, its
         // fault-attributed availability is 1 minus losses (which the
         // harness asserts are zero anyway).
-        baseline.baseline_rejected = baseline.rejected;
-        baseline.availability = 1.0 - baseline.lost as f64 / baseline.queries as f64;
-        let anchor = baseline.rejected;
+        let baseline = run_cell(&kbs, &workload, &reference, "baseline", shards, seed, None);
+        let anchor = Some(baseline.rejected);
         cells.push(baseline);
         for &scenario in scenarios {
             cells.push(run_cell(&kbs, &workload, &reference, scenario, shards, seed, anchor));
@@ -402,16 +342,11 @@ fn cells_to_json(summary: &ChaosSummary, seed: u64) -> Json {
     ])
 }
 
-/// Text report of the chaos grid.
-pub fn chaos(seed: u64) -> String {
-    cells_to_text(&chaos_summary(seed))
-}
-
-/// JSON report of the chaos grid (for `reason-eval chaos --json`, the
-/// `BENCH_chaos.json` generator). Byte-identical across runs with the
-/// same seed.
-pub fn chaos_json(seed: u64) -> Json {
-    cells_to_json(&chaos_summary(seed), seed)
+/// The registry row: one run of the committed grid, both views
+/// (byte-identical across runs with the same seed).
+pub(crate) fn run(args: &Args) -> Output {
+    let summary = chaos_summary(args.seed);
+    Output::sweep(cells_to_text(&summary), cells_to_json(&summary, args.seed))
 }
 
 #[cfg(test)]

@@ -23,7 +23,8 @@ use reason_pc::{compile_cnf_with, CompileOptions, CompileStats, Evidence};
 use reason_sat::gen::{graph_coloring, random_ksat};
 use reason_sat::{weighted_count, Cnf};
 
-use super::approx::sweep_weights;
+use super::registry::{Args, Output};
+use super::replay::sweep_weights;
 use crate::json::Json;
 
 /// One instance of the compilation sweep.
@@ -229,16 +230,11 @@ fn rows_to_json(rows: &[CompileRow], seed: u64) -> Json {
     ])
 }
 
-/// Text report of the compilation sweep. `baseline_max_vars` caps how
-/// far up the ladder the (slow) legacy baseline runs.
-pub fn compile_report(seed: u64, baseline_max_vars: usize) -> String {
-    rows_to_text(&compile_rows(seed, baseline_max_vars))
-}
-
-/// JSON report of the compilation sweep (for
-/// `reason-eval compile --json`, the `BENCH_pc.json` generator).
-pub fn compile_json(seed: u64, baseline_max_vars: usize) -> Json {
-    rows_to_json(&compile_rows(seed, baseline_max_vars), seed)
+/// The registry row: one sweep, both views. [`Args::baseline_cap`]
+/// caps how far up the ladder the (slow) legacy baseline runs.
+pub(crate) fn run(args: &Args) -> Output {
+    let rows = compile_rows(args.seed, args.baseline_cap);
+    Output::sweep(rows_to_text(&rows), rows_to_json(&rows, args.seed))
 }
 
 #[cfg(test)]

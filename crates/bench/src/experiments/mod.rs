@@ -2,6 +2,8 @@
 //! experiment functions. Each returns a printable report whose rows and
 //! series mirror the paper's layout and close with the paper's reported
 //! values, so printed-vs-paper comparison needs no external record.
+//! The seeded sweeps live in the submodules; [`REGISTRY`] names every
+//! experiment once, for `reason-eval`, its `all` and its `audit` gate.
 
 pub mod approx;
 pub mod audit;
@@ -9,43 +11,14 @@ pub mod batch;
 pub mod chaos;
 pub mod compile;
 pub mod profile;
+pub mod registry;
+pub(crate) mod replay;
 pub mod serve;
 pub mod slo;
 pub mod trace;
 pub mod traffic;
 
-pub use approx::{approx, approx_json, approx_rows, approx_rows_for, ApproxRow, SWEEP_SIZES};
-pub use audit::{
-    audit, audit_compare, audit_json, audit_render_json, audit_render_text, audit_verdict,
-    AuditCheck, AuditRule, RULES,
-};
-pub use batch::{
-    batch, batch_json, batch_rows_for, batch_summary, AccelRow, BatchRow, BATCH_LANES,
-};
-pub use chaos::{
-    chaos, chaos_cells_for, chaos_json, chaos_summary, ChaosCell, ChaosSummary, CHAOS_QPS,
-    CHAOS_QUERIES, CHAOS_SCENARIOS, CHAOS_SHARDS,
-};
-pub use compile::{
-    compile_json, compile_report, compile_rows, CompileRow, COMPARE_SIZES, EXTENDED_SIZES,
-};
-pub use profile::{
-    profile, profile_artifact, profile_json, profile_summary, ProfileSummary, PROFILE_QPS,
-    PROFILE_QUERIES, PROFILE_SHARDS,
-};
-pub use serve::{serve, serve_json, serve_rows_for, ServeRow, SERVE_SIZES};
-pub use slo::{
-    slo, slo_cells_for, slo_json, slo_summary, SloCell, SloSummary, SLO_QPS, SLO_QUERIES,
-    SLO_SCENARIOS, SLO_SHARDS,
-};
-pub use trace::{
-    trace, trace_artifact, trace_cells_for, trace_json, trace_summary, TraceCell, TraceSummary,
-    METRIC_ALLOWLIST, TRACE_QPS, TRACE_QUERIES, TRACE_SHARDS,
-};
-pub use traffic::{
-    traffic, traffic_cells_for, traffic_json, traffic_summary, TrafficCell, TrafficSummary,
-    TRAFFIC_QPS, TRAFFIC_QUERIES, TRAFFIC_SHARDS,
-};
+pub use registry::{Args, Experiment, Output, REGISTRY};
 
 use std::fmt::Write as _;
 

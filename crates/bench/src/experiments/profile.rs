@@ -3,7 +3,8 @@
 //! profiles.
 //!
 //! One seeded traffic workload is replayed twice against a
-//! telemetry-instrumented [`ServeCluster`] on a virtual clock:
+//! telemetry-instrumented [`reason_serve::ServeCluster`] on a virtual
+//! clock:
 //!
 //! * **baseline** — no faults; its profile is the steady-state shape of
 //!   where modeled time goes (queue wait, compiles, batched arena
@@ -24,13 +25,13 @@
 //! are byte-identical per seed.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use reason_serve::{ClusterConfig, ClusterKbId, FaultPlan, Query, ServeCluster};
+use reason_telemetry::is_well_formed_forest;
 use reason_telemetry::profile::{exemplars, Exemplar, Hotspot, Profile, StackDelta};
-use reason_telemetry::{is_well_formed_forest, Telemetry, VirtualClock};
 
-use super::traffic::{traffic_engine_config, traffic_kbs, traffic_workload, TrafficKb};
+use super::registry::{Args, Output};
+use super::replay::{arrivals_at, horizon_of, observed_cluster, scenario_plan};
+use super::traffic::{traffic_kbs, traffic_workload, Arrival, TrafficKb};
 use crate::json::Json;
 
 /// Offered load (queries per second of virtual time): the trace
@@ -72,36 +73,19 @@ pub struct ProfileSummary {
     pub exemplars: Vec<Exemplar>,
 }
 
-/// Replays the workload once (optionally faulted) and folds the span
-/// forest into a profile; also returns the exemplars of the run.
+/// Replays the workload once under the named chaos scenario and folds
+/// the span forest into a profile; also returns the exemplars of the
+/// run.
 fn run_profile_cell(
     kbs: &[TrafficKb],
-    workload: &[super::traffic::Arrival],
-    faulted: bool,
+    workload: &[Arrival],
+    scenario: &str,
     seed: u64,
 ) -> (Profile, Vec<Exemplar>) {
-    let horizon_s = workload.last().map_or(0.0, |a| a.3).max(f64::MIN_POSITIVE);
-    let telemetry = Arc::new(Telemetry::with_clock(VirtualClock::shared()));
-    let mut cluster = ServeCluster::new(ClusterConfig {
-        shards: PROFILE_SHARDS,
-        engine: traffic_engine_config(seed),
-    });
-    cluster.attach_telemetry(telemetry.clone());
-    let ids: Vec<ClusterKbId> =
-        kbs.iter().map(|kb| cluster.register(&kb.name, &kb.cnf, kb.weights.clone())).collect();
-    if faulted {
-        cluster.install_fault_domain(
-            FaultPlan::new().crash(0, 0.2 * horizon_s, 0.6 * horizon_s),
-            seed,
-        );
-    }
-    let arrivals: Vec<(ClusterKbId, Query, f64)> = workload
-        .iter()
-        .map(|&(kb, shape, deadline, t)| {
-            (ids[kb], Query { kind: kbs[kb].shapes[shape].clone(), deadline }, t)
-        })
-        .collect();
-    cluster.serve_at(&arrivals).expect("mass-probed tenants");
+    let (mut cluster, ids, telemetry) = observed_cluster(kbs, PROFILE_SHARDS, seed);
+    let plan = scenario_plan(scenario, PROFILE_SHARDS, 0.0, horizon_of(workload));
+    cluster.install_fault_domain(plan, seed);
+    cluster.serve_at(&arrivals_at(kbs, &ids, workload, 0.0)).expect("mass-probed tenants");
     let spans = telemetry.tracer.finished();
     assert!(is_well_formed_forest(&spans), "profile cell: malformed span forest");
     // Track 0 carries the engines' wall-clock spans — everything else
@@ -116,8 +100,8 @@ fn run_profile_cell(
 pub fn profile_cells_for(queries_per_cell: usize, qps: f64, seed: u64) -> ProfileSummary {
     let kbs = traffic_kbs(seed);
     let workload = traffic_workload(&kbs, queries_per_cell, qps, seed ^ (1 << 32));
-    let (baseline, _) = run_profile_cell(&kbs, &workload, false, seed);
-    let (candidate, tails) = run_profile_cell(&kbs, &workload, true, seed);
+    let (baseline, _) = run_profile_cell(&kbs, &workload, "baseline", seed);
+    let (candidate, tails) = run_profile_cell(&kbs, &workload, "crash_one_shard", seed);
     let mut deltas = candidate.diff(&baseline);
     deltas.truncate(TOP_K);
     ProfileSummary {
@@ -245,20 +229,12 @@ fn summary_to_text(summary: &ProfileSummary) -> String {
     out
 }
 
-/// Text report of the profiling experiment.
-pub fn profile(seed: u64) -> String {
-    summary_to_text(&profile_summary(seed))
-}
-
-/// JSON report. Byte-identical across runs with the same seed.
-pub fn profile_json(seed: u64) -> Json {
-    summary_to_json(&profile_summary(seed), seed)
-}
-
-/// The collapsed-stack artifact of the baseline profile, for
-/// `reason-eval profile --profile-out FILE`.
-pub fn profile_artifact(seed: u64) -> String {
-    profile_summary(seed).collapsed
+/// The registry row: one run of both cells, both views plus the
+/// baseline profile's collapsed stacks — byte-identical per seed.
+pub(crate) fn run(args: &Args) -> Output {
+    let summary = profile_summary(args.seed);
+    Output::sweep(summary_to_text(&summary), summary_to_json(&summary, args.seed))
+        .with_artifact(summary.collapsed)
 }
 
 #[cfg(test)]

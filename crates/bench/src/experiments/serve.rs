@@ -27,24 +27,19 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use rand::prelude::*;
-use reason_pc::{CompiledWmc, Evidence, WmcWeights};
-use reason_sat::gen::random_ksat;
+use reason_pc::{CompiledWmc, Evidence};
 use reason_serve::{
     Answer, CacheStats, Query, QueryKind, Route, RouterStats, ServeConfig, ServeEngine,
 };
 
+use super::registry::{Args, Output};
+use super::replay::{instance_with_mass, sweep_predictor, sweep_weights};
 use crate::json::Json;
 
 /// The serving ladder `(num_vars, num_clauses)` — the compile sweep's
 /// comparison rungs plus the n = 40 rung where cold compilation costs
 /// tens of milliseconds and the store's amortization is most visible.
 pub const SERVE_SIZES: [(usize, usize); 5] = [(12, 36), (16, 40), (20, 44), (28, 52), (40, 64)];
-
-/// Mildly skewed per-variable marginals (shared shape with the compile
-/// sweep's weights).
-fn serve_weights(num_vars: usize) -> WmcWeights {
-    WmcWeights::new((0..num_vars).map(|v| 0.45 + 0.1 * (v % 2) as f64).collect())
-}
 
 /// One knowledge base's counts and verdicts.
 #[derive(Debug, Clone)]
@@ -83,17 +78,6 @@ pub struct ServeSummary {
     pub store: CacheStats,
 }
 
-/// A trimmed prediction-network schedule: enough to exercise the
-/// predicted rung, cheap enough for CI smoke.
-fn sweep_predictor() -> reason_approx::PredictConfig {
-    reason_approx::PredictConfig {
-        queries: 128,
-        epochs: 150,
-        hidden: 16,
-        ..reason_approx::PredictConfig::default()
-    }
-}
-
 /// Runs the sweep over an explicit ladder. Each rung walks seeds until
 /// the instance carries mass (massless KBs are rejected at compile).
 pub fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
@@ -108,18 +92,10 @@ pub fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
     // rounds) are folded into the sweep-wide counters.
     let mut cold_router = RouterStats::default();
     for &(n, m) in sizes {
-        let weights = serve_weights(n);
-        // Walk seeds until the instance carries mass, probing *before*
-        // registration so massless draws never leak dead KB entries
-        // into the sweep engine.
-        let mut instance_seed = seed;
-        let cnf = loop {
-            let cnf = random_ksat(n, m, 3, instance_seed);
-            if reason_pc::weighted_model_count(&cnf, &weights) > 0.0 {
-                break cnf;
-            }
-            instance_seed += 1;
-        };
+        let weights = sweep_weights(n);
+        // Probed *before* registration, so massless draws never leak
+        // dead KB entries into the sweep engine.
+        let (cnf, instance_seed) = instance_with_mass((n, m), &weights, seed, 0.0);
         let id = engine.register(format!("kb-{n}"), &cnf, weights.clone());
         engine.warm(id).expect("probed mass above");
 
@@ -354,16 +330,10 @@ fn rows_to_json(summary: &ServeSummary, seed: u64) -> Json {
     ])
 }
 
-/// Text report of the serving sweep over the full ladder
-/// ([`SERVE_SIZES`]).
-pub fn serve(seed: u64) -> String {
-    rows_to_text(&serve_rows_for(&SERVE_SIZES, seed))
-}
-
-/// JSON report of the serving sweep (for `reason-eval serve --json`,
-/// the `BENCH_serve.json` generator).
-pub fn serve_json(seed: u64) -> Json {
-    rows_to_json(&serve_rows_for(&SERVE_SIZES, seed), seed)
+/// The registry row: one sweep over [`SERVE_SIZES`], both views.
+pub(crate) fn run(args: &Args) -> Output {
+    let summary = serve_rows_for(&SERVE_SIZES, args.seed);
+    Output::sweep(rows_to_text(&summary), rows_to_json(&summary, args.seed))
 }
 
 #[cfg(test)]

@@ -31,18 +31,17 @@
 //! [`reason_serve::SLO_TRACK`] plus `slo_*` metrics, so the sweep
 //! cross-checks record-vs-span consistency per cell. `reason-eval slo
 //! --json > BENCH_slo.json` regenerates the committed artifact
-//! byte-identically per seed; CI runs it twice and `cmp`s.
+//! byte-identically per seed; `reason-eval audit` re-derives it in CI.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use reason_serve::{
-    ClusterConfig, ClusterKbId, FaultPlan, Objective, Query, ServeCluster, SloAlert, SloSpec,
-    SLO_TRACK,
-};
-use reason_telemetry::{is_well_formed_forest, Telemetry, VirtualClock};
+use reason_serve::{ClusterKbId, Objective, Query, ServeCluster, SloAlert, SloSpec, SLO_TRACK};
+use reason_telemetry::is_well_formed_forest;
 
-use super::traffic::{traffic_engine_config, traffic_kbs, traffic_workload, TrafficKb};
+use super::chaos::CHAOS_SCENARIOS;
+use super::registry::{Args, Output};
+use super::replay::{arrivals_at, horizon_of, observed_cluster, scenario_plan};
+use super::traffic::{traffic_kbs, traffic_workload, Arrival, TrafficKb};
 use crate::json::Json;
 
 /// Offered load of every SLO cell (queries per second of virtual
@@ -59,10 +58,6 @@ pub const SLO_SHARDS: usize = 2;
 /// Queries per cell in the committed grid.
 pub const SLO_QUERIES: usize = 300;
 
-/// The fault scenarios evaluated live, after the no-fault `baseline`
-/// cell. Same plans as the chaos sweep, shifted to the measured window.
-pub const SLO_SCENARIOS: [&str; 3] = ["crash_one_shard", "rolling_slow", "cache_wipe_storm"];
-
 /// Virtual seconds between the warm-up pass (at `t = 0`) and the first
 /// measured arrival — generous headroom for every tenant's cold
 /// compile to drain, so the monitored phase starts on an idle cluster.
@@ -72,7 +67,7 @@ pub const SLO_WARM_PAD_S: f64 = 0.05;
 /// history of the default SLO set.
 #[derive(Debug, Clone)]
 pub struct SloCell {
-    /// Scenario name (`baseline` or one of [`SLO_SCENARIOS`]).
+    /// Scenario name (`baseline` or one of [`CHAOS_SCENARIOS`]).
     pub scenario: &'static str,
     /// Shards in the cluster.
     pub shards: usize,
@@ -93,7 +88,7 @@ pub struct SloCell {
 /// The whole grid plus the SLO set it was judged against.
 #[derive(Debug, Clone)]
 pub struct SloSummary {
-    /// One `baseline` cell, then one per [`SLO_SCENARIOS`] entry.
+    /// One `baseline` cell, then one per [`CHAOS_SCENARIOS`] entry.
     pub cells: Vec<SloCell>,
     /// Measured queries per cell.
     pub queries_per_cell: usize,
@@ -104,40 +99,16 @@ pub struct SloSummary {
     pub specs: Vec<SloSpec>,
 }
 
-/// The chaos fault plans, shifted to cover the measured window
-/// `[start_s, start_s + horizon_s]` instead of `[0, horizon_s]`.
-fn offset_plan(scenario: &str, shards: usize, start_s: f64, horizon_s: f64) -> FaultPlan {
-    let at = |frac: f64| start_s + frac * horizon_s;
-    match scenario {
-        "baseline" => FaultPlan::new(),
-        "crash_one_shard" => FaultPlan::new().crash(0, at(0.2), at(0.6)),
-        "rolling_slow" => {
-            let slice = 1.0 / shards as f64;
-            (0..shards).fold(FaultPlan::new(), |plan, s| {
-                plan.slow(s, at(s as f64 * slice), at((s + 1) as f64 * slice), 8.0)
-            })
-        }
-        "cache_wipe_storm" => (0..shards)
-            .fold(FaultPlan::new(), |plan, s| plan.wipe_cache(s, at(0.3)).wipe_cache(s, at(0.6))),
-        other => panic!("unknown SLO scenario {other:?}"),
-    }
-}
-
 /// Replays one warmed, monitored cell and collects its alert history.
 fn run_slo_cell(
     kbs: &[TrafficKb],
-    workload: &[super::traffic::Arrival],
+    workload: &[Arrival],
     scenario: &'static str,
     shards: usize,
     seed: u64,
 ) -> SloCell {
-    let horizon_s = workload.last().map_or(0.0, |a| a.3).max(f64::MIN_POSITIVE);
-    let telemetry = Arc::new(Telemetry::with_clock(VirtualClock::shared()));
-    let mut cluster =
-        ServeCluster::new(ClusterConfig { shards, engine: traffic_engine_config(seed) });
-    cluster.attach_telemetry(telemetry.clone());
-    let ids: Vec<ClusterKbId> =
-        kbs.iter().map(|kb| cluster.register(&kb.name, &kb.cnf, kb.weights.clone())).collect();
+    let horizon_s = horizon_of(workload);
+    let (mut cluster, ids, telemetry) = observed_cluster(kbs, shards, seed);
 
     // Warm-up: one deadline-free exact query per tenant at t = 0
     // compiles every circuit on its home shard before monitoring
@@ -149,16 +120,11 @@ fn run_slo_cell(
         .collect();
     cluster.serve_at(&warm).expect("mass-probed tenants");
 
-    cluster.install_fault_domain(offset_plan(scenario, shards, SLO_WARM_PAD_S, horizon_s), seed);
+    // The chaos fault plans, shifted to cover the measured window.
+    cluster.install_fault_domain(scenario_plan(scenario, shards, SLO_WARM_PAD_S, horizon_s), seed);
     cluster.install_slos(ServeCluster::default_slo_specs(horizon_s));
 
-    let arrivals: Vec<(ClusterKbId, Query, f64)> = workload
-        .iter()
-        .map(|&(kb, shape, deadline, t)| {
-            let kind = kbs[kb].shapes[shape].clone();
-            (ids[kb], Query { kind, deadline }, SLO_WARM_PAD_S + t)
-        })
-        .collect();
+    let arrivals = arrivals_at(kbs, &ids, workload, SLO_WARM_PAD_S);
     let report = cluster.serve_at(&arrivals).expect("mass-probed tenants");
     cluster.finish_slos(SLO_WARM_PAD_S + horizon_s);
 
@@ -193,12 +159,11 @@ pub fn slo_cells_for(
 ) -> SloSummary {
     let kbs = traffic_kbs(seed);
     let workload = traffic_workload(&kbs, queries_per_cell, qps, seed ^ (1 << 32));
-    let horizon_s = workload.last().map_or(0.0, |a| a.3).max(f64::MIN_POSITIVE);
-    let mut cells = Vec::with_capacity(scenarios.len() + 1);
-    cells.push(run_slo_cell(&kbs, &workload, "baseline", shards, seed));
-    for &scenario in scenarios {
-        cells.push(run_slo_cell(&kbs, &workload, scenario, shards, seed));
-    }
+    let horizon_s = horizon_of(&workload);
+    let cells = std::iter::once("baseline")
+        .chain(scenarios.iter().copied())
+        .map(|scenario| run_slo_cell(&kbs, &workload, scenario, shards, seed))
+        .collect();
     SloSummary {
         cells,
         queries_per_cell,
@@ -212,7 +177,7 @@ pub fn slo_cells_for(
 /// fires (and resolves) the availability burn-rate alert, and every
 /// cell's alert records match its `slo.alert` spans one-for-one.
 pub fn slo_summary(seed: u64) -> SloSummary {
-    let summary = slo_cells_for(&SLO_SCENARIOS, SLO_SHARDS, SLO_QUERIES, SLO_QPS, seed);
+    let summary = slo_cells_for(&CHAOS_SCENARIOS, SLO_SHARDS, SLO_QUERIES, SLO_QPS, seed);
     for cell in &summary.cells {
         assert_eq!(
             cell.alert_spans,
@@ -361,16 +326,12 @@ fn summary_to_text(summary: &SloSummary) -> String {
     out
 }
 
-/// Text report of the SLO grid.
-pub fn slo(seed: u64) -> String {
-    summary_to_text(&slo_summary(seed))
-}
-
-/// JSON report (the `BENCH_slo.json` generator). Byte-identical across
-/// runs with the same seed: alert times are virtual, burn rates are
-/// pure functions of seeded counters.
-pub fn slo_json(seed: u64) -> Json {
-    summary_to_json(&slo_summary(seed), seed)
+/// The registry row: one run of the committed grid, both views.
+/// Byte-identical across runs with the same seed: alert times are
+/// virtual, burn rates are pure functions of seeded counters.
+pub(crate) fn run(args: &Args) -> Output {
+    let summary = slo_summary(args.seed);
+    Output::sweep(summary_to_text(&summary), summary_to_json(&summary, args.seed))
 }
 
 #[cfg(test)]

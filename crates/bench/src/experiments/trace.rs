@@ -3,9 +3,9 @@
 //!
 //! The experiment replays a seeded open-loop traffic workload (the same
 //! Poisson/Zipf generator as `reason-eval traffic`) against a
-//! [`ServeCluster`] with a [`Telemetry`] sink attached on a
-//! [`VirtualClock`]. Everything observable is then cross-checked and
-//! exported:
+//! [`reason_serve::ServeCluster`] with a [`Telemetry`] sink attached on
+//! a [`reason_telemetry::VirtualClock`]. Everything observable is then
+//! cross-checked and exported:
 //!
 //! * **per-stage latency attribution** — every query's modeled latency
 //!   is decomposed by [`StageBreakdown`] into queue / compile / exec
@@ -32,21 +32,21 @@
 //!
 //! `reason-eval trace --json > BENCH_obs.json` regenerates the
 //! committed artifact; `--trace-out FILE` writes the Perfetto trace of
-//! the final (most loaded) cell. CI runs the subcommand twice and
-//! `cmp`s both outputs.
+//! the final (most loaded) cell, from the same run. CI runs the
+//! subcommand twice, `cmp`s both outputs, and `cmp`s the trace against
+//! the committed `BENCH_obs_trace.json`.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use reason_serve::{
-    Admission, ClusterConfig, ClusterKbId, KbTelemetry, Query, ServeCluster, StageBreakdown,
-};
+use reason_serve::{Admission, KbTelemetry, StageBreakdown};
 use reason_telemetry::{
     chrome_trace_json, is_well_formed_forest, MetricSnapshot, MetricValue, SpanRecord, Telemetry,
-    VirtualClock,
 };
 
-use crate::experiments::traffic::{traffic_engine_config, traffic_kbs, traffic_workload, Arrival};
+use super::registry::{Args, Output};
+use super::replay::{arrivals_at, observed_cluster};
+use super::traffic::{traffic_kbs, traffic_workload, Arrival, TrafficKb};
 use crate::json::Json;
 
 /// Offered-load sweep: comfortable underload and ~shard saturation
@@ -174,24 +174,14 @@ fn chain_is_complete(spans: &[SpanRecord], root: &SpanRecord, cold: bool) -> boo
 /// Replays one cell with a fresh cluster and telemetry sink; returns
 /// the cell row plus the sink for the caller to export.
 fn run_trace_cell(
-    kbs: &[crate::experiments::traffic::TrafficKb],
+    kbs: &[TrafficKb],
     workload: &[Arrival],
     qps: f64,
     shards: usize,
     seed: u64,
 ) -> (TraceCell, Arc<Telemetry>, Vec<KbModelRow>) {
-    let telemetry = Arc::new(Telemetry::with_clock(VirtualClock::shared()));
-    let mut cluster =
-        ServeCluster::new(ClusterConfig { shards, engine: traffic_engine_config(seed) });
-    cluster.attach_telemetry(telemetry.clone());
-    let ids: Vec<ClusterKbId> =
-        kbs.iter().map(|kb| cluster.register(&kb.name, &kb.cnf, kb.weights.clone())).collect();
-    let arrivals: Vec<(ClusterKbId, Query, f64)> = workload
-        .iter()
-        .map(|&(kb, shape, deadline, t)| {
-            (ids[kb], Query { kind: kbs[kb].shapes[shape].clone(), deadline }, t)
-        })
-        .collect();
+    let (mut cluster, ids, telemetry) = observed_cluster(kbs, shards, seed);
+    let arrivals = arrivals_at(kbs, &ids, workload, 0.0);
     let report = cluster.serve_at(&arrivals).expect("mass-probed tenants");
 
     let mut stages = StageBreakdown::default();
@@ -450,22 +440,14 @@ fn summary_to_text(summary: &TraceSummary) -> String {
     out
 }
 
-/// Text report of the trace sweep.
-pub fn trace(seed: u64) -> String {
-    summary_to_text(&trace_summary(seed))
-}
-
-/// JSON report (the `BENCH_obs.json` generator). Byte-identical across
-/// runs with the same seed: only [`METRIC_ALLOWLIST`] metrics and
+/// The registry row: one run of the committed grid, both views plus
+/// the final cell's Perfetto/Chrome trace. All three are byte-identical
+/// across runs with the same seed: only [`METRIC_ALLOWLIST`] metrics and
 /// virtual-time spans are exported.
-pub fn trace_json(seed: u64) -> Json {
-    summary_to_json(&trace_summary(seed), seed)
-}
-
-/// The Perfetto/Chrome trace of the sweep's final cell, for
-/// `reason-eval trace --trace-out FILE`.
-pub fn trace_artifact(seed: u64) -> String {
-    trace_summary(seed).trace_json
+pub(crate) fn run(args: &Args) -> Output {
+    let summary = trace_summary(args.seed);
+    Output::sweep(summary_to_text(&summary), summary_to_json(&summary, args.seed))
+        .with_artifact(summary.trace_json)
 }
 
 #[cfg(test)]
@@ -508,6 +490,22 @@ mod tests {
         assert_eq!(parsed.get("experiment").unwrap().as_str(), Some("trace"));
         assert!(parsed.get("metrics").unwrap().as_arr().unwrap().len() > 4);
         assert!(parsed.get("trace_spans").unwrap().as_f64().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn one_run_renders_the_report_and_the_artifact() {
+        // `reason-eval trace --json --trace-out F` replays the sweep
+        // once: one registry run builds one cluster per cell of the
+        // committed grid, whatever views are read off it.
+        use crate::experiments::replay::tests::CLUSTERS_BUILT;
+        let before = CLUSTERS_BUILT.get();
+        let out = run(&Args::default());
+        assert_eq!(CLUSTERS_BUILT.get() - before, TRACE_QPS.len() * TRACE_SHARDS.len());
+        // All three views describe the same final cell.
+        let spans = out.json.expect("native JSON").get("trace_spans").unwrap().as_f64().unwrap();
+        let artifact = json::parse(&out.artifact.expect("Perfetto artifact")).unwrap();
+        assert_eq!(artifact.get("traceEvents").unwrap().as_arr().unwrap().len() as f64, spans);
+        assert!(out.text.contains(&format!("a {spans}-span Perfetto trace")), "{}", out.text);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! workload — Poisson arrivals at a swept offered QPS, Zipf-skewed
 //! tenant (knowledge-base) popularity, and Zipf-skewed query-shape
 //! popularity within each tenant — is replayed against a
-//! [`ServeCluster`] at several shard counts. Every cell of the
-//! `offered QPS × shard count` grid reports the latency distribution
+//! [`reason_serve::ServeCluster`] at several shard counts. Every cell of
+//! the `offered QPS × shard count` grid reports the latency distribution
 //! (p50/p99 under the cluster's deterministic virtual-time queue
 //! model), the deadline-miss rate, the pre-dispatch degrade rate, and
 //! the reject rate.
@@ -32,13 +32,13 @@ use std::time::Duration;
 
 use rand::prelude::*;
 use reason_pc::{Evidence, WmcWeights};
-use reason_sat::gen::random_ksat;
 use reason_sat::Cnf;
-use reason_serve::{
-    Admission, Answer, ClusterConfig, ClusterKbId, Query, QueryKind, Route, RouterConfig,
-    ServeCluster, ServeConfig, ServeEngine,
-};
+use reason_serve::{Answer, Query, QueryKind, RouterConfig, ServeConfig, ServeEngine};
 
+use super::registry::{Args, Output};
+use super::replay::{
+    arrivals_at, fresh_cluster, instance_with_mass, score, sweep_predictor, sweep_weights,
+};
 use crate::json::Json;
 
 /// Offered load sweep (queries per second of virtual time). The warm
@@ -150,15 +150,9 @@ pub(crate) fn traffic_kbs(seed: u64) -> Vec<TrafficKb> {
         .iter()
         .enumerate()
         .map(|(i, &(n, m))| {
-            let weights = WmcWeights::new((0..n).map(|v| 0.45 + 0.1 * (v % 2) as f64).collect());
-            let mut instance_seed = seed.wrapping_add(1000 * i as u64);
-            let cnf = loop {
-                let cnf = random_ksat(n, m, 3, instance_seed);
-                if reason_pc::weighted_model_count(&cnf, &weights) > 1e-3 {
-                    break cnf;
-                }
-                instance_seed += 1;
-            };
+            let weights = sweep_weights(n);
+            let first_seed = seed.wrapping_add(1000 * i as u64);
+            let (cnf, _) = instance_with_mass((n, m), &weights, first_seed, 1e-3);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x7AFF1C ^ (i as u64) << 8);
             let shapes = (0..SHAPES_PER_KB)
                 .map(|j| match j % 8 {
@@ -222,24 +216,13 @@ pub(crate) fn traffic_workload(
         .collect()
 }
 
-/// A trimmed prediction-network schedule (the serve sweep's shape):
-/// enough to exercise the predicted rung, cheap enough for CI smoke.
-fn traffic_predictor() -> reason_approx::PredictConfig {
-    reason_approx::PredictConfig {
-        queries: 128,
-        epochs: 150,
-        hidden: 16,
-        ..reason_approx::PredictConfig::default()
-    }
-}
-
 /// The per-shard engine configuration: the approximate rung's sample
 /// cap is trimmed to bound real execution time, and the predictor is
 /// on so the degrade ladder's last rung is reachable.
 pub(crate) fn traffic_engine_config(seed: u64) -> ServeConfig {
     ServeConfig {
         router: RouterConfig { max_approx_samples: 2048 },
-        predictor: Some(traffic_predictor()),
+        predictor: Some(sweep_predictor()),
         approx_seed: seed,
         ..ServeConfig::default()
     }
@@ -290,46 +273,10 @@ fn run_cell(
     shards: usize,
     seed: u64,
 ) -> TrafficCell {
-    let mut cluster =
-        ServeCluster::new(ClusterConfig { shards, engine: traffic_engine_config(seed) });
-    let ids: Vec<ClusterKbId> =
-        kbs.iter().map(|kb| cluster.register(&kb.name, &kb.cnf, kb.weights.clone())).collect();
-    let arrivals: Vec<(ClusterKbId, Query, f64)> = workload
-        .iter()
-        .map(|&(kb, shape, deadline, t)| {
-            let kind = kbs[kb].shapes[shape].clone();
-            (ids[kb], Query { kind, deadline }, t)
-        })
-        .collect();
+    let (mut cluster, ids) = fresh_cluster(kbs, shards, seed, None);
+    let arrivals = arrivals_at(kbs, &ids, workload, 0.0);
     let report = cluster.serve_at(&arrivals).expect("mass-probed tenants");
-    assert_eq!(report.outcomes.len(), workload.len(), "every query keeps an outcome");
-
-    let mut exact_bit_identical = true;
-    let mut bounds_checked = 0usize;
-    let mut bounds_contained = 0usize;
-    let mut latencies: Vec<f64> = Vec::with_capacity(workload.len());
-    for (outcome, want) in report.outcomes.iter().zip(reference) {
-        match outcome.decision {
-            Admission::Admit(Route::Exact) => {
-                exact_bit_identical &= outcome.answer.as_ref() == Some(want);
-                latencies.push(outcome.modeled_latency_s);
-            }
-            Admission::Admit(Route::Approx { .. }) => {
-                if let (Some(Answer::Bounds { lower, upper, .. }), Answer::Exact(x)) =
-                    (&outcome.answer, want)
-                {
-                    bounds_checked += 1;
-                    if *lower <= *x && *x <= *upper {
-                        bounds_contained += 1;
-                    }
-                }
-                latencies.push(outcome.modeled_latency_s);
-            }
-            Admission::Admit(Route::Predicted) => latencies.push(outcome.modeled_latency_s),
-            Admission::Reject { .. } => assert!(outcome.answer.is_none()),
-        }
-    }
-    latencies.sort_by(f64::total_cmp);
+    let scored = score(&report, reference);
 
     let stats = report.stats;
     let total = workload.len() as f64;
@@ -342,14 +289,17 @@ fn run_cell(
         predicted: stats.predicted,
         rejected: stats.rejected,
         deadline_misses: stats.deadline_misses,
-        p50_s: percentile(&latencies, 0.50),
-        p99_s: percentile(&latencies, 0.99),
+        p50_s: percentile(&scored.latencies, 0.50),
+        p99_s: percentile(&scored.latencies, 0.99),
         miss_rate: stats.deadline_misses as f64 / total,
         degrade_rate: (stats.approx + stats.predicted) as f64 / total,
         reject_rate: stats.rejected as f64 / total,
-        exact_bit_identical,
-        bounds_checked,
-        bounds_contained,
+        // No plan is installed: a degraded or lost admit is a divergence.
+        exact_bit_identical: scored.exact_bit_identical
+            && scored.lost == 0
+            && scored.degraded_by_fault == 0,
+        bounds_checked: scored.bounds_checked,
+        bounds_contained: scored.bounds_contained,
     }
 }
 
@@ -471,16 +421,11 @@ fn cells_to_json(summary: &TrafficSummary, seed: u64) -> Json {
     ])
 }
 
-/// Text report of the traffic grid.
-pub fn traffic(seed: u64) -> String {
-    cells_to_text(&traffic_summary(seed))
-}
-
-/// JSON report of the traffic grid (for `reason-eval traffic --json`,
-/// the `BENCH_traffic.json` generator). Byte-identical across runs with
-/// the same seed.
-pub fn traffic_json(seed: u64) -> Json {
-    cells_to_json(&traffic_summary(seed), seed)
+/// The registry row: one run of the committed grid, both views
+/// (byte-identical across runs with the same seed).
+pub(crate) fn run(args: &Args) -> Output {
+    let summary = traffic_summary(args.seed);
+    Output::sweep(cells_to_text(&summary), cells_to_json(&summary, args.seed))
 }
 
 #[cfg(test)]

@@ -42,18 +42,6 @@ pub struct TaskCost {
     pub energy_j: f64,
 }
 
-impl TaskCost {
-    /// Zero cost.
-    pub fn zero() -> Self {
-        TaskCost { seconds: 0.0, energy_j: 0.0 }
-    }
-
-    /// Component-wise sum.
-    pub fn plus(self, other: TaskCost) -> TaskCost {
-        TaskCost { seconds: self.seconds + other.seconds, energy_j: self.energy_j + other.energy_j }
-    }
-}
-
 /// Which platform executes the symbolic/probabilistic stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {

@@ -12,6 +12,16 @@
 //! Every transformation records a reconstruction step so that a model of
 //! the reduced formula can be extended back to a model of the original
 //! formula ([`PreprocessResult::reconstruct_model`]).
+//!
+//! **Contract: satisfiability, not counts.** The pass is for *logical*
+//! kernels, where one model is the answer. It preserves neither the
+//! number nor the weight of models: a fixed pure literal discards the
+//! models that set it the other way, and a fixed or substituted
+//! variable takes its weight out of the formula. On `(x1 ∨ x2) ∧ (¬x2 ∨
+//! x3)` under uniform weights the count is 1/2 before and 1 after the
+//! default pass (pinned in `tests/property_invariants.rs`), so it must
+//! not front a model counter or `reason_pc::compile_cnf`; that needs a
+//! count-preserving mode, which does not exist yet.
 
 use std::collections::{HashMap, HashSet};
 
@@ -226,7 +236,9 @@ impl PruneStats {
 #[derive(Debug, Clone)]
 pub struct PreprocessConfig {
     /// Enable pure-literal elimination (satisfiability-preserving but not
-    /// model-count-preserving; disable when counting models).
+    /// model-count-preserving). Turning it off is necessary for counting
+    /// but not sufficient: units, failed literals and equivalences still
+    /// remove variables and their weights (see the [module docs](self)).
     pub pure_literals: bool,
     /// Enable equivalent-literal substitution via BIG SCCs.
     pub equivalences: bool,

@@ -1057,27 +1057,27 @@ fn record(
     let compiled_at = start + outcome.stage.compile_s;
     // A reject's stage is all queue, so its chain ends where it starts.
     let end = compiled_at + outcome.stage.exec_s;
-    let span = |name: &str, labels: &[(&str, &str)], from: f64, to: f64, root: u64| {
+    let root = tel.tracer.record_span(track, "cluster.query", &labels, t, end);
+    let span = |name: &str, labels: &[(&str, &str)], from: f64, to: f64| {
         tel.tracer.record_span_under(track, name, labels, from, to, root);
     };
-    let root = tel.tracer.record_span(track, "cluster.query", &labels, t, end);
     let verdict = if route.is_some() { "admit" } else { "reject" };
-    span("cluster.admit", &[("decision", verdict)], t, t, root);
+    span("cluster.admit", &[("decision", verdict)], t, t);
     if let Some(route) = route {
-        span("cluster.route", &[route_label], t, t, root);
-        span("queue.wait", &[], t, start, root);
+        span("cluster.route", &[route_label], t, t);
+        span("queue.wait", &[], t, start);
         if route == Route::Exact {
             let result = if cold { "miss" } else { "hit" };
-            span("store.probe", &[("result", result)], start, start, root);
+            span("store.probe", &[("result", result)], start, start);
         }
         if cold {
-            span("serve.compile", &[tenant], start, compiled_at, root);
+            span("serve.compile", &[tenant], start, compiled_at);
         }
-        span("serve.eval", &[], compiled_at, end, root);
+        span("serve.eval", &[], compiled_at, end);
     }
     for ev in &walk.events {
         let from = ev.start.clamp(t, end);
-        span(ev.name, &[], from, ev.end.clamp(from, end), root);
+        span(ev.name, &[], from, ev.end.clamp(from, end));
     }
 }
 

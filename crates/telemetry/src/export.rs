@@ -223,7 +223,12 @@ fn split_label_pairs(body: &str) -> Vec<String> {
     out
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal (the caller
+/// writes the surrounding quotes): `"`, `\` and every control
+/// character below U+0020; everything else passes through as UTF-8.
+/// The one JSON escaper in the workspace — [`chrome_trace_json`] and
+/// `reason_bench::json::Json::render` both write strings through it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -54,7 +54,7 @@ pub mod trace;
 use std::sync::Arc;
 
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use export::{chrome_trace_json, lint_prometheus, prometheus_text};
+pub use export::{chrome_trace_json, json_escape, lint_prometheus, prometheus_text};
 pub use metrics::{
     bucket_lower, bucket_upper, valid_metric_name, Counter, Gauge, HistBucket, Histogram,
     HistogramSnapshot, MetricSnapshot, MetricValue, MetricsRegistry, DEFAULT_SERIES_LIMIT,
@@ -62,7 +62,7 @@ pub use metrics::{
 };
 pub use profile::{exemplars, Exemplar, Hotspot, Profile, StackDelta, StackWeight};
 pub use slo::{Objective, SloAlert, SloMonitor, SloSpec};
-pub use trace::{is_well_formed_forest, SpanGuard, SpanRecord, Tracer};
+pub use trace::{is_well_formed_forest, SpanGuard, SpanHandle, SpanRecord, Tracer};
 
 /// The bundle instrumented components share: one registry plus one
 /// tracer on a common clock. Pass it around as `Arc<Telemetry>`.

@@ -38,6 +38,14 @@ pub struct SpanRecord {
     pub parent: Option<u64>,
 }
 
+/// What [`Tracer::record_span`] hands back: the record's id and depth
+/// travel with the caller, so parenting a child looks nothing up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanHandle {
+    id: u64,
+    depth: usize,
+}
+
 #[derive(Debug)]
 struct OpenSpan {
     name: String,
@@ -51,14 +59,20 @@ struct OpenSpan {
 #[derive(Debug, Default)]
 struct TraceState {
     next_id: u64,
-    /// Open-span stacks, keyed by track (kept sorted; track counts are
-    /// tiny — one per shard).
+    /// Open-span stacks, keyed by track. Only [`Tracer::span_on`] adds
+    /// an entry: one per track RAII guards ran on, however many
+    /// per-query tracks explicit records use.
     open: Vec<(u64, Vec<OpenSpan>)>,
     done: Vec<SpanRecord>,
 }
 
 impl TraceState {
-    fn stack(&mut self, track: u64) -> &mut Vec<OpenSpan> {
+    /// The open spans of `track`, innermost last (a lookup, no insert).
+    fn stack(&self, track: u64) -> &[OpenSpan] {
+        self.open.iter().find(|(t, _)| *t == track).map_or(&[], |(_, stack)| stack)
+    }
+
+    fn stack_mut(&mut self, track: u64) -> &mut Vec<OpenSpan> {
         match self.open.iter().position(|(t, _)| *t == track) {
             Some(i) => &mut self.open[i].1,
             None => {
@@ -72,7 +86,7 @@ impl TraceState {
         // Everything above `id` on the stack is a still-open descendant:
         // force-close it at the same end time so intervals stay nested.
         loop {
-            let stack = self.stack(track);
+            let stack = self.stack_mut(track);
             let Some(top) = stack.pop() else { return };
             let depth = stack.len();
             let done = top.id == id;
@@ -134,7 +148,7 @@ impl Tracer {
         let mut state = self.state.lock().expect("trace lock");
         let id = state.next_id;
         state.next_id += 1;
-        let stack = state.stack(track);
+        let stack = state.stack_mut(track);
         let parent = stack.last().map(|s| s.id);
         stack.push(OpenSpan {
             name: name.to_string(),
@@ -150,8 +164,8 @@ impl Tracer {
     /// Records an already-timed span (modeled sweeps with explicit
     /// virtual timestamps). The span is attached under whatever span on
     /// `track` is open at call time; `end_s` is clamped to `>= start_s`.
-    /// Returns the record's id so callers can parent further spans via
-    /// [`Tracer::record_span_under`].
+    /// Returns the record's handle so callers can parent further spans
+    /// via [`Tracer::record_span_under`].
     pub fn record_span(
         &self,
         track: u64,
@@ -159,12 +173,12 @@ impl Tracer {
         labels: &[(&str, &str)],
         start_s: f64,
         end_s: f64,
-    ) -> u64 {
+    ) -> SpanHandle {
         self.record_span_inner(track, name, labels, start_s, end_s, None)
     }
 
-    /// Records an already-timed span as a child of `parent` (an id
-    /// previously returned by [`Tracer::record_span`]).
+    /// Records an already-timed span as a child of `parent` (a handle
+    /// previously returned by [`Tracer::record_span`] or this method).
     pub fn record_span_under(
         &self,
         track: u64,
@@ -172,8 +186,8 @@ impl Tracer {
         labels: &[(&str, &str)],
         start_s: f64,
         end_s: f64,
-        parent: u64,
-    ) -> u64 {
+        parent: SpanHandle,
+    ) -> SpanHandle {
         self.record_span_inner(track, name, labels, start_s, end_s, Some(parent))
     }
 
@@ -184,16 +198,13 @@ impl Tracer {
         labels: &[(&str, &str)],
         start_s: f64,
         end_s: f64,
-        parent: Option<u64>,
-    ) -> u64 {
+        parent: Option<SpanHandle>,
+    ) -> SpanHandle {
         let mut state = self.state.lock().expect("trace lock");
         let id = state.next_id;
         state.next_id += 1;
         let (parent, depth) = match parent {
-            Some(p) => {
-                let depth = state.done.iter().find(|s| s.id == p).map(|s| s.depth + 1).unwrap_or(1);
-                (Some(p), depth)
-            }
+            Some(p) => (Some(p.id), p.depth + 1),
             None => {
                 let stack = state.stack(track);
                 (stack.last().map(|s| s.id), stack.len())
@@ -209,7 +220,7 @@ impl Tracer {
             id,
             parent,
         });
-        id
+        SpanHandle { id, depth }
     }
 
     /// Every closed span, sorted by `(track, start_s, id)` — the
@@ -363,6 +374,51 @@ mod tests {
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].name, "query");
         assert_eq!(spans[1].depth, 1);
+    }
+
+    #[test]
+    fn explicit_records_pin_depth_and_parent() {
+        let (_, tracer) = virtual_tracer();
+        let root = tracer.record_span(7, "root", &[], 0.0, 4.0);
+        let child = tracer.record_span_under(7, "child", &[], 1.0, 3.0, root);
+        let grandchild = tracer.record_span_under(7, "grandchild", &[], 1.0, 2.0, child);
+        // An explicit root nests under an RAII span open on its own
+        // track, and under nothing when the guard is on another track.
+        let guard = tracer.span_on(8, "open", &[]);
+        let under_guard = tracer.record_span(8, "under", &[], 0.0, 0.0);
+        let elsewhere = tracer.record_span(9, "elsewhere", &[], 0.0, 0.0);
+        guard.end();
+
+        let spans = tracer.finished();
+        assert!(is_well_formed_forest(&spans));
+        let open_id = spans.iter().find(|s| s.name == "open").unwrap().id;
+        let shape = |h: SpanHandle| {
+            let s = spans.iter().find(|s| s.id == h.id).unwrap();
+            (s.depth, h.depth, s.parent)
+        };
+        assert_eq!(shape(root), (0, 0, None));
+        assert_eq!(shape(child), (1, 1, Some(root.id)));
+        assert_eq!(shape(grandchild), (2, 2, Some(child.id)));
+        assert_eq!(shape(under_guard), (1, 1, Some(open_id)));
+        assert_eq!(shape(elsewhere), (0, 0, None));
+    }
+
+    #[test]
+    fn explicit_chains_leave_no_open_stack_behind() {
+        // The cluster records one six-span chain per query, each on a
+        // track of its own. Counts, not clocks: no explicit record may
+        // grow the open-stack table, or every later lookup scans it.
+        let (_, tracer) = virtual_tracer();
+        for track in 1..=10_000u64 {
+            let t = track as f64;
+            let root = tracer.record_span(track, "cluster.query", &[], t, t + 1.0);
+            for name in ["admit", "route", "queue.wait", "store.probe", "serve.eval"] {
+                tracer.record_span_under(track, name, &[], t, t + 1.0, root);
+            }
+        }
+        let state = tracer.state.lock().unwrap();
+        assert_eq!(state.done.len(), 60_000);
+        assert!(state.open.is_empty(), "{} stacks left behind", state.open.len());
     }
 
     #[test]

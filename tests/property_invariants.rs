@@ -13,7 +13,9 @@ use reason::compiler::ReasonCompiler;
 use reason::core::{dag_from_cnf, regularize};
 use reason::hmm::Hmm;
 use reason::pc::{compile_cnf, Evidence, WmcWeights};
-use reason::sat::{brute_force, CdclSolver, Cnf, CubeAndConquer, CubeConfig, Preprocessor};
+use reason::sat::{
+    brute_force, weighted_count, CdclSolver, Cnf, CubeAndConquer, CubeConfig, Preprocessor,
+};
 use reason::system::{StageCost, TwoLevelPipeline};
 
 /// A random small CNF as DIMACS-style clause lists.
@@ -848,6 +850,24 @@ fn pinned_contradiction_is_unsat_through_preprocessing() {
         None => CdclSolver::new(&result.cnf).solve().is_sat(),
     };
     assert!(!got, "preprocessing must preserve UNSAT");
+}
+
+/// The default pass preserves satisfiability, **not** the weighted
+/// count: on (x1 ∨ x2) ∧ (¬x2 ∨ x3) it fixes the pure literals x1 and
+/// x3 and decides SAT, and the count under uniform weights moves from
+/// 1/2 to 1 — why `Preprocessor` cannot front `compile_cnf` as
+/// configured (ROADMAP item 4b).
+#[test]
+fn pinned_default_preprocessing_keeps_satisfiability_but_moves_the_weighted_count() {
+    let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-2, 3]]);
+    let uniform = [0.5; 3];
+    assert!(brute_force(&cnf).is_sat());
+    assert_eq!(weighted_count(&cnf, &uniform), 0.5);
+
+    let result = Preprocessor::new().run(&cnf);
+    assert_eq!(result.decided, Some(true), "satisfiability is kept");
+    assert!(cnf.eval(&result.reconstruct_model(&[false; 3])), "and a model reconstructs");
+    assert_eq!(weighted_count(&result.cnf, &uniform), 1.0, "the count is not");
 }
 
 /// Duplicate and tautological literals in one clause must not confuse
