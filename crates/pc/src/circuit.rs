@@ -2,6 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node within a [`Circuit`] (or [`CircuitBuilder`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -214,7 +215,7 @@ impl CircuitBuilder {
     /// Returns a [`CircuitError`] describing the first structural defect
     /// found (ordering, malformed sums, smoothness, decomposability).
     pub fn build(self, root: NodeId) -> Result<Circuit, CircuitError> {
-        let circuit = Circuit { arities: self.arities, nodes: self.nodes, root };
+        let circuit = Circuit::from_parts(self.arities, self.nodes, root);
         circuit.validate()?;
         Ok(circuit)
     }
@@ -243,10 +244,15 @@ impl CircuitBuilder {
 /// Nodes are stored in topological order (children before parents), so a
 /// single forward sweep evaluates the circuit and a single backward sweep
 /// computes flows.
+///
+/// A circuit is immutable once built, so its node array sits behind an
+/// [`Arc`]: cloning a circuit shares the array, and a compiled circuit
+/// may share it with the [`crate::PersistentComponentCache`] that
+/// compiled it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     arities: Vec<usize>,
-    nodes: Vec<PcNode>,
+    nodes: Arc<Vec<PcNode>>,
     root: NodeId,
 }
 
@@ -254,7 +260,7 @@ impl Circuit {
     /// Constructs a circuit from parts without validation; intended for
     /// internal transformations that preserve the invariants.
     pub(crate) fn from_parts(arities: Vec<usize>, nodes: Vec<PcNode>, root: NodeId) -> Self {
-        Circuit { arities, nodes, root }
+        Circuit { arities, nodes: Arc::new(nodes), root }
     }
 
     /// The root node.
@@ -302,7 +308,7 @@ impl Circuit {
     /// Computes the scope (set of referenced variables) of every node.
     pub fn scopes(&self) -> Vec<BTreeSet<usize>> {
         let mut scopes: Vec<BTreeSet<usize>> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             let scope = match node {
                 PcNode::Indicator { var, .. } | PcNode::Categorical { var, .. } => {
                     BTreeSet::from([*var])
@@ -398,7 +404,7 @@ impl Circuit {
     pub fn is_syntactically_deterministic(&self) -> bool {
         // A sum is decision-style if each child is a product containing an
         // indicator over the same variable with pairwise distinct values.
-        'outer: for node in &self.nodes {
+        'outer: for node in self.nodes.iter() {
             if let PcNode::Sum { children, .. } = node {
                 if children.len() == 1 {
                     continue;
@@ -444,26 +450,35 @@ impl Circuit {
     /// preserving relative order. Returns the compacted circuit and the
     /// number of nodes dropped.
     pub fn compact(&self) -> (Circuit, usize) {
-        let compacted = Circuit::compacted(self.arities.clone(), &self.nodes, self.root);
+        let compacted = Circuit::live(self.arities.clone(), &self.nodes, self.root);
         let dropped = self.nodes.len() - compacted.nodes.len();
         (compacted, dropped)
     }
 
-    /// [`compact`](Self::compact) over a borrowed children-first node
-    /// slice: the live subgraph under `root` is the only copy made, so
-    /// an in-crate compiler can keep (or hand on) the slice's owner.
-    pub(crate) fn compacted(arities: Vec<usize>, all: &[PcNode], root: NodeId) -> Circuit {
+    /// The live circuit under `root` of a shared children-first node
+    /// array. When every node is reachable — what a search that killed
+    /// no branch leaves behind — the circuit *is* that array, shared,
+    /// not copied; otherwise the live subgraph is the only copy made.
+    /// Either way the array's other owner (an in-crate compiler's
+    /// cache) keeps it.
+    pub(crate) fn live(arities: Vec<usize>, all: &Arc<Vec<PcNode>>, root: NodeId) -> Circuit {
         let mut reachable = vec![false; all.len()];
         reachable[root.index()] = true;
+        let mut live = 0;
         for i in (0..all.len()).rev() {
             if reachable[i] {
+                live += 1;
                 for c in all[i].children() {
                     reachable[c.index()] = true;
                 }
             }
         }
+        if live == all.len() {
+            // Children precede parents, so an all-live array ends at its root.
+            return Circuit { arities, nodes: Arc::clone(all), root };
+        }
         let mut remap: Vec<Option<NodeId>> = vec![None; all.len()];
-        let mut nodes: Vec<PcNode> = Vec::new();
+        let mut nodes: Vec<PcNode> = Vec::with_capacity(live);
         for (i, node) in all.iter().enumerate() {
             if !reachable[i] {
                 continue;
@@ -481,7 +496,7 @@ impl Circuit {
             nodes.push(node);
         }
         let root = remap[root.index()].expect("root is reachable");
-        Circuit { arities, nodes, root }
+        Circuit::from_parts(arities, nodes, root)
     }
 }
 

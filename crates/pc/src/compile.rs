@@ -13,17 +13,36 @@
 //!
 //! 1. **propagate** — unit propagation fixes every implied literal, so
 //!    implications become cheap weighted factors instead of trivial
-//!    decision sums;
+//!    decision sums; the factors are read off the trail in place;
 //! 2. **decompose** — the residual clause set splits into connected
 //!    components (clauses sharing no variable), compiled independently
-//!    and joined by a decomposable product;
+//!    and joined by a decomposable product. This is where a residual
+//!    clause's literals are scanned, once:
+//!    [`Propagator::residual_mask`] says whether the clause is satisfied
+//!    and, if not, which literal positions are unassigned, and the flood
+//!    fill and steps 3–4 iterate that mask. A component is two ranges —
+//!    clause ids and variables — on stacks the whole search shares,
+//!    flood-filled straight onto the stack tops and truncated when the
+//!    search node returns; no search node owns a `Vec`;
 //! 3. **decide** — a branching variable is chosen *dynamically* per
 //!    component (most residual occurrences by default; see [`VarOrder`]
 //!    for the external-score hook used by learned proxies);
-//! 4. **cache** — components are memoized under hashed fingerprints of
-//!    `(clause id, surviving-literal mask)` pairs over the shared pool,
-//!    so a cache probe is linear in the component and never sorts or
-//!    clones the residual clauses.
+//! 4. **cache** — components are memoized under hashed fingerprints
+//!    whose words are `(clause id << 32) | surviving-literal mask` over
+//!    the shared pool, so a cache probe is linear in the component and
+//!    never sorts or clones the residual clauses. A fingerprint is built
+//!    in a scratch buffer and probed by slice; only a miss allocates the
+//!    key, once, shared by the in-compile and the cross-query cache.
+//!
+//! A formula with a clause wider than 32 literals cannot use masks; it
+//! keeps a literal-scanning path for steps 2–4 (and tagged literal codes
+//! in its fingerprints), chosen once per compile from the formula.
+//!
+//! What a search node allocates is therefore what the nodes it emits
+//! own, plus one key per cache miss; and the finished node vector is
+//! handed on, not copied: [`Circuit`] holds its nodes behind an `Arc`,
+//! and when the search left no dead node the returned circuit *is* the
+//! array an attached [`PersistentComponentCache`] adopts.
 //!
 //! The PR-3-era static-order Shannon expansion survives as
 //! [`compile_cnf_shannon`]: it is the baseline the `reason-eval compile`
@@ -227,6 +246,7 @@ pub fn compile_cnf_with(
     let num_vars = cnf.num_vars();
     let pool = ClausePool::new(cnf);
     let num_clauses = pool.num_clauses();
+    let narrow = (0..num_clauses as u32).all(|c| pool.clause(c).len() <= 32);
     let persist_depth = persistent.as_ref().map_or(0, |p| p.persist_depth);
     let mut compiler = TopDown {
         pool,
@@ -243,6 +263,13 @@ pub fn compile_cnf_with(
         indicator_memo: vec![[None; 2]; num_vars],
         free_memo: vec![None; num_vars],
         implied_memo: vec![[None; 2]; num_vars],
+        clause_stack: (0..num_clauses as u32).collect(),
+        var_stack: (0..num_vars).map(Var::new).collect(),
+        spans: Vec::new(),
+        factors: Vec::new(),
+        narrow,
+        masks: vec![0; num_clauses],
+        key: Vec::new(),
         clause_active: vec![0; num_clauses],
         clause_taken: vec![0; num_clauses],
         var_stamp: vec![0; num_vars],
@@ -258,18 +285,21 @@ pub fn compile_cnf_with(
     let root = compiler.compile_top();
     let phases = (compiler.phase_prop_s, compiler.phase_split_s, compiler.phase_probe_s);
     let TopDown { builder, persistent, persisted, mut stats, .. } = compiler;
-    let (arities, nodes) = builder.into_parts();
+    let (arities, mut nodes) = builder.into_parts();
     stats.built_nodes = nodes.len();
+    // The search's own vector, dead branches and all, becomes the one
+    // array the circuit and every component persisted by this
+    // compilation point into; held for as long as either is.
+    nodes.shrink_to_fit();
+    let nodes = Arc::new(nodes);
     // Branches killed by a sibling conflict leave unreachable nodes
-    // behind; compact to the live circuit.
-    let circuit = root.map(|root| Circuit::compacted(arities, &nodes, root));
+    // behind; only then is the circuit a compacted copy.
+    let circuit = root.map(|root| Circuit::live(arities, &nodes, root));
     if let Some(circuit) = &circuit {
         debug_assert!(circuit.validate().is_ok(), "compiler emits valid circuits");
         stats.nodes = circuit.num_nodes();
         stats.edges = circuit.num_edges();
     }
-    // The search's own vector, dead branches and all, becomes the one
-    // array every component persisted by this compilation points into.
     if let Some(cache) = persistent {
         cache.adopt(nodes, persisted);
         if let Some(tel) = telemetry {
@@ -319,13 +349,18 @@ fn record_compile_telemetry(
     }
 }
 
-/// A satisfiable connected component: `clauses` are pool ids of
-/// currently-unsatisfied clauses, `vars` exactly the unassigned
-/// variables they mention (both sorted). The compiled node's scope is
-/// exactly `vars`.
-struct Component {
-    clauses: Vec<u32>,
-    vars: Vec<Var>,
+/// A residual sub-formula as two ranges on [`TopDown`]'s stacks:
+/// `clause_stack[clause_lo..clause_hi]` are pool ids and
+/// `var_stack[var_lo..var_hi]` variables. For a connected component the
+/// clauses are exactly its currently-unsatisfied ones and the variables
+/// exactly the unassigned ones they mention (both ranges sorted), so
+/// the compiled node's scope is exactly that variable range.
+#[derive(Clone, Copy)]
+struct Span {
+    clause_lo: usize,
+    clause_hi: usize,
+    var_lo: usize,
+    var_hi: usize,
 }
 
 /// Marker bit distinguishing wide-clause fingerprint entries from the
@@ -336,11 +371,17 @@ const WIDE_ENTRY: u64 = 1 << 63;
 /// clear on the leading clause-id entry.
 const WIDE_LIT: u64 = 1 << 62;
 
+/// A component fingerprint in owned form: allocated once, on a cache
+/// miss, and shared between the in-compile and the cross-query cache.
+type Key = Arc<[u64]>;
+
 /// One compilation's node array, shared by every component that
 /// compilation persisted, with its estimated heap footprint.
 #[derive(Debug)]
 struct SharedNodes {
-    nodes: Vec<PcNode>,
+    /// Also the node array of the compilation's own [`Circuit`] when
+    /// its search left no dead node.
+    nodes: Arc<Vec<PcNode>>,
     bytes: usize,
 }
 
@@ -379,12 +420,14 @@ impl PersistentCacheStats {
 /// [`invalidate_clauses_from`](Self::invalidate_clauses_from) when a
 /// retraction shifts ids.
 ///
-/// Every compiled node is stored once. A compilation hands its whole
-/// node vector over when it finishes, and each component it persisted
-/// is a root id into that one shared array (or a cached UNSAT verdict);
-/// a later hit walks from the root and splices what it reaches into the
-/// new compilation's builder, log-weights preserved bit-for-bit. An
-/// array lives exactly as long as some entry points into it, so a cache
+/// Every compiled node is stored once. A compilation shares its whole
+/// node array with the cache when it finishes — the same array its own
+/// [`Circuit`] reads, unless the search left dead nodes and the circuit
+/// had to be a compacted copy — and each component it persisted is a
+/// root id into that one array (or a cached UNSAT verdict); a later hit
+/// walks from the root and splices what it reaches into the new
+/// compilation's builder, log-weights preserved bit-for-bit. The cache
+/// holds an array exactly as long as some entry points into it, so it
 /// holds at most the nodes of the compilations it still references.
 ///
 /// Only components discovered within `persist_depth` decisions of the
@@ -397,7 +440,7 @@ impl PersistentCacheStats {
 /// probabilities, so [`compile_cnf_with`] panics on a mismatch.
 #[derive(Debug, Clone)]
 pub struct PersistentComponentCache {
-    entries: HashMap<Vec<u64>, Option<(Arc<SharedNodes>, NodeId)>>,
+    entries: HashMap<Key, Option<(Arc<SharedNodes>, NodeId)>>,
     persist_depth: u32,
     weights_sig: Option<Vec<u64>>,
     stats: PersistentCacheStats,
@@ -512,11 +555,10 @@ impl PersistentComponentCache {
         hit
     }
 
-    /// Takes over a finished compilation's node vector and points every
-    /// component it persisted (`None` = UNSAT verdict) into it.
-    fn adopt(&mut self, mut nodes: Vec<PcNode>, persisted: Vec<(Vec<u64>, Option<NodeId>)>) {
+    /// Takes a share of a finished compilation's node array and points
+    /// every component it persisted (`None` = UNSAT verdict) into it.
+    fn adopt(&mut self, nodes: Arc<Vec<PcNode>>, persisted: Vec<(Key, Option<NodeId>)>) {
         self.stats.stores += persisted.len() as u64;
-        nodes.shrink_to_fit(); // held for as long as the entries are
         let edges: usize = nodes.iter().map(|n| n.children().len()).sum();
         let bytes = nodes.len() * std::mem::size_of::<PcNode>()
             + edges * (std::mem::size_of::<NodeId>() + 8);
@@ -538,6 +580,23 @@ fn key_mentions_clause_from(key: &[u64], first: u32) -> bool {
     })
 }
 
+/// The unassigned literals of residual clause `c`: the set bits of the
+/// mask its decomposition recorded, or — in a formula too wide for
+/// masks — a scan against the assignment.
+fn residual_lits<'a>(
+    pool: &'a ClausePool,
+    prop: &'a Propagator,
+    narrow: bool,
+    masks: &[u32],
+    c: u32,
+) -> impl Iterator<Item = Lit> + 'a {
+    let mask = masks[c as usize];
+    pool.clause(c).iter().enumerate().filter_map(move |(i, &l)| {
+        let residual = if narrow { mask >> i & 1 == 1 } else { !prop.is_assigned(l.var()) };
+        residual.then_some(l)
+    })
+}
+
 struct TopDown<'a> {
     pool: ClausePool,
     prop: Propagator,
@@ -545,15 +604,16 @@ struct TopDown<'a> {
     weights: &'a WmcWeights,
     order: &'a VarOrder,
     /// Component cache: fingerprint of the residual clause set → the
-    /// compiled node (`None` caches UNSAT components too).
-    cache: HashMap<Vec<u64>, Option<NodeId>>,
+    /// compiled node (`None` caches UNSAT components too). A key is
+    /// allocated once, on a miss, and shared with `persisted`.
+    cache: HashMap<Key, Option<NodeId>>,
     /// Cross-query component cache (see [`PersistentComponentCache`]),
     /// probed on in-compile misses up to `persist_depth` decisions from
     /// the root; the components compiled there are noted in `persisted`
-    /// and handed over with the node vector when the search ends.
+    /// and handed over with the node array when the search ends.
     persistent: Option<&'a mut PersistentComponentCache>,
     persist_depth: u32,
-    persisted: Vec<(Vec<u64>, Option<NodeId>)>,
+    persisted: Vec<(Key, Option<NodeId>)>,
     /// Per cached array (by address; the cache keeps it alive), the
     /// builder id each of its nodes was spliced to, so hits whose
     /// subgraphs overlap share nodes.
@@ -565,6 +625,30 @@ struct TopDown<'a> {
     indicator_memo: Vec<[Option<NodeId>; 2]>,
     free_memo: Vec<Option<NodeId>>,
     implied_memo: Vec<[Option<NodeId>; 2]>,
+    /// The search's working set, as stacks that grow with the recursion
+    /// and are truncated on the way out — no search node owns a `Vec`.
+    /// `clause_stack` and `var_stack` start as the whole formula; each
+    /// decomposition appends its components' clause ids and variables
+    /// (the variable stack's tail doubles as the flood fill's queue) and
+    /// one [`Span`] per component to `spans`.
+    clause_stack: Vec<u32>,
+    var_stack: Vec<Var>,
+    spans: Vec<Span>,
+    /// Factors of the products under construction; a finished product
+    /// takes its children as the tail of this stack.
+    factors: Vec<NodeId>,
+    /// No clause is wider than 32 literals, so residual clauses are read
+    /// through `masks` (an input property, fixed for the compile).
+    narrow: bool,
+    /// Per clause, the bitmask of its unassigned literal positions as of
+    /// the decomposition that last found it unsatisfied. The assignment
+    /// does not change between that decomposition and the fingerprint /
+    /// branching choice of each component it found (sibling branches
+    /// undo to their mark and touch only their own clauses), so flood
+    /// fill, fingerprint and occurrence count all read the one scan.
+    masks: Vec<u32>,
+    /// Scratch for the fingerprint being probed.
+    key: Vec<u64>,
     /// Stamped scratch marks for component decomposition (no clearing
     /// between calls; a fresh stamp invalidates old marks).
     clause_active: Vec<u64>,
@@ -601,67 +685,105 @@ impl TopDown<'_> {
     /// as free leaves + independent components. Returns the root node,
     /// or `None` when the formula is unsatisfiable.
     fn compile_top(&mut self) -> Option<NodeId> {
-        let all_clauses: Vec<u32> = (0..self.pool.num_clauses() as u32).collect();
-        let all_vars: Vec<Var> = (0..self.pool.num_vars()).map(Var::new).collect();
         let t0 = self.phase_start();
-        let ok = self.prop.propagate(&self.pool, &all_clauses);
+        let ok = self.prop.propagate(&self.pool, &self.clause_stack);
         self.phase_prop_s += self.phase_elapsed(t0);
         if !ok {
             return None;
         }
-        self.stats.propagations += self.prop.trail().len() as u64;
-        let implied: Vec<Lit> = self.prop.trail().to_vec();
-        if implied.iter().any(|&l| self.weights.lit_prob(l) <= 0.0) {
-            return None; // an implied literal with zero mass: Pr[φ] = 0
-        }
-        let mut parts: Vec<NodeId> = Vec::new();
-        for &l in &implied {
-            let factor = self.implied_factor(l);
-            parts.push(factor);
-        }
-        let rest = self.compile_residual(&all_clauses, &all_vars)?;
-        parts.extend(rest);
-        Some(match parts.len() {
-            1 => parts[0],
-            _ => self.builder.product(parts),
-        })
+        let whole = Span {
+            clause_lo: 0,
+            clause_hi: self.clause_stack.len(),
+            var_lo: 0,
+            var_hi: self.var_stack.len(),
+        };
+        self.product_over(None, 0, whole)
     }
 
-    /// Compiles the unsatisfied part of `clause_ids` over the
-    /// still-unassigned subset of `vars`: one free Bernoulli leaf per
-    /// unconstrained variable plus one cached node per connected
-    /// component. The returned factors have pairwise-disjoint scopes
-    /// whose union is exactly the unassigned subset of `vars`; `None`
-    /// means some component is unsatisfiable.
-    fn compile_residual(&mut self, clause_ids: &[u32], vars: &[Var]) -> Option<Vec<NodeId>> {
-        let (free, comps) = self.split_components(clause_ids, vars);
-        let mut parts: Vec<NodeId> = Vec::with_capacity(free.len() + comps.len());
-        for v in free {
-            let leaf = self.free_leaf(v);
-            parts.push(leaf);
+    /// The product of `decision`'s indicator (a branch has one, the top
+    /// level none), the weighted factors of the implied literals
+    /// `trail[implied_from..]`, and the compiled residual of `span`; a
+    /// lone factor is returned as itself. `None` when an implied
+    /// literal has zero mass or the residual is unsatisfiable.
+    fn product_over(
+        &mut self,
+        decision: Option<Lit>,
+        implied_from: usize,
+        span: Span,
+    ) -> Option<NodeId> {
+        let implied_to = self.prop.trail().len();
+        self.stats.propagations += (implied_to - implied_from) as u64;
+        if self.prop.trail()[implied_from..].iter().any(|&l| self.weights.lit_prob(l) <= 0.0) {
+            return None; // an implied literal with zero mass: Pr = 0
         }
-        for comp in &comps {
-            parts.push(self.compile_component(comp)?);
+        let base = self.factors.len();
+        if let Some(lit) = decision {
+            let indicator = self.indicator_leaf(lit.var(), !lit.is_neg());
+            self.factors.push(indicator);
         }
-        Some(parts)
+        // The trail is read in place: the residual search below grows
+        // it only above `implied_to`, and undoes what it grew.
+        for i in implied_from..implied_to {
+            let factor = self.implied_factor(self.prop.trail()[i]);
+            self.factors.push(factor);
+        }
+        let node = self.compile_residual(span).then(|| match self.factors.len() - base {
+            1 => self.factors[base],
+            _ => self.builder.product(self.factors[base..].to_vec()),
+        });
+        self.factors.truncate(base);
+        node
     }
 
-    /// Decomposition step: partitions the unsatisfied clauses of
-    /// `clause_ids` into variable-connected components, and the
-    /// unassigned `vars` into component members vs. free variables.
-    fn split_components(&mut self, clause_ids: &[u32], vars: &[Var]) -> (Vec<Var>, Vec<Component>) {
+    /// Compiles the unsatisfied part of `span`'s clauses over the
+    /// still-unassigned subset of its variables, pushing one free
+    /// Bernoulli leaf per unconstrained variable and then one cached
+    /// node per connected component onto `factors`. The pushed factors
+    /// have pairwise-disjoint scopes whose union is exactly that
+    /// unassigned subset; `false` means some component is unsatisfiable
+    /// (the caller drops what was pushed).
+    fn compile_residual(&mut self, span: Span) -> bool {
+        let (clauses, vars, spans) =
+            (self.clause_stack.len(), self.var_stack.len(), self.spans.len());
+        self.split_components(span);
+        let mut sat = true;
+        for i in spans..self.spans.len() {
+            match self.compile_component(self.spans[i]) {
+                Some(node) => self.factors.push(node),
+                None => {
+                    sat = false;
+                    break;
+                }
+            }
+        }
+        self.clause_stack.truncate(clauses);
+        self.var_stack.truncate(vars);
+        self.spans.truncate(spans);
+        sat
+    }
+
+    /// Decomposition step: partitions the unsatisfied clauses of `span`
+    /// into variable-connected components, each flood-filled straight
+    /// onto the stack tops and recorded in `spans`, and pushes the free
+    /// leaf of every unassigned variable no such clause mentions. This
+    /// is where each residual clause's literals are scanned, once.
+    fn split_components(&mut self, span: Span) {
         let t0 = self.phase_start();
         self.stamp += 1;
         let stamp = self.stamp;
-        for &c in clause_ids {
-            if !self.prop.clause_satisfied(&self.pool, c) {
+        for i in span.clause_lo..span.clause_hi {
+            let c = self.clause_stack[i];
+            if self.narrow {
+                if let Some(mask) = self.prop.residual_mask(&self.pool, c) {
+                    self.clause_active[c as usize] = stamp;
+                    self.masks[c as usize] = mask;
+                }
+            } else if !self.prop.clause_satisfied(&self.pool, c) {
                 self.clause_active[c as usize] = stamp;
             }
         }
-        let mut free: Vec<Var> = Vec::new();
-        let mut comps: Vec<Component> = Vec::new();
-        let mut queue: Vec<Var> = Vec::new();
-        for &v in vars {
+        for i in span.var_lo..span.var_hi {
+            let v = self.var_stack[i];
             if self.prop.is_assigned(v) || self.var_stamp[v.index()] == stamp {
                 continue;
             }
@@ -669,14 +791,18 @@ impl TopDown<'_> {
                 self.pool.occurrences(v).iter().any(|&c| self.clause_active[c as usize] == stamp);
             self.var_stamp[v.index()] = stamp;
             if !touches {
-                free.push(v);
+                let leaf = self.free_leaf(v);
+                self.factors.push(leaf);
                 continue;
             }
-            // Flood-fill the component containing `v`.
-            let mut comp = Component { clauses: Vec::new(), vars: vec![v] };
-            queue.clear();
-            queue.push(v);
-            while let Some(u) = queue.pop() {
+            // Flood-fill the component containing `v`; the variables
+            // pushed so far are the queue.
+            let (clause_lo, var_lo) = (self.clause_stack.len(), self.var_stack.len());
+            self.var_stack.push(v);
+            let mut head = var_lo;
+            while head < self.var_stack.len() {
+                let u = self.var_stack[head];
+                head += 1;
                 for &c in self.pool.occurrences(u) {
                     if self.clause_active[c as usize] != stamp
                         || self.clause_taken[c as usize] == stamp
@@ -684,42 +810,48 @@ impl TopDown<'_> {
                         continue;
                     }
                     self.clause_taken[c as usize] = stamp;
-                    comp.clauses.push(c);
-                    for &l in self.pool.clause(c) {
+                    self.clause_stack.push(c);
+                    for l in residual_lits(&self.pool, &self.prop, self.narrow, &self.masks, c) {
                         let w = l.var();
-                        if !self.prop.is_assigned(w) && self.var_stamp[w.index()] != stamp {
+                        if self.var_stamp[w.index()] != stamp {
                             self.var_stamp[w.index()] = stamp;
-                            comp.vars.push(w);
-                            queue.push(w);
+                            self.var_stack.push(w);
                         }
                     }
                 }
             }
-            comp.clauses.sort_unstable();
-            comp.vars.sort_unstable();
+            self.clause_stack[clause_lo..].sort_unstable();
+            self.var_stack[var_lo..].sort_unstable();
             self.stats.components += 1;
-            comps.push(comp);
+            self.spans.push(Span {
+                clause_lo,
+                clause_hi: self.clause_stack.len(),
+                var_lo,
+                var_hi: self.var_stack.len(),
+            });
         }
         self.phase_split_s += self.phase_elapsed(t0);
-        (free, comps)
     }
 
     /// Decide + cache: compiles one component through its branching
     /// variable, memoized by residual-clause fingerprint — first in the
     /// in-compile cache, then (within the persistence depth) in the
-    /// cross-query cache.
-    fn compile_component(&mut self, comp: &Component) -> Option<NodeId> {
+    /// cross-query cache. Both are probed with the scratch fingerprint;
+    /// only a miss allocates the owned key.
+    fn compile_component(&mut self, comp: Span) -> Option<NodeId> {
         let t0 = self.phase_start();
-        let key = self.component_key(comp);
-        if let Some(&hit) = self.cache.get(&key) {
+        self.component_key(comp);
+        if let Some(&hit) = self.cache.get(self.key.as_slice()) {
             self.stats.cache_hits += 1;
             self.phase_probe_s += self.phase_elapsed(t0);
             return hit;
         }
         let persist = self.persistent.is_some() && self.depth <= self.persist_depth;
         let cached =
-            if persist { self.persistent.as_mut().and_then(|p| p.probe(&key)) } else { None };
+            if persist { self.persistent.as_mut().and_then(|p| p.probe(&self.key)) } else { None };
         self.phase_probe_s += self.phase_elapsed(t0);
+        // Owned before the search below reuses the scratch.
+        let key: Key = Arc::from(self.key.as_slice());
         if let Some(component) = cached {
             self.stats.persistent_hits += 1;
             let node = component.map(|(array, root)| self.splice(&array, root));
@@ -730,31 +862,34 @@ impl TopDown<'_> {
         self.stats.decisions += 1;
         let v = self.pick_var(comp);
         let p = self.weights.prob(v.index());
-        let mut children: Vec<NodeId> = Vec::with_capacity(2);
-        let mut ws: Vec<f64> = Vec::with_capacity(2);
+        let mut children = [NodeId(0); 2];
+        let mut log_weights = [0.0; 2];
+        let mut live = 0;
         self.depth += 1;
         for (value, w) in [(true, p), (false, 1.0 - p)] {
             if w <= 0.0 {
                 continue; // zero-mass polarity: mirror of an UNSAT branch
             }
             if let Some(node) = self.compile_branch(comp, v, value) {
-                children.push(node);
-                ws.push(w);
+                children[live] = node;
+                log_weights[live] = w.ln();
+                live += 1;
             }
         }
         self.depth -= 1;
-        let result = if children.is_empty() {
-            None
-        } else {
-            // WMC semantics keeps the *sub*-normalized weights: mass of
-            // an unsatisfiable branch is simply lost, so the root value
-            // is exactly Pr[φ]. `Circuit::validate` admits sums whose
-            // weights total at most 1.
-            Some(self.builder.sum(children, ws))
-        };
+        // WMC semantics keeps the *sub*-normalized weights: mass of an
+        // unsatisfiable branch is simply lost, so the root value is
+        // exactly Pr[φ]. `Circuit::validate` admits sums whose weights
+        // total at most 1.
+        let result = (live > 0).then(|| {
+            self.builder.push_raw(PcNode::Sum {
+                children: children[..live].to_vec(),
+                log_weights: log_weights[..live].to_vec(),
+            })
+        });
         if persist {
             self.stats.persistent_stores += 1;
-            self.persisted.push((key.clone(), result));
+            self.persisted.push((Arc::clone(&key), result));
         }
         self.cache.insert(key, result);
         result
@@ -800,47 +935,34 @@ impl TopDown<'_> {
     /// One decision branch: assume `v = value`, propagate within the
     /// component, and join the decision indicator, the implied-literal
     /// factors, and the recursively-compiled residual into a product
-    /// with scope exactly `comp.vars`.
-    fn compile_branch(&mut self, comp: &Component, v: Var, value: bool) -> Option<NodeId> {
+    /// with scope exactly the component's variables.
+    fn compile_branch(&mut self, comp: Span, v: Var, value: bool) -> Option<NodeId> {
         let mark = self.prop.mark();
-        self.prop.assume(if value { v.pos() } else { v.neg() });
-        let result = 'branch: {
-            let t0 = self.phase_start();
-            let ok = self.prop.propagate(&self.pool, &comp.clauses);
-            self.phase_prop_s += self.phase_elapsed(t0);
-            if !ok {
-                break 'branch None;
-            }
-            let implied: Vec<Lit> = self.prop.trail()[mark + 1..].to_vec();
-            self.stats.propagations += implied.len() as u64;
-            if implied.iter().any(|&l| self.weights.lit_prob(l) <= 0.0) {
-                break 'branch None; // implied literal with zero mass
-            }
-            let mut parts: Vec<NodeId> = Vec::with_capacity(2 + implied.len());
-            let decision = self.indicator_leaf(v, value);
-            parts.push(decision);
-            for &l in &implied {
-                let factor = self.implied_factor(l);
-                parts.push(factor);
-            }
-            let Some(rest) = self.compile_residual(&comp.clauses, &comp.vars) else {
-                break 'branch None;
-            };
-            parts.extend(rest);
-            Some(if parts.len() == 1 { parts[0] } else { self.builder.product(parts) })
-        };
+        let decision = if value { v.pos() } else { v.neg() };
+        self.prop.assume(decision);
+        let t0 = self.phase_start();
+        let clauses = &self.clause_stack[comp.clause_lo..comp.clause_hi];
+        let ok = self.prop.propagate(&self.pool, clauses);
+        self.phase_prop_s += self.phase_elapsed(t0);
+        let result = if ok { self.product_over(Some(decision), mark + 1, comp) } else { None };
         self.prop.undo_to(mark);
         result
     }
 
     /// Fingerprint of a component's residual clause set over the shared
-    /// pool: per clause, the pool id packed with the bitmask of its
-    /// surviving (unassigned) literal positions — O(component) to
-    /// build, no sorting, no cloning of literal vectors. Clauses wider
-    /// than 32 literals fall back to explicit tagged literal codes.
-    fn component_key(&self, comp: &Component) -> Vec<u64> {
-        let mut key: Vec<u64> = Vec::with_capacity(comp.clauses.len());
-        for &c in &comp.clauses {
+    /// pool, left in `self.key`: per clause, the pool id packed with the
+    /// bitmask of its surviving (unassigned) literal positions —
+    /// O(component) to build, no sorting, no cloning of literal
+    /// vectors. In a formula with a clause wider than 32 literals the
+    /// masks are rebuilt from the assignment, and the wide clauses
+    /// themselves fall back to explicit tagged literal codes.
+    fn component_key(&mut self, comp: Span) {
+        self.key.clear();
+        for &c in &self.clause_stack[comp.clause_lo..comp.clause_hi] {
+            if self.narrow {
+                self.key.push((u64::from(c) << 32) | u64::from(self.masks[c as usize]));
+                continue;
+            }
             let lits = self.pool.clause(c);
             if lits.len() <= 32 {
                 let mut mask = 0u64;
@@ -849,48 +971,43 @@ impl TopDown<'_> {
                         mask |= 1 << i;
                     }
                 }
-                key.push((u64::from(c) << 32) | mask);
+                self.key.push((u64::from(c) << 32) | mask);
             } else {
-                key.push(WIDE_ENTRY | u64::from(c));
+                self.key.push(WIDE_ENTRY | u64::from(c));
                 for &l in lits {
                     if !self.prop.is_assigned(l.var()) {
-                        key.push(WIDE_ENTRY | WIDE_LIT | l.code() as u64);
+                        self.key.push(WIDE_ENTRY | WIDE_LIT | l.code() as u64);
                     }
                 }
             }
         }
-        key
     }
 
     /// The decide step's variable choice (see [`VarOrder`]).
-    fn pick_var(&mut self, comp: &Component) -> Var {
+    fn pick_var(&mut self, comp: Span) -> Var {
+        let vars = &self.var_stack[comp.var_lo..comp.var_hi];
         match self.order {
             VarOrder::MostOccurrences => {
-                for &c in &comp.clauses {
-                    for &l in self.pool.clause(c) {
-                        if !self.prop.is_assigned(l.var()) {
-                            self.occ_scratch[l.var().index()] += 1;
-                        }
+                for &c in &self.clause_stack[comp.clause_lo..comp.clause_hi] {
+                    for l in residual_lits(&self.pool, &self.prop, self.narrow, &self.masks, c) {
+                        self.occ_scratch[l.var().index()] += 1;
                     }
                 }
-                let mut best = comp.vars[0];
+                let mut best = vars[0];
                 let mut best_count = 0u32;
-                for &v in &comp.vars {
-                    let count = self.occ_scratch[v.index()];
+                for &v in vars {
+                    let count = std::mem::take(&mut self.occ_scratch[v.index()]);
                     if count > best_count {
                         best = v;
                         best_count = count;
                     }
                 }
-                for &v in &comp.vars {
-                    self.occ_scratch[v.index()] = 0;
-                }
                 best
             }
             VarOrder::Scored(scores) => {
-                let mut best = comp.vars[0];
+                let mut best = vars[0];
                 let mut best_score = f64::NEG_INFINITY;
-                for &v in &comp.vars {
+                for &v in vars {
                     let s = scores[v.index()];
                     if s > best_score {
                         best = v;
@@ -1567,11 +1684,56 @@ mod tests {
     }
 
     #[test]
+    fn a_search_that_killed_no_branch_shares_its_array_with_the_cache() {
+        let cnf = random_ksat(12, 32, 3, 5);
+        let w = WmcWeights::uniform(12);
+        let mut cache = PersistentComponentCache::new();
+        let (circuit, stats) = cached(&cnf, &w, &mut cache);
+        let circuit = circuit.unwrap();
+        assert_eq!(stats.built_nodes, stats.nodes, "pick a formula whose search kills no branch");
+        // One array, two owners: the circuit's nodes are the cache's.
+        let array = Arc::clone(&cache.arrays().next().unwrap().nodes);
+        assert!(std::ptr::eq(circuit.nodes(), array.as_slice()));
+        assert_eq!(Arc::strong_count(&array), 3, "cache + circuit + this handle");
+        assert_eq!(cache.retained_nodes(), circuit.num_nodes());
+        // A clone of the circuit is a share, and equal.
+        let twin = circuit.clone();
+        assert!(std::ptr::eq(twin.nodes(), circuit.nodes()));
+        assert_eq!(twin, circuit);
+        // The array outlives the cache for as long as a circuit reads it.
+        let weak = Arc::downgrade(&array);
+        drop((array, twin));
+        cache.clear();
+        assert!(weak.upgrade().is_some(), "the circuit still holds its nodes");
+        circuit.validate().unwrap();
+        drop(circuit);
+        assert!(weak.upgrade().is_none(), "last owner gone, yet the array is held");
+    }
+
+    #[test]
+    fn a_search_that_killed_a_branch_returns_a_compacted_copy() {
+        let cnf = random_ksat(18, 66, 3, 53);
+        let w = WmcWeights::uniform(18);
+        let mut cache = PersistentComponentCache::new();
+        let (circuit, stats) = cached(&cnf, &w, &mut cache);
+        let circuit = circuit.unwrap();
+        assert!(stats.nodes < stats.built_nodes, "pick a formula whose search kills a branch");
+        let array = Arc::clone(&cache.arrays().next().unwrap().nodes);
+        assert!(!std::ptr::eq(circuit.nodes(), array.as_slice()));
+        assert_eq!(Arc::strong_count(&array), 2, "cache + this handle: the circuit is a copy");
+        assert_eq!(circuit.num_nodes(), stats.nodes);
+        circuit.validate().unwrap();
+        // The cache keeps the search's whole vector, dead nodes included.
+        assert_eq!(cache.retained_nodes(), stats.built_nodes);
+        assert_eq!(circuit, compile_cnf(&cnf, &w).unwrap());
+    }
+
+    #[test]
     fn cache_reports_sizes_and_clears() {
         let cnf = random_ksat(9, 24, 3, 11);
         let w = WmcWeights::uniform(9);
         let mut cache = PersistentComponentCache::with_depth(2);
-        let (_, stats) = cached(&cnf, &w, &mut cache);
+        let (circuit, stats) = cached(&cnf, &w, &mut cache);
         assert!(!cache.is_empty());
         assert!(cache.stats().stores > 0);
         // Every entry points into the one array the compile handed over.
@@ -1580,10 +1742,14 @@ mod tests {
         let keys: usize = cache.entries.keys().map(|k| k.len() * 8).sum();
         assert!(cache.bytes() > keys);
         let array = Arc::downgrade(cache.arrays().next().unwrap());
+        let nodes = Arc::downgrade(&cache.arrays().next().unwrap().nodes);
+        // The circuit may share the node array, so it goes first.
+        drop(circuit);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!((cache.bytes(), cache.retained_nodes()), (0, 0));
         assert!(array.upgrade().is_none(), "clear() must release the array");
+        assert!(nodes.upgrade().is_none(), "clear() must release the nodes");
     }
 
     #[test]

@@ -12,6 +12,18 @@
 //! and shared, the propagator is a small trail that many nested
 //! queries can push onto and roll back.
 //!
+//! Propagation is round-based and dirty-filtered, with no watch lists:
+//! a round walks the caller's clause list in order and examines only
+//! the clauses one of whose variables changed value since they were
+//! last examined (a per-clause flag, set through the occurrence index
+//! on every assignment and un-assignment). The skipped examinations are
+//! exactly the ones that could not have found anything, so the trail —
+//! order included — is the one a full scan of every clause in every
+//! round builds; a `#[cfg(test)]` copy of that full scan is the oracle.
+//! Searches that fingerprint residual clauses read them through
+//! [`Propagator::residual_mask`]: one literal scan answers "satisfied?"
+//! and "which literals survive?" together.
+//!
 //! ```
 //! use reason_sat::{ClausePool, Cnf, Propagator, Var};
 //!
@@ -99,18 +111,38 @@ impl ClausePool {
 /// [`mark`](Self::mark) with [`undo_to`](Self::undo_to) — the
 /// backtracking discipline of a DPLL-style search, without the CDCL
 /// solver's clause-learning machinery.
+///
+/// A propagator remembers which clauses of *its* pool it has examined,
+/// so it must be used with one [`ClausePool`] for its whole life.
 #[derive(Debug, Clone)]
 pub struct Propagator {
     /// Per-variable value; `i8` keeps the hot array dense
     /// (`-1` unassigned, `0` false, `1` true).
     values: Vec<i8>,
     trail: Vec<Lit>,
+    /// Per-clause: some variable of the clause changed value since
+    /// [`propagate`](Self::propagate) last examined it (or it never
+    /// was). Sized on first use — `new` sees no pool — and born set.
+    dirty: Vec<bool>,
+    /// Trail literals below this index have had their occurrences
+    /// marked dirty.
+    cursor: usize,
+    /// Variables [`undo_to`](Self::undo_to) unassigned after their
+    /// assignment had been marked; their occurrences are re-marked by
+    /// the next `propagate`, because `undo_to` has no pool to mark with.
+    unassigned: Vec<Var>,
 }
 
 impl Propagator {
     /// An empty assignment over `num_vars` variables.
     pub fn new(num_vars: usize) -> Self {
-        Propagator { values: vec![-1; num_vars], trail: Vec::new() }
+        Propagator {
+            values: vec![-1; num_vars],
+            trail: Vec::new(),
+            dirty: Vec::new(),
+            cursor: 0,
+            unassigned: Vec::new(),
+        }
     }
 
     /// The current value of `var`, if assigned.
@@ -168,6 +200,10 @@ impl Propagator {
     /// Panics if `mark` exceeds the current trail length.
     pub fn undo_to(&mut self, mark: usize) {
         assert!(mark <= self.trail.len(), "mark {mark} beyond trail");
+        if mark < self.cursor {
+            self.unassigned.extend(self.trail[mark..self.cursor].iter().map(|l| l.var()));
+            self.cursor = mark;
+        }
         for lit in self.trail.drain(mark..) {
             self.values[lit.var().index()] = -1;
         }
@@ -177,6 +213,36 @@ impl Propagator {
     /// current assignment.
     pub fn clause_satisfied(&self, pool: &ClausePool, id: u32) -> bool {
         pool.clause(id).iter().any(|&l| self.lit_value(l) == Some(true))
+    }
+
+    /// One scan of clause `id` answering both questions a residual
+    /// fingerprint asks: `None` when some literal is true (the clause
+    /// is satisfied), else the bitmask of its unassigned literal
+    /// positions (bit `i` set = literal `i` survives; `Some(0)` is a
+    /// falsified clause).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clause has more than 32 literals.
+    pub fn residual_mask(&self, pool: &ClausePool, id: u32) -> Option<u32> {
+        let lits = pool.clause(id);
+        assert!(lits.len() <= 32, "clause {id} is wider than a residual mask");
+        let mut mask = 0u32;
+        for (i, &l) in lits.iter().enumerate() {
+            match self.lit_value(l) {
+                Some(true) => return None,
+                Some(false) => {}
+                None => mask |= 1 << i,
+            }
+        }
+        Some(mask)
+    }
+
+    /// Flags every clause mentioning `var` for re-examination.
+    fn mark_occurrences(dirty: &mut [bool], pool: &ClausePool, var: Var) {
+        for &c in pool.occurrences(var) {
+            dirty[c as usize] = true;
+        }
     }
 
     /// Unit-propagates to fixpoint over the clauses named by
@@ -189,19 +255,42 @@ impl Propagator {
     /// never examined, so disjoint subproblems can share one
     /// propagator.
     ///
-    /// Propagation is round-based (no watch lists): each round scans
-    /// the clause list once and rounds repeat until no new literal is
-    /// implied — linear-per-round, which is the right trade for the
-    /// small residual components this type exists to serve. A clause
-    /// whose only unassigned literals are duplicates of one another is
-    /// treated as having two free slots (not propagated); duplicate
-    /// literals cost completeness of *propagation* only, never
-    /// soundness of the search that hosts it.
+    /// Propagation is round-based, dirty-filtered; no watch lists: each
+    /// round walks the clause list once, in order, examining the
+    /// clauses one of whose variables was assigned or unassigned since
+    /// they were last examined, and rounds repeat until no new literal
+    /// is implied. A clause none of whose variables changed has the
+    /// verdict it had, and the only verdicts that leave a clause
+    /// unflagged are the ones that do nothing (satisfied, or two free
+    /// literals), so the skipped examinations are exactly the no-ops of
+    /// a full scan: a clause later in a round still sees a unit found
+    /// earlier in it, and the trail comes out in the same order — for
+    /// any interleaving of `assume`, `propagate` and `undo_to`, over
+    /// any clause subsets. That order is kept because searches hosted
+    /// here (the knowledge compiler) emit their implied literals in
+    /// trail order; watch lists would visit clauses in another.
+    ///
+    /// A clause whose only unassigned literals are duplicates of one
+    /// another is treated as having two free slots (not propagated);
+    /// duplicate literals cost completeness of *propagation* only,
+    /// never soundness of the search that hosts it.
     #[must_use = "a false return is a conflict the caller must unwind"]
     pub fn propagate(&mut self, pool: &ClausePool, clause_ids: &[u32]) -> bool {
+        if self.dirty.len() < pool.num_clauses() {
+            self.dirty.resize(pool.num_clauses(), true);
+        }
+        for var in self.unassigned.drain(..) {
+            Self::mark_occurrences(&mut self.dirty, pool, var);
+        }
+        for &lit in &self.trail[self.cursor..] {
+            Self::mark_occurrences(&mut self.dirty, pool, lit.var());
+        }
         loop {
             let mut progressed = false;
             for &c in clause_ids {
+                if !std::mem::take(&mut self.dirty[c as usize]) {
+                    continue;
+                }
                 let mut satisfied = false;
                 let mut unassigned = 0usize;
                 let mut unit = None;
@@ -225,14 +314,22 @@ impl Propagator {
                     continue;
                 }
                 match unit {
-                    None => return false, // every literal false
+                    None => {
+                        // Every literal false. The conflict stands until
+                        // a variable changes, so the clause stays flagged.
+                        self.dirty[c as usize] = true;
+                        self.cursor = self.trail.len();
+                        return false;
+                    }
                     Some(l) => {
                         self.assume(l);
+                        Self::mark_occurrences(&mut self.dirty, pool, l.var());
                         progressed = true;
                     }
                 }
             }
             if !progressed {
+                self.cursor = self.trail.len();
                 return true;
             }
         }
@@ -242,9 +339,203 @@ impl Propagator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn all_ids(pool: &ClausePool) -> Vec<u32> {
         (0..pool.num_clauses() as u32).collect()
+    }
+
+    /// The propagation loop [`Propagator::propagate`] replaced, kept as
+    /// its oracle: every round examines every clause of `clause_ids`.
+    fn propagate_full_scan(prop: &mut Propagator, pool: &ClausePool, clause_ids: &[u32]) -> bool {
+        loop {
+            let mut progressed = false;
+            for &c in clause_ids {
+                let mut satisfied = false;
+                let mut unassigned = 0usize;
+                let mut unit = None;
+                for &l in pool.clause(c) {
+                    match prop.lit_value(l) {
+                        Some(true) => {
+                            satisfied = true;
+                            break;
+                        }
+                        Some(false) => {}
+                        None => {
+                            unassigned += 1;
+                            if unassigned > 1 {
+                                break;
+                            }
+                            unit = Some(l);
+                        }
+                    }
+                }
+                if satisfied || unassigned > 1 {
+                    continue;
+                }
+                match unit {
+                    None => return false, // every literal false
+                    Some(l) => {
+                        prop.assume(l);
+                        progressed = true;
+                    }
+                }
+            }
+            if !progressed {
+                return true;
+            }
+        }
+    }
+
+    /// A dirty-filtered propagator and a full-scan one driven in
+    /// lockstep; every step asserts the same verdict and the same trail.
+    struct Lockstep {
+        pool: ClausePool,
+        fast: Propagator,
+        oracle: Propagator,
+    }
+
+    impl Lockstep {
+        fn new(num_vars: usize, clauses: Vec<Vec<i32>>) -> Self {
+            let pool = ClausePool::new(&Cnf::from_clauses(num_vars, clauses));
+            Lockstep { pool, fast: Propagator::new(num_vars), oracle: Propagator::new(num_vars) }
+        }
+
+        fn assume(&mut self, dimacs: i32) {
+            self.fast.assume(Lit::from_dimacs(dimacs));
+            self.oracle.assume(Lit::from_dimacs(dimacs));
+        }
+
+        fn undo_to(&mut self, mark: usize) {
+            self.fast.undo_to(mark);
+            self.oracle.undo_to(mark);
+            assert_eq!(self.fast.trail(), self.oracle.trail());
+        }
+
+        fn propagate(&mut self, ids: &[u32]) -> bool {
+            let ok = self.fast.propagate(&self.pool, ids);
+            assert_eq!(ok, propagate_full_scan(&mut self.oracle, &self.pool, ids), "verdict");
+            assert_eq!(self.fast.trail(), self.oracle.trail(), "trail, order included");
+            ok
+        }
+    }
+
+    #[test]
+    fn random_programs_build_the_full_scan_trail() {
+        for case in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(0x9e37_79b9 ^ case);
+            let num_vars = rng.gen_range(1..=10usize);
+            let num_clauses = rng.gen_range(0..=24usize);
+            // Widths 0..=4 with repetition: empty and unit clauses,
+            // duplicate and tautological literals all occur.
+            let clauses: Vec<Vec<i32>> = (0..num_clauses)
+                .map(|_| {
+                    let width = [0, 1, 1, 2, 2, 2, 3, 3, 3, 4][rng.gen_range(0..10usize)];
+                    (0..width)
+                        .map(|_| {
+                            let v = rng.gen_range(1..=num_vars as i32);
+                            if rng.gen_bool(0.5) {
+                                v
+                            } else {
+                                -v
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut run = Lockstep::new(num_vars, clauses);
+            let mut marks: Vec<usize> = Vec::new();
+            for _ in 0..rng.gen_range(4..=40usize) {
+                let free: Vec<usize> =
+                    (0..num_vars).filter(|&v| !run.fast.is_assigned(Var::new(v))).collect();
+                match rng.gen_range(0..10u32) {
+                    // Assume a free variable — also straight after a
+                    // conflict, which no search does but the contract
+                    // allows.
+                    0..=3 if !free.is_empty() => {
+                        let v = free[rng.gen_range(0..free.len())] as i32 + 1;
+                        marks.push(run.fast.mark());
+                        run.assume(if rng.gen_bool(0.5) { v } else { -v });
+                    }
+                    // Propagate over a fresh random subset; after a
+                    // conflict this re-examines the standing conflict.
+                    0..=7 => {
+                        let ids: Vec<u32> = match rng.gen_range(0..3u32) {
+                            0 => (0..num_clauses as u32).collect(),
+                            _ => (0..num_clauses as u32).filter(|_| rng.gen_bool(0.6)).collect(),
+                        };
+                        let _ = run.propagate(&ids);
+                    }
+                    // Undo to a random earlier mark.
+                    _ => {
+                        if let Some(&mark) = marks.get(rng.gen_range(0..marks.len().max(1))) {
+                            marks.retain(|&m| m < mark);
+                            run.undo_to(mark);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_unit_found_late_in_a_round_is_seen_by_a_later_clause_of_the_same_round() {
+        // Clause 1 implies x1 mid-round; clause 2, later in the same
+        // round, must already see it and imply x2 — before clause 0 gets
+        // its second look — so the trail is x0, x1, x2, x3 in that order.
+        let mut run = Lockstep::new(4, vec![vec![-3, 4], vec![-1, 2], vec![-2, 3], vec![1]]);
+        assert!(run.propagate(&[3, 1, 2, 0]));
+        let trail: Vec<i32> = run.fast.trail().iter().map(|l| l.to_dimacs()).collect();
+        assert_eq!(trail, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_clause_left_dirty_by_a_conflict_is_re_examined_not_skipped() {
+        // x0 falsifies clause 0 outright. Without an undo in between the
+        // conflict must be reported again, not skipped as "examined".
+        let mut run = Lockstep::new(2, vec![vec![-1], vec![1, 2]]);
+        run.assume(1);
+        assert!(!run.propagate(&[0, 1]));
+        assert!(!run.propagate(&[0, 1]));
+        assert!(!run.propagate(&[0]));
+        // And after the undo the other polarity goes through.
+        run.undo_to(0);
+        run.assume(-1);
+        assert!(run.propagate(&[0, 1]));
+        assert_eq!(run.fast.value(Var::new(1)), Some(true));
+    }
+
+    #[test]
+    fn a_clause_satisfied_by_a_literal_that_is_then_undone_is_re_examined() {
+        // {a, l}: under ¬a and l the clause is satisfied and examined;
+        // undoing l alone must flag it again so that l is re-derived.
+        // Marking occurrences on assume only would skip it.
+        let mut run = Lockstep::new(2, vec![vec![1, 2]]);
+        run.assume(-1);
+        let mark = run.fast.mark();
+        run.assume(2);
+        assert!(run.propagate(&[0]));
+        run.undo_to(mark);
+        assert!(run.propagate(&[0]));
+        assert_eq!(run.fast.trail(), &[Lit::from_dimacs(-1), Lit::from_dimacs(2)]);
+    }
+
+    #[test]
+    fn residual_mask_names_the_surviving_literals() {
+        let cnf = Cnf::from_clauses(4, vec![vec![1, -2, 3, 4]]);
+        let pool = ClausePool::new(&cnf);
+        let mut prop = Propagator::new(4);
+        assert_eq!(prop.residual_mask(&pool, 0), Some(0b1111));
+        prop.assume(Var::new(0).neg());
+        prop.assume(Var::new(2).neg());
+        assert_eq!(prop.residual_mask(&pool, 0), Some(0b1010));
+        prop.assume(Var::new(1).pos());
+        prop.assume(Var::new(3).neg());
+        assert_eq!(prop.residual_mask(&pool, 0), Some(0), "falsified, not satisfied");
+        prop.undo_to(2);
+        prop.assume(Var::new(1).neg());
+        assert_eq!(prop.residual_mask(&pool, 0), None, "a true literal satisfies it");
     }
 
     #[test]

@@ -20,28 +20,33 @@
 //! dropped) so the fingerprint a [`crate::CircuitStore`] keys on is a
 //! function of the logic, not of literal spelling.
 //!
-//! # Does the cache earn its keep? (ROADMAP item 4a, measured at PR 16)
+//! # Does the cache earn its keep? (ROADMAP item 4a, re-measured at PR 20)
 //!
-//! Yes, in throughput; it costs memory. The prototype was one line on a
-//! scratch copy — `cache: None` in
-//! [`KnowledgeBase::compile_observed`], every check kept — run as four
-//! alternating 8 s pairs of `benchmark/run.sh` at seed 42, `--trace 0`:
+//! Still yes in throughput, by less than before; it still costs memory,
+//! also less than before. The prototype is one line on a scratch copy —
+//! `cache: None` in [`KnowledgeBase::compile_observed`], every check
+//! kept — run as four alternating 8 s pairs of `benchmark/run.sh` at
+//! seed 42, `--trace 0`, against the finished PR 20 (whose compile is
+//! 1.3× faster with or without the cache, and whose cache shares its
+//! node array with the compiled circuit instead of holding a second
+//! copy):
 //!
 //! | `edit_churn` | with the cache | `cache: None` |
 //! |---|---|---|
-//! | `ops_per_s` | 858–935 | 735–773 (median −14 %, cache wins 4/4) |
-//! | `call_p50_us` | 1011–1095 | 1213–1277 |
-//! | `peak_rss_mb` | 48.2 | 20.6 |
+//! | `ops_per_s` | 981–989 (median 985) | 892–1074 (median 915, −7 %; cache wins 3/4) |
+//! | `call_p50_us` | 962–982 | 903–1068 |
+//! | `peak_rss_mb` | 36.5 | 19.6 |
 //!
-//! `cold_ladder` `ops_per_s` read 422–454 with and 425–457 without: no
-//! difference. So the cache pays for itself on the workload built for
-//! it and costs about 28 MiB there; it stays. The ROADMAP's "0.94 ms vs
-//! 0.67 ms" compared a recompile that includes flatten, store insert
-//! and first eval against a bare `compile_cnf`. Four pairs is below the
+//! `cold_ladder` `ops_per_s` (two pairs) read 654–662 with and 672–676
+//! without: the bookkeeping of a cache nothing ever hits costs about
+//! 2 % of a cold compile. So the cache pays for itself on the workload
+//! built for it — a margin that halved when the compile it saves got
+//! cheaper (PR 16 read 858–935 vs 735–773, −14 %, at 48.2 vs 20.6 MiB)
+//! — and costs about 17 MiB there; it stays. One `cache: None` run
+//! (1074) beat every cached run: `edit_churn` without the cache spreads
+//! 20 % run to run on this host, with it 1 %. Four pairs is below the
 //! ten-pair house rule: this is evidence for leaving the cache alone,
-//! not a claimed gain. (A second set of four pairs on a noisier host
-//! phase read 676–858 vs 579–762 `ops_per_s`, median −13 %, the cache
-//! winning 3/4, `peak_rss_mb` 48.2 → 20.5.)
+//! not a claimed gain, and the next compile speed-up should re-run it.
 
 use reason_pc::{
     compile_cnf_with, Circuit, CompileOptions, CompileStats, PersistentComponentCache, WmcWeights,

@@ -87,6 +87,10 @@ pub struct StoredCircuit {
 
 impl StoredCircuit {
     /// Artifact footprint metered against [`StoreConfig::max_bytes`].
+    /// The metered circuit may alias the node array of its knowledge
+    /// base's component cache (a compile whose search left no dead node
+    /// returns that array itself), so evicting the artifact always
+    /// frees the arena but not necessarily the nodes.
     pub fn bytes(&self) -> usize {
         self.dnnf.bytes() + self.circuit.footprint_bytes()
     }
