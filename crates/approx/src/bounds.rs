@@ -79,17 +79,6 @@ pub struct BoundsPoint {
     pub upper: f64,
 }
 
-impl BoundsPoint {
-    /// Interval width relative to the estimate (infinite at estimate 0).
-    pub fn rel_width(&self) -> f64 {
-        if self.estimate == 0.0 {
-            f64::INFINITY
-        } else {
-            (self.upper - self.lower) / self.estimate
-        }
-    }
-}
-
 /// The checkpoint history of one estimator run.
 #[derive(Debug, Clone, Default)]
 pub struct ConvergenceTrace {
@@ -130,13 +119,6 @@ impl ConvergenceTrace {
     /// The latest checkpoint, if any.
     pub fn last(&self) -> Option<&BoundsPoint> {
         self.points.last()
-    }
-
-    /// The first checkpoint whose relative interval width falls at or
-    /// below `tol`, as `(index, point)` — the estimator's convergence
-    /// time at that tolerance.
-    pub fn converged_at(&self, tol: f64) -> Option<(usize, &BoundsPoint)> {
-        self.points.iter().enumerate().find(|(_, p)| p.rel_width() <= tol)
     }
 }
 
@@ -281,12 +263,11 @@ mod tests {
                 trace.record(&rm, DEFAULT_Z);
             }
         }
-        let (idx, p) = trace.converged_at(0.2).expect("must converge at 20% width");
-        assert!(p.rel_width() <= 0.2);
-        // Earlier checkpoints were wider.
-        for earlier in &trace.points()[..idx] {
-            assert!(earlier.rel_width() > 0.2);
-        }
+        // Every checkpoint is narrower than the one before, and the last
+        // is within 20 % of its estimate.
+        let widths: Vec<f64> = trace.points().iter().map(|p| p.upper - p.lower).collect();
+        assert!(widths.windows(2).all(|w| w[1] < w[0]), "{widths:?}");
+        assert!(widths[widths.len() - 1] <= 0.2 * trace.last().unwrap().estimate);
     }
 
     #[test]

@@ -8,19 +8,15 @@
 //! `1[φ(x)] · p(x)/q(x)`, which is unbiased for `Z` under any proposal
 //! with full support.
 //!
-//! Proposals can be *learned* three ways, in increasing order of
-//! external machinery:
+//! Proposals can be *learned* two ways:
 //!
-//! 1. [`adapt_proposal`] — self-normalized cross-entropy adaptation:
+//! 1. [`adapt_mixture`] — self-normalized cross-entropy adaptation:
 //!    iterate sampling and refit `q` to the weighted satisfying
 //!    samples. No oracle needed; this is the default inside
 //!    [`crate::ApproxEngine`].
 //! 2. [`Proposal::from_circuit`] — exact posterior marginals read off a
 //!    compiled circuit: the best mean-field proposal the exact engine
 //!    can teach, used to validate the adaptive path.
-//! 3. [`crate::prediction`] — an MLP trained on exact-engine queries
-//!    whose outputs are converted to per-variable scores
-//!    ([`crate::guided`]) and proposals.
 
 use rand::prelude::*;
 use reason_pc::{Circuit, Evidence, WmcWeights};
@@ -51,12 +47,6 @@ impl Proposal {
                 .map(|p| p.clamp(PROPOSAL_CLAMP, 1.0 - PROPOSAL_CLAMP))
                 .collect(),
         }
-    }
-
-    /// The identity proposal `q = p`: importance sampling with it
-    /// degenerates to direct Monte-Carlo.
-    pub fn from_weights(weights: &WmcWeights) -> Self {
-        Proposal::from_marginals((0..weights.len()).map(|v| weights.prob(v)).collect())
     }
 
     /// The mean-field posterior: exact per-variable marginals
@@ -90,20 +80,6 @@ impl Proposal {
         for (v, slot) in model.iter_mut().enumerate() {
             *slot = rng.gen_bool(self.q[v]);
         }
-    }
-
-    /// Log likelihood ratio `log p(x) - log q(x)` of an assignment.
-    pub fn log_ratio(&self, x: &[bool], weights: &WmcWeights) -> f64 {
-        assert_eq!(x.len(), self.q.len(), "assignment arity mismatch");
-        let mut lr = 0.0;
-        for (v, &b) in x.iter().enumerate() {
-            let (p, q) = (weights.prob(v), self.q[v]);
-            let (pn, qn) = if b { (p, q) } else { (1.0 - p, 1.0 - q) };
-            // q is clamped away from 0; p may be exactly 0 (impossible
-            // assignment), which correctly yields -inf.
-            lr += pn.ln() - qn.ln();
-        }
-        lr
     }
 }
 
@@ -172,18 +148,9 @@ impl MixtureProposal {
         }
         acc
     }
-
-    /// The mixture's per-variable marginals `Σ_k π_k q_k(v)` — the
-    /// scores guided branching consumes.
-    pub fn marginals(&self) -> Vec<f64> {
-        (0..self.len())
-            .map(|v| self.pi.iter().zip(&self.comps).map(|(pi, c)| pi * c.prob(v)).sum())
-            .collect()
-    }
 }
 
-/// Cross-entropy adaptation schedule for [`adapt_proposal`] /
-/// [`adapt_mixture`].
+/// Cross-entropy adaptation schedule for [`adapt_mixture`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
     /// Adaptation rounds.
@@ -245,35 +212,14 @@ fn enumerate_models(cnf: &Cnf, k: usize) -> Vec<Vec<bool>> {
     models
 }
 
-/// Learns a mean-field proposal by cross-entropy iteration — the
-/// single-component case of [`adapt_mixture`], sharing its round logic
-/// (`ce_em_round`): each round draws a batch from the *defensive
-/// mixture* `α·p + (1-α)·q` (so a collapsed proposal can always
-/// rediscover satisfying modes through the prior component),
-/// self-normalizes the satisfying samples by their importance weight
-/// `p/mix`, and moves each `q[v]` toward the weighted mean of `x_v`
-/// among them. Rounds that see no satisfying sample leave the proposal
-/// unchanged.
-///
-/// Starting point is the identity proposal `q = p`, so on formulas with
-/// large satisfying mass adaptation is a no-op by construction.
-pub fn adapt_proposal<R: Rng + ?Sized>(
-    cnf: &Cnf,
-    weights: &WmcWeights,
-    cfg: &AdaptConfig,
-    rng: &mut R,
-) -> Proposal {
-    assert!(cfg.rounds > 0 && cfg.batch > 0, "adaptation schedule must be positive");
-    assert!((0.0..=1.0).contains(&cfg.step) && cfg.step > 0.0, "step must be in (0, 1]");
-    let mut mix = MixtureProposal::single(Proposal::from_weights(weights));
-    for _ in 0..cfg.rounds {
-        mix = ce_em_round(cnf, weights, mix, cfg.batch, cfg.step, rng);
-    }
-    mix.comps.into_iter().next().expect("single-component mixture")
-}
-
-/// Learns a [`MixtureProposal`] by cross-entropy EM
-/// (`ce_em_round` per round).
+/// Learns a [`MixtureProposal`] by cross-entropy EM: each round
+/// (`ce_em_round`) draws a batch from the *defensive mixture*
+/// `α·p + (1-α)·q` (so a collapsed proposal can always rediscover
+/// satisfying modes through the prior component), self-normalizes the
+/// satisfying samples by their importance weight `p/mix`, and moves
+/// every component toward the weighted mean of the samples it is
+/// responsible for. Rounds that see no satisfying sample leave the
+/// mixture unchanged.
 ///
 /// Components are anchored at distinct CDCL-enumerated models when
 /// [`AdaptConfig::seed_with_models`] is set (without this, tiny
@@ -446,33 +392,24 @@ fn defensive_weight(x: &[bool], weights: &WmcWeights, proposal: &MixtureProposal
 
 /// Importance-sampling WMC estimate under `proposal`, with anytime
 /// bounds: draws from the defensive mixture `α·p + (1-α)·q`
-/// ([`DEFENSIVE_ALPHA`]) and averages `1[φ(x)] · p(x) / mix(x)`, which
-/// is unbiased for `Z` with likelihood ratios capped at `1/α`.
+/// ([`DEFENSIVE_ALPHA`], `q` the learned mixture) and averages
+/// `1[φ(x)] · p(x) / mix(x)`, which is unbiased for `Z` with likelihood
+/// ratios capped at `1/α`.
 ///
 /// With the identity proposal (`q = p`) the mixture collapses to `p`
 /// and the estimator degenerates to direct Monte-Carlo.
 ///
 /// ```
-/// use reason_approx::{is_wmc, Proposal, SampleConfig};
+/// use reason_approx::{is_wmc_mixture, MixtureProposal, Proposal, SampleConfig};
 /// use reason_pc::WmcWeights;
 /// use reason_sat::Cnf;
 ///
 /// let cnf = Cnf::from_clauses(2, vec![vec![1, 2]]);
 /// let w = WmcWeights::uniform(2);
-/// let est = is_wmc(&cnf, &w, &Proposal::from_weights(&w), &SampleConfig::default());
+/// let identity = MixtureProposal::single(Proposal::from_marginals(vec![0.5, 0.5]));
+/// let est = is_wmc_mixture(&cnf, &w, &identity, &SampleConfig::default());
 /// assert!(est.contains(0.75));
 /// ```
-pub fn is_wmc(
-    cnf: &Cnf,
-    weights: &WmcWeights,
-    proposal: &Proposal,
-    cfg: &SampleConfig,
-) -> AnytimeEstimate {
-    is_wmc_mixture(cnf, weights, &MixtureProposal::single(proposal.clone()), cfg)
-}
-
-/// [`is_wmc`] over a [`MixtureProposal`]: the estimation distribution
-/// is `α·p + (1-α)·q` with `q` the learned mixture.
 pub fn is_wmc_mixture(
     cnf: &Cnf,
     weights: &WmcWeights,
@@ -507,13 +444,17 @@ mod tests {
         (half - 1.0 / p.samples as f64).max(0.0)
     }
 
+    fn identity(w: &WmcWeights) -> MixtureProposal {
+        MixtureProposal::single(Proposal::from_marginals((0..w.len()).map(|v| w.prob(v)).collect()))
+    }
+
     #[test]
     fn identity_proposal_is_unbiased_on_seeded_instances() {
         for seed in 0..5 {
             let cnf = random_ksat(10, 26, 3, 200 + seed);
             let w = WmcWeights::uniform(10);
             let exact = weighted_count(&cnf, &[0.5; 10]);
-            let est = is_wmc(&cnf, &w, &Proposal::from_weights(&w), &SampleConfig::seeded(seed));
+            let est = is_wmc_mixture(&cnf, &w, &identity(&w), &SampleConfig::seeded(seed));
             assert!(est.contains(exact), "seed {seed}: [{}, {}] vs {exact}", est.lower, est.upper);
         }
     }
@@ -532,8 +473,9 @@ mod tests {
         let circuit = compile_cnf(&cnf, &w).unwrap();
 
         let cfg = SampleConfig::seeded(3);
-        let naive = is_wmc(&cnf, &w, &Proposal::from_weights(&w), &cfg);
-        let taught = is_wmc(&cnf, &w, &Proposal::from_circuit(&circuit), &cfg);
+        let naive = is_wmc_mixture(&cnf, &w, &identity(&w), &cfg);
+        let taught = MixtureProposal::single(Proposal::from_circuit(&circuit));
+        let taught = is_wmc_mixture(&cnf, &w, &taught, &cfg);
         assert!(taught.contains(exact));
         assert!(naive.contains(exact));
         assert!(
@@ -573,9 +515,11 @@ mod tests {
 
     #[test]
     fn mean_field_adaptation_still_brackets_exact() {
-        // The single-component path stays available (and unbiased); its
-        // error budget is looser than the mixture's on multi-modal
-        // posteriors.
+        // One component, no model seeding: plain mean-field cross-entropy
+        // stays unbiased; its error budget is looser than the mixture's
+        // on multi-modal posteriors.
+        let mean_field =
+            AdaptConfig { components: 1, seed_with_models: false, ..AdaptConfig::default() };
         for seed in 0..5 {
             let cnf = random_ksat(12, 30, 3, 300 + seed);
             let probs: Vec<f64> = (0..12).map(|v| 0.3 + 0.04 * v as f64).collect();
@@ -585,8 +529,9 @@ mod tests {
             }
             let w = WmcWeights::new(probs);
             let mut rng = StdRng::seed_from_u64(1000 + seed);
-            let proposal = adapt_proposal(&cnf, &w, &AdaptConfig::default(), &mut rng);
-            let est = is_wmc(&cnf, &w, &proposal, &SampleConfig::seeded(seed));
+            let proposal = adapt_mixture(&cnf, &w, &mean_field, &mut rng);
+            assert_eq!(proposal.num_components(), 1);
+            let est = is_wmc_mixture(&cnf, &w, &proposal, &SampleConfig::seeded(seed));
             assert!(est.contains(exact), "seed {seed}: [{}, {}] vs {exact}", est.lower, est.upper);
         }
     }
@@ -594,13 +539,13 @@ mod tests {
     #[test]
     fn mixture_machinery_is_consistent() {
         let w = WmcWeights::new(vec![0.3, 0.7, 0.5]);
-        let single = MixtureProposal::single(Proposal::from_weights(&w));
+        let single = identity(&w);
         assert_eq!(single.num_components(), 1);
         // Single-component mixture pdf equals the component pdf.
         let x = [true, false, true];
-        let comp = Proposal::from_weights(&w);
-        assert!((single.log_pdf(&x) - log_pdf(&x, |v| comp.prob(v))).abs() < 1e-9);
-        // Marginals of a two-component mixture are the convex blend.
+        assert!((single.log_pdf(&x) - log_pdf(&x, |v| w.prob(v))).abs() < 1e-9);
+        // A two-component mixture's pdf is the blend under normalized
+        // mixing weights.
         let mix = MixtureProposal::new(
             vec![1.0, 3.0],
             vec![
@@ -608,9 +553,8 @@ mod tests {
                 Proposal::from_marginals(vec![0.6, 0.6, 0.6]),
             ],
         );
-        for &m in &mix.marginals() {
-            assert!((m - (0.25 * 0.2 + 0.75 * 0.6)).abs() < 1e-12);
-        }
+        let blend: f64 = 0.25 * (0.2 * 0.8 * 0.2) + 0.75 * (0.6 * 0.4 * 0.6);
+        assert!((mix.log_pdf(&x) - blend.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -618,10 +562,13 @@ mod tests {
         let cnf = Cnf::from_clauses(2, vec![vec![1], vec![-1]]);
         let w = WmcWeights::uniform(2);
         let mut rng = StdRng::seed_from_u64(0);
-        let proposal = adapt_proposal(&cnf, &w, &AdaptConfig::default(), &mut rng);
-        // No satisfying sample ever appears: proposal stays at identity.
-        assert_eq!(proposal, Proposal::from_weights(&w));
-        let est = is_wmc(&cnf, &w, &proposal, &SampleConfig::default());
+        // No model to seed from and no satisfying sample ever appears:
+        // every round returns the mixture it was given.
+        let one_round = AdaptConfig { rounds: 1, ..AdaptConfig::default() };
+        let after_one = adapt_mixture(&cnf, &w, &one_round, &mut StdRng::seed_from_u64(0));
+        let proposal = adapt_mixture(&cnf, &w, &AdaptConfig::default(), &mut rng);
+        assert_eq!(proposal, after_one);
+        let est = is_wmc_mixture(&cnf, &w, &proposal, &SampleConfig::default());
         assert_eq!(est.estimate, 0.0);
         assert!(est.upper > 0.0);
     }
@@ -629,10 +576,9 @@ mod tests {
     #[test]
     fn log_ratio_is_zero_for_identity_proposal() {
         let w = WmcWeights::new(vec![0.3, 0.6, 0.5]);
-        let p = Proposal::from_weights(&w);
         for bits in 0..8u32 {
             let x: Vec<bool> = (0..3).map(|v| bits >> v & 1 == 1).collect();
-            assert!(p.log_ratio(&x, &w).abs() < 1e-12);
+            assert!(defensive_weight(&x, &w, &identity(&w)).ln().abs() < 1e-12);
         }
     }
 

@@ -4,13 +4,10 @@
 //! The REASON paper accelerates *exact* probabilistic-logical kernels
 //! (WMC over compiled circuits, CDCL search); its related work flags
 //! the complementary direction this crate reproduces: trading exactness
-//! for scale. Two lines of work anchor the design (both in PAPERS.md):
-//!
-//! * **A-NeSI** (van Krieken et al.) — approximate weighted model
-//!   counting by sampling, plus a *prediction network* trained on
-//!   exact-engine labels that amortizes repeated queries.
-//! * **Guided logical inference** (Valentin et al.) — a learned proxy
-//!   steers the symbolic search while the solver keeps soundness.
+//! for scale. **A-NeSI** (van Krieken et al., PAPERS.md) anchors the
+//! design: approximate weighted model counting by sampling, plus a
+//! *prediction network* trained on exact-engine labels that amortizes
+//! repeated queries.
 //!
 //! The crate sits strictly *between* the exact substrates: everything
 //! here is validated against `reason_pc::compile_cnf` (exact WMC) and
@@ -28,8 +25,6 @@
 //!   cross-entropy EM or read off the exact engine's marginals.
 //! * [`prediction`] — the A-NeSI-style prediction network, trained on
 //!   exact-engine queries and frozen into a `reason_neural` MLP.
-//! * [`guided`] — proxy-scored CDCL branching through `reason_sat`'s
-//!   pluggable [`reason_sat::BranchingHeuristic`] trait.
 //!
 //! [`ApproxEngine`] bundles the estimators behind one seeded
 //! configuration; `reason_system::BatchExecutor` runs it as a symbolic
@@ -57,18 +52,16 @@
 //! ```
 
 pub mod bounds;
-pub mod guided;
 pub mod importance;
 pub mod montecarlo;
 pub mod prediction;
 
 pub use bounds::{AnytimeEstimate, BoundsPoint, ConvergenceTrace, RunningMean, DEFAULT_Z};
-pub use guided::{solve_guided, ProxyBranching};
 pub use importance::{
-    adapt_mixture, adapt_proposal, is_wmc, is_wmc_mixture, AdaptConfig, MixtureProposal, Proposal,
-    DEFENSIVE_ALPHA, PROPOSAL_CLAMP,
+    adapt_mixture, is_wmc_mixture, AdaptConfig, MixtureProposal, Proposal, DEFENSIVE_ALPHA,
+    PROPOSAL_CLAMP,
 };
-pub use montecarlo::{mc_circuit_marginal, mc_wmc, SampleConfig};
+pub use montecarlo::{mc_wmc, SampleConfig};
 pub use prediction::{PredictConfig, PredictionNet};
 
 use rand::prelude::*;
@@ -148,26 +141,14 @@ impl ApproxEngine {
     /// then estimates under the defensive mixture; the Monte-Carlo
     /// method samples the weights directly.
     pub fn wmc(&self, cnf: &Cnf, weights: &WmcWeights) -> AnytimeEstimate {
-        self.wmc_with_proposal(cnf, weights).0
-    }
-
-    /// [`ApproxEngine::wmc`], also returning the learned proposal (when
-    /// the method uses one) so callers can reuse it — e.g. as guided
-    /// branching scores ([`ProxyBranching::from_mixture`]).
-    pub fn wmc_with_proposal(
-        &self,
-        cnf: &Cnf,
-        weights: &WmcWeights,
-    ) -> (AnytimeEstimate, Option<MixtureProposal>) {
         match self.config.method {
-            Method::MonteCarlo => (mc_wmc(cnf, weights, &self.config.sampling), None),
+            Method::MonteCarlo => mc_wmc(cnf, weights, &self.config.sampling),
             Method::Importance => {
                 // Adaptation draws from its own stream so the estimation
                 // stream stays aligned with `SampleConfig::seed`.
                 let mut rng = StdRng::seed_from_u64(self.config.sampling.seed ^ 0x5EED_ADA9);
                 let mix = adapt_mixture(cnf, weights, &self.config.adapt, &mut rng);
-                let est = is_wmc_mixture(cnf, weights, &mix, &self.config.sampling);
-                (est, Some(mix))
+                is_wmc_mixture(cnf, weights, &mix, &self.config.sampling)
             }
         }
     }

@@ -1,15 +1,15 @@
-//! Seeded Monte-Carlo estimators: direct sampling for weighted model
-//! counts and ancestral sampling over `reason-pc` circuits.
+//! The seeded Monte-Carlo estimator: direct sampling for weighted model
+//! counts.
 //!
-//! These are the baseline estimators the importance sampler
+//! This is the baseline estimator the importance sampler
 //! ([`crate::importance`]) is measured against: unbiased, trivially
 //! correct, and exactly as slow as the variance of the indicator
 //! demands. Both walk the shared anytime-bounds machinery of
-//! [`crate::bounds`], so a Monte-Carlo run can be stopped at any
-//! checkpoint with a valid confidence bracket.
+//! [`crate::bounds`], so a run can be stopped at any checkpoint with a
+//! valid confidence bracket.
 
 use rand::prelude::*;
-use reason_pc::{sample as circuit_sample, Circuit, WmcWeights};
+use reason_pc::WmcWeights;
 use reason_sat::Cnf;
 
 use crate::bounds::{AnytimeEstimate, ConvergenceTrace, RunningMean, DEFAULT_Z};
@@ -84,31 +84,9 @@ pub fn mc_wmc(cnf: &Cnf, weights: &WmcWeights, cfg: &SampleConfig) -> AnytimeEst
     })
 }
 
-/// Estimates `p(X_var = value)` under a circuit's distribution by
-/// forward/ancestral sampling ([`reason_pc::sample()`]): the Monte-Carlo
-/// counterpart of the circuit's exact linear-time marginal.
-///
-/// # Panics
-///
-/// Panics if `var` is out of range for the circuit.
-pub fn mc_circuit_marginal(
-    circuit: &Circuit,
-    var: usize,
-    value: usize,
-    cfg: &SampleConfig,
-) -> AnytimeEstimate {
-    assert!(var < circuit.num_vars(), "variable out of range");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    run_estimator(cfg, || {
-        let s = circuit_sample(circuit, &mut rng);
-        f64::from(u8::from(s[var] == value))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reason_pc::{random_mixture_circuit, Evidence, StructureConfig};
     use reason_sat::gen::random_ksat;
     use reason_sat::weighted_count;
 
@@ -162,29 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn ancestral_marginal_matches_exact_circuit_marginal() {
-        let circuit = random_mixture_circuit(&StructureConfig {
-            num_vars: 6,
-            depth: 3,
-            num_components: 2,
-            seed: 4,
-        });
-        let exact = circuit.marginal(&Evidence::empty(6), 2)[1];
-        let est = mc_circuit_marginal(&circuit, 2, 1, &SampleConfig::seeded(1));
-        assert!(est.contains(exact), "[{}, {}] misses {exact}", est.lower, est.upper);
-        assert!((est.estimate - exact).abs() < 0.05);
-    }
-
-    #[test]
-    fn ancestral_marginal_checkpoint_count_matches_budget() {
-        let circuit = random_mixture_circuit(&StructureConfig {
-            num_vars: 4,
-            depth: 2,
-            num_components: 2,
-            seed: 8,
-        });
+    fn checkpoint_count_matches_budget() {
         let cfg = SampleConfig { samples: 1000, checkpoint: 300, seed: 0 };
-        let est = mc_circuit_marginal(&circuit, 0, 1, &cfg);
+        let est = run_estimator(&cfg, || 1.0);
         // 3 full checkpoints + 1 remainder checkpoint at n = 1000.
         assert_eq!(est.trace.points().len(), 4);
         assert_eq!(est.samples, 1000);

@@ -11,14 +11,10 @@
 //!
 //! Once trained, a query costs one tiny MLP forward pass regardless of
 //! circuit size — the amortization A-NeSI trades training time for.
-//! The net also backs the guided branching of [`crate::guided`]:
-//! querying it at `x_v = 1` vs `x_v = 0` scores how strongly each
-//! variable's polarity matters to the formula.
 
 use rand::prelude::*;
 use reason_neural::{Matrix, Mlp, TrainableMlp};
-use reason_pc::{compile_cnf, Circuit, EvalBuffer, Evidence, WmcWeights};
-use reason_sat::Cnf;
+use reason_pc::{Circuit, EvalBuffer, Evidence, WmcWeights};
 
 /// Training schedule for [`PredictionNet::train_from_circuit`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,20 +134,6 @@ impl PredictionNet {
         (PredictionNet { net, num_vars: n }, loss)
     }
 
-    /// Trains a predictor straight from a CNF formula: compiles it once
-    /// ([`reason_pc::compile_cnf`], the top-down component-caching
-    /// compiler) and labels the training set from the circuit. Returns `None` when the formula carries no
-    /// satisfying mass under `weights` — unsatisfiable outright, or
-    /// every model killed by a zero-probability weight — since there
-    /// is then no conditional distribution to learn.
-    pub fn train_from_cnf(
-        cnf: &Cnf,
-        weights: &WmcWeights,
-        cfg: &PredictConfig,
-    ) -> Option<(Self, f32)> {
-        compile_cnf(cnf, weights).map(|c| Self::train_from_circuit(&c, weights, cfg))
-    }
-
     /// Number of variables the predictor covers.
     pub fn num_vars(&self) -> usize {
         self.num_vars
@@ -179,31 +161,6 @@ impl PredictionNet {
     pub fn encode_query(evidence: &[Option<bool>], num_vars: usize) -> Matrix {
         assert_eq!(evidence.len(), num_vars, "evidence arity mismatch");
         Matrix::from_vec(1, 2 * num_vars, encode(evidence))
-    }
-
-    /// Predicted posterior marginal `q_v ≈ p(X_v = 1 | φ)` for every
-    /// variable, by Bayes over the net's two single-variable queries:
-    /// `q_v ∝ p_v · Pr[φ | x_v = 1]`.
-    ///
-    /// Degenerate predictions (both conditionals 0) fall back to the
-    /// prior marginal.
-    pub fn posterior_marginals(&self, weights: &WmcWeights) -> Vec<f64> {
-        assert_eq!(weights.len(), self.num_vars, "weights arity mismatch");
-        let mut evidence: Vec<Option<bool>> = vec![None; self.num_vars];
-        (0..self.num_vars)
-            .map(|v| {
-                evidence[v] = Some(true);
-                let pos = self.predict(&evidence) * weights.prob(v);
-                evidence[v] = Some(false);
-                let neg = self.predict(&evidence) * (1.0 - weights.prob(v));
-                evidence[v] = None;
-                if pos + neg > 0.0 {
-                    pos / (pos + neg)
-                } else {
-                    weights.prob(v)
-                }
-            })
-            .collect()
     }
 
     /// Freezes the predictor into an inference [`Mlp`] (sigmoid head),
@@ -294,22 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn posterior_marginals_approach_circuit_marginals() {
-        let (cnf, w) = tractable_instance();
-        let circuit = compile_cnf(&cnf, &w).unwrap();
-        let (net, _) = PredictionNet::train_from_circuit(&circuit, &w, &PredictConfig::default());
-        let empty = Evidence::empty(6);
-        let q = net.posterior_marginals(&w);
-        for (v, qv) in q.iter().enumerate() {
-            let exact = circuit.marginal(&empty, v)[1];
-            assert!(
-                (qv - exact).abs() < 0.15,
-                "var {v}: predicted {qv} vs exact posterior {exact}"
-            );
-        }
-    }
-
-    #[test]
     fn frozen_mlp_agrees_with_predictor() {
         let (cnf, w) = tractable_instance();
         let circuit = compile_cnf(&cnf, &w).unwrap();
@@ -319,21 +260,6 @@ mod tests {
         let evidence = vec![Some(true), None, None, Some(false), None, None];
         let x = Matrix::from_vec(1, 12, encode(&evidence));
         assert!((f64::from(mlp.forward(&x).at(0, 0)) - net.predict(&evidence)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn train_from_cnf_matches_circuit_training() {
-        let (cnf, w) = tractable_instance();
-        let cfg = PredictConfig { queries: 64, epochs: 50, ..PredictConfig::default() };
-        let (via_cnf, loss_cnf) = PredictionNet::train_from_cnf(&cnf, &w, &cfg).unwrap();
-        let circuit = compile_cnf(&cnf, &w).unwrap();
-        let (via_circuit, loss_circuit) = PredictionNet::train_from_circuit(&circuit, &w, &cfg);
-        assert_eq!(loss_cnf, loss_circuit);
-        let e = vec![Some(true), None, None, None, Some(false), None];
-        assert_eq!(via_cnf.predict(&e), via_circuit.predict(&e));
-        // An unsatisfiable formula has no conditional distribution to learn.
-        let unsat = Cnf::from_clauses(2, vec![vec![1], vec![-1]]);
-        assert!(PredictionNet::train_from_cnf(&unsat, &WmcWeights::uniform(2), &cfg).is_none());
     }
 
     #[test]

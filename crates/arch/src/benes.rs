@@ -58,11 +58,6 @@ impl BenesNetwork {
         2 * self.size.trailing_zeros() as usize - 1
     }
 
-    /// Total 2×2 switches in the network.
-    pub fn num_switches(&self) -> usize {
-        self.num_stages() * self.size / 2
-    }
-
     /// Computes switch settings routing input `i` to output `perm[i]`.
     ///
     /// # Errors
@@ -81,32 +76,6 @@ impl BenesNetwork {
             seen[p] = true;
         }
         Ok(route_rec(perm))
-    }
-
-    /// Routes a partial assignment: `dests[i] = Some(o)` requires input
-    /// `i` to reach output `o`; `None` inputs are assigned to the unused
-    /// outputs arbitrarily.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError`] on duplicate or out-of-range targets.
-    pub fn route_partial(&self, dests: &[Option<usize>]) -> Result<BenesRouting, RouteError> {
-        if dests.len() != self.size {
-            return Err(RouteError::SizeMismatch);
-        }
-        let mut used = vec![false; self.size];
-        for d in dests.iter().flatten() {
-            if *d >= self.size || used[*d] {
-                return Err(RouteError::NotPermutation);
-            }
-            used[*d] = true;
-        }
-        let mut free_outputs = (0..self.size).filter(|&o| !used[o]);
-        let perm: Vec<usize> = dests
-            .iter()
-            .map(|d| d.unwrap_or_else(|| free_outputs.next().expect("counts match")))
-            .collect();
-        self.route(&perm)
     }
 }
 
@@ -165,14 +134,6 @@ impl BenesRouting {
             }
         }
         out
-    }
-
-    /// Total switch crossings for all `N` routed values (each value
-    /// crosses every stage once): `N · (2·log2 N − 1)` — the Benes energy
-    /// event count.
-    pub fn switch_crossings(&self) -> u64 {
-        let stages = 2 * (self.size as u64).trailing_zeros() as u64 - 1;
-        self.size as u64 * stages
     }
 }
 
@@ -300,33 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn partial_routing_honors_constraints() {
-        let net = BenesNetwork::new(8);
-        let dests = [Some(3), None, Some(0), None, Some(7), None, None, None];
-        let routing = net.route_partial(&dests).unwrap();
-        let inputs: Vec<usize> = (0..8).collect();
-        let outputs = routing.apply(&inputs);
-        assert_eq!(outputs[3], 0);
-        assert_eq!(outputs[0], 2);
-        assert_eq!(outputs[7], 4);
-    }
-
-    #[test]
-    fn partial_routing_rejects_duplicates() {
-        let net = BenesNetwork::new(4);
-        assert_eq!(
-            net.route_partial(&[Some(1), Some(1), None, None]),
-            Err(RouteError::NotPermutation)
-        );
-    }
-
-    #[test]
     fn stage_and_switch_counts() {
         let net = BenesNetwork::new(8);
         assert_eq!(net.num_stages(), 5);
-        assert_eq!(net.num_switches(), 20);
-        let routing = net.route(&(0..8).collect::<Vec<_>>()).unwrap();
-        assert_eq!(routing.switch_crossings(), 8 * 5);
     }
 
     #[test]

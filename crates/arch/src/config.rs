@@ -110,11 +110,6 @@ impl ArchConfig {
         self.tree_depth + 2
     }
 
-    /// Cycle time in seconds.
-    pub fn cycle_seconds(&self) -> f64 {
-        1.0 / (self.freq_mhz as f64 * 1e6)
-    }
-
     /// Total register-file capacity (words).
     pub fn regfile_words(&self) -> usize {
         self.num_banks * self.regs_per_bank
@@ -174,7 +169,6 @@ mod tests {
         let c = ArchConfig::paper();
         assert_eq!(c.pipeline_depth(), 5);
         assert_eq!(c.regfile_words(), 64 * 32);
-        assert!((c.cycle_seconds() - 2e-9).abs() < 1e-15);
     }
 
     #[test]

@@ -3,18 +3,17 @@
 //! Across instance sizes, compile-and-evaluate the exact weighted
 //! model count (`reason_pc::compile_cnf`) and run the anytime
 //! importance-sampling estimator, reporting accuracy (relative error,
-//! bound containment) and latency (exact-over-approx ratio).
+//! bound containment) and each side's deterministic cost: nodes of the
+//! exact circuit beside samples drawn. No clock: wall-clock speed is
+//! `benchmark/`'s job, and two runs at one seed are byte-identical.
 //!
-//! The sweep's shape records the compiler rewrite: under the legacy
-//! Shannon expansion the exact side took *seconds* at n = 28 and the
-//! estimator won by 14–37×; the top-down component-caching compiler
-//! holds exact compilation to milliseconds through n = 40 (the exact
-//! engine now *beats* the sampler there — ratios below 1) and the
-//! ladder extends to n = 60, where exact cost finally grows past the
-//! estimator's linear budget again and the anytime trade re-emerges.
+//! The sweep's shape records the compiler rewrite: the top-down
+//! component-caching compiler builds fewer nodes than the estimator
+//! draws samples on every rung through n = 40, and the ladder extends
+//! to n = 60, where the exact circuit finally outgrows the estimator's
+//! linear budget and the anytime trade re-emerges.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use reason_approx::{ApproxConfig, ApproxEngine, SampleConfig};
 use reason_pc::{compile_cnf, Evidence};
@@ -26,7 +25,7 @@ use crate::json::Json;
 
 /// One instance size of the sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct ApproxRow {
+struct ApproxRow {
     /// Variable count.
     pub num_vars: usize,
     /// Clause count.
@@ -43,28 +42,15 @@ pub struct ApproxRow {
     pub rel_error: f64,
     /// Whether the final bracket contains the exact answer.
     pub contains: bool,
-    /// Exact compile+evaluate seconds.
-    pub exact_s: f64,
-    /// Approximate adapt+estimate seconds.
-    pub approx_s: f64,
+    /// Nodes of the exact compiled circuit.
+    pub nodes: usize,
     /// Samples consumed by the estimator.
     pub samples: u64,
 }
 
-impl ApproxRow {
-    /// Exact-over-approximate latency ratio.
-    pub fn speedup(&self) -> f64 {
-        self.exact_s / self.approx_s.max(1e-12)
-    }
-}
-
 /// The sweep's instance ladder `(num_vars, num_clauses)`: clause count
 /// grows slowly (`m = n + 24`) so the satisfying mass stays estimable.
-/// The exact rungs used to stop at n = 28, where the legacy Shannon
-/// compiler took seconds; the top-down component-caching compiler
-/// (PR 4) holds the exact side to milliseconds through n = 60, so the
-/// ladder now extends well past the old wall.
-pub const SWEEP_SIZES: [(usize, usize); 7] =
+const SWEEP_SIZES: [(usize, usize); 7] =
     [(12, 36), (16, 40), (20, 44), (24, 48), (28, 52), (40, 64), (60, 84)];
 
 /// The estimator budget for an instance size: linear in the variable
@@ -79,8 +65,8 @@ fn sweep_config(num_vars: usize, seed: u64) -> ApproxConfig {
 
 /// Runs the sweep over an explicit size ladder: one satisfiable seeded
 /// instance per size (seeds walk past UNSAT draws), exact and
-/// approximate timed on the same instance.
-pub fn approx_rows_for(sizes: &[(usize, usize)], seed: u64) -> Vec<ApproxRow> {
+/// approximate on the same instance.
+fn approx_rows_for(sizes: &[(usize, usize)], seed: u64) -> Vec<ApproxRow> {
     sizes
         .iter()
         .map(|&(n, m)| {
@@ -90,17 +76,11 @@ pub fn approx_rows_for(sizes: &[(usize, usize)], seed: u64) -> Vec<ApproxRow> {
             loop {
                 let cnf = random_ksat(n, m, 3, instance_seed);
                 let weights = sweep_weights(n);
-
-                let t0 = Instant::now();
                 let compiled = compile_cnf(&cnf, &weights);
-                let exact = compiled.as_ref().map(|c| c.probability(&Evidence::empty(n)));
-                let exact_s = t0.elapsed().as_secs_f64();
+                let exact = compiled.as_ref().map(|c| (c.probability(&Evidence::empty(n)), c));
                 match exact {
-                    Some(exact) if exact > 0.0 => {
-                        let engine = ApproxEngine::new(sweep_config(n, seed));
-                        let t1 = Instant::now();
-                        let est = engine.wmc(&cnf, &weights);
-                        let approx_s = t1.elapsed().as_secs_f64();
+                    Some((exact, circuit)) if exact > 0.0 => {
+                        let est = ApproxEngine::new(sweep_config(n, seed)).wmc(&cnf, &weights);
                         return ApproxRow {
                             num_vars: n,
                             num_clauses: m,
@@ -110,8 +90,7 @@ pub fn approx_rows_for(sizes: &[(usize, usize)], seed: u64) -> Vec<ApproxRow> {
                             upper: est.upper,
                             rel_error: est.rel_error(exact),
                             contains: est.contains(exact),
-                            exact_s,
-                            approx_s,
+                            nodes: circuit.num_nodes(),
                             samples: est.samples,
                         };
                     }
@@ -134,43 +113,30 @@ fn rows_to_text(rows: &[ApproxRow]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>6} {:>8} {:>9} {:>12} {:>12} {:>9} {:>9} {:>11} {:>11} {:>9}",
-        "vars",
-        "clauses",
-        "samples",
-        "exact Z",
-        "estimate",
-        "rel err",
-        "in bnds",
-        "exact s",
-        "approx s",
-        "speedup"
+        "{:>6} {:>8} {:>9} {:>9} {:>12} {:>12} {:>9} {:>9}",
+        "vars", "clauses", "nodes", "samples", "exact Z", "estimate", "rel err", "in bnds"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:>6} {:>8} {:>9} {:>12.6} {:>12.6} {:>8.2}% {:>9} {:>11.5} {:>11.5} {:>8.1}x",
+            "{:>6} {:>8} {:>9} {:>9} {:>12.6} {:>12.6} {:>8.2}% {:>9}",
             r.num_vars,
             r.num_clauses,
+            r.nodes,
             r.samples,
             r.exact,
             r.estimate,
             100.0 * r.rel_error,
             if r.contains { "yes" } else { "NO" },
-            r.exact_s,
-            r.approx_s,
-            r.speedup()
         );
     }
-    let best = rows.iter().map(ApproxRow::speedup).fold(f64::NEG_INFINITY, f64::max);
-    let exact_wins = rows.iter().filter(|r| r.speedup() < 1.0).count();
+    let exact_smaller = rows.iter().filter(|r| (r.nodes as u64) < r.samples).count();
     let _ = writeln!(
         out,
         "(importance sampling, model-seeded mixture proposal, budget = 2048 samples/var; \
-         speedup = exact s / approx s, so values < 1 mean the exact engine wins — the top-down \
-         component-caching compiler takes {exact_wins} of {} rungs outright, and the estimator's \
-         linear-budget anytime trade only pays off at the top of the ladder, peaking at \
-         {best:.1}x)",
+         nodes = the exact circuit the top-down component-caching compiler builds, samples = \
+         assignments the estimator draws: the exact circuit is the smaller of the two on \
+         {exact_smaller} of {} rungs. Counts, not clocks: wall-clock lives in benchmark/)",
         rows.len()
     );
     out
@@ -194,9 +160,7 @@ fn rows_to_json(rows: &[ApproxRow], seed: u64) -> Json {
                             ("upper".into(), Json::Num(r.upper)),
                             ("rel_error".into(), Json::Num(r.rel_error)),
                             ("contains_exact".into(), Json::Bool(r.contains)),
-                            ("exact_s".into(), Json::Num(r.exact_s)),
-                            ("approx_s".into(), Json::Num(r.approx_s)),
-                            ("speedup".into(), Json::Num(r.speedup())),
+                            ("nodes".into(), Json::Num(r.nodes as f64)),
                             ("samples".into(), Json::Num(r.samples as f64)),
                         ])
                     })

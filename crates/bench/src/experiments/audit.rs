@@ -126,7 +126,7 @@ fn walk(path: &str, committed: &Json, fresh: &Json, compared: &mut usize, out: &
 /// Compares a fresh report against a committed baseline, every leaf at
 /// band zero. Returns `(compared, mismatches)`; the check passes iff
 /// `mismatches` is empty.
-pub fn audit_compare(committed: &Json, fresh: &Json) -> (usize, Vec<String>) {
+fn audit_compare(committed: &Json, fresh: &Json) -> (usize, Vec<String>) {
     let mut compared = 0;
     let mut out = Vec::new();
     walk("", committed, fresh, &mut compared, &mut out);

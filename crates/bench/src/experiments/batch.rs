@@ -42,11 +42,11 @@ use super::serve::SERVE_SIZES;
 use crate::json::Json;
 
 /// Batch widths swept per rung.
-pub const BATCH_LANES: [usize; 3] = [8, 32, 128];
+const BATCH_LANES: [usize; 3] = [8, 32, 128];
 
 /// One `(knowledge base, batch width)` cell of the bit-identity sweep.
 #[derive(Debug, Clone)]
-pub struct BatchRow {
+struct BatchRow {
     /// Variable count.
     pub num_vars: usize,
     /// Clause count.
@@ -66,7 +66,7 @@ pub struct BatchRow {
 
 /// One rung's accelerator lowering.
 #[derive(Debug, Clone)]
-pub struct AccelRow {
+struct AccelRow {
     /// Variable count.
     pub num_vars: usize,
     /// Arena nodes (the circuit the kernel computes).
@@ -84,7 +84,7 @@ pub struct AccelRow {
 
 /// Sweep output: bit-identity cells plus per-rung lowerings.
 #[derive(Debug, Clone)]
-pub struct BatchSummary {
+struct BatchSummary {
     /// `(rung, B)` bit-identity cells.
     pub rows: Vec<BatchRow>,
     /// One lowering attempt per rung.
@@ -151,7 +151,7 @@ fn batch_matches_per_query(
 
 /// Runs the sweep over an explicit ladder and batch widths. Each rung
 /// walks seeds until the instance carries mass.
-pub fn batch_rows_for(sizes: &[(usize, usize)], lanes_list: &[usize], seed: u64) -> BatchSummary {
+fn batch_rows_for(sizes: &[(usize, usize)], lanes_list: &[usize], seed: u64) -> BatchSummary {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C4);
     let mut rows = Vec::with_capacity(sizes.len() * lanes_list.len());
     let mut accel = Vec::with_capacity(sizes.len());
@@ -231,7 +231,7 @@ pub fn batch_rows_for(sizes: &[(usize, usize)], lanes_list: &[usize], seed: u64)
 
 /// Runs the full ladder ([`SERVE_SIZES`] × [`BATCH_LANES`]) and asserts
 /// that some rung lowers onto the simulated accelerator.
-pub fn batch_summary(seed: u64) -> BatchSummary {
+fn batch_summary(seed: u64) -> BatchSummary {
     let summary = batch_rows_for(&SERVE_SIZES, &BATCH_LANES, seed);
     assert!(
         summary.accel.iter().any(|a| a.lowered),

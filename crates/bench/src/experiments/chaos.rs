@@ -46,13 +46,13 @@ use crate::json::Json;
 /// time). Far below a healthy shard's saturation point, so admission
 /// losses under fault injection are attributable to the faults, not to
 /// baseline overload.
-pub const CHAOS_QPS: f64 = 3.0e4;
+const CHAOS_QPS: f64 = 3.0e4;
 
 /// Cluster widths swept per scenario.
-pub const CHAOS_SHARDS: [usize; 2] = [2, 4];
+const CHAOS_SHARDS: [usize; 2] = [2, 4];
 
 /// Queries per cell in the committed grid.
-pub const CHAOS_QUERIES: usize = 300;
+const CHAOS_QUERIES: usize = 300;
 
 /// The committed fault scenario names, in grid order. Each shard count
 /// additionally runs a `baseline` cell (empty fault plan) that anchors
@@ -62,7 +62,7 @@ pub const CHAOS_SCENARIOS: [&str; 3] = ["crash_one_shard", "rolling_slow", "cach
 
 /// One cell of the `scenario × shard count` chaos grid.
 #[derive(Debug, Clone)]
-pub struct ChaosCell {
+struct ChaosCell {
     /// Scenario name (one of [`CHAOS_SCENARIOS`]).
     pub scenario: &'static str,
     /// Shards in the cluster.
@@ -108,7 +108,7 @@ pub struct ChaosCell {
 
 /// The full chaos grid plus its workload shape.
 #[derive(Debug, Clone)]
-pub struct ChaosSummary {
+struct ChaosSummary {
     /// All cells, shard-major: a `baseline` cell then the
     /// [`CHAOS_SCENARIOS`] cells per shard width.
     pub cells: Vec<ChaosCell>,
@@ -166,7 +166,7 @@ fn run_cell(
 /// and replayed by every cell (and the single-engine reference). Each
 /// shard count first runs a no-fault `baseline` cell, which anchors the
 /// availability metric of that width's fault cells.
-pub fn chaos_cells_for(
+fn chaos_cells_for(
     scenarios: &[&'static str],
     shard_counts: &[usize],
     queries_per_cell: usize,
@@ -195,7 +195,7 @@ pub fn chaos_cells_for(
 /// and enforces the harness guards: zero lost queries and exact
 /// bit-identity in every cell, ≥ 99% availability in every
 /// crash-one-shard cell, and every scenario's faults actually firing.
-pub fn chaos_summary(seed: u64) -> ChaosSummary {
+fn chaos_summary(seed: u64) -> ChaosSummary {
     let summary = chaos_cells_for(&CHAOS_SCENARIOS, &CHAOS_SHARDS, CHAOS_QUERIES, CHAOS_QPS, seed);
     for cell in &summary.cells {
         assert_eq!(

@@ -29,7 +29,7 @@ use crate::json::Json;
 
 /// One instance of the compilation sweep.
 #[derive(Debug, Clone)]
-pub struct CompileRow {
+struct CompileRow {
     /// Instance family: `random3sat`, `chain`, or `coloring`.
     pub family: &'static str,
     /// Variable count.
@@ -52,12 +52,12 @@ pub struct CompileRow {
 /// The random-3-SAT comparison ladder `(num_vars, num_clauses)` —
 /// the `reason-eval approx` rungs, where the legacy compiler still
 /// terminates (seconds at the top).
-pub const COMPARE_SIZES: [(usize, usize); 5] = [(12, 36), (16, 40), (20, 44), (24, 48), (28, 52)];
+const COMPARE_SIZES: [(usize, usize); 5] = [(12, 36), (16, 40), (20, 44), (24, 48), (28, 52)];
 
 /// Random-3-SAT rungs compiled by the top-down compiler only: the
 /// legacy baseline is past its wall here (extrapolating its measured
 /// growth, hours at n = 40).
-pub const EXTENDED_SIZES: [(usize, usize); 2] = [(40, 64), (60, 84)];
+const EXTENDED_SIZES: [(usize, usize); 2] = [(40, 64), (60, 84)];
 
 /// An implication-chain rule set `x1 → x2 → … → xn` — the structured
 /// shape safety-rule workloads produce, with massive subproblem
@@ -117,7 +117,7 @@ fn add_baseline(row: &mut CompileRow, cnf: &Cnf) {
 /// `baseline_max_vars` variables), the extended random rungs, and the
 /// structured n ≥ 60 rungs. Random instances walk seeds until
 /// satisfiable with positive mass, like the approx sweep.
-pub fn compile_rows(seed: u64, baseline_max_vars: usize) -> Vec<CompileRow> {
+fn compile_rows(seed: u64, baseline_max_vars: usize) -> Vec<CompileRow> {
     let mut rows = Vec::new();
     for &(n, m) in COMPARE_SIZES.iter().chain(&EXTENDED_SIZES) {
         let mut instance_seed = seed;

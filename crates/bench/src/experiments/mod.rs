@@ -583,15 +583,20 @@ pub fn fig9() -> String {
 }
 
 /// The threaded two-level pipeline, executed for real: a mixed
-/// SAT/PC/approx/exact-WMC/serve batch on the `reason-system`
+/// SAT/PC/approx/serve batch on the `reason-system`
 /// [`BatchExecutor`](reason_system::BatchExecutor), serial vs overlapped
 /// vs multi-worker symbolic conquering, with the flow-shop cost model's
 /// prediction next to the measured wall clock (validates Sec. VI-C
-/// against execution instead of simulation).
+/// against execution instead of simulation). The one `reason-eval`
+/// experiment that keeps a clock: the comparison *is* measured against
+/// modeled, so it is unaudited and its header says so.
 pub fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
     use reason_system::{BatchExecutor, ExecutorConfig};
 
-    let mut out = String::from("=== Sec. VI-C: two-level pipeline, executed ===\n");
+    let mut out = String::from(
+        "=== Sec. VI-C: two-level pipeline, executed (wall clock: measured vs modeled, so \
+         timings vary run to run and nothing here is audited) ===\n",
+    );
 
     // Part 1: real reasoning kernels — threading must never change an
     // answer, whatever the pool shape.
@@ -599,7 +604,7 @@ pub fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
     let _ = writeln!(
         out,
         "-- determinism: {} real tasks (rotating cube-and-conquer SAT / PC marginal / approx WMC \
-         / exact WMC / shared-KB serve) --",
+         / shared-KB serve) --",
         tasks
     );
     let wide_workers = workers.max(1);
@@ -627,8 +632,8 @@ pub fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
     let swept: Vec<String> = sweep.iter().map(|w| format!("{w}-worker")).collect();
     let _ = writeln!(
         out,
-        "verdicts identical across serial / {} runs: {} SAT, {} PC marginals, {} WMC \
-         (approx + exact), {} served batches",
+        "verdicts identical across serial / {} runs: {} SAT, {} PC marginals, {} approx WMC, \
+         {} served batches",
         swept.join(" / "),
         sat,
         marginals,

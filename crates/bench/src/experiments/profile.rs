@@ -37,23 +37,23 @@ use crate::json::Json;
 /// Offered load (queries per second of virtual time): the trace
 /// sweep's comfortable-underload point, so the baseline profile shows
 /// service costs rather than queueing collapse.
-pub const PROFILE_QPS: f64 = 5.0e4;
+const PROFILE_QPS: f64 = 5.0e4;
 
 /// Cluster width of both cells.
-pub const PROFILE_SHARDS: usize = 2;
+const PROFILE_SHARDS: usize = 2;
 
 /// Queries replayed per cell.
-pub const PROFILE_QUERIES: usize = 200;
+const PROFILE_QUERIES: usize = 200;
 
 /// Hotspots and differential entries kept in the committed report.
-pub const TOP_K: usize = 10;
+const TOP_K: usize = 10;
 
 /// Tail exemplars kept (worst modeled-latency span chains).
-pub const EXEMPLAR_K: usize = 3;
+const EXEMPLAR_K: usize = 3;
 
 /// Both profiles plus the derived tables.
 #[derive(Debug, Clone)]
-pub struct ProfileSummary {
+struct ProfileSummary {
     /// Queries per cell.
     pub queries_per_cell: usize,
     /// Total self-time of the baseline profile (ns).
@@ -97,7 +97,7 @@ fn run_profile_cell(
 }
 
 /// Runs both cells over explicit parameters.
-pub fn profile_cells_for(queries_per_cell: usize, qps: f64, seed: u64) -> ProfileSummary {
+fn profile_cells_for(queries_per_cell: usize, qps: f64, seed: u64) -> ProfileSummary {
     let kbs = traffic_kbs(seed);
     let workload = traffic_workload(&kbs, queries_per_cell, qps, seed ^ (1 << 32));
     let (baseline, _) = run_profile_cell(&kbs, &workload, "baseline", seed);
@@ -120,7 +120,7 @@ pub fn profile_cells_for(queries_per_cell: usize, qps: f64, seed: u64) -> Profil
 /// `stack <integer-ns>`), a populated hotspot table, a non-empty
 /// differential against the crash plan, and exemplars that carry the
 /// full query chain.
-pub fn profile_summary(seed: u64) -> ProfileSummary {
+fn profile_summary(seed: u64) -> ProfileSummary {
     let summary = profile_cells_for(PROFILE_QUERIES, PROFILE_QPS, seed);
     assert!(!summary.collapsed.is_empty(), "empty collapsed-stack export");
     for line in summary.collapsed.lines() {

@@ -44,7 +44,7 @@ pub struct Output {
 
 impl Output {
     /// A text-only report.
-    pub fn text_only(text: String) -> Self {
+    fn text_only(text: String) -> Self {
         Output { text, json: None, artifact: None }
     }
 

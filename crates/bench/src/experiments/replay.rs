@@ -35,7 +35,7 @@ pub(crate) fn instance_with_mass(
     let mut seed = first_seed;
     loop {
         let cnf = random_ksat(n, m, 3, seed);
-        if reason_pc::weighted_model_count(&cnf, weights) > floor {
+        if reason_pc::CompiledWmc::new(&cnf, weights).wmc() > floor {
             return (cnf, seed);
         }
         seed += 1;

@@ -43,7 +43,7 @@ pub const SERVE_SIZES: [(usize, usize); 5] = [(12, 36), (16, 40), (20, 44), (28,
 
 /// One knowledge base's counts and verdicts.
 #[derive(Debug, Clone)]
-pub struct ServeRow {
+struct ServeRow {
     /// Variable count.
     pub num_vars: usize,
     /// Clause count at registration.
@@ -69,7 +69,7 @@ pub struct ServeRow {
 
 /// Sweep output: per-KB rows plus engine-level counters.
 #[derive(Debug, Clone)]
-pub struct ServeSummary {
+struct ServeSummary {
     /// Per-knowledge-base rows.
     pub rows: Vec<ServeRow>,
     /// Router admission counters across the whole sweep.
@@ -80,7 +80,7 @@ pub struct ServeSummary {
 
 /// Runs the sweep over an explicit ladder. Each rung walks seeds until
 /// the instance carries mass (massless KBs are rejected at compile).
-pub fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
+fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
     let mut engine = ServeEngine::new(ServeConfig {
         predictor: Some(sweep_predictor()),
         approx_seed: seed,

@@ -8,7 +8,7 @@
 //!
 //! Unlike the chaos sweep, every cell first runs a deadline-free
 //! **warm-up pass** (one exact query per tenant at `t = 0`) and the
-//! measured workload is shifted to start at [`SLO_WARM_PAD_S`]. The
+//! measured workload is shifted to start at `SLO_WARM_PAD_S`. The
 //! cold-compile era — which rejects tight-deadline queries identically
 //! with and without faults, and therefore cannot distinguish an outage
 //! from a cold start — is over before monitoring begins. What remains
@@ -48,25 +48,25 @@ use crate::json::Json;
 /// time). Same operating point as the chaos sweep: a healthy warm
 /// cluster serves it without backlog, so any burn is attributable to
 /// the injected faults.
-pub const SLO_QPS: f64 = 3.0e4;
+const SLO_QPS: f64 = 3.0e4;
 
 /// Cluster width of the committed grid. Two shards is the width where
 /// one crash removes half the capacity — the separation the
 /// availability alert must catch.
-pub const SLO_SHARDS: usize = 2;
+const SLO_SHARDS: usize = 2;
 
 /// Queries per cell in the committed grid.
-pub const SLO_QUERIES: usize = 300;
+const SLO_QUERIES: usize = 300;
 
 /// Virtual seconds between the warm-up pass (at `t = 0`) and the first
 /// measured arrival — generous headroom for every tenant's cold
 /// compile to drain, so the monitored phase starts on an idle cluster.
-pub const SLO_WARM_PAD_S: f64 = 0.05;
+const SLO_WARM_PAD_S: f64 = 0.05;
 
 /// One cell of the SLO grid: admission shape plus the full alert
 /// history of the default SLO set.
 #[derive(Debug, Clone)]
-pub struct SloCell {
+struct SloCell {
     /// Scenario name (`baseline` or one of [`CHAOS_SCENARIOS`]).
     pub scenario: &'static str,
     /// Shards in the cluster.
@@ -87,7 +87,7 @@ pub struct SloCell {
 
 /// The whole grid plus the SLO set it was judged against.
 #[derive(Debug, Clone)]
-pub struct SloSummary {
+struct SloSummary {
     /// One `baseline` cell, then one per [`CHAOS_SCENARIOS`] entry.
     pub cells: Vec<SloCell>,
     /// Measured queries per cell.
@@ -150,7 +150,7 @@ fn run_slo_cell(
 
 /// Runs the grid over an explicit scenario list and cell size. One
 /// workload is generated once and replayed by every cell.
-pub fn slo_cells_for(
+fn slo_cells_for(
     scenarios: &[&'static str],
     shards: usize,
     queries_per_cell: usize,
@@ -176,7 +176,7 @@ pub fn slo_cells_for(
 /// warm no-fault baseline never pages, the crash cell deterministically
 /// fires (and resolves) the availability burn-rate alert, and every
 /// cell's alert records match its `slo.alert` spans one-for-one.
-pub fn slo_summary(seed: u64) -> SloSummary {
+fn slo_summary(seed: u64) -> SloSummary {
     let summary = slo_cells_for(&CHAOS_SCENARIOS, SLO_SHARDS, SLO_QUERIES, SLO_QPS, seed);
     for cell in &summary.cells {
         assert_eq!(

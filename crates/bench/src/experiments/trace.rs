@@ -14,7 +14,7 @@
 //!   summation orders may differ only by float reassociation (≤1e-12
 //!   relative).
 //! * **metric snapshot** — the deterministic subset of the registry
-//!   ([`METRIC_ALLOWLIST`]): admission/route/store/compile-event
+//!   (`METRIC_ALLOWLIST`): admission/route/store/compile-event
 //!   counters and modeled histograms. Wall-clock histograms
 //!   (`*_seconds` measured on real clocks) and scheduling-dependent
 //!   lane counters are deliberately excluded — they vary run to run and
@@ -51,13 +51,13 @@ use crate::json::Json;
 
 /// Offered-load sweep: comfortable underload and ~shard saturation
 /// (same units as `TRAFFIC_QPS` — queries per second of virtual time).
-pub const TRACE_QPS: [f64; 2] = [5.0e4, 4.5e5];
+const TRACE_QPS: [f64; 2] = [5.0e4, 4.5e5];
 
 /// Shard-count sweep.
-pub const TRACE_SHARDS: [usize; 2] = [1, 2];
+const TRACE_SHARDS: [usize; 2] = [1, 2];
 
 /// Queries per grid cell in the committed baseline.
-pub const TRACE_QUERIES: usize = 200;
+const TRACE_QUERIES: usize = 200;
 
 /// The metrics the committed artifact snapshots: every one is a pure
 /// function of the seeded workload and the deterministic cost model.
@@ -66,7 +66,7 @@ pub const TRACE_QUERIES: usize = 200;
 /// `pc_compile_phase_seconds`), the measured `pipeline_*` gauges, and
 /// `executor_lane_tasks_total` (which worker drains a task is thread
 /// scheduling, not semantics).
-pub const METRIC_ALLOWLIST: [&str; 15] = [
+const METRIC_ALLOWLIST: [&str; 15] = [
     "cluster_admissions_total",
     "cluster_deadline_miss_total",
     "cluster_rejects_total",
@@ -85,12 +85,12 @@ pub const METRIC_ALLOWLIST: [&str; 15] = [
 ];
 
 /// One exported cost-model row: `(tenant, shard, model snapshot)`.
-pub type KbModelRow = (String, usize, KbTelemetry);
+type KbModelRow = (String, usize, KbTelemetry);
 
 /// One cell of the `offered QPS × shard count` grid: where the modeled
 /// latency went, summed over the cell's queries.
 #[derive(Debug, Clone)]
-pub struct TraceCell {
+struct TraceCell {
     /// Offered queries per second of virtual time.
     pub offered_qps: f64,
     /// Shards in the cluster.
@@ -118,7 +118,7 @@ pub struct TraceCell {
 /// The whole sweep plus the exported observability state of its final
 /// (most loaded) cell.
 #[derive(Debug, Clone)]
-pub struct TraceSummary {
+struct TraceSummary {
     /// One row per `(offered QPS, shard count)` pair.
     pub cells: Vec<TraceCell>,
     /// Queries per cell.
@@ -245,7 +245,7 @@ fn run_trace_cell(
 
 /// The deterministic subset of a registry snapshot (see
 /// [`METRIC_ALLOWLIST`]).
-pub fn allowlisted_metrics(telemetry: &Telemetry) -> Vec<MetricSnapshot> {
+fn allowlisted_metrics(telemetry: &Telemetry) -> Vec<MetricSnapshot> {
     telemetry
         .registry
         .snapshot()
@@ -256,7 +256,7 @@ pub fn allowlisted_metrics(telemetry: &Telemetry) -> Vec<MetricSnapshot> {
 
 /// Runs the sweep over explicit grids. Each QPS level generates one
 /// workload, replayed at every shard count.
-pub fn trace_cells_for(
+fn trace_cells_for(
     qps_levels: &[f64],
     shard_counts: &[usize],
     queries_per_cell: usize,
@@ -292,7 +292,7 @@ pub fn trace_cells_for(
 /// each cell) and to summation reassociation per cell, and at least one
 /// warm and one cold query with complete span chains in the exported
 /// trace.
-pub fn trace_summary(seed: u64) -> TraceSummary {
+fn trace_summary(seed: u64) -> TraceSummary {
     let summary = trace_cells_for(&TRACE_QPS, &TRACE_SHARDS, TRACE_QUERIES, seed);
     for cell in &summary.cells {
         assert!(

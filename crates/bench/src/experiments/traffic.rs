@@ -45,13 +45,13 @@ use crate::json::Json;
 /// exact rung costs ~2.4 µs under the prior model, so one shard
 /// saturates near 4×10⁵ QPS: the ladder spans comfortable underload to
 /// ~3× overload of the largest swept cluster.
-pub const TRAFFIC_QPS: [f64; 4] = [5.0e4, 1.5e5, 4.5e5, 1.35e6];
+const TRAFFIC_QPS: [f64; 4] = [5.0e4, 1.5e5, 4.5e5, 1.35e6];
 
 /// Shard-count sweep.
-pub const TRAFFIC_SHARDS: [usize; 3] = [1, 2, 4];
+const TRAFFIC_SHARDS: [usize; 3] = [1, 2, 4];
 
 /// Queries per grid cell in the committed baseline.
-pub const TRAFFIC_QUERIES: usize = 400;
+const TRAFFIC_QUERIES: usize = 400;
 
 /// Distinct query shapes per knowledge base (the Zipf popularity
 /// domain).
@@ -59,7 +59,7 @@ const SHAPES_PER_KB: usize = 32;
 
 /// One cell of the `offered QPS × shard count` grid.
 #[derive(Debug, Clone)]
-pub struct TrafficCell {
+struct TrafficCell {
     /// Offered queries per second of virtual time.
     pub offered_qps: f64,
     /// Shards in the cluster.
@@ -98,7 +98,7 @@ pub struct TrafficCell {
 
 /// The whole grid.
 #[derive(Debug, Clone)]
-pub struct TrafficSummary {
+struct TrafficSummary {
     /// One row per `(offered QPS, shard count)` pair.
     pub cells: Vec<TrafficCell>,
     /// Queries per cell.
@@ -307,7 +307,7 @@ fn run_cell(
 /// one workload, replayed unchanged at every shard count (and by the
 /// single-engine reference), so cells in a row differ only in cluster
 /// shape.
-pub fn traffic_cells_for(
+fn traffic_cells_for(
     qps_levels: &[f64],
     shard_counts: &[usize],
     queries_per_cell: usize,
@@ -330,7 +330,7 @@ pub fn traffic_cells_for(
 /// and enforces the harness guards: exact answers bit-identical to the
 /// single-engine reference in every cell, and the sweep actually
 /// reaching both degradation and saturation.
-pub fn traffic_summary(seed: u64) -> TrafficSummary {
+fn traffic_summary(seed: u64) -> TrafficSummary {
     let summary = traffic_cells_for(&TRAFFIC_QPS, &TRAFFIC_SHARDS, TRAFFIC_QUERIES, seed);
     for cell in &summary.cells {
         assert!(

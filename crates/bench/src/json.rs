@@ -60,7 +60,8 @@ impl Json {
     }
 
     /// Boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    #[cfg(test)]
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

@@ -35,16 +35,6 @@ pub struct BlockDecomposition {
     pub block_of: Vec<Option<usize>>,
 }
 
-impl BlockDecomposition {
-    /// The block whose root is the DAG output.
-    ///
-    /// Degenerate DAGs whose output is an input/constant have no blocks;
-    /// emission synthesizes a pass-through block for them.
-    pub fn output_block(&self, dag: &Dag) -> Option<usize> {
-        self.block_of[dag.output().index()]
-    }
-}
-
 /// Decomposes `dag` into depth-bounded blocks.
 ///
 /// # Panics

@@ -55,11 +55,6 @@ pub enum DagOp {
 }
 
 impl DagOp {
-    /// `true` for `Input`/`Const` nodes (no children expected).
-    pub fn is_nullary(&self) -> bool {
-        matches!(self, DagOp::Input(_) | DagOp::Const(_))
-    }
-
     /// `true` for associative n-ary ops that regularization may rebalance.
     pub fn is_associative(&self) -> bool {
         matches!(self, DagOp::Add | DagOp::Mul | DagOp::Max)
@@ -243,17 +238,6 @@ impl Dag {
     /// Evaluates and returns only the output value.
     pub fn evaluate_output(&self, inputs: &[f64]) -> f64 {
         self.evaluate(inputs)[self.output.index()]
-    }
-
-    /// Builds an all-ones input vector overridden by `(slot, value)` pairs
-    /// — convenient for indicator-style inputs where 1 means
-    /// "marginalized/unconstrained".
-    pub fn input_vector(&self, overrides: &[(usize, f64)]) -> Vec<f64> {
-        let mut v = vec![1.0; self.num_inputs];
-        for &(slot, value) in overrides {
-            v[slot] = value;
-        }
-        v
     }
 
     /// Validates topology and arities.
@@ -538,16 +522,5 @@ mod tests {
     fn builder_rejects_empty_nary() {
         let mut b = DagBuilder::new();
         let _ = b.node(DagOp::Add, vec![], NodeKind::Generic);
-    }
-
-    #[test]
-    fn input_vector_defaults_to_ones() {
-        let mut b = DagBuilder::new();
-        let x = b.input(0);
-        let y = b.input(1);
-        let m = b.node(DagOp::Mul, vec![x, y], NodeKind::Generic);
-        let dag = b.build(m).unwrap();
-        let v = dag.input_vector(&[(1, 0.25)]);
-        assert_eq!(v, vec![1.0, 0.25]);
     }
 }

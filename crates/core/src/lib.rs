@@ -38,8 +38,7 @@
 //! // The optimized DAG is two-input regular:
 //! assert!(kernel.dag.max_fan_in() <= 2);
 //! // ...and still evaluates the formula: x0=0, x1=1, x2=1 satisfies it.
-//! let out = kernel.dag.evaluate(&kernel.dag.input_vector(&[(0, 0.0), (1, 1.0), (2, 1.0)]));
-//! assert_eq!(out[kernel.dag.output().index()], 1.0);
+//! assert_eq!(kernel.dag.evaluate_output(&[0.0, 1.0, 1.0]), 1.0);
 //! ```
 
 pub mod dag;
@@ -53,5 +52,5 @@ pub use frontend::hmm::{dag_from_hmm, HmmDagMap};
 pub use frontend::pc::{dag_from_circuit, PcDagMap};
 pub use frontend::sat::{dag_from_cnf, SatDagMap};
 pub use pipeline::{KernelSource, OptimizedKernel, PipelineConfig, PipelineStats, ReasonPipeline};
-pub use prune::{prune_dag_dead_nodes, UnifiedPruneReport};
+pub use prune::UnifiedPruneReport;
 pub use regularize::regularize;

@@ -11,11 +11,9 @@
 //! * HMMs prune low-posterior-usage transitions
 //!   ([`reason_hmm::prune_transitions`]).
 //!
-//! A generic DAG-level pass ([`prune_dag_dead_nodes`]) removes dead nodes
-//! after any transformation. [`UnifiedPruneReport`] aggregates the
-//! memory-reduction metrics the paper reports in Table IV.
-
-use crate::dag::Dag;
+//! [`crate::Dag::compact`] removes dead nodes after any transformation.
+//! [`UnifiedPruneReport`] aggregates the memory-reduction metrics the
+//! paper reports in Table IV.
 
 /// Aggregated pruning metrics across kernels — the Table IV "Memory ↓"
 /// numbers come from these.
@@ -83,18 +81,6 @@ impl From<&reason_hmm::TransitionPruneReport> for UnifiedPruneReport {
     }
 }
 
-/// DAG-level cleanup: removes nodes unreachable from the output. Returns
-/// the compacted DAG and a report.
-pub fn prune_dag_dead_nodes(dag: &Dag) -> (Dag, UnifiedPruneReport) {
-    let before = dag.stats().footprint_bytes;
-    let (compacted, dropped) = dag.compact();
-    let after = compacted.stats().footprint_bytes;
-    (
-        compacted,
-        UnifiedPruneReport { bytes_before: before, bytes_after: after, elements_removed: dropped },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,9 +132,9 @@ mod tests {
         let _dead2 = b.node(DagOp::Not, vec![x], NodeKind::Generic);
         let live = b.node(DagOp::Not, vec![x], NodeKind::Generic);
         let dag = b.build(live).unwrap();
-        let (pruned, report) = prune_dag_dead_nodes(&dag);
-        assert_eq!(report.elements_removed, 2);
-        assert!(report.memory_reduction() > 0.0);
+        let (pruned, dropped) = dag.compact();
+        assert_eq!(dropped, 2);
+        assert!(pruned.stats().footprint_bytes < dag.stats().footprint_bytes);
         assert_eq!(pruned.evaluate_output(&[1.0]), 0.0);
     }
 }

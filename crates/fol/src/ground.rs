@@ -47,19 +47,6 @@ pub struct Grounding {
     pub cnf: Cnf,
     /// `atoms[v]` is the ground atom of propositional variable `v`.
     pub atoms: Vec<Atom>,
-    index: HashMap<Atom, usize>,
-}
-
-impl Grounding {
-    /// The propositional variable of a ground atom, if it appeared.
-    pub fn var_of(&self, atom: &Atom) -> Option<Var> {
-        self.index.get(atom).map(|&i| Var::new(i))
-    }
-
-    /// Interprets a propositional model as the set of true ground atoms.
-    pub fn true_atoms<'a>(&'a self, model: &'a [bool]) -> impl Iterator<Item = &'a Atom> + 'a {
-        self.atoms.iter().enumerate().filter(|(i, _)| model[*i]).map(|(_, a)| a)
-    }
 }
 
 /// Grounds a function-free clause set over the constants appearing in it
@@ -143,7 +130,7 @@ pub fn ground_clauses(
     for lits in prop_clauses {
         cnf.add_clause(PropClause::new(lits));
     }
-    Ok(Grounding { cnf, atoms, index })
+    Ok(Grounding { cnf, atoms })
 }
 
 fn collect_constants(term: &Term, out: &mut BTreeSet<String>) -> Result<(), GroundError> {
@@ -191,10 +178,9 @@ mod tests {
                 // the atom map: man(socrates) true forces mortal(socrates).
                 let man = Atom::new("man", vec![Term::constant("socrates")]);
                 let mortal = Atom::new("mortal", vec![Term::constant("socrates")]);
-                let vm = g.var_of(&man).unwrap();
-                let vo = g.var_of(&mortal).unwrap();
-                if model[vm.index()] {
-                    assert!(model[vo.index()]);
+                let var_of = |atom: &Atom| g.atoms.iter().position(|a| a == atom).unwrap();
+                if model[var_of(&man)] {
+                    assert!(model[var_of(&mortal)]);
                 }
             }
             Solution::Unsat => panic!("theory is satisfiable"),
@@ -235,7 +221,13 @@ mod tests {
         let clauses = clauses_of(&["p(a)"]);
         let g = ground_clauses(&clauses, &[]).unwrap();
         if let Solution::Sat(model) = CdclSolver::new(&g.cnf).solve() {
-            let names: Vec<String> = g.true_atoms(&model).map(|a| format!("{a}")).collect();
+            let names: Vec<String> = g
+                .atoms
+                .iter()
+                .zip(&model)
+                .filter(|(_, &t)| t)
+                .map(|(a, _)| format!("{a}"))
+                .collect();
             assert_eq!(names, vec!["p(a)"]);
         } else {
             panic!("satisfiable");

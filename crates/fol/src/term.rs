@@ -29,11 +29,6 @@ impl Term {
         Term::App(name.into(), args)
     }
 
-    /// `true` for variables.
-    pub fn is_var(&self) -> bool {
-        matches!(self, Term::Var(_))
-    }
-
     /// Collects free variables into `out`.
     pub fn collect_vars(&self, out: &mut BTreeSet<String>) {
         match self {
@@ -130,13 +125,6 @@ impl Atom {
             args: self.args.iter().map(|a| a.substitute(subst)).collect(),
         }
     }
-
-    /// `true` when the atom contains no variables.
-    pub fn is_ground(&self) -> bool {
-        let mut vars = BTreeSet::new();
-        self.collect_vars(&mut vars);
-        vars.is_empty()
-    }
 }
 
 impl fmt::Display for Atom {
@@ -172,9 +160,10 @@ mod tests {
         let mut vars = BTreeSet::new();
         atom.collect_vars(&mut vars);
         assert_eq!(vars.len(), 2);
-        assert!(!atom.is_ground());
         let ground = Atom::new("p", vec![Term::constant("a")]);
-        assert!(ground.is_ground());
+        vars.clear();
+        ground.collect_vars(&mut vars);
+        assert!(vars.is_empty());
     }
 
     #[test]

@@ -157,16 +157,6 @@ impl Mlp {
             })
             .sum()
     }
-
-    /// Bytes of parameters read per forward pass (f32 weights + biases).
-    pub fn param_bytes(&self) -> u64 {
-        4 * self.num_params() as u64
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 #[cfg(test)]
@@ -210,9 +200,7 @@ mod tests {
     fn accounting() {
         let mlp = MlpBuilder::new(10).layer(20, true, 1).layer(5, false, 2).build();
         assert_eq!(mlp.num_params(), 10 * 20 + 20 + 20 * 5 + 5);
-        assert_eq!(mlp.param_bytes(), 4 * mlp.num_params() as u64);
         assert_eq!(mlp.flops(2), 2 * 2 * 10 * 20 + 2 * 20 + 2 * 2 * 20 * 5 + 2 * 5);
-        assert_eq!(mlp.num_layers(), 2);
     }
 
     #[test]

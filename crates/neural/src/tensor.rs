@@ -93,11 +93,6 @@ impl Matrix {
         out
     }
 
-    /// FLOPs of a matmul with these dimensions (`2 * m * n * k`).
-    pub fn matmul_flops(&self, rhs: &Matrix) -> u64 {
-        2 * self.rows as u64 * self.cols as u64 * rhs.cols as u64
-    }
-
     /// Adds a bias row vector to every row.
     ///
     /// # Panics
@@ -182,7 +177,6 @@ mod tests {
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-        assert_eq!(a.matmul_flops(&b), 2 * 2 * 3 * 2);
     }
 
     #[test]

@@ -66,16 +66,6 @@ impl PcNode {
     pub fn is_sum(&self) -> bool {
         matches!(self, PcNode::Sum { .. })
     }
-
-    /// `true` for product nodes.
-    pub fn is_product(&self) -> bool {
-        matches!(self, PcNode::Product { .. })
-    }
-
-    /// `true` for leaves.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, PcNode::Indicator { .. } | PcNode::Categorical { .. })
-    }
 }
 
 /// Structural defects detected by [`CircuitBuilder::build`] /

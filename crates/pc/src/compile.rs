@@ -453,26 +453,27 @@ impl Default for PersistentComponentCache {
 }
 
 impl PersistentComponentCache {
-    /// Default persistence depth: components within 12 decisions of
-    /// the root. Measured on random 3-SAT (n = 12–20, m/n = 3), hits
-    /// after a one-clause edit saturate by depth ~8–12; deeper settings
-    /// add keys and buy no hits.
-    pub const DEFAULT_DEPTH: u32 = 12;
+    /// Persistence depth: components within 12 decisions of the root.
+    /// Measured on random 3-SAT (n = 12–20, m/n = 3), hits after a
+    /// one-clause edit saturate by depth ~8–12; deeper settings add
+    /// keys and buy no hits.
+    const DEFAULT_DEPTH: u32 = 12;
 
-    /// An empty cache with the default persistence depth.
+    /// An empty cache.
     pub fn new() -> Self {
-        Self::with_depth(Self::DEFAULT_DEPTH)
-    }
-
-    /// An empty cache persisting components discovered within
-    /// `persist_depth` decisions of the root.
-    pub fn with_depth(persist_depth: u32) -> Self {
         PersistentComponentCache {
             entries: HashMap::new(),
-            persist_depth,
+            persist_depth: Self::DEFAULT_DEPTH,
             weights_sig: None,
             stats: PersistentCacheStats::default(),
         }
+    }
+
+    /// An empty cache with another depth limit, for the unit test of
+    /// the limit itself.
+    #[cfg(test)]
+    fn with_depth(persist_depth: u32) -> Self {
+        PersistentComponentCache { persist_depth, ..Self::new() }
     }
 
     /// Number of cached components.
@@ -1060,16 +1061,6 @@ impl TopDown<'_> {
     }
 }
 
-/// Computes the weighted model count of `cnf` by compiling and evaluating.
-///
-/// Returns `0` for unsatisfiable formulas. One-shot convenience: a
-/// caller issuing *repeated* WMC/conditional queries against the same
-/// formula should hold a [`CompiledWmc`] instead of paying a fresh
-/// compilation per call.
-pub fn weighted_model_count(cnf: &Cnf, weights: &WmcWeights) -> f64 {
-    CompiledWmc::new(cnf, weights).wmc()
-}
-
 /// A compiled-once, query-many exact WMC oracle.
 ///
 /// Compiles the formula a single time and answers every subsequent
@@ -1370,7 +1361,7 @@ mod tests {
     fn uniform_wmc_equals_model_count() {
         for seed in 0..10 {
             let cnf = random_ksat(8, 20, 3, seed);
-            let wmc = weighted_model_count(&cnf, &WmcWeights::uniform(8));
+            let wmc = CompiledWmc::new(&cnf, &WmcWeights::uniform(8)).wmc();
             let expect = count_models(&cnf) as f64 / 256.0;
             assert!((wmc - expect).abs() < 1e-9, "seed {seed}: {wmc} vs {expect}");
         }
@@ -1381,7 +1372,7 @@ mod tests {
         let weights = WmcWeights::new(vec![0.9, 0.2, 0.5, 0.7, 0.3, 0.6]);
         for seed in 0..10 {
             let cnf = random_ksat(6, 14, 3, 100 + seed);
-            let wmc = weighted_model_count(&cnf, &weights);
+            let wmc = CompiledWmc::new(&cnf, &weights).wmc();
             let expect = brute_wmc(&cnf, &weights);
             assert!((wmc - expect).abs() < 1e-9, "seed {seed}");
         }
@@ -1392,7 +1383,7 @@ mod tests {
         let cnf = Cnf::from_clauses(2, vec![vec![1], vec![-1]]);
         assert!(compile_cnf(&cnf, &WmcWeights::uniform(2)).is_none());
         assert!(compile_cnf_shannon(&cnf, &WmcWeights::uniform(2)).is_none());
-        assert_eq!(weighted_model_count(&cnf, &WmcWeights::uniform(2)), 0.0);
+        assert_eq!(CompiledWmc::new(&cnf, &WmcWeights::uniform(2)).wmc(), 0.0);
     }
 
     #[test]
@@ -1574,8 +1565,6 @@ mod tests {
         assert!((oracle.probability(&ev) - brute_wmc(&with_x1, &w)).abs() < 1e-12);
         let post = oracle.posterior(&ev).unwrap();
         assert!((post - brute_wmc(&with_x1, &w) / expect).abs() < 1e-12);
-        // And the same agreement as weighted_model_count.
-        assert_eq!(oracle.wmc(), weighted_model_count(&cnf, &w));
     }
 
     #[test]
@@ -1600,7 +1589,7 @@ mod tests {
         // An implied literal with zero mass is an UNSAT-equivalent.
         let unit = Cnf::from_clauses(1, vec![vec![1]]);
         assert!(compile_cnf(&unit, &WmcWeights::new(vec![0.0])).is_none());
-        assert_eq!(weighted_model_count(&unit, &WmcWeights::new(vec![0.0])), 0.0);
+        assert_eq!(CompiledWmc::new(&unit, &WmcWeights::new(vec![0.0])).wmc(), 0.0);
     }
 
     #[test]
@@ -1659,7 +1648,7 @@ mod tests {
         let extended = Cnf::from_clauses(8, clauses);
         let (warm, stats) = cached(&extended, &w, &mut cache);
         assert!(stats.persistent_hits > 0, "untouched block must be reused: {stats:?}");
-        let expect = weighted_model_count(&extended, &w);
+        let expect = CompiledWmc::new(&extended, &w).wmc();
         let z = warm.unwrap().probability(&Evidence::empty(8));
         assert!((z - expect).abs() < 1e-12, "{z} vs {expect}");
     }
@@ -1678,7 +1667,7 @@ mod tests {
         assert!(cache.stats().invalidated >= removed as u64);
         let retracted = Cnf::from_clauses(4, clauses);
         let (warm, _) = cached(&retracted, &w, &mut cache);
-        let expect = weighted_model_count(&retracted, &w);
+        let expect = CompiledWmc::new(&retracted, &w).wmc();
         let z = warm.unwrap().probability(&Evidence::empty(4));
         assert!((z - expect).abs() < 1e-12, "{z} vs {expect}");
     }

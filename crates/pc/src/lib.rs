@@ -70,9 +70,8 @@ pub mod structure;
 
 pub use circuit::{Circuit, CircuitBuilder, CircuitError, NodeId, PcNode};
 pub use compile::{
-    compile_cnf, compile_cnf_shannon, compile_cnf_with, weighted_model_count, CompileOptions,
-    CompileStats, CompiledWmc, PersistentCacheStats, PersistentComponentCache, VarOrder,
-    WmcWeights,
+    compile_cnf, compile_cnf_shannon, compile_cnf_with, CompileOptions, CompileStats, CompiledWmc,
+    PersistentCacheStats, PersistentComponentCache, VarOrder, WmcWeights,
 };
 pub use dnnf::{BatchBuffer, Dnnf, DnnfBatch, DnnfBuffer, DnnfError};
 pub use fingerprint::{ring_mix, FormulaFingerprint};

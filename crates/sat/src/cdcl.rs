@@ -51,9 +51,6 @@ pub struct SolverStats {
     /// Clause lookups during propagation (watch-list traversal work, the
     /// quantity REASON's watched-literal hardware unit parallelizes).
     pub clause_inspections: u64,
-    /// Decisions proposed by an external [`BranchingHeuristic`] (the
-    /// rest fell through to VSIDS).
-    pub guided_decisions: u64,
 }
 
 /// Receives fine-grained solver events.
@@ -91,78 +88,6 @@ pub trait SolverObserver {
 pub struct NullObserver;
 
 impl SolverObserver for NullObserver {}
-
-/// A pluggable branching heuristic, consulted before VSIDS at every
-/// decision point (Valentin et al.-style guided logical inference: an
-/// external scorer — e.g. a learned proposal or prediction network in
-/// `reason-approx` — steers the search, and the solver's own machinery
-/// remains the completeness/correctness backstop).
-///
-/// Returning `None`, or a literal whose variable is already assigned or
-/// out of range, defers that decision to the solver's VSIDS heap, so a
-/// heuristic can guide as much or as little of the search as it wants
-/// without ever affecting soundness.
-pub trait BranchingHeuristic {
-    /// Proposes the next decision literal given a read-only view of the
-    /// current assignment state.
-    fn pick(&mut self, view: &BranchView<'_>) -> Option<Lit>;
-}
-
-/// The default heuristic: never proposes, so every decision falls
-/// through to VSIDS with phase saving.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VsidsBranching;
-
-impl BranchingHeuristic for VsidsBranching {
-    fn pick(&mut self, _view: &BranchView<'_>) -> Option<Lit> {
-        None
-    }
-}
-
-/// Read-only snapshot of the solver state handed to a
-/// [`BranchingHeuristic`] at each decision point.
-#[derive(Debug)]
-pub struct BranchView<'a> {
-    assign: &'a [u8],
-    activity: &'a [f64],
-    phase: &'a [bool],
-    decision_level: u32,
-}
-
-impl BranchView<'_> {
-    /// Number of variables in the solver's universe.
-    pub fn num_vars(&self) -> usize {
-        self.assign.len()
-    }
-
-    /// Current value of variable `v`: `None` while unassigned.
-    pub fn value(&self, v: usize) -> Option<bool> {
-        match self.assign[v] {
-            LBOOL_UNDEF => None,
-            b => Some(b == 1),
-        }
-    }
-
-    /// `true` if variable `v` currently has a value.
-    pub fn is_assigned(&self, v: usize) -> bool {
-        self.assign[v] != LBOOL_UNDEF
-    }
-
-    /// The variable's VSIDS activity score.
-    pub fn activity(&self, v: usize) -> f64 {
-        self.activity[v]
-    }
-
-    /// The variable's saved phase (last assigned polarity).
-    pub fn saved_phase(&self, v: usize) -> bool {
-        self.phase[v]
-    }
-
-    /// The decision level the next decision will open from.
-    pub fn decision_level(&self) -> u32 {
-        self.decision_level
-    }
-}
 
 const LBOOL_UNDEF: u8 = 2;
 
@@ -708,13 +633,6 @@ impl CdclSolver {
         self.solve_with(&mut NullObserver, &[])
     }
 
-    /// Solves with an external [`BranchingHeuristic`] steering decisions
-    /// (VSIDS backstops every deferred or invalid proposal).
-    pub fn solve_guided<H: BranchingHeuristic>(&mut self, heuristic: &mut H) -> Solution {
-        self.solve_full(&mut NullObserver, &[], heuristic)
-            .expect("unlimited solve cannot exhaust the conflict budget")
-    }
-
     /// Observer events plus assumptions, with VSIDS branching.
     ///
     /// Returns `None` only inside [`solve_limited`](Self::solve_limited),
@@ -723,20 +641,6 @@ impl CdclSolver {
         &mut self,
         obs: &mut O,
         assumptions: &[Lit],
-    ) -> Option<Solution> {
-        self.solve_full(obs, assumptions, &mut VsidsBranching)
-    }
-
-    /// Full-control entry point: observer events, assumptions, and an
-    /// external branching heuristic.
-    ///
-    /// Returns `None` only inside [`solve_limited`](Self::solve_limited),
-    /// when its conflict budget is exhausted.
-    pub fn solve_full<O: SolverObserver, H: BranchingHeuristic>(
-        &mut self,
-        obs: &mut O,
-        assumptions: &[Lit],
-        heuristic: &mut H,
     ) -> Option<Solution> {
         if !self.ok {
             return Some(Solution::Unsat);
@@ -750,7 +654,7 @@ impl CdclSolver {
         let mut curr_restarts = 0u64;
         loop {
             let budget = (Self::luby(2.0, curr_restarts) * RESTART_BASE as f64) as u64;
-            match self.search(budget, obs, assumptions, heuristic) {
+            match self.search(budget, obs, assumptions) {
                 SearchResult::Sat => {
                     let model = (0..self.num_vars)
                         .map(|v| {
@@ -778,12 +682,11 @@ impl CdclSolver {
         }
     }
 
-    fn search<O: SolverObserver, H: BranchingHeuristic>(
+    fn search<O: SolverObserver>(
         &mut self,
         conflict_budget: u64,
         obs: &mut O,
         assumptions: &[Lit],
-        heuristic: &mut H,
     ) -> SearchResult {
         let mut conflicts_here = 0u64;
         loop {
@@ -848,21 +751,7 @@ impl CdclSolver {
                         _ => Some(a),
                     }
                 } else {
-                    let view = BranchView {
-                        assign: &self.assign,
-                        activity: &self.activity,
-                        phase: &self.phase,
-                        decision_level: self.decision_level(),
-                    };
-                    match heuristic.pick(&view).filter(|l| {
-                        l.var().index() < self.num_vars && self.value(*l) == LBOOL_UNDEF
-                    }) {
-                        Some(l) => {
-                            self.stats.guided_decisions += 1;
-                            Some(l)
-                        }
-                        None => self.pick_branch(),
-                    }
+                    self.pick_branch()
                 };
                 match next {
                     None => return SearchResult::Sat,
@@ -1014,73 +903,6 @@ mod tests {
         let _ = s.solve();
         assert!(s.stats().decisions > 0);
         assert!(s.stats().propagations > 0);
-    }
-
-    #[test]
-    fn oracle_guided_branching_reaches_a_model_without_conflicts() {
-        // A heuristic that always branches toward a known model can never
-        // drive propagation into a falsified clause: every implied literal
-        // is entailed by the model-consistent prefix.
-        struct Oracle(Vec<bool>);
-        impl BranchingHeuristic for Oracle {
-            fn pick(&mut self, view: &BranchView<'_>) -> Option<Lit> {
-                (0..view.num_vars())
-                    .find(|&v| !view.is_assigned(v))
-                    .map(|v| Lit::new(Var::new(v), !self.0[v]))
-            }
-        }
-        for seed in 0..10 {
-            let cnf = random_ksat(12, 40, 3, 400 + seed);
-            let model = match brute_force(&cnf) {
-                Solution::Sat(m) => m,
-                Solution::Unsat => continue,
-            };
-            let mut s = CdclSolver::new(&cnf);
-            let sol = s.solve_guided(&mut Oracle(model));
-            assert!(sol.is_sat(), "seed {seed}");
-            assert_eq!(s.stats().conflicts, 0, "seed {seed}: oracle guidance conflicted");
-            assert!(s.stats().guided_decisions > 0, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn invalid_heuristic_proposals_fall_back_to_vsids() {
-        // Always proposes an already-assigned or out-of-range literal;
-        // the solver must still be correct and count zero guided picks.
-        struct Bogus;
-        impl BranchingHeuristic for Bogus {
-            fn pick(&mut self, view: &BranchView<'_>) -> Option<Lit> {
-                (0..view.num_vars())
-                    .find(|&v| view.is_assigned(v))
-                    .map(|v| Lit::new(Var::new(v), false))
-            }
-        }
-        for seed in 0..10 {
-            let cnf = random_ksat(8, 30, 3, seed);
-            let expect = brute_force(&cnf).is_sat();
-            let mut s = CdclSolver::new(&cnf);
-            let sol = s.solve_guided(&mut Bogus);
-            assert_eq!(sol.is_sat(), expect, "seed {seed}");
-            if let Solution::Sat(m) = sol {
-                assert!(cnf.eval(&m));
-            }
-        }
-    }
-
-    #[test]
-    fn guided_solver_agrees_with_vsids_on_unsat() {
-        struct FirstFree;
-        impl BranchingHeuristic for FirstFree {
-            fn pick(&mut self, view: &BranchView<'_>) -> Option<Lit> {
-                (0..view.num_vars())
-                    .find(|&v| !view.is_assigned(v))
-                    .map(|v| Lit::new(Var::new(v), view.saved_phase(v)))
-            }
-        }
-        let cnf = pigeonhole(4);
-        let mut s = CdclSolver::new(&cnf);
-        assert!(!s.solve_guided(&mut FirstFree).is_sat());
-        assert!(s.stats().guided_decisions > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::types::{Clause, Lit, Var};
+use crate::types::{Clause, Lit};
 
 /// A propositional formula in conjunctive normal form.
 ///
@@ -83,18 +83,6 @@ impl Cnf {
     /// Iterates over the clauses.
     pub fn iter(&self) -> std::slice::Iter<'_, Clause> {
         self.clauses.iter()
-    }
-
-    /// Grows the variable universe to at least `num_vars`.
-    pub fn reserve_vars(&mut self, num_vars: usize) {
-        self.num_vars = self.num_vars.max(num_vars);
-    }
-
-    /// Allocates and returns a fresh variable.
-    pub fn fresh_var(&mut self) -> Var {
-        let v = Var::new(self.num_vars);
-        self.num_vars += 1;
-        v
     }
 
     /// Evaluates the whole formula under a complete model.
@@ -322,14 +310,6 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(cnf.num_clauses(), 1);
         assert_eq!(cnf.clauses()[0].len(), 2);
-    }
-
-    #[test]
-    fn fresh_var_extends_universe() {
-        let mut cnf = Cnf::new(2);
-        let v = cnf.fresh_var();
-        assert_eq!(v.index(), 2);
-        assert_eq!(cnf.num_vars(), 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! This crate implements the logical-reasoning kernels that the REASON paper
 //! (HPCA 2026) identifies as one half of the "probabilistic logical reasoning"
 //! bottleneck: propositional satisfiability solving with the modern machinery
-//! referenced in the paper — DPLL, conflict-driven clause learning (CDCL) with
+//! referenced in the paper — conflict-driven clause learning (CDCL) with
 //! two-watched-literal propagation, lookahead-guided cube-and-conquer, and the
 //! binary-implication-graph preprocessing that REASON's adaptive DAG pruning
 //! builds on.
@@ -12,7 +12,6 @@
 //!
 //! * [`types`] — [`Var`], [`Lit`], [`Clause`]: the propositional vocabulary.
 //! * [`cnf`] — [`Cnf`] formulas with DIMACS parsing and printing.
-//! * [`dpll`] — a simple chronological DPLL solver (baseline).
 //! * [`cdcl`] — a full CDCL solver: 1UIP learning, VSIDS, phase saving,
 //!   Luby restarts, LBD-based clause-database reduction, assumptions.
 //! * [`lookahead`] — lookahead literal scoring used to pick cube-split
@@ -52,7 +51,6 @@ pub mod brute;
 pub mod cdcl;
 pub mod cnf;
 pub mod cube;
-pub mod dpll;
 pub mod gen;
 pub mod lookahead;
 pub mod pool;
@@ -60,12 +58,9 @@ pub mod preprocess;
 pub mod types;
 
 pub use brute::{brute_force, count_models, weighted_count};
-pub use cdcl::{
-    BranchView, BranchingHeuristic, CdclSolver, SolverObserver, SolverStats, VsidsBranching,
-};
+pub use cdcl::{CdclSolver, SolverObserver, SolverStats};
 pub use cnf::{Cnf, DimacsError};
 pub use cube::{CubeAndConquer, CubeConfig, CubeOutcome};
-pub use dpll::DpllSolver;
 pub use lookahead::{Lookahead, LookaheadScore};
 pub use pool::{ClausePool, Propagator};
 pub use preprocess::{BinaryImplicationGraph, PreprocessResult, Preprocessor};

@@ -7,8 +7,9 @@
 //! tree nodes by exactly this score.
 
 use crate::cnf::Cnf;
-use crate::dpll::DpllSolver;
 use crate::types::{Lit, Var};
+
+const UNASSIGNED: u8 = 2;
 
 /// The lookahead measurement for one variable.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,13 +49,12 @@ impl LookaheadScore {
 /// use reason_sat::{Cnf, Lookahead};
 /// let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-1, 3], vec![-2, 3]]);
 /// let mut la = Lookahead::new(&cnf);
-/// let best = la.best_split(4).unwrap();
-/// assert!(best.index() < 3);
+/// let scores = la.score_candidates(4, &[]);
+/// assert_eq!(scores.len(), 3);
 /// ```
 #[derive(Debug)]
 pub struct Lookahead {
-    dpll: DpllSolver,
-    num_vars: usize,
+    cnf: Cnf,
     occurrences: Vec<u32>,
 }
 
@@ -67,14 +67,61 @@ impl Lookahead {
                 occurrences[lit.var().index()] += 1;
             }
         }
-        Lookahead { dpll: DpllSolver::new(cnf), num_vars: cnf.num_vars(), occurrences }
+        Lookahead { cnf: cnf.clone(), occurrences }
     }
 
     /// Scores a single variable by propagating both polarities.
     pub fn score(&mut self, var: Var) -> LookaheadScore {
-        let pos = self.dpll.propagate_assumption(var.pos()).map(|l| l.len());
-        let neg = self.dpll.propagate_assumption(var.neg()).map(|l| l.len());
+        let pos = self.implied_under(var.pos());
+        let neg = self.implied_under(var.neg());
         LookaheadScore { var, pos_implied: pos, neg_implied: neg }
+    }
+
+    /// Number of literals fixed by unit propagation under `assumption`
+    /// (itself included), or `None` if it leads to an immediate conflict:
+    /// the per-node broadcast / implication traffic the REASON hardware
+    /// pipelines (paper Fig. 9).
+    fn implied_under(&self, assumption: Lit) -> Option<usize> {
+        let mut assign = vec![UNASSIGNED; self.cnf.num_vars()];
+        assign[assumption.var().index()] = u8::from(!assumption.is_neg());
+        let mut implied = 1;
+        loop {
+            let mut changed = false;
+            for clause in self.cnf.clauses() {
+                let mut unassigned: Option<Lit> = None;
+                let mut num_unassigned = 0;
+                let mut satisfied = false;
+                for &l in clause.iter() {
+                    match assign[l.var().index()] {
+                        UNASSIGNED => {
+                            num_unassigned += 1;
+                            unassigned = Some(l);
+                        }
+                        v => {
+                            if l.eval(v == 1) {
+                                satisfied = true;
+                                break;
+                            }
+                        }
+                    }
+                }
+                if satisfied {
+                    continue;
+                }
+                match (num_unassigned, unassigned) {
+                    (0, _) => return None,
+                    (1, Some(l)) => {
+                        assign[l.var().index()] = u8::from(!l.is_neg());
+                        implied += 1;
+                        changed = true;
+                    }
+                    _ => {}
+                }
+            }
+            if !changed {
+                return Some(implied);
+            }
+        }
     }
 
     /// Scores the `num_candidates` most frequently occurring variables,
@@ -84,7 +131,7 @@ impl Lookahead {
         num_candidates: usize,
         frozen: &[Var],
     ) -> Vec<LookaheadScore> {
-        let mut by_occurrence: Vec<usize> = (0..self.num_vars).collect();
+        let mut by_occurrence: Vec<usize> = (0..self.cnf.num_vars()).collect();
         by_occurrence.sort_by_key(|&v| std::cmp::Reverse(self.occurrences[v]));
         let frozen_set: std::collections::HashSet<usize> =
             frozen.iter().map(|v| v.index()).collect();
@@ -94,16 +141,6 @@ impl Lookahead {
             .take(num_candidates)
             .collect();
         candidates.into_iter().map(|v| self.score(Var::new(v))).collect()
-    }
-
-    /// Picks the best split variable among the top `num_candidates`
-    /// occurring variables, by maximal product score. Returns `None` when no
-    /// candidate exists (no variable occurs in any clause).
-    pub fn best_split(&mut self, num_candidates: usize) -> Option<Var> {
-        self.score_candidates(num_candidates, &[])
-            .into_iter()
-            .max_by_key(LookaheadScore::product)
-            .map(|s| s.var)
     }
 }
 
@@ -135,18 +172,35 @@ mod tests {
 
     #[test]
     fn best_split_prefers_high_impact_variable() {
-        // x0 implies a long chain both ways; x3 is nearly free.
+        // x0 drives a chain both ways (3 × 3 implied); assuming !x4 fails
+        // outright, which the product score ranks above any chain.
         let cnf = Cnf::from_clauses(
             5,
             vec![vec![-1, 2], vec![-2, 3], vec![1, 4], vec![-4, 5], vec![4, 5]],
         );
         let mut la = Lookahead::new(&cnf);
-        let best = la.best_split(5).unwrap();
-        // The chosen variable must maximize the product score.
         let scores = la.score_candidates(5, &[]);
-        let max = scores.iter().map(LookaheadScore::product).max().unwrap();
-        let best_score = scores.iter().find(|s| s.var == best).unwrap();
-        assert_eq!(best_score.product(), max);
+        let best = scores.iter().max_by_key(|s| s.product()).unwrap();
+        assert_eq!(best.var, Var::new(4));
+        assert_eq!(best.failed_literal(), Some(Var::new(4).pos()));
+        let chain = scores.iter().find(|s| s.var == Var::new(0)).unwrap();
+        assert_eq!(chain.product(), 16);
+    }
+
+    #[test]
+    fn propagate_assumption_reports_implications() {
+        // !x0 -> x1 -> x2
+        let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-2, 3]]);
+        let la = Lookahead::new(&cnf);
+        assert_eq!(la.implied_under(Var::new(0).neg()), Some(3));
+        assert_eq!(la.implied_under(Var::new(0).pos()), Some(1));
+    }
+
+    #[test]
+    fn propagate_assumption_detects_conflict() {
+        let cnf = Cnf::from_clauses(2, vec![vec![1], vec![-1, 2], vec![-1, -2]]);
+        let la = Lookahead::new(&cnf);
+        assert!(la.implied_under(Var::new(0).pos()).is_none());
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl Propagator {
         &self.trail
     }
 
-    /// Number of assigned variables.
-    pub fn num_assigned(&self) -> usize {
-        self.trail.len()
-    }
-
     /// A checkpoint for [`undo_to`](Self::undo_to): the current trail
     /// length.
     pub fn mark(&self) -> usize {
@@ -566,7 +561,7 @@ mod tests {
         assert_eq!(prop.trail(), &[Var::new(1).neg()]);
         prop.undo_to(mark);
         assert!(!prop.is_assigned(Var::new(1)));
-        assert_eq!(prop.num_assigned(), 0);
+        assert!(prop.trail().is_empty());
     }
 
     #[test]
@@ -584,7 +579,7 @@ mod tests {
         let pool = ClausePool::new(&cnf);
         let mut prop = Propagator::new(3);
         assert!(prop.propagate(&pool, &all_ids(&pool)));
-        assert_eq!(prop.num_assigned(), 3);
+        assert_eq!(prop.trail().len(), 3);
         for v in 0..3 {
             assert_eq!(prop.value(Var::new(v)), Some(true));
         }

@@ -72,11 +72,6 @@ impl BinaryImplicationGraph {
         self.succ.iter().map(Vec::len).sum()
     }
 
-    /// Direct successors of a literal.
-    pub fn successors(&self, lit: Lit) -> &[Lit] {
-        &self.succ[lit.code()]
-    }
-
     /// The set of literal codes reachable from `lit` (excluding `lit`
     /// itself unless it lies on a cycle). Memoized.
     pub fn reachable(&mut self, lit: Lit) -> &HashSet<usize> {

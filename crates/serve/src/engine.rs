@@ -897,7 +897,7 @@ fn prior_mass(weights: &WmcWeights, evidence: &Evidence) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reason_pc::{weighted_model_count, CompiledWmc};
+    use reason_pc::CompiledWmc;
     use reason_sat::gen::random_ksat;
 
     fn engine() -> ServeEngine {
@@ -909,7 +909,7 @@ mod tests {
         loop {
             let cnf = random_ksat(n, m, 3, s);
             let w = WmcWeights::new((0..n).map(|v| 0.35 + 0.03 * (v % 6) as f64).collect());
-            if weighted_model_count(&cnf, &w) > 0.0 {
+            if CompiledWmc::new(&cnf, &w).wmc() > 0.0 {
                 return (cnf, w);
             }
             s += 1;
@@ -1009,7 +1009,7 @@ mod tests {
         let Answer::Bounds { lower, upper, .. } = report.outcomes[0].answer else {
             panic!("deadline fallback must produce bounds");
         };
-        let exact = weighted_model_count(&cnf, &w);
+        let exact = CompiledWmc::new(&cnf, &w).wmc();
         assert!(lower <= exact && exact <= upper, "[{lower}, {upper}] vs {exact}");
         assert_eq!(engine.router_stats().deadline_fallbacks, 1);
         assert_eq!(engine.store_stats().insertions, 0, "no compile happened");
@@ -1032,7 +1032,7 @@ mod tests {
         );
         // Answers stay exact after the edit.
         let z = exact_one(&mut engine, id, QueryKind::Wmc);
-        let expect = weighted_model_count(&engine.kb(id).cnf(), &w);
+        let expect = CompiledWmc::new(&engine.kb(id).cnf(), &w).wmc();
         assert!((z - expect).abs() < 1e-12);
     }
 

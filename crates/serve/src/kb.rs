@@ -20,7 +20,7 @@
 //! dropped) so the fingerprint a [`crate::CircuitStore`] keys on is a
 //! function of the logic, not of literal spelling.
 //!
-//! # Does the cache earn its keep? (ROADMAP item 4a, re-measured at PR 20)
+//! # Does the cache earn its keep? (ROADMAP, Settled; re-measured at PR 20)
 //!
 //! Still yes in throughput, by less than before; it still costs memory,
 //! also less than before. The prototype is one line on a scratch copy —
@@ -207,7 +207,7 @@ impl KnowledgeBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reason_pc::{weighted_model_count, Evidence};
+    use reason_pc::{CompiledWmc, Evidence};
     use reason_sat::gen::random_ksat;
 
     fn z_of(circuit: Option<Circuit>, n: usize) -> f64 {
@@ -221,12 +221,12 @@ mod tests {
         let mut kb = KnowledgeBase::new("demo", &cnf, w.clone());
         assert_eq!(kb.revision(), 0);
         let (c0, _) = kb.compile();
-        assert!((z_of(c0, 6) - weighted_model_count(&cnf, &w)).abs() < 1e-12);
+        assert!((z_of(c0, 6) - CompiledWmc::new(&cnf, &w).wmc()).abs() < 1e-12);
 
         kb.add_clause(&[-5, 6]);
         assert_eq!(kb.revision(), 1);
         let (c1, stats1) = kb.compile();
-        assert!((z_of(c1, 6) - weighted_model_count(&kb.cnf(), &w)).abs() < 1e-12);
+        assert!((z_of(c1, 6) - CompiledWmc::new(&kb.cnf(), &w).wmc()).abs() < 1e-12);
         assert!(
             stats1.persistent_hits > 0,
             "adding a clause must reuse untouched components: {stats1:?}"
@@ -236,7 +236,7 @@ mod tests {
         assert_eq!(removed.lits().len(), 2);
         assert_eq!(kb.num_clauses(), 3);
         let (c2, _) = kb.compile();
-        assert!((z_of(c2, 6) - weighted_model_count(&kb.cnf(), &w)).abs() < 1e-12);
+        assert!((z_of(c2, 6) - CompiledWmc::new(&kb.cnf(), &w).wmc()).abs() < 1e-12);
     }
 
     #[test]

@@ -63,34 +63,6 @@ impl GpuModel {
         }
     }
 
-    /// NVIDIA V100 (Sec. VII-C comparison).
-    pub fn v100() -> Self {
-        GpuModel {
-            name: "V100".into(),
-            sms: 80,
-            peak_flops: 31.4e12,
-            peak_bw: 900e9,
-            l1: CacheConfig::gpu_l1(),
-            l2: CacheConfig { capacity_bytes: 6 * 1024 * 1024, line_bytes: 128, ways: 16 },
-            tdp_w: 300.0,
-            scalar_flops: 0.45e9,
-        }
-    }
-
-    /// NVIDIA A100 (Sec. VII-C comparison).
-    pub fn a100() -> Self {
-        GpuModel {
-            name: "A100".into(),
-            sms: 108,
-            peak_flops: 77.9e12,
-            peak_bw: 1555e9,
-            l1: CacheConfig::gpu_l1(),
-            l2: CacheConfig { capacity_bytes: 40 * 1024 * 1024, line_bytes: 128, ways: 16 },
-            tdp_w: 400.0,
-            scalar_flops: 0.6e9,
-        }
-    }
-
     /// Runs one kernel, producing latency, energy, and Table II counters.
     pub fn run(&self, kernel: &KernelProfile) -> GpuKernelReport {
         // Cache hierarchy on the sampled trace.

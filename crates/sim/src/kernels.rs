@@ -132,31 +132,6 @@ impl KernelProfile {
         }
     }
 
-    /// Batched marginal inference: `lanes` queries share one traversal
-    /// of a `nodes`-node circuit arena. Structure reads amortize across
-    /// the batch and the per-lane slab arithmetic is contiguous, so
-    /// operational intensity, parallel fraction, and coalescing all
-    /// improve with `lanes`; at `lanes == 1` the knobs match
-    /// [`KernelProfile::pc_marginal`].
-    pub fn pc_batch(nodes: usize, lanes: usize) -> Self {
-        let lanes = lanes.max(1);
-        let l = lanes as f64;
-        let n = nodes as f64;
-        KernelProfile {
-            name: format!("Batch{nodes}x{lanes}"),
-            class: KernelClass::Probabilistic,
-            flops: 2.0 * n * l,
-            bytes: 12.0 * n + 8.0 * n * l,
-            trace: if lanes >= 8 {
-                AccessTrace::streaming(4096, 8)
-            } else {
-                AccessTrace::scattered(4096, (16 * nodes.max(4096)) as u64, 17)
-            },
-            parallel_fraction: 0.45 + 0.55 * (1.0 - 1.0 / l),
-            branch_divergence: 0.40 / l,
-        }
-    }
-
     /// Bayesian (forward) update over `states` states for `steps` steps:
     /// repeated small reductions with state reuse.
     pub fn bayesian_update(states: usize, steps: usize) -> Self {
@@ -206,22 +181,6 @@ mod tests {
         let bcp = KernelProfile::logic_bcp(10_000);
         assert!(mm.trace.coalescing_factor() > 0.8);
         assert!(bcp.trace.coalescing_factor() < 0.4);
-    }
-
-    #[test]
-    fn batching_amortizes_the_marginal_kernel() {
-        let single = KernelProfile::pc_batch(50_000, 1);
-        let batched = KernelProfile::pc_batch(50_000, 32);
-        let marg = KernelProfile::pc_marginal(50_000);
-        // One lane keeps pc_marginal's execution character.
-        assert_eq!(single.parallel_fraction, marg.parallel_fraction);
-        assert_eq!(single.branch_divergence, marg.branch_divergence);
-        // Lanes amortize structure reads and regularize the access
-        // pattern: intensity and parallelism rise, divergence falls.
-        assert!(batched.operational_intensity() > marg.operational_intensity());
-        assert!(batched.parallel_fraction > single.parallel_fraction);
-        assert!(batched.branch_divergence < single.branch_divergence);
-        assert!(batched.trace.coalescing_factor() > single.trace.coalescing_factor());
     }
 
     #[test]

@@ -32,16 +32,6 @@ pub enum DeviceStatus {
     Executing,
 }
 
-/// Reasoning mode selector (the paper's `reasoning_mode` argument).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReasoningMode {
-    /// SAT-style symbolic deduction on the BCP/watched-literal engine.
-    Symbolic,
-    /// DAG execution (probabilistic circuits, HMM unrolls, SpMSpM blocks)
-    /// on the VLIW tree pipeline.
-    Probabilistic,
-}
-
 /// What one `execute` call produced.
 #[derive(Debug, Clone)]
 pub enum ExecuteOutcome {

@@ -45,8 +45,8 @@ use parking_lot::Mutex;
 use reason_approx::{ApproxConfig, ApproxEngine};
 use reason_neural::{LlmProxy, Matrix, Mlp, MlpBuilder};
 use reason_pc::{
-    compile_cnf, random_mixture_circuit, weighted_model_count, BatchBuffer, Circuit, Dnnf,
-    DnnfBuffer, EvalBuffer, Evidence, StructureConfig, WmcWeights,
+    compile_cnf, random_mixture_circuit, BatchBuffer, Circuit, Dnnf, DnnfBuffer, EvalBuffer,
+    Evidence, StructureConfig, WmcWeights,
 };
 use reason_sat::gen::random_ksat;
 use reason_sat::{Cnf, CubeAndConquer, CubeConfig, Solution};
@@ -122,18 +122,6 @@ pub enum SymbolicStage {
         probs: Vec<f64>,
         /// Estimator configuration (method, budget, seed).
         config: ApproxConfig,
-    },
-    /// Exact weighted model counting through the top-down
-    /// component-caching compiler ([`reason_pc::weighted_model_count`]):
-    /// the fast path that makes exact WMC a real executor lane instead
-    /// of an offline oracle. The verdict is a degenerate bracket
-    /// (`lower == estimate == upper`), directly comparable to
-    /// [`SymbolicStage::Approx`] answers on the same formula.
-    ExactWmc {
-        /// The formula.
-        cnf: Cnf,
-        /// Per-variable Bernoulli marginals, `probs[v] = p(X_v = 1)`.
-        probs: Vec<f64>,
     },
     /// A whole batch of queries against one shared compiled knowledge
     /// base, answered through the batched d-DNNF path
@@ -401,7 +389,8 @@ impl BatchExecutor {
         telemetry: Option<&Telemetry>,
     ) -> BatchReport {
         let start = Instant::now();
-        let results = if self.config.overlap && !tasks.is_empty() {
+        // A one-task batch has nothing to overlap: skip the thread scope.
+        let results = if self.config.overlap && tasks.len() > 1 {
             self.run_overlapped(tasks, telemetry)
         } else {
             run_serial(tasks)
@@ -620,10 +609,6 @@ fn run_symbolic(stage: &SymbolicStage, eval_buf: &mut EvalBuffer) -> Verdict {
             let est = ApproxEngine::new(*config).wmc(cnf, &WmcWeights::new(probs.clone()));
             Verdict::Wmc { estimate: est.estimate, lower: est.lower, upper: est.upper }
         }
-        SymbolicStage::ExactWmc { cnf, probs } => {
-            let z = weighted_model_count(cnf, &WmcWeights::new(probs.clone()));
-            Verdict::Wmc { estimate: z, lower: z, upper: z }
-        }
         SymbolicStage::ServeBatch { arena, z, queries } => run_serve_batch(arena, *z, queries),
         SymbolicStage::Synthetic { duration } => {
             std::thread::sleep(*duration);
@@ -702,18 +687,18 @@ fn run_serve_batch(arena: &Dnnf, z: f64, queries: &[ServeQuery]) -> Verdict {
 
 /// A seeded mixed batch with MLP neural stages — the workload the
 /// `reason-eval pipeline` experiment drives.
-/// Lanes rotate all five symbolic stages: SAT cube-and-conquer, exact
-/// PC marginal inference, anytime approximate WMC (a trimmed-budget
-/// [`ApproxConfig`], so demo batches stay interactive), exact WMC
-/// through the top-down compiler's fast path, and serve queries against
-/// one shared compiled knowledge base (the same `Arc<Dnnf>` arena
-/// across every serve task, exercising cross-thread sharing).
+/// Lanes rotate four symbolic stages: SAT cube-and-conquer, exact PC
+/// marginal inference, anytime approximate WMC (a trimmed-budget
+/// [`ApproxConfig`], so demo batches stay interactive), and serve
+/// queries against one shared compiled knowledge base (the same
+/// `Arc<Dnnf>` arena across every serve task, exercising cross-thread
+/// sharing).
 pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
     // The serve lane's knowledge base: compiled once, shared by every
     // serve task in the batch. Walk seeds until the formula carries
     // mass so the batch is usable at any seed. Built only when the
-    // batch is long enough to reach the serve lane (i = 5k + 4).
-    let serve_kb = (tasks > 4).then(|| {
+    // batch is long enough to reach the serve lane (i = 4k + 3).
+    let serve_kb = (tasks > 3).then(|| {
         let mut s = seed + 900_000;
         loop {
             let cnf = random_ksat(13, 34, 3, s);
@@ -733,7 +718,7 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
                 MlpBuilder::new(16).layer(32, true, s).layer(8, false, s + 1).softmax().build();
             let input = Matrix::random(4, 16, 1.0, s + 2);
             let neural = NeuralStage::Mlp { mlp, input };
-            let symbolic = match i % 5 {
+            let symbolic = match i % 4 {
                 0 => SymbolicStage::Sat {
                     cnf: random_ksat(12, 50, 3, s + 3),
                     config: CubeConfig { max_depth: 3, ..CubeConfig::default() },
@@ -745,10 +730,10 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
                         num_components: 2,
                         seed: s + 4,
                     });
-                    // PC tasks land at i = 5k + 1, so alternate the
+                    // PC tasks land at i = 4k + 1, so alternate the
                     // evidence value per PC task, not per task index.
                     let mut evidence = Evidence::empty(8);
-                    evidence.set(0, (i / 5) % 2);
+                    evidence.set(0, (i / 4) % 2);
                     SymbolicStage::Pc { circuit, evidence }
                 }
                 2 => SymbolicStage::Approx {
@@ -756,16 +741,12 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
                     probs: (0..14).map(|v| 0.35 + 0.02 * v as f64).collect(),
                     config: demo_approx_config(s + 6),
                 },
-                3 => SymbolicStage::ExactWmc {
-                    cnf: random_ksat(16, 40, 3, s + 7),
-                    probs: (0..16).map(|v| 0.4 + 0.015 * v as f64).collect(),
-                },
                 _ => {
-                    // Serve tasks land at i = 5k + 4: alternate the
+                    // Serve tasks land at i = 4k + 3: alternate the
                     // conditioned value per serve task.
                     let mut evidence = Evidence::empty(13);
-                    evidence.set(0, (i / 5) % 2);
-                    let (arena, z) = serve_kb.as_ref().expect("serve lane implies tasks > 4");
+                    evidence.set(0, (i / 4) % 2);
+                    let (arena, z) = serve_kb.as_ref().expect("serve lane implies tasks > 3");
                     SymbolicStage::ServeBatch {
                         arena: Arc::clone(arena),
                         z: *z,
@@ -999,20 +980,19 @@ mod tests {
     }
 
     #[test]
-    fn demo_batch_rotates_all_five_symbolic_lanes() {
-        let tasks = demo_batch(10, 0);
+    fn demo_batch_rotates_all_four_symbolic_lanes() {
+        let tasks = demo_batch(8, 0);
         assert!(matches!(tasks[0].symbolic, SymbolicStage::Sat { .. }));
         assert!(matches!(tasks[1].symbolic, SymbolicStage::Pc { .. }));
         assert!(matches!(tasks[2].symbolic, SymbolicStage::Approx { .. }));
-        assert!(matches!(tasks[3].symbolic, SymbolicStage::ExactWmc { .. }));
-        assert!(matches!(tasks[4].symbolic, SymbolicStage::ServeBatch { .. }));
+        assert!(matches!(tasks[3].symbolic, SymbolicStage::ServeBatch { .. }));
         // Every serve task shares the *same* compiled arena.
         let (
             SymbolicStage::ServeBatch { arena: a, .. },
             SymbolicStage::ServeBatch { arena: b, .. },
-        ) = (&tasks[4].symbolic, &tasks[9].symbolic)
+        ) = (&tasks[3].symbolic, &tasks[7].symbolic)
         else {
-            panic!("serve lanes at i = 5k + 4");
+            panic!("serve lanes at i = 4k + 3");
         };
         assert!(Arc::ptr_eq(a, b), "serve tasks share one compiled KB");
         let report = BatchExecutor::new(ExecutorConfig::overlapped(2)).run(&tasks);
@@ -1026,9 +1006,8 @@ mod tests {
             })
             .collect();
         let wmc = verdicts.iter().filter(|v| matches!(v, Verdict::Wmc { .. })).count();
-        assert_eq!(wmc, 6, "two approx + two exact WMC + two serve verdicts");
-        // Exact-WMC and serve lanes report degenerate brackets, approx
-        // lanes real ones.
+        assert_eq!(wmc, 4, "two approx + two serve verdicts");
+        // Serve lanes report degenerate brackets, approx lanes real ones.
         let exact = verdicts
             .iter()
             .filter(|v| {
@@ -1036,7 +1015,7 @@ mod tests {
                 if lower == estimate && estimate == upper)
             })
             .count();
-        assert_eq!(exact, 4);
+        assert_eq!(exact, 2);
     }
 
     #[test]
@@ -1177,30 +1156,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_wmc_lane_matches_the_compiler_oracle() {
-        let cnf = random_ksat(10, 26, 3, 4);
-        let probs: Vec<f64> = (0..10).map(|v| 0.3 + 0.04 * v as f64).collect();
-        let tasks = vec![BatchTask {
-            name: "exact".into(),
-            neural: NeuralStage::Synthetic { duration: Duration::from_millis(1) },
-            symbolic: SymbolicStage::ExactWmc { cnf: cnf.clone(), probs: probs.clone() },
-            deadline: None,
-        }];
-        let serial = BatchExecutor::new(ExecutorConfig::sequential()).run(&tasks);
-        let threaded = BatchExecutor::new(ExecutorConfig::overlapped(2)).run(&tasks);
-        assert!(threaded.agrees_with(&serial));
-        let expect = CompiledWmc::new(&cnf, &WmcWeights::new(probs)).wmc();
-        match &serial.results[0].verdict {
-            Verdict::Wmc { estimate, lower, upper } => {
-                assert_eq!(*estimate, expect);
-                assert_eq!(*lower, expect);
-                assert_eq!(*upper, expect);
-            }
-            other => panic!("expected a WMC verdict, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn proxy_stage_publishes_modeled_latency() {
         let tasks = vec![BatchTask {
             name: "proxy".into(),
@@ -1277,6 +1232,25 @@ mod tests {
             })
             .sum();
         assert_eq!(stage_count, 8);
+    }
+
+    #[test]
+    fn one_task_batch_runs_inline_under_an_overlapped_config() {
+        use reason_telemetry::{MetricValue, Telemetry};
+        // One task has nothing to overlap: no symbolic lane is spawned,
+        // so no lane counter exists, while `executor_tasks_total` keeps
+        // the configured mode.
+        let tasks = demo_batch(1, 5);
+        let tel = Telemetry::wall();
+        let threaded = BatchExecutor::new(ExecutorConfig::overlapped(2))
+            .run_with_telemetry(&tasks, Some(&tel));
+        let serial = BatchExecutor::new(ExecutorConfig::sequential()).run(&tasks);
+        assert!(threaded.agrees_with(&serial));
+        let snap = tel.registry.snapshot();
+        assert!(snap.iter().all(|m| m.name != "executor_lane_tasks_total"));
+        let total = snap.iter().find(|m| m.name == "executor_tasks_total").expect("task counter");
+        assert_eq!(total.labels, vec![("mode".to_string(), "overlap".to_string())]);
+        assert!(matches!(total.value, MetricValue::Counter(1)));
     }
 
     #[test]

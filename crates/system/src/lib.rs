@@ -12,17 +12,20 @@
 //!   [`ReasonDevice::execute_sat`] and [`ReasonDevice::check_status`]
 //!   mirror the paper's `REASON_execute` / `REASON_check_status` C++
 //!   interface (Listing 1), dispatching to the cycle-level engines of
-//!   `reason-arch` by reasoning mode.
+//!   `reason-arch` by reasoning mode. Nothing outside this module's
+//!   tests, the workspace integration test and the examples drives the
+//!   device: it is the model of Listing 1, kept as that.
 //! * [`pipeline`] — the two-level execution pipeline (paper Sec. VI-C):
 //!   task-level overlap of GPU neural work for batch `N+1` with REASON
 //!   symbolic work for batch `N`, on top of the intra-REASON pipelining
 //!   already modeled in `reason-arch`. This is the *cost model*: a
 //!   two-stage flow-shop schedule over per-task stage costs.
 //! * [`executor`] — the cost model made real: [`BatchExecutor`] runs
-//!   mixed batches (SAT, PC inference, approximate WMC, exact WMC, and
-//!   serve queries against shared compiled knowledge bases) on neural
-//!   and symbolic worker pools with
-//!   genuine thread-level stage overlap, moves data through the
+//!   mixed batches (SAT, PC inference, approximate WMC, and serve
+//!   queries against shared compiled knowledge bases) on neural and
+//!   symbolic worker pools with genuine thread-level stage overlap (a
+//!   one-task batch, having nothing to overlap, runs inline), moves
+//!   data through the
 //!   [`sync`] flag protocol, and reports measured schedules in the same
 //!   [`PipelineReport`] vocabulary so model and execution can be
 //!   compared directly.
@@ -35,7 +38,7 @@ pub mod executor;
 pub mod pipeline;
 pub mod sync;
 
-pub use device::{BatchId, DeviceStatus, ExecuteOutcome, ReasonDevice, ReasoningMode};
+pub use device::{BatchId, DeviceStatus, ExecuteOutcome, ReasonDevice};
 pub use executor::{
     demo_approx_config, demo_batch, edf_order, synthetic_batch, BatchExecutor, BatchReport,
     BatchTask, ExecutorConfig, NeuralStage, ServeQuery, SymbolicStage, TaskResult, Verdict,

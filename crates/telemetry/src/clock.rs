@@ -82,14 +82,6 @@ impl VirtualClock {
             }
         }
     }
-
-    /// Advances the clock by `dt_s` seconds (negative deltas are
-    /// ignored).
-    pub fn advance(&self, dt_s: f64) {
-        if dt_s > 0.0 {
-            self.set(self.now_s() + dt_s);
-        }
-    }
 }
 
 impl Clock for VirtualClock {
@@ -119,9 +111,5 @@ mod tests {
         assert_eq!(clock.now_s(), 2.5);
         clock.set(1.0); // rewind attempt: ignored
         assert_eq!(clock.now_s(), 2.5);
-        clock.advance(0.5);
-        assert_eq!(clock.now_s(), 3.0);
-        clock.advance(-1.0); // negative delta: ignored
-        assert_eq!(clock.now_s(), 3.0);
     }
 }

@@ -335,11 +335,10 @@ impl RegistryInner {
 ///
 /// # Cardinality guard
 ///
-/// Distinct series (name + label set) are capped — at
-/// [`DEFAULT_SERIES_LIMIT`] by default,
-/// [`MetricsRegistry::with_series_limit`] to override. Once the cap is
-/// reached, lookups of *existing* series keep working, but a lookup
-/// that would mint a new series instead returns a detached handle (a
+/// Distinct series (name + label set) are capped at
+/// [`DEFAULT_SERIES_LIMIT`]. Once the cap is reached, lookups of
+/// *existing* series keep working, but a lookup that would mint a new
+/// series instead returns a detached handle (a
 /// live metric that is not exported) and increments
 /// [`DROPPED_SERIES_METRIC`] — so adversarial label cardinality
 /// degrades to a counted, visible drop instead of unbounded memory.
@@ -354,8 +353,10 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// An empty registry capped at `limit` distinct series.
-    pub fn with_series_limit(limit: usize) -> Self {
+    /// An empty registry capped at `limit` distinct series, for the
+    /// unit test of the cap itself.
+    #[cfg(test)]
+    fn with_series_limit(limit: usize) -> Self {
         let reg = MetricsRegistry::default();
         reg.inner.lock().expect("registry lock").series_limit = limit;
         reg

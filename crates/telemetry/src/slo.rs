@@ -275,11 +275,6 @@ impl SloMonitor {
         }
     }
 
-    /// Samples at the telemetry clock's current time.
-    pub fn observe_now(&mut self) {
-        self.observe(self.telemetry.now_s());
-    }
-
     /// Resolves every still-active alert at time `t` (end of sweep),
     /// recording their spans. Idempotent.
     pub fn finish(&mut self, t: f64) {

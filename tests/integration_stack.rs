@@ -13,7 +13,9 @@ use reason::fol::{clausify, ground_clauses, parse_formula, prove, Formula, Proof
 use reason::hmm::Hmm;
 use reason::neural::{CsrMatrix, LlmProxy, Matrix, MlpBuilder};
 use reason::pc::{random_mixture_circuit, Evidence, StructureConfig};
-use reason::sat::{brute_force, gen::random_ksat, CdclSolver, DpllSolver, Solution};
+use reason::sat::{
+    brute_force, gen::random_ksat, CdclSolver, CubeAndConquer, CubeConfig, Solution,
+};
 use reason::system::{
     BatchExecutor, ExecutorConfig, ReasonDevice, SharedMemory, StageCost, TwoLevelPipeline,
 };
@@ -24,7 +26,8 @@ fn four_sat_engines_agree() {
         let cnf = random_ksat(10, 40, 3, seed);
         let expect = brute_force(&cnf).is_sat();
         assert_eq!(CdclSolver::new(&cnf).solve().is_sat(), expect, "cdcl seed {seed}");
-        assert_eq!(DpllSolver::new(&cnf).solve().is_sat(), expect, "dpll seed {seed}");
+        let cube = CubeAndConquer::new(&cnf, CubeConfig::default()).solve();
+        assert_eq!(cube.solution.is_sat(), expect, "cube-and-conquer seed {seed}");
         let (hw, _) = SymbolicEngine::new(ArchConfig::paper()).solve(&cnf);
         assert_eq!(hw.is_sat(), expect, "hardware seed {seed}");
     }
@@ -145,7 +148,6 @@ fn fol_resolution_agrees_with_grounded_sat_on_every_engine() {
     let cnf = grounding.cnf;
     assert!(!brute_force(&cnf).is_sat(), "prover and grounding must agree: UNSAT");
     assert!(!CdclSolver::new(&cnf).solve().is_sat(), "cdcl");
-    assert!(!DpllSolver::new(&cnf).solve().is_sat(), "dpll");
     let (hw, _) = SymbolicEngine::new(ArchConfig::paper()).solve(&cnf);
     assert!(!hw.is_sat(), "BCP hardware");
 }
@@ -259,7 +261,7 @@ fn llm_proxy_costs_drive_the_two_level_pipeline() {
         assert!((report.output - exact).abs() < 1e-9, "seed {seed}");
         tasks.push(StageCost {
             neural_s: neural.seconds,
-            symbolic_s: report.cycles as f64 * config.cycle_seconds(),
+            symbolic_s: report.cycles as f64 / (f64::from(config.freq_mhz) * 1e6),
         });
     }
 

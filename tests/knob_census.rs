@@ -41,7 +41,7 @@ const CENSUS: &[(&str, &str, &str)] = &[
     ("ExecutorConfig", "overlap", "benchmark layers.rs sequential() | default overlapped"),
     ("CubeConfig", "max_depth", "system demo_batch 3 | workloads alphageometry default 4"),
     ("CubeConfig", "workers", "one value (1); > 1 is the paper's parallel conquer, tests only"),
-    ("CompileOptions", "order", "one value (MostOccurrences); Scored awaits ROADMAP item 8"),
+    ("CompileOptions", "order", "one value (MostOccurrences); Scored awaits ROADMAP item 5"),
     ("CompileOptions", "cache", "serve kb.rs passes its persistent cache | compile_cnf None"),
     ("CompileOptions", "telemetry", "serve kb.rs compile_observed | compile_cnf None"),
     ("PipelineConfig", "prune", "bench lib.rs and experiments/mod.rs false | default true"),

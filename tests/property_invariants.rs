@@ -856,7 +856,7 @@ fn pinned_contradiction_is_unsat_through_preprocessing() {
 /// count: on (x1 ∨ x2) ∧ (¬x2 ∨ x3) it fixes the pure literals x1 and
 /// x3 and decides SAT, and the count under uniform weights moves from
 /// 1/2 to 1 — why `Preprocessor` cannot front `compile_cnf` as
-/// configured (ROADMAP item 4b).
+/// configured (ROADMAP item 5, the count-preserving front pass).
 #[test]
 fn pinned_default_preprocessing_keeps_satisfiability_but_moves_the_weighted_count() {
     let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-2, 3]]);
