@@ -14,6 +14,14 @@
 //! operation-for-operation. Arena answers are therefore bit-identical
 //! to circuit answers — the store's round-trip guarantee rests on this.
 //!
+//! Every interior node also stores its **empty-evidence value**, its
+//! log-value with every variable marginalized, computed at flatten time
+//! with the batched kernels' own arithmetic. A batched lane whose
+//! evidence observes no variable in a node's scope would recompute
+//! exactly that value — every leaf below decodes the marginalized code —
+//! so the batched walk copies it instead of evaluating the node, and the
+//! answers stay bit-identical (see [`BatchBuffer::lanes_computed`]).
+//!
 //! Only *binary* universes are accepted (every compiled formula circuit
 //! is one); [`Dnnf::from_circuit`] reports [`DnnfError`] otherwise.
 //!
@@ -61,7 +69,8 @@ impl fmt::Display for DnnfError {
 impl std::error::Error for DnnfError {}
 
 /// One flattened node. Interior nodes address a contiguous slice of the
-/// arena's edge array instead of owning a child vector.
+/// arena's edge array instead of owning a child vector, and carry
+/// `empty`, their log-value when every variable is marginalized.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Node {
     /// Indicator leaf `[x_var = value]`.
@@ -69,10 +78,71 @@ enum Node {
     /// Bernoulli leaf with `log_p[b] = log p(x_var = b)`.
     Leaf { var: u32, log_p: [f64; 2] },
     /// Decomposable conjunction over `edges[start..start+len]`.
-    And { start: u32, len: u32 },
+    And { start: u32, len: u32, empty: f64 },
     /// Deterministic disjunction over `edges[start..start+len]`, with
     /// log-weights in the parallel weight array.
-    Or { start: u32, len: u32 },
+    Or { start: u32, len: u32, empty: f64 },
+}
+
+// `empty` must fit the variants' padding: the node table, and with it
+// `Dnnf::bytes` and the serving store's byte bound, pay nothing for it.
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+
+impl Node {
+    /// The node's log-value with every variable marginalized. A
+    /// marginalized leaf decodes to `+0.0` (`Σ_v [v = value] = 1`, and a
+    /// distribution sums to 1).
+    fn empty(&self) -> f64 {
+        match *self {
+            Node::Indicator { .. } | Node::Leaf { .. } => 0.0,
+            Node::And { empty, .. } | Node::Or { empty, .. } => empty,
+        }
+    }
+}
+
+/// `exp(x)`, skipping the call where IEEE 754 makes it exact:
+/// `exp(±0) = 1` and `exp(-inf) = 0`. The argmax child of a
+/// log-sum-exp always takes the first skip, which halves the
+/// transcendental count.
+#[inline(always)]
+fn fexp(x: f64) -> f64 {
+    if x == 0.0 {
+        1.0
+    } else if x == f64::NEG_INFINITY {
+        0.0
+    } else {
+        x.exp()
+    }
+}
+
+/// `m + ln(total)`, skipping the call where `ln(1) = +0.0` is exact. A
+/// total of exactly 1 is common on deterministic nodes with a single
+/// live child.
+#[inline(always)]
+fn plus_ln(m: f64, total: f64) -> f64 {
+    m + if total == 1.0 { 0.0 } else { total.ln() }
+}
+
+/// One lane of the fused two-child Or arm: the log-sum-exp of the
+/// weighted child values `a` and `b`, in the generic arm's order.
+#[inline(always)]
+fn log_add(a: f64, b: f64) -> f64 {
+    let m = f64::max(f64::max(f64::NEG_INFINITY, a), b);
+    if m == f64::NEG_INFINITY {
+        return m;
+    }
+    plus_ln(m, (0.0 + fexp(a - m)) + fexp(b - m))
+}
+
+/// One lane of the generic Or arm: the two-pass log-sum-exp of the
+/// weighted child values `terms`, in edge order. On two terms it is
+/// [`log_add`], bit for bit.
+fn log_sum_exp(terms: impl Iterator<Item = f64> + Clone) -> f64 {
+    let m = terms.clone().fold(f64::NEG_INFINITY, f64::max);
+    if m == f64::NEG_INFINITY {
+        return m;
+    }
+    plus_ln(m, terms.fold(0.0, |total, x| total + fexp(x - m)))
 }
 
 /// A compiled formula circuit flattened into an evaluation-ready arena
@@ -113,12 +183,29 @@ const MARGINALIZED: u8 = 2;
 /// many lanes arrive. Chosen by measurement on 256-lane serve batches
 /// (`benchmark/`'s `hot_wide`): 32 serves a tenth fewer queries per
 /// second (node decode amortizes over fewer lanes), 128 serves as many
-/// as 64 on a table twice the size.
+/// as 64 on a table twice the size. It is also the width of the
+/// per-node lane masks of the sum-product walk (one `u64` per node).
 const TILE: usize = 64;
+const _: () = assert!(TILE <= 64);
 
 /// The storage-lane tiles `(first lane, width)` of a `lanes`-wide slab.
 fn tiles(lanes: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..lanes).step_by(TILE).map(move |t0| (t0, TILE.min(lanes - t0)))
+}
+
+/// The lanes of one tile's code run that observe their variable, as a
+/// mask (bit `k` is lane `k`).
+fn observed_lanes(codes: &[u8]) -> u64 {
+    codes.iter().enumerate().fold(0, |mask, (k, &c)| mask | (u64::from(c != MARGINALIZED) << k))
+}
+
+/// The lanes set in `mask`, ascending.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        lane
+    })
 }
 
 /// A batch of B evidence lanes packed structure-of-arrays: one byte per
@@ -276,7 +363,9 @@ fn marginals_from_logs(triplets: &[f64]) -> Vec<Vec<f64>> {
 
 /// Reusable scratch space for batched arena evaluation: the node-value
 /// table of one lane tile (`nodes × TILE` at most, node-major chunks,
-/// however wide the batch), the per-node argmax table for MPE, and a
+/// however wide the batch), the per-node argmax table for MPE, the
+/// per-node lane mask of the sum-product walk (one `u64` per node: the
+/// tile's lanes with an observed variable in the node's scope), and a
 /// tile-wide accumulator for the log-sum-exp second pass. The tables
 /// only ever grow, to the tallest arena seen; one buffer per worker
 /// thread makes every batch after the first allocation-free.
@@ -284,9 +373,11 @@ fn marginals_from_logs(triplets: &[f64]) -> Vec<Vec<f64>> {
 pub struct BatchBuffer {
     vals: Vec<f64>,
     arg: Vec<u32>,
+    dirty: Vec<u64>,
     acc: Vec<f64>,
     stack: Vec<u32>,
     walks: u64,
+    computed: u64,
 }
 
 impl BatchBuffer {
@@ -301,16 +392,27 @@ impl BatchBuffer {
         self.walks
     }
 
-    /// Bytes held by the value and argmax tables.
+    /// Node·lanes the sum-product walks against this buffer computed
+    /// rather than copied from the node's empty-evidence value: per
+    /// tile, the `(node, lane)` pairs whose lane observes a variable in
+    /// the node's scope. (A partly observed And node or leaf recomputes
+    /// its other lanes too, to the same bits; they are not counted.)
+    pub fn lanes_computed(&self) -> u64 {
+        self.computed
+    }
+
+    /// Bytes held by the value, argmax and lane-mask tables.
     pub fn slab_bytes(&self) -> usize {
         self.vals.capacity() * std::mem::size_of::<f64>()
             + self.arg.capacity() * std::mem::size_of::<u32>()
+            + self.dirty.capacity() * std::mem::size_of::<u64>()
     }
 }
 
 impl Dnnf {
     /// Flattens `circuit` into an arena, preserving node order and
-    /// child order exactly.
+    /// child order exactly. The same pass stores every interior node's
+    /// empty-evidence value, read off its already-flattened children.
     ///
     /// # Errors
     ///
@@ -320,7 +422,7 @@ impl Dnnf {
         if let Some((var, &arity)) = circuit.arities().iter().enumerate().find(|(_, &a)| a != 2) {
             return Err(DnnfError::NonBinaryVariable { var, arity });
         }
-        let mut nodes = Vec::with_capacity(circuit.num_nodes());
+        let mut nodes: Vec<Node> = Vec::with_capacity(circuit.num_nodes());
         let mut edges: Vec<u32> = Vec::with_capacity(circuit.num_edges());
         let mut edge_log_weights: Vec<f64> = Vec::with_capacity(circuit.num_edges());
         for node in circuit.nodes() {
@@ -337,7 +439,8 @@ impl Dnnf {
                         edges.push(c.index() as u32);
                         edge_log_weights.push(0.0);
                     }
-                    Node::And { start, len: children.len() as u32 }
+                    let empty = children.iter().fold(-0.0, |sum, c| sum + nodes[c.index()].empty());
+                    Node::And { start, len: children.len() as u32, empty }
                 }
                 PcNode::Sum { children, log_weights } => {
                     let start = edges.len() as u32;
@@ -345,7 +448,9 @@ impl Dnnf {
                         edges.push(c.index() as u32);
                         edge_log_weights.push(*lw);
                     }
-                    Node::Or { start, len: children.len() as u32 }
+                    let terms = children.iter().zip(log_weights);
+                    let empty = log_sum_exp(terms.map(|(c, lw)| lw + nodes[c.index()].empty()));
+                    Node::Or { start, len: children.len() as u32, empty }
                 }
             };
             nodes.push(flat);
@@ -405,11 +510,11 @@ impl Dnnf {
                     Some(v) => log_p[v],
                     None => 0.0, // distributions sum to 1
                 },
-                Node::And { start, len } => {
+                Node::And { start, len, .. } => {
                     let (s, e) = (start as usize, (start + len) as usize);
                     self.edges[s..e].iter().map(|&c| vals[c as usize]).sum()
                 }
-                Node::Or { start, len } => {
+                Node::Or { start, len, .. } => {
                     let (s, e) = (start as usize, (start + len) as usize);
                     // Inline log-sum-exp, same two-pass numerics as the
                     // circuit evaluator (bit-identical answers).
@@ -472,20 +577,49 @@ impl Dnnf {
     /// One sum-product walk of the node table over the `l` storage
     /// lanes from `t0`, leaving node `i`'s values in
     /// `buf.vals[i * l..(i + 1) * l]`.
+    ///
+    /// Each node first takes its lane mask: the tile's lanes that
+    /// observe a variable in its scope (a leaf's observed lanes, an
+    /// interior node's children's masks OR-ed). Every other lane would
+    /// repeat the all-marginalized lane's arithmetic, so a node with no
+    /// lane set copies its `empty` value, and an Or node evaluates only
+    /// the lanes set, copying `empty` into the rest. And nodes and
+    /// leaves with any lane set compute the whole tile: cheap, and the
+    /// same bits.
     fn sum_product_walk(&self, batch: &DnnfBatch, t0: usize, l: usize, buf: &mut BatchBuffer) {
         buf.walks += 1;
-        // Grow only, and no clear: every node chunk is fully written
+        // Grow only, and no clear: every node chunk and mask is written
         // before it is read (children precede parents in the arena).
         if buf.vals.len() < self.nodes.len() * l {
             buf.vals.resize(self.nodes.len() * l, 0.0);
         }
+        if buf.dirty.len() < self.nodes.len() {
+            buf.dirty.resize(self.nodes.len(), 0);
+        }
         buf.acc.resize(l, 0.0);
+        // `1 <= l <= 64`: the shift stays below 64.
+        let all = u64::MAX >> (64 - l);
         for (i, node) in self.nodes.iter().enumerate() {
             let base = i * l;
             // Children precede their parent, so the read side (child
             // chunks) and write side (this node's chunk) never overlap.
             let (lo, hi) = buf.vals.split_at_mut(base);
             let out = &mut hi[..l];
+            let dirty = match *node {
+                Node::Indicator { var, .. } | Node::Leaf { var, .. } => {
+                    observed_lanes(batch.tile_codes(var as usize, t0, l))
+                }
+                Node::And { start, len, .. } | Node::Or { start, len, .. } => {
+                    let edges = &self.edges[start as usize..(start + len) as usize];
+                    edges.iter().fold(0, |mask, &c| mask | buf.dirty[c as usize])
+                }
+            };
+            buf.dirty[i] = dirty;
+            buf.computed += u64::from(dirty.count_ones());
+            if dirty == 0 {
+                out.fill(node.empty());
+                continue;
+            }
             match *node {
                 Node::Indicator { var, value } => {
                     // Branchless decode: value-match → 0, mismatch →
@@ -502,21 +636,22 @@ impl Dnnf {
                         *o = table[c as usize];
                     }
                 }
-                Node::And { start, len: 2 } => {
+                Node::And { start, len: 2, .. } => {
                     // Fused two-child product: one pass, both children
-                    // in registers. The explicit `0.0 +` start keeps the
-                    // fold order (and -0.0 behavior) of the generic
-                    // `.sum()` below, so answers stay bit-identical.
+                    // in registers. The `-0.0 +` start is the fold start
+                    // of the generic arm below and of `.sum()`, so
+                    // answers stay bit-identical (an empty product is
+                    // -0.0 on every path).
                     let s = start as usize;
                     let (c0, c1) = (self.edges[s] as usize * l, self.edges[s + 1] as usize * l);
                     let (ca, cb) = (&lo[c0..c0 + l], &lo[c1..c1 + l]);
                     for ((o, &x), &y) in out.iter_mut().zip(ca).zip(cb) {
-                        *o = (0.0 + x) + y;
+                        *o = (-0.0 + x) + y;
                     }
                 }
-                Node::And { start, len } => {
+                Node::And { start, len, .. } => {
                     let (s, e) = (start as usize, (start + len) as usize);
-                    out.fill(0.0);
+                    out.fill(-0.0);
                     for &c in &self.edges[s..e] {
                         let child = &lo[c as usize * l..c as usize * l + l];
                         for (o, &v) in out.iter_mut().zip(child) {
@@ -524,51 +659,43 @@ impl Dnnf {
                         }
                     }
                 }
-                Node::Or { start, len: 2 } => {
+                Node::Or { start, len: 2, empty } => {
                     // Fused two-child log-sum-exp: the dominant shape
                     // (the compiler emits binary decision nodes). Both
-                    // passes of the generic path collapse into one loop
-                    // with the children held in registers; every
-                    // floating-point step keeps the generic path's
-                    // order, so answers stay bit-identical. `exp` is
-                    // skipped where the argument is exactly 0.0 or -inf
-                    // (`exp(0) = 1`, `exp(-inf) = 0` exactly in IEEE
-                    // 754), which halves the transcendental count: the
-                    // argmax child always contributes exactly 1.
+                    // passes of the generic path collapse into one
+                    // `log_add` per lane with the children held in
+                    // registers; every floating-point step keeps the
+                    // generic path's order, so answers stay
+                    // bit-identical.
                     let s = start as usize;
                     let (c0, c1) = (self.edges[s] as usize * l, self.edges[s + 1] as usize * l);
                     let (lw0, lw1) = (self.edge_log_weights[s], self.edge_log_weights[s + 1]);
                     let (ca, cb) = (&lo[c0..c0 + l], &lo[c1..c1 + l]);
-                    for ((o, &x), &y) in out.iter_mut().zip(ca).zip(cb) {
-                        let a = lw0 + x;
-                        let b = lw1 + y;
-                        let m = f64::max(f64::max(f64::NEG_INFINITY, a), b);
-                        if m == f64::NEG_INFINITY {
-                            *o = f64::NEG_INFINITY;
-                        } else {
-                            let fexp = |x: f64| {
-                                if x == 0.0 {
-                                    1.0
-                                } else if x == f64::NEG_INFINITY {
-                                    0.0
-                                } else {
-                                    x.exp()
-                                }
-                            };
-                            let total = (0.0 + fexp(a - m)) + fexp(b - m);
-                            // `ln(1.0)` is exactly +0.0: skip the call
-                            // without changing the sum. A total of
-                            // exactly 1 is common on deterministic
-                            // nodes with a single live child.
-                            *o = m + if total == 1.0 { 0.0 } else { total.ln() };
+                    if dirty == all {
+                        for ((o, &x), &y) in out.iter_mut().zip(ca).zip(cb) {
+                            *o = log_add(lw0 + x, lw1 + y);
+                        }
+                    } else {
+                        out.fill(empty);
+                        for k in lanes_of(dirty) {
+                            out[k] = log_add(lw0 + ca[k], lw1 + cb[k]);
                         }
                     }
                 }
-                Node::Or { start, len } => {
+                Node::Or { start, len, empty } => {
                     let (s, e) = (start as usize, (start + len) as usize);
+                    let edges = self.edges[s..e].iter().zip(&self.edge_log_weights[s..e]);
+                    if dirty != all {
+                        out.fill(empty);
+                        for k in lanes_of(dirty) {
+                            let terms = edges.clone().map(|(&c, lw)| lw + lo[c as usize * l + k]);
+                            out[k] = log_sum_exp(terms);
+                        }
+                        continue;
+                    }
                     // Pass 1: the running max lands in the node chunk.
                     out.fill(f64::NEG_INFINITY);
-                    for (&c, &lw) in self.edges[s..e].iter().zip(&self.edge_log_weights[s..e]) {
+                    for (&c, &lw) in edges.clone() {
                         let child = &lo[c as usize * l..c as usize * l + l];
                         for (o, &v) in out.iter_mut().zip(child) {
                             *o = f64::max(*o, lw + v);
@@ -576,26 +703,17 @@ impl Dnnf {
                     }
                     // Pass 2: exp-sum against the max. Lanes whose max is
                     // -inf produce NaN partials here; they are discarded
-                    // below, matching the single-query early-out. The
-                    // same exact-identity `exp` skips as the fused
-                    // binary path apply.
+                    // below, matching the single-query early-out.
                     buf.acc.fill(0.0);
-                    for (&c, &lw) in self.edges[s..e].iter().zip(&self.edge_log_weights[s..e]) {
+                    for (&c, &lw) in edges {
                         let child = &lo[c as usize * l..c as usize * l + l];
                         for ((a, &v), &m) in buf.acc.iter_mut().zip(child).zip(out.iter()) {
-                            let x = lw + v - m;
-                            *a += if x == 0.0 {
-                                1.0
-                            } else if x == f64::NEG_INFINITY {
-                                0.0
-                            } else {
-                                x.exp()
-                            };
+                            *a += fexp(lw + v - m);
                         }
                     }
                     for (o, &t) in out.iter_mut().zip(&buf.acc) {
                         if *o != f64::NEG_INFINITY {
-                            *o += if t == 1.0 { 0.0 } else { t.ln() };
+                            *o = plus_ln(*o, t);
                         }
                     }
                 }
@@ -708,7 +826,7 @@ impl Dnnf {
                                 assignment[var as usize] = usize::from(log_p[1] > log_p[0]);
                             }
                         }
-                        Node::And { start, len } => {
+                        Node::And { start, len, .. } => {
                             let (s, e) = (start as usize, (start + len) as usize);
                             stack.extend(self.edges[s..e].iter().copied());
                         }
@@ -759,9 +877,9 @@ impl Dnnf {
                         };
                     }
                 }
-                Node::And { start, len } => {
+                Node::And { start, len, .. } => {
                     let (s, e) = (start as usize, (start + len) as usize);
-                    out.fill(0.0);
+                    out.fill(-0.0);
                     for &c in &self.edges[s..e] {
                         let child = &lo[c as usize * l..c as usize * l + l];
                         for (o, &v) in out.iter_mut().zip(child) {
@@ -769,7 +887,7 @@ impl Dnnf {
                         }
                     }
                 }
-                Node::Or { start, len } => {
+                Node::Or { start, len, .. } => {
                     let (s, e) = (start as usize, (start + len) as usize);
                     let args = &mut buf.arg[base..base + l];
                     out.fill(f64::NEG_INFINITY);
@@ -801,6 +919,7 @@ mod tests {
     use crate::compile::{compile_cnf, WmcWeights};
     use crate::infer::EvalBuffer;
     use reason_sat::gen::random_ksat;
+    use reason_sat::Cnf;
 
     fn compiled(seed: u64, n: usize, m: usize) -> Option<(Circuit, Dnnf)> {
         let cnf = random_ksat(n, m, 3, seed);
@@ -857,6 +976,61 @@ mod tests {
         let am = &arena.mpe_batch(&one, &mut bbuf)[0];
         assert_eq!(cm.assignment, am.assignment);
         assert_eq!(cm.log_prob, am.log_prob);
+    }
+
+    #[test]
+    fn every_interior_node_stores_its_empty_evidence_log_value() {
+        let mut checked = 0;
+        for seed in 0..12 {
+            // Weights at 0 and 1 too: log-weights of -inf and 0.
+            let n = 10;
+            let cnf = random_ksat(n, 24, 3, seed);
+            let probs = (0..n).map(|v| [0.0, 1.0, 0.3, 0.55, 0.8][v % 5]).collect();
+            for weights in [WmcWeights::new(probs), WmcWeights::uniform(n)] {
+                let Some(circuit) = compile_cnf(&cnf, &weights) else { continue };
+                let arena = Dnnf::from_circuit(&circuit).unwrap();
+                let want = circuit.log_values(&Evidence::empty(n));
+                for (i, node) in arena.nodes.iter().enumerate() {
+                    if matches!(node, Node::And { .. } | Node::Or { .. }) {
+                        let got = node.empty();
+                        assert_eq!(got.to_bits(), want[i].to_bits(), "seed {seed} node {i}: {got}");
+                    }
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "at least one instance must carry mass");
+    }
+
+    #[test]
+    fn an_empty_product_reads_negative_zero_on_every_path() {
+        // The root of an n = 0 formula, and a bare `product(vec![])`.
+        let nothing = compile_cnf(&Cnf::from_clauses(0, vec![]), &WmcWeights::uniform(0))
+            .expect("the empty formula has mass");
+        let mut b = CircuitBuilder::new(vec![2]);
+        let root = b.product(vec![]);
+        let bare = b.build(root).unwrap();
+        for circuit in [nothing, bare] {
+            let arena = Dnnf::from_circuit(&circuit).unwrap();
+            let n = circuit.num_vars();
+            let mut lanes = vec![Evidence::empty(n)];
+            if n > 0 {
+                lanes.push(Evidence::from_assignment(&vec![1; n]));
+            }
+            let refs: Vec<&Evidence> = lanes.iter().collect();
+            let mut buf = BatchBuffer::new();
+            let logp = arena.log_probability_batch(&DnnfBatch::pack(&lanes), &mut buf);
+            let (ps, _, mpes) = arena.query_batch(&refs, &[], &refs, &mut buf);
+            for (k, ev) in lanes.iter().enumerate() {
+                let scalar = arena.log_probability(ev, &mut DnnfBuffer::new());
+                assert_eq!(scalar.to_bits(), (-0.0f64).to_bits(), "n = {n} lane {k}");
+                assert_eq!(logp[k].to_bits(), scalar.to_bits(), "n = {n} lane {k}");
+                assert_eq!(ps[k].to_bits(), scalar.exp().to_bits(), "n = {n} lane {k}");
+                let want = circuit.mpe_with(ev, &mut EvalBuffer::new());
+                assert_eq!(mpes[k].assignment, want.assignment, "n = {n} lane {k}");
+                assert_eq!(mpes[k].log_prob.to_bits(), want.log_prob.to_bits(), "n = {n} lane {k}");
+            }
+        }
     }
 
     #[test]

@@ -11,22 +11,34 @@
 //!    the probabilities plus three per queried variable), and
 //!    `marginal_batch` over `L` distinct lanes costs `⌈3L / TILE⌉`;
 //! 2. **bytes** — after a 256-lane call on a tall arena the buffer
-//!    holds at most `nodes × TILE × 12` bytes (an `f64` value and a
-//!    `u32` argmax per node·lane of one tile).
+//!    holds at most `nodes × (TILE × 12 + 8)` bytes (an `f64` value and
+//!    a `u32` argmax per node·lane of one tile, plus one `u64` lane mask
+//!    per node);
+//! 3. **lanes computed** — the sum-product walk evaluates a node only in
+//!    the lanes whose evidence observes a variable in its scope and
+//!    copies the node's stored empty-evidence value into the rest: a
+//!    batch of empty-evidence lanes computes no node·lane at all, and
+//!    lanes observing only variable `v` compute exactly the nodes whose
+//!    scope holds `v`, counted here from the source circuit.
 
 use std::collections::HashSet;
 
-use reason::pc::{compile_cnf, BatchBuffer, Dnnf, DnnfBatch, Evidence, WmcWeights};
+use reason::pc::{
+    compile_cnf, BatchBuffer, Circuit, Dnnf, DnnfBatch, Evidence, PcNode, WmcWeights,
+};
 use reason::sat::gen::random_ksat;
 
 /// `reason-pc`'s lane-tile width. The constant is private to the
 /// kernels; the walk counts below fail if it drifts from this value.
 const TILE: usize = 64;
 
-fn arena(n: usize, clauses: usize, seed: u64) -> Dnnf {
+fn circuit(n: usize, clauses: usize, seed: u64) -> Circuit {
     let cnf = random_ksat(n, clauses, 3, seed);
-    let circuit = compile_cnf(&cnf, &WmcWeights::uniform(n)).expect("instance carries mass");
-    Dnnf::from_circuit(&circuit).expect("compiled formulas are binary")
+    compile_cnf(&cnf, &WmcWeights::uniform(n)).expect("instance carries mass")
+}
+
+fn arena(n: usize, clauses: usize, seed: u64) -> Dnnf {
+    Dnnf::from_circuit(&circuit(n, clauses, seed)).expect("compiled formulas are binary")
 }
 
 /// `count` pairwise-distinct evidence lanes: lane `k` spells `k` in
@@ -109,11 +121,58 @@ fn the_scratch_tables_are_bounded_by_one_tile_however_wide_the_batch() {
     arena.marginal_batch(&batch, 7, &mut buf);
     arena.mpe_batch(&batch, &mut buf);
     assert_eq!(buf.walks(), (4 + 12 + 4) as u64);
-    let bound = arena.num_nodes() * TILE * 12;
+    let bound = arena.num_nodes() * (TILE * 12 + 8);
     assert!(
         buf.slab_bytes() <= bound,
         "{} slab bytes held after 256-lane calls on {} nodes; one tile is {bound}",
         buf.slab_bytes(),
         arena.num_nodes()
     );
+}
+
+#[test]
+fn lanes_compute_only_the_nodes_their_evidence_reaches() {
+    let n = 16;
+    let circuit = circuit(n, 40, 3);
+    let arena = Dnnf::from_circuit(&circuit).expect("compiled formulas are binary");
+
+    // A full tile of empty-evidence probability lanes: every node
+    // copies `empty`.
+    let empty = vec![Evidence::empty(n); TILE];
+    let refs: Vec<&Evidence> = empty.iter().collect();
+    let mut buf = BatchBuffer::new();
+    arena.query_batch(&refs, &[], &[], &mut buf);
+    assert_eq!((buf.walks(), buf.lanes_computed()), (1, 0), "empty evidence computes nothing");
+
+    for v in [0, 7, n - 1] {
+        // The nodes whose scope holds `v`, from the source circuit.
+        let mut reaches: Vec<bool> = Vec::with_capacity(circuit.num_nodes());
+        for node in circuit.nodes() {
+            let hit = match node {
+                PcNode::Indicator { var, .. } | PcNode::Categorical { var, .. } => *var == v,
+                _ => node.children().iter().any(|c| reaches[c.index()]),
+            };
+            reaches.push(hit);
+        }
+        let scope = reaches.iter().filter(|&&r| r).count() as u64;
+        assert!(0 < scope && scope < circuit.num_nodes() as u64, "v = {v}: {scope} nodes");
+
+        // 100 query lanes observing only `v`: two distinct columns.
+        let lanes: Vec<Evidence> = (0..100)
+            .map(|k| {
+                let mut ev = Evidence::empty(n);
+                ev.set(v, k % 2);
+                ev
+            })
+            .collect();
+        let batch = DnnfBatch::pack(&lanes);
+        let mut buf = BatchBuffer::new();
+        arena.wmc_batch(&batch, &mut buf);
+        assert_eq!(
+            buf.lanes_computed(),
+            batch.distinct_lanes() as u64 * scope,
+            "v = {v}: {} distinct lanes × {scope} nodes whose scope holds v",
+            batch.distinct_lanes()
+        );
+    }
 }

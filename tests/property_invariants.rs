@@ -441,6 +441,101 @@ proptest! {
     }
 
     #[test]
+    fn sparse_lanes_equal_per_query_circuit_answers_bit_for_bit(
+        n in 6usize..=16,
+        seed in 0u64..10_000,
+        shape in 0usize..5,
+    ) {
+        // The batched walk copies a node's stored empty-evidence value
+        // into every lane whose evidence misses the node's scope, and
+        // the serving menus observe only 0-2 variables a lane, so most
+        // node·lanes take that copy. Whatever the mask looks like —
+        // sparse lanes at and across the 64-lane mask width, one dirty
+        // lane first or last in an otherwise clean tile, a tile of
+        // empty evidence — and with weights at 0 and 1 (empty values
+        // of -inf), every lane must reproduce the source circuit's
+        // single-query answer bit-for-bit.
+        use rand::{Rng, SeedableRng};
+        // reason-pc's private lane-tile width (pinned by
+        // tests/batch_traversal_guard.rs).
+        const TILE: usize = 64;
+        let m = 2 * n + (seed % 13) as usize;
+        let cnf = reason::sat::gen::random_ksat(n, m, 3, seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5C0E);
+        let probs: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.gen_range(0.05..0.95),
+            })
+            .collect();
+        let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs)) else {
+            return Ok(());
+        };
+        let arena = reason::pc::Dnnf::from_circuit(&circuit).expect("binary universe");
+        let v = rng.gen_range(0..n);
+        let lanes: Vec<Evidence> = match shape {
+            0 | 1 => {
+                // Distinct, so the storage lanes fill the mask width
+                // exactly (64) or spill one lane into a second tile (65).
+                let mut lanes: Vec<Evidence> = Vec::new();
+                while lanes.len() < TILE + shape {
+                    let mut ev = Evidence::empty(n);
+                    for _ in 0..rng.gen_range(0..=2usize) {
+                        ev.set(rng.gen_range(0..n), usize::from(rng.gen_bool(0.5)));
+                    }
+                    if !lanes.contains(&ev) {
+                        lanes.push(ev);
+                    }
+                }
+                lanes
+            }
+            2 | 3 => {
+                // 64 distinct lanes: 63 spell k in base 3 over the
+                // variables other than `v`, the dirty one observes only
+                // `v` — so nodes over `v` alone see one lane set.
+                let others: Vec<usize> = (0..n).filter(|&u| u != v).collect();
+                let mut lanes: Vec<Evidence> = (0..TILE - 1)
+                    .map(|k| {
+                        let mut ev = Evidence::empty(n);
+                        let mut rest = k;
+                        for &u in &others {
+                            if rest % 3 > 0 {
+                                ev.set(u, rest % 3 - 1);
+                            }
+                            rest /= 3;
+                        }
+                        ev
+                    })
+                    .collect();
+                let mut dirty = Evidence::empty(n);
+                dirty.set(v, usize::from(rng.gen_bool(0.5)));
+                lanes.insert(if shape == 2 { 0 } else { TILE - 1 }, dirty);
+                lanes
+            }
+            _ => vec![Evidence::empty(n); TILE],
+        };
+        let refs: Vec<&Evidence> = lanes.iter().collect();
+        let marginals: Vec<(&Evidence, usize)> =
+            lanes.iter().map(|ev| (ev, rng.gen_range(0..n))).collect();
+        let mut bbuf = reason::pc::BatchBuffer::new();
+        let mut cbuf = reason::pc::EvalBuffer::new();
+        // Probability lanes alone, so storage lane k is query lane k.
+        let (ps, _, _) = arena.query_batch(&refs, &[], &[], &mut bbuf);
+        let (_, dists, mpes) = arena.query_batch(&[], &marginals, &refs, &mut bbuf);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (lane, ev) in lanes.iter().enumerate() {
+            let p = circuit.probability_with(ev, &mut cbuf);
+            prop_assert_eq!(ps[lane].to_bits(), p.to_bits(), "lane {} probability", lane);
+            let sm = circuit.marginal_with(ev, marginals[lane].1, &mut cbuf);
+            prop_assert_eq!(bits(&dists[lane]), bits(&sm), "lane {} marginal", lane);
+            let single = circuit.mpe_with(ev, &mut cbuf);
+            prop_assert_eq!(&mpes[lane].assignment, &single.assignment, "lane {} mpe", lane);
+            prop_assert_eq!(mpes[lane].log_prob.to_bits(), single.log_prob.to_bits());
+        }
+    }
+
+    #[test]
     fn circuit_store_roundtrip_preserves_answers_bit_for_bit(n in 4usize..=12, seed in 0u64..10_000) {
         // Insert → evict → recompile through a 1-entry serving store:
         // the recompiled artifact must reproduce the original answers

@@ -133,6 +133,11 @@ const KEPT: &[(&str, &str, &str)] = &[
     ),
     (
         "crates/pc/src/dnnf.rs",
+        "lanes_computed",
+        "(b) probe: tests/batch_traversal_guard.rs pins the node·lanes the sum-product walk computes through it",
+    ),
+    (
+        "crates/pc/src/dnnf.rs",
         "slab_bytes",
         "(b) probe: tests/batch_traversal_guard.rs pins scratch-table bytes through it",
     ),
