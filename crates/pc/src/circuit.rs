@@ -273,7 +273,8 @@ impl Circuit {
         self.nodes.len()
     }
 
-    /// Number of edges.
+    /// Number of edges. Walks the node array (O(nodes)); the count is
+    /// not cached, so a caller that needs it repeatedly keeps it.
     pub fn num_edges(&self) -> usize {
         self.nodes.iter().map(|n| n.children().len()).sum()
     }
@@ -291,6 +292,8 @@ impl Circuit {
     /// An estimate of the memory footprint in bytes: 8 bytes per edge
     /// (child pointer + weight share) plus 16 per node. This is the metric
     /// reported as "memory" for probabilistic workloads in paper Table IV.
+    /// Walks the node array through [`num_edges`](Self::num_edges)
+    /// (O(nodes)).
     pub fn footprint_bytes(&self) -> usize {
         16 * self.num_nodes() + 8 * self.num_edges()
     }

@@ -20,33 +20,33 @@
 //! dropped) so the fingerprint a [`crate::CircuitStore`] keys on is a
 //! function of the logic, not of literal spelling.
 //!
-//! # Does the cache earn its keep? (ROADMAP, Settled; re-measured at PR 20)
+//! # Does the cache earn its keep? (ROADMAP, Settled)
 //!
-//! Still yes in throughput, by less than before; it still costs memory,
-//! also less than before. The prototype is one line on a scratch copy —
-//! `cache: None` in [`KnowledgeBase::compile_observed`], every check
-//! kept — run as four alternating 8 s pairs of `benchmark/run.sh` at
-//! seed 42, `--trace 0`, against the finished PR 20 (whose compile is
-//! 1.3× faster with or without the cache, and whose cache shares its
-//! node array with the compiled circuit instead of holding a second
-//! copy):
+//! Yes, by more than the earlier readings said. The prototype is one
+//! line on a scratch copy — `cache: None` in
+//! [`KnowledgeBase::compile_observed`], every check kept — run as four
+//! alternating 22 s pairs of `benchmark/run.sh` at seed 42, `--trace 0`,
+//! on a 2-core VM, against a store that ranks eviction victims from
+//! sizes kept at insert:
 //!
 //! | `edit_churn` | with the cache | `cache: None` |
 //! |---|---|---|
-//! | `ops_per_s` | 981–989 (median 985) | 892–1074 (median 915, −7 %; cache wins 3/4) |
-//! | `call_p50_us` | 962–982 | 903–1068 |
-//! | `peak_rss_mb` | 36.5 | 19.6 |
+//! | `ops_per_s` | 1,487–1,618 (median 1,518) | 1,092–1,210 (median 1,133, −25 %; cache wins 4/4) |
+//! | `call_p50_us` | 534–589 | 747–820 |
+//! | `peak_rss_mb` | 36.8 | 20.2 |
 //!
-//! `cold_ladder` `ops_per_s` (two pairs) read 654–662 with and 672–676
-//! without: the bookkeeping of a cache nothing ever hits costs about
-//! 2 % of a cold compile. So the cache pays for itself on the workload
-//! built for it — a margin that halved when the compile it saves got
-//! cheaper (PR 16 read 858–935 vs 735–773, −14 %, at 48.2 vs 20.6 MiB)
-//! — and costs about 17 MiB there; it stays. One `cache: None` run
-//! (1074) beat every cached run: `edit_churn` without the cache spreads
-//! 20 % run to run on this host, with it 1 %. Four pairs is below the
-//! ten-pair house rule: this is evidence for leaving the cache alone,
-//! not a claimed gain, and the next compile speed-up should re-run it.
+//! Every earlier margin was measured while half of every edit went to
+//! the store's victim scan, which re-walked all 64 stored circuits on
+//! each evicting insert. Both arms paid that scan, so it diluted the
+//! compile the cache saves: the two earlier readings were −14 % and
+//! then −7 % (cache winning 4/4, then 3/4). Without the scan the cache
+//! is worth about +34 % on the workload built for it, for about 17 MiB.
+//! `cold_ladder` (five pairs, in a slow host phase) read 327–483 with
+//! and 438–506 without, a difference this host does not resolve; the
+//! earlier reading put the bookkeeping of a cache nothing hits at about
+//! 2 % of a cold compile. The cache stays. Four pairs is below the
+//! ten-pair house rule: this is evidence for keeping the cache, not a
+//! claimed gain, and the next compile speed-up should re-run it.
 
 use reason_pc::{
     compile_cnf_with, Circuit, CompileOptions, CompileStats, PersistentComponentCache, WmcWeights,

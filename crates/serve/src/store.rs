@@ -18,7 +18,11 @@
 //! already carries) and evicts the *minimum* — the entry whose loss is
 //! cheapest to repay — falling back to recency only to break ties.
 //! Plain [`Lru`](EvictionPolicy::Lru) remains available for workloads
-//! whose recompile costs are uniform. Either way eviction is safe by
+//! whose recompile costs are uniform. Each slot keeps its artifact's
+//! size, read once at insert ([`StoredCircuit::bytes`] walks the
+//! circuit), so a victim search is one O(entries) pass over stored
+//! sizes, recompile costs and recency, and the byte meter moves by the
+//! stored size on overwrite and removal. Either way eviction is safe by
 //! construction: recompiling the same `(formula, weights)` key
 //! reproduces the artifact bit-for-bit (see the store round-trip
 //! property tests), so an evicted entry costs latency, never
@@ -91,6 +95,10 @@ impl StoredCircuit {
     /// base's component cache (a compile whose search left no dead node
     /// returns that array itself), so evicting the artifact always
     /// frees the arena but not necessarily the nodes.
+    ///
+    /// This walks the circuit's node array
+    /// ([`Circuit::footprint_bytes`]); a [`CircuitStore`] reads it once
+    /// per insert and keeps the value for scoring and metering.
     pub fn bytes(&self) -> usize {
         self.dnnf.bytes() + self.circuit.footprint_bytes()
     }
@@ -127,6 +135,9 @@ impl CacheStats {
 
 struct Slot {
     value: StoredCircuit,
+    /// `value.bytes()`, read once when the slot is made: a stored
+    /// artifact never changes, and re-measuring it walks its circuit.
+    bytes: usize,
     last_used: u64,
     /// EWMA of the recompile seconds observed for this key, carried
     /// from `recompile_ewma` at insertion time.
@@ -140,7 +151,7 @@ impl Slot {
     /// workload, so the product separates throwaway artifacts from the
     /// ones worth pinning).
     fn score(&self) -> f64 {
-        self.value.bytes() as f64 * self.cost_s
+        self.bytes as f64 * self.cost_s
     }
 }
 
@@ -280,17 +291,17 @@ impl CircuitStore {
         if let Some(m) = &self.metrics {
             m.insertions.inc();
         }
-        let added = value.bytes();
+        let bytes = value.bytes();
         let cost_s = match self.recompile_ewma.get(&key.digest()) {
             Some(&old) => 0.7 * old + 0.3 * value.compile_s.max(0.0),
             None => value.compile_s.max(0.0),
         };
         self.recompile_ewma.insert(key.digest(), cost_s);
-        let slot = Slot { value, last_used: self.tick, cost_s };
+        let slot = Slot { value, bytes, last_used: self.tick, cost_s };
         if let Some(old) = self.entries.insert(key.clone(), slot) {
-            self.bytes -= old.value.bytes();
+            self.bytes -= old.bytes;
         }
-        self.bytes += added;
+        self.bytes += bytes;
         while self.entries.len() > self.config.max_entries
             || (self.bytes > self.config.max_bytes && self.entries.len() > 1)
         {
@@ -332,7 +343,7 @@ impl CircuitStore {
     /// Removes an entry outright (KB deregistration), returning it.
     pub fn remove(&mut self, key: &FormulaFingerprint) -> Option<StoredCircuit> {
         let removed = self.entries.remove(key).map(|slot| {
-            self.bytes -= slot.value.bytes();
+            self.bytes -= slot.bytes;
             slot.value
         });
         self.sync_occupancy_gauges();

@@ -6,6 +6,9 @@
 //! probabilistic normalization, Benes routability, and pipeline-schedule
 //! sanity.
 
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
 use proptest::prelude::*;
 
 use reason::arch::{ArchConfig, BenesNetwork, VliwExecutor};
@@ -15,6 +18,9 @@ use reason::hmm::Hmm;
 use reason::pc::{compile_cnf, Evidence, WmcWeights};
 use reason::sat::{
     brute_force, weighted_count, CdclSolver, Cnf, CubeAndConquer, CubeConfig, Preprocessor,
+};
+use reason::serve::{
+    CacheStats, CircuitStore, EvictionPolicy, FormulaFingerprint, StoreConfig, StoredCircuit,
 };
 use reason::system::{StageCost, TwoLevelPipeline};
 
@@ -586,6 +592,73 @@ proptest! {
     }
 
     #[test]
+    fn circuit_store_matches_a_reference_model_op_for_op(
+        ops in prop::collection::vec((0u8..9, 0usize..STORE_POOL, 0usize..STORE_POOL, 0usize..4), 1..=48),
+        max_entries in 1usize..=5,
+        byte_sixths in 1usize..=6,
+        lru in any::<bool>(),
+    ) {
+        // Random insert / overwrite / get / remove / clear programs under
+        // tight entry and byte bounds, both policies, against
+        // `StoreModel`, which re-measures every artifact on every use.
+        // After each op: the same victims, the same stats, and a byte
+        // meter equal to the live artifacts' footprints.
+        let pool = store_pool();
+        let total: usize = pool.iter().map(|(_, art)| art.bytes()).sum();
+        let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::CostAware };
+        let config = StoreConfig { max_entries, max_bytes: total * byte_sixths / 6, policy };
+        let mut store = CircuitStore::new(config);
+        let mut model = StoreModel::default();
+        for (step, &(op, a, b, cost)) in ops.iter().enumerate() {
+            match op {
+                0..=4 => {
+                    // 0–2 insert a fresh key, 3–4 overwrite a live one;
+                    // either falls back to the other when no key fits.
+                    let before: Vec<usize> =
+                        (0..STORE_POOL).filter(|&k| store.contains(&pool[k].0)).collect();
+                    let key = (0..STORE_POOL)
+                        .map(|i| (a + i) % STORE_POOL)
+                        .find(|k| before.contains(k) == (op >= 3))
+                        .unwrap_or(a);
+                    // Another key's body under this key: sizes vary per
+                    // insert, and an overwrite changes the entry's size.
+                    let mut value = pool[b].1.clone();
+                    value.compile_s = [0.0, 2e-4, 1e-3, 5e-3][cost];
+                    store.insert(pool[key].0.clone(), value.clone());
+                    let gone: Vec<usize> =
+                        before.into_iter().filter(|&k| !store.contains(&pool[k].0)).collect();
+                    // `contains` reads one insert's victims as a set. The
+                    // model lists them in eviction order, which is
+                    // ascending (score, recency) — a function of the set —
+                    // so comparing sets per insert compares the order.
+                    let mut victims = model.insert(key, value, config);
+                    victims.sort_unstable();
+                    prop_assert_eq!(&gone, &victims, "step {}: evicted {:?}, model {:?}", step, gone, victims);
+                }
+                5 | 6 => {
+                    let got = store.get(&pool[a].0).map(|art| Arc::as_ptr(&art.dnnf));
+                    let want = model.get(a).map(|art| Arc::as_ptr(&art.dnnf));
+                    prop_assert_eq!(got, want, "step {}: get {}", step, a);
+                }
+                7 => {
+                    let got = store.remove(&pool[a].0).map(|art| Arc::as_ptr(&art.dnnf));
+                    let want = model.remove(a).map(|art| Arc::as_ptr(&art.dnnf));
+                    prop_assert_eq!(got, want, "step {}: remove {}", step, a);
+                }
+                _ => {
+                    store.clear();
+                    model.clear();
+                }
+            }
+            let (stats, want) = (store.stats(), model.stats());
+            prop_assert_eq!(stats, want, "step {}: stats {:?}, model {:?}", step, stats, want);
+            let metered: usize =
+                (0..STORE_POOL).filter_map(|k| store.peek(&pool[k].0)).map(StoredCircuit::bytes).sum();
+            prop_assert_eq!(stats.bytes, metered, "step {}: byte meter vs live footprints", step);
+        }
+    }
+
+    #[test]
     fn approx_brackets_are_well_formed_and_track_brute_truth(cnf in arb_cnf(8, 14), seed in 0u64..1000) {
         // Small-budget Monte-Carlo WMC: the anytime bracket must be
         // well-formed at every checkpoint, and the enumerated truth must
@@ -1030,5 +1103,136 @@ fn pinned_hmm_filter_normalizes_on_single_observation() {
         assert_eq!(rows.len(), 1);
         let total: f64 = rows[0].iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "symbol {symbol}: total {total}");
+    }
+}
+
+/// Keys in [`store_pool`].
+const STORE_POOL: usize = 6;
+
+/// Six small compiled artifacts of mixed sizes (n = 4…9), built once
+/// and shared by every case of the store model property.
+fn store_pool() -> &'static [(FormulaFingerprint, StoredCircuit)] {
+    static POOL: OnceLock<Vec<(FormulaFingerprint, StoredCircuit)>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        (0..STORE_POOL)
+            .map(|k| {
+                let n = 4 + k;
+                let weights = WmcWeights::uniform(n);
+                let (cnf, circuit) = (0..)
+                    .find_map(|seed| {
+                        let cnf = reason::sat::gen::random_ksat(n, 2 * n, 3, 70 + 1000 * seed);
+                        compile_cnf(&cnf, &weights).map(|circuit| (cnf, circuit))
+                    })
+                    .expect("some seed is satisfiable");
+                let dnnf = reason::pc::Dnnf::from_circuit(&circuit).expect("binary");
+                let z = dnnf.probability(&Evidence::empty(n), &mut reason::pc::DnnfBuffer::new());
+                let value = StoredCircuit {
+                    dnnf: Arc::new(dnnf),
+                    circuit: Arc::new(circuit),
+                    z,
+                    compile_s: 0.0,
+                    stats: Default::default(),
+                };
+                (FormulaFingerprint::new(&cnf, &weights), value)
+            })
+            .collect()
+    })
+}
+
+/// One live entry of [`StoreModel`].
+struct ModelSlot {
+    key: usize,
+    value: StoredCircuit,
+    last_used: u64,
+    cost_s: f64,
+}
+
+/// A reference `CircuitStore` over [`store_pool`] labels: it keeps no
+/// byte meter and recomputes `StoredCircuit::bytes()` on every use.
+#[derive(Default)]
+struct StoreModel {
+    slots: Vec<ModelSlot>,
+    ewma: HashMap<usize, f64>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    insertions: u64,
+    evictions: u64,
+}
+
+impl StoreModel {
+    fn bytes(&self) -> usize {
+        self.slots.iter().map(|s| s.value.bytes()).sum()
+    }
+
+    fn get(&mut self, key: usize) -> Option<&StoredCircuit> {
+        self.tick += 1;
+        match self.slots.iter_mut().find(|s| s.key == key) {
+            Some(slot) => {
+                slot.last_used = self.tick;
+                self.hits += 1;
+                Some(&slot.value)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, key: usize) -> Option<StoredCircuit> {
+        let at = self.slots.iter().position(|s| s.key == key)?;
+        Some(self.slots.swap_remove(at).value)
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Inserts or overwrites `key`, then evicts until both bounds hold;
+    /// returns the victims in eviction order.
+    fn insert(&mut self, key: usize, value: StoredCircuit, config: StoreConfig) -> Vec<usize> {
+        self.tick += 1;
+        self.insertions += 1;
+        let cost_s = match self.ewma.get(&key) {
+            Some(&old) => 0.7 * old + 0.3 * value.compile_s.max(0.0),
+            None => value.compile_s.max(0.0),
+        };
+        self.ewma.insert(key, cost_s);
+        self.remove(key);
+        self.slots.push(ModelSlot { key, value, last_used: self.tick, cost_s });
+        let mut victims = Vec::new();
+        while self.slots.len() > config.max_entries
+            || (self.bytes() > config.max_bytes && self.slots.len() > 1)
+        {
+            let score = |s: &ModelSlot| s.value.bytes() as f64 * s.cost_s;
+            let victim = self
+                .slots
+                .iter()
+                .filter(|s| s.key != key)
+                .min_by(|a, b| match config.policy {
+                    EvictionPolicy::Lru => a.last_used.cmp(&b.last_used),
+                    EvictionPolicy::CostAware => {
+                        score(a).total_cmp(&score(b)).then(a.last_used.cmp(&b.last_used))
+                    }
+                })
+                .map(|s| s.key)
+                .expect("another entry is live");
+            self.remove(victim);
+            self.evictions += 1;
+            victims.push(victim);
+        }
+        victims
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            insertions: self.insertions,
+            evictions: self.evictions,
+            entries: self.slots.len(),
+            bytes: self.bytes(),
+        }
     }
 }
