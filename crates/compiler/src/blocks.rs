@@ -47,25 +47,26 @@ pub fn decompose_blocks(dag: &Dag, max_depth: usize) -> BlockDecomposition {
     // Fan-out per node (consumer count).
     let mut fan_out = vec![0usize; n];
     for node in dag.nodes() {
-        for c in &node.children {
+        for c in node.children {
             fan_out[c.index()] += 1;
         }
     }
     // The output is consumed externally.
     fan_out[dag.output().index()] += 1;
 
-    let is_compute = |id: usize| !matches!(dag.nodes()[id].op, DagOp::Input(_) | DagOp::Const(_));
+    let is_compute =
+        |id: usize| !matches!(dag.op(NodeId::from_index(id)), DagOp::Input(_) | DagOp::Const(_));
 
     // Greedy fusion: child c fuses into its consumer iff it is a compute
     // node with exactly one consumer and the fused depth fits.
     let mut fused_depth = vec![0usize; n]; // depth of fused subtree rooted here
     let mut fuses_up = vec![false; n];
-    for (i, node) in dag.nodes().iter().enumerate() {
+    for (i, node) in dag.nodes().enumerate() {
         if !is_compute(i) {
             continue;
         }
         let mut depth = 1;
-        for c in &node.children {
+        for c in node.children {
             let ci = c.index();
             if is_compute(ci) && fan_out[ci] == 1 && fused_depth[ci] < max_depth {
                 // Tentatively fuse.
@@ -74,7 +75,7 @@ pub fn decompose_blocks(dag: &Dag, max_depth: usize) -> BlockDecomposition {
         }
         fused_depth[i] = depth;
         // Mark children that actually fused (same condition, now final).
-        for c in &node.children {
+        for c in node.children {
             let ci = c.index();
             if is_compute(ci) && fan_out[ci] == 1 && fused_depth[ci] < max_depth {
                 fuses_up[ci] = true;
@@ -124,10 +125,9 @@ fn collect(
     operands: &mut Vec<NodeId>,
 ) {
     members.push(NodeId::from_index(root));
-    for c in &dag.nodes()[root].children {
+    for c in dag.node(NodeId::from_index(root)).children {
         let ci = c.index();
-        let fused_member =
-            fuses_up[ci] && !matches!(dag.nodes()[ci].op, DagOp::Input(_) | DagOp::Const(_));
+        let fused_member = fuses_up[ci] && !matches!(dag.op(*c), DagOp::Input(_) | DagOp::Const(_));
         if fused_member {
             collect(dag, ci, fuses_up, members, operands);
         } else {
@@ -146,9 +146,9 @@ mod tests {
     fn fuses_small_trees_into_one_block() {
         let mut b = DagBuilder::new();
         let xs: Vec<_> = (0..4).map(|i| b.input(i)).collect();
-        let l = b.node(DagOp::Add, vec![xs[0], xs[1]], NodeKind::Generic);
-        let r = b.node(DagOp::Add, vec![xs[2], xs[3]], NodeKind::Generic);
-        let root = b.node(DagOp::Mul, vec![l, r], NodeKind::Generic);
+        let l = b.node(DagOp::Add, &[xs[0], xs[1]], NodeKind::Generic);
+        let r = b.node(DagOp::Add, &[xs[2], xs[3]], NodeKind::Generic);
+        let root = b.node(DagOp::Mul, &[l, r], NodeKind::Generic);
         let dag = b.build(root).unwrap();
         let d = decompose_blocks(&dag, 3);
         assert_eq!(d.blocks.len(), 1);
@@ -163,7 +163,7 @@ mod tests {
         let mut b = DagBuilder::without_cse();
         let mut cur = b.input(0);
         for _ in 0..6 {
-            cur = b.node(DagOp::Not, vec![cur], NodeKind::Generic);
+            cur = b.node(DagOp::Not, &[cur], NodeKind::Generic);
         }
         let dag = b.build(cur).unwrap();
         let d = decompose_blocks(&dag, 2);
@@ -177,9 +177,9 @@ mod tests {
         let mut b = DagBuilder::new();
         let x0 = b.input(0);
         let x1 = b.input(1);
-        let shared = b.node(DagOp::Add, vec![x0, x1], NodeKind::Generic);
-        let a = b.node(DagOp::Not, vec![shared], NodeKind::Generic);
-        let root = b.node(DagOp::Mul, vec![a, shared], NodeKind::Generic);
+        let shared = b.node(DagOp::Add, &[x0, x1], NodeKind::Generic);
+        let a = b.node(DagOp::Not, &[shared], NodeKind::Generic);
+        let root = b.node(DagOp::Mul, &[a, shared], NodeKind::Generic);
         let dag = b.build(root).unwrap();
         let d = decompose_blocks(&dag, 4);
         // `shared` is a separate block; `a` fuses into root's block.
@@ -201,7 +201,7 @@ mod tests {
             }
             assert!(blk.depth <= 3);
         }
-        for (i, node) in dag.nodes().iter().enumerate() {
+        for (i, node) in dag.nodes().enumerate() {
             let expect = usize::from(!matches!(node.op, DagOp::Input(_) | DagOp::Const(_)));
             assert_eq!(covered[i], expect, "node {i} coverage");
         }

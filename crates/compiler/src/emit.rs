@@ -127,7 +127,7 @@ pub fn emit_program(
     let mut input_slots: Vec<(u32, BankAddr)> = Vec::new();
 
     // Allocate inputs and constants first (the runtime preload phase).
-    for (i, node) in dag.nodes().iter().enumerate() {
+    for (i, node) in dag.nodes().enumerate() {
         let id = NodeId::from_index(i);
         match node.op {
             DagOp::Const(c) => {
@@ -188,8 +188,8 @@ pub fn emit_program(
             .members
             .iter()
             .map(|m| {
-                let dnode = &dag.nodes()[m.index()];
-                let inputs = match dnode.children[..] {
+                let dnode = dag.node(*m);
+                let inputs = match *dnode.children {
                     [x] => [fetch[x.index()]; 2],
                     [x, y] => [fetch[x.index()], fetch[y.index()]],
                     _ => unreachable!("two-input regular DAG has fan-in {}", dnode.children.len()),
@@ -328,7 +328,7 @@ mod tests {
         let mut b = reason_core::DagBuilder::without_cse();
         let mut cur = b.input(0);
         for _ in 0..200 {
-            cur = b.node(DagOp::Not, vec![cur], reason_core::NodeKind::Generic);
+            cur = b.node(DagOp::Not, &[cur], reason_core::NodeKind::Generic);
         }
         let dag = b.build(cur).unwrap();
         let config = ArchConfig::paper();
@@ -380,7 +380,7 @@ mod tests {
         let mut b = reason_core::DagBuilder::new();
         let x = b.input(0);
         let y = b.input(1);
-        let sum = b.node(DagOp::Add, vec![x, y], reason_core::NodeKind::Generic);
+        let sum = b.node(DagOp::Add, &[x, y], reason_core::NodeKind::Generic);
         let dag = b.build(sum).unwrap();
         let config = ArchConfig::paper();
         let kernel = ReasonCompiler::new(config).compile(&dag).unwrap();
@@ -397,14 +397,14 @@ mod tests {
         // Pairwise products, all live until the end.
         let mut layer: Vec<_> = inputs
             .chunks(2)
-            .map(|p| b.node(DagOp::Mul, vec![p[0], p[1]], reason_core::NodeKind::Generic))
+            .map(|p| b.node(DagOp::Mul, &[p[0], p[1]], reason_core::NodeKind::Generic))
             .collect();
         while layer.len() > 1 {
             layer = layer
                 .chunks(2)
                 .map(|p| {
                     if p.len() == 2 {
-                        b.node(DagOp::Add, vec![p[0], p[1]], reason_core::NodeKind::Generic)
+                        b.node(DagOp::Add, &[p[0], p[1]], reason_core::NodeKind::Generic)
                     } else {
                         p[0]
                     }

@@ -37,6 +37,10 @@
 //! choice. Every per-value table in the four passes — fan-out, block
 //! membership, readers, bank, register location, last use — is a `Vec`
 //! indexed by [`reason_core::NodeId::index`]; none is a hash map. The
+//! passes read the DAG in place: a node's children are a slice of the
+//! DAG's one edge array ([`reason_core::Dag::node`]), and a pass that
+//! only classifies an operand as source or compute reads its op alone
+//! ([`reason_core::Dag::op`]), so lowering copies no child list. The
 //! cost key and tie-break of each greedy choice are documented in
 //! [`mapping`] and [`schedule`], and the formulas they replaced (a cost
 //! recount per candidate bank, a scan of the ready set per issue) live on
@@ -52,9 +56,9 @@
 //! // (x0 + x1) * (x2 + x3)
 //! let mut b = DagBuilder::new();
 //! let xs: Vec<_> = (0..4).map(|i| b.input(i)).collect();
-//! let l = b.node(DagOp::Add, vec![xs[0], xs[1]], NodeKind::Generic);
-//! let r = b.node(DagOp::Add, vec![xs[2], xs[3]], NodeKind::Generic);
-//! let root = b.node(DagOp::Mul, vec![l, r], NodeKind::Generic);
+//! let l = b.node(DagOp::Add, &[xs[0], xs[1]], NodeKind::Generic);
+//! let r = b.node(DagOp::Add, &[xs[2], xs[3]], NodeKind::Generic);
+//! let root = b.node(DagOp::Mul, &[l, r], NodeKind::Generic);
 //! let dag = b.build(root).unwrap();
 //!
 //! let config = ArchConfig::paper();
@@ -196,7 +200,7 @@ mod tests {
     fn rejects_wide_dags() {
         let mut b = DagBuilder::new();
         let xs: Vec<_> = (0..5).map(|i| b.input(i)).collect();
-        let sum = b.node(DagOp::Add, xs, NodeKind::Generic);
+        let sum = b.node(DagOp::Add, &xs, NodeKind::Generic);
         let dag = b.build(sum).unwrap();
         let err = ReasonCompiler::new(ArchConfig::paper()).compile(&dag).unwrap_err();
         assert!(matches!(err, CompileError::NotTwoInputRegular { fan_in: 5 }));

@@ -54,7 +54,6 @@ impl BankAssignment {
 fn placement_order(dag: &Dag, decomposition: &BlockDecomposition, order: &[usize]) -> Vec<NodeId> {
     let sources = dag
         .nodes()
-        .iter()
         .enumerate()
         .filter(|(_, node)| matches!(node.op, DagOp::Input(_) | DagOp::Const(_)))
         .map(|(i, _)| NodeId::from_index(i));
@@ -201,9 +200,9 @@ mod tests {
         // them in four distinct banks.
         let mut b = DagBuilder::new();
         let xs: Vec<_> = (0..4).map(|i| b.input(i)).collect();
-        let l = b.node(reason_core::DagOp::Add, vec![xs[0], xs[1]], NodeKind::Generic);
-        let r = b.node(reason_core::DagOp::Add, vec![xs[2], xs[3]], NodeKind::Generic);
-        let root = b.node(reason_core::DagOp::Mul, vec![l, r], NodeKind::Generic);
+        let l = b.node(reason_core::DagOp::Add, &[xs[0], xs[1]], NodeKind::Generic);
+        let r = b.node(reason_core::DagOp::Add, &[xs[2], xs[3]], NodeKind::Generic);
+        let root = b.node(reason_core::DagOp::Mul, &[l, r], NodeKind::Generic);
         let dag = b.build(root).unwrap();
         let d = decompose_blocks(&dag, 3);
         let order = schedule_blocks(&d, true);

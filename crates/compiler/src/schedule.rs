@@ -155,13 +155,13 @@ mod tests {
         let mut b = DagBuilder::without_cse();
         let x = b.input(0);
         let y = b.input(1);
-        let mut a = b.node(DagOp::Not, vec![x], NodeKind::Generic);
-        let mut c = b.node(DagOp::Not, vec![y], NodeKind::Generic);
+        let mut a = b.node(DagOp::Not, &[x], NodeKind::Generic);
+        let mut c = b.node(DagOp::Not, &[y], NodeKind::Generic);
         for _ in 0..3 {
-            a = b.node(DagOp::Not, vec![a], NodeKind::Generic);
-            c = b.node(DagOp::Not, vec![c], NodeKind::Generic);
+            a = b.node(DagOp::Not, &[a], NodeKind::Generic);
+            c = b.node(DagOp::Not, &[c], NodeKind::Generic);
         }
-        let root = b.node(DagOp::Mul, vec![a, c], NodeKind::Generic);
+        let root = b.node(DagOp::Mul, &[a, c], NodeKind::Generic);
         b.build(root).unwrap()
     }
 

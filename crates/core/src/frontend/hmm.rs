@@ -19,9 +19,11 @@ pub struct HmmDagMap {
     pub len: usize,
     /// Observable symbol count (input slots per step).
     pub num_symbols: usize,
-    /// `alpha_nodes[t][s]` = DAG node of the forward message for state `s`
-    /// after step `t`.
-    pub alpha_nodes: Vec<Vec<NodeId>>,
+    /// Hidden state count (forward messages per step).
+    pub num_states: usize,
+    /// `alpha_nodes[t * num_states + s]` = DAG node of the forward
+    /// message for state `s` after step `t`.
+    pub alpha_nodes: Vec<NodeId>,
 }
 
 impl HmmDagMap {
@@ -70,54 +72,57 @@ pub fn dag_from_hmm(hmm: &Hmm, len: usize) -> (Dag, HmmDagMap) {
     let s = hmm.num_states();
     let v = hmm.num_symbols();
     let mut b = DagBuilder::new();
+    // Upper bounds (before CSE): an emission factor is `v` constants,
+    // `v` products and an `Add`; step 0 adds an initial constant and a
+    // product per state, every later step `s` constants, `s` products,
+    // an `Add` and a product per state; the output is one `Add`.
+    let emission_nodes = 2 * v + 1;
+    let nodes =
+        len * v + s * (emission_nodes + 2) + (len - 1) * s * (2 * s + emission_nodes + 2) + 1;
+    let edges = s * (3 * v + 2) + (len - 1) * s * (3 * s + 3 * v + 2) + s;
+    b.reserve(nodes, edges);
     for slot in 0..len * v {
         let _ = b.input(slot as u32);
     }
 
     // Emission factor for state `state` at step `t`:
-    // Σ_sym emit[state][sym] * λ[t, sym].
-    let emission = |b: &mut DagBuilder, state: usize, t: usize| -> NodeId {
-        let parts: Vec<NodeId> = (0..v)
-            .map(|sym| {
-                let lambda = b.input((t * v + sym) as u32);
-                let w = b.constant(hmm.log_emit()[state][sym].exp());
-                b.node(DagOp::Mul, vec![w, lambda], NodeKind::Emission)
-            })
-            .collect();
+    // Σ_sym emit[state][sym] * λ[t, sym], its terms gathered in `parts`.
+    let emission = |b: &mut DagBuilder, parts: &mut Vec<NodeId>, state: usize, t: usize| {
+        parts.clear();
+        for sym in 0..v {
+            let lambda = b.input((t * v + sym) as u32);
+            let w = b.constant(hmm.log_emit()[state][sym].exp());
+            parts.push(b.node(DagOp::Mul, &[w, lambda], NodeKind::Emission));
+        }
         b.node(DagOp::Add, parts, NodeKind::Emission)
     };
 
     // alpha_0(s) = init(s) * emission(s, 0)
-    let mut alpha_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(len);
-    let mut alpha: Vec<NodeId> = (0..s)
-        .map(|state| {
-            let init = b.constant(hmm.log_init()[state].exp());
-            let e = emission(&mut b, state, 0);
-            b.node(DagOp::Mul, vec![init, e], NodeKind::Transition)
-        })
-        .collect();
-    alpha_nodes.push(alpha.clone());
-
-    for t in 1..len {
-        let mut next: Vec<NodeId> = Vec::with_capacity(s);
-        for j in 0..s {
-            let terms: Vec<NodeId> = (0..s)
-                .map(|i| {
-                    let w = b.constant(hmm.log_trans()[i][j].exp());
-                    b.node(DagOp::Mul, vec![w, alpha[i]], NodeKind::Transition)
-                })
-                .collect();
-            let agg = b.node(DagOp::Add, terms, NodeKind::Transition);
-            let e = emission(&mut b, j, t);
-            next.push(b.node(DagOp::Mul, vec![agg, e], NodeKind::Transition));
-        }
-        alpha = next;
-        alpha_nodes.push(alpha.clone());
+    let mut alpha_nodes: Vec<NodeId> = Vec::with_capacity(len * s);
+    let mut parts: Vec<NodeId> = Vec::with_capacity(s.max(v));
+    for state in 0..s {
+        let init = b.constant(hmm.log_init()[state].exp());
+        let e = emission(&mut b, &mut parts, state, 0);
+        alpha_nodes.push(b.node(DagOp::Mul, &[init, e], NodeKind::Transition));
     }
 
-    let output = b.node(DagOp::Add, alpha.clone(), NodeKind::Transition);
+    for t in 1..len {
+        let prev = (t - 1) * s;
+        for j in 0..s {
+            parts.clear();
+            for i in 0..s {
+                let w = b.constant(hmm.log_trans()[i][j].exp());
+                parts.push(b.node(DagOp::Mul, &[w, alpha_nodes[prev + i]], NodeKind::Transition));
+            }
+            let agg = b.node(DagOp::Add, &parts, NodeKind::Transition);
+            let e = emission(&mut b, &mut parts, j, t);
+            alpha_nodes.push(b.node(DagOp::Mul, &[agg, e], NodeKind::Transition));
+        }
+    }
+
+    let output = b.node(DagOp::Add, &alpha_nodes[(len - 1) * s..], NodeKind::Transition);
     let dag = b.build(output).expect("HMM lowering emits valid DAGs");
-    (dag, HmmDagMap { len, num_symbols: v, alpha_nodes })
+    (dag, HmmDagMap { len, num_symbols: v, num_states: s, alpha_nodes })
 }
 
 #[cfg(test)]
@@ -156,16 +161,20 @@ mod tests {
     #[test]
     fn unrolled_layers_per_step() {
         let hmm = Hmm::random(2, 2, 0);
-        let (_, map) = dag_from_hmm(&hmm, 4);
-        assert_eq!(map.alpha_nodes.len(), 4);
-        assert!(map.alpha_nodes.iter().all(|layer| layer.len() == 2));
+        let (dag, map) = dag_from_hmm(&hmm, 4);
+        assert_eq!(map.num_states, 2);
+        assert_eq!(map.alpha_nodes.len(), 4 * 2);
+        // Each step's messages are its layer's `Mul` roots.
+        for (t, layer) in map.alpha_nodes.chunks(map.num_states).enumerate() {
+            assert!(layer.iter().all(|&a| dag.node(a).op == DagOp::Mul), "step {t}");
+        }
     }
 
     #[test]
     fn node_kinds_cover_factors() {
         let hmm = Hmm::random(2, 2, 3);
         let (dag, _) = dag_from_hmm(&hmm, 3);
-        let kinds: std::collections::HashSet<_> = dag.nodes().iter().map(|n| n.kind).collect();
+        let kinds: std::collections::HashSet<_> = dag.nodes().map(|n| n.kind).collect();
         assert!(kinds.contains(&NodeKind::Transition));
         assert!(kinds.contains(&NodeKind::Emission));
     }

@@ -66,46 +66,59 @@ pub fn dag_from_circuit(circuit: &Circuit) -> (Dag, PcDagMap) {
         next += arity;
     }
     let mut b = DagBuilder::new();
+    // Upper bounds (before CSE): a leaf of arity `a` or a sum over `a`
+    // children lowers to `a` constants, `a` weighted products and their
+    // `Add`; a product to one `Mul` (or the constant 1).
+    let (mut nodes, mut edges) = (next, 0);
+    for node in circuit.nodes() {
+        let fan = match node {
+            PcNode::Indicator { .. } => continue,
+            PcNode::Categorical { log_probs, .. } => log_probs.len(),
+            PcNode::Sum { children, .. } => children.len(),
+            PcNode::Product { children } => {
+                nodes += 1;
+                edges += children.len();
+                continue;
+            }
+        };
+        nodes += 2 * fan + 1;
+        edges += 3 * fan;
+    }
+    b.reserve(nodes, edges);
     // Materialize all indicator inputs.
     for slot in 0..next {
         let _ = b.input(slot as u32);
     }
     let mut node_of: Vec<NodeId> = Vec::with_capacity(circuit.num_nodes());
+    let mut parts: Vec<NodeId> = Vec::new();
     for node in circuit.nodes() {
+        parts.clear();
         let id = match node {
             PcNode::Indicator { var, value } => b.input((slot_of[*var] + value) as u32),
             PcNode::Categorical { var, log_probs } => {
-                let parts: Vec<NodeId> = log_probs
-                    .iter()
-                    .enumerate()
-                    .map(|(value, lp)| {
-                        let lambda = b.input((slot_of[*var] + value) as u32);
-                        let w = b.constant(lp.exp());
-                        b.node(DagOp::Mul, vec![w, lambda], NodeKind::Leaf)
-                    })
-                    .collect();
-                b.node(DagOp::Add, parts, NodeKind::Leaf)
+                for (value, lp) in log_probs.iter().enumerate() {
+                    let lambda = b.input((slot_of[*var] + value) as u32);
+                    let w = b.constant(lp.exp());
+                    parts.push(b.node(DagOp::Mul, &[w, lambda], NodeKind::Leaf));
+                }
+                b.node(DagOp::Add, &parts, NodeKind::Leaf)
             }
             PcNode::Product { children } => {
-                let kids: Vec<NodeId> = children.iter().map(|c| node_of[c.index()]).collect();
-                if kids.is_empty() {
+                if children.is_empty() {
                     // The empty product (constant-1 tails in compiled
                     // formula circuits).
                     b.constant(1.0)
                 } else {
-                    b.node(DagOp::Mul, kids, NodeKind::Product)
+                    parts.extend(children.iter().map(|c| node_of[c.index()]));
+                    b.node(DagOp::Mul, &parts, NodeKind::Product)
                 }
             }
             PcNode::Sum { children, log_weights } => {
-                let parts: Vec<NodeId> = children
-                    .iter()
-                    .zip(log_weights)
-                    .map(|(c, lw)| {
-                        let w = b.constant(lw.exp());
-                        b.node(DagOp::Mul, vec![w, node_of[c.index()]], NodeKind::Sum)
-                    })
-                    .collect();
-                b.node(DagOp::Add, parts, NodeKind::Sum)
+                for (c, lw) in children.iter().zip(log_weights) {
+                    let w = b.constant(lw.exp());
+                    parts.push(b.node(DagOp::Mul, &[w, node_of[c.index()]], NodeKind::Sum));
+                }
+                b.node(DagOp::Add, &parts, NodeKind::Sum)
             }
         };
         node_of.push(id);
@@ -193,7 +206,7 @@ mod tests {
         let cfg = StructureConfig { num_vars: 4, depth: 2, num_components: 2, seed: 0 };
         let circuit = random_mixture_circuit(&cfg);
         let (dag, _) = dag_from_circuit(&circuit);
-        let kinds: std::collections::HashSet<_> = dag.nodes().iter().map(|n| n.kind).collect();
+        let kinds: std::collections::HashSet<_> = dag.nodes().map(|n| n.kind).collect();
         assert!(kinds.contains(&NodeKind::Sum));
         assert!(kinds.contains(&NodeKind::Product));
         assert!(kinds.contains(&NodeKind::Leaf));

@@ -36,34 +36,37 @@ pub struct SatDagMap {
 /// ```
 pub fn dag_from_cnf(cnf: &Cnf) -> (Dag, SatDagMap) {
     let mut b = DagBuilder::new();
+    // Upper bounds (before CSE): a `Not` per literal and a clause node per
+    // clause, then the formula node or its constant.
+    let literals: usize = cnf.iter().map(|clause| clause.len()).sum();
+    b.reserve(cnf.num_vars() + literals + cnf.num_clauses() + 1, 2 * literals + cnf.num_clauses());
     let mut clause_nodes = Vec::with_capacity(cnf.num_clauses());
     // Materialize all variable inputs so slot count covers the universe.
     for v in 0..cnf.num_vars() {
         let _ = b.input(v as u32);
     }
+    let mut lits: Vec<NodeId> = Vec::new();
     for clause in cnf.iter() {
-        let lits: Vec<NodeId> = clause
-            .iter()
-            .map(|l| {
-                let input = b.input(l.var().index() as u32);
-                if l.is_neg() {
-                    b.node(DagOp::Not, vec![input], NodeKind::Literal)
-                } else {
-                    input
-                }
-            })
-            .collect();
+        lits.clear();
+        for l in clause.iter() {
+            let input = b.input(l.var().index() as u32);
+            lits.push(if l.is_neg() {
+                b.node(DagOp::Not, &[input], NodeKind::Literal)
+            } else {
+                input
+            });
+        }
         let node = if lits.is_empty() {
             b.constant(0.0)
         } else {
-            b.node(DagOp::Max, lits, NodeKind::Clause)
+            b.node(DagOp::Max, &lits, NodeKind::Clause)
         };
         clause_nodes.push(node);
     }
     let output = if clause_nodes.is_empty() {
         b.constant(1.0)
     } else {
-        b.node(DagOp::Mul, clause_nodes.clone(), NodeKind::Formula)
+        b.node(DagOp::Mul, &clause_nodes, NodeKind::Formula)
     };
     let dag = b.build(output).expect("CNF lowering emits valid DAGs");
     (dag, SatDagMap { clause_nodes, num_vars: cnf.num_vars() })
@@ -124,7 +127,6 @@ mod tests {
         let (dag, _) = dag_from_cnf(&cnf);
         let nots = dag
             .nodes()
-            .iter()
             .filter(|n| matches!(n.op, DagOp::Not) && n.kind == NodeKind::Literal)
             .count();
         assert_eq!(nots, 2, "!x0 shared, !x1 separate");

@@ -79,6 +79,30 @@ pub enum KernelSource<'a> {
 }
 
 impl KernelSource<'_> {
+    /// Rejects a pruning parameter outside its domain — before any work,
+    /// and whether or not the pipeline prunes.
+    fn check_prune_parameters(&self) -> Result<(), PipelineError> {
+        match *self {
+            KernelSource::PcWithData { prune_fraction, .. }
+                if !(0.0..=1.0).contains(&prune_fraction) =>
+            {
+                Err(PipelineError::BadPruneParameter {
+                    parameter: "prune_fraction",
+                    domain: "[0, 1]",
+                })
+            }
+            KernelSource::HmmWithData { usage_threshold, .. }
+                if !(0.0..).contains(&usage_threshold) =>
+            {
+                Err(PipelineError::BadPruneParameter {
+                    parameter: "usage_threshold",
+                    domain: "[0, ∞)",
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The kernel family.
     pub fn kind(&self) -> KernelKind {
         match self {
@@ -96,6 +120,15 @@ pub enum PipelineError {
     EmptyCalibrationData,
     /// An HMM unroll length of zero was requested.
     ZeroLength,
+    /// A pruning parameter lies outside its domain: `prune_fraction`
+    /// outside `[0, 1]`, or a negative `usage_threshold`; NaN is outside
+    /// both.
+    BadPruneParameter {
+        /// The offending field of [`KernelSource`].
+        parameter: &'static str,
+        /// The interval it must lie in.
+        domain: &'static str,
+    },
 }
 
 impl fmt::Display for PipelineError {
@@ -105,6 +138,9 @@ impl fmt::Display for PipelineError {
                 write!(f, "adaptive pruning requires a non-empty calibration dataset")
             }
             PipelineError::ZeroLength => write!(f, "HMM unroll length must be positive"),
+            PipelineError::BadPruneParameter { parameter, domain } => {
+                write!(f, "{parameter} must lie in {domain}")
+            }
         }
     }
 }
@@ -177,9 +213,12 @@ impl ReasonPipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError`] on empty calibration data or a zero
-    /// unroll length.
+    /// Returns [`PipelineError`] on empty calibration data, a zero
+    /// unroll length, or a pruning parameter outside its domain
+    /// (`prune_fraction` outside `[0, 1]`, a negative `usage_threshold`,
+    /// NaN for either).
     pub fn compile(&self, source: KernelSource<'_>) -> Result<OptimizedKernel, PipelineError> {
+        source.check_prune_parameters()?;
         let kind = source.kind();
         // Each arm yields the shape of the unoptimized lowering, the
         // pruning report, and the DAG to regularize; when nothing is
@@ -325,6 +364,57 @@ mod tests {
             .compile(KernelSource::PcWithData { circuit: &circuit, data: &[], prune_fraction: 0.5 })
             .unwrap_err();
         assert_eq!(err, PipelineError::EmptyCalibrationData);
+    }
+
+    #[test]
+    fn out_of_domain_prune_parameters_are_errors_not_panics() {
+        let circuit = random_mixture_circuit(&StructureConfig::default());
+        let hmm = reason_hmm::Hmm::random(3, 4, 2);
+        let pc_data = vec![vec![1usize; StructureConfig::default().num_vars]; 4];
+        let hmm_data = vec![vec![0usize, 1, 2, 3]; 4];
+        for config in [PipelineConfig::default(), PipelineConfig { prune: false, regularize: true }]
+        {
+            let pipeline = ReasonPipeline::with_config(config);
+            for bad in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+                let source = KernelSource::PcWithData {
+                    circuit: &circuit,
+                    data: &pc_data,
+                    prune_fraction: bad,
+                };
+                let err = pipeline.compile(source).unwrap_err();
+                let expect = PipelineError::BadPruneParameter {
+                    parameter: "prune_fraction",
+                    domain: "[0, 1]",
+                };
+                assert_eq!(err, expect, "prune_fraction {bad}");
+                assert_eq!(err.to_string(), "prune_fraction must lie in [0, 1]");
+            }
+            for bad in [f64::NAN, -0.1, f64::NEG_INFINITY] {
+                let source = KernelSource::HmmWithData {
+                    hmm: &hmm,
+                    len: 4,
+                    data: &hmm_data,
+                    usage_threshold: bad,
+                };
+                let err = pipeline.compile(source).unwrap_err();
+                let expect = PipelineError::BadPruneParameter {
+                    parameter: "usage_threshold",
+                    domain: "[0, ∞)",
+                };
+                assert_eq!(err, expect, "usage_threshold {bad}");
+            }
+            // A usage share above 1 is in the domain: it prunes every
+            // transition a row can lose.
+            for fine in [1.5, f64::INFINITY] {
+                let source = KernelSource::HmmWithData {
+                    hmm: &hmm,
+                    len: 4,
+                    data: &hmm_data,
+                    usage_threshold: fine,
+                };
+                assert!(pipeline.compile(source).is_ok(), "usage_threshold {fine}");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * HMMs prune low-posterior-usage transitions
 //!   ([`reason_hmm::prune_transitions`]).
 //!
-//! [`crate::Dag::compact`] removes dead nodes after any transformation.
+//! Dead DAG nodes, whatever left them, are dropped by
+//! [`crate::regularize()`].
 //! [`UnifiedPruneReport`] aggregates the memory-reduction metrics the
 //! paper reports in Table IV.
 
@@ -128,9 +129,9 @@ mod tests {
     fn dead_node_pruning() {
         let mut b = DagBuilder::without_cse();
         let x = b.input(0);
-        let _dead1 = b.node(DagOp::Not, vec![x], NodeKind::Generic);
-        let _dead2 = b.node(DagOp::Not, vec![x], NodeKind::Generic);
-        let live = b.node(DagOp::Not, vec![x], NodeKind::Generic);
+        let _dead1 = b.node(DagOp::Not, &[x], NodeKind::Generic);
+        let _dead2 = b.node(DagOp::Not, &[x], NodeKind::Generic);
+        let live = b.node(DagOp::Not, &[x], NodeKind::Generic);
         let dag = b.build(live).unwrap();
         let (pruned, dropped) = dag.compact();
         assert_eq!(dropped, 2);

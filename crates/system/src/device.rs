@@ -171,7 +171,7 @@ mod tests {
         let mut b = DagBuilder::new();
         let x = b.input(0);
         let y = b.input(1);
-        let m = b.node(DagOp::Mul, vec![x, y], NodeKind::Generic);
+        let m = b.node(DagOp::Mul, &[x, y], NodeKind::Generic);
         let dag = b.build(m).unwrap();
         let kernel = ReasonCompiler::new(*dev.config()).compile(&dag).unwrap();
 
