@@ -4,7 +4,7 @@
 //! evaluator: across the serving ladder's random 3-SAT knowledge bases
 //! it checks that one shared arena traversal — `B` queries answered by
 //! a single pass with tight inner sum/max loops — returns what `B`
-//! separate [`reason_pc::DnnfBuffer`] walks return, and closes the
+//! separate evaluations of the source circuit return, and closes the
 //! HW/SW loop by lowering each rung's compiled circuit through
 //! `reason-compiler` onto the simulated accelerator (what the shared
 //! traversal buys in time is `benchmark/`'s `hot_wide`
@@ -32,9 +32,7 @@ use rand::prelude::*;
 use reason_arch::{ArchConfig, VliwExecutor};
 use reason_compiler::ReasonCompiler;
 use reason_core::{dag_from_circuit, regularize};
-use reason_pc::{
-    BatchBuffer, Circuit, CompiledWmc, Dnnf, DnnfBatch, DnnfBuffer, EvalBuffer, Evidence,
-};
+use reason_pc::{BatchBuffer, Circuit, CompiledWmc, Dnnf, DnnfBatch, EvalBuffer, Evidence};
 
 use super::registry::{Args, Output};
 use super::replay::{instance_with_mass, sweep_weights};
@@ -117,9 +115,8 @@ fn evidence_batch(n: usize, lanes: usize, rng: &mut StdRng) -> Vec<Evidence> {
     evs
 }
 
-/// The bit-identity guard for one packed batch: WMC on every lane
-/// against the arena's single-query path, marginals and MPE against the
-/// source circuit's.
+/// The bit-identity guard for one packed batch: WMC, marginals and MPE
+/// on every lane against the source circuit's single-query evaluator.
 fn batch_matches_per_query(
     circuit: &Circuit,
     arena: &Dnnf,
@@ -127,14 +124,13 @@ fn batch_matches_per_query(
     batch: &DnnfBatch,
     rng: &mut StdRng,
 ) -> bool {
-    let mut sbuf = DnnfBuffer::new();
     let mut cbuf = EvalBuffer::new();
     let mut bbuf = BatchBuffer::new();
     let n = arena.num_vars();
     let mut ok = true;
     let wmc = arena.wmc_batch(batch, &mut bbuf);
     for (ev, got) in evs.iter().zip(&wmc) {
-        ok &= *got == arena.probability(ev, &mut sbuf);
+        ok &= *got == circuit.probability_with(ev, &mut cbuf);
     }
     let var = rng.gen_range(0..n);
     let marginals = arena.marginal_batch(batch, var, &mut bbuf);

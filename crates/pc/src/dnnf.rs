@@ -27,14 +27,17 @@
 //!
 //! ```
 //! use reason_sat::Cnf;
-//! use reason_pc::{compile_cnf, Dnnf, DnnfBuffer, Evidence, WmcWeights};
+//! use reason_pc::{compile_cnf, BatchBuffer, Dnnf, Evidence, WmcWeights};
 //!
 //! let cnf = Cnf::from_clauses(2, vec![vec![1, 2]]);
 //! let circuit = compile_cnf(&cnf, &WmcWeights::uniform(2)).unwrap();
 //! let arena = Dnnf::from_circuit(&circuit).unwrap();
-//! let mut buf = DnnfBuffer::new();
-//! let z = arena.probability(&Evidence::empty(2), &mut buf);
-//! assert_eq!(z, circuit.probability(&Evidence::empty(2)));
+//! // `Z` is stored at the root; no walk computes it.
+//! assert_eq!(arena.wmc(), circuit.probability(&Evidence::empty(2)));
+//! let mut ev = Evidence::empty(2);
+//! ev.set(0, 1);
+//! let p = arena.probability(&ev, &mut BatchBuffer::new());
+//! assert_eq!(p, circuit.probability(&ev));
 //! ```
 
 use std::collections::HashMap;
@@ -159,20 +162,9 @@ pub struct Dnnf {
     root: u32,
 }
 
-/// Reusable scratch space for arena evaluation — the serving analogue
-/// of [`crate::infer::EvalBuffer`]. One buffer per worker thread makes
-/// every query after the first allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct DnnfBuffer {
-    vals: Vec<f64>,
-}
-
-impl DnnfBuffer {
-    /// An empty buffer; the first query sizes it.
-    pub fn new() -> Self {
-        DnnfBuffer::default()
-    }
-}
+/// The scratch space of [`Dnnf::probability`], which answers one query
+/// as a batch of one lane.
+pub type DnnfBuffer = BatchBuffer;
 
 /// Evidence code for a marginalized (unobserved) variable in a
 /// [`DnnfBatch`] lane; observed lanes store the value itself (0 or 1).
@@ -215,8 +207,8 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 /// [`Dnnf::marginal_batch`], [`Dnnf::mpe_batch`]) consume: B queries
 /// against one arena become one traversal per fixed-width tile of
 /// distinct lanes, with tight inner loops over the tile's lanes and
-/// answers bit-identical per lane to the single-query [`DnnfBuffer`]
-/// path.
+/// answers bit-identical per lane to evaluating the source [`Circuit`]
+/// one query at a time.
 ///
 /// Duplicate queries collapse at pack time: identical evidence columns
 /// share one *storage* lane, evaluated once, and the answers fan back
@@ -488,60 +480,21 @@ impl Dnnf {
             + self.edge_log_weights.len() * std::mem::size_of::<f64>()
     }
 
-    /// Log-probability of the evidence: one linear sweep over the node
-    /// table, arithmetic identical to [`Circuit::log_values_into`].
+    /// The weighted model count `Pr[φ]`: the root's stored
+    /// empty-evidence value, exponentiated — no walk. Bit-identical to
+    /// the source circuit's `probability(&Evidence::empty(n))`.
+    pub fn wmc(&self) -> f64 {
+        self.nodes[self.root as usize].empty().exp()
+    }
+
+    /// Probability of the evidence (linear space), answered as a batch
+    /// of one lane by [`wmc_batch`](Self::wmc_batch).
     ///
     /// # Panics
     ///
     /// Panics if `evidence.len() != self.num_vars()`.
-    pub fn log_probability(&self, evidence: &Evidence, buf: &mut DnnfBuffer) -> f64 {
-        assert_eq!(evidence.len(), self.num_vars, "evidence arity mismatch");
-        buf.vals.clear();
-        buf.vals.resize(self.nodes.len(), 0.0);
-        let vals = &mut buf.vals;
-        for (i, node) in self.nodes.iter().enumerate() {
-            vals[i] = match *node {
-                Node::Indicator { var, value } => match evidence.value(var as usize) {
-                    Some(v) if (v == 1) == value => 0.0,
-                    Some(_) => f64::NEG_INFINITY,
-                    None => 0.0, // marginalized: Σ_v [v = value] = 1
-                },
-                Node::Leaf { var, log_p } => match evidence.value(var as usize) {
-                    Some(v) => log_p[v],
-                    None => 0.0, // distributions sum to 1
-                },
-                Node::And { start, len, .. } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    self.edges[s..e].iter().map(|&c| vals[c as usize]).sum()
-                }
-                Node::Or { start, len, .. } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    // Inline log-sum-exp, same two-pass numerics as the
-                    // circuit evaluator (bit-identical answers).
-                    let m = self.edges[s..e]
-                        .iter()
-                        .zip(&self.edge_log_weights[s..e])
-                        .map(|(&c, lw)| lw + vals[c as usize])
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    if m == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        let total: f64 = self.edges[s..e]
-                            .iter()
-                            .zip(&self.edge_log_weights[s..e])
-                            .map(|(&c, lw)| (lw + vals[c as usize] - m).exp())
-                            .sum();
-                        m + total.ln()
-                    }
-                }
-            };
-        }
-        vals[self.root as usize]
-    }
-
-    /// Probability of the evidence (linear space).
-    pub fn probability(&self, evidence: &Evidence, buf: &mut DnnfBuffer) -> f64 {
-        self.log_probability(evidence, buf).exp()
+    pub fn probability(&self, evidence: &Evidence, buf: &mut BatchBuffer) -> f64 {
+        self.wmc_batch(&DnnfBatch::pack(std::slice::from_ref(evidence)), buf)[0]
     }
 
     /// Batched log-probabilities: one arena traversal per lane tile
@@ -549,9 +502,9 @@ impl Dnnf {
     /// lane.
     ///
     /// Per lane this performs *exactly* the floating-point operation
-    /// sequence of [`log_probability`](Self::log_probability) — same
-    /// child order, same two-pass inline log-sum-exp — so each lane's
-    /// answer is bit-identical to the single-query path. The batch only
+    /// sequence of [`Circuit::log_values_into`] — same child order, same
+    /// two-pass log-sum-exp — so each lane's answer is bit-identical to
+    /// evaluating the source circuit on that query alone. The batch only
     /// amortizes node decode, edge indexing, and memory traffic over
     /// the lanes of a tile.
     ///
@@ -723,7 +676,7 @@ impl Dnnf {
 
     /// Batched weighted model counts / evidence probabilities (linear
     /// space): `Pr[φ ∧ e_k]` per lane, bit-identical per lane to
-    /// [`probability`](Self::probability).
+    /// [`Circuit::probability`].
     pub fn wmc_batch(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<f64> {
         self.log_probability_batch(batch, buf).into_iter().map(f64::exp).collect()
     }
@@ -935,7 +888,7 @@ mod tests {
         for seed in 0..12 {
             let Some((circuit, arena)) = compiled(seed, 10, 26) else { continue };
             let mut cbuf = EvalBuffer::new();
-            let mut abuf = DnnfBuffer::new();
+            let mut abuf = BatchBuffer::new();
             // Full marginalization, full assignments, partial evidence.
             let mut evidences = vec![Evidence::empty(10)];
             for bits in [0u32, 7, 99, 1023] {
@@ -947,12 +900,12 @@ mod tests {
             evidences.push(partial);
             for ev in &evidences {
                 let c = circuit.log_probability_with(ev, &mut cbuf);
-                let a = arena.log_probability(ev, &mut abuf);
-                assert!(
-                    c == a || (c.is_nan() && a.is_nan()),
-                    "seed {seed}: circuit {c} vs arena {a}"
-                );
+                let one = DnnfBatch::pack(std::slice::from_ref(ev));
+                let a = arena.log_probability_batch(&one, &mut abuf)[0];
+                assert_eq!(c.to_bits(), a.to_bits(), "seed {seed}: circuit {c} vs arena {a}");
             }
+            let z = circuit.probability_with(&evidences[0], &mut cbuf);
+            assert_eq!(arena.wmc().to_bits(), z.to_bits(), "seed {seed}");
             checked += 1;
         }
         assert!(checked > 0, "at least one satisfiable instance must be checked");
@@ -1021,15 +974,57 @@ mod tests {
             let mut buf = BatchBuffer::new();
             let logp = arena.log_probability_batch(&DnnfBatch::pack(&lanes), &mut buf);
             let (ps, _, mpes) = arena.query_batch(&refs, &[], &refs, &mut buf);
+            assert_eq!(arena.nodes[arena.root as usize].empty().to_bits(), (-0.0f64).to_bits());
+            assert_eq!(arena.wmc().to_bits(), 1f64.to_bits(), "n = {n}");
             for (k, ev) in lanes.iter().enumerate() {
-                let scalar = arena.log_probability(ev, &mut DnnfBuffer::new());
-                assert_eq!(scalar.to_bits(), (-0.0f64).to_bits(), "n = {n} lane {k}");
-                assert_eq!(logp[k].to_bits(), scalar.to_bits(), "n = {n} lane {k}");
-                assert_eq!(ps[k].to_bits(), scalar.exp().to_bits(), "n = {n} lane {k}");
+                let reference = circuit.log_probability(ev);
+                assert_eq!(reference.to_bits(), (-0.0f64).to_bits(), "n = {n} lane {k}");
+                assert_eq!(logp[k].to_bits(), reference.to_bits(), "n = {n} lane {k}");
+                assert_eq!(ps[k].to_bits(), reference.exp().to_bits(), "n = {n} lane {k}");
                 let want = circuit.mpe_with(ev, &mut EvalBuffer::new());
                 assert_eq!(mpes[k].assignment, want.assignment, "n = {n} lane {k}");
                 assert_eq!(mpes[k].log_prob.to_bits(), want.log_prob.to_bits(), "n = {n} lane {k}");
             }
+        }
+    }
+
+    #[test]
+    fn wmc_reads_the_root_bit_for_bit_on_random_and_degenerate_formulas() {
+        let skewed =
+            |n: usize| WmcWeights::new((0..n).map(|v| 0.2 + 0.15 * (v % 5) as f64).collect());
+        let mut circuits: Vec<Circuit> = Vec::new();
+        for seed in 0..12u64 {
+            let n = 6 + seed as usize;
+            let cnf = random_ksat(n, 2 * n, 3, 500 + seed);
+            // Weights at exactly 0 and 1 too; some of those lose all mass.
+            let edge =
+                WmcWeights::new((0..n).map(|v| [0.0, 1.0, 0.3][(v + seed as usize) % 3]).collect());
+            circuits.extend([skewed(n), edge].iter().filter_map(|w| compile_cnf(&cnf, w)));
+        }
+        assert!(circuits.len() > 12, "most random instances carry mass");
+        // n = 0, the empty formula, duplicate and tautological literals,
+        // and one clause of 35 literals, alone and inside a 3-SAT formula.
+        let wide: Vec<i32> = (1..=35).map(|v| if v % 3 == 0 { -v } else { v }).collect();
+        let mut mixed = random_ksat(36, 60, 3, 91);
+        mixed.add_dimacs_clause(&wide);
+        let degenerate = [
+            (Cnf::new(0), WmcWeights::uniform(0)),
+            (Cnf::new(4), skewed(4)),
+            (Cnf::from_clauses(4, vec![vec![1, -1], vec![2, 2], vec![-2, 3, 4]]), skewed(4)),
+            (Cnf::from_clauses(36, vec![wide]), skewed(36)),
+            (mixed, skewed(36)),
+        ];
+        for (k, (cnf, w)) in degenerate.iter().enumerate() {
+            circuits.push(compile_cnf(cnf, w).unwrap_or_else(|| panic!("input {k} has mass")));
+        }
+        // An empty-product root.
+        let mut b = CircuitBuilder::new(vec![2, 2]);
+        let root = b.product(vec![]);
+        circuits.push(b.build(root).unwrap());
+        for (k, circuit) in circuits.iter().enumerate() {
+            let arena = Dnnf::from_circuit(circuit).unwrap();
+            let want = circuit.probability(&Evidence::empty(circuit.num_vars()));
+            assert_eq!(arena.wmc().to_bits(), want.to_bits(), "circuit {k}: {}", arena.wmc());
         }
     }
 
@@ -1070,25 +1065,29 @@ mod tests {
     fn batched_log_probability_is_bit_identical_per_lane() {
         let mut checked = 0;
         for seed in 0..12 {
-            let Some((_, arena)) = compiled(seed, 10, 26) else { continue };
+            let Some((circuit, arena)) = compiled(seed, 10, 26) else { continue };
             let lanes = lanes(10);
             let batch = DnnfBatch::pack(&lanes);
-            let mut sbuf = DnnfBuffer::new();
+            let mut cbuf = EvalBuffer::new();
+            let mut sbuf = BatchBuffer::new();
             let mut bbuf = BatchBuffer::new();
             let got = arena.log_probability_batch(&batch, &mut bbuf);
             assert_eq!(got.len(), lanes.len());
             for (lane, ev) in lanes.iter().enumerate() {
-                let single = arena.log_probability(ev, &mut sbuf);
+                let single = circuit.log_probability_with(ev, &mut cbuf);
                 assert!(
                     single.to_bits() == got[lane].to_bits(),
-                    "seed {seed} lane {lane}: single {single} vs batched {}",
+                    "seed {seed} lane {lane}: circuit {single} vs batched {}",
                     got[lane]
                 );
             }
-            // Linear space goes through the same exp.
+            // Linear space goes through the same exp, and a batch of one
+            // lane answers what its lane of the wide batch answered.
             let probs = arena.wmc_batch(&batch, &mut bbuf);
             for (lane, ev) in lanes.iter().enumerate() {
-                assert_eq!(probs[lane].to_bits(), arena.probability(ev, &mut sbuf).to_bits());
+                let want = circuit.probability_with(ev, &mut cbuf);
+                assert_eq!(probs[lane].to_bits(), want.to_bits(), "seed {seed} lane {lane}");
+                assert_eq!(arena.probability(ev, &mut sbuf).to_bits(), want.to_bits());
             }
             checked += 1;
         }

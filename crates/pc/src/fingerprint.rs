@@ -7,8 +7,8 @@
 //! Fingerprints are compared structurally (no hash-collision risk for
 //! store lookups); the 64-bit digest is a display/telemetry handle.
 //! `reason-serve`'s circuit store keys its entries by fingerprint, and
-//! the batch executor groups same-formula exact-WMC tasks by it so one
-//! compilation and one batched arena traversal serve the whole group.
+//! its cluster places each knowledge base on a shard by the
+//! fingerprint's [`ring_hash`](FormulaFingerprint::ring_hash).
 
 use std::fmt;
 

@@ -53,7 +53,9 @@ use reason_telemetry::Telemetry;
 
 use crate::engine::{fits, Answer, KbId, ServeConfig, ServeEngine, ServeError};
 use crate::fault::{backoff_s, FaultPlan, FaultStats, ShardHealth, MAX_ATTEMPTS};
-use crate::router::{Admission, KbTelemetry, Query, QueryRouter, Route, MIN_APPROX_SAMPLES};
+use crate::router::{
+    degradable, Admission, KbTelemetry, Query, QueryRouter, Route, MIN_APPROX_SAMPLES,
+};
 /// A consistent-hash ring mapping fingerprints to shard indices.
 ///
 /// Each shard contributes `replicas` virtual points placed by the
@@ -744,7 +746,7 @@ impl ServeCluster {
                     let fallback: Vec<(&Query, Route)> = routed
                         .iter()
                         .map(|&(q, route)| match route {
-                            Route::Exact if q.kind.degradable() => (q, floor),
+                            Route::Exact if degradable(&q.kind) => (q, floor),
                             Route::Predicted => (q, floor),
                             other => (q, other),
                         })

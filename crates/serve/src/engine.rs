@@ -22,16 +22,18 @@ use std::time::{Duration, Instant};
 
 use reason_approx::{ApproxConfig, Method, PredictConfig, PredictionNet, SampleConfig};
 use reason_neural::Mlp;
-use reason_pc::{Circuit, CompileStats, Dnnf, DnnfBuffer, Evidence, WmcWeights};
+use reason_pc::{Circuit, CompileStats, Dnnf, Evidence, WmcWeights};
 use reason_sat::Cnf;
 use reason_system::{
-    BatchExecutor, BatchTask, ExecutorConfig, NeuralStage, PipelineReport, ServeQuery,
-    SymbolicStage, TaskResult, Verdict,
+    BatchExecutor, BatchTask, ExecutorConfig, NeuralStage, PipelineReport, SymbolicStage,
+    TaskResult, Verdict,
 };
 use reason_telemetry::Telemetry;
 
 use crate::kb::KnowledgeBase;
-use crate::router::{KbTelemetry, Query, QueryKind, QueryRouter, Route, RouterConfig, RouterStats};
+use crate::router::{
+    exact_evals, KbTelemetry, Query, QueryKind, QueryRouter, Route, RouterConfig, RouterStats,
+};
 use crate::store::{CacheStats, CircuitStore, StoreConfig, StoredCircuit};
 
 /// Engine-wide configuration.
@@ -206,14 +208,18 @@ struct KbEntry {
     /// Frozen prediction net plus the `Z` and revision it was trained
     /// against.
     predictor: Option<(Mlp, f64, u64)>,
-    telemetry: KbTelemetry,
+    /// The router's cost numbers (`compile_s`, `eval_s`, `sample_s`).
+    /// Its `compiled` and `has_predictor` bits are never written: the
+    /// engine reads them off the store and the predictor's revision
+    /// ([`ServeEngine::telemetry`]).
+    costs: KbTelemetry,
     /// Last compile's counters (persistent-cache reuse shows up here).
     last_stats: CompileStats,
     /// Last measured compile seconds (0 before the first compile).
     last_compile_s: f64,
-    /// `Z` and the revision it was computed at.
-    z: f64,
-    z_revision: Option<u64>,
+    /// `Z`, read off the arena, and the revision it belongs to: the
+    /// approximate rung's normalizer, kept across store evictions.
+    z: Option<(f64, u64)>,
 }
 
 /// The knowledge-base serving engine (see the [module docs](self)).
@@ -261,16 +267,15 @@ impl ServeEngine {
     /// eagerly via [`warm`](Self::warm)).
     pub fn register(&mut self, name: impl Into<String>, cnf: &Cnf, weights: WmcWeights) -> KbId {
         let kb = KnowledgeBase::new(name, cnf, weights);
-        let telemetry = KbTelemetry::prior(kb.num_vars(), kb.num_clauses());
+        let costs = KbTelemetry::prior(kb.num_vars(), kb.num_clauses());
         self.kbs.push(KbEntry {
             kb,
             circuit: None,
             predictor: None,
-            telemetry,
+            costs,
             last_stats: CompileStats::default(),
             last_compile_s: 0.0,
-            z: 0.0,
-            z_revision: None,
+            z: None,
         });
         KbId(self.kbs.len() - 1)
     }
@@ -280,9 +285,19 @@ impl ServeEngine {
         &self.kbs[id.0].kb
     }
 
-    /// The knowledge base's live routing telemetry.
+    /// The knowledge base's live routing telemetry: its measured costs,
+    /// `compiled` when the entry holds the current revision's circuit
+    /// and the store still holds its artifact (another tenant's insert
+    /// may have evicted it), `has_predictor` when a net was trained at
+    /// the current revision.
     pub fn telemetry(&self, id: KbId) -> KbTelemetry {
-        self.kbs[id.0].telemetry
+        let entry = &self.kbs[id.0];
+        let revision = entry.kb.revision();
+        KbTelemetry {
+            compiled: entry.circuit.is_some() && self.store.contains(&entry.kb.fingerprint()),
+            has_predictor: entry.predictor.as_ref().is_some_and(|(_, _, rev)| *rev == revision),
+            ..entry.costs
+        }
     }
 
     /// The last compile's counters (persistent-component-cache reuse
@@ -306,7 +321,6 @@ impl ServeEngine {
         self.store.clear();
         for entry in &mut self.kbs {
             entry.circuit = None;
-            entry.telemetry.compiled = false;
         }
     }
 
@@ -317,15 +331,13 @@ impl ServeEngine {
 
     /// Appends a clause to a knowledge base. The compiled artifact goes
     /// stale (new fingerprint); the next compile reuses every cached
-    /// component the clause does not touch.
+    /// component the clause does not touch. The trained net, if any,
+    /// belongs to the previous revision: it is retrained on the next
+    /// compile rather than trusted.
     pub fn add_clause(&mut self, id: KbId, dimacs: &[i32]) {
         let entry = &mut self.kbs[id.0];
         entry.kb.add_clause(dimacs);
         entry.circuit = None;
-        entry.telemetry.compiled = false;
-        // The net was trained on the previous formula; retrain on the
-        // next compile rather than serve stale predictions.
-        entry.telemetry.has_predictor = false;
     }
 
     /// Retracts a clause (see [`KnowledgeBase::retract_clause`]).
@@ -333,8 +345,6 @@ impl ServeEngine {
         let entry = &mut self.kbs[id.0];
         entry.kb.retract_clause(index);
         entry.circuit = None;
-        entry.telemetry.compiled = false;
-        entry.telemetry.has_predictor = false;
     }
 
     /// Eagerly compiles (or rehydrates) the knowledge base's artifact.
@@ -356,15 +366,7 @@ impl ServeEngine {
     ///
     /// As [`serve_routed`](Self::serve_routed).
     pub fn serve(&mut self, id: KbId, queries: &[Query]) -> Result<ServeReport, ServeError> {
-        // Refresh the hotness bit from ground truth before routing: the
-        // artifact may have been evicted by another KB's traffic since
-        // the last serve, and the router must charge the rebuild.
-        {
-            let entry = &mut self.kbs[id.0];
-            entry.telemetry.compiled =
-                entry.circuit.is_some() && self.store.contains(&entry.kb.fingerprint());
-        }
-        let telemetry = self.kbs[id.0].telemetry;
+        let telemetry = self.telemetry(id);
         let routed: Vec<(&Query, Route)> =
             queries.iter().map(|q| (q, self.router.route(q, &telemetry))).collect();
         self.serve_routed(id, &routed)
@@ -427,7 +429,7 @@ impl ServeEngine {
         let base_cnf = entry.kb.cnf();
         let probs: Vec<f64> =
             (0..entry.kb.num_vars()).map(|v| entry.kb.weights().prob(v)).collect();
-        let z_trusted = (entry.z_revision == Some(entry.kb.revision())).then_some(entry.z);
+        let z_trusted = entry.z.and_then(|(z, rev)| (rev == entry.kb.revision()).then_some(z));
 
         let mut tasks: Vec<BatchTask> = Vec::new();
         let mut plans: Vec<Plan> = Vec::with_capacity(routed.len());
@@ -452,8 +454,8 @@ impl ServeEngine {
                 neural: NeuralStage::Synthetic { duration: Duration::ZERO },
                 symbolic: SymbolicStage::ServeBatch {
                     arena: Arc::clone(&stored.dnnf),
-                    z: stored.z,
-                    queries: exact.iter().map(|q| to_serve_query(&q.kind)).collect(),
+                    z: stored.dnnf.wmc(),
+                    queries: exact.iter().map(|q| q.kind.clone()).collect(),
                 },
                 deadline: exact.iter().filter_map(|q| q.deadline).min(),
             });
@@ -577,7 +579,7 @@ impl ServeEngine {
             .iter()
             .zip(routed)
             .filter(|(plan, _)| matches!(plan, Plan::Batch { .. }))
-            .map(|(_, (q, _))| q.kind.exact_evals())
+            .map(|(_, (q, _))| exact_evals(&q.kind))
             .sum();
         {
             let entry = &mut self.kbs[id.0];
@@ -585,19 +587,18 @@ impl ServeEngine {
                 match plan {
                     Plan::Batch { .. } => {
                         let dt = report.results[0].symbolic_s;
-                        entry.telemetry.eval_s = ewma(entry.telemetry.eval_s, dt / batch_evals);
+                        entry.costs.eval_s = ewma(entry.costs.eval_s, dt / batch_evals);
                     }
                     Plan::Single { task, route: Route::Approx { samples } }
                     | Plan::ApproxOverZ { joint: task, route: Route::Approx { samples }, .. } => {
                         let dt = report.results[*task].symbolic_s;
-                        entry.telemetry.sample_s =
-                            ewma(entry.telemetry.sample_s, dt / *samples as f64);
+                        entry.costs.sample_s = ewma(entry.costs.sample_s, dt / *samples as f64);
                     }
                     Plan::ApproxPair { joint, route: Route::Approx { samples }, .. } => {
                         // Each half of the pair ran samples / 2.
                         let dt = report.results[*joint].symbolic_s;
                         let ran = (*samples / 2).max(1);
-                        entry.telemetry.sample_s = ewma(entry.telemetry.sample_s, dt / ran as f64);
+                        entry.costs.sample_s = ewma(entry.costs.sample_s, dt / ran as f64);
                     }
                     _ => {}
                 }
@@ -619,9 +620,8 @@ impl ServeEngine {
     }
 
     /// Guarantees the artifact is hot in the store and the entry holds
-    /// its source circuit; measures compile and first-eval latency into
-    /// the telemetry; trains the prediction net once per revision when
-    /// configured.
+    /// its source circuit; measures compile latency into the cost model;
+    /// trains the prediction net once per revision when configured.
     fn ensure_compiled(&mut self, id: KbId) -> Result<(), ServeError> {
         let telemetry = self.telemetry.clone();
         let entry = &mut self.kbs[id.0];
@@ -655,19 +655,21 @@ impl ServeEngine {
                 .map(Arc::new)
                 .map_err(|e| ServeError::BadCircuit(format!("{name}: {e:?}")))
         };
-        if let Some(stored) = self.store.peek(&fp) {
+        let z = if let Some(stored) = self.store.peek(&fp) {
             // Rehydrate the entry from the stored artifact.
-            entry.z = stored.z;
             entry.last_stats = stored.stats;
             entry.last_compile_s = stored.compile_s;
             entry.circuit = Some(Arc::clone(&stored.circuit));
+            stored.dnnf.wmc()
         } else if let Some(circuit) = entry.circuit.clone() {
             // Evicted while the entry still holds the current
             // revision's circuit: rebuild the store artifact from it —
             // a linear flattening, not a recompile.
             let dnnf = flatten(&circuit, entry.kb.name())?;
-            let (z, compile_s, stats) = (entry.z, entry.last_compile_s, entry.last_stats);
-            self.store.insert(fp, StoredCircuit { dnnf, circuit, z, compile_s, stats });
+            let z = dnnf.wmc();
+            let (compile_s, stats) = (entry.last_compile_s, entry.last_stats);
+            self.store.insert(fp, StoredCircuit { dnnf, circuit, compile_s, stats });
+            z
         } else {
             let span = telemetry.as_ref().map(|tel| {
                 tel.tracer.span_on(
@@ -686,27 +688,21 @@ impl ServeEngine {
                 return Err(ServeError::NoMass(entry.kb.name().to_string()));
             };
             let dnnf = flatten(&circuit, entry.kb.name())?;
-            // The evaluation that computes `Z` is also the router's
-            // first exact-latency sample for this knowledge base.
-            let t0 = Instant::now();
-            let z = dnnf.probability(&Evidence::empty(entry.kb.num_vars()), &mut DnnfBuffer::new());
-            entry.telemetry.eval_s = t0.elapsed().as_secs_f64().max(1e-9);
-            entry.z = z;
+            let z = dnnf.wmc();
             entry.last_stats = stats;
             entry.last_compile_s = compile_s;
-            entry.telemetry.compile_s = compile_s.max(1e-9);
+            entry.costs.compile_s = compile_s.max(1e-9);
             entry.circuit = Some(Arc::clone(&circuit));
-            self.store.insert(fp, StoredCircuit { dnnf, circuit, z, compile_s, stats });
-        }
-        entry.z_revision = Some(revision);
-        entry.telemetry.compiled = true;
+            self.store.insert(fp, StoredCircuit { dnnf, circuit, compile_s, stats });
+            z
+        };
+        entry.z = Some((z, revision));
         // Train the prediction net once per revision, when configured.
         if let (Some(cfg), Some(circuit)) = (self.config.predictor, &entry.circuit) {
             if entry.predictor.as_ref().is_none_or(|(_, _, rev)| *rev != revision) {
                 let (net, _loss) =
                     PredictionNet::train_from_circuit(circuit, entry.kb.weights(), &cfg);
-                entry.predictor = Some((net.to_mlp(), entry.z, revision));
-                entry.telemetry.has_predictor = true;
+                entry.predictor = Some((net.to_mlp(), z, revision));
             }
         }
         Ok(())
@@ -846,16 +842,6 @@ fn push_task(
         deadline,
     });
     tasks.len() - 1
-}
-
-fn to_serve_query(kind: &QueryKind) -> ServeQuery {
-    match kind {
-        QueryKind::Wmc => ServeQuery::Wmc,
-        QueryKind::Probability(ev) => ServeQuery::Probability(ev.clone()),
-        QueryKind::Posterior(ev) => ServeQuery::Posterior(ev.clone()),
-        QueryKind::Marginal(ev, var) => ServeQuery::Marginal(ev.clone(), *var),
-        QueryKind::Mpe(ev) => ServeQuery::Mpe(ev.clone()),
-    }
 }
 
 /// Direct Monte-Carlo with the deadline-fitted budget: cost is linear
@@ -1072,7 +1058,7 @@ mod tests {
     /// Tenants "a" and "b" on an engine whose store holds one artifact.
     fn two_tenants_one_slot() -> (ServeEngine, KbId, KbId) {
         let mut engine = ServeEngine::new(ServeConfig {
-            store: StoreConfig { max_entries: 1, max_bytes: usize::MAX, ..Default::default() },
+            store: StoreConfig { max_entries: 1, max_bytes: usize::MAX },
             ..ServeConfig::default()
         });
         let (cnf_a, w_a) = sat_instance(9, 22, 21);
@@ -1093,6 +1079,19 @@ mod tests {
         let z_again = exact_one(&mut engine, a, QueryKind::Wmc);
         assert_eq!(z_first.to_bits(), z_again.to_bits());
         assert_eq!(engine.store_stats().insertions, 3);
+    }
+
+    #[test]
+    fn telemetry_reads_hotness_off_the_store() {
+        let (mut engine, a, b) = two_tenants_one_slot();
+        engine.warm(a).unwrap();
+        assert!(engine.telemetry(a).compiled);
+        // B's compile evicts A from the one-entry store; A's entry still
+        // holds its circuit, but nothing hot serves it.
+        engine.warm(b).unwrap();
+        assert_eq!(engine.store_stats().evictions, 1);
+        assert!(!engine.telemetry(a).compiled, "an evicted artifact is cold");
+        assert!(engine.telemetry(b).compiled);
     }
 
     #[test]

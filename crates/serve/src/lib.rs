@@ -13,7 +13,8 @@
 //! * [`CircuitStore`] ([`store`]) — the persistent compiled-circuit
 //!   store: artifacts (flat [`reason_pc::Dnnf`] arenas plus their
 //!   source circuits) keyed by canonical [`FormulaFingerprint`]s
-//!   ([`fingerprint`]), LRU-bounded by entries and bytes, with
+//!   ([`fingerprint`]), bounded by entries and bytes with cost-aware
+//!   eviction, with
 //!   hit/miss/eviction [`CacheStats`]. Eviction is safe: recompiling
 //!   the same key reproduces answers bit-for-bit.
 //! * [`QueryRouter`] ([`router`]) — adaptive admission: each
@@ -96,4 +97,4 @@ pub use reason_telemetry::slo::{Objective, SloAlert, SloMonitor, SloSpec};
 pub use router::{
     Admission, KbTelemetry, Query, QueryKind, QueryRouter, Route, RouterConfig, RouterStats,
 };
-pub use store::{CacheStats, CircuitStore, EvictionPolicy, StoreConfig, StoredCircuit};
+pub use store::{CacheStats, CircuitStore, StoreConfig, StoredCircuit};

@@ -36,38 +36,23 @@
 
 use std::time::Duration;
 
-use reason_pc::Evidence;
+/// What a query asks of its knowledge base: the executor's serve-lane
+/// query type, under the name the serving layers use.
+pub use reason_system::ServeQuery as QueryKind;
 
-/// What a query asks of its knowledge base.
-#[derive(Debug, Clone)]
-pub enum QueryKind {
-    /// The weighted model count `Pr[φ]`.
-    Wmc,
-    /// `Pr[φ ∧ e]` for partial evidence `e`.
-    Probability(Evidence),
-    /// `Pr[e | φ]`.
-    Posterior(Evidence),
-    /// The marginal distribution of one variable given the evidence.
-    Marginal(Evidence, usize),
-    /// Most probable explanation completing the evidence.
-    Mpe(Evidence),
+/// How many circuit evaluations the exact path of `kind` costs.
+pub(crate) fn exact_evals(kind: &QueryKind) -> f64 {
+    match kind {
+        // One sweep per value plus the normalizer.
+        QueryKind::Marginal(..) => 3.0,
+        _ => 1.0,
+    }
 }
 
-impl QueryKind {
-    /// How many circuit evaluations the exact path costs.
-    pub(crate) fn exact_evals(&self) -> f64 {
-        match self {
-            // One sweep per value plus the normalizer.
-            QueryKind::Marginal(..) => 3.0,
-            _ => 1.0,
-        }
-    }
-
-    /// `true` for the probability-valued kinds the approximate and
-    /// predicted rungs can answer.
-    pub(crate) fn degradable(&self) -> bool {
-        matches!(self, QueryKind::Wmc | QueryKind::Probability(_) | QueryKind::Posterior(_))
-    }
+/// `true` for the probability-valued kinds the approximate and
+/// predicted rungs can answer.
+pub(crate) fn degradable(kind: &QueryKind) -> bool {
+    matches!(kind, QueryKind::Wmc | QueryKind::Probability(_) | QueryKind::Posterior(_))
 }
 
 /// One admitted query: a kind plus an optional latency deadline.
@@ -161,8 +146,10 @@ impl Default for RouterConfig {
     }
 }
 
-/// The live cost picture of one knowledge base, maintained by the
-/// serving engine.
+/// The live cost picture of one knowledge base. The serving engine
+/// keeps the three cost numbers and computes the two bits on read
+/// ([`crate::ServeEngine::telemetry`]); the cluster's cost model builds
+/// the same view per shard.
 #[derive(Debug, Clone, Copy)]
 pub struct KbTelemetry {
     /// `true` when the compiled artifact is hot in the store.
@@ -200,7 +187,7 @@ impl KbTelemetry {
     /// (cold ? compile : 0) + evals × warm-eval.
     pub fn exact_cost(&self, kind: &QueryKind) -> f64 {
         let compile = if self.compiled { 0.0 } else { self.compile_s };
-        compile + kind.exact_evals() * self.eval_s
+        compile + exact_evals(kind) * self.eval_s
     }
 
     /// The state as `(field, value)` pairs — the serializable snapshot
@@ -307,7 +294,7 @@ impl QueryRouter {
         t: &KbTelemetry,
         backlog_s: f64,
     ) -> Option<(Admission, &'static str)> {
-        query.kind.degradable().then(|| self.admit_within(query, t, backlog_s, false))
+        degradable(&query.kind).then(|| self.admit_within(query, t, backlog_s, false))
     }
 
     /// Reject when the backlog has consumed the budget, else the ladder.
@@ -345,7 +332,7 @@ impl QueryRouter {
             if t.exact_cost(&query.kind) <= budget_s {
                 return (Route::Exact, "exact_fit");
             }
-            if !query.kind.degradable() {
+            if !degradable(&query.kind) {
                 // Distribution/assignment queries have no approximate rung:
                 // they take the exact path even past their deadline.
                 return (Route::Exact, "not_degradable");
@@ -385,6 +372,7 @@ fn budget_s(query: &Query, backlog_s: f64) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use reason_pc::Evidence;
 
     fn hot_telemetry() -> KbTelemetry {
         KbTelemetry {
@@ -585,7 +573,7 @@ mod tests {
         t: &KbTelemetry,
         backlog_s: f64,
     ) -> Option<(Admission, &'static str)> {
-        if !query.kind.degradable() {
+        if !degradable(&query.kind) {
             return None;
         }
         let budget_s = match query.deadline {

@@ -4,29 +4,33 @@
 //! artifacts so that *every* query after a knowledge base's first
 //! compilation is answered from the store instead of repaying
 //! compilation. Entries carry the flat d-DNNF arena (the serving hot
-//! path), the source circuit (one allocation shared with the owning
-//! knowledge base's engine entry, which re-flattens it after an
-//! eviction and trains the predictor from it), the cached weighted
-//! model count, and the compile telemetry the router's cost model
-//! feeds on.
+//! path, whose root also holds the weighted model count:
+//! [`Dnnf::wmc`]), the source circuit (one allocation shared with the
+//! owning knowledge base's engine entry, which re-flattens it after an
+//! eviction and trains the predictor from it), and the compile
+//! telemetry the router's cost model feeds on.
 //!
 //! The store is bounded two ways — entry count and total artifact
-//! bytes — and evicts entries when either bound is crossed. The
-//! victim is chosen by the configured [`EvictionPolicy`]: the default
-//! [`CostAware`](EvictionPolicy::CostAware) policy scores each entry
-//! `bytes × EWMA recompile seconds` (the telemetry every insertion
-//! already carries) and evicts the *minimum* — the entry whose loss is
-//! cheapest to repay — falling back to recency only to break ties.
-//! Plain [`Lru`](EvictionPolicy::Lru) remains available for workloads
-//! whose recompile costs are uniform. Each slot keeps its artifact's
-//! size, read once at insert ([`StoredCircuit::bytes`] walks the
-//! circuit), so a victim search is one O(entries) pass over stored
-//! sizes, recompile costs and recency, and the byte meter moves by the
-//! stored size on overwrite and removal. Either way eviction is safe by
-//! construction: recompiling the same `(formula, weights)` key
-//! reproduces the artifact bit-for-bit (see the store round-trip
-//! property tests), so an evicted entry costs latency, never
-//! correctness.
+//! bytes — and evicts entries when either bound is crossed. The victim
+//! is cost-aware: each entry scores `bytes × EWMA recompile seconds`
+//! (the telemetry every insertion already carries) and the *minimum*
+//! goes — the entry whose loss is cheapest to repay — with recency only
+//! breaking ties. Small artifacts that are cheap to rebuild go first,
+//! while large circuits that took real compile time stick around even
+//! when a stream of one-shot keys churns the recency order. The EWMA
+//! survives eviction (keyed by digest), so a key that keeps bouncing in
+//! and out remembers what its recompilations cost. Plain LRU loses to
+//! this rule on recompile-heavy traces (`tests/eviction_regression.rs`
+//! replays one against an LRU model).
+//!
+//! Each slot keeps its artifact's size, read once at insert
+//! ([`StoredCircuit::bytes`] walks the circuit), so a victim search is
+//! one O(entries) pass over stored sizes, recompile costs and recency,
+//! and the byte meter moves by the stored size on overwrite and
+//! removal. Eviction is safe by construction: recompiling the same
+//! `(formula, weights)` key reproduces the artifact bit-for-bit (see
+//! the store round-trip property tests), so an evicted entry costs
+//! latency, never correctness.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,22 +39,6 @@ use reason_pc::{Circuit, CompileStats, Dnnf};
 use reason_telemetry::{Counter, Gauge, Telemetry};
 
 use crate::fingerprint::FormulaFingerprint;
-
-/// How a full [`CircuitStore`] picks its eviction victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the least-recently-used entry.
-    Lru,
-    /// Evict the entry with the smallest retention score
-    /// `bytes × EWMA recompile seconds`: small artifacts that are
-    /// cheap to rebuild go first, while large circuits that took real
-    /// compile time stick around even when a stream of one-shot keys
-    /// churns the recency order. The EWMA survives eviction (keyed by
-    /// digest), so a key that keeps bouncing in and out remembers what
-    /// its recompilations cost. Ties break least-recently-used.
-    #[default]
-    CostAware,
-}
 
 /// Size bounds of a [`CircuitStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +49,11 @@ pub struct StoreConfig {
     /// single artifact larger than the bound is still admitted — the
     /// bound then holds everything *else* out.
     pub max_bytes: usize,
-    /// Victim selection when a bound is crossed.
-    pub policy: EvictionPolicy,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { max_entries: 64, max_bytes: 64 << 20, policy: EvictionPolicy::CostAware }
+        StoreConfig { max_entries: 64, max_bytes: 64 << 20 }
     }
 }
 
@@ -81,8 +67,6 @@ pub struct StoredCircuit {
     /// The source circuit, shared (not copied) with the engine entry of
     /// the knowledge base it was compiled for.
     pub circuit: Arc<Circuit>,
-    /// The weighted model count, cached at insertion.
-    pub z: f64,
     /// Seconds the producing compilation took.
     pub compile_s: f64,
     /// The producing compilation's counters.
@@ -145,11 +129,10 @@ struct Slot {
 }
 
 impl Slot {
-    /// Retention score under [`EvictionPolicy::CostAware`]: the
-    /// recompile seconds an eviction would eventually repay, weighted
-    /// by footprint (bytes and compile effort grow together on this
-    /// workload, so the product separates throwaway artifacts from the
-    /// ones worth pinning).
+    /// Retention score: the recompile seconds an eviction would
+    /// eventually repay, weighted by footprint (bytes and compile effort
+    /// grow together on this workload, so the product separates
+    /// throwaway artifacts from the ones worth pinning).
     fn score(&self) -> f64 {
         self.bytes as f64 * self.cost_s
     }
@@ -279,9 +262,9 @@ impl CircuitStore {
         self.entries.get(key).map(|slot| &slot.value)
     }
 
-    /// Inserts (or replaces) an artifact, then evicts entries — chosen
-    /// by the configured [`EvictionPolicy`] — until both bounds hold
-    /// again. The newly inserted artifact is never the eviction
+    /// Inserts (or replaces) an artifact, then evicts the lowest-scoring
+    /// entries (least recently used first among equal scores) until both
+    /// bounds hold again. The newly inserted artifact is never the eviction
     /// victim. The artifact's `compile_s` telemetry folds into the
     /// key's recompile-cost EWMA before the victim search, so a
     /// re-inserted key is judged by its whole recompilation history.
@@ -309,11 +292,8 @@ impl CircuitStore {
                 .entries
                 .iter()
                 .filter(|(k, _)| **k != key)
-                .min_by(|(_, a), (_, b)| match self.config.policy {
-                    EvictionPolicy::Lru => a.last_used.cmp(&b.last_used),
-                    EvictionPolicy::CostAware => {
-                        a.score().total_cmp(&b.score()).then(a.last_used.cmp(&b.last_used))
-                    }
+                .min_by(|(_, a), (_, b)| {
+                    a.score().total_cmp(&b.score()).then(a.last_used.cmp(&b.last_used))
                 })
                 .map(|(k, _)| k.clone());
             match victim {
@@ -332,8 +312,7 @@ impl CircuitStore {
 
     /// Drops every entry at once (fault-injection cache wipes). The
     /// recompile-cost history survives, so re-inserted keys are still
-    /// judged by their full recompilation record under the cost-aware
-    /// eviction policy.
+    /// judged by their full recompilation record.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.bytes = 0;
@@ -392,10 +371,8 @@ mod tests {
             let (circuit, stats) = compile_cnf_with(&cnf, &w, CompileOptions::default());
             if let Some(circuit) = circuit.map(Arc::new) {
                 let dnnf = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
-                let mut buf = reason_pc::DnnfBuffer::new();
-                let z = dnnf.probability(&reason_pc::Evidence::empty(8), &mut buf);
                 let fp = FormulaFingerprint::new(&cnf, &w);
-                return (fp, StoredCircuit { dnnf, circuit, z, compile_s, stats });
+                return (fp, StoredCircuit { dnnf, circuit, compile_s, stats });
             }
             s += 1000;
         }
@@ -415,16 +392,25 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
+    /// `count` distinct keys over one artifact body, so every entry
+    /// scores the same and recency alone picks the victim.
+    fn equal_scores(count: usize) -> Vec<(FormulaFingerprint, StoredCircuit)> {
+        let (_, body) = artifact(1);
+        (0..count)
+            .map(|k| {
+                let w = WmcWeights::new(vec![0.1 + 0.1 * k as f64; 8]);
+                (FormulaFingerprint::from_parts(8, &[], &w), body.clone())
+            })
+            .collect()
+    }
+
     #[test]
     fn entry_bound_evicts_least_recently_used() {
-        let mut store = CircuitStore::new(StoreConfig {
-            max_entries: 2,
-            max_bytes: usize::MAX,
-            policy: EvictionPolicy::Lru,
-        });
-        let (fp_a, a) = artifact(1);
-        let (fp_b, b) = artifact(2);
-        let (fp_c, c) = artifact(3);
+        let mut store = CircuitStore::new(StoreConfig { max_entries: 2, max_bytes: usize::MAX });
+        let mut keys = equal_scores(3).into_iter();
+        let (fp_a, a) = keys.next().unwrap();
+        let (fp_b, b) = keys.next().unwrap();
+        let (fp_c, c) = keys.next().unwrap();
         store.insert(fp_a.clone(), a);
         store.insert(fp_b.clone(), b);
         let _ = store.get(&fp_a); // refresh A: B becomes the LRU victim
@@ -440,11 +426,7 @@ mod tests {
         let (fp_a, a) = artifact(1);
         let (fp_b, b) = artifact(2);
         let tiny = a.bytes() / 2;
-        let mut store = CircuitStore::new(StoreConfig {
-            max_entries: 10,
-            max_bytes: tiny,
-            ..Default::default()
-        });
+        let mut store = CircuitStore::new(StoreConfig { max_entries: 10, max_bytes: tiny });
         store.insert(fp_a.clone(), a);
         assert_eq!(store.len(), 1, "oversized single artifact is admitted");
         store.insert(fp_b.clone(), b);
@@ -457,16 +439,12 @@ mod tests {
         let cnf = Cnf::from_clauses(6, vec![vec![1, 2], vec![-2, 3], vec![4, 5, -6]]);
         let w = WmcWeights::new(vec![0.4, 0.55, 0.5, 0.35, 0.6, 0.45]);
         let first = compile_cnf(&cnf, &w).unwrap();
-        let z_first = Dnnf::from_circuit(&first)
-            .unwrap()
-            .probability(&reason_pc::Evidence::empty(6), &mut reason_pc::DnnfBuffer::new());
+        let z_first = Dnnf::from_circuit(&first).unwrap().wmc();
         // "Evict" and recompile from scratch: identical key → identical
         // artifact → identical bits.
         let second = compile_cnf(&cnf, &w).unwrap();
         assert_eq!(first, second);
-        let z_second = Dnnf::from_circuit(&second)
-            .unwrap()
-            .probability(&reason_pc::Evidence::empty(6), &mut reason_pc::DnnfBuffer::new());
+        let z_second = Dnnf::from_circuit(&second).unwrap().wmc();
         assert_eq!(z_first.to_bits(), z_second.to_bits());
     }
 
@@ -484,11 +462,7 @@ mod tests {
         // stale copy of A: if an overwrite double-counted, the meter
         // would cross the bound and evict spuriously.
         let budget = bytes_a + bytes_b + bytes_a2.max(bytes_a);
-        let mut store = CircuitStore::new(StoreConfig {
-            max_entries: 8,
-            max_bytes: budget,
-            policy: EvictionPolicy::Lru,
-        });
+        let mut store = CircuitStore::new(StoreConfig { max_entries: 8, max_bytes: budget });
         store.insert(fp_a.clone(), a);
         store.insert(fp_b.clone(), b);
         assert_eq!(store.stats().bytes, bytes_a + bytes_b);
@@ -510,13 +484,10 @@ mod tests {
         let live: usize = [&fp_a, &fp_b].iter().map(|fp| store.peek(fp).unwrap().bytes()).sum();
         assert_eq!(store.stats().bytes, live);
 
-        // An overwrite that blows the byte budget evicts the LRU (B),
-        // never the just-refreshed key.
-        let mut store = CircuitStore::new(StoreConfig {
-            max_entries: 8,
-            max_bytes: bytes_a + bytes_b,
-            policy: EvictionPolicy::Lru,
-        });
+        // An overwrite that blows the byte budget evicts the other
+        // entry (B), never the just-refreshed key.
+        let mut store =
+            CircuitStore::new(StoreConfig { max_entries: 8, max_bytes: bytes_a + bytes_b });
         let (_, a) = artifact(1);
         let (_, b) = artifact(2);
         let (_, big) = (3..)
@@ -528,7 +499,7 @@ mod tests {
         store.insert(fp_b.clone(), b);
         store.insert(fp_a.clone(), big); // bytes_a2 + bytes_b > budget
         assert!(store.contains(&fp_a), "the fresh entry is never the victim");
-        assert!(!store.contains(&fp_b), "the LRU entry pays for the overgrown overwrite");
+        assert!(!store.contains(&fp_b), "the other entry pays for the overgrown overwrite");
         let stats = store.stats();
         assert_eq!((stats.entries, stats.evictions), (1, 1));
         assert_eq!(stats.bytes, big_bytes);
@@ -553,11 +524,7 @@ mod tests {
 
     #[test]
     fn cost_aware_eviction_protects_expensive_artifacts_over_recent_cheap_ones() {
-        let mut store = CircuitStore::new(StoreConfig {
-            max_entries: 2,
-            max_bytes: usize::MAX,
-            policy: EvictionPolicy::CostAware,
-        });
+        let mut store = CircuitStore::new(StoreConfig { max_entries: 2, max_bytes: usize::MAX });
         let (fp_dear, dear) = artifact_costing(1, 2.0); // seconds to recompile
         let (fp_cheap, cheap) = artifact_costing(2, 1e-6);
         let (fp_new, fresh) = artifact_costing(3, 1e-6);
@@ -577,11 +544,7 @@ mod tests {
         // near-free persistent-cache rebuild). The EWMA must remember
         // the expensive history: 0.7 * 1.0 + 0.3 * 0.0 = 0.7s, which
         // still outranks a genuinely cheap competitor.
-        let mut store = CircuitStore::new(StoreConfig {
-            max_entries: 1,
-            max_bytes: usize::MAX,
-            policy: EvictionPolicy::CostAware,
-        });
+        let mut store = CircuitStore::new(StoreConfig { max_entries: 1, max_bytes: usize::MAX });
         let (fp_dear, dear) = artifact_costing(1, 1.0);
         let (_, dear_rebuilt) = artifact_costing(1, 0.0);
         let (fp_cheap, cheap) = artifact_costing(2, 1e-6);
@@ -595,11 +558,7 @@ mod tests {
 
     #[test]
     fn cost_aware_ties_break_least_recently_used() {
-        let mut store = CircuitStore::new(StoreConfig {
-            max_entries: 2,
-            max_bytes: usize::MAX,
-            policy: EvictionPolicy::CostAware,
-        });
+        let mut store = CircuitStore::new(StoreConfig { max_entries: 2, max_bytes: usize::MAX });
         // Give two *distinct* keys identical scores by storing one
         // artifact body under two fingerprints.
         let (fp_a, a) = artifact_costing(1, 1e-3);

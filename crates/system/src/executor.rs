@@ -45,8 +45,8 @@ use parking_lot::Mutex;
 use reason_approx::{ApproxConfig, ApproxEngine};
 use reason_neural::{LlmProxy, Matrix, Mlp, MlpBuilder};
 use reason_pc::{
-    compile_cnf, random_mixture_circuit, BatchBuffer, Circuit, Dnnf, DnnfBuffer, EvalBuffer,
-    Evidence, StructureConfig, WmcWeights,
+    compile_cnf, random_mixture_circuit, BatchBuffer, Circuit, Dnnf, EvalBuffer, Evidence,
+    StructureConfig, WmcWeights,
 };
 use reason_sat::gen::random_ksat;
 use reason_sat::{Cnf, CubeAndConquer, CubeConfig, Solution};
@@ -138,8 +138,8 @@ pub enum SymbolicStage {
     ServeBatch {
         /// The flat evaluation arena of the compiled knowledge base.
         arena: Arc<Dnnf>,
-        /// The partition function `Pr[φ]`, shared by every posterior
-        /// lane in the batch.
+        /// The partition function `Pr[φ]` ([`Dnnf::wmc`]), shared by
+        /// every posterior lane in the batch.
         z: f64,
         /// The queries, answered in order into [`Verdict::Batch`].
         queries: Vec<ServeQuery>,
@@ -151,11 +151,12 @@ pub enum SymbolicStage {
     },
 }
 
-/// What one lane of a [`SymbolicStage::ServeBatch`] task asks of the
-/// shared arena.
+/// What a served query asks of a compiled knowledge base: one lane of a
+/// [`SymbolicStage::ServeBatch`] task. `reason-serve` routes queries of
+/// this type under the name `QueryKind`.
 #[derive(Debug, Clone)]
 pub enum ServeQuery {
-    /// The weighted model count `Pr[φ]` (the task's cached `z`).
+    /// The weighted model count `Pr[φ]`, answered from the task's `z`.
     Wmc,
     /// `Pr[φ ∧ e]` for partial evidence `e`.
     Probability(Evidence),
@@ -639,7 +640,7 @@ fn run_serve_batch(arena: &Dnnf, z: f64, queries: &[ServeQuery]) -> Verdict {
 
     // Partition the batch into lanes per answer kind, remembering each
     // lane's query index. `Wmc` asks for the partition function itself
-    // — already cached, no lane needed.
+    // — the task carries it, no lane needed.
     let (mut prob, mut prob_at) = (Vec::new(), Vec::new()); // at: (query, is_posterior)
     let (mut marginal, mut marginal_at) = (Vec::new(), Vec::new());
     let (mut mpe, mut mpe_at) = (Vec::new(), Vec::new());
@@ -705,7 +706,7 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
             let probs: Vec<f64> = (0..13).map(|v| 0.4 + 0.02 * v as f64).collect();
             if let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs)) {
                 let arena = Dnnf::from_circuit(&circuit).expect("compiled formulas are binary");
-                let z = arena.probability(&Evidence::empty(13), &mut DnnfBuffer::new());
+                let z = arena.wmc();
                 break (Arc::new(arena), z);
             }
             s += 1;

@@ -8,25 +8,30 @@
 //! out right before every re-access; the cost-aware score
 //! (`bytes × EWMA recompile seconds`) lets the streamers evict each
 //! other instead. The counts below are exact and deterministic — a
-//! revert of [`EvictionPolicy::CostAware`] (or of the default policy)
-//! fails this file, it cannot drift quietly.
+//! revert of the store's cost-aware victim rule fails this file, it
+//! cannot drift quietly.
 //!
 //! A second, byte-bound trace pins the exact *order* in which keys leave
-//! under both policies: artifacts of mixed sizes, varied recompile
-//! costs, overwrites and lookups between the inserts. Its expected
-//! sequences were read from the store that re-measured every artifact's
-//! footprint on each victim comparison, so a store that ranks victims
-//! from sizes kept at insert must evict exactly the same keys.
+//! under both rules: artifacts of mixed sizes, varied recompile costs,
+//! overwrites and lookups between the inserts. Its expected sequences
+//! were read from the store that re-measured every artifact's footprint
+//! on each victim comparison, so a store that ranks victims from sizes
+//! kept at insert must evict exactly the same keys.
+//!
+//! The store has one victim rule. The LRU baseline both traces compare
+//! against is [`LruModel`], a least-recently-used store kept in this
+//! file: its sequences were read from the store's own LRU mode before
+//! that mode was retired, and stay pinned unedited.
 
 use std::sync::Arc;
 
-use reason::pc::{compile_cnf_with, CompileOptions, Dnnf, DnnfBuffer, Evidence, WmcWeights};
+use reason::pc::{compile_cnf_with, CompileOptions, Dnnf, WmcWeights};
 use reason::sat::gen::random_ksat;
-use reason::serve::{CircuitStore, EvictionPolicy, FormulaFingerprint, StoreConfig, StoredCircuit};
+use reason::serve::{CircuitStore, FormulaFingerprint, StoreConfig, StoredCircuit};
 
 /// A compiled artifact over a random satisfiable `n`-variable 3-CNF at
-/// clause ratio 2.5, tagged with the compile cost the store's policy
-/// will judge it by.
+/// clause ratio 2.5, tagged with the compile cost the store will judge
+/// it by.
 fn sized_artifact(n: usize, seed: u64, compile_s: f64) -> (FormulaFingerprint, StoredCircuit) {
     let mut s = seed;
     loop {
@@ -35,11 +40,80 @@ fn sized_artifact(n: usize, seed: u64, compile_s: f64) -> (FormulaFingerprint, S
         let (circuit, stats) = compile_cnf_with(&cnf, &w, CompileOptions::default());
         if let Some(circuit) = circuit.map(Arc::new) {
             let dnnf = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
-            let z = dnnf.probability(&Evidence::empty(n), &mut DnnfBuffer::new());
             let fp = FormulaFingerprint::new(&cnf, &w);
-            return (fp, StoredCircuit { dnnf, circuit, z, compile_s, stats });
+            return (fp, StoredCircuit { dnnf, circuit, compile_s, stats });
         }
         s += 1000;
+    }
+}
+
+/// What a trace replay needs of a store.
+trait Store {
+    fn new(config: StoreConfig) -> Self;
+    /// A counted lookup: `true` on a hit, which refreshes recency.
+    fn get(&mut self, key: &FormulaFingerprint) -> bool;
+    fn contains(&self, key: &FormulaFingerprint) -> bool;
+    fn insert(&mut self, key: FormulaFingerprint, value: StoredCircuit);
+}
+
+impl Store for CircuitStore {
+    fn new(config: StoreConfig) -> Self {
+        CircuitStore::new(config)
+    }
+
+    fn get(&mut self, key: &FormulaFingerprint) -> bool {
+        CircuitStore::get(self, key).is_some()
+    }
+
+    fn contains(&self, key: &FormulaFingerprint) -> bool {
+        CircuitStore::contains(self, key)
+    }
+
+    fn insert(&mut self, key: FormulaFingerprint, value: StoredCircuit) {
+        CircuitStore::insert(self, key, value);
+    }
+}
+
+/// A least-recently-used store under the same bounds: every lookup and
+/// insert advances one clock, a hit or an insert stamps its key, and
+/// while a bound is crossed the stalest key other than the fresh one
+/// leaves (the byte bound never evicts the last entry).
+struct LruModel {
+    config: StoreConfig,
+    /// `(key, bytes, last used)`.
+    slots: Vec<(FormulaFingerprint, usize, u64)>,
+    tick: u64,
+}
+
+impl Store for LruModel {
+    fn new(config: StoreConfig) -> Self {
+        LruModel { config, slots: Vec::new(), tick: 0 }
+    }
+
+    fn get(&mut self, key: &FormulaFingerprint) -> bool {
+        self.tick += 1;
+        let slot = self.slots.iter_mut().find(|(k, ..)| k == key);
+        slot.map(|(_, _, used)| *used = self.tick).is_some()
+    }
+
+    fn contains(&self, key: &FormulaFingerprint) -> bool {
+        self.slots.iter().any(|(k, ..)| k == key)
+    }
+
+    fn insert(&mut self, key: FormulaFingerprint, value: StoredCircuit) {
+        self.tick += 1;
+        self.slots.retain(|(k, ..)| *k != key);
+        self.slots.push((key.clone(), value.bytes(), self.tick));
+        while self.slots.len() > self.config.max_entries
+            || (self.slots.iter().map(|s| s.1).sum::<usize>() > self.config.max_bytes
+                && self.slots.len() > 1)
+        {
+            let stalest = (0..self.slots.len())
+                .filter(|&i| self.slots[i].0 != key)
+                .min_by_key(|&i| self.slots[i].2)
+                .expect("another entry is live");
+            self.slots.remove(stalest);
+        }
     }
 }
 
@@ -48,19 +122,18 @@ fn artifact(seed: u64, compile_s: f64) -> (FormulaFingerprint, StoredCircuit) {
     sized_artifact(8, seed, compile_s)
 }
 
-/// Replays the trace against one policy. Returns the number of hot-key
-/// recompilations (a miss on a key that was already compiled once) and
-/// the seconds those recompilations repay.
-fn run_trace(policy: EvictionPolicy) -> (u64, f64) {
+/// Replays the trace against one store under `config`. Returns the
+/// number of hot-key recompilations (a miss on a key that was already
+/// compiled once) and the seconds those recompilations repay.
+fn run_trace<S: Store>(config: StoreConfig) -> (u64, f64) {
     const HOT_COMPILE_S: f64 = 0.5;
     const CHEAP_COMPILE_S: f64 = 1e-3;
     let hot: Vec<_> = (0..2).map(|i| artifact(100 + i, HOT_COMPILE_S)).collect();
     let streamers: Vec<_> = (0..12).map(|i| artifact(200 + i, CHEAP_COMPILE_S)).collect();
-    let mut store =
-        CircuitStore::new(StoreConfig { max_entries: 4, max_bytes: usize::MAX, policy });
+    let mut store = S::new(config);
     let mut recompiles = 0u64;
     let mut recompile_s = 0.0;
-    // First compilations are paid under any policy; they don't count.
+    // First compilations are paid under any rule; they don't count.
     for (fp, art) in &hot {
         store.insert(fp.clone(), art.clone());
     }
@@ -68,12 +141,12 @@ fn run_trace(policy: EvictionPolicy) -> (u64, f64) {
     // whole 4-entry store), then both hot keys are needed again.
     for round in streamers.chunks(4) {
         for (fp, art) in round {
-            if store.get(fp).is_none() {
+            if !store.get(fp) {
                 store.insert(fp.clone(), art.clone());
             }
         }
         for (fp, art) in &hot {
-            if store.get(fp).is_none() {
+            if !store.get(fp) {
                 recompiles += 1;
                 recompile_s += art.compile_s;
                 store.insert(fp.clone(), art.clone());
@@ -83,10 +156,13 @@ fn run_trace(policy: EvictionPolicy) -> (u64, f64) {
     (recompiles, recompile_s)
 }
 
+/// The entry-bound trace's store: four entries, no byte bound.
+const FOUR_ENTRIES: StoreConfig = StoreConfig { max_entries: 4, max_bytes: usize::MAX };
+
 #[test]
 fn cost_aware_eviction_beats_lru_on_a_recompile_heavy_trace() {
-    let (lru_recompiles, lru_s) = run_trace(EvictionPolicy::Lru);
-    let (ca_recompiles, ca_s) = run_trace(EvictionPolicy::CostAware);
+    let (lru_recompiles, lru_s) = run_trace::<LruModel>(FOUR_ENTRIES);
+    let (ca_recompiles, ca_s) = run_trace::<CircuitStore>(FOUR_ENTRIES);
     // LRU: every 4-streamer burst fills the store and evicts both hot
     // artifacts, so each of the 3 rounds recompiles both — 6 in total.
     assert_eq!(lru_recompiles, 6, "LRU trace drifted; the burst no longer churns the hot keys");
@@ -97,12 +173,12 @@ fn cost_aware_eviction_beats_lru_on_a_recompile_heavy_trace() {
     assert_eq!(ca_s, 0.0);
 }
 
-/// Replays a byte-bound churn trace against one policy and returns its
+/// Replays a byte-bound churn trace against one store and returns its
 /// eviction order: `"i:a,b"` for every insert `i` (counted from 0) that
 /// evicted, where `a,b` are the labels of the keys that left, read with
 /// `contains` after the insert (so keys leaving together are listed by
 /// label, not by the order the victim search took them).
-fn byte_bound_eviction_order(policy: EvictionPolicy) -> String {
+fn byte_bound_eviction_order<S: Store>() -> String {
     const KEYS: usize = 14;
     // Labels 0..14: formulas of n = 8…14 (two of each), recompile
     // costs spread over 1–9 ms.
@@ -112,8 +188,7 @@ fn byte_bound_eviction_order(policy: EvictionPolicy) -> String {
     let total: usize = keys.iter().map(|(_, art)| art.bytes()).sum();
     // About a third of the artifacts fit: the byte bound, never the
     // entry bound, picks every victim.
-    let mut store =
-        CircuitStore::new(StoreConfig { max_entries: 64, max_bytes: total / 3, policy });
+    let mut store = S::new(StoreConfig { max_entries: 64, max_bytes: total / 3 });
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
         state ^= state << 13;
@@ -131,7 +206,7 @@ fn byte_bound_eviction_order(policy: EvictionPolicy) -> String {
             // Overwrite a live key with another key's body: the store
             // must swap the old size out of its meter for a new one.
             keys[(k + 3) % KEYS].1.clone()
-        } else if store.get(fp).is_none() {
+        } else if !store.get(fp) {
             art.clone()
         } else {
             continue;
@@ -151,12 +226,12 @@ fn byte_bound_eviction_order(policy: EvictionPolicy) -> String {
         }
         inserts += 1;
         // A lookup between inserts moves the recency order.
-        let _ = store.get(&keys[(next() % KEYS as u64) as usize].0);
+        store.get(&keys[(next() % KEYS as u64) as usize].0);
     }
     order.join(" ")
 }
 
-/// [`byte_bound_eviction_order`] under [`EvictionPolicy::Lru`].
+/// [`byte_bound_eviction_order`] on [`LruModel`].
 const LRU_ORDER: &str = concat!(
     "5:2,5 7:13 10:1 11:0,5 12:9 13:7,11 14:2 15:13 16:5 17:1,12 18:4 20:6 22:13 23:10 ",
     "24:0,2 25:9,13 27:6 28:11 29:10 30:4 32:13 33:2 34:1 35:3 37:12 38:5 39:0 40:7 41:8 ",
@@ -167,7 +242,7 @@ const LRU_ORDER: &str = concat!(
     "117:11 118:13 121:1 122:10 123:6,7",
 );
 
-/// [`byte_bound_eviction_order`] under [`EvictionPolicy::CostAware`].
+/// [`byte_bound_eviction_order`] on the [`CircuitStore`].
 const COST_AWARE_ORDER: &str = concat!(
     "5:0,2 6:13 8:6,7 10:11 12:0,1,2 13:13 15:2 16:1,6,7 17:13 18:12 20:9 21:2 22:13 23:2 ",
     "24:10 25:4,11 29:13 30:1,3 33:0,11 34:4 36:0 37:2 38:0 39:1 40:6,9 42:3,11 43:13 ",
@@ -179,13 +254,15 @@ const COST_AWARE_ORDER: &str = concat!(
 
 #[test]
 fn byte_bound_churn_evicts_the_pinned_keys_in_the_pinned_order() {
-    assert_eq!(byte_bound_eviction_order(EvictionPolicy::Lru), LRU_ORDER);
-    assert_eq!(byte_bound_eviction_order(EvictionPolicy::CostAware), COST_AWARE_ORDER);
+    assert_eq!(byte_bound_eviction_order::<LruModel>(), LRU_ORDER);
+    assert_eq!(byte_bound_eviction_order::<CircuitStore>(), COST_AWARE_ORDER);
 }
 
 #[test]
 fn cost_aware_is_the_default_store_policy() {
-    // The serving engine relies on the default; a quiet revert to LRU
-    // would re-open the recompile churn pinned above.
-    assert_eq!(StoreConfig::default().policy, EvictionPolicy::CostAware);
+    // The serving engine's default store, held to the entry bound of
+    // the trace above: its byte bound must not re-open the recompile
+    // churn LRU suffers.
+    let config = StoreConfig { max_entries: 4, ..StoreConfig::default() };
+    assert_eq!(run_trace::<CircuitStore>(config), (0, 0.0));
 }

@@ -33,7 +33,6 @@ const CENSUS: &[(&str, &str, &str)] = &[
     ("ServeConfig", "approx_seed", "bench traffic.rs passes the sweep seed | default 0x5EED"),
     ("StoreConfig", "max_entries", "benchmark layers.rs per workload | default 64"),
     ("StoreConfig", "max_bytes", "one value (64 MiB); tests lift it to isolate max_entries"),
-    ("StoreConfig", "policy", "one value (CostAware); Lru is eviction_regression's reference"),
     ("RouterConfig", "max_approx_samples", "bench traffic.rs 2048 | default 65536"),
     ("ClusterConfig", "shards", "bench traffic.rs sweeps 1, 2, 4 | default 2"),
     ("ClusterConfig", "engine", "bench traffic_engine_config | benchmark serve_config"),
@@ -58,7 +57,7 @@ fn every_public_config_field_is_in_the_census() {
             ServeConfig { store, router, executor, predictor, approx_seed } =
                 ServeConfig::default()
         ),
-        fields!(StoreConfig { max_entries, max_bytes, policy } = StoreConfig::default()),
+        fields!(StoreConfig { max_entries, max_bytes } = StoreConfig::default()),
         fields!(RouterConfig { max_approx_samples } = RouterConfig::default()),
         fields!(ClusterConfig { shards, engine } = ClusterConfig::default()),
         fields!(ExecutorConfig { symbolic_workers, overlap } = ExecutorConfig::default()),
@@ -73,6 +72,6 @@ fn every_public_config_field_is_in_the_census() {
         .collect();
     let listed: Vec<(&str, &str)> = CENSUS.iter().map(|&(ty, field, _)| (ty, field)).collect();
     assert_eq!(found, listed, "CENSUS must list every field, in declaration order");
-    assert_eq!(found.len(), 23, "a knob was added or removed: update the count with the table");
+    assert_eq!(found.len(), 22, "a knob was added or removed: update the count with the table");
     assert!(CENSUS.iter().all(|(_, _, differs)| !differs.is_empty()));
 }

@@ -19,9 +19,7 @@ use reason::pc::{compile_cnf, Evidence, WmcWeights};
 use reason::sat::{
     brute_force, weighted_count, CdclSolver, Cnf, CubeAndConquer, CubeConfig, Preprocessor,
 };
-use reason::serve::{
-    CacheStats, CircuitStore, EvictionPolicy, FormulaFingerprint, StoreConfig, StoredCircuit,
-};
+use reason::serve::{CacheStats, CircuitStore, FormulaFingerprint, StoreConfig, StoredCircuit};
 use reason::system::{StageCost, TwoLevelPipeline};
 
 /// A random small CNF as DIMACS-style clause lists.
@@ -231,24 +229,24 @@ proptest! {
         };
         let arena = reason::pc::Dnnf::from_circuit(&circuit).expect("binary universe");
         let mut cbuf = reason::pc::EvalBuffer::new();
-        let mut abuf = reason::pc::DnnfBuffer::new();
-        // Full marginalization plus a random partial evidence pattern.
+        let mut bbuf = reason::pc::BatchBuffer::new();
+        // Full marginalization — `Z`, read off the arena's root and
+        // walked as one lane — plus a random partial evidence pattern.
         let mut evidence = Evidence::empty(n);
-        prop_assert_eq!(
-            circuit.log_probability_with(&evidence, &mut cbuf).to_bits(),
-            arena.log_probability(&evidence, &mut abuf).to_bits()
-        );
+        let z = circuit.log_probability_with(&evidence, &mut cbuf);
+        prop_assert_eq!(arena.wmc().to_bits(), z.exp().to_bits());
+        let one = reason::pc::DnnfBatch::pack(std::slice::from_ref(&evidence));
+        prop_assert_eq!(z.to_bits(), arena.log_probability_batch(&one, &mut bbuf)[0].to_bits());
         for v in 0..n {
             if rng.gen_bool(0.4) {
                 evidence.set(v, usize::from(rng.gen_bool(0.5)));
             }
         }
-        let c = circuit.log_probability_with(&evidence, &mut cbuf);
-        let a = arena.log_probability(&evidence, &mut abuf);
-        prop_assert!(c == a || (c.is_nan() && a.is_nan()), "circuit {} vs arena {}", c, a);
-        // Marginals and MPE run on the arena as a batch of one.
+        // Everything else runs on the arena as a batch of one.
         let one = reason::pc::DnnfBatch::pack(std::slice::from_ref(&evidence));
-        let mut bbuf = reason::pc::BatchBuffer::new();
+        let c = circuit.log_probability_with(&evidence, &mut cbuf);
+        let a = arena.log_probability_batch(&one, &mut bbuf)[0];
+        prop_assert!(c.to_bits() == a.to_bits(), "circuit {} vs arena {}", c, a);
         let var = rng.gen_range(0..n);
         prop_assert_eq!(
             &circuit.marginal_with(&evidence, var, &mut cbuf),
@@ -266,9 +264,7 @@ proptest! {
         // transformation, not a numerical one: every lane of a mixed
         // WMC/marginal/MPE batch — including duplicated queries, which
         // the packer collapses onto a shared storage lane — must
-        // reproduce the single-query answer bit-for-bit (the arena's
-        // own for probabilities, the source circuit's for marginals
-        // and MPE).
+        // reproduce the source circuit's single-query answer bit-for-bit.
         use rand::{Rng, SeedableRng};
         let m = 2 * n + (seed % 13) as usize;
         let cnf = reason::sat::gen::random_ksat(n, m, 3, seed);
@@ -297,7 +293,6 @@ proptest! {
         }
         let batch = reason::pc::DnnfBatch::pack(&evidences);
         prop_assert_eq!(batch.lanes(), lanes);
-        let mut sbuf = reason::pc::DnnfBuffer::new();
         let mut cbuf = reason::pc::EvalBuffer::new();
         let mut bbuf = reason::pc::BatchBuffer::new();
         let logp = arena.log_probability_batch(&batch, &mut bbuf);
@@ -306,11 +301,11 @@ proptest! {
         let marg = arena.marginal_batch(&batch, var, &mut bbuf);
         let mpe = arena.mpe_batch(&batch, &mut bbuf);
         for (lane, ev) in evidences.iter().enumerate() {
-            let lp = arena.log_probability(ev, &mut sbuf);
+            let lp = circuit.log_probability_with(ev, &mut cbuf);
             prop_assert!(
                 logp[lane].to_bits() == lp.to_bits()
                     || (logp[lane].is_nan() && lp.is_nan()),
-                "lane {}: batched logp {} vs single {}", lane, logp[lane], lp
+                "lane {}: batched logp {} vs circuit {}", lane, logp[lane], lp
             );
             prop_assert_eq!(wmc[lane].to_bits(), lp.exp().to_bits());
             let sm = circuit.marginal_with(ev, var, &mut cbuf);
@@ -564,7 +559,7 @@ proptest! {
             evict_seed += 1;
         };
         let mut engine = ServeEngine::new(ServeConfig {
-            store: StoreConfig { max_entries: 1, max_bytes: usize::MAX, ..Default::default() },
+            store: StoreConfig { max_entries: 1, max_bytes: usize::MAX },
             ..ServeConfig::default()
         });
         let kb = engine.register("kb", &cnf, weights);
@@ -596,17 +591,15 @@ proptest! {
         ops in prop::collection::vec((0u8..9, 0usize..STORE_POOL, 0usize..STORE_POOL, 0usize..4), 1..=48),
         max_entries in 1usize..=5,
         byte_sixths in 1usize..=6,
-        lru in any::<bool>(),
     ) {
         // Random insert / overwrite / get / remove / clear programs under
-        // tight entry and byte bounds, both policies, against
+        // tight entry and byte bounds against
         // `StoreModel`, which re-measures every artifact on every use.
         // After each op: the same victims, the same stats, and a byte
         // meter equal to the live artifacts' footprints.
         let pool = store_pool();
         let total: usize = pool.iter().map(|(_, art)| art.bytes()).sum();
-        let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::CostAware };
-        let config = StoreConfig { max_entries, max_bytes: total * byte_sixths / 6, policy };
+        let config = StoreConfig { max_entries, max_bytes: total * byte_sixths / 6 };
         let mut store = CircuitStore::new(config);
         let mut model = StoreModel::default();
         for (step, &(op, a, b, cost)) in ops.iter().enumerate() {
@@ -1125,11 +1118,9 @@ fn store_pool() -> &'static [(FormulaFingerprint, StoredCircuit)] {
                     })
                     .expect("some seed is satisfiable");
                 let dnnf = reason::pc::Dnnf::from_circuit(&circuit).expect("binary");
-                let z = dnnf.probability(&Evidence::empty(n), &mut reason::pc::DnnfBuffer::new());
                 let value = StoredCircuit {
                     dnnf: Arc::new(dnnf),
                     circuit: Arc::new(circuit),
-                    z,
                     compile_s: 0.0,
                     stats: Default::default(),
                 };
@@ -1210,12 +1201,7 @@ impl StoreModel {
                 .slots
                 .iter()
                 .filter(|s| s.key != key)
-                .min_by(|a, b| match config.policy {
-                    EvictionPolicy::Lru => a.last_used.cmp(&b.last_used),
-                    EvictionPolicy::CostAware => {
-                        score(a).total_cmp(&score(b)).then(a.last_used.cmp(&b.last_used))
-                    }
-                })
+                .min_by(|a, b| score(a).total_cmp(&score(b)).then(a.last_used.cmp(&b.last_used)))
                 .map(|s| s.key)
                 .expect("another entry is live");
             self.remove(victim);

@@ -244,7 +244,7 @@ const KEPT: &[(&str, &str, &str)] = &[
 ];
 
 /// Names with more than one `pub` definition under `crates/*/src`.
-const AMBIGUOUS_NAMES: usize = 92;
+const AMBIGUOUS_NAMES: usize = 91;
 
 const KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "type", "static"];
 
