@@ -418,6 +418,24 @@ mod tests {
     }
 
     #[test]
+    fn calibration_the_model_cannot_emit_is_not_a_panic() {
+        // Neither state emits symbol 2, so the second sequence has zero
+        // likelihood and no posterior: pruning skips it.
+        let hmm = reason_hmm::Hmm::new(
+            vec![0.5, 0.5],
+            vec![vec![0.9, 0.1], vec![0.2, 0.8]],
+            vec![vec![0.5, 0.5, 0.0], vec![0.3, 0.7, 0.0]],
+        )
+        .unwrap();
+        let data = vec![vec![0usize, 1, 1, 0], vec![0, 2, 1, 0]];
+        let source =
+            KernelSource::HmmWithData { hmm: &hmm, len: 4, data: &data, usage_threshold: 0.1 };
+        let kernel = ReasonPipeline::new().compile(source).unwrap();
+        assert_eq!(kernel.kind, KernelKind::Sequential);
+        kernel.dag.validate().unwrap();
+    }
+
+    #[test]
     fn zero_unroll_is_an_error() {
         let hmm = reason_hmm::Hmm::random(2, 2, 0);
         let err =

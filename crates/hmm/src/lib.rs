@@ -8,13 +8,15 @@
 //!
 //! Modules:
 //!
-//! * [`infer`] — log-space forward/backward, filtering, smoothing,
-//!   posterior state and transition probabilities.
+//! * [`infer`] — log-space forward/backward, filtering and likelihood;
+//!   posterior state and transition probabilities from a scaled
+//!   linear-domain forward-backward.
 //! * [`viterbi`] — maximum a-posteriori state decoding.
 //! * [`learn`] — Baum–Welch (EM) parameter estimation.
 //! * [`sample`] — ancestral sampling of state/observation sequences.
 //! * [`constrain`] — deterministic finite automata and HMM×DFA product
-//!   inference: the Ctrl-G-style constrained generation kernel.
+//!   inference: the Ctrl-G-style constrained generation kernel (a
+//!   linear-domain forward pass and a log-space Viterbi decode).
 //! * [`prune`] — posterior-usage transition pruning (the HMM half of the
 //!   paper's probabilistic DAG pruning, Sec. IV-B).
 //!

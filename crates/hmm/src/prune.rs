@@ -6,7 +6,21 @@
 //! `p(z_{1:T}, x_{1:T})` and are removed (set to zero probability), with
 //! surviving rows renormalized. This sparsifies the unrolled DAG that
 //! REASON maps to hardware.
+//!
+//! Usage is accumulated in the linear domain by the same scaled
+//! forward-backward pass behind [`Hmm::posteriors`]: the model's tables
+//! are exponentiated once per call, one scratch serves every sequence,
+//! and `ξ` is added into an `s × s` table as it is produced — no `exp`
+//! per entry and no per-sequence `ξ` tables. A sequence costs about
+//! `3·T·s²` multiply-adds. The usage shares differ from a log-space
+//! computation in the last bits only, which moves no decision unless a
+//! share sits within rounding of the threshold: on every case
+//! `tests/hmm_golden.rs` pins, `removed`, `remaining`, `bytes_after` and
+//! the pruned `log_trans` (the input row renormalized in log space) are
+//! the same bits as the log-space pass gave. `usage_removed` may differ
+//! in its last digits.
 
+use crate::infer::{LinearTables, ScaledPass};
 use crate::{learn::is_normalized, log_sum_exp, Hmm};
 
 /// Report of a transition-pruning pass.
@@ -44,6 +58,10 @@ impl TransitionPruneReport {
 /// Each row keeps its most-used transition so the chain can always
 /// progress; surviving entries are renormalized.
 ///
+/// A sequence shorter than two symbols has no transition, and one the
+/// model cannot emit (zero likelihood) has no posterior: neither
+/// contributes usage.
+///
 /// # Panics
 ///
 /// Panics if `sequences` is empty or `threshold` is negative.
@@ -58,22 +76,16 @@ pub fn prune_transitions(
     let bytes_before = hmm.footprint_bytes();
 
     // Expected transition usage.
+    let tables = LinearTables::new(hmm);
+    let mut pass = ScaledPass::default();
     let mut usage = vec![vec![0.0f64; s]; s];
-    let mut total_usage = 0.0f64;
     for obs in sequences {
-        if obs.len() < 2 {
+        if obs.len() < 2 || !pass.run(&tables, obs) {
             continue;
         }
-        let post = hmm.posteriors(obs);
-        for xi_t in &post.xi {
-            for i in 0..s {
-                for j in 0..s {
-                    usage[i][j] += xi_t[i][j];
-                    total_usage += xi_t[i][j];
-                }
-            }
-        }
+        pass.for_each_xi(&tables, obs, |_, i, j, xi| usage[i][j] += xi);
     }
+    let total_usage: f64 = usage.iter().flatten().sum();
 
     let mut log_trans: Vec<Vec<f64>> = hmm.log_trans().to_vec();
     let mut removed = 0usize;
@@ -185,6 +197,26 @@ mod tests {
         let report = prune_transitions(&hmm, &data, 0.0);
         assert_eq!(report.removed, 0);
         assert_eq!(report.remaining, 9);
+    }
+
+    #[test]
+    fn a_sequence_the_model_cannot_emit_contributes_no_usage() {
+        // Neither state emits symbol 2; the second sequence is impossible.
+        let hmm = Hmm::new(
+            vec![0.5, 0.5],
+            vec![vec![0.9, 0.1], vec![0.2, 0.8]],
+            vec![vec![0.5, 0.5, 0.0], vec![0.3, 0.7, 0.0]],
+        )
+        .unwrap();
+        let good = vec![vec![0, 0, 1, 0, 1, 1]];
+        let with_bad = vec![good[0].clone(), vec![0, 2, 1]];
+        let report = prune_transitions(&hmm, &with_bad, 0.1);
+        assert_eq!(report, prune_transitions(&hmm, &good, 0.1));
+        assert!(report.usage_removed.is_finite());
+        // Nothing but impossible data: no usage at all, as for data
+        // without a transition.
+        let only_bad = prune_transitions(&hmm, &[vec![2, 2]], 0.1);
+        assert_eq!(only_bad, prune_transitions(&hmm, &[vec![0]], 0.1));
     }
 
     #[test]

@@ -82,6 +82,11 @@ const KEPT: &[(&str, &str, &str)] = &[
         "(b) generator: the lexical-ban DFA the constrained-decoding tests use",
     ),
     (
+        "crates/hmm/src/infer.rs",
+        "forward_backward",
+        "(b) reference: the log-space forward-backward the scaled posteriors are held to",
+    ),
+    (
         "crates/hmm/src/learn.rs",
         "baum_welch",
         "(a) Sec. II-C Eq. 2: HMM parameter learning, the substrate's training half",
