@@ -25,12 +25,12 @@ pub struct RunningMean {
 
 impl RunningMean {
     /// An empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Absorbs one sample value.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.n += 1;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
@@ -38,17 +38,17 @@ impl RunningMean {
     }
 
     /// Number of samples absorbed.
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.n
     }
 
     /// The running sample mean (0 before any sample).
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         self.mean
     }
 
     /// Unbiased sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -57,7 +57,7 @@ impl RunningMean {
     }
 
     /// Standard error of the mean, `sqrt(var / n)`.
-    pub fn std_error(&self) -> f64 {
+    fn std_error(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -87,7 +87,7 @@ pub struct ConvergenceTrace {
 
 impl ConvergenceTrace {
     /// An empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -99,7 +99,7 @@ impl ConvergenceTrace {
     /// mean can transiently exceed 1 on high-mass formulas — without
     /// the clamp such a checkpoint would invert the bracket
     /// (`upper < estimate`) and break the anytime contract.
-    pub fn record(&mut self, stats: &RunningMean, z: f64) {
+    pub(crate) fn record(&mut self, stats: &RunningMean, z: f64) {
         let n = stats.count().max(1) as f64;
         let envelope = z * stats.std_error() + 1.0 / n;
         let estimate = stats.mean().clamp(0.0, 1.0);
@@ -117,7 +117,7 @@ impl ConvergenceTrace {
     }
 
     /// The latest checkpoint, if any.
-    pub fn last(&self) -> Option<&BoundsPoint> {
+    pub(crate) fn last(&self) -> Option<&BoundsPoint> {
         self.points.last()
     }
 }
@@ -141,7 +141,7 @@ pub struct AnytimeEstimate {
 impl AnytimeEstimate {
     /// Builds the estimate from a finished accumulator and its trace
     /// (the final checkpoint must already be recorded).
-    pub fn from_trace(trace: ConvergenceTrace) -> Self {
+    pub(crate) fn from_trace(trace: ConvergenceTrace) -> Self {
         let last = *trace.last().expect("trace must contain at least one checkpoint");
         AnytimeEstimate {
             estimate: last.estimate,

@@ -14,12 +14,12 @@
 //!    iterate sampling and refit `q` to the weighted satisfying
 //!    samples. No oracle needed; this is the default inside
 //!    [`crate::ApproxEngine`].
-//! 2. [`Proposal::from_circuit`] — exact posterior marginals read off a
+//! 2. `Proposal::from_circuit` — exact posterior marginals read off a
 //!    compiled circuit: the best mean-field proposal the exact engine
 //!    can teach, used to validate the adaptive path.
 
 use rand::prelude::*;
-use reason_pc::{Circuit, Evidence, WmcWeights};
+use reason_pc::WmcWeights;
 use reason_sat::Cnf;
 
 use crate::bounds::AnytimeEstimate;
@@ -52,30 +52,26 @@ impl Proposal {
     /// The mean-field posterior: exact per-variable marginals
     /// `p(X_v = 1 | φ)` computed on a compiled circuit — the proposal
     /// the exact engine teaches.
-    pub fn from_circuit(circuit: &Circuit) -> Self {
-        let empty = Evidence::empty(circuit.num_vars());
+    #[cfg(test)]
+    fn from_circuit(circuit: &reason_pc::Circuit) -> Self {
+        let empty = reason_pc::Evidence::empty(circuit.num_vars());
         Proposal::from_marginals(
             (0..circuit.num_vars()).map(|v| circuit.marginal(&empty, v)[1]).collect(),
         )
     }
 
     /// Number of variables.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.q.len()
     }
 
-    /// `true` when the proposal covers no variables.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
     /// `q(X_v = 1)`.
-    pub fn prob(&self, v: usize) -> f64 {
+    fn prob(&self, v: usize) -> f64 {
         self.q[v]
     }
 
     /// Draws one assignment into `model`.
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, model: &mut [bool]) {
+    fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, model: &mut [bool]) {
         assert_eq!(model.len(), self.q.len(), "model arity mismatch");
         for (v, slot) in model.iter_mut().enumerate() {
             *slot = rng.gen_bool(self.q[v]);
@@ -109,7 +105,7 @@ impl MixtureProposal {
     ///
     /// Panics if lengths disagree, no component is given, component
     /// arities differ, or the mixing mass is not positive.
-    pub fn new(pi: Vec<f64>, comps: Vec<Proposal>) -> Self {
+    fn new(pi: Vec<f64>, comps: Vec<Proposal>) -> Self {
         assert!(!comps.is_empty(), "mixture needs at least one component");
         assert_eq!(pi.len(), comps.len(), "mixing weight arity mismatch");
         assert!(comps.iter().all(|c| c.len() == comps[0].len()), "component arity mismatch");
@@ -119,29 +115,24 @@ impl MixtureProposal {
     }
 
     /// Number of variables covered.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.comps[0].len()
     }
 
-    /// `true` when the mixture covers no variables.
-    pub fn is_empty(&self) -> bool {
-        self.comps[0].is_empty()
-    }
-
     /// Number of components.
-    pub fn num_components(&self) -> usize {
+    fn num_components(&self) -> usize {
         self.comps.len()
     }
 
     /// Draws one assignment: pick a component by mixing weight, then
     /// sample its Bernoullis.
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, model: &mut [bool]) {
+    fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, model: &mut [bool]) {
         let k = rand::dist::sample_categorical(rng, &self.pi);
         self.comps[k].sample_into(rng, model);
     }
 
     /// Log-density of an assignment under the mixture.
-    pub fn log_pdf(&self, x: &[bool]) -> f64 {
+    fn log_pdf(&self, x: &[bool]) -> f64 {
         let mut acc = f64::NEG_INFINITY;
         for (pi, comp) in self.pi.iter().zip(&self.comps) {
             acc = log_add_exp(acc, pi.ln() + log_pdf(x, |v| comp.prob(v)));
@@ -157,27 +148,24 @@ pub struct AdaptConfig {
     pub rounds: usize,
     /// Samples drawn per round.
     pub batch: u64,
-    /// Step size toward the refit marginals in `(0, 1]`.
-    pub step: f64,
     /// Mixture components learned by [`adapt_mixture`] (1 = plain
     /// mean-field cross-entropy).
     pub components: usize,
-    /// Bootstrap the mixture components from CDCL-enumerated models
-    /// (blocking-clause enumeration) before cross-entropy refinement.
-    /// Essential when the satisfying mass is tiny: random sampling may
-    /// never find the modes the solver walks straight to.
-    pub seed_with_models: bool,
 }
 
 impl Default for AdaptConfig {
     fn default() -> Self {
-        AdaptConfig { rounds: 10, batch: 1024, step: 0.7, components: 8, seed_with_models: true }
+        AdaptConfig { rounds: 10, batch: 1024, components: 8 }
     }
 }
 
 /// How far model-seeded components lean toward their model: component
 /// marginals start at `blend·model + (1-blend)·prior`.
 const MODEL_SEED_BLEND: f64 = 0.75;
+
+/// Step size of every cross-entropy round toward the refit marginals,
+/// in `(0, 1]`.
+const CE_STEP: f64 = 0.7;
 
 /// Enumerates up to `k` distinct models of `cnf` by iterated CDCL
 /// solving with blocking clauses — the symbolic engine teaching the
@@ -221,12 +209,11 @@ fn enumerate_models(cnf: &Cnf, k: usize) -> Vec<Vec<bool>> {
 /// responsible for. Rounds that see no satisfying sample leave the
 /// mixture unchanged.
 ///
-/// Components are anchored at distinct CDCL-enumerated models when
-/// [`AdaptConfig::seed_with_models`] is set (without this, tiny
-/// satisfying mass can hide every mode from sampling); remaining — or
-/// all, when disabled — components start as jittered copies of the
-/// prior, since identical components would receive identical
-/// responsibilities forever.
+/// Components are anchored at distinct CDCL-enumerated models
+/// (blocking-clause enumeration; without this, tiny satisfying mass can
+/// hide every mode from sampling); components beyond the formula's
+/// model count start as jittered copies of the prior, since identical
+/// components would receive identical responsibilities forever.
 pub fn adapt_mixture<R: Rng + ?Sized>(
     cnf: &Cnf,
     weights: &WmcWeights,
@@ -234,13 +221,11 @@ pub fn adapt_mixture<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> MixtureProposal {
     assert!(cfg.rounds > 0 && cfg.batch > 0, "adaptation schedule must be positive");
-    assert!((0.0..=1.0).contains(&cfg.step) && cfg.step > 0.0, "step must be in (0, 1]");
     assert!(cfg.components > 0, "need at least one mixture component");
     let n = cnf.num_vars();
     let k = cfg.components;
 
-    let seeds: Vec<Vec<bool>> =
-        if cfg.seed_with_models { enumerate_models(cnf, k) } else { Vec::new() };
+    let seeds = enumerate_models(cnf, k);
     let comps: Vec<Proposal> = (0..k)
         .map(|c| {
             Proposal::from_marginals(
@@ -258,7 +243,7 @@ pub fn adapt_mixture<R: Rng + ?Sized>(
         .collect();
     let mut mix = MixtureProposal::new(vec![1.0; k], comps);
     for _ in 0..cfg.rounds {
-        mix = ce_em_round(cnf, weights, mix, cfg.batch, cfg.step, rng);
+        mix = ce_em_round(cnf, weights, mix, cfg.batch, CE_STEP, rng);
     }
     mix
 }
@@ -515,11 +500,10 @@ mod tests {
 
     #[test]
     fn mean_field_adaptation_still_brackets_exact() {
-        // One component, no model seeding: plain mean-field cross-entropy
-        // stays unbiased; its error budget is looser than the mixture's
-        // on multi-modal posteriors.
-        let mean_field =
-            AdaptConfig { components: 1, seed_with_models: false, ..AdaptConfig::default() };
+        // One component: plain mean-field cross-entropy stays unbiased;
+        // its error budget is looser than the mixture's on multi-modal
+        // posteriors.
+        let mean_field = AdaptConfig { components: 1, ..AdaptConfig::default() };
         for seed in 0..5 {
             let cnf = random_ksat(12, 30, 3, 300 + seed);
             let probs: Vec<f64> = (0..12).map(|v| 0.3 + 0.04 * v as f64).collect();

@@ -79,7 +79,8 @@ pub enum Method {
 
 impl Method {
     /// Display name for reports.
-    pub fn name(self) -> &'static str {
+    #[cfg(test)]
+    fn name(self) -> &'static str {
         match self {
             Method::MonteCarlo => "monte-carlo",
             Method::Importance => "importance",
@@ -112,7 +113,8 @@ impl Default for ApproxConfig {
 
 impl ApproxConfig {
     /// The default configuration with an explicit seed.
-    pub fn seeded(seed: u64) -> Self {
+    #[cfg(test)]
+    fn seeded(seed: u64) -> Self {
         ApproxConfig { sampling: SampleConfig::seeded(seed), ..ApproxConfig::default() }
     }
 }
@@ -128,11 +130,6 @@ impl ApproxEngine {
     /// An engine with the given configuration.
     pub fn new(config: ApproxConfig) -> Self {
         ApproxEngine { config }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ApproxConfig {
-        &self.config
     }
 
     /// Estimates the weighted model count of `cnf` under `weights` with

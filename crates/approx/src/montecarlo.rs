@@ -33,7 +33,8 @@ impl Default for SampleConfig {
 
 impl SampleConfig {
     /// The default budget with an explicit seed.
-    pub fn seeded(seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn seeded(seed: u64) -> Self {
         SampleConfig { seed, ..SampleConfig::default() }
     }
 }

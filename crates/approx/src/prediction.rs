@@ -25,15 +25,18 @@ pub struct PredictConfig {
     pub epochs: usize,
     /// Hidden-layer width.
     pub hidden: usize,
-    /// SGD learning rate.
-    pub lr: f32,
-    /// Seed for query generation and parameter initialization.
-    pub seed: u64,
 }
+
+/// SGD learning rate of every training run.
+const LEARNING_RATE: f32 = 0.35;
+
+/// Seed for query generation and parameter initialization: training is
+/// a pure function of the circuit, the weights and the schedule.
+const TRAIN_SEED: u64 = 0;
 
 impl Default for PredictConfig {
     fn default() -> Self {
-        PredictConfig { queries: 512, epochs: 600, hidden: 32, lr: 0.35, seed: 0 }
+        PredictConfig { queries: 512, epochs: 600, hidden: 32 }
     }
 }
 
@@ -42,7 +45,6 @@ impl Default for PredictConfig {
 #[derive(Debug, Clone)]
 pub struct PredictionNet {
     net: TrainableMlp,
-    num_vars: usize,
 }
 
 /// Encodes partial evidence as a two-hot feature row: feature `2v` is 1
@@ -104,7 +106,7 @@ impl PredictionNet {
         assert_eq!(weights.len(), circuit.num_vars(), "weights arity mismatch");
         assert!(cfg.queries > 0 && cfg.epochs > 0, "training schedule must be positive");
         let n = circuit.num_vars();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
         let mut xs = Vec::with_capacity(cfg.queries * 2 * n);
         let mut ys = Vec::with_capacity(cfg.queries);
         let mut evidence = vec![None; n];
@@ -126,31 +128,24 @@ impl PredictionNet {
         }
         let x = Matrix::from_vec(cfg.queries, 2 * n, xs);
         let y = Matrix::from_vec(cfg.queries, 1, ys);
-        let mut net = TrainableMlp::new(&[2 * n, cfg.hidden, 1], cfg.seed.wrapping_add(17));
+        let mut net = TrainableMlp::new(&[2 * n, cfg.hidden, 1], TRAIN_SEED.wrapping_add(17));
         let mut loss = f32::INFINITY;
         for _ in 0..cfg.epochs {
-            loss = net.train_batch(&x, &y, cfg.lr);
+            loss = net.train_batch(&x, &y, LEARNING_RATE);
         }
-        (PredictionNet { net, num_vars: n }, loss)
+        (PredictionNet { net }, loss)
     }
 
-    /// Number of variables the predictor covers.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Predicted `Pr[φ | e]` for partial evidence `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `evidence.len() != self.num_vars()`.
-    pub fn predict(&self, evidence: &[Option<bool>]) -> f64 {
-        let x = Self::encode_query(evidence, self.num_vars);
+    /// Predicted `Pr[φ | e]` for partial evidence `e`: the trainable
+    /// net's own forward pass, the reference the frozen net is held to.
+    #[cfg(test)]
+    fn predict(&self, evidence: &[Option<bool>]) -> f64 {
+        let x = Self::encode_query(evidence, evidence.len());
         f64::from(self.net.forward(&x).at(0, 0))
     }
 
     /// Encodes partial evidence as the net's `1 × 2n` input matrix —
-    /// the two-hot feature layout [`predict`](Self::predict) uses,
+    /// the two-hot feature layout the net trains on,
     /// exposed so a serving router can run the frozen net
     /// ([`to_mlp`](Self::to_mlp)) as a `reason_system` neural stage and
     /// read the prediction off the stage's output buffer.
@@ -167,11 +162,6 @@ impl PredictionNet {
     /// runnable as a `reason_system` neural stage.
     pub fn to_mlp(&self) -> Mlp {
         self.net.to_mlp()
-    }
-
-    /// Parameter count of the underlying network.
-    pub fn num_params(&self) -> usize {
-        self.net.num_params()
     }
 }
 

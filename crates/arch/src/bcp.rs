@@ -56,7 +56,7 @@ pub struct WatchedLiteralUnit {
 
 impl WatchedLiteralUnit {
     /// An empty unit over `2 * num_vars` literals.
-    pub fn new(num_vars: usize) -> Self {
+    fn new(num_vars: usize) -> Self {
         WatchedLiteralUnit {
             heads: vec![NULL_PTR; 2 * num_vars],
             records: Vec::new(),
@@ -68,7 +68,7 @@ impl WatchedLiteralUnit {
 
     /// Builds the unit from a formula, watching the first two literals of
     /// every clause with at least two literals.
-    pub fn from_cnf(cnf: &Cnf) -> Self {
+    fn from_cnf(cnf: &Cnf) -> Self {
         let mut unit = WatchedLiteralUnit::new(cnf.num_vars());
         for (i, clause) in cnf.iter().enumerate() {
             if clause.len() >= 2 {
@@ -80,7 +80,7 @@ impl WatchedLiteralUnit {
     }
 
     /// Pushes clause `clause` onto `lit`'s watch list (O(1): head splice).
-    pub fn add_watch(&mut self, lit: Lit, clause: u32) {
+    fn add_watch(&mut self, lit: Lit, clause: u32) {
         let slot = if let Some(s) = self.free.pop() {
             self.records[s as usize] = WatchRecord { clause, next: self.heads[lit.code()] };
             s
@@ -98,7 +98,7 @@ impl WatchedLiteralUnit {
     /// # Panics
     ///
     /// Panics if the clause is not on the list.
-    pub fn remove_watch(&mut self, lit: Lit, clause: u32) {
+    fn remove_watch(&mut self, lit: Lit, clause: u32) {
         let mut prev: Option<u32> = None;
         let mut cur = self.heads[lit.code()];
         self.sram_reads += 1;
@@ -143,7 +143,7 @@ impl WatchedLiteralUnit {
 
     /// Length of `lit`'s watch list without charging SRAM accesses
     /// (diagnostics).
-    pub fn watch_len(&self, lit: Lit) -> usize {
+    fn watch_len(&self, lit: Lit) -> usize {
         let mut n = 0;
         let mut cur = self.heads[lit.code()];
         while cur != NULL_PTR {
@@ -170,19 +170,19 @@ pub struct BcpFifo {
 
 impl BcpFifo {
     /// An empty FIFO.
-    pub fn new() -> Self {
+    fn new() -> Self {
         BcpFifo::default()
     }
 
     /// Enqueues an implication.
-    pub fn push(&mut self, lit: Lit) {
+    fn push(&mut self, lit: Lit) {
         self.queue.push_back(lit);
         self.pushes += 1;
         self.max_occupancy = self.max_occupancy.max(self.queue.len());
     }
 
     /// Dequeues the next implication.
-    pub fn pop(&mut self) -> Option<Lit> {
+    fn pop(&mut self) -> Option<Lit> {
         let l = self.queue.pop_front();
         if l.is_some() {
             self.pops += 1;
@@ -193,18 +193,20 @@ impl BcpFifo {
     /// Discards all pending implications (conflict priority handling:
     /// "the controller asserts priority control: it halts the ongoing DMA
     /// fetch, flushes the FIFO" — paper Sec. V-E).
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         self.queue.clear();
         self.flushes += 1;
     }
 
     /// Current occupancy.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 }
@@ -292,8 +294,7 @@ impl SymbolicEngine {
             events: EnergyEvents::default(),
         };
         let mut solver = CdclSolver::new(cnf);
-        let solution =
-            solver.solve_with(&mut observer, &[]).expect("unlimited solve always completes");
+        let solution = solver.solve_with(&mut observer, &[]);
 
         // Cube-and-conquer distributes independent DPLL branches across
         // the PE array ("Multiple parallelable CDCLs", paper Fig. 9 top):

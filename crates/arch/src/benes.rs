@@ -49,7 +49,8 @@ impl BenesNetwork {
     }
 
     /// Number of inputs.
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    fn size(&self) -> usize {
         self.size
     }
 

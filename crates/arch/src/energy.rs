@@ -40,7 +40,7 @@ impl TechNode {
     }
 
     /// Dynamic-energy scale factor relative to 28 nm.
-    pub fn energy_scale(self) -> f64 {
+    fn energy_scale(self) -> f64 {
         self.avg_power_w() / TechNode::N28.avg_power_w()
     }
 }
@@ -156,7 +156,7 @@ impl EnergyModel {
     }
 
     /// The same constants scaled to another node.
-    pub fn at_node(tech: TechNode) -> Self {
+    pub(crate) fn at_node(tech: TechNode) -> Self {
         EnergyModel { tech, ..EnergyModel::paper() }
     }
 

@@ -20,7 +20,7 @@ pub struct BankAddr {
 
 impl BankAddr {
     /// Creates a location.
-    pub fn new(bank: usize, addr: usize) -> Self {
+    pub(crate) fn new(bank: usize, addr: usize) -> Self {
         BankAddr { bank: bank as u16, addr: addr as u16 }
     }
 }
@@ -46,7 +46,7 @@ pub struct MemoryStats {
 /// Registers live in one bank-major array (`bank * regs_per_bank +
 /// addr`). The live count of every bank and their sum are kept up to
 /// date by [`alloc_write`](Self::alloc_write),
-/// [`write_at`](Self::write_at) and [`free`](Self::free), so register
+/// `write_at` and [`free`](Self::free), so register
 /// pressure is read off in O(1) instead of recounted from the bitmap.
 #[derive(Debug, Clone)]
 pub struct RegisterBanks {
@@ -80,18 +80,9 @@ impl RegisterBanks {
         }
     }
 
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.num_banks
-    }
-
-    /// Registers per bank.
-    pub fn regs_per_bank(&self) -> usize {
-        self.regs_per_bank
-    }
-
     /// Accumulated statistics.
-    pub fn stats(&self) -> &MemoryStats {
+    #[cfg(test)]
+    fn stats(&self) -> &MemoryStats {
         &self.stats
     }
 
@@ -153,7 +144,7 @@ impl RegisterBanks {
     /// # Panics
     ///
     /// Panics if the bank is out of range.
-    pub fn peek_write_addr(&self, bank: usize) -> Option<BankAddr> {
+    fn peek_write_addr(&self, bank: usize) -> Option<BankAddr> {
         assert!(bank < self.num_banks, "bank out of range");
         self.bank_bits(bank).iter().position(|&o| !o).map(|addr| BankAddr::new(bank, addr))
     }
@@ -163,7 +154,7 @@ impl RegisterBanks {
     /// # Panics
     ///
     /// Panics on out-of-range locations.
-    pub fn write_at(&mut self, at: BankAddr, value: f64) {
+    pub(crate) fn write_at(&mut self, at: BankAddr, value: f64) {
         let slot = self.set_occupied(at, true);
         self.values[slot] = value;
         self.stats.writes += 1;
@@ -174,7 +165,7 @@ impl RegisterBanks {
     /// # Panics
     ///
     /// Panics on out-of-range or unoccupied locations.
-    pub fn read(&mut self, at: BankAddr) -> f64 {
+    pub(crate) fn read(&mut self, at: BankAddr) -> f64 {
         let slot = self.slot(at);
         assert!(self.occupied[slot], "read of unwritten register {at:?}");
         self.stats.reads += 1;
@@ -195,7 +186,7 @@ impl RegisterBanks {
     /// dual-port banks: `max over banks of ceil(reads_in_bank / 2) - 1`.
     ///
     /// Records the conflict penalty in the statistics.
-    pub fn conflict_penalty(&mut self, reads: &[BankAddr]) -> u64 {
+    pub(crate) fn conflict_penalty(&mut self, reads: &[BankAddr]) -> u64 {
         let mut busiest = 0u64;
         for r in reads {
             let n = &mut self.port_reads[r.bank as usize];
@@ -234,12 +225,12 @@ pub struct DmaModel {
 
 impl DmaModel {
     /// The paper platform's DMA: LPDDR5 at 104 GB/s, 500 MHz core.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         DmaModel { latency_cycles: 50, bytes_per_cycle: 208.0 }
     }
 
     /// Cycles to move `bytes` from DRAM.
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: u64) -> u64 {
         self.latency_cycles + (bytes as f64 / self.bytes_per_cycle).ceil() as u64
     }
 }

@@ -27,7 +27,7 @@ pub enum TreeOp {
 
 impl TreeOp {
     /// Applies the operation.
-    pub fn apply(self, a: f64, b: f64) -> f64 {
+    pub(crate) fn apply(self, a: f64, b: f64) -> f64 {
         match self {
             TreeOp::Add => a + b,
             TreeOp::Mul => a * b,
@@ -52,29 +52,29 @@ impl TreeEngine {
     /// # Panics
     ///
     /// Panics if `depth == 0`.
-    pub fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         assert!(depth >= 1, "tree depth must be positive");
         TreeEngine { depth }
     }
 
     /// Leaf count.
-    pub fn num_leaves(&self) -> usize {
+    pub(crate) fn num_leaves(&self) -> usize {
         1 << (self.depth - 1)
     }
 
     /// Total node count.
-    pub fn num_nodes(&self) -> usize {
+    fn num_nodes(&self) -> usize {
         (1 << self.depth) - 1
     }
 
     /// Cycles for one value to traverse root→leaf (broadcast) — one cycle
     /// per level (paper Fig. 9: T1–T4 for a depth-4 path).
-    pub fn broadcast_cycles(&self) -> u64 {
+    pub(crate) fn broadcast_cycles(&self) -> u64 {
         self.depth as u64
     }
 
     /// Cycles for a reduction leaf→root.
-    pub fn reduction_cycles(&self) -> u64 {
+    pub(crate) fn reduction_cycles(&self) -> u64 {
         self.depth as u64
     }
 
@@ -90,7 +90,7 @@ impl TreeEngine {
 
     /// Link traversals (energy events) of a full broadcast to all leaves:
     /// every tree edge carries the value once.
-    pub fn broadcast_hops(&self) -> u64 {
+    pub(crate) fn broadcast_hops(&self) -> u64 {
         (self.num_nodes() - 1) as u64
     }
 

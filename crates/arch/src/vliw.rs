@@ -54,7 +54,7 @@ pub struct VliwInstr {
 
 impl VliwInstr {
     /// The pipeline depth this block needs (longest node chain).
-    pub fn block_depth(&self) -> usize {
+    fn block_depth(&self) -> usize {
         let mut depth = vec![0usize; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             let d = node
@@ -97,7 +97,7 @@ impl VliwProgram {
     /// block depth, a location outside the register file) or
     /// self-inconsistent (operand indices out of range, a node reading a
     /// node that is not strictly before it).
-    pub fn validate(&self, config: &ArchConfig) {
+    fn validate(&self, config: &ArchConfig) {
         assert!(self.num_banks <= config.num_banks, "program uses too many banks");
         assert!(
             self.max_block_depth <= config.tree_depth,
@@ -184,11 +184,6 @@ impl VliwExecutor {
         let mut energy_model = EnergyModel::at_node(config.tech);
         energy_model.freq_mhz = config.freq_mhz;
         VliwExecutor { config, energy_model }
-    }
-
-    /// The architecture being modeled.
-    pub fn config(&self) -> &ArchConfig {
-        &self.config
     }
 
     /// Runs `program`, returning timing, energy, and the output value.

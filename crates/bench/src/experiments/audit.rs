@@ -40,7 +40,7 @@ pub struct AuditCheck {
 
 impl AuditCheck {
     /// Whether the committed baseline reproduced exactly.
-    pub fn pass(&self) -> bool {
+    fn pass(&self) -> bool {
         self.mismatches.is_empty()
     }
 }

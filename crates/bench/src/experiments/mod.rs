@@ -36,7 +36,7 @@ use crate::{baseline_symbolic_cost, end_to_end_cost, neural_cost, Platform, Task
 
 /// Fig. 2: scaling performance (accuracy vs model size; runtime vs task
 /// complexity).
-pub fn fig2() -> String {
+fn fig2() -> String {
     let mut out = String::from(
         "=== Fig. 2(a-c): accuracy vs model size (C = compositional, M = monolithic) ===\n",
     );
@@ -67,7 +67,7 @@ pub fn fig2() -> String {
 
 /// Fig. 3(a): neural vs symbolic runtime split per workload on the
 /// CPU+GPU platform.
-pub fn fig3a() -> String {
+fn fig3a() -> String {
     let mut out =
         String::from("=== Fig. 3(a): runtime split, neural vs symbolic (A6000 platform) ===\n");
     let _ = writeln!(
@@ -101,7 +101,7 @@ pub fn fig3a() -> String {
 }
 
 /// Fig. 3(b): runtime across task scales.
-pub fn fig3b() -> String {
+fn fig3b() -> String {
     let mut out =
         String::from("=== Fig. 3(b): runtime vs task scale (A6000 platform, s/task) ===\n");
     let _ =
@@ -126,7 +126,7 @@ pub fn fig3b() -> String {
 }
 
 /// Fig. 3(c): A6000 vs Orin NX latency.
-pub fn fig3c() -> String {
+fn fig3c() -> String {
     let mut out = String::from("=== Fig. 3(c): A6000 vs Orin NX (s/task, symbolic stage) ===\n");
     let _ = writeln!(out, "{:>10} {:>12} {:>12} {:>8}", "dataset", "A6000 s", "Orin s", "ratio");
     for dataset in [Dataset::MiniF2F, Dataset::XsTest] {
@@ -146,7 +146,7 @@ pub fn fig3c() -> String {
 }
 
 /// Fig. 3(d): roofline analysis.
-pub fn fig3d() -> String {
+fn fig3d() -> String {
     let gpu = GpuModel::a6000();
     let mut out = String::from("=== Fig. 3(d): roofline (A6000) ===\n");
     let _ = writeln!(
@@ -173,7 +173,7 @@ pub fn fig3d() -> String {
 }
 
 /// Table II: hardware inefficiency counters per kernel.
-pub fn table2() -> String {
+fn table2() -> String {
     let gpu = GpuModel::a6000();
     let mut out = String::from("=== Table II: kernel counters on the GPU model (A6000) ===\n");
     let _ = writeln!(
@@ -203,7 +203,7 @@ pub fn table2() -> String {
 }
 
 /// Table III / Fig. 10: hardware specifications with technology scaling.
-pub fn table3() -> String {
+fn table3() -> String {
     let mut out = String::from("=== Table III / Fig. 10: REASON physical design ===\n");
     let _ = writeln!(out, "{:>8} {:>10} {:>10}", "node", "area mm2", "power W");
     for tech in [TechNode::N28, TechNode::N12, TechNode::N8] {
@@ -226,7 +226,7 @@ pub fn table3() -> String {
 }
 
 /// Table IV: algorithm-optimization accuracy and memory reduction.
-pub fn table4(tasks_per_dataset: usize) -> String {
+fn table4(tasks_per_dataset: usize) -> String {
     let mut out = String::from("=== Table IV: REASON algorithm optimization ===\n");
     let _ = writeln!(
         out,
@@ -268,7 +268,7 @@ pub fn table4(tasks_per_dataset: usize) -> String {
 }
 
 /// Fig. 8: interconnect scalability.
-pub fn fig8() -> String {
+fn fig8() -> String {
     let mut out = String::from("=== Fig. 8(a): latency breakdown as leaves grow (cycles) ===\n");
     let base = 8usize;
     let _ = writeln!(
@@ -310,7 +310,7 @@ pub fn fig8() -> String {
 }
 
 /// Fig. 11: end-to-end runtime across platforms, normalized to REASON.
-pub fn fig11(tasks: usize) -> String {
+fn fig11(tasks: usize) -> String {
     let mut out = String::from("=== Fig. 11: end-to-end runtime, normalized to REASON = 1.0 ===\n");
     let _ = writeln!(
         out,
@@ -337,7 +337,7 @@ pub fn fig11(tasks: usize) -> String {
 }
 
 /// Fig. 12: power and energy efficiency.
-pub fn fig12(tasks: usize) -> String {
+fn fig12(tasks: usize) -> String {
     let mut out = String::from("=== Fig. 12(a): REASON power across workloads ===\n");
     let _ = writeln!(out, "{:>10} {:>10}", "dataset", "power W");
     let config = ArchConfig::paper();
@@ -394,7 +394,7 @@ pub fn fig12(tasks: usize) -> String {
 }
 
 /// Fig. 13: comparison against ML accelerators.
-pub fn fig13() -> String {
+fn fig13() -> String {
     let mut out =
         String::from("=== Fig. 13: vs TPU-like and DPU-like (runtime normalized to REASON) ===\n");
     let tpu = TpuModel::paper();
@@ -445,7 +445,7 @@ pub fn fig13() -> String {
 }
 
 /// Table V: necessity of co-design (algorithm-only vs algorithm+hardware).
-pub fn table5(tasks: usize) -> String {
+fn table5(tasks: usize) -> String {
     let mut out = String::from("=== Table V: co-design ablation (normalized runtime %) ===\n");
     let _ = writeln!(
         out,
@@ -489,7 +489,7 @@ pub fn table5(tasks: usize) -> String {
 }
 
 /// Sec. VII-C hardware-technique ablation.
-pub fn ablation() -> String {
+fn ablation() -> String {
     let mut out = String::from("=== Hardware-technique ablation (symbolic kernel cycles) ===\n");
     let cnf = reason_sat::gen::random_ksat(40, 170, 3, 7);
     let full = ArchConfig::paper();
@@ -536,7 +536,7 @@ pub fn ablation() -> String {
 
 /// Fig. 9 case study: a working example of symbolic execution — one
 /// small SAT instance narrated through the hardware pipeline events.
-pub fn fig9() -> String {
+fn fig9() -> String {
     let mut out =
         String::from("=== Fig. 9 case study: symbolic execution on the BCP pipeline ===\n");
     let config = ArchConfig::paper();
@@ -590,7 +590,7 @@ pub fn fig9() -> String {
 /// against execution instead of simulation). The one `reason-eval`
 /// experiment that keeps a clock: the comparison *is* measured against
 /// modeled, so it is unaudited and its header says so.
-pub fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
+fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
     use reason_system::{BatchExecutor, ExecutorConfig};
 
     let mut out = String::from(
@@ -704,7 +704,7 @@ pub fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
 }
 
 /// Sec. V-F design-space exploration.
-pub fn dse() -> String {
+fn dse() -> String {
     let mut out = String::from("=== Sec. V-F: design-space exploration over (D, B, R) ===\n");
     let circuit = reason_pc::random_mixture_circuit(&reason_pc::StructureConfig {
         num_vars: 10,

@@ -49,12 +49,12 @@ impl Output {
     }
 
     /// A sweep's text and native JSON, rendered from one summary.
-    pub fn sweep(text: String, json: Json) -> Self {
+    pub(crate) fn sweep(text: String, json: Json) -> Self {
         Output { text, json: Some(json), artifact: None }
     }
 
     /// The same views plus the side artifact of the same run.
-    pub fn with_artifact(self, artifact: String) -> Self {
+    pub(crate) fn with_artifact(self, artifact: String) -> Self {
         Output { artifact: Some(artifact), ..self }
     }
 }

@@ -45,12 +45,7 @@ pub(crate) fn instance_with_mass(
 /// A trimmed prediction-network schedule: enough to exercise the
 /// predicted rung, cheap enough for CI smoke.
 pub(crate) fn sweep_predictor() -> reason_approx::PredictConfig {
-    reason_approx::PredictConfig {
-        queries: 128,
-        epochs: 150,
-        hidden: 16,
-        ..reason_approx::PredictConfig::default()
-    }
+    reason_approx::PredictConfig { queries: 128, epochs: 150, hidden: 16 }
 }
 
 /// A fresh `shards`-wide cluster with every tenant registered; a

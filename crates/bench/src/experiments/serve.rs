@@ -29,7 +29,7 @@ use std::time::Duration;
 use rand::prelude::*;
 use reason_pc::{CompiledWmc, Evidence};
 use reason_serve::{
-    Answer, CacheStats, Query, QueryKind, Route, RouterStats, ServeConfig, ServeEngine,
+    Answer, CacheStats, Query, QueryKind, Route, ServeConfig, ServeEngine, ServeReport,
 };
 
 use super::registry::{Args, Output};
@@ -67,13 +67,39 @@ struct ServeRow {
     pub incremental_ok: bool,
 }
 
+/// Routes the sweep's served queries took, tallied off their outcomes.
+#[derive(Debug, Clone, Copy, Default)]
+struct RouteTally {
+    exact: u64,
+    approx: u64,
+    predicted: u64,
+}
+
+impl RouteTally {
+    fn add(&mut self, report: &ServeReport) {
+        for outcome in &report.outcomes {
+            match outcome.route {
+                Route::Exact => self.exact += 1,
+                Route::Approx { .. } => self.approx += 1,
+                Route::Predicted => self.predicted += 1,
+            }
+        }
+    }
+
+    /// Queries pushed off the exact rung: every degraded route here is
+    /// a deadline fallback.
+    fn deadline_fallbacks(&self) -> u64 {
+        self.approx + self.predicted
+    }
+}
+
 /// Sweep output: per-KB rows plus engine-level counters.
 #[derive(Debug, Clone)]
 struct ServeSummary {
     /// Per-knowledge-base rows.
     pub rows: Vec<ServeRow>,
-    /// Router admission counters across the whole sweep.
-    pub router: RouterStats,
+    /// Routes taken across the whole sweep, cold engines included.
+    pub router: RouteTally,
     /// Store counters across the whole sweep.
     pub store: CacheStats,
 }
@@ -88,9 +114,7 @@ fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
     });
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5E17E);
     let mut rows = Vec::with_capacity(sizes.len());
-    // Router decisions made by the per-rung cold engines (the deadline
-    // rounds) are folded into the sweep-wide counters.
-    let mut cold_router = RouterStats::default();
+    let mut router = RouteTally::default();
     for &(n, m) in sizes {
         let weights = sweep_weights(n);
         // Probed *before* registration, so massless draws never leak
@@ -113,15 +137,11 @@ fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
         let cold_report = cold.serve(cold_id, &deadline_queries).expect("approx never compiles");
         let fallbacks =
             cold_report.outcomes.iter().filter(|o| !matches!(o.route, Route::Exact)).count();
-        let cr = cold.router_stats();
-        cold_router.exact += cr.exact;
-        cold_router.approx += cr.approx;
-        cold_router.predicted += cr.predicted;
-        cold_router.deadline_fallbacks += cr.deadline_fallbacks;
+        router.add(&cold_report);
 
         // Cold round: the first exact query (artifact already compiled
         // by `warm` above).
-        engine.serve(id, &[Query::exact(QueryKind::Wmc)]).expect("compiled");
+        router.add(&engine.serve(id, &[Query::exact(QueryKind::Wmc)]).expect("compiled"));
 
         // Warm round: mixed exact queries answered from the hot store.
         // The reference oracle compiles the KB's *canonical* formula
@@ -152,6 +172,7 @@ fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
             })
             .collect();
         let warm = engine.serve(id, &warm_queries).expect("compiled");
+        router.add(&warm);
         // The serve guard: every exact answer agrees with a freshly
         // compiled oracle, bit-for-bit.
         let mut exact_ok = true;
@@ -181,6 +202,7 @@ fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
             .map(|_| Query::with_deadline(QueryKind::Wmc, Duration::from_nanos(20)))
             .collect();
         let predicted_report = engine.serve(id, &tiny).expect("compiled");
+        router.add(&predicted_report);
         let predicted = predicted_report
             .outcomes
             .iter()
@@ -202,6 +224,7 @@ fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
             .collect();
         engine.add_clause(id, &lits);
         let inc = engine.serve(id, &[Query::exact(QueryKind::Wmc)]).expect("still has mass");
+        router.add(&inc);
         let persistent_hits = engine.last_compile_stats(id).persistent_hits;
         let fresh = CompiledWmc::new(&engine.kb(id).cnf(), &weights);
         let incremental_ok = match &inc.outcomes[0].answer {
@@ -223,13 +246,6 @@ fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
             incremental_ok,
         });
     }
-    let warm_router = engine.router_stats();
-    let router = RouterStats {
-        exact: warm_router.exact + cold_router.exact,
-        approx: warm_router.approx + cold_router.approx,
-        predicted: warm_router.predicted + cold_router.predicted,
-        deadline_fallbacks: warm_router.deadline_fallbacks + cold_router.deadline_fallbacks,
-    };
     ServeSummary { rows, router, store: engine.store_stats() }
 }
 
@@ -262,7 +278,7 @@ fn rows_to_text(summary: &ServeSummary) -> String {
         summary.router.exact,
         summary.router.approx,
         summary.router.predicted,
-        summary.router.deadline_fallbacks,
+        summary.router.deadline_fallbacks(),
         summary.store.insertions,
         summary.store.hits,
         summary.store.misses,
@@ -312,7 +328,10 @@ fn rows_to_json(summary: &ServeSummary, seed: u64) -> Json {
                 ("exact".into(), Json::Num(summary.router.exact as f64)),
                 ("approx".into(), Json::Num(summary.router.approx as f64)),
                 ("predicted".into(), Json::Num(summary.router.predicted as f64)),
-                ("deadline_fallbacks".into(), Json::Num(summary.router.deadline_fallbacks as f64)),
+                (
+                    "deadline_fallbacks".into(),
+                    Json::Num(summary.router.deadline_fallbacks() as f64),
+                ),
             ]),
         ),
         (

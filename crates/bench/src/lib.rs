@@ -57,7 +57,8 @@ pub enum Platform {
 
 impl Platform {
     /// Display name (paper Fig. 11 legend).
-    pub fn name(self) -> &'static str {
+    #[cfg(test)]
+    fn name(self) -> &'static str {
         match self {
             Platform::Xeon => "Xeon CPU",
             Platform::OrinNx => "Orin NX",
@@ -67,7 +68,7 @@ impl Platform {
     }
 
     /// All four platforms in the paper's order.
-    pub fn all() -> [Platform; 4] {
+    fn all() -> [Platform; 4] {
         [Platform::Xeon, Platform::OrinNx, Platform::RtxA6000, Platform::Reason]
     }
 }
@@ -80,7 +81,7 @@ fn task_ops(spec: &TaskSpec) -> f64 {
 /// REASON-side cost of one task's symbolic stage: the representative
 /// kernel is *actually executed* on the cycle-level model, then scaled to
 /// the task-level operation count.
-pub fn reason_symbolic_cost(spec: &TaskSpec, config: &ArchConfig) -> TaskCost {
+fn reason_symbolic_cost(spec: &TaskSpec, config: &ArchConfig) -> TaskCost {
     let workload = spec.dataset.workload();
     let (sim_seconds, sim_energy, sim_ops) = match workload {
         Workload::AlphaGeometry | Workload::Linc => {
@@ -140,7 +141,7 @@ fn compile_pc_kernel(
 }
 
 /// Baseline-device cost of one task's symbolic stage.
-pub fn baseline_symbolic_cost(platform: Platform, spec: &TaskSpec) -> TaskCost {
+fn baseline_symbolic_cost(platform: Platform, spec: &TaskSpec) -> TaskCost {
     let workload = spec.dataset.workload();
     let profiles = model_for(workload).kernel_profiles(spec);
     let steps = workload.reasoning_steps() as f64;
@@ -158,7 +159,7 @@ pub fn baseline_symbolic_cost(platform: Platform, spec: &TaskSpec) -> TaskCost {
 /// REASON keeps the neural stage on its companion GPU (edge deployment:
 /// Orin-class), so the neural time is shared across platforms; what
 /// differs is the symbolic stage and the overlap.
-pub fn neural_cost(platform: Platform, spec: &TaskSpec) -> TaskCost {
+fn neural_cost(platform: Platform, spec: &TaskSpec) -> TaskCost {
     let (prompt, output) = model_for(spec.dataset.workload()).neural_tokens(spec);
     let llm = LlmProxy::preset("7B");
     // REASON is a GPU plug-in (paper Fig. 6(a)): its neural stage runs on
@@ -175,7 +176,7 @@ pub fn neural_cost(platform: Platform, spec: &TaskSpec) -> TaskCost {
 /// Mean end-to-end task cost over a seed batch, with the two-level
 /// pipeline overlap applied on REASON (paper Sec. VI-C) and serial
 /// execution on the baselines.
-pub fn end_to_end_cost(platform: Platform, dataset: Dataset, tasks: usize) -> TaskCost {
+fn end_to_end_cost(platform: Platform, dataset: Dataset, tasks: usize) -> TaskCost {
     let specs = TaskSpec::batch(dataset, Scale::Small, tasks);
     let stage_costs: Vec<(TaskCost, TaskCost)> = specs
         .iter()

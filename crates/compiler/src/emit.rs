@@ -50,7 +50,8 @@ pub struct CompiledKernel {
 
 impl CompiledKernel {
     /// The program template (constants preloaded, inputs unbound).
-    pub fn template(&self) -> &VliwProgram {
+    #[cfg(test)]
+    fn template(&self) -> &VliwProgram {
         &self.template
     }
 
@@ -112,7 +113,7 @@ fn tree_op(op: DagOp) -> TreeOp {
 }
 
 /// Emits the final program.
-pub fn emit_program(
+pub(crate) fn emit_program(
     dag: &Dag,
     decomposition: &BlockDecomposition,
     order: &[usize],

@@ -128,11 +128,6 @@ impl ReasonCompiler {
         ReasonCompiler { config }
     }
 
-    /// The target architecture.
-    pub fn config(&self) -> &ArchConfig {
-        &self.config
-    }
-
     /// Compiles a DAG into a reusable kernel (constants baked in, inputs
     /// bound per invocation via [`CompiledKernel::program`]).
     ///

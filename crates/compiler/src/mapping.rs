@@ -39,13 +39,8 @@ impl BankAssignment {
     /// # Panics
     ///
     /// Panics if `value` is not a value node (input/const/block root).
-    pub fn bank_of(&self, value: NodeId) -> usize {
+    pub(crate) fn bank_of(&self, value: NodeId) -> usize {
         self.bank_of[value.index()].unwrap_or_else(|| panic!("{value} has no bank assignment"))
-    }
-
-    /// Number of banks targeted.
-    pub fn num_banks(&self) -> usize {
-        self.num_banks
     }
 }
 

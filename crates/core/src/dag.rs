@@ -250,7 +250,7 @@ impl Dag {
     }
 
     /// Number of edges.
-    pub fn num_edges(&self) -> usize {
+    fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
@@ -274,7 +274,7 @@ impl Dag {
     }
 
     /// Shape statistics.
-    pub fn stats(&self) -> DagStats {
+    pub(crate) fn stats(&self) -> DagStats {
         DagStats {
             nodes: self.num_nodes(),
             edges: self.num_edges(),
@@ -291,7 +291,7 @@ impl Dag {
     /// # Panics
     ///
     /// Panics if `inputs.len() < self.num_inputs()`.
-    pub fn evaluate(&self, inputs: &[f64]) -> Vec<f64> {
+    fn evaluate(&self, inputs: &[f64]) -> Vec<f64> {
         assert!(inputs.len() >= self.num_inputs, "input vector too short");
         let mut vals = vec![0.0f64; self.ops.len()];
         for (i, node) in self.nodes().enumerate() {
@@ -320,7 +320,7 @@ impl Dag {
     /// # Errors
     ///
     /// Returns the first [`DagError`] found.
-    pub fn validate(&self) -> Result<(), DagError> {
+    pub(crate) fn validate(&self) -> Result<(), DagError> {
         if self.output.index() >= self.ops.len() {
             return Err(DagError::BadOutput);
         }

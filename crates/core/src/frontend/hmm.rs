@@ -28,7 +28,7 @@ pub struct HmmDagMap {
 
 impl HmmDagMap {
     /// The input slot of indicator `[x_t = symbol]`.
-    pub fn observation_slot(&self, t: usize, symbol: usize) -> usize {
+    fn observation_slot(&self, t: usize, symbol: usize) -> usize {
         t * self.num_symbols + symbol
     }
 

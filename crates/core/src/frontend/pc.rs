@@ -23,7 +23,7 @@ pub struct PcDagMap {
 
 impl PcDagMap {
     /// The input slot of indicator `[var = value]`.
-    pub fn indicator_slot(&self, var: usize, value: usize) -> usize {
+    fn indicator_slot(&self, var: usize, value: usize) -> usize {
         self.slot_of[var] + value
     }
 

@@ -104,7 +104,7 @@ impl KernelSource<'_> {
     }
 
     /// The kernel family.
-    pub fn kind(&self) -> KernelKind {
+    fn kind(&self) -> KernelKind {
         match self {
             KernelSource::Sat(_) => KernelKind::Logical,
             KernelSource::Pc(_) | KernelSource::PcWithData { .. } => KernelKind::Probabilistic,
@@ -176,7 +176,8 @@ pub struct PipelineStats {
 
 impl PipelineStats {
     /// Fraction of kernel memory removed by pruning (Table IV metric).
-    pub fn memory_reduction(&self) -> f64 {
+    #[cfg(test)]
+    fn memory_reduction(&self) -> f64 {
         self.prune.memory_reduction()
     }
 }

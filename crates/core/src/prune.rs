@@ -29,17 +29,9 @@ pub struct UnifiedPruneReport {
 }
 
 impl UnifiedPruneReport {
-    /// Combines per-kernel reports.
-    pub fn merge(&self, other: &UnifiedPruneReport) -> UnifiedPruneReport {
-        UnifiedPruneReport {
-            bytes_before: self.bytes_before + other.bytes_before,
-            bytes_after: self.bytes_after + other.bytes_after,
-            elements_removed: self.elements_removed + other.elements_removed,
-        }
-    }
-
     /// Fraction of memory removed, in `[0, 1]`.
-    pub fn memory_reduction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn memory_reduction(&self) -> f64 {
         if self.bytes_before == 0 {
             0.0
         } else {
@@ -112,17 +104,6 @@ mod tests {
         let report = UnifiedPruneReport::from(&pr);
         assert!(report.memory_reduction() >= 0.0);
         assert_eq!(report.elements_removed, pr.edges_removed);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let a = UnifiedPruneReport { bytes_before: 100, bytes_after: 60, elements_removed: 4 };
-        let b = UnifiedPruneReport { bytes_before: 300, bytes_after: 240, elements_removed: 6 };
-        let m = a.merge(&b);
-        assert_eq!(m.bytes_before, 400);
-        assert_eq!(m.bytes_after, 300);
-        assert_eq!(m.elements_removed, 10);
-        assert!((m.memory_reduction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Formula AST and finite-model semantics.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::term::{Atom, Term};
+use crate::term::Atom;
 
 /// A first-order formula.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -31,7 +28,8 @@ pub enum Formula {
 
 impl Formula {
     /// Convenience constructor for atoms.
-    pub fn atom(pred: impl Into<String>, args: Vec<Term>) -> Self {
+    #[cfg(test)]
+    fn atom(pred: impl Into<String>, args: Vec<crate::term::Term>) -> Self {
         Formula::Atom(Atom::new(pred, args))
     }
 
@@ -42,32 +40,32 @@ impl Formula {
     }
 
     /// Conjunction.
-    pub fn and(a: Formula, b: Formula) -> Self {
+    pub(crate) fn and(a: Formula, b: Formula) -> Self {
         Formula::And(Box::new(a), Box::new(b))
     }
 
     /// Disjunction.
-    pub fn or(a: Formula, b: Formula) -> Self {
+    pub(crate) fn or(a: Formula, b: Formula) -> Self {
         Formula::Or(Box::new(a), Box::new(b))
     }
 
     /// Implication.
-    pub fn implies(a: Formula, b: Formula) -> Self {
+    pub(crate) fn implies(a: Formula, b: Formula) -> Self {
         Formula::Implies(Box::new(a), Box::new(b))
     }
 
     /// Biconditional.
-    pub fn iff(a: Formula, b: Formula) -> Self {
+    pub(crate) fn iff(a: Formula, b: Formula) -> Self {
         Formula::Iff(Box::new(a), Box::new(b))
     }
 
     /// Universal quantification.
-    pub fn forall(var: impl Into<String>, f: Formula) -> Self {
+    pub(crate) fn forall(var: impl Into<String>, f: Formula) -> Self {
         Formula::Forall(var.into(), Box::new(f))
     }
 
     /// Existential quantification.
-    pub fn exists(var: impl Into<String>, f: Formula) -> Self {
+    pub(crate) fn exists(var: impl Into<String>, f: Formula) -> Self {
         Formula::Exists(var.into(), Box::new(f))
     }
 
@@ -105,7 +103,7 @@ impl Formula {
     }
 
     /// Universally closes the formula over its free variables.
-    pub fn universal_closure(&self) -> Formula {
+    pub(crate) fn universal_closure(&self) -> Formula {
         let mut f = self.clone();
         for v in self.free_vars().into_iter().rev() {
             f = Formula::forall(v, f);
@@ -114,7 +112,8 @@ impl Formula {
     }
 
     /// All predicate names with their arities.
-    pub fn predicates(&self) -> BTreeSet<(String, usize)> {
+    #[cfg(test)]
+    pub(crate) fn predicates(&self) -> BTreeSet<(String, usize)> {
         fn go(f: &Formula, out: &mut BTreeSet<(String, usize)>) {
             match f {
                 Formula::Atom(a) => {
@@ -137,9 +136,10 @@ impl Formula {
 
     /// All constant and function names with arities (functions with arity
     /// > 0, constants with arity 0).
-    pub fn functions(&self) -> BTreeSet<(String, usize)> {
-        fn term(t: &Term, out: &mut BTreeSet<(String, usize)>) {
-            if let Term::App(f, args) = t {
+    #[cfg(test)]
+    pub(crate) fn functions(&self) -> BTreeSet<(String, usize)> {
+        fn term(t: &crate::term::Term, out: &mut BTreeSet<(String, usize)>) {
+            if let crate::term::Term::App(f, args) = t {
                 out.insert((f.clone(), args.len()));
                 for a in args {
                     term(a, out);
@@ -184,165 +184,185 @@ impl fmt::Display for Formula {
     }
 }
 
-/// A finite interpretation: a domain `{0, .., n-1}`, tables for constants
-/// and functions, and relations for predicates.
-///
-/// Serves as the semantics oracle in tests: logical transformations must
-/// preserve truth values under every interpretation (or satisfiability,
-/// for Skolemization).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Interpretation {
-    domain_size: usize,
-    /// `functions[(name, arity)]` maps argument tuples (mixed-radix index)
-    /// to domain elements.
-    functions: HashMap<(String, usize), Vec<usize>>,
-    /// `predicates[(name, arity)]` holds the characteristic vector over
-    /// argument tuples.
-    predicates: HashMap<(String, usize), Vec<bool>>,
-}
+/// Finite-model semantics: the oracle the formula and transformation
+/// tests check truth values against.
+#[cfg(test)]
+pub(crate) mod semantics {
+    use std::collections::HashMap;
 
-impl Interpretation {
-    /// Creates an empty interpretation over a domain of the given size.
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::Formula;
+    use crate::term::Term;
+
+    /// A finite interpretation: a domain `{0, .., n-1}`, tables for constants
+    /// and functions, and relations for predicates.
     ///
-    /// # Panics
-    ///
-    /// Panics if `domain_size == 0`.
-    pub fn new(domain_size: usize) -> Self {
-        assert!(domain_size > 0, "domain must be non-empty");
-        Interpretation { domain_size, functions: HashMap::new(), predicates: HashMap::new() }
+    /// The semantics oracle of the tests: logical transformations must
+    /// preserve truth values under every interpretation (or satisfiability,
+    /// for Skolemization).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct Interpretation {
+        domain_size: usize,
+        /// `functions[(name, arity)]` maps argument tuples (mixed-radix index)
+        /// to domain elements.
+        functions: HashMap<(String, usize), Vec<usize>>,
+        /// `predicates[(name, arity)]` holds the characteristic vector over
+        /// argument tuples.
+        predicates: HashMap<(String, usize), Vec<bool>>,
     }
 
-    /// Domain size.
-    pub fn domain_size(&self) -> usize {
-        self.domain_size
-    }
-
-    /// Sets a function (or constant, with arity 0) table. The table length
-    /// must be `domain_size^arity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch or out-of-domain value.
-    pub fn set_function(&mut self, name: impl Into<String>, arity: usize, table: Vec<usize>) {
-        assert_eq!(table.len(), self.domain_size.pow(arity as u32), "table length mismatch");
-        assert!(table.iter().all(|&v| v < self.domain_size), "value out of domain");
-        self.functions.insert((name.into(), arity), table);
-    }
-
-    /// Sets a predicate relation. The table length must be
-    /// `domain_size^arity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch.
-    pub fn set_predicate(&mut self, name: impl Into<String>, arity: usize, table: Vec<bool>) {
-        assert_eq!(table.len(), self.domain_size.pow(arity as u32), "table length mismatch");
-        self.predicates.insert((name.into(), arity), table);
-    }
-
-    /// Generates a random interpretation covering every symbol of
-    /// `formula`, deterministically from `seed`.
-    pub fn random_for(formula: &Formula, domain_size: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut interp = Interpretation::new(domain_size);
-        for (name, arity) in formula.functions() {
-            let len = domain_size.pow(arity as u32);
-            let table: Vec<usize> = (0..len).map(|_| rng.gen_range(0..domain_size)).collect();
-            interp.set_function(name, arity, table);
+    impl Interpretation {
+        /// Creates an empty interpretation over a domain of the given size.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `domain_size == 0`.
+        pub(crate) fn new(domain_size: usize) -> Self {
+            assert!(domain_size > 0, "domain must be non-empty");
+            Interpretation { domain_size, functions: HashMap::new(), predicates: HashMap::new() }
         }
-        for (name, arity) in formula.predicates() {
-            let len = domain_size.pow(arity as u32);
-            let table: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.5)).collect();
-            interp.set_predicate(name, arity, table);
+
+        /// Sets a function (or constant, with arity 0) table. The table length
+        /// must be `domain_size^arity`.
+        ///
+        /// # Panics
+        ///
+        /// Panics on a length mismatch or out-of-domain value.
+        pub(crate) fn set_function(
+            &mut self,
+            name: impl Into<String>,
+            arity: usize,
+            table: Vec<usize>,
+        ) {
+            assert_eq!(table.len(), self.domain_size.pow(arity as u32), "table length mismatch");
+            assert!(table.iter().all(|&v| v < self.domain_size), "value out of domain");
+            self.functions.insert((name.into(), arity), table);
         }
-        interp
-    }
 
-    fn tuple_index(&self, args: &[usize]) -> usize {
-        args.iter().fold(0, |acc, &a| acc * self.domain_size + a)
-    }
+        /// Sets a predicate relation. The table length must be
+        /// `domain_size^arity`.
+        ///
+        /// # Panics
+        ///
+        /// Panics on a length mismatch.
+        pub(crate) fn set_predicate(
+            &mut self,
+            name: impl Into<String>,
+            arity: usize,
+            table: Vec<bool>,
+        ) {
+            assert_eq!(table.len(), self.domain_size.pow(arity as u32), "table length mismatch");
+            self.predicates.insert((name.into(), arity), table);
+        }
 
-    /// Evaluates a term under a variable environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unbound variables or missing function tables.
-    pub fn eval_term(&self, term: &Term, env: &HashMap<String, usize>) -> usize {
-        match term {
-            Term::Var(v) => *env.get(v).unwrap_or_else(|| panic!("unbound variable {v}")),
-            Term::App(f, args) => {
-                let vals: Vec<usize> = args.iter().map(|a| self.eval_term(a, env)).collect();
-                let table = self
-                    .functions
-                    .get(&(f.clone(), args.len()))
-                    .unwrap_or_else(|| panic!("no table for function {f}/{}", args.len()));
-                table[self.tuple_index(&vals)]
+        /// Generates a random interpretation covering every symbol of
+        /// `formula`, deterministically from `seed`.
+        pub(crate) fn random_for(formula: &Formula, domain_size: usize, seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut interp = Interpretation::new(domain_size);
+            for (name, arity) in formula.functions() {
+                let len = domain_size.pow(arity as u32);
+                let table: Vec<usize> = (0..len).map(|_| rng.gen_range(0..domain_size)).collect();
+                interp.set_function(name, arity, table);
+            }
+            for (name, arity) in formula.predicates() {
+                let len = domain_size.pow(arity as u32);
+                let table: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+                interp.set_predicate(name, arity, table);
+            }
+            interp
+        }
+
+        fn tuple_index(&self, args: &[usize]) -> usize {
+            args.iter().fold(0, |acc, &a| acc * self.domain_size + a)
+        }
+
+        /// Evaluates a term under a variable environment.
+        ///
+        /// # Panics
+        ///
+        /// Panics on unbound variables or missing function tables.
+        fn eval_term(&self, term: &Term, env: &HashMap<String, usize>) -> usize {
+            match term {
+                Term::Var(v) => *env.get(v).unwrap_or_else(|| panic!("unbound variable {v}")),
+                Term::App(f, args) => {
+                    let vals: Vec<usize> = args.iter().map(|a| self.eval_term(a, env)).collect();
+                    let table = self
+                        .functions
+                        .get(&(f.clone(), args.len()))
+                        .unwrap_or_else(|| panic!("no table for function {f}/{}", args.len()));
+                    table[self.tuple_index(&vals)]
+                }
             }
         }
-    }
 
-    /// Evaluates a closed formula (or one whose free variables are bound by
-    /// `env`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unbound variables or missing tables.
-    pub fn eval(&self, formula: &Formula, env: &mut HashMap<String, usize>) -> bool {
-        match formula {
-            Formula::Atom(a) => {
-                let vals: Vec<usize> = a.args.iter().map(|t| self.eval_term(t, env)).collect();
-                let table =
-                    self.predicates.get(&(a.pred.clone(), a.args.len())).unwrap_or_else(|| {
-                        panic!("no table for predicate {}/{}", a.pred, a.args.len())
+        /// Evaluates a closed formula (or one whose free variables are bound by
+        /// `env`).
+        ///
+        /// # Panics
+        ///
+        /// Panics on unbound variables or missing tables.
+        fn eval(&self, formula: &Formula, env: &mut HashMap<String, usize>) -> bool {
+            match formula {
+                Formula::Atom(a) => {
+                    let vals: Vec<usize> = a.args.iter().map(|t| self.eval_term(t, env)).collect();
+                    let table =
+                        self.predicates.get(&(a.pred.clone(), a.args.len())).unwrap_or_else(|| {
+                            panic!("no table for predicate {}/{}", a.pred, a.args.len())
+                        });
+                    table[self.tuple_index(&vals)]
+                }
+                Formula::Not(x) => !self.eval(x, env),
+                Formula::And(a, b) => self.eval(a, env) && self.eval(b, env),
+                Formula::Or(a, b) => self.eval(a, env) || self.eval(b, env),
+                Formula::Implies(a, b) => !self.eval(a, env) || self.eval(b, env),
+                Formula::Iff(a, b) => self.eval(a, env) == self.eval(b, env),
+                Formula::Forall(v, x) => {
+                    let saved = env.get(v).copied();
+                    let ok = (0..self.domain_size).all(|d| {
+                        env.insert(v.clone(), d);
+                        self.eval(x, env)
                     });
-                table[self.tuple_index(&vals)]
+                    restore(env, v, saved);
+                    ok
+                }
+                Formula::Exists(v, x) => {
+                    let saved = env.get(v).copied();
+                    let ok = (0..self.domain_size).any(|d| {
+                        env.insert(v.clone(), d);
+                        self.eval(x, env)
+                    });
+                    restore(env, v, saved);
+                    ok
+                }
             }
-            Formula::Not(x) => !self.eval(x, env),
-            Formula::And(a, b) => self.eval(a, env) && self.eval(b, env),
-            Formula::Or(a, b) => self.eval(a, env) || self.eval(b, env),
-            Formula::Implies(a, b) => !self.eval(a, env) || self.eval(b, env),
-            Formula::Iff(a, b) => self.eval(a, env) == self.eval(b, env),
-            Formula::Forall(v, x) => {
-                let saved = env.get(v).copied();
-                let ok = (0..self.domain_size).all(|d| {
-                    env.insert(v.clone(), d);
-                    self.eval(x, env)
-                });
-                restore(env, v, saved);
-                ok
-            }
-            Formula::Exists(v, x) => {
-                let saved = env.get(v).copied();
-                let ok = (0..self.domain_size).any(|d| {
-                    env.insert(v.clone(), d);
-                    self.eval(x, env)
-                });
-                restore(env, v, saved);
-                ok
-            }
+        }
+
+        /// Evaluates a closed formula.
+        pub(crate) fn eval_closed(&self, formula: &Formula) -> bool {
+            self.eval(formula, &mut HashMap::new())
         }
     }
 
-    /// Evaluates a closed formula.
-    pub fn eval_closed(&self, formula: &Formula) -> bool {
-        self.eval(formula, &mut HashMap::new())
-    }
-}
-
-fn restore(env: &mut HashMap<String, usize>, var: &str, saved: Option<usize>) {
-    match saved {
-        Some(v) => {
-            env.insert(var.to_string(), v);
-        }
-        None => {
-            env.remove(var);
+    fn restore(env: &mut HashMap<String, usize>, var: &str, saved: Option<usize>) {
+        match saved {
+            Some(v) => {
+                env.insert(var.to_string(), v);
+            }
+            None => {
+                env.remove(var);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::semantics::Interpretation;
     use super::*;
+    use crate::term::Term;
 
     #[test]
     fn eval_quantifiers_over_finite_domain() {

@@ -10,9 +10,8 @@
 //! Modules:
 //!
 //! * [`term`] — terms ([`Term`]) and atoms ([`Atom`]) with substitutions.
-//! * [`formula`] — the formula AST and finite-model evaluation
-//!   ([`Interpretation`]), used both by workloads and as a semantics oracle
-//!   for the transformation tests.
+//! * [`formula`] — the formula AST. Its finite-model evaluation, the
+//!   semantics oracle of the transformation tests, is test-only.
 //! * [`transform`] — implication elimination, negation normal form, prenex
 //!   form, Skolemization, and CNF distribution.
 //! * [`unify`] — Robinson unification with occurs check.
@@ -51,7 +50,7 @@ pub mod term;
 pub mod transform;
 pub mod unify;
 
-pub use formula::{Formula, Interpretation};
+pub use formula::Formula;
 pub use ground::{ground_clauses, GroundError, Grounding};
 pub use parser::{parse_formula, ParseError};
 pub use resolution::{prove, FolClause, FolLit, ProofResult};

@@ -25,17 +25,17 @@ pub struct FolLit {
 
 impl FolLit {
     /// A positive literal.
-    pub fn pos(atom: Atom) -> Self {
+    pub(crate) fn pos(atom: Atom) -> Self {
         FolLit { positive: true, atom }
     }
 
     /// A negative literal.
-    pub fn neg(atom: Atom) -> Self {
+    pub(crate) fn neg(atom: Atom) -> Self {
         FolLit { positive: false, atom }
     }
 
     /// The complementary literal.
-    pub fn negated(&self) -> FolLit {
+    fn negated(&self) -> FolLit {
         FolLit { positive: !self.positive, atom: self.atom.clone() }
     }
 
@@ -64,27 +64,22 @@ pub struct FolClause {
 
 impl FolClause {
     /// Creates a clause.
-    pub fn new(lits: Vec<FolLit>) -> Self {
+    pub(crate) fn new(lits: Vec<FolLit>) -> Self {
         FolClause { lits }
     }
 
-    /// The empty clause (falsum).
-    pub fn empty() -> Self {
-        FolClause { lits: Vec::new() }
-    }
-
     /// `true` when this is the empty clause.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.lits.is_empty()
     }
 
     /// `true` when the clause contains complementary literals.
-    pub fn is_tautology(&self) -> bool {
+    pub(crate) fn is_tautology(&self) -> bool {
         self.lits.iter().any(|l| self.lits.contains(&l.negated()))
     }
 
     /// Sorts and deduplicates literals.
-    pub fn normalized(&self) -> FolClause {
+    pub(crate) fn normalized(&self) -> FolClause {
         let mut lits = self.lits.clone();
         lits.sort_by_key(|l| format!("{l}"));
         lits.dedup();
@@ -93,7 +88,7 @@ impl FolClause {
 
     /// Renames all variables with a fresh suffix (standardizing apart
     /// before resolving).
-    pub fn rename(&self, suffix: usize) -> FolClause {
+    fn rename(&self, suffix: usize) -> FolClause {
         let mut vars = std::collections::BTreeSet::new();
         for l in &self.lits {
             l.atom.collect_vars(&mut vars);
@@ -115,7 +110,7 @@ impl FolClause {
     }
 
     /// Symbol-count weight for clause selection (lighter first).
-    pub fn weight(&self) -> usize {
+    fn weight(&self) -> usize {
         fn term_weight(t: &Term) -> usize {
             match t {
                 Term::Var(_) => 1,
@@ -127,7 +122,7 @@ impl FolClause {
 
     /// `true` when this clause subsumes `other`: some substitution maps
     /// every literal of `self` to a literal of `other`.
-    pub fn subsumes(&self, other: &FolClause) -> bool {
+    fn subsumes(&self, other: &FolClause) -> bool {
         if self.lits.len() > other.lits.len() {
             return false;
         }
@@ -225,7 +220,7 @@ pub fn prove(axioms: &[Formula], goal: &Formula, max_steps: usize) -> ProofResul
 }
 
 /// Attempts to derive the empty clause from a clause set.
-pub fn refute(clauses: &[FolClause], max_steps: usize) -> ProofResult {
+fn refute(clauses: &[FolClause], max_steps: usize) -> ProofResult {
     if clauses.iter().any(FolClause::is_empty) {
         return ProofResult::Proved { steps: 0 };
     }

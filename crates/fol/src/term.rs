@@ -30,7 +30,7 @@ impl Term {
     }
 
     /// Collects free variables into `out`.
-    pub fn collect_vars(&self, out: &mut BTreeSet<String>) {
+    fn collect_vars(&self, out: &mut BTreeSet<String>) {
         match self {
             Term::Var(v) => {
                 out.insert(v.clone());
@@ -44,7 +44,8 @@ impl Term {
     }
 
     /// `true` when variable `v` occurs in this term.
-    pub fn contains_var(&self, v: &str) -> bool {
+    #[cfg(test)]
+    fn contains_var(&self, v: &str) -> bool {
         match self {
             Term::Var(x) => x == v,
             Term::App(_, args) => args.iter().any(|a| a.contains_var(v)),
@@ -53,7 +54,7 @@ impl Term {
 
     /// Applies a substitution (deep, with path shortening through chained
     /// bindings).
-    pub fn substitute(&self, subst: &HashMap<String, Term>) -> Term {
+    pub(crate) fn substitute(&self, subst: &HashMap<String, Term>) -> Term {
         match self {
             Term::Var(v) => match subst.get(v) {
                 Some(t) => t.substitute(subst),
@@ -66,7 +67,8 @@ impl Term {
     }
 
     /// The depth of the term (variables and constants have depth 1).
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    fn depth(&self) -> usize {
         match self {
             Term::Var(_) => 1,
             Term::App(_, args) => 1 + args.iter().map(Term::depth).max().unwrap_or(0),
@@ -107,19 +109,19 @@ pub struct Atom {
 
 impl Atom {
     /// Creates an atom.
-    pub fn new(pred: impl Into<String>, args: Vec<Term>) -> Self {
+    pub(crate) fn new(pred: impl Into<String>, args: Vec<Term>) -> Self {
         Atom { pred: pred.into(), args }
     }
 
     /// Collects free variables into `out`.
-    pub fn collect_vars(&self, out: &mut BTreeSet<String>) {
+    pub(crate) fn collect_vars(&self, out: &mut BTreeSet<String>) {
         for a in &self.args {
             a.collect_vars(out);
         }
     }
 
     /// Applies a substitution to all arguments.
-    pub fn substitute(&self, subst: &HashMap<String, Term>) -> Atom {
+    pub(crate) fn substitute(&self, subst: &HashMap<String, Term>) -> Atom {
         Atom {
             pred: self.pred.clone(),
             args: self.args.iter().map(|a| a.substitute(subst)).collect(),

@@ -144,7 +144,7 @@ fn restore(rename: &mut HashMap<String, String>, var: &str, saved: Option<String
 /// the enclosing universals; the result keeps only universal quantifiers
 /// (equisatisfiable with the input). `skolem_counter` provides globally
 /// fresh function names across a multi-formula problem.
-pub fn skolemize(f: &Formula, skolem_counter: &mut usize) -> Formula {
+fn skolemize(f: &Formula, skolem_counter: &mut usize) -> Formula {
     let prenex = to_prenex(f);
     // Decompose the prefix.
     let mut prefix = Vec::new();
@@ -266,7 +266,7 @@ pub fn clausify(formulas: &[Formula]) -> Vec<FolClause> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formula::Interpretation;
+    use crate::formula::semantics::Interpretation;
     use crate::parser::parse_formula;
 
     fn check_equivalent(original: &str, seed_count: u64) {

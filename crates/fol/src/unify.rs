@@ -15,28 +15,13 @@ pub struct Substitution {
 
 impl Substitution {
     /// The empty substitution.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Substitution::default()
     }
 
     /// Binds `var` to `term`.
-    pub fn bind(&mut self, var: impl Into<String>, term: Term) {
+    fn bind(&mut self, var: impl Into<String>, term: Term) {
         self.map.insert(var.into(), term);
-    }
-
-    /// The binding for `var`, if any (not chain-resolved).
-    pub fn get(&self, var: &str) -> Option<&Term> {
-        self.map.get(var)
-    }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when no variable is bound.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Applies the substitution to a term (resolving chains).
@@ -45,7 +30,7 @@ impl Substitution {
     }
 
     /// Applies the substitution to an atom.
-    pub fn apply_atom(&self, atom: &Atom) -> Atom {
+    pub(crate) fn apply_atom(&self, atom: &Atom) -> Atom {
         atom.substitute(&self.map)
     }
 

@@ -10,7 +10,7 @@
 //! With `s` HMM states, `q` DFA states and `v` symbols, the two kernels
 //! work differently:
 //!
-//! * [`Hmm::constrained_log_probability`] is a sum-product pass in the
+//! * `Hmm::constrained_log_probability` is a sum-product pass in the
 //!   **linear domain**, the way the paper's tree PEs add and multiply
 //!   probabilities (Sec. V). The model's tables are exponentiated once per
 //!   call; each position is a transition step `u[j][a] = Σᵢ α[i][a]·T[i][j]`
@@ -122,7 +122,8 @@ impl Dfa {
     }
 
     /// The start state.
-    pub fn start(&self) -> usize {
+    #[cfg(test)]
+    fn start(&self) -> usize {
         self.start
     }
 
@@ -166,7 +167,7 @@ impl Hmm {
     /// # Panics
     ///
     /// Panics if `len == 0`.
-    pub fn constrained_log_probability(&self, dfa: &Dfa, len: usize) -> f64 {
+    fn constrained_log_probability(&self, dfa: &Dfa, len: usize) -> f64 {
         assert!(len > 0, "length must be positive");
         let m = LinearTables::new(self);
         let (s, q, v) = (m.states, dfa.num_states(), m.symbols);

@@ -7,12 +7,12 @@
 //!
 //! Two domains live here:
 //!
-//! * **Log space** — [`Hmm::forward`], [`Hmm::backward`],
-//!   [`Hmm::forward_backward`], [`Hmm::log_likelihood`] and
-//!   [`Hmm::filter`] add log-probabilities and combine them with
-//!   [`log_sum_exp`]. Their outputs are bit-exact constants of the
+//! * **Log space** — `Hmm::forward`, [`Hmm::log_likelihood`] and
+//!   [`Hmm::filter`] (plus the test-only `backward` and
+//!   `forward_backward` oracles) add log-probabilities and combine them
+//!   with `log_sum_exp`. Their outputs are bit-exact constants of the
 //!   repository: GeLaTo's fluency score reads `log_likelihood`.
-//! * **Linear domain** — [`Hmm::posteriors`] (and through it Baum–Welch
+//! * **Linear domain** — `Hmm::posteriors` (and through it Baum–Welch
 //!   and `prune_transitions`) runs a *scaled* (Rabiner) forward-backward
 //!   over tables exponentiated once per call (`LinearTables`): every
 //!   step multiplies and adds probabilities, then divides the forward
@@ -54,7 +54,7 @@ impl Hmm {
     /// # Panics
     ///
     /// Panics if `obs` is empty or contains an out-of-range symbol.
-    pub fn forward(&self, obs: &[usize]) -> (Vec<Vec<f64>>, f64) {
+    fn forward(&self, obs: &[usize]) -> (Vec<Vec<f64>>, f64) {
         assert!(!obs.is_empty(), "observation sequence must be non-empty");
         let s = self.num_states();
         let t_len = obs.len();
@@ -80,7 +80,8 @@ impl Hmm {
     /// # Panics
     ///
     /// Panics if `obs` is empty or contains an out-of-range symbol.
-    pub fn backward(&self, obs: &[usize]) -> Vec<Vec<f64>> {
+    #[cfg(test)]
+    fn backward(&self, obs: &[usize]) -> Vec<Vec<f64>> {
         assert!(!obs.is_empty(), "observation sequence must be non-empty");
         let s = self.num_states();
         let t_len = obs.len();
@@ -98,7 +99,8 @@ impl Hmm {
     }
 
     /// Runs both passes.
-    pub fn forward_backward(&self, obs: &[usize]) -> ForwardBackward {
+    #[cfg(test)]
+    fn forward_backward(&self, obs: &[usize]) -> ForwardBackward {
         let (alpha, log_likelihood) = self.forward(obs);
         let beta = self.backward(obs);
         ForwardBackward { alpha, beta, log_likelihood }
@@ -131,7 +133,7 @@ impl Hmm {
     /// # Panics
     ///
     /// Panics if `obs` is empty or contains an out-of-range symbol.
-    pub fn posteriors(&self, obs: &[usize]) -> Posteriors {
+    pub(crate) fn posteriors(&self, obs: &[usize]) -> Posteriors {
         let tables = LinearTables::new(self);
         let mut pass = ScaledPass::default();
         let s = self.num_states();

@@ -84,17 +84,18 @@ pub fn baum_welch(
     BaumWelchReport { hmm, log_likelihoods: history, iterations }
 }
 
-/// Total log-likelihood of a sequence set under a model.
-pub fn total_log_likelihood(hmm: &Hmm, sequences: &[Vec<usize>]) -> f64 {
-    sequences.iter().map(|s| hmm.log_likelihood(s)).sum()
-}
-
 /// Checks a model's rows still normalize (used by tests and pruning).
-pub fn is_normalized(hmm: &Hmm) -> bool {
+pub(crate) fn is_normalized(hmm: &Hmm) -> bool {
     let row_ok = |row: &[f64]| (log_sum_exp(row)).abs() < 1e-6;
     row_ok(hmm.log_init())
         && hmm.log_trans().iter().all(|r| row_ok(r))
         && hmm.log_emit().iter().all(|r| row_ok(r))
+}
+
+/// Total log-likelihood of a sequence set under a model.
+#[cfg(test)]
+pub(crate) fn total_log_likelihood(hmm: &Hmm, sequences: &[Vec<usize>]) -> f64 {
+    sequences.iter().map(|s| hmm.log_likelihood(s)).sum()
 }
 
 #[cfg(test)]

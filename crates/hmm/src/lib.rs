@@ -54,7 +54,7 @@ pub use viterbi::ViterbiResult;
 use std::fmt;
 
 /// Numerically stable `log(sum(exp(xs)))` over a slice.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
+fn log_sum_exp(xs: &[f64]) -> f64 {
     let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     if m == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
@@ -188,7 +188,7 @@ impl Hmm {
     }
 
     /// Number of transitions with non-zero probability.
-    pub fn num_active_transitions(&self) -> usize {
+    fn num_active_transitions(&self) -> usize {
         self.log_trans.iter().flatten().filter(|&&lp| lp > f64::NEG_INFINITY).count()
     }
 

@@ -8,7 +8,7 @@
 //! REASON maps to hardware.
 //!
 //! Usage is accumulated in the linear domain by the same scaled
-//! forward-backward pass behind [`Hmm::posteriors`]: the model's tables
+//! forward-backward pass behind `Hmm::posteriors`: the model's tables
 //! are exponentiated once per call, one scratch serves every sequence,
 //! and `ξ` is added into an `s × s` table as it is produced — no `exp`
 //! per entry and no per-sequence `ξ` tables. A sequence costs about

@@ -73,7 +73,7 @@ impl MlpBuilder {
     /// Panics if `weight.rows()` does not match the previous layer's
     /// output width (or `input_dim` for the first layer), or if
     /// `bias.len() != weight.cols()`.
-    pub fn layer_with_params(mut self, weight: Matrix, bias: Vec<f32>, relu: bool) -> Self {
+    pub(crate) fn layer_with_params(mut self, weight: Matrix, bias: Vec<f32>, relu: bool) -> Self {
         let in_dim = self.layers.last().map_or(self.input_dim, |l| l.weight.cols());
         assert_eq!(weight.rows(), in_dim, "layer input width mismatch");
         assert_eq!(bias.len(), weight.cols(), "bias length mismatch");
@@ -89,7 +89,7 @@ impl MlpBuilder {
 
     /// Enables an elementwise sigmoid output head (probability outputs,
     /// as in the approximate-inference prediction networks).
-    pub fn sigmoid(mut self) -> Self {
+    pub(crate) fn sigmoid(mut self) -> Self {
         self.sigmoid_output = true;
         self
     }
@@ -128,35 +128,6 @@ impl Mlp {
         }
         x
     }
-
-    /// Argmax class per batch row.
-    pub fn classify(&self, input: &Matrix) -> Vec<usize> {
-        let out = self.forward(input);
-        (0..out.rows())
-            .map(|r| {
-                (0..out.cols())
-                    .map(|c| (c, out.at(r, c)))
-                    .fold((0, f32::NEG_INFINITY), |acc, x| if x.1 > acc.1 { x } else { acc })
-                    .0
-            })
-            .collect()
-    }
-
-    /// Total parameter count.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.weight.rows() * l.weight.cols() + l.bias.len()).sum()
-    }
-
-    /// FLOPs for a forward pass with the given batch size.
-    pub fn flops(&self, batch: usize) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| {
-                2 * batch as u64 * l.weight.rows() as u64 * l.weight.cols() as u64
-                    + batch as u64 * l.weight.cols() as u64
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -181,26 +152,6 @@ mod tests {
             let s: f32 = (0..3).map(|c| y.at(r, c)).sum();
             assert!((s - 1.0).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn classify_returns_argmax() {
-        let mlp = MlpBuilder::new(4).layer(5, false, 7).softmax().build();
-        let x = Matrix::random(3, 4, 1.0, 11);
-        let classes = mlp.classify(&x);
-        let probs = mlp.forward(&x);
-        for (r, &cls) in classes.iter().enumerate() {
-            for c in 0..5 {
-                assert!(probs.at(r, cls) >= probs.at(r, c));
-            }
-        }
-    }
-
-    #[test]
-    fn accounting() {
-        let mlp = MlpBuilder::new(10).layer(20, true, 1).layer(5, false, 2).build();
-        assert_eq!(mlp.num_params(), 10 * 20 + 20 + 20 * 5 + 5);
-        assert_eq!(mlp.flops(2), 2 * 2 * 10 * 20 + 2 * 20 + 2 * 2 * 20 * 5 + 2 * 5);
     }
 
     #[test]

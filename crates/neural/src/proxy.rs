@@ -32,7 +32,7 @@ pub struct LlmProxy {
 
 impl LlmProxy {
     /// A proxy for a model with `params` parameters stored in fp16.
-    pub fn new(params: f64) -> Self {
+    fn new(params: f64) -> Self {
         LlmProxy { params, bytes_per_param: 2.0 }
     }
 
@@ -56,13 +56,13 @@ impl LlmProxy {
 
     /// FLOPs to process `prompt_tokens` and generate `output_tokens`
     /// (≈ `2 * params` per token).
-    pub fn flops(&self, prompt_tokens: u64, output_tokens: u64) -> f64 {
+    fn flops(&self, prompt_tokens: u64, output_tokens: u64) -> f64 {
         2.0 * self.params * (prompt_tokens + output_tokens) as f64
     }
 
     /// Bytes moved: every generated token re-reads the parameters
     /// (memory-bound decoding); the prompt is processed in one pass.
-    pub fn bytes(&self, output_tokens: u64) -> f64 {
+    fn bytes(&self, output_tokens: u64) -> f64 {
         self.params * self.bytes_per_param * (output_tokens.max(1)) as f64
     }
 

@@ -39,31 +39,9 @@ impl CsrMatrix {
         CsrMatrix { rows: dense.rows(), cols: dense.cols(), row_ptr, col_idx, values }
     }
 
-    /// Builds a CSR matrix from raw parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parts are inconsistent.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<f32>,
-    ) -> Self {
-        assert_eq!(row_ptr.len(), rows + 1, "row_ptr length mismatch");
-        assert_eq!(col_idx.len(), values.len(), "col/value length mismatch");
-        assert_eq!(
-            *row_ptr.last().expect("non-empty row_ptr"),
-            values.len(),
-            "row_ptr end mismatch"
-        );
-        assert!(col_idx.iter().all(|&c| c < cols), "column index out of range");
-        CsrMatrix { rows, cols, row_ptr, col_idx, values }
-    }
-
     /// A seeded random sparse matrix with the given fill density.
-    pub fn random(rows: usize, cols: usize, density: f64, seed: u64) -> Self {
+    #[cfg(test)]
+    fn random(rows: usize, cols: usize, density: f64, seed: u64) -> Self {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -78,23 +56,15 @@ impl CsrMatrix {
         CsrMatrix::from_dense(&dense)
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
+    #[cfg(test)]
+    fn nnz(&self) -> usize {
         self.values.len()
     }
 
     /// Fill density in `[0, 1]`.
-    pub fn density(&self) -> f64 {
+    #[cfg(test)]
+    fn density(&self) -> f64 {
         if self.rows * self.cols == 0 {
             0.0
         } else {
@@ -103,7 +73,7 @@ impl CsrMatrix {
     }
 
     /// The non-zeros of row `r` as `(col, value)` pairs.
-    pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+    fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
         let span = self.row_ptr[r]..self.row_ptr[r + 1];
         self.col_idx[span.clone()].iter().copied().zip(self.values[span].iter().copied())
     }

@@ -13,7 +13,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// An all-zeros matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
@@ -64,7 +64,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on out-of-range indices.
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
+    pub(crate) fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
         assert!(r < self.rows && c < self.cols, "index out of range");
         &mut self.data[r * self.cols + c]
     }
@@ -98,7 +98,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `bias.len() != self.cols`.
-    pub fn add_bias(&mut self, bias: &[f32]) {
+    pub(crate) fn add_bias(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
         for r in 0..self.rows {
             for (c, b) in bias.iter().enumerate() {
@@ -108,14 +108,14 @@ impl Matrix {
     }
 
     /// Applies ReLU in place.
-    pub fn relu(&mut self) {
+    pub(crate) fn relu(&mut self) {
         for x in &mut self.data {
             *x = x.max(0.0);
         }
     }
 
     /// Applies a numerically stable row-wise softmax in place.
-    pub fn softmax_rows(&mut self) {
+    pub(crate) fn softmax_rows(&mut self) {
         for r in 0..self.rows {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
             let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -131,12 +131,12 @@ impl Matrix {
     }
 
     /// Mutable access to the underlying row-major data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
     /// The transposed matrix.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -147,7 +147,7 @@ impl Matrix {
     }
 
     /// Applies a numerically stable logistic sigmoid in place.
-    pub fn sigmoid(&mut self) {
+    pub(crate) fn sigmoid(&mut self) {
         for x in &mut self.data {
             *x = if *x >= 0.0 {
                 1.0 / (1.0 + (-*x).exp())
@@ -156,14 +156,6 @@ impl Matrix {
                 e / (1.0 + e)
             };
         }
-    }
-
-    /// Fraction of zero entries.
-    pub fn sparsity(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().filter(|&&x| x == 0.0).count() as f64 / self.data.len() as f64
     }
 }
 
@@ -226,12 +218,6 @@ mod tests {
         assert!((m.at(0, 1) - 0.5).abs() < 1e-6);
         assert!(m.at(0, 0) < 1e-6);
         assert!(m.at(0, 3) > 1.0 - 1e-6);
-    }
-
-    #[test]
-    fn sparsity_measured() {
-        let m = Matrix::from_vec(1, 4, vec![0.0, 1.0, 0.0, 2.0]);
-        assert!((m.sparsity() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -75,18 +75,13 @@ impl TrainableMlp {
     }
 
     /// Input width.
-    pub fn input_dim(&self) -> usize {
+    fn input_dim(&self) -> usize {
         self.layers[0].weight.rows()
     }
 
     /// Output width.
-    pub fn output_dim(&self) -> usize {
+    fn output_dim(&self) -> usize {
         self.layers.last().expect("at least one layer").weight.cols()
-    }
-
-    /// Total parameter count.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.weight.rows() * l.weight.cols() + l.bias.len()).sum()
     }
 
     /// Forward pass with the sigmoid head applied (rows = batch).
@@ -246,7 +241,6 @@ mod tests {
         let b = TrainableMlp::new(&[3, 5, 2], 42);
         let x = Matrix::random(2, 3, 1.0, 0);
         assert_eq!(a.forward(&x).data(), b.forward(&x).data());
-        assert_eq!(a.num_params(), 3 * 5 + 5 + 5 * 2 + 2);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl PcNode {
     }
 
     /// `true` for sum nodes.
-    pub fn is_sum(&self) -> bool {
+    pub(crate) fn is_sum(&self) -> bool {
         matches!(self, PcNode::Sum { .. })
     }
 }
@@ -183,16 +183,6 @@ impl CircuitBuilder {
         self.push(PcNode::Sum { children, log_weights })
     }
 
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when no nodes were added yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     fn push(&mut self, node: PcNode) -> NodeId {
         self.nodes.push(node);
         NodeId(self.nodes.len() as u32 - 1)
@@ -264,7 +254,7 @@ impl Circuit {
     }
 
     /// A node by id.
-    pub fn node(&self, id: NodeId) -> &PcNode {
+    pub(crate) fn node(&self, id: NodeId) -> &PcNode {
         &self.nodes[id.index()]
     }
 
@@ -299,7 +289,7 @@ impl Circuit {
     }
 
     /// Computes the scope (set of referenced variables) of every node.
-    pub fn scopes(&self) -> Vec<BTreeSet<usize>> {
+    fn scopes(&self) -> Vec<BTreeSet<usize>> {
         let mut scopes: Vec<BTreeSet<usize>> = Vec::with_capacity(self.nodes.len());
         for node in self.nodes.iter() {
             let scope = match node {
@@ -442,7 +432,7 @@ impl Circuit {
     /// Rebuilds the circuit keeping only nodes reachable from the root,
     /// preserving relative order. Returns the compacted circuit and the
     /// number of nodes dropped.
-    pub fn compact(&self) -> (Circuit, usize) {
+    pub(crate) fn compact(&self) -> (Circuit, usize) {
         let compacted = Circuit::live(self.arities.clone(), &self.nodes, self.root);
         let dropped = self.nodes.len() - compacted.nodes.len();
         (compacted, dropped)

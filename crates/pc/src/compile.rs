@@ -88,7 +88,7 @@ impl WmcWeights {
     }
 
     /// The probability that `lit` is true.
-    pub fn lit_prob(&self, lit: Lit) -> f64 {
+    fn lit_prob(&self, lit: Lit) -> f64 {
         let p = self.probs[lit.var().index()];
         if lit.is_neg() {
             1.0 - p
@@ -398,18 +398,6 @@ pub struct PersistentCacheStats {
     pub invalidated: u64,
 }
 
-impl PersistentCacheStats {
-    /// Hits as a fraction of all probes.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A component cache that survives *across* compilations — the PR-4
 /// in-compile cache lifted to the serving layer.
 ///
@@ -477,17 +465,20 @@ impl PersistentComponentCache {
     }
 
     /// Number of cached components.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Probe/store/invalidation counters.
-    pub fn stats(&self) -> PersistentCacheStats {
+    #[cfg(test)]
+    fn stats(&self) -> PersistentCacheStats {
         self.stats
     }
 
@@ -515,7 +506,8 @@ impl PersistentComponentCache {
     /// Drops everything, including the weight binding — with no
     /// components left there is nothing to go stale, so the cache may be
     /// rebound to new weights (counters survive).
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    fn clear(&mut self) {
         self.entries.clear();
         self.weights_sig = None;
     }

@@ -10,7 +10,7 @@
 //!
 //! Extraction is **1:1 and order-preserving**: node `i` of the arena is
 //! node `i` of the source circuit, children keep their order, and the
-//! evaluator reproduces [`Circuit::log_values_into`]'s arithmetic
+//! evaluator reproduces `Circuit::log_values_into`'s arithmetic
 //! operation-for-operation. Arena answers are therefore bit-identical
 //! to circuit answers — the store's round-trip guarantee rests on this.
 //!
@@ -290,13 +290,15 @@ impl DnnfBatch {
     }
 
     /// Number of variables in the universe.
-    pub fn num_vars(&self) -> usize {
+    #[cfg(test)]
+    fn num_vars(&self) -> usize {
         self.num_vars
     }
 
     /// The evidence value of `var` in query lane `lane` (`None` =
     /// marginalized).
-    pub fn value(&self, var: usize, lane: usize) -> Option<usize> {
+    #[cfg(test)]
+    fn value(&self, var: usize, lane: usize) -> Option<usize> {
         self.storage_value(var, self.expand[lane] as usize)
     }
 
@@ -502,7 +504,7 @@ impl Dnnf {
     /// lane.
     ///
     /// Per lane this performs *exactly* the floating-point operation
-    /// sequence of [`Circuit::log_values_into`] — same child order, same
+    /// sequence of `Circuit::log_values_into` — same child order, same
     /// two-pass log-sum-exp — so each lane's answer is bit-identical to
     /// evaluating the source circuit on that query alone. The batch only
     /// amortizes node decode, edge indexing, and memory traffic over

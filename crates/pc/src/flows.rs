@@ -23,18 +23,13 @@ impl EdgeFlows {
         EdgeFlows { flows: circuit.nodes().iter().map(|n| vec![0.0; n.children().len()]).collect() }
     }
 
-    /// The flow through child `k` of sum node `n`.
-    pub fn edge(&self, n: NodeId, k: usize) -> f64 {
-        self.flows[n.index()][k]
-    }
-
     /// All edge flows for node `n`.
-    pub fn node(&self, n: NodeId) -> &[f64] {
+    fn node(&self, n: NodeId) -> &[f64] {
         &self.flows[n.index()]
     }
 
     /// Accumulates another flow set (used to form dataset flows).
-    pub fn accumulate(&mut self, other: &EdgeFlows) {
+    fn accumulate(&mut self, other: &EdgeFlows) {
         for (a, b) in self.flows.iter_mut().zip(&other.flows) {
             for (x, y) in a.iter_mut().zip(b) {
                 *x += *y;
@@ -43,7 +38,7 @@ impl EdgeFlows {
     }
 
     /// Iterates over `(node, child position, flow)` for sum edges only.
-    pub fn iter_sum_edges<'a>(
+    pub(crate) fn iter_sum_edges<'a>(
         &'a self,
         circuit: &'a Circuit,
     ) -> impl Iterator<Item = (NodeId, usize, f64)> + 'a {
@@ -64,7 +59,7 @@ impl Circuit {
     /// Computes the top-down flows for a single input.
     ///
     /// Inputs with zero probability produce all-zero flows.
-    pub fn flows(&self, evidence: &Evidence) -> EdgeFlows {
+    fn flows(&self, evidence: &Evidence) -> EdgeFlows {
         let vals = self.log_values(evidence);
         let n = self.num_nodes();
         let mut node_flow = vec![0.0f64; n];
@@ -140,7 +135,8 @@ pub fn em_step(circuit: &Circuit, data: &[Vec<usize>], alpha: f64) -> Circuit {
 }
 
 /// Mean train log-likelihood of a dataset.
-pub fn mean_log_likelihood(circuit: &Circuit, data: &[Vec<usize>]) -> f64 {
+#[cfg(test)]
+pub(crate) fn mean_log_likelihood(circuit: &Circuit, data: &[Vec<usize>]) -> f64 {
     data.iter().map(|x| circuit.log_likelihood(x)).sum::<f64>() / data.len() as f64
 }
 

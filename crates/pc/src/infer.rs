@@ -22,7 +22,7 @@ impl Evidence {
     }
 
     /// Evidence from a complete assignment.
-    pub fn from_assignment(assignment: &[usize]) -> Self {
+    pub(crate) fn from_assignment(assignment: &[usize]) -> Self {
         Evidence { values: assignment.iter().map(|&v| Some(v)).collect() }
     }
 
@@ -92,11 +92,6 @@ impl EvalBuffer {
     pub fn new() -> Self {
         EvalBuffer::default()
     }
-
-    /// The per-node log-values of the most recent evaluation.
-    pub fn log_values(&self) -> &[f64] {
-        &self.vals
-    }
 }
 
 /// Result of a most-probable-explanation query.
@@ -122,7 +117,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `evidence.len() != self.num_vars()`.
-    pub fn log_values(&self, evidence: &Evidence) -> Vec<f64> {
+    pub(crate) fn log_values(&self, evidence: &Evidence) -> Vec<f64> {
         let mut buf = EvalBuffer::new();
         self.log_values_into(evidence, &mut buf);
         buf.vals
@@ -130,8 +125,7 @@ impl Circuit {
 
     /// Evaluates every node bottom-up under `evidence` into `buf`,
     /// returning the root's log-value (the log-probability of the
-    /// evidence). Per-node values are readable afterwards through
-    /// [`EvalBuffer::log_values`].
+    /// evidence).
     ///
     /// This is the flattened, allocation-free evaluator: one linear
     /// sweep over the node array, no per-call heap traffic once the
@@ -141,7 +135,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `evidence.len() != self.num_vars()`.
-    pub fn log_values_into(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
+    fn log_values_into(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
         assert_eq!(evidence.len(), self.num_vars(), "evidence arity mismatch");
         buf.vals.clear();
         buf.vals.resize(self.num_nodes(), 0.0);
@@ -184,11 +178,11 @@ impl Circuit {
     }
 
     /// Log-probability of the evidence.
-    pub fn log_probability(&self, evidence: &Evidence) -> f64 {
+    pub(crate) fn log_probability(&self, evidence: &Evidence) -> f64 {
         self.log_values(evidence)[self.root().index()]
     }
 
-    /// [`log_probability`](Self::log_probability) through a reusable
+    /// `log_probability` through a reusable
     /// [`EvalBuffer`] — the repeated-query fast path.
     pub fn log_probability_with(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
         self.log_values_into(evidence, buf)
@@ -244,7 +238,8 @@ impl Circuit {
     /// additional variables on top of `evidence`.
     ///
     /// Returns `None` when the evidence has zero probability.
-    pub fn conditional(&self, evidence: &Evidence, query: &[(usize, usize)]) -> Option<f64> {
+    #[cfg(test)]
+    fn conditional(&self, evidence: &Evidence, query: &[(usize, usize)]) -> Option<f64> {
         let log_e = self.log_probability(evidence);
         if log_e == f64::NEG_INFINITY {
             return None;

@@ -84,7 +84,7 @@ pub use structure::{random_mixture_circuit, StructureConfig};
 /// Numerically stable `log(sum(exp(xs)))`.
 ///
 /// Returns negative infinity for an empty slice (the empty sum).
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
+fn log_sum_exp(xs: &[f64]) -> f64 {
     let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     if m == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;

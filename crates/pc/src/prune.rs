@@ -56,7 +56,7 @@ pub fn prune_by_flow(circuit: &Circuit, data: &[Vec<usize>], fraction: f64) -> P
 }
 
 /// Prunes using precomputed dataset flows (`data_len` = |D| for the bound).
-pub fn prune_with_flows(
+fn prune_with_flows(
     circuit: &Circuit,
     flows: &EdgeFlows,
     data_len: usize,

@@ -222,9 +222,6 @@ pub struct CdclSolver {
     phase: Vec<bool>,
     seen: Vec<bool>,
     ok: bool,
-    /// Hard cap on conflicts (0 = unlimited), set per call by
-    /// [`CdclSolver::solve_limited`].
-    conflict_limit: u64,
     stats: SolverStats,
     num_original: usize,
     max_learnts: f64,
@@ -252,7 +249,6 @@ impl CdclSolver {
             phase: vec![false; n],
             seen: vec![false; n],
             ok: true,
-            conflict_limit: 0,
             stats: SolverStats::default(),
             num_original: 0,
             max_learnts: 0.0,
@@ -277,11 +273,6 @@ impl CdclSolver {
     /// Search statistics accumulated so far.
     pub fn stats(&self) -> &SolverStats {
         &self.stats
-    }
-
-    /// Number of variables in the solver's universe.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
     }
 
     fn value(&self, lit: Lit) -> u8 {
@@ -616,39 +607,23 @@ impl CdclSolver {
     /// Solves the formula.
     pub fn solve(&mut self) -> Solution {
         self.solve_with(&mut NullObserver, &[])
-            .expect("unlimited solve cannot exhaust the conflict budget")
     }
 
     /// Solves under assumptions: the given literals are forced as
     /// pseudo-decisions before free search. Used by cube-and-conquer.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Solution {
+    pub(crate) fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Solution {
         self.solve_with(&mut NullObserver, assumptions)
-            .expect("unlimited solve cannot exhaust the conflict budget")
-    }
-
-    /// Solves with a conflict budget; returns `None` if the budget was
-    /// exhausted before an answer was found.
-    pub fn solve_limited(&mut self, conflict_limit: u64) -> Option<Solution> {
-        self.conflict_limit = conflict_limit;
-        self.solve_with(&mut NullObserver, &[])
     }
 
     /// Observer events plus assumptions, with VSIDS branching.
-    ///
-    /// Returns `None` only inside [`solve_limited`](Self::solve_limited),
-    /// when its conflict budget is exhausted.
-    pub fn solve_with<O: SolverObserver>(
-        &mut self,
-        obs: &mut O,
-        assumptions: &[Lit],
-    ) -> Option<Solution> {
+    pub fn solve_with<O: SolverObserver>(&mut self, obs: &mut O, assumptions: &[Lit]) -> Solution {
         if !self.ok {
-            return Some(Solution::Unsat);
+            return Solution::Unsat;
         }
         self.cancel_until(0);
         if self.propagate(obs).is_some() {
             self.ok = false;
-            return Some(Solution::Unsat);
+            return Solution::Unsat;
         }
 
         let mut curr_restarts = 0u64;
@@ -662,21 +637,17 @@ impl CdclSolver {
                         })
                         .collect();
                     self.cancel_until(0);
-                    return Some(Solution::Sat(model));
+                    return Solution::Sat(model);
                 }
                 SearchResult::Unsat => {
                     self.cancel_until(0);
-                    return Some(Solution::Unsat);
+                    return Solution::Unsat;
                 }
                 SearchResult::Restart => {
                     curr_restarts += 1;
                     self.stats.restarts += 1;
                     obs.on_restart();
                     self.cancel_until(0);
-                    if self.conflict_limit != 0 && self.stats.conflicts >= self.conflict_limit {
-                        self.cancel_until(0);
-                        return None;
-                    }
                 }
             }
         }
@@ -860,14 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn conflict_limit_yields_none() {
-        let cnf = pigeonhole(6);
-        let mut s = CdclSolver::new(&cnf);
-        // PHP(6) needs far more than 1 conflict.
-        assert_eq!(s.solve_limited(1), None);
-    }
-
-    #[test]
     fn observer_sees_events() {
         #[derive(Default)]
         struct Counter {
@@ -889,7 +852,7 @@ mod tests {
         let cnf = pigeonhole(3);
         let mut s = CdclSolver::new(&cnf);
         let mut obs = Counter::default();
-        let sol = s.solve_with(&mut obs, &[]).unwrap();
+        let sol = s.solve_with(&mut obs, &[]);
         assert!(!sol.is_sat());
         assert!(obs.conflicts > 0);
         assert!(obs.decisions > 0);

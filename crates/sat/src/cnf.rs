@@ -71,7 +71,7 @@ impl Cnf {
     }
 
     /// Total number of literal occurrences across all clauses.
-    pub fn num_literals(&self) -> usize {
+    pub(crate) fn num_literals(&self) -> usize {
         self.clauses.iter().map(Clause::len).sum()
     }
 
@@ -97,13 +97,13 @@ impl Cnf {
 
     /// `true` when any clause is empty, which makes the formula
     /// unsatisfiable outright.
-    pub fn has_empty_clause(&self) -> bool {
+    pub(crate) fn has_empty_clause(&self) -> bool {
         self.clauses.iter().any(Clause::is_empty)
     }
 
     /// Removes tautological clauses and duplicate literals within clauses,
     /// returning the number of clauses removed. Satisfiability-preserving.
-    pub fn normalize(&mut self) -> usize {
+    pub(crate) fn normalize(&mut self) -> usize {
         let before = self.clauses.len();
         self.clauses.retain(|c| !c.is_tautology());
         for c in &mut self.clauses {
@@ -124,7 +124,12 @@ impl Cnf {
     /// # Errors
     ///
     /// Returns [`DimacsError`] on malformed headers, out-of-range literals,
-    /// or garbage tokens.
+    /// or garbage tokens. A header declaring more than `i32::MAX`
+    /// variables is malformed: a DIMACS literal is an `i32`, so no clause
+    /// could name the variables past it, yet every consumer would size
+    /// its per-variable tables from the declared count. The declared
+    /// clause count must be a number but is advisory (many generators
+    /// emit inaccurate counts).
     ///
     /// ```
     /// use reason_sat::Cnf;
@@ -134,7 +139,6 @@ impl Cnf {
     /// ```
     pub fn parse_dimacs(text: &str) -> Result<Self, DimacsError> {
         let mut num_vars: Option<usize> = None;
-        let mut declared_clauses = 0usize;
         let mut clauses: Vec<Clause> = Vec::new();
         let mut current: Vec<Lit> = Vec::new();
 
@@ -148,11 +152,12 @@ impl Cnf {
                 if parts.len() != 3 || parts[0] != "cnf" {
                     return Err(DimacsError::BadHeader { line: line_no + 1 });
                 }
-                num_vars = Some(
-                    parts[1].parse().map_err(|_| DimacsError::BadHeader { line: line_no + 1 })?,
-                );
-                declared_clauses =
-                    parts[2].parse().map_err(|_| DimacsError::BadHeader { line: line_no + 1 })?;
+                let bad = DimacsError::BadHeader { line: line_no + 1 };
+                let vars: usize = parts[1].parse().map_err(|_| bad.clone())?;
+                if vars > i32::MAX as usize || parts[2].parse::<usize>().is_err() {
+                    return Err(bad);
+                }
+                num_vars = Some(vars);
                 continue;
             }
             let nv = num_vars.ok_or(DimacsError::MissingHeader)?;
@@ -178,9 +183,6 @@ impl Cnf {
             clauses.push(Clause::new(current));
         }
         let num_vars = num_vars.ok_or(DimacsError::MissingHeader)?;
-        if declared_clauses != 0 && clauses.len() != declared_clauses {
-            // Tolerated: many generators emit inaccurate counts. Header is advisory.
-        }
         Ok(Cnf { num_vars, clauses })
     }
 
@@ -295,6 +297,19 @@ mod tests {
             Cnf::parse_dimacs("p cnf 2 1\n1 5 0"),
             Err(DimacsError::LiteralOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn parse_rejects_more_variables_than_a_literal_can_name() {
+        let too_many = "p cnf 4294967296 1\n1 0\n";
+        assert_eq!(Cnf::parse_dimacs(too_many), Err(DimacsError::BadHeader { line: 1 }));
+        let past_i32 = format!("p cnf {} 1\n1 0\n", i32::MAX as u64 + 1);
+        assert_eq!(Cnf::parse_dimacs(&past_i32), Err(DimacsError::BadHeader { line: 1 }));
+        // The largest nameable variable is fine, and so is its literal.
+        let cnf = Cnf::parse_dimacs(&format!("p cnf {0} 1\n-{0} 0\n", i32::MAX)).unwrap();
+        assert_eq!(cnf.num_vars(), i32::MAX as usize);
+        // The clause count must still be a number.
+        assert_eq!(Cnf::parse_dimacs("p cnf 2 x\n"), Err(DimacsError::BadHeader { line: 1 }));
     }
 
     #[test]

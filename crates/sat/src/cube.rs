@@ -71,7 +71,7 @@ impl CubeAndConquer {
 
     /// Generates cubes by recursive lookahead splitting. Returns the cube
     /// set along with how many branches were refuted outright.
-    pub fn generate_cubes(&self) -> (Vec<Vec<Lit>>, usize) {
+    fn generate_cubes(&self) -> (Vec<Vec<Lit>>, usize) {
         let mut cubes = Vec::new();
         let mut refuted = 0usize;
         let mut lookahead = Lookahead::new(&self.cnf);

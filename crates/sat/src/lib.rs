@@ -85,7 +85,8 @@ impl Solution {
     }
 
     /// Returns the model if satisfiable.
-    pub fn model(&self) -> Option<&[bool]> {
+    #[cfg(test)]
+    fn model(&self) -> Option<&[bool]> {
         match self {
             Solution::Sat(m) => Some(m),
             Solution::Unsat => None,

@@ -26,7 +26,7 @@ pub struct LookaheadScore {
 impl LookaheadScore {
     /// The product score `(1 + pos) * (1 + neg)` used to rank split
     /// variables; conflicts count as maximal reduction on that side.
-    pub fn product(&self) -> u64 {
+    pub(crate) fn product(&self) -> u64 {
         let p = self.pos_implied.map_or(u64::MAX >> 33, |n| n as u64);
         let n = self.neg_implied.map_or(u64::MAX >> 33, |n| n as u64);
         (1 + p).saturating_mul(1 + n)
@@ -34,7 +34,7 @@ impl LookaheadScore {
 
     /// `true` if either polarity conflicts immediately — the other polarity
     /// is then forced (a *failed literal*).
-    pub fn failed_literal(&self) -> Option<Lit> {
+    pub(crate) fn failed_literal(&self) -> Option<Lit> {
         match (self.pos_implied, self.neg_implied) {
             (None, Some(_)) => Some(self.var.neg()),
             (Some(_), None) => Some(self.var.pos()),
@@ -71,7 +71,7 @@ impl Lookahead {
     }
 
     /// Scores a single variable by propagating both polarities.
-    pub fn score(&mut self, var: Var) -> LookaheadScore {
+    fn score(&mut self, var: Var) -> LookaheadScore {
         let pos = self.implied_under(var.pos());
         let neg = self.implied_under(var.neg());
         LookaheadScore { var, pos_implied: pos, neg_implied: neg }

@@ -155,7 +155,7 @@ impl Propagator {
 
     /// The truth value of `lit` under the current assignment, if its
     /// variable is assigned.
-    pub fn lit_value(&self, lit: Lit) -> Option<bool> {
+    fn lit_value(&self, lit: Lit) -> Option<bool> {
         self.value(lit.var()).map(|v| lit.eval(v))
     }
 

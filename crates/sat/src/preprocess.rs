@@ -68,13 +68,14 @@ impl BinaryImplicationGraph {
     }
 
     /// Number of implication edges.
-    pub fn num_edges(&self) -> usize {
+    #[cfg(test)]
+    fn num_edges(&self) -> usize {
         self.succ.iter().map(Vec::len).sum()
     }
 
     /// The set of literal codes reachable from `lit` (excluding `lit`
     /// itself unless it lies on a cycle). Memoized.
-    pub fn reachable(&mut self, lit: Lit) -> &HashSet<usize> {
+    fn reachable(&mut self, lit: Lit) -> &HashSet<usize> {
         if !self.cache.contains_key(&lit.code()) {
             let mut seen: HashSet<usize> = HashSet::new();
             let mut stack: Vec<Lit> = self.succ[lit.code()].clone();
@@ -98,7 +99,7 @@ impl BinaryImplicationGraph {
     }
 
     /// Literals `l` with `l -> !l`: these *failed literals* force `!l`.
-    pub fn failed_literals(&mut self) -> Vec<Lit> {
+    fn failed_literals(&mut self) -> Vec<Lit> {
         let n = self.succ.len();
         let mut failed = Vec::new();
         for code in 0..n {
@@ -112,7 +113,7 @@ impl BinaryImplicationGraph {
 
     /// Tarjan SCC over the literal graph. Returns, per literal code, its
     /// component id. Literals in one component are pairwise equivalent.
-    pub fn sccs(&self) -> Vec<u32> {
+    fn sccs(&self) -> Vec<u32> {
         let n = self.succ.len();
         let mut index = vec![u32::MAX; n];
         let mut low = vec![0u32; n];
@@ -237,23 +238,17 @@ pub struct PreprocessConfig {
     pub pure_literals: bool,
     /// Enable equivalent-literal substitution via BIG SCCs.
     pub equivalences: bool,
-    /// Enable hidden-literal elimination.
-    pub hidden_literals: bool,
     /// Enable failed-literal detection over the BIG.
     pub failed_literals: bool,
-    /// Pipeline rounds (the reductions enable one another).
-    pub rounds: usize,
 }
+
+/// Pipeline rounds (the reductions enable one another). Hidden-literal
+/// elimination runs in every round.
+const ROUNDS: usize = 2;
 
 impl Default for PreprocessConfig {
     fn default() -> Self {
-        PreprocessConfig {
-            pure_literals: true,
-            equivalences: true,
-            hidden_literals: true,
-            failed_literals: true,
-            rounds: 2,
-        }
+        PreprocessConfig { pure_literals: true, equivalences: true, failed_literals: true }
     }
 }
 
@@ -311,7 +306,8 @@ impl Preprocessor {
     }
 
     /// Creates a preprocessor with an explicit configuration.
-    pub fn with_config(config: PreprocessConfig) -> Self {
+    #[cfg(test)]
+    fn with_config(config: PreprocessConfig) -> Self {
         Preprocessor { config }
     }
 
@@ -325,7 +321,7 @@ impl Preprocessor {
         work.normalize();
 
         let mut decided: Option<bool> = None;
-        'rounds: for _ in 0..self.config.rounds {
+        'rounds: for _ in 0..ROUNDS {
             // 1. Unit propagation to fixpoint.
             match propagate_units(&mut work, &mut steps, &mut stats) {
                 UnitOutcome::Conflict => {
@@ -410,49 +406,46 @@ impl Preprocessor {
             }
 
             // 4. Hidden-literal elimination.
-            if self.config.hidden_literals {
-                let mut big = BinaryImplicationGraph::new(&work);
-                let mut new_clauses: Vec<Clause> = Vec::with_capacity(work.num_clauses());
-                let mut dropped = 0usize;
-                for clause in work.clauses() {
-                    if clause.len() < 2 {
-                        new_clauses.push(clause.clone());
+            let mut big = BinaryImplicationGraph::new(&work);
+            let mut new_clauses: Vec<Clause> = Vec::with_capacity(work.num_clauses());
+            let mut dropped = 0usize;
+            for clause in work.clauses() {
+                if clause.len() < 2 {
+                    new_clauses.push(clause.clone());
+                    continue;
+                }
+                let mut kept: Vec<Lit> = clause.lits().to_vec();
+                let mut i = 0;
+                while i < kept.len() {
+                    let a = kept[i];
+                    // Skip failed-literal cases (handled above).
+                    if big.implies(a, !a) {
+                        i += 1;
                         continue;
                     }
-                    let mut kept: Vec<Lit> = clause.lits().to_vec();
-                    let mut i = 0;
-                    while i < kept.len() {
-                        let a = kept[i];
-                        // Skip failed-literal cases (handled above).
-                        if big.implies(a, !a) {
-                            i += 1;
-                            continue;
-                        }
-                        let drop =
-                            kept.iter().enumerate().any(|(j, &b)| j != i && big.implies(a, b));
-                        if drop {
-                            kept.remove(i);
-                            dropped += 1;
-                        } else {
-                            i += 1;
-                        }
+                    let drop = kept.iter().enumerate().any(|(j, &b)| j != i && big.implies(a, b));
+                    if drop {
+                        kept.remove(i);
+                        dropped += 1;
+                    } else {
+                        i += 1;
                     }
-                    new_clauses.push(Clause::new(kept));
                 }
-                if dropped > 0 {
-                    stats.hidden_literals += dropped;
-                    let num_vars = work.num_vars();
-                    work = Cnf::new(num_vars);
-                    for c in new_clauses {
-                        work.add_clause(c);
+                new_clauses.push(Clause::new(kept));
+            }
+            if dropped > 0 {
+                stats.hidden_literals += dropped;
+                let num_vars = work.num_vars();
+                work = Cnf::new(num_vars);
+                for c in new_clauses {
+                    work.add_clause(c);
+                }
+                match propagate_units(&mut work, &mut steps, &mut stats) {
+                    UnitOutcome::Conflict => {
+                        decided = Some(false);
+                        break 'rounds;
                     }
-                    match propagate_units(&mut work, &mut steps, &mut stats) {
-                        UnitOutcome::Conflict => {
-                            decided = Some(false);
-                            break 'rounds;
-                        }
-                        UnitOutcome::Done => {}
-                    }
+                    UnitOutcome::Done => {}
                 }
             }
 
@@ -676,13 +669,8 @@ mod tests {
         // Paper example: clause (l | l') with l -> l' drops l, leaving (l').
         // l = x0, l' = x1; implication from clause (!x0 | x1).
         let cnf = Cnf::from_clauses(3, vec![vec![-1, 2], vec![1, 2, 3]]);
-        let config = PreprocessConfig {
-            pure_literals: false,
-            equivalences: false,
-            failed_literals: false,
-            hidden_literals: true,
-            rounds: 1,
-        };
+        let config =
+            PreprocessConfig { pure_literals: false, equivalences: false, failed_literals: false };
         let result = Preprocessor::with_config(config).run(&cnf);
         assert!(result.stats.hidden_literals >= 1);
         // The wide clause shrank.

@@ -81,7 +81,7 @@ impl Lit {
     /// # Panics
     ///
     /// Panics if `dimacs == 0`, which DIMACS reserves as a terminator.
-    pub fn from_dimacs(dimacs: i32) -> Self {
+    pub(crate) fn from_dimacs(dimacs: i32) -> Self {
         assert!(dimacs != 0, "DIMACS literal 0 is the clause terminator");
         let var = Var::new(dimacs.unsigned_abs() as usize - 1);
         Lit::new(var, dimacs < 0)
@@ -113,7 +113,7 @@ impl Lit {
     }
 
     /// Evaluates the literal under a truth value for its variable.
-    pub fn eval(self, var_value: bool) -> bool {
+    pub(crate) fn eval(self, var_value: bool) -> bool {
         var_value ^ self.is_neg()
     }
 }
@@ -176,30 +176,31 @@ impl Clause {
     }
 
     /// `true` when the clause has exactly one literal.
-    pub fn is_unit(&self) -> bool {
+    pub(crate) fn is_unit(&self) -> bool {
         self.lits.len() == 1
     }
 
     /// `true` when the clause contains both a literal and its negation.
-    pub fn is_tautology(&self) -> bool {
+    pub(crate) fn is_tautology(&self) -> bool {
         let mut sorted: Vec<Lit> = self.lits.clone();
         sorted.sort_unstable();
         sorted.windows(2).any(|w| w[0] == !w[1] || !w[0] == w[1])
     }
 
     /// `true` when the clause contains the literal.
-    pub fn contains(&self, lit: Lit) -> bool {
+    #[cfg(test)]
+    fn contains(&self, lit: Lit) -> bool {
         self.lits.contains(&lit)
     }
 
     /// Removes duplicate literals (preserving first occurrence order).
-    pub fn dedup(&mut self) {
+    pub(crate) fn dedup(&mut self) {
         let mut seen = std::collections::HashSet::new();
         self.lits.retain(|l| seen.insert(*l));
     }
 
     /// Evaluates the clause under a complete model indexed by variable.
-    pub fn eval(&self, model: &[bool]) -> bool {
+    pub(crate) fn eval(&self, model: &[bool]) -> bool {
         self.lits.iter().any(|l| l.eval(model[l.var().index()]))
     }
 

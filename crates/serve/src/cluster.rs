@@ -19,7 +19,7 @@
 //!    crashed, in which case the query backs off and retries, fails
 //!    over along the ring, or waits out the earliest recovery. A fresh
 //!    cluster runs under an empty plan: the primary, at arrival time.
-//! 2. **Admit** — [`QueryRouter::admit_explained`] judges the query
+//! 2. **Admit** — `QueryRouter::admit_explained` judges the query
 //!    against a deterministic cost model (the [`KbTelemetry::prior`]
 //!    fit plus what the cluster knows it compiled where) and the
 //!    shard's modeled queue backlog. A query whose deadline budget the
@@ -27,7 +27,7 @@
 //!    never occupies an executor lane only to miss — and one that can
 //!    still make its deadline on a cheaper rung is degraded *now*, not
 //!    after an exact attempt times out. A transient compile fault masks
-//!    the exact rung ([`QueryRouter::admit_under_failure`]).
+//!    the exact rung (`QueryRouter::admit_under_failure`).
 //! 3. **Charge** — the route's modeled cost (stretched by a slow-shard
 //!    window) is charged to the shard's virtual clock and the arrival's
 //!    one [`ClusterOutcome`] is built; rejects stay in the report.
@@ -35,7 +35,7 @@
 //!    the query's span chain.
 //! 5. **Dispatch** — after the last arrival, the admitted queries
 //!    execute for real, grouped per `(shard, knowledge base)`, on their
-//!    pre-decided routes via [`ServeEngine::serve_routed`], whose
+//!    pre-decided routes via `ServeEngine::serve_routed`, whose
 //!    answers are bit-identical to a single engine serving the same
 //!    queries on the same routes.
 //!
@@ -47,7 +47,6 @@ use std::sync::Arc;
 
 use reason_pc::{FormulaFingerprint, WmcWeights};
 use reason_sat::Cnf;
-use reason_telemetry::profile::{exemplars, Exemplar};
 use reason_telemetry::slo::{Objective, SloAlert, SloMonitor, SloSpec};
 use reason_telemetry::Telemetry;
 
@@ -192,7 +191,7 @@ pub struct ClusterOutcome {
     /// The pre-dispatch admission verdict.
     pub decision: Admission,
     /// Why admission picked that rung (see
-    /// [`QueryRouter::admit_explained`]).
+    /// `QueryRouter::admit_explained`).
     pub reason: &'static str,
     /// The answer; `None` exactly when the query was rejected.
     pub answer: Option<Answer>,
@@ -594,15 +593,6 @@ impl ServeCluster {
         }
     }
 
-    /// The `k` worst modeled-latency queries served so far, each with
-    /// its full admit → route → compile → eval span chain — the tail
-    /// worth reading first. Empty without attached telemetry.
-    pub fn tail_exemplars(&self, k: usize) -> Vec<Exemplar> {
-        self.telemetry
-            .as_ref()
-            .map_or_else(Vec::new, |tel| exemplars(&tel.tracer.finished(), "cluster.query", k))
-    }
-
     /// The deterministic per-KB cost models admission judges against,
     /// as `(tenant, shard, model)` rows in registration order.
     pub fn kb_models(&self) -> Vec<(String, usize, KbTelemetry)> {
@@ -636,7 +626,8 @@ impl ServeCluster {
     }
 
     /// The shard the ring placed `id` on.
-    pub fn shard_of(&self, id: ClusterKbId) -> usize {
+    #[cfg(test)]
+    fn shard_of(&self, id: ClusterKbId) -> usize {
         self.kbs[id.index].homes[0].shard
     }
 
@@ -1417,7 +1408,7 @@ mod tests {
         assert_eq!(alert_spans.len(), cluster.slo_alerts().len(), "one span per alert");
 
         // Exemplars: the worst-latency query is the cold compile.
-        let worst = cluster.tail_exemplars(3);
+        let worst = reason_telemetry::profile::exemplars(&spans, "cluster.query", 3);
         assert!(!worst.is_empty());
         assert!(worst[0].duration_s() >= worst.last().unwrap().duration_s());
         assert!(

@@ -32,7 +32,7 @@ use reason_telemetry::Telemetry;
 
 use crate::kb::KnowledgeBase;
 use crate::router::{
-    exact_evals, KbTelemetry, Query, QueryKind, QueryRouter, Route, RouterConfig, RouterStats,
+    budget_s, exact_evals, KbTelemetry, Query, QueryKind, QueryRouter, Route, RouterConfig,
 };
 use crate::store::{CacheStats, CircuitStore, StoreConfig, StoredCircuit};
 
@@ -256,7 +256,7 @@ impl ServeEngine {
     /// (including the compiler's internal phases) land in the sink's
     /// registry and tracer, labeled `shard` (the cluster passes the
     /// shard index; standalone engines are shard 0).
-    pub fn attach_telemetry(&mut self, telemetry: Arc<Telemetry>, shard: usize) {
+    pub(crate) fn attach_telemetry(&mut self, telemetry: Arc<Telemetry>, shard: usize) {
         self.shard_label = shard.to_string();
         self.store.attach_telemetry(&telemetry, &[("shard", &self.shard_label)]);
         self.telemetry = Some(telemetry);
@@ -290,7 +290,7 @@ impl ServeEngine {
     /// and the store still holds its artifact (another tenant's insert
     /// may have evicted it), `has_predictor` when a net was trained at
     /// the current revision.
-    pub fn telemetry(&self, id: KbId) -> KbTelemetry {
+    fn telemetry(&self, id: KbId) -> KbTelemetry {
         let entry = &self.kbs[id.0];
         let revision = entry.kb.revision();
         KbTelemetry {
@@ -317,16 +317,11 @@ impl ServeEngine {
     /// per KB pays a genuine — but component-cache-accelerated —
     /// recompile. Trained predictors are kept: they live outside the
     /// store and stay valid for their revision.
-    pub fn wipe_store(&mut self) {
+    pub(crate) fn wipe_store(&mut self) {
         self.store.clear();
         for entry in &mut self.kbs {
             entry.circuit = None;
         }
-    }
-
-    /// The router's admission counters.
-    pub fn router_stats(&self) -> RouterStats {
-        self.router.stats()
     }
 
     /// Appends a clause to a knowledge base. The compiled artifact goes
@@ -356,19 +351,23 @@ impl ServeEngine {
         self.ensure_compiled(id)
     }
 
-    /// Serves a batch: routes every query, executes the admitted tasks
-    /// through the threaded `BatchExecutor` (exact queries become lanes
-    /// of one batched-arena task sharing a single sum-product
-    /// traversal), and feeds the measured latencies back into the router's
-    /// telemetry.
+    /// Serves a batch: routes every query down the degrade ladder that
+    /// [`QueryRouter::admit`] walks at an idle shard, but never rejects
+    /// (a zero deadline walks the ladder at budget 0); executes the
+    /// tasks through the threaded `BatchExecutor` (exact queries become
+    /// lanes of one batched-arena task sharing a single sum-product
+    /// traversal), and feeds the measured latencies back into the
+    /// router's telemetry.
     ///
     /// # Errors
     ///
-    /// As [`serve_routed`](Self::serve_routed).
+    /// As `serve_routed`.
     pub fn serve(&mut self, id: KbId, queries: &[Query]) -> Result<ServeReport, ServeError> {
         let telemetry = self.telemetry(id);
-        let routed: Vec<(&Query, Route)> =
-            queries.iter().map(|q| (q, self.router.route(q, &telemetry))).collect();
+        let routed: Vec<(&Query, Route)> = queries
+            .iter()
+            .map(|q| (q, self.router.ladder(q, &telemetry, budget_s(q, 0.0), true).0))
+            .collect();
         self.serve_routed(id, &routed)
     }
 
@@ -398,7 +397,7 @@ impl ServeEngine {
     /// [`ServeError::PredictorMissing`] when a [`Route::Predicted`]
     /// query arrives without a trained net. All of these fail the batch
     /// without panicking, so the cluster can degrade or retry it.
-    pub fn serve_routed(
+    pub(crate) fn serve_routed(
         &mut self,
         id: KbId,
         routed: &[(&Query, Route)],
@@ -941,9 +940,9 @@ mod tests {
         }
         // A second batch answers from the hot store: no new insertion.
         let before = engine.store_stats().insertions;
-        let _ = engine.serve(id, &queries[..2]).unwrap();
+        let again = engine.serve(id, &queries[..2]).unwrap();
         assert_eq!(engine.store_stats().insertions, before);
-        assert_eq!(engine.router_stats().exact, 7);
+        assert!(again.outcomes.iter().all(|o| o.route == Route::Exact));
     }
 
     /// The one exact answer of a single-query batch.
@@ -997,7 +996,6 @@ mod tests {
         };
         let exact = CompiledWmc::new(&cnf, &w).wmc();
         assert!(lower <= exact && exact <= upper, "[{lower}, {upper}] vs {exact}");
-        assert_eq!(engine.router_stats().deadline_fallbacks, 1);
         assert_eq!(engine.store_stats().insertions, 0, "no compile happened");
     }
 
@@ -1026,12 +1024,7 @@ mod tests {
     fn predictor_rung_activates_under_impossible_deadlines() {
         let (cnf, w) = sat_instance(8, 20, 11);
         let cfg = ServeConfig {
-            predictor: Some(PredictConfig {
-                queries: 96,
-                epochs: 120,
-                hidden: 12,
-                ..PredictConfig::default()
-            }),
+            predictor: Some(PredictConfig { queries: 96, epochs: 120, hidden: 12 }),
             ..ServeConfig::default()
         };
         let mut engine = ServeEngine::new(cfg);

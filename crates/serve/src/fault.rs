@@ -98,7 +98,7 @@ impl FaultPlan {
     /// Adds a transient compile-failure window on `shard` over
     /// `[start_s, end_s)`.
     #[must_use]
-    pub fn fail_compiles(mut self, shard: usize, start_s: f64, end_s: f64) -> Self {
+    pub(crate) fn fail_compiles(mut self, shard: usize, start_s: f64, end_s: f64) -> Self {
         assert!(end_s.is_finite(), "compile-fault windows must be finite");
         assert!(start_s < end_s, "compile-fault window must be non-empty");
         self.compile_faults.push(Window { shard, start_s, end_s });
@@ -146,14 +146,14 @@ impl FaultPlan {
 
     /// `true` when `shard` is inside a crash window at virtual time `t_s`.
     #[must_use]
-    pub fn crashed(&self, shard: usize, t_s: f64) -> bool {
+    pub(crate) fn crashed(&self, shard: usize, t_s: f64) -> bool {
         self.crashes.iter().any(|w| w.covers(shard, t_s))
     }
 
     /// The combined latency multiplier active on `shard` at `t_s` (the
     /// product of overlapping windows, never below 1.0).
     #[must_use]
-    pub fn slow_multiplier(&self, shard: usize, t_s: f64) -> f64 {
+    pub(crate) fn slow_multiplier(&self, shard: usize, t_s: f64) -> f64 {
         self.slowdowns
             .iter()
             .filter(|(w, _)| w.covers(shard, t_s))
@@ -164,28 +164,28 @@ impl FaultPlan {
 
     /// `true` when fresh compilations fail on `shard` at `t_s`.
     #[must_use]
-    pub fn compile_faulted(&self, shard: usize, t_s: f64) -> bool {
+    pub(crate) fn compile_faulted(&self, shard: usize, t_s: f64) -> bool {
         self.compile_faults.iter().any(|w| w.covers(shard, t_s))
     }
 
     /// The earliest virtual time at or after `t_s` when `shard` is not
     /// crashed (`t_s` unchanged for a healthy shard).
     #[must_use]
-    pub fn recovery_time(&self, shard: usize, t_s: f64) -> f64 {
+    pub(crate) fn recovery_time(&self, shard: usize, t_s: f64) -> f64 {
         clear_of(&self.crashes, shard, t_s)
     }
 
     /// The earliest virtual time at or after `t_s` when fresh compiles
     /// succeed again on `shard`.
     #[must_use]
-    pub fn compile_recovery_time(&self, shard: usize, t_s: f64) -> f64 {
+    pub(crate) fn compile_recovery_time(&self, shard: usize, t_s: f64) -> f64 {
         clear_of(&self.compile_faults, shard, t_s)
     }
 
     /// The scheduled cache wipes, in insertion order. The cluster tracks
     /// which have fired; the plan itself stays immutable.
     #[must_use]
-    pub fn wipes(&self) -> &[CacheWipe] {
+    pub(crate) fn wipes(&self) -> &[CacheWipe] {
         &self.wipes
     }
 }
@@ -213,7 +213,7 @@ impl BreakerState {
     /// Stable label for telemetry (`breaker_state` gauge values 0/1/2 and
     /// `breaker_transitions_total{to=...}` labels).
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Self::Closed => "closed",
             Self::HalfOpen => "half_open",
@@ -224,7 +224,7 @@ impl BreakerState {
     /// Numeric encoding for the `breaker_state` gauge: 0 closed, 1
     /// half-open, 2 open.
     #[must_use]
-    pub fn gauge_value(self) -> f64 {
+    pub(crate) fn gauge_value(self) -> f64 {
         match self {
             Self::Closed => 0.0,
             Self::HalfOpen => 1.0,
@@ -249,7 +249,7 @@ impl ShardHealth {
     /// Whether the shard may accept a dispatch at virtual time `t_s`. An
     /// open breaker whose cooldown has elapsed flips to half-open here and
     /// admits the probe.
-    pub fn admits(&mut self, t_s: f64) -> bool {
+    pub(crate) fn admits(&mut self, t_s: f64) -> bool {
         if self.state == BreakerState::Open && t_s >= self.opened_at_s + COOLDOWN_S {
             self.state = BreakerState::HalfOpen;
             self.transitions += 1;
@@ -259,7 +259,7 @@ impl ShardHealth {
 
     /// Records a successful dispatch: resets the failure streak and closes
     /// a half-open breaker.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         self.consecutive_failures = 0;
         if self.state != BreakerState::Closed {
             self.state = BreakerState::Closed;
@@ -270,7 +270,7 @@ impl ShardHealth {
     /// Records a failed dispatch at virtual time `t_s`: a half-open probe
     /// failure re-opens immediately; a closed breaker opens once the
     /// consecutive-failure threshold is reached.
-    pub fn record_failure(&mut self, t_s: f64) {
+    pub(crate) fn record_failure(&mut self, t_s: f64) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let trip = match self.state {
             BreakerState::HalfOpen => true,
@@ -286,20 +286,21 @@ impl ShardHealth {
 
     /// Current breaker state (without advancing the cooldown).
     #[must_use]
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
     /// Total state transitions since construction.
     #[must_use]
-    pub fn transitions(&self) -> u64 {
+    #[cfg(test)]
+    fn transitions(&self) -> u64 {
         self.transitions
     }
 
     /// Earliest time at or after `t_s` at which the breaker will admit a
     /// probe: `t_s` unless the breaker is open and still cooling down.
     #[must_use]
-    pub fn ready_at(&self, t_s: f64) -> f64 {
+    pub(crate) fn ready_at(&self, t_s: f64) -> f64 {
         match self.state {
             BreakerState::Open => (self.opened_at_s + COOLDOWN_S).max(t_s),
             BreakerState::Closed | BreakerState::HalfOpen => t_s,

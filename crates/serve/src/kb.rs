@@ -24,7 +24,7 @@
 //!
 //! Yes, by more than the earlier readings said. The prototype is one
 //! line on a scratch copy — `cache: None` in
-//! [`KnowledgeBase::compile_observed`], every check kept — run as four
+//! `KnowledgeBase::compile_observed`, every check kept — run as four
 //! alternating 22 s pairs of `benchmark/run.sh` at seed 42, `--trace 0`,
 //! on a 2-core VM, against a store that ranks eviction victims from
 //! sizes kept at insert:
@@ -97,12 +97,12 @@ impl KnowledgeBase {
     }
 
     /// The registration name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Number of variables in the universe.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.num_vars
     }
 
@@ -112,17 +112,18 @@ impl KnowledgeBase {
     }
 
     /// The per-variable marginals.
-    pub fn weights(&self) -> &WmcWeights {
+    pub(crate) fn weights(&self) -> &WmcWeights {
         &self.weights
     }
 
     /// The live clauses, in id order.
-    pub fn clauses(&self) -> &[Clause] {
+    #[cfg(test)]
+    fn clauses(&self) -> &[Clause] {
         &self.clauses
     }
 
     /// Mutation counter: bumped by every add/retract.
-    pub fn revision(&self) -> u64 {
+    pub(crate) fn revision(&self) -> u64 {
         self.revision
     }
 
@@ -136,7 +137,7 @@ impl KnowledgeBase {
     }
 
     /// The store key for the current `(formula, weights)` state.
-    pub fn fingerprint(&self) -> FormulaFingerprint {
+    pub(crate) fn fingerprint(&self) -> FormulaFingerprint {
         FormulaFingerprint::from_parts(self.num_vars, &self.clauses, &self.weights)
     }
 
@@ -188,7 +189,7 @@ impl KnowledgeBase {
     /// [`compile`](Self::compile) with an optional telemetry sink: the
     /// compiler's propagate / component-split / cache-probe phases emit
     /// spans and counters (see [`reason_pc::CompileOptions::telemetry`]).
-    pub fn compile_observed(
+    pub(crate) fn compile_observed(
         &mut self,
         telemetry: Option<&Telemetry>,
     ) -> (Option<Circuit>, CompileStats) {

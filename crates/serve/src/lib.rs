@@ -94,7 +94,5 @@ pub use reason_pc::{ring_mix, FormulaFingerprint};
 /// so serving callers can declare objectives without importing the
 /// telemetry crate directly.
 pub use reason_telemetry::slo::{Objective, SloAlert, SloMonitor, SloSpec};
-pub use router::{
-    Admission, KbTelemetry, Query, QueryKind, QueryRouter, Route, RouterConfig, RouterStats,
-};
+pub use router::{Admission, KbTelemetry, Query, QueryKind, QueryRouter, Route, RouterConfig};
 pub use store::{CacheStats, CircuitStore, StoreConfig, StoredCircuit};

@@ -29,7 +29,7 @@
 //! is refused up front instead of being dispatched into a guaranteed
 //! miss. When a fault takes exact capacity away the cluster walks the
 //! same ladder with the exact rung masked off
-//! ([`QueryRouter::admit_under_failure`]). The sample cap is the one
+//! (`QueryRouter::admit_under_failure`). The sample cap is the one
 //! knob ([`RouterConfig::max_approx_samples`]); the deadline head-room
 //! (0.5) and the fewest samples worth an approximate answer (512) are
 //! constants — no caller ever set another value.
@@ -117,7 +117,7 @@ pub enum Admission {
 
 impl Admission {
     /// The admitted route, or `None` when rejected.
-    pub fn route(&self) -> Option<Route> {
+    pub(crate) fn route(&self) -> Option<Route> {
         match self {
             Admission::Admit(route) => Some(*route),
             Admission::Reject { .. } => None,
@@ -148,7 +148,7 @@ impl Default for RouterConfig {
 
 /// The live cost picture of one knowledge base. The serving engine
 /// keeps the three cost numbers and computes the two bits on read
-/// ([`crate::ServeEngine::telemetry`]); the cluster's cost model builds
+/// (`crate::ServeEngine::telemetry`); the cluster's cost model builds
 /// the same view per shard.
 #[derive(Debug, Clone, Copy)]
 pub struct KbTelemetry {
@@ -185,7 +185,7 @@ impl KbTelemetry {
 
     /// Predicted seconds for the exact path of `kind` right now:
     /// (cold ? compile : 0) + evals × warm-eval.
-    pub fn exact_cost(&self, kind: &QueryKind) -> f64 {
+    pub(crate) fn exact_cost(&self, kind: &QueryKind) -> f64 {
         let compile = if self.compiled { 0.0 } else { self.compile_s };
         compile + exact_evals(kind) * self.eval_s
     }
@@ -205,60 +205,27 @@ impl KbTelemetry {
     }
 }
 
-/// Per-route admission counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Queries routed to exact evaluation.
-    pub exact: u64,
-    /// Queries routed to anytime bounds.
-    pub approx: u64,
-    /// Queries routed to the prediction network.
-    pub predicted: u64,
-    /// Queries pushed off the exact rung by their deadline.
-    pub deadline_fallbacks: u64,
-}
-
 /// The admission router (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 pub struct QueryRouter {
     config: RouterConfig,
-    stats: RouterStats,
 }
 
 impl QueryRouter {
     /// A router with the given knobs.
     pub fn new(config: RouterConfig) -> Self {
-        QueryRouter { config, stats: RouterStats::default() }
+        QueryRouter { config }
     }
 
-    /// Admission counters so far.
-    pub fn stats(&self) -> RouterStats {
-        self.stats
-    }
-
-    /// Picks the route for one query given its knowledge base's live
-    /// telemetry — admission on an idle shard — recording the decision
-    /// in the counters.
-    pub fn route(&mut self, query: &Query, telemetry: &KbTelemetry) -> Route {
-        let (route, _) = self.ladder(query, telemetry, budget_s(query, 0.0), true);
-        match route {
-            Route::Exact => self.stats.exact += 1,
-            Route::Approx { .. } => self.stats.approx += 1,
-            Route::Predicted => self.stats.predicted += 1,
-        }
-        self.stats.deadline_fallbacks += u64::from(route != Route::Exact);
-        route
-    }
-
-    /// Pre-dispatch admission for the sharded front-end: the same
-    /// ladder as [`route`](Self::route), but the effective budget is
-    /// the deadline minus `backlog_s` — the shard's modeled queue wait
-    /// at decision time. A deadlined query whose budget the backlog
-    /// has already consumed is [`Admission::Reject`]ed outright
-    /// (dropping *before* dispatch, not after a miss); deadline-free
-    /// queries are always admitted exact. Deterministic: no counters
-    /// are touched and only the arguments feed the decision, so a
-    /// replayed workload re-derives the identical admission sequence.
+    /// Pre-dispatch admission for the sharded front-end: the degrade
+    /// ladder the engine routes with, but the effective budget is the
+    /// deadline minus `backlog_s` — the shard's modeled queue wait at
+    /// decision time. A deadlined query whose budget the backlog has
+    /// already consumed is [`Admission::Reject`]ed outright (dropping
+    /// *before* dispatch, not after a miss); deadline-free queries are
+    /// always admitted exact. Deterministic: only the arguments feed
+    /// the decision, so a replayed workload re-derives the identical
+    /// admission sequence.
     pub fn admit(&self, query: &Query, t: &KbTelemetry, backlog_s: f64) -> Admission {
         self.admit_explained(query, t, backlog_s).0
     }
@@ -269,7 +236,7 @@ impl QueryRouter {
     /// `deadline_approx` / `deadline_predicted` / `approx_floor` /
     /// `backlog_reject`) so instrumented callers can expose degrade
     /// decisions as labeled metrics without re-deriving the ladder.
-    pub fn admit_explained(
+    pub(crate) fn admit_explained(
         &self,
         query: &Query,
         t: &KbTelemetry,
@@ -288,7 +255,7 @@ impl QueryRouter {
     /// the backlog-trimmed fit. Returns `None` for kinds with no
     /// degraded rung ([`QueryKind::Marginal`]/[`QueryKind::Mpe`]),
     /// which must wait for exact capacity instead.
-    pub fn admit_under_failure(
+    pub(crate) fn admit_under_failure(
         &self,
         query: &Query,
         t: &KbTelemetry,
@@ -318,7 +285,11 @@ impl QueryRouter {
     /// [`admit_explained`](Self::admit_explained)). With
     /// `exact_available` false the walk starts one rung down and the
     /// labels name the fault instead of the deadline.
-    fn ladder(
+    ///
+    /// The engine routes with this walk at an idle shard's budget,
+    /// [`budget_s`]`(query, 0.0)`, and never rejects: a zero deadline
+    /// walks the ladder at budget 0 where admission would refuse it.
+    pub(crate) fn ladder(
         &self,
         query: &Query,
         t: &KbTelemetry,
@@ -364,7 +335,7 @@ impl QueryRouter {
 /// The effective budget of `query` behind `backlog_s` seconds of queue:
 /// the deadline scaled by the safety head-room, minus the backlog;
 /// infinite without a deadline.
-fn budget_s(query: &Query, backlog_s: f64) -> f64 {
+pub(crate) fn budget_s(query: &Query, backlog_s: f64) -> f64 {
     query.deadline.map_or(f64::INFINITY, |d| d.as_secs_f64() * DEADLINE_SAFETY - backlog_s.max(0.0))
 }
 
@@ -373,6 +344,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use reason_pc::Evidence;
+
+    /// The engine's routing decision: the ladder at an idle shard.
+    fn idle_route(router: &QueryRouter, query: &Query, t: &KbTelemetry) -> Route {
+        router.ladder(query, t, budget_s(query, 0.0), true).0
+    }
 
     fn hot_telemetry() -> KbTelemetry {
         KbTelemetry {
@@ -386,44 +362,73 @@ mod tests {
 
     #[test]
     fn deadline_free_queries_route_exact() {
-        let mut router = QueryRouter::default();
+        let router = QueryRouter::default();
         let t = hot_telemetry();
-        assert_eq!(router.route(&Query::exact(QueryKind::Wmc), &t), Route::Exact);
-        assert_eq!(router.stats().exact, 1);
-        assert_eq!(router.stats().deadline_fallbacks, 0);
+        assert_eq!(idle_route(&router, &Query::exact(QueryKind::Wmc), &t), Route::Exact);
+    }
+
+    #[test]
+    fn zero_deadlines_walk_the_ladder_at_budget_zero_instead_of_rejecting() {
+        let router = QueryRouter::default();
+        let ev = Evidence::empty(4);
+        let kinds = [
+            QueryKind::Wmc,
+            QueryKind::Probability(ev.clone()),
+            QueryKind::Posterior(ev.clone()),
+            QueryKind::Marginal(ev.clone(), 1),
+            QueryKind::Mpe(ev),
+        ];
+        for kind in kinds {
+            let degradable = degradable(&kind);
+            let q = Query::with_deadline(kind, Duration::ZERO);
+            // Admission on an idle shard refuses a zero budget up front.
+            assert_eq!(
+                router.admit(&q, &hot_telemetry(), 0.0),
+                Admission::Reject { backlog_s: 0.0 }
+            );
+            // The engine still answers: probability-valued kinds drop to
+            // the cheapest rung, the others stay exact.
+            let no_net = KbTelemetry { has_predictor: false, ..hot_telemetry() };
+            let (with_net, without_net) = if degradable {
+                (Route::Predicted, Route::Approx { samples: MIN_APPROX_SAMPLES })
+            } else {
+                (Route::Exact, Route::Exact)
+            };
+            assert_eq!(idle_route(&router, &q, &hot_telemetry()), with_net, "{:?}", q.kind);
+            assert_eq!(idle_route(&router, &q, &no_net), without_net, "{:?}", q.kind);
+        }
     }
 
     #[test]
     fn generous_deadlines_stay_exact() {
-        let mut router = QueryRouter::default();
+        let router = QueryRouter::default();
         let q = Query::with_deadline(QueryKind::Wmc, Duration::from_millis(50));
-        assert_eq!(router.route(&q, &hot_telemetry()), Route::Exact);
+        assert_eq!(idle_route(&router, &q, &hot_telemetry()), Route::Exact);
     }
 
     #[test]
     fn cold_artifacts_charge_the_compile_and_fall_back_to_bounds() {
-        let mut router = QueryRouter::default();
+        let router = QueryRouter::default();
         let t = KbTelemetry { compiled: false, ..hot_telemetry() };
         // 10 ms deadline vs 200 ms predicted compile: exact is out, and
         // the 5 ms effective budget buys 2 500 samples.
         let q = Query::with_deadline(QueryKind::Wmc, Duration::from_millis(10));
-        match router.route(&q, &t) {
+        match idle_route(&router, &q, &t) {
             Route::Approx { samples } => assert_eq!(samples, 2500),
             other => panic!("expected approx, got {other:?}"),
         }
-        assert_eq!(router.stats().deadline_fallbacks, 1);
     }
 
     #[test]
     fn sub_microsecond_deadlines_reach_the_prediction_net() {
-        let mut router = QueryRouter::default();
+        let router = QueryRouter::default();
         let q = Query::with_deadline(
             QueryKind::Posterior(Evidence::empty(4)),
             Duration::from_nanos(500),
         );
-        assert_eq!(router.route(&q, &hot_telemetry()), Route::Predicted);
+        assert_eq!(idle_route(&router, &q, &hot_telemetry()), Route::Predicted);
         let t = KbTelemetry { has_predictor: false, ..hot_telemetry() };
-        match router.route(&q, &t) {
+        match idle_route(&router, &q, &t) {
             Route::Approx { samples } => {
                 assert_eq!(samples, MIN_APPROX_SAMPLES);
             }
@@ -433,23 +438,23 @@ mod tests {
 
     #[test]
     fn distribution_queries_never_degrade() {
-        let mut router = QueryRouter::default();
+        let router = QueryRouter::default();
         let t = KbTelemetry { compiled: false, ..hot_telemetry() };
         let q = Query::with_deadline(
             QueryKind::Marginal(Evidence::empty(4), 0),
             Duration::from_nanos(100),
         );
-        assert_eq!(router.route(&q, &t), Route::Exact);
+        assert_eq!(idle_route(&router, &q, &t), Route::Exact);
         let m = Query::with_deadline(QueryKind::Mpe(Evidence::empty(4)), Duration::from_nanos(100));
-        assert_eq!(router.route(&m, &t), Route::Exact);
+        assert_eq!(idle_route(&router, &m, &t), Route::Exact);
     }
 
     #[test]
     fn sample_budgets_are_capped() {
-        let mut router = QueryRouter::default();
+        let router = QueryRouter::default();
         let t = KbTelemetry { compiled: false, sample_s: 1e-9, ..hot_telemetry() };
         let q = Query::with_deadline(QueryKind::Wmc, Duration::from_millis(100));
-        match router.route(&q, &t) {
+        match idle_route(&router, &q, &t) {
             Route::Approx { samples } => {
                 assert_eq!(samples, RouterConfig::default().max_approx_samples);
             }
@@ -464,12 +469,12 @@ mod tests {
         // 100 ns deadline, 2 µs/sample: the fitted budget truncates to
         // 0 and the floor answers with the minimum worthwhile budget.
         let q = Query::with_deadline(QueryKind::Wmc, Duration::from_nanos(100));
-        assert_eq!(QueryRouter::default().route(&q, &t), Route::Approx { samples: 512 });
+        assert_eq!(idle_route(&QueryRouter::default(), &q, &t), Route::Approx { samples: 512 });
         // A degenerate zero *cap* cannot produce a zero-sample budget
         // (a silent non-answer) either: it clamps to one sample.
-        let mut capped = QueryRouter::new(RouterConfig { max_approx_samples: 0 });
+        let capped = QueryRouter::new(RouterConfig { max_approx_samples: 0 });
         let lax = Query::with_deadline(QueryKind::Wmc, Duration::from_millis(10));
-        assert_eq!(capped.route(&lax, &t), Route::Approx { samples: 1 });
+        assert_eq!(idle_route(&capped, &lax, &t), Route::Approx { samples: 1 });
     }
 
     #[test]
@@ -503,13 +508,17 @@ mod tests {
 
     #[test]
     fn admission_is_deterministic_and_matches_route_on_an_idle_shard() {
-        let mut router = QueryRouter::default();
+        let router = QueryRouter::default();
         let t = KbTelemetry { compiled: false, has_predictor: false, ..hot_telemetry() };
         for deadline_ns in [500, 40_000, 10_000_000, 80_000_000] {
             let q = Query::with_deadline(QueryKind::Wmc, Duration::from_nanos(deadline_ns));
             let admitted = router.admit(&q, &t, 0.0);
             assert_eq!(admitted, router.admit(&q, &t, 0.0), "admission must be replayable");
-            assert_eq!(admitted.route(), Some(router.route(&q, &t)), "idle admission ≡ routing");
+            assert_eq!(
+                admitted.route(),
+                Some(idle_route(&router, &q, &t)),
+                "idle admission ≡ routing"
+            );
         }
     }
 

@@ -207,7 +207,7 @@ impl CircuitStore {
     /// `store_insertions_total` / `store_evictions_total` counters and
     /// the `store_entries` / `store_bytes` occupancy gauges, all tagged
     /// with `labels` (the serving layers pass `shard`).
-    pub fn attach_telemetry(&mut self, tel: &Telemetry, labels: &[(&str, &str)]) {
+    pub(crate) fn attach_telemetry(&mut self, tel: &Telemetry, labels: &[(&str, &str)]) {
         let metrics = StoreMetrics::new(tel, labels);
         metrics.entries.set(self.entries.len() as f64);
         metrics.bytes.set(self.bytes as f64);
@@ -219,11 +219,6 @@ impl CircuitStore {
             m.entries.set(self.entries.len() as f64);
             m.bytes.set(self.bytes as f64);
         }
-    }
-
-    /// The store's bounds.
-    pub fn config(&self) -> StoreConfig {
-        self.config
     }
 
     /// Looks an artifact up, counting the hit/miss and refreshing the
@@ -330,12 +325,14 @@ impl CircuitStore {
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// `true` when nothing is stored.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 

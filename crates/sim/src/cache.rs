@@ -15,17 +15,17 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// A 128 KiB, 128 B-line, 4-way L1 (the paper's simulated GPU L1).
-    pub fn gpu_l1() -> Self {
+    pub(crate) fn gpu_l1() -> Self {
         CacheConfig { capacity_bytes: 128 * 1024, line_bytes: 128, ways: 4 }
     }
 
     /// A 2 MiB, 128 B-line, 16-way L2.
-    pub fn gpu_l2() -> Self {
+    pub(crate) fn gpu_l2() -> Self {
         CacheConfig { capacity_bytes: 2 * 1024 * 1024, line_bytes: 128, ways: 16 }
     }
 
     /// Number of sets.
-    pub fn num_sets(&self) -> usize {
+    fn num_sets(&self) -> usize {
         self.capacity_bytes / (self.line_bytes * self.ways)
     }
 }
@@ -41,7 +41,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Hit rate in `[0, 1]` (1 when no accesses occurred).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             1.0
@@ -66,24 +66,19 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero sets or ways).
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         assert!(config.ways >= 1, "need at least one way");
         assert!(config.num_sets() >= 1, "capacity too small for geometry");
         Cache { config, sets: vec![Vec::new(); config.num_sets()], stats: CacheStats::default() }
     }
 
-    /// The geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Counters so far.
-    pub fn stats(&self) -> &CacheStats {
+    pub(crate) fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
     /// Touches a byte address; returns `true` on hit.
-    pub fn access(&mut self, address: u64) -> bool {
+    pub(crate) fn access(&mut self, address: u64) -> bool {
         let line = address / self.config.line_bytes as u64;
         let set = (line % self.sets.len() as u64) as usize;
         let tag = line / self.sets.len() as u64;
@@ -102,7 +97,8 @@ impl Cache {
     }
 
     /// Runs a whole trace, returning the stats delta.
-    pub fn run(&mut self, addresses: &[u64]) -> CacheStats {
+    #[cfg(test)]
+    fn run(&mut self, addresses: &[u64]) -> CacheStats {
         let before = self.stats;
         for &a in addresses {
             self.access(a);

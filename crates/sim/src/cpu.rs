@@ -37,7 +37,7 @@ impl CpuModel {
     }
 
     /// Runs one kernel.
-    pub fn run(&self, kernel: &KernelProfile) -> CpuReport {
+    fn run(&self, kernel: &KernelProfile) -> CpuReport {
         // Parallel efficiency per class: neural vectorizes, symbolic and
         // probabilistic kernels mostly do not (paper: <5%).
         let efficiency = match kernel.class {

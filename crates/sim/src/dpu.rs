@@ -32,7 +32,7 @@ impl DpuModel {
     }
 
     /// Peak op/s across tree nodes.
-    pub fn peak_ops(&self) -> f64 {
+    fn peak_ops(&self) -> f64 {
         self.nodes as f64 * self.clock_hz
     }
 

@@ -20,17 +20,6 @@ pub enum KernelClass {
     Probabilistic,
 }
 
-impl KernelClass {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelClass::Neural => "neural",
-            KernelClass::Symbolic => "symbolic",
-            KernelClass::Probabilistic => "probabilistic",
-        }
-    }
-}
-
 /// A device-independent kernel description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelProfile {
@@ -52,7 +41,7 @@ pub struct KernelProfile {
 
 impl KernelProfile {
     /// Operational intensity in FLOPS/byte (the roofline x-axis).
-    pub fn operational_intensity(&self) -> f64 {
+    pub(crate) fn operational_intensity(&self) -> f64 {
         if self.bytes == 0.0 {
             0.0
         } else {
@@ -76,7 +65,7 @@ impl KernelProfile {
     }
 
     /// Row-wise softmax over an `n × n` activation block.
-    pub fn softmax(n: usize) -> Self {
+    fn softmax(n: usize) -> Self {
         let elems = (n as f64).powi(2);
         KernelProfile {
             name: format!("Softmax{n}"),

@@ -19,27 +19,18 @@ pub struct AccessTrace {
 
 impl AccessTrace {
     /// Wraps raw addresses.
-    pub fn new(addresses: Vec<u64>) -> Self {
+    #[cfg(test)]
+    fn new(addresses: Vec<u64>) -> Self {
         AccessTrace { addresses }
     }
 
-    /// Number of accesses.
-    pub fn len(&self) -> usize {
-        self.addresses.len()
-    }
-
-    /// `true` when the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.addresses.is_empty()
-    }
-
     /// A sequential streaming trace (`count` accesses of `stride` bytes).
-    pub fn streaming(count: usize, stride: u64) -> Self {
+    pub(crate) fn streaming(count: usize, stride: u64) -> Self {
         AccessTrace { addresses: (0..count as u64).map(|i| i * stride).collect() }
     }
 
     /// A uniformly random scatter over `footprint_bytes`.
-    pub fn scattered(count: usize, footprint_bytes: u64, seed: u64) -> Self {
+    pub(crate) fn scattered(count: usize, footprint_bytes: u64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         AccessTrace {
             addresses: (0..count).map(|_| rng.gen_range(0..footprint_bytes) & !3).collect(),
@@ -49,7 +40,12 @@ impl AccessTrace {
     /// A pointer-chasing walk with short runs: `run_len` sequential words
     /// then a random jump — the watch-list / linked-list pattern of logic
     /// kernels.
-    pub fn pointer_chasing(count: usize, footprint_bytes: u64, run_len: usize, seed: u64) -> Self {
+    pub(crate) fn pointer_chasing(
+        count: usize,
+        footprint_bytes: u64,
+        run_len: usize,
+        seed: u64,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut addresses = Vec::with_capacity(count);
         let mut cur = rng.gen_range(0..footprint_bytes) & !3;
@@ -69,7 +65,7 @@ impl AccessTrace {
     /// memory transactions (1) to the 128-byte lines actually touched.
     /// Streaming word accesses approach 1.0; random scatters approach
     /// 1/32.
-    pub fn coalescing_factor(&self) -> f64 {
+    pub(crate) fn coalescing_factor(&self) -> f64 {
         if self.addresses.is_empty() {
             return 1.0;
         }
@@ -86,7 +82,8 @@ impl AccessTrace {
     }
 
     /// Unique bytes touched (footprint), assuming 4-byte words.
-    pub fn footprint_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn footprint_bytes(&self) -> u64 {
         let mut words: Vec<u64> = self.addresses.iter().map(|a| a / 4).collect();
         words.sort_unstable();
         words.dedup();

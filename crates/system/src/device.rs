@@ -59,14 +59,6 @@ impl ExecuteOutcome {
             ExecuteOutcome::Dag { report, .. } => report.cycles,
         }
     }
-
-    /// Energy consumed in joules.
-    pub fn energy_j(&self) -> f64 {
-        match self {
-            ExecuteOutcome::Symbolic { report, .. } => report.energy.total_j(),
-            ExecuteOutcome::Dag { report, .. } => report.energy.total_j(),
-        }
-    }
 }
 
 /// The co-processor device model.
@@ -89,13 +81,9 @@ impl ReasonDevice {
     }
 
     /// The architecture configuration.
-    pub fn config(&self) -> &ArchConfig {
+    #[cfg(test)]
+    fn config(&self) -> &ArchConfig {
         &self.config
-    }
-
-    /// The device's virtual clock, in cycles.
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// `REASON_execute` for DAG-mode kernels: reads the batch's neural
@@ -179,7 +167,6 @@ mod tests {
         let outcome = dev.execute_dag(3, &kernel);
         assert_eq!(shm.wait_symbolic(3), vec![42.0]);
         assert!(outcome.cycles() > 0);
-        assert!(outcome.energy_j() > 0.0);
     }
 
     #[test]

@@ -186,7 +186,8 @@ pub struct BatchTask {
 
 impl BatchTask {
     /// The same task carrying a dispatch deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+    #[cfg(test)]
+    fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
     }
@@ -310,7 +311,7 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// The measured per-task stage costs, in submission order.
-    pub fn stage_costs(&self) -> Vec<StageCost> {
+    fn stage_costs(&self) -> Vec<StageCost> {
         self.results
             .iter()
             .map(|r| StageCost { neural_s: r.neural_s, symbolic_s: r.symbolic_s })
@@ -354,11 +355,6 @@ impl BatchExecutor {
     /// An executor with the given pool shape.
     pub fn new(config: ExecutorConfig) -> Self {
         BatchExecutor { config }
-    }
-
-    /// The pool shape.
-    pub fn config(&self) -> ExecutorConfig {
-        self.config
     }
 
     /// Executes every task and reports per-task verdicts plus the
@@ -766,12 +762,7 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
 pub fn demo_approx_config(seed: u64) -> ApproxConfig {
     ApproxConfig {
         sampling: reason_approx::SampleConfig { samples: 2048, checkpoint: 256, seed },
-        adapt: reason_approx::AdaptConfig {
-            rounds: 4,
-            batch: 256,
-            components: 4,
-            ..reason_approx::AdaptConfig::default()
-        },
+        adapt: reason_approx::AdaptConfig { rounds: 4, batch: 256, components: 4 },
         ..ApproxConfig::default()
     }
 }

@@ -48,7 +48,7 @@ impl PipelineReport {
     /// scheduling overhead that the per-stage sums exclude.
     ///
     /// An empty schedule (`serial_s == 0`) reports a gain of `0`.
-    pub fn overlap_gain(&self) -> f64 {
+    pub(crate) fn overlap_gain(&self) -> f64 {
         if self.serial_s == 0.0 {
             0.0
         } else {
@@ -64,7 +64,7 @@ impl PipelineReport {
     ///   — gauge, seconds;
     /// * `pipeline_overlap_gain{schedule}` — gauge, dimensionless
     ///   fraction of the serial makespan hidden by the overlap
-    ///   (see [`overlap_gain`](Self::overlap_gain): `0.5` means a 2x
+    ///   (see `overlap_gain`: `0.5` means a 2x
     ///   speedup, **not** 50 "percent faster");
     /// * `pipeline_tasks{schedule}` — gauge, task count.
     ///

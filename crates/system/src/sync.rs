@@ -48,7 +48,7 @@ impl SharedMemory {
 
     /// Device side: consumes neural results if ready (`neural_ready`
     /// poll + fetch).
-    pub fn take_neural(&self, batch: u64) -> Option<Vec<f64>> {
+    pub(crate) fn take_neural(&self, batch: u64) -> Option<Vec<f64>> {
         let (lock, _) = &*self.inner;
         lock.lock().slots.get_mut(&batch).and_then(|s| s.neural.take())
     }
@@ -68,7 +68,7 @@ impl SharedMemory {
 
     /// Device side: publishes symbolic results and raises
     /// `symbolic_ready`.
-    pub fn publish_symbolic(&self, batch: u64, data: Vec<f64>) {
+    pub(crate) fn publish_symbolic(&self, batch: u64, data: Vec<f64>) {
         let (lock, cv) = &*self.inner;
         lock.lock().slots.entry(batch).or_default().symbolic = Some(data);
         cv.notify_all();

@@ -28,7 +28,7 @@ pub struct WallClock {
 
 impl WallClock {
     /// A wall clock whose epoch is "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WallClock { epoch: Instant::now() }
     }
 }
@@ -56,7 +56,7 @@ pub struct VirtualClock {
 
 impl VirtualClock {
     /// A virtual clock starting at `t = 0`.
-    pub fn new() -> Self {
+    fn new() -> Self {
         VirtualClock { bits: AtomicU64::new(0f64.to_bits()) }
     }
 

@@ -90,7 +90,7 @@ impl Gauge {
     }
 
     /// The current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -363,7 +363,8 @@ impl MetricsRegistry {
     }
 
     /// Distinct series currently registered.
-    pub fn series_count(&self) -> usize {
+    #[cfg(test)]
+    fn series_count(&self) -> usize {
         self.inner.lock().expect("registry lock").series_count()
     }
 

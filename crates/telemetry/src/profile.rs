@@ -142,7 +142,8 @@ impl Profile {
     }
 
     /// The folded stacks in lexicographic order.
-    pub fn stacks(&self) -> impl Iterator<Item = (&[String], StackWeight)> {
+    #[cfg(test)]
+    fn stacks(&self) -> impl Iterator<Item = (&[String], StackWeight)> {
         self.stacks.iter().map(|(k, &v)| (k.as_slice(), v))
     }
 

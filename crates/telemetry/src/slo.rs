@@ -58,7 +58,7 @@ pub enum Objective {
 
 impl Objective {
     /// The cumulative `(bad, total)` counts in a registry snapshot.
-    pub fn measure(&self, snapshot: &[MetricSnapshot]) -> (u64, u64) {
+    fn measure(&self, snapshot: &[MetricSnapshot]) -> (u64, u64) {
         match self {
             Objective::CounterRatio { bad, total } => {
                 let sum_of = |names: &[String]| -> u64 {
@@ -215,11 +215,6 @@ impl SloMonitor {
             active: None,
         };
         self.specs.push(state);
-    }
-
-    /// The installed specs.
-    pub fn specs(&self) -> impl Iterator<Item = &SloSpec> {
-        self.specs.iter().map(|s| &s.spec)
     }
 
     /// Samples the registry at time `t` (nondecreasing across calls)

@@ -127,18 +127,14 @@ impl Tracer {
         Tracer { clock, state: Arc::new(Mutex::new(TraceState::default())) }
     }
 
-    /// The injected clock.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
     /// The clock's current time in seconds.
-    pub fn now_s(&self) -> f64 {
+    pub(crate) fn now_s(&self) -> f64 {
         self.clock.now_s()
     }
 
     /// Opens a span on track 0. Closes when the guard drops.
-    pub fn span(&self, name: &str) -> SpanGuard {
+    #[cfg(test)]
+    pub(crate) fn span(&self, name: &str) -> SpanGuard {
         self.span_on(0, name, &[])
     }
 

@@ -72,7 +72,7 @@ pub fn prefix_and_keyword_dfa(prefix: &[usize], keyword: &[usize], num_symbols: 
 
 impl CtrlG {
     /// Generates a task.
-    pub fn generate(&self, spec: &TaskSpec) -> InfillTask {
+    fn generate(&self, spec: &TaskSpec) -> InfillTask {
         let mut rng =
             StdRng::seed_from_u64(spec.seed.wrapping_mul(0xC0FF_EE00_DEAD_BEEF).wrapping_add(7));
         let f = spec.scale.factor();

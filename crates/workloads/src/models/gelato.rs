@@ -34,7 +34,7 @@ pub struct GenerationTask {
 
 impl GeLaTo {
     /// Generates a task.
-    pub fn generate(&self, spec: &TaskSpec) -> GenerationTask {
+    fn generate(&self, spec: &TaskSpec) -> GenerationTask {
         let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0xD6E8_FEB8_6659_FD93));
         let f = spec.scale.factor();
         let states = 4 + 2 * f;

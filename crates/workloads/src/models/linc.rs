@@ -41,7 +41,7 @@ impl Linc {
     /// Generates a task: a predicate chain `p0 → p1 → … → pk` over a
     /// constant, universally quantified, with distractor rules about
     /// other predicates.
-    pub fn generate(&self, spec: &TaskSpec) -> FolTask {
+    fn generate(&self, spec: &TaskSpec) -> FolTask {
         let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0xFEED_FACE_CAFE_BEEF));
         let chain = 3 + spec.scale.factor();
         let entailed = rng.gen_bool(0.5);

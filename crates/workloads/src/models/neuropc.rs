@@ -40,7 +40,7 @@ impl NeuroPc {
     pub const CLASSES: usize = 4;
 
     /// Generates a task.
-    pub fn generate(&self, spec: &TaskSpec) -> ClassifyTask {
+    fn generate(&self, spec: &TaskSpec) -> ClassifyTask {
         let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0xBADC_0FFE_E0DD_F00D));
         let attributes = 6 + 2 * spec.scale.factor();
         let batch = 12;

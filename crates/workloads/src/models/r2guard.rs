@@ -47,7 +47,7 @@ impl R2Guard {
     ///
     /// Panics only if the generated rule set is unsatisfiable, which the
     /// construction prevents (every clause contains a positive literal).
-    pub fn generate(&self, spec: &TaskSpec) -> GuardTask {
+    fn generate(&self, spec: &TaskSpec) -> GuardTask {
         let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0xA24B_AED4_963E_E407));
         let categories = 6 + 2 * spec.scale.factor();
         let num_rules = 5 * spec.scale.factor();

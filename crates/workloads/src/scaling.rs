@@ -36,7 +36,7 @@ pub enum TaskFamily {
 
 impl TaskFamily {
     /// Difficulty parameter for the accuracy proxy.
-    pub fn difficulty(self) -> f64 {
+    fn difficulty(self) -> f64 {
         match self {
             TaskFamily::ComplexReasoning => 2.6,
             TaskFamily::MathReasoning => 2.2,

@@ -6,9 +6,10 @@
 //! examples need different values for it (the simplicity guide's rule
 //! for a justified option).
 
-use reason::approx::ApproxConfig;
+use reason::approx::{AdaptConfig, ApproxConfig, PredictConfig, SampleConfig};
 use reason::core::PipelineConfig;
 use reason::pc::CompileOptions;
+use reason::sat::preprocess::PreprocessConfig;
 use reason::sat::CubeConfig;
 use reason::serve::{ClusterConfig, RouterConfig, ServeConfig, StoreConfig};
 use reason::system::ExecutorConfig;
@@ -48,6 +49,30 @@ const CENSUS: &[(&str, &str, &str)] = &[
     ("ApproxConfig", "method", "serve engine.rs MonteCarlo | default Importance"),
     ("ApproxConfig", "sampling", "serve engine.rs deadline-fitted | bench approx.rs 2048 per var"),
     ("ApproxConfig", "adapt", "system demo_approx_config 4 rounds | default"),
+    ("SampleConfig", "samples", "serve engine.rs deadline-fitted | bench approx.rs 2048 per var"),
+    ("SampleConfig", "checkpoint", "serve engine.rs samples/8 | bench approx.rs samples/16"),
+    ("SampleConfig", "seed", "serve engine.rs approx_seed | system demo_approx_config per task"),
+    ("AdaptConfig", "rounds", "system demo_approx_config 4 | default 10"),
+    ("AdaptConfig", "batch", "system demo_approx_config 256 | default 1024"),
+    ("AdaptConfig", "components", "system demo_approx_config 4 | default 8"),
+    ("PredictConfig", "queries", "bench replay.rs sweep_predictor 128 | default 512"),
+    ("PredictConfig", "epochs", "bench replay.rs sweep_predictor 150 | default 600"),
+    ("PredictConfig", "hidden", "bench replay.rs sweep_predictor 16 | default 32"),
+    (
+        "PreprocessConfig",
+        "pure_literals",
+        "one value (true); ROADMAP item 6's count-preserving mode turns it off",
+    ),
+    (
+        "PreprocessConfig",
+        "equivalences",
+        "one value (true); ROADMAP item 6's counting mode folds substitutions back",
+    ),
+    (
+        "PreprocessConfig",
+        "failed_literals",
+        "one value (true); ROADMAP item 6's counting mode folds them back",
+    ),
 ];
 
 #[test]
@@ -65,6 +90,13 @@ fn every_public_config_field_is_in_the_census() {
         fields!(CompileOptions { order, cache, telemetry } = CompileOptions::default()),
         fields!(PipelineConfig { prune, regularize } = PipelineConfig::default()),
         fields!(ApproxConfig { method, sampling, adapt } = ApproxConfig::default()),
+        fields!(SampleConfig { samples, checkpoint, seed } = SampleConfig::default()),
+        fields!(AdaptConfig { rounds, batch, components } = AdaptConfig::default()),
+        fields!(PredictConfig { queries, epochs, hidden } = PredictConfig::default()),
+        fields!(
+            PreprocessConfig { pure_literals, equivalences, failed_literals } =
+                PreprocessConfig::default()
+        ),
     ];
     let found: Vec<(&str, &str)> = structs
         .iter()
@@ -72,6 +104,6 @@ fn every_public_config_field_is_in_the_census() {
         .collect();
     let listed: Vec<(&str, &str)> = CENSUS.iter().map(|&(ty, field, _)| (ty, field)).collect();
     assert_eq!(found, listed, "CENSUS must list every field, in declaration order");
-    assert_eq!(found.len(), 22, "a knob was added or removed: update the count with the table");
+    assert_eq!(found.len(), 34, "a knob was added or removed: update the count with the table");
     assert!(CENSUS.iter().all(|(_, _, differs)| !differs.is_empty()));
 }
