@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::energy::TechNode;
+use crate::mem::MAX_LOCATIONS;
 
 /// REASON architecture parameters.
 ///
@@ -119,12 +120,18 @@ impl ArchConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or `num_banks` is not a power of
-    /// two (the Benes network requires it).
+    /// Panics if any parameter is zero, `num_banks` is not a power of
+    /// two (the Benes network requires it), or `num_banks` or
+    /// `regs_per_bank` exceeds 65,536 (a register location is a 16-bit
+    /// bank and a 16-bit address).
     pub fn validate(&self) {
         assert!(self.tree_depth >= 1, "tree depth must be at least 1");
         assert!(self.num_banks.is_power_of_two(), "bank count must be a power of two");
         assert!(self.regs_per_bank >= 1, "need at least one register per bank");
+        assert!(
+            self.num_banks <= MAX_LOCATIONS && self.regs_per_bank <= MAX_LOCATIONS,
+            "at most {MAX_LOCATIONS} banks of {MAX_LOCATIONS} registers fit 16-bit locations"
+        );
         assert!(self.num_pes >= 1, "need at least one PE");
         assert!(self.freq_mhz > 0, "frequency must be positive");
     }
@@ -169,6 +176,32 @@ mod tests {
         let c = ArchConfig::paper();
         assert_eq!(c.pipeline_depth(), 5);
         assert_eq!(c.regfile_words(), 64 * 32);
+    }
+
+    /// Register 65,536 of a 65,537-register bank would be `BankAddr`
+    /// address 0 once truncated to 16 bits, silently overwriting it.
+    #[test]
+    #[should_panic(expected = "16-bit locations")]
+    fn rejects_banks_deeper_than_a_16_bit_address() {
+        let mut c = ArchConfig::paper();
+        c.regs_per_bank = 65_537;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit locations")]
+    fn rejects_more_banks_than_a_16_bit_index() {
+        let mut c = ArchConfig::paper();
+        c.num_banks = 1 << 17;
+        c.validate();
+    }
+
+    #[test]
+    fn accepts_the_largest_16_bit_register_file() {
+        let mut c = ArchConfig::paper();
+        c.num_banks = 1 << 16;
+        c.regs_per_bank = 1 << 16;
+        c.validate();
     }
 
     #[test]

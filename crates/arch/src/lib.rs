@@ -51,4 +51,4 @@ pub use energy::{EnergyEvents, EnergyModel, EnergyReport, TechNode};
 pub use mem::{BankAddr, MemoryStats, RegisterBanks};
 pub use noc::{broadcast_latency_cycles, noc_latency_breakdown, NocTopology};
 pub use tree::{TreeEngine, TreeOp};
-pub use vliw::{BlockNode, BlockOperand, ExecutionReport, VliwExecutor, VliwInstr, VliwProgram};
+pub use vliw::{BlockNode, BlockOperand, ExecutionReport, Instruction, VliwExecutor, VliwProgram};

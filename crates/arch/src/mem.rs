@@ -5,9 +5,16 @@
 //! Sec. V-C). The register-file model tracks per-cycle port conflicts
 //! (the quantity the compiler's conflict-aware bank mapping minimizes)
 //! and implements the automatic lowest-free write-address policy the
-//! paper describes.
+//! paper describes, on a bitmask of one bit per register: the lowest free
+//! address of a bank is the `trailing_ones` of its first word that is not
+//! full. A register location is a 16-bit bank and a 16-bit address, so a
+//! register file has at most 65,536 banks of 65,536 registers.
 
 use serde::{Deserialize, Serialize};
+
+/// Banks in a register file, and registers in a bank, that a
+/// [`BankAddr`] can name: each field is a `u16`.
+pub(crate) const MAX_LOCATIONS: usize = 1 << 16;
 
 /// A (bank, address) register-file location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -19,8 +26,12 @@ pub struct BankAddr {
 }
 
 impl BankAddr {
-    /// Creates a location.
+    /// Creates a location. A register file has at most
+    /// [`MAX_LOCATIONS`] banks of at most as many registers (checked by
+    /// [`ArchConfig::validate`](crate::ArchConfig::validate) and
+    /// [`RegisterBanks::new`]), so neither index truncates.
     pub(crate) fn new(bank: usize, addr: usize) -> Self {
+        debug_assert!(bank < MAX_LOCATIONS && addr < MAX_LOCATIONS);
         BankAddr { bank: bank as u16, addr: addr as u16 }
     }
 }
@@ -43,19 +54,28 @@ pub struct MemoryStats {
 /// The banked register file with dual-port banks and automatic write
 /// addressing.
 ///
-/// Registers live in one bank-major array (`bank * regs_per_bank +
-/// addr`). The live count of every bank and their sum are kept up to
-/// date by [`alloc_write`](Self::alloc_write),
-/// `write_at` and [`free`](Self::free), so register
-/// pressure is read off in O(1) instead of recounted from the bitmap.
+/// Register values live in one bank-major array (`bank * regs_per_bank +
+/// addr`). Occupancy is a bitmask: each bank owns
+/// `regs_per_bank.div_ceil(64)` `u64` words, bit `a % 64` of word
+/// `a / 64` set while address `a` holds a live value, and the bits past
+/// `regs_per_bank` in a bank's last word preset to occupied. The lowest
+/// free address of a bank is therefore the `trailing_ones` of its first
+/// word that is not all ones, and a full bank has none. The live count of
+/// every bank and their sum are kept up to date by
+/// [`alloc_write`](Self::alloc_write), `write_at` and
+/// [`free`](Self::free), so register pressure is read off in O(1)
+/// instead of recounted from the bitmask. The compiler's allocator mirror
+/// and the executor both run this one structure, so the write addresses
+/// the compiler predicts are the ones the hardware model picks.
 #[derive(Debug, Clone)]
 pub struct RegisterBanks {
     num_banks: usize,
     regs_per_bank: usize,
     values: Vec<f64>,
-    /// Occupancy bitmap, same layout as `values`.
-    occupied: Vec<bool>,
-    /// Set bits of `occupied` per bank.
+    /// Occupancy bits, `words_per_bank` words per bank, bank-major.
+    occupied: Vec<u64>,
+    words_per_bank: usize,
+    /// Live registers per bank.
     live: Vec<usize>,
     /// Sum of `live`.
     live_total: usize,
@@ -67,12 +87,32 @@ pub struct RegisterBanks {
 
 impl RegisterBanks {
     /// Creates an empty register file.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension exceeds 65,536 (`MAX_LOCATIONS`), past which a
+    /// [`BankAddr`] would truncate.
     pub fn new(num_banks: usize, regs_per_bank: usize) -> Self {
+        assert!(
+            num_banks <= MAX_LOCATIONS && regs_per_bank <= MAX_LOCATIONS,
+            "a register file has at most {MAX_LOCATIONS} banks of {MAX_LOCATIONS} registers"
+        );
+        let words_per_bank = regs_per_bank.div_ceil(64);
+        let mut occupied = vec![0u64; num_banks * words_per_bank];
+        let spare = words_per_bank * 64 - regs_per_bank;
+        if spare > 0 {
+            // The addresses past the bank's end read as occupied forever.
+            let padding = !0u64 << (64 - spare);
+            for bank in 0..num_banks {
+                occupied[(bank + 1) * words_per_bank - 1] = padding;
+            }
+        }
         RegisterBanks {
             num_banks,
             regs_per_bank,
             values: vec![0.0; num_banks * regs_per_bank],
-            occupied: vec![false; num_banks * regs_per_bank],
+            occupied,
+            words_per_bank,
             live: vec![0; num_banks],
             live_total: 0,
             port_reads: vec![0; num_banks],
@@ -86,12 +126,7 @@ impl RegisterBanks {
         &self.stats
     }
 
-    /// The occupancy bits of one bank.
-    fn bank_bits(&self, bank: usize) -> &[bool] {
-        &self.occupied[bank * self.regs_per_bank..(bank + 1) * self.regs_per_bank]
-    }
-
-    /// Index of `at` in the bank-major arrays.
+    /// Index of `at` in the bank-major value array.
     ///
     /// # Panics
     ///
@@ -103,13 +138,20 @@ impl RegisterBanks {
         at.bank as usize * self.regs_per_bank + at.addr as usize
     }
 
+    /// The occupancy word and bit of an in-range location.
+    fn bit(&self, at: BankAddr) -> (usize, u64) {
+        let addr = at.addr as usize;
+        (at.bank as usize * self.words_per_bank + addr / 64, 1 << (addr % 64))
+    }
+
     /// Marks `at` occupied or free and returns its index, keeping the
-    /// live counts equal to the bitmap whatever the register held before.
+    /// live counts equal to the bitmask whatever the register held before.
     fn set_occupied(&mut self, at: BankAddr, occupied: bool) -> usize {
         let slot = self.slot(at);
         let bank = at.bank as usize;
-        if self.occupied[slot] != occupied {
-            self.occupied[slot] = occupied;
+        let (word, bit) = self.bit(at);
+        if (self.occupied[word] & bit != 0) != occupied {
+            self.occupied[word] ^= bit;
             if occupied {
                 self.live[bank] += 1;
                 self.live_total += 1;
@@ -118,9 +160,18 @@ impl RegisterBanks {
                 self.live_total -= 1;
             }
         }
-        debug_assert_eq!(self.live[bank], self.bank_bits(bank).iter().filter(|&&o| o).count());
+        debug_assert_eq!(
+            self.live[bank],
+            self.bank_words(bank).iter().map(|w| w.count_ones() as usize).sum::<usize>()
+                - (self.words_per_bank * 64 - self.regs_per_bank)
+        );
         debug_assert_eq!(self.live_total, self.live.iter().sum::<usize>());
         slot
+    }
+
+    /// The occupancy words of one bank.
+    fn bank_words(&self, bank: usize) -> &[u64] {
+        &self.occupied[bank * self.words_per_bank..(bank + 1) * self.words_per_bank]
     }
 
     /// Writes `value` at the lowest free address of `bank` (the paper's
@@ -138,15 +189,17 @@ impl RegisterBanks {
     }
 
     /// Predicts the location [`alloc_write`](Self::alloc_write) would use
-    /// for `bank` without performing the write — the compiler-side mirror
-    /// of automatic write addressing.
+    /// for `bank` without performing the write: the first word that is
+    /// not all ones, at its lowest clear bit.
     ///
     /// # Panics
     ///
     /// Panics if the bank is out of range.
     fn peek_write_addr(&self, bank: usize) -> Option<BankAddr> {
         assert!(bank < self.num_banks, "bank out of range");
-        self.bank_bits(bank).iter().position(|&o| !o).map(|addr| BankAddr::new(bank, addr))
+        let words = self.bank_words(bank);
+        let w = words.iter().position(|&word| word != u64::MAX)?;
+        Some(BankAddr::new(bank, 64 * w + words[w].trailing_ones() as usize))
     }
 
     /// Writes to an explicit location (program loads, spill restores).
@@ -167,7 +220,8 @@ impl RegisterBanks {
     /// Panics on out-of-range or unoccupied locations.
     pub(crate) fn read(&mut self, at: BankAddr) -> f64 {
         let slot = self.slot(at);
-        assert!(self.occupied[slot], "read of unwritten register {at:?}");
+        let (word, bit) = self.bit(at);
+        assert!(self.occupied[word] & bit != 0, "read of unwritten register {at:?}");
         self.stats.reads += 1;
         self.values[slot]
     }
@@ -244,6 +298,98 @@ impl Default for DmaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Bank depths around the 64-register word boundaries.
+    const DEPTHS: [usize; 7] = [1, 31, 32, 63, 64, 65, 130];
+
+    /// The occupancy model the bitmask replaced: one `bool` per register,
+    /// the lowest free address found by a scan.
+    struct Reference {
+        regs_per_bank: usize,
+        occupied: Vec<bool>,
+    }
+
+    impl Reference {
+        fn bank(&self, bank: usize) -> &[bool] {
+            &self.occupied[bank * self.regs_per_bank..(bank + 1) * self.regs_per_bank]
+        }
+
+        fn lowest_free(&self, bank: usize) -> Option<usize> {
+            self.bank(bank).iter().position(|&o| !o)
+        }
+
+        fn set(&mut self, bank: usize, addr: usize, occupied: bool) {
+            self.occupied[bank * self.regs_per_bank + addr] = occupied;
+        }
+
+        fn live(&self, bank: usize) -> usize {
+            self.bank(bank).iter().filter(|&&o| o).count()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bitmask_matches_the_bool_per_register_reference(
+            depth in 0usize..DEPTHS.len(),
+            ops in prop::collection::vec((0u8..4, 0usize..3, 0usize..256), 0..600),
+        ) {
+            let (num_banks, regs_per_bank) = (3, DEPTHS[depth]);
+            let mut rf = RegisterBanks::new(num_banks, regs_per_bank);
+            let mut reference =
+                Reference { regs_per_bank, occupied: vec![false; num_banks * regs_per_bank] };
+            for (kind, bank, addr) in ops {
+                let addr = addr % regs_per_bank;
+                match kind {
+                    // Allocation is twice as likely, so banks fill up.
+                    0 | 1 => match reference.lowest_free(bank) {
+                        Some(free) => {
+                            prop_assert_eq!(rf.alloc_write(bank, 1.0), BankAddr::new(bank, free));
+                            reference.set(bank, free, true);
+                        }
+                        // `alloc_write` panics exactly when this is `None`.
+                        None => prop_assert_eq!(rf.peek_write_addr(bank), None),
+                    },
+                    2 => {
+                        rf.write_at(BankAddr::new(bank, addr), 2.0);
+                        reference.set(bank, addr, true);
+                    }
+                    _ => {
+                        rf.free(BankAddr::new(bank, addr));
+                        reference.set(bank, addr, false);
+                    }
+                }
+                let live: Vec<usize> = (0..num_banks).map(|b| reference.live(b)).collect();
+                prop_assert_eq!(rf.occupancy(), &live[..]);
+                prop_assert_eq!(rf.live_registers(), live.iter().sum::<usize>());
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_bank_panics_at_every_depth() {
+        for regs_per_bank in DEPTHS {
+            let mut rf = RegisterBanks::new(2, regs_per_bank);
+            for addr in 0..regs_per_bank {
+                assert_eq!(rf.alloc_write(1, 0.0), BankAddr::new(1, addr));
+            }
+            let overflow = catch_unwind(AssertUnwindSafe(|| rf.alloc_write(1, 0.0)));
+            let message = overflow.expect_err("a full bank must refuse the write");
+            let message = message.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains("bank 1 is full"), "{message}");
+            assert_eq!(rf.occupancy(), [0, regs_per_bank]);
+            assert_eq!(rf.alloc_write(0, 0.0), BankAddr::new(0, 0), "bank 0 is untouched");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 banks")]
+    fn a_register_file_past_16_bit_addresses_is_refused() {
+        let _ = RegisterBanks::new(1, MAX_LOCATIONS + 1);
+    }
 
     #[test]
     fn auto_addressing_uses_lowest_free() {

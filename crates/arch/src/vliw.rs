@@ -9,6 +9,13 @@
 //! (paper Sec. V-C). The executor here is both *functional* (it computes
 //! the real values, verified against DAG evaluation) and *timed* (issue
 //! pipelining, RAW hazards, dual-port bank conflicts, energy events).
+//!
+//! A [`VliwProgram`] is a fixed number of flat arrays — every
+//! instruction's reads, nodes and frees back to back with per-instruction
+//! offsets, one write bank and one predicted write per instruction — so
+//! building, cloning, validating and executing one allocates a constant
+//! number of times whatever its length. Instructions are appended with
+//! [`VliwProgram::push`] and read back as borrowed [`Instruction`] views.
 
 use serde::{Deserialize, Serialize};
 
@@ -21,9 +28,9 @@ use crate::tree::TreeOp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BlockOperand {
     /// The `i`-th entry of the instruction's read list.
-    Read(usize),
+    Read(u32),
     /// The result of an earlier node in the same block.
-    Node(usize),
+    Node(u32),
 }
 
 /// One two-input compute node inside a block.
@@ -35,51 +42,46 @@ pub struct BlockNode {
     pub inputs: [BlockOperand; 2],
 }
 
-/// One VLIW instruction: a register read set, a block of tree ops, and a
-/// writeback bank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VliwInstr {
+/// One VLIW instruction, borrowed from its [`VliwProgram`]: a register
+/// read set, a block of tree ops, and a writeback bank.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Instruction<'a> {
     /// Register locations read this issue.
-    pub reads: Vec<BankAddr>,
+    pub reads: &'a [BankAddr],
     /// Block nodes in topological order; the last node is the block root.
-    pub nodes: Vec<BlockNode>,
+    pub nodes: &'a [BlockNode],
     /// Bank receiving the block result (one-bank-one-PE writeback).
     pub write_bank: usize,
     /// Compiler-predicted write location, checked against the hardware's
     /// automatic addressing at runtime.
     pub predicted_write: Option<BankAddr>,
     /// Registers whose live ranges end after this instruction.
-    pub frees: Vec<BankAddr>,
-}
-
-impl VliwInstr {
-    /// The pipeline depth this block needs (longest node chain).
-    fn block_depth(&self) -> usize {
-        let mut depth = vec![0usize; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            let d = node
-                .inputs
-                .iter()
-                .map(|op| match op {
-                    BlockOperand::Read(_) => 0,
-                    BlockOperand::Node(j) => depth[*j] + 1,
-                })
-                .max()
-                .unwrap_or(0);
-            depth[i] = d;
-        }
-        depth.last().map_or(0, |d| d + 1)
-    }
+    pub frees: &'a [BankAddr],
 }
 
 /// A complete program for one kernel.
+///
+/// The instruction stream is flat: one array each of reads, nodes and
+/// frees holding every instruction's entries back to back, with
+/// per-instruction start offsets (instruction `k`'s reads are
+/// `reads[read_starts[k]..read_starts[k + 1]]`), plus one write bank and
+/// one predicted write per instruction. [`push`](Self::push) appends an
+/// instruction and [`instructions`](Self::instructions) lends each back
+/// as an [`Instruction`] view, so a program is a fixed number of arrays
+/// whatever its length, and cloning one clones that many.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VliwProgram {
     /// Values preloaded into the register file before execution
     /// (constants and kernel inputs).
     pub preload: Vec<(BankAddr, f64)>,
-    /// The instruction stream.
-    pub instructions: Vec<VliwInstr>,
+    read_starts: Vec<u32>,
+    reads: Vec<BankAddr>,
+    node_starts: Vec<u32>,
+    nodes: Vec<BlockNode>,
+    free_starts: Vec<u32>,
+    frees: Vec<BankAddr>,
+    write_banks: Vec<u16>,
+    predicted_writes: Vec<Option<BankAddr>>,
     /// Index of the instruction whose result is the kernel output.
     pub output_instr: usize,
     /// Banks in the register file this program was compiled for.
@@ -88,7 +90,84 @@ pub struct VliwProgram {
     pub max_block_depth: usize,
 }
 
+/// Appends `len` to a start-offset array.
+fn push_start(starts: &mut Vec<u32>, len: usize) {
+    starts.push(u32::try_from(len).expect("a program holds fewer than 2^32 entries per field"));
+}
+
+/// The longest range of a start-offset array: the most entries any one
+/// instruction has in that field.
+fn widest(starts: &[u32]) -> usize {
+    starts.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
+}
+
 impl VliwProgram {
+    /// An empty program for a `num_banks`-bank register file whose
+    /// blocks are at most `max_block_depth` deep, with room for
+    /// `instructions` instructions holding `reads`, `nodes` and `frees`
+    /// entries in total. Nothing is preloaded and the output is
+    /// instruction 0 until the caller sets `preload` and `output_instr`.
+    pub fn with_capacity(
+        num_banks: usize,
+        max_block_depth: usize,
+        [instructions, reads, nodes, frees]: [usize; 4],
+    ) -> Self {
+        let starts = || {
+            let mut starts = Vec::with_capacity(instructions + 1);
+            starts.push(0);
+            starts
+        };
+        VliwProgram {
+            preload: Vec::new(),
+            read_starts: starts(),
+            reads: Vec::with_capacity(reads),
+            node_starts: starts(),
+            nodes: Vec::with_capacity(nodes),
+            free_starts: starts(),
+            frees: Vec::with_capacity(frees),
+            write_banks: Vec::with_capacity(instructions),
+            predicted_writes: Vec::with_capacity(instructions),
+            output_instr: 0,
+            num_banks,
+            max_block_depth,
+        }
+    }
+
+    /// Appends an instruction, returning its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `instr.write_bank` does not fit a 16-bit bank index.
+    pub fn push(&mut self, instr: Instruction<'_>) -> usize {
+        let k = self.write_banks.len();
+        self.reads.extend_from_slice(instr.reads);
+        push_start(&mut self.read_starts, self.reads.len());
+        self.nodes.extend_from_slice(instr.nodes);
+        push_start(&mut self.node_starts, self.nodes.len());
+        self.frees.extend_from_slice(instr.frees);
+        push_start(&mut self.free_starts, self.frees.len());
+        self.write_banks.push(u16::try_from(instr.write_bank).expect("a bank index fits 16 bits"));
+        self.predicted_writes.push(instr.predicted_write);
+        k
+    }
+
+    /// Instruction `k`.
+    fn instruction(&self, k: usize) -> Instruction<'_> {
+        let range = |starts: &[u32]| starts[k] as usize..starts[k + 1] as usize;
+        Instruction {
+            reads: &self.reads[range(&self.read_starts)],
+            nodes: &self.nodes[range(&self.node_starts)],
+            write_bank: usize::from(self.write_banks[k]),
+            predicted_write: self.predicted_writes[k],
+            frees: &self.frees[range(&self.free_starts)],
+        }
+    }
+
+    /// The instruction stream in issue order.
+    pub fn instructions(&self) -> impl ExactSizeIterator<Item = Instruction<'_>> {
+        (0..self.write_banks.len()).map(move |k| self.instruction(k))
+    }
+
     /// Static validation against an architecture.
     ///
     /// # Panics
@@ -105,31 +184,42 @@ impl VliwProgram {
             self.max_block_depth,
             config.tree_depth
         );
-        assert!(self.output_instr < self.instructions.len(), "output index out of range");
+        assert!(self.output_instr < self.write_banks.len(), "output index out of range");
         let in_regfile = |at: &BankAddr| {
             (at.bank as usize) < config.num_banks && (at.addr as usize) < config.regs_per_bank
         };
         assert!(self.preload.iter().all(|(at, _)| in_regfile(at)), "preload outside register file");
-        for (k, instr) in self.instructions.iter().enumerate() {
+        // Per node of the instruction being checked: its pipeline depth
+        // (longest node chain ending there); one buffer for the program.
+        let mut depth: Vec<usize> = Vec::with_capacity(widest(&self.node_starts));
+        for (k, instr) in self.instructions().enumerate() {
             assert!(!instr.nodes.is_empty(), "instruction {k} has no nodes");
             assert!(
-                instr.reads.iter().chain(&instr.frees).all(in_regfile),
+                instr.reads.iter().chain(instr.frees).all(in_regfile),
                 "instruction {k} names a location outside the register file"
             );
+            depth.clear();
             for (pos, node) in instr.nodes.iter().enumerate() {
+                let mut d = 0;
                 for op in &node.inputs {
-                    match op {
-                        BlockOperand::Read(i) => {
-                            assert!(*i < instr.reads.len(), "instruction {k} read out of range")
-                        }
-                        BlockOperand::Node(j) => assert!(
-                            *j < pos,
-                            "instruction {k} node {pos} has forward reference to node {j}"
+                    match *op {
+                        BlockOperand::Read(i) => assert!(
+                            (i as usize) < instr.reads.len(),
+                            "instruction {k} read out of range"
                         ),
+                        BlockOperand::Node(j) => {
+                            assert!(
+                                (j as usize) < pos,
+                                "instruction {k} node {pos} has forward reference to node {j}"
+                            );
+                            d = d.max(depth[j as usize] + 1);
+                        }
                     }
                 }
+                depth.push(d);
             }
-            assert!(instr.block_depth() <= self.max_block_depth, "instruction {k} too deep");
+            let block_depth = depth.last().map_or(0, |d| d + 1);
+            assert!(block_depth <= self.max_block_depth, "instruction {k} too deep");
         }
     }
 }
@@ -222,9 +312,10 @@ impl VliwExecutor {
         let mut raw_stalls = 0u64;
         let mut conflict_stalls = 0u64;
         let mut output = 0.0f64;
-        // Block-evaluation buffers, reused across instructions.
-        let mut operand_values: Vec<f64> = Vec::new();
-        let mut node_values: Vec<f64> = Vec::new();
+        // Block-evaluation buffers, sized for the widest instruction and
+        // reused across instructions.
+        let mut operand_values: Vec<f64> = Vec::with_capacity(widest(&program.read_starts));
+        let mut node_values: Vec<f64> = Vec::with_capacity(widest(&program.node_starts));
         // The array issues one block per tree PE per cycle: instruction k
         // lands on PE (k mod num_pes), which frees one cycle after its
         // previous issue.
@@ -237,13 +328,13 @@ impl VliwExecutor {
             pe_free.iter_mut().for_each(|t| *t = cycle);
         }
 
-        for (k, instr) in program.instructions.iter().enumerate() {
+        for (k, instr) in program.instructions().enumerate() {
             // Issue constraints: the assigned PE must be free...
             let pe = k % pe_free.len();
             let mut issue = pe_free[pe] + 1;
             if self.config.ablation.scheduling {
                 // ...and RAW hazards require operands written back.
-                for &r in &instr.reads {
+                for &r in instr.reads {
                     let t = ready_at[register(r)];
                     if t > issue {
                         raw_stalls += t - issue;
@@ -255,7 +346,7 @@ impl VliwExecutor {
                 issue = issue.max(cycle + pipeline_depth);
             }
             // Bank port conflicts extend the read phase.
-            let conflict = rf.conflict_penalty(&instr.reads);
+            let conflict = rf.conflict_penalty(instr.reads);
             conflict_stalls += conflict;
             let issue = issue + conflict;
 
@@ -263,11 +354,11 @@ impl VliwExecutor {
             operand_values.clear();
             operand_values.extend(instr.reads.iter().map(|&r| rf.read(r)));
             node_values.clear();
-            for node in &instr.nodes {
+            for node in instr.nodes {
                 let fetch = |op: &BlockOperand| -> f64 {
                     match op {
-                        BlockOperand::Read(i) => operand_values[*i],
-                        BlockOperand::Node(j) => node_values[*j],
+                        BlockOperand::Read(i) => operand_values[*i as usize],
+                        BlockOperand::Node(j) => node_values[*j as usize],
                     }
                 };
                 let a = fetch(&node.inputs[0]);
@@ -288,7 +379,7 @@ impl VliwExecutor {
             }
             let completion = issue + pipeline_depth;
             ready_at[register(written)] = completion;
-            for &f in &instr.frees {
+            for &f in instr.frees {
                 rf.free(f);
                 ready_at[register(f)] = 0;
             }
@@ -313,7 +404,7 @@ impl VliwExecutor {
         let energy = self.energy_model.report(&events);
         ExecutionReport {
             cycles: total_cycles,
-            instructions: program.instructions.len() as u64,
+            instructions: program.instructions().len() as u64,
             raw_stall_cycles: raw_stalls,
             conflict_stall_cycles: conflict_stalls,
             output,
@@ -328,6 +419,39 @@ mod tests {
     use super::*;
     use crate::config::AblationConfig;
 
+    /// A program of `instructions`.
+    fn assemble(
+        preload: Vec<(BankAddr, f64)>,
+        instructions: &[Instruction<'_>],
+        output_instr: usize,
+        num_banks: usize,
+        max_block_depth: usize,
+    ) -> VliwProgram {
+        let mut program = VliwProgram::with_capacity(num_banks, max_block_depth, [0; 4]);
+        program.preload = preload;
+        for &instr in instructions {
+            program.push(instr);
+        }
+        program.output_instr = output_instr;
+        program
+    }
+
+    fn instr<'a>(
+        reads: &'a [BankAddr],
+        nodes: &'a [BlockNode],
+        write_bank: usize,
+        predicted_write: Option<BankAddr>,
+        frees: &'a [BankAddr],
+    ) -> Instruction<'a> {
+        Instruction { reads, nodes, write_bank, predicted_write, frees }
+    }
+
+    fn node(op: TreeOp, a: BlockOperand, b: BlockOperand) -> BlockNode {
+        BlockNode { op, inputs: [a, b] }
+    }
+
+    use BlockOperand::{Node, Read};
+
     /// Hand-assembles a program computing ((a+b) * (c+d)) with a = 1,
     /// b = 2, c = 3, d = 4 → 21.
     fn sum_product_program() -> VliwProgram {
@@ -335,32 +459,18 @@ mod tests {
         let b = BankAddr::new(1, 0);
         let c = BankAddr::new(2, 0);
         let d = BankAddr::new(3, 0);
-        VliwProgram {
-            preload: vec![(a, 1.0), (b, 2.0), (c, 3.0), (d, 4.0)],
-            instructions: vec![VliwInstr {
-                reads: vec![a, b, c, d],
-                nodes: vec![
-                    BlockNode {
-                        op: TreeOp::Add,
-                        inputs: [BlockOperand::Read(0), BlockOperand::Read(1)],
-                    },
-                    BlockNode {
-                        op: TreeOp::Add,
-                        inputs: [BlockOperand::Read(2), BlockOperand::Read(3)],
-                    },
-                    BlockNode {
-                        op: TreeOp::Mul,
-                        inputs: [BlockOperand::Node(0), BlockOperand::Node(1)],
-                    },
-                ],
-                write_bank: 0,
-                predicted_write: Some(BankAddr::new(0, 1)),
-                frees: vec![],
-            }],
-            output_instr: 0,
-            num_banks: 4,
-            max_block_depth: 2,
-        }
+        let nodes = [
+            node(TreeOp::Add, Read(0), Read(1)),
+            node(TreeOp::Add, Read(2), Read(3)),
+            node(TreeOp::Mul, Node(0), Node(1)),
+        ];
+        assemble(
+            vec![(a, 1.0), (b, 2.0), (c, 3.0), (d, 4.0)],
+            &[instr(&[a, b, c, d], &nodes, 0, Some(BankAddr::new(0, 1)), &[])],
+            0,
+            4,
+            2,
+        )
     }
 
     #[test]
@@ -373,39 +483,33 @@ mod tests {
     }
 
     #[test]
+    fn instructions_read_back_as_pushed() {
+        let program = sum_product_program();
+        let instrs: Vec<Instruction<'_>> = program.instructions().collect();
+        assert_eq!(instrs.len(), 1);
+        assert_eq!(instrs[0].reads.len(), 4);
+        assert_eq!(instrs[0].nodes[2], node(TreeOp::Mul, Node(0), Node(1)));
+        assert_eq!(instrs[0].write_bank, 0);
+        assert_eq!(instrs[0].predicted_write, Some(BankAddr::new(0, 1)));
+        assert!(instrs[0].frees.is_empty());
+    }
+
+    #[test]
     fn raw_hazard_stalls_dependent_instructions() {
         // Two instructions where the second reads the first's result.
         let a = BankAddr::new(0, 0);
         let b = BankAddr::new(1, 0);
         let first_out = BankAddr::new(2, 0);
-        let program = VliwProgram {
-            preload: vec![(a, 2.0), (b, 3.0)],
-            instructions: vec![
-                VliwInstr {
-                    reads: vec![a, b],
-                    nodes: vec![BlockNode {
-                        op: TreeOp::Add,
-                        inputs: [BlockOperand::Read(0), BlockOperand::Read(1)],
-                    }],
-                    write_bank: 2,
-                    predicted_write: Some(first_out),
-                    frees: vec![],
-                },
-                VliwInstr {
-                    reads: vec![first_out, a],
-                    nodes: vec![BlockNode {
-                        op: TreeOp::Mul,
-                        inputs: [BlockOperand::Read(0), BlockOperand::Read(1)],
-                    }],
-                    write_bank: 3,
-                    predicted_write: None,
-                    frees: vec![],
-                },
+        let program = assemble(
+            vec![(a, 2.0), (b, 3.0)],
+            &[
+                instr(&[a, b], &[node(TreeOp::Add, Read(0), Read(1))], 2, Some(first_out), &[]),
+                instr(&[first_out, a], &[node(TreeOp::Mul, Read(0), Read(1))], 3, None, &[]),
             ],
-            output_instr: 1,
-            num_banks: 4,
-            max_block_depth: 1,
-        };
+            1,
+            4,
+            1,
+        );
         let exec = VliwExecutor::new(ArchConfig::paper());
         let report = exec.execute(&program);
         assert_eq!(report.output, 10.0);
@@ -435,32 +539,18 @@ mod tests {
     fn bank_conflicts_are_counted() {
         // Four reads from one bank: dual ports ⇒ one extra cycle.
         let addrs: Vec<BankAddr> = (0..4).map(|i| BankAddr::new(0, i)).collect();
-        let program = VliwProgram {
-            preload: addrs.iter().map(|&a| (a, 1.0)).collect(),
-            instructions: vec![VliwInstr {
-                reads: addrs.clone(),
-                nodes: vec![
-                    BlockNode {
-                        op: TreeOp::Add,
-                        inputs: [BlockOperand::Read(0), BlockOperand::Read(1)],
-                    },
-                    BlockNode {
-                        op: TreeOp::Add,
-                        inputs: [BlockOperand::Read(2), BlockOperand::Read(3)],
-                    },
-                    BlockNode {
-                        op: TreeOp::Add,
-                        inputs: [BlockOperand::Node(0), BlockOperand::Node(1)],
-                    },
-                ],
-                write_bank: 1,
-                predicted_write: None,
-                frees: vec![],
-            }],
-            output_instr: 0,
-            num_banks: 2,
-            max_block_depth: 2,
-        };
+        let nodes = [
+            node(TreeOp::Add, Read(0), Read(1)),
+            node(TreeOp::Add, Read(2), Read(3)),
+            node(TreeOp::Add, Node(0), Node(1)),
+        ];
+        let program = assemble(
+            addrs.iter().map(|&a| (a, 1.0)).collect(),
+            &[instr(&addrs, &nodes, 1, None, &[])],
+            0,
+            2,
+            2,
+        );
         let exec = VliwExecutor::new(ArchConfig::paper());
         let report = exec.execute(&program);
         assert_eq!(report.output, 4.0);
@@ -471,7 +561,7 @@ mod tests {
     #[should_panic(expected = "diverged")]
     fn wrong_write_prediction_is_caught() {
         let mut program = sum_product_program();
-        program.instructions[0].predicted_write = Some(BankAddr::new(0, 5));
+        program.predicted_writes[0] = Some(BankAddr::new(0, 5));
         VliwExecutor::new(ArchConfig::paper()).execute(&program);
     }
 
@@ -480,7 +570,7 @@ mod tests {
     fn forward_node_references_are_rejected() {
         let mut program = sum_product_program();
         // Node 0 reads node 1, which comes after it.
-        program.instructions[0].nodes[0].inputs[1] = BlockOperand::Node(1);
+        program.nodes[0].inputs[1] = Node(1);
         program.validate(&ArchConfig::paper());
     }
 
@@ -488,7 +578,7 @@ mod tests {
     #[should_panic(expected = "forward reference")]
     fn self_references_are_rejected() {
         let mut program = sum_product_program();
-        program.instructions[0].nodes[2].inputs[0] = BlockOperand::Node(2);
+        program.nodes[2].inputs[0] = Node(2);
         program.validate(&ArchConfig::paper());
     }
 
@@ -497,7 +587,7 @@ mod tests {
     fn reads_past_a_bank_are_rejected() {
         let mut program = sum_product_program();
         let regs = ArchConfig::paper().regs_per_bank;
-        program.instructions[0].reads[1] = BankAddr::new(0, regs);
+        program.reads[1] = BankAddr::new(0, regs);
         program.validate(&ArchConfig::paper());
     }
 
@@ -509,28 +599,19 @@ mod tests {
         let a = BankAddr::new(0, 0);
         let b = BankAddr::new(1, 0);
         let out = BankAddr::new(2, 0);
-        let add = |reads: Vec<BankAddr>, write_bank, frees| VliwInstr {
-            reads,
-            nodes: vec![BlockNode {
-                op: TreeOp::Add,
-                inputs: [BlockOperand::Read(0), BlockOperand::Read(1)],
-            }],
-            write_bank,
-            predicted_write: None,
-            frees,
-        };
-        let program = VliwProgram {
-            preload: vec![(a, 2.0), (b, 3.0)],
-            instructions: vec![
-                add(vec![a, b], 2, vec![]),
-                add(vec![out, a], 3, vec![out]),
-                add(vec![b, b], 2, vec![]),
-                add(vec![out, a], 3, vec![]),
+        let add = [node(TreeOp::Add, Read(0), Read(1))];
+        let program = assemble(
+            vec![(a, 2.0), (b, 3.0)],
+            &[
+                instr(&[a, b], &add, 2, None, &[]),
+                instr(&[out, a], &add, 3, None, &[out]),
+                instr(&[b, b], &add, 2, None, &[]),
+                instr(&[out, a], &add, 3, None, &[]),
             ],
-            output_instr: 3,
-            num_banks: 4,
-            max_block_depth: 1,
-        };
+            3,
+            4,
+            1,
+        );
         let mut one_pe = ArchConfig::paper();
         one_pe.num_pes = 1;
         let report = VliwExecutor::new(one_pe).execute(&program);
@@ -544,8 +625,19 @@ mod tests {
 
     #[test]
     fn block_depth_computed() {
+        // The sum-product block chains two levels, exactly its declared
+        // depth.
         let program = sum_product_program();
-        assert_eq!(program.instructions[0].block_depth(), 2);
+        assert_eq!(program.max_block_depth, 2);
+        program.validate(&ArchConfig::paper());
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction 0 too deep")]
+    fn an_understated_block_depth_is_rejected() {
+        let mut program = sum_product_program();
+        program.max_block_depth = 1;
+        program.validate(&ArchConfig::paper());
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! operand encoding) is a `Vec` indexed by [`NodeId::index`], and the
 //! mirror keeps its own per-bank live counts, so emission is linear in
 //! the DAG plus O(banks) per instruction only when a preferred bank is
-//! full.
+//! full. The program's flat arrays are sized from the decomposition's
+//! totals before the first instruction, and each instruction is staged
+//! in three scratch lists reused for the whole kernel, so emission
+//! allocates a fixed number of times whatever the kernel's size.
 
 use reason_arch::{
-    ArchConfig, BankAddr, BlockNode, BlockOperand, RegisterBanks, TreeOp, VliwInstr, VliwProgram,
+    ArchConfig, BankAddr, BlockNode, BlockOperand, Instruction, RegisterBanks, TreeOp, VliwProgram,
 };
 use reason_core::{Dag, DagOp, NodeId};
 
@@ -78,7 +81,7 @@ impl CompiledKernel {
         } else {
             2 * pipeline_depth + config.total_nodes() as u64
         };
-        let n = self.template.instructions.len() as u64;
+        let n = self.report.instructions as u64;
         let pes = config.num_pes.max(1) as u64;
         reconfig + n.div_ceil(pes) + pipeline_depth
     }
@@ -90,6 +93,7 @@ impl CompiledKernel {
     /// Panics if `inputs` is shorter than the highest input slot.
     pub fn program(&self, inputs: &[f64]) -> VliwProgram {
         let mut program = self.template.clone();
+        program.preload.reserve_exact(self.input_slots.len());
         for &(slot, at) in &self.input_slots {
             assert!(
                 (slot as usize) < inputs.len(),
@@ -121,16 +125,17 @@ pub(crate) fn emit_program(
     config: &ArchConfig,
 ) -> Result<CompiledKernel, CompileError> {
     let n = dag.num_nodes();
+    let num_sources = n - decomposition.total_members();
     let mut mirror = RegisterBanks::new(config.num_banks, config.regs_per_bank);
     // Register holding each value, once materialized.
     let mut location: Vec<Option<BankAddr>> = vec![None; n];
-    let mut preload: Vec<(BankAddr, f64)> = Vec::new();
-    let mut input_slots: Vec<(u32, BankAddr)> = Vec::new();
+    let mut preload: Vec<(BankAddr, f64)> = Vec::with_capacity(num_sources);
+    let mut input_slots: Vec<(u32, BankAddr)> = Vec::with_capacity(num_sources);
 
     // Allocate inputs and constants first (the runtime preload phase).
-    for (i, node) in dag.nodes().enumerate() {
+    for i in 0..n {
         let id = NodeId::from_index(i);
-        match node.op {
+        match dag.op(id) {
             DagOp::Const(c) => {
                 let at = alloc(&mut mirror, banks.bank_of(id), config)?;
                 preload.push((at, c));
@@ -147,90 +152,99 @@ pub(crate) fn emit_program(
 
     // Last-use analysis over the scheduled instruction order.
     // Instruction k reads the operands of block order[k].
-    let mut last_use = vec![usize::MAX; n];
+    let mut last_use = vec![u32::MAX; n];
     for (k, &bi) in order.iter().enumerate() {
-        for op in &decomposition.blocks[bi].operands {
-            last_use[op.index()] = k;
+        for op in decomposition.operands(bi) {
+            last_use[op.index()] = k as u32;
         }
     }
 
-    let mut instructions: Vec<VliwInstr> = Vec::with_capacity(order.len());
+    let max_block_depth = (0..decomposition.num_blocks()).map(|b| decomposition.depth(b)).max();
+    let max_block_depth = max_block_depth.unwrap_or(0).max(1);
+    // One more instruction, read and node for a degenerate output's pass
+    // block.
+    let total_operands = decomposition.total_operands();
+    let capacity =
+        [order.len() + 1, total_operands + 1, decomposition.total_members() + 1, total_operands];
+    let mut program = VliwProgram::with_capacity(config.num_banks, max_block_depth, capacity);
     let mut output_instr: Option<usize> = None;
-    let mut total_reads = 0usize;
-    let mut max_depth = 0usize;
     let mut peak_live = 0usize;
     // How the current block's nodes fetch each DAG node: its operands as
     // `Read`, its members as `Node`. A member's children are all one or
     // the other, so entries left by earlier blocks are never consulted.
-    let mut fetch = vec![BlockOperand::Read(usize::MAX); n];
+    let mut fetch = vec![BlockOperand::Read(u32::MAX); n];
+    // The instruction being emitted, sized for the widest block.
+    let widest = (0..decomposition.num_blocks())
+        .map(|b| decomposition.operands(b).len().max(decomposition.members(b).len()))
+        .max()
+        .unwrap_or(0)
+        .max(1);
+    let mut reads: Vec<BankAddr> = Vec::with_capacity(widest);
+    let mut nodes: Vec<BlockNode> = Vec::with_capacity(widest);
+    let mut frees: Vec<BankAddr> = Vec::with_capacity(widest);
 
     for (k, &bi) in order.iter().enumerate() {
-        let block = &decomposition.blocks[bi];
-        max_depth = max_depth.max(block.depth);
+        let operands = decomposition.operands(bi);
+        let members = decomposition.members(bi);
+        let root = decomposition.root(bi);
 
         // Reads: one per distinct operand.
-        let reads: Vec<BankAddr> = block
-            .operands
-            .iter()
-            .map(|op| {
-                location[op.index()].unwrap_or_else(|| panic!("operand {op} not yet materialized"))
-            })
-            .collect();
-        total_reads += reads.len();
-        for (i, op) in block.operands.iter().enumerate() {
-            fetch[op.index()] = BlockOperand::Read(i);
+        reads.clear();
+        reads.extend(operands.iter().map(|op| {
+            location[op.index()].unwrap_or_else(|| panic!("operand {op} not yet materialized"))
+        }));
+        for (i, op) in operands.iter().enumerate() {
+            fetch[op.index()] = BlockOperand::Read(i as u32);
         }
-        for (j, m) in block.members.iter().enumerate() {
-            fetch[m.index()] = BlockOperand::Node(j);
+        for (j, m) in members.iter().enumerate() {
+            fetch[m.index()] = BlockOperand::Node(j as u32);
         }
 
         // Encode block nodes in intra-block topological order.
-        let nodes: Vec<BlockNode> = block
-            .members
-            .iter()
-            .map(|m| {
-                let dnode = dag.node(*m);
-                let inputs = match *dnode.children {
-                    [x] => [fetch[x.index()]; 2],
-                    [x, y] => [fetch[x.index()], fetch[y.index()]],
-                    _ => unreachable!("two-input regular DAG has fan-in {}", dnode.children.len()),
-                };
-                // Single-child associative ops are identity passes.
-                let op = if dnode.children.len() == 1 && dnode.op.is_associative() {
-                    TreeOp::Pass
-                } else {
-                    tree_op(dnode.op)
-                };
-                BlockNode { op, inputs }
-            })
-            .collect();
+        nodes.clear();
+        nodes.extend(members.iter().map(|&m| {
+            let dnode = dag.node(m);
+            let inputs = match *dnode.children {
+                [x] => [fetch[x.index()]; 2],
+                [x, y] => [fetch[x.index()], fetch[y.index()]],
+                _ => unreachable!("two-input regular DAG has fan-in {}", dnode.children.len()),
+            };
+            // Single-child associative ops are identity passes.
+            let op = if dnode.children.len() == 1 && dnode.op.is_associative() {
+                TreeOp::Pass
+            } else {
+                tree_op(dnode.op)
+            };
+            BlockNode { op, inputs }
+        }));
 
         // Writeback: the mirror allocator predicts the hardware address.
-        let write_bank = pick_bank_with_space(&mirror, banks.bank_of(block.root), config)?;
+        let write_bank = pick_bank_with_space(&mirror, banks.bank_of(root), config)?;
         let predicted = mirror.alloc_write(write_bank, 0.0);
-        location[block.root.index()] = Some(predicted);
+        location[root.index()] = Some(predicted);
 
         // Frees: values whose last use is this instruction (never the
         // kernel output).
-        let mut frees: Vec<BankAddr> = Vec::new();
-        for (op, &at) in block.operands.iter().zip(&reads) {
-            if last_use[op.index()] == k && *op != dag.output() {
+        frees.clear();
+        for (op, &at) in operands.iter().zip(&reads) {
+            if last_use[op.index()] == k as u32 && *op != dag.output() {
                 mirror.free(at);
                 frees.push(at);
             }
         }
 
         peak_live = peak_live.max(mirror.live_registers());
-        if block.root == dag.output() {
-            output_instr = Some(instructions.len());
-        }
-        instructions.push(VliwInstr {
-            reads,
-            nodes,
+        let instr = Instruction {
+            reads: &reads,
+            nodes: &nodes,
             write_bank,
             predicted_write: Some(predicted),
-            frees,
-        });
+            frees: &frees,
+        };
+        let pushed = program.push(instr);
+        if root == dag.output() {
+            output_instr = Some(pushed);
+        }
     }
 
     // Degenerate DAG: output is an input or constant — emit a pass block.
@@ -240,37 +254,30 @@ pub(crate) fn emit_program(
             let at = location[dag.output().index()].expect("sources are preloaded");
             let write_bank = pick_bank_with_space(&mirror, at.bank as usize, config)?;
             let predicted = mirror.alloc_write(write_bank, 0.0);
-            instructions.push(VliwInstr {
-                reads: vec![at],
-                nodes: vec![BlockNode {
+            program.push(Instruction {
+                reads: &[at],
+                nodes: &[BlockNode {
                     op: TreeOp::Pass,
                     inputs: [BlockOperand::Read(0), BlockOperand::Read(0)],
                 }],
                 write_bank,
                 predicted_write: Some(predicted),
-                frees: vec![],
-            });
-            total_reads += 1;
-            instructions.len() - 1
+                frees: &[],
+            })
         }
     };
+    program.preload = preload;
+    program.output_instr = output_instr;
 
-    let max_block_depth = max_depth.max(1);
-    let template = VliwProgram {
-        preload,
-        instructions,
-        output_instr,
-        num_banks: config.num_banks,
-        max_block_depth,
-    };
+    let instructions = program.instructions();
     let report = CompileReport {
-        blocks: decomposition.blocks.len(),
-        instructions: template.instructions.len(),
-        reads: total_reads,
+        blocks: decomposition.num_blocks(),
+        instructions: instructions.len(),
+        reads: instructions.map(|instr| instr.reads.len()).sum(),
         max_block_depth,
         peak_live_registers: peak_live,
     };
-    Ok(CompiledKernel { template, input_slots, report })
+    Ok(CompiledKernel { template: program, input_slots, report })
 }
 
 /// Allocates in the preferred bank, falling back to the emptiest bank
@@ -317,7 +324,7 @@ mod tests {
         let dag = regularize(&dag);
         let config = ArchConfig::paper();
         let kernel = ReasonCompiler::new(config).compile(&dag).unwrap();
-        assert_eq!(kernel.report.instructions, kernel.template().instructions.len());
+        assert_eq!(kernel.report.instructions, kernel.template().instructions().len());
         assert!(kernel.report.max_block_depth <= config.tree_depth);
         assert!(kernel.report.peak_live_registers <= config.regfile_words());
         assert_eq!(kernel.num_inputs(), 10);

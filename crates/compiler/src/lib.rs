@@ -33,18 +33,27 @@
 //! # Cost
 //!
 //! Lowering is linear in the DAG, plus `B log B` for the scheduler's
-//! heap over `B` blocks and `O(banks)` per placed value for the bank
-//! choice. Every per-value table in the four passes — fan-out, block
-//! membership, readers, bank, register location, last use — is a `Vec`
-//! indexed by [`reason_core::NodeId::index`]; none is a hash map. The
-//! passes read the DAG in place: a node's children are a slice of the
-//! DAG's one edge array ([`reason_core::Dag::node`]), and a pass that
-//! only classifies an operand as source or compute reads its op alone
-//! ([`reason_core::Dag::op`]), so lowering copies no child list. The
-//! cost key and tie-break of each greedy choice are documented in
-//! [`mapping`] and [`schedule`], and the formulas they replaced (a cost
-//! recount per candidate bank, a scan of the ready set per issue) live on
-//! as `#[cfg(test)]` oracles that the passes are proptested equal to.
+//! heap over `B` blocks; the bank choice costs O(co-operands) per placed
+//! value, not O(banks) (see [`mapping`]). Every per-value table in the
+//! four passes — fan-out, block membership, bank, register location, last
+//! use — is a `Vec` indexed by [`reason_core::NodeId::index`]; none is a
+//! hash map. Every per-block list is a CSR table (one flat array plus
+//! per-row start offsets, like the DAG's own edge arena): the blocks'
+//! members and operands ([`BlockDecomposition`]), each value's reader
+//! blocks, and each block's consumers, each built by a counting pass and
+//! a fill pass. The emitted [`reason_arch::VliwProgram`] is flat too, one
+//! array of reads, nodes and frees with per-instruction offsets, sized
+//! from the decomposition before the first instruction. Lowering a
+//! kernel therefore allocates a fixed number of times whatever its size
+//! (`tests/lowering_alloc_guard.rs` pins it). The passes read the DAG in
+//! place: a node's children are a slice of the DAG's one edge array
+//! ([`reason_core::Dag::node`]), and a pass that only classifies a node
+//! as source or compute reads its op alone ([`reason_core::Dag::op`]), so
+//! lowering copies no child list. The cost key and tie-break of each
+//! greedy choice are documented in [`mapping`] and [`schedule`], and the
+//! formulas they replaced (a cost recount per candidate bank, a scan of
+//! the ready set per issue) live on as `#[cfg(test)]` oracles that the
+//! passes are proptested equal to.
 //!
 //! # Example
 //!
@@ -69,6 +78,7 @@
 //! ```
 
 pub mod blocks;
+mod csr;
 pub mod emit;
 pub mod mapping;
 pub mod schedule;
@@ -78,7 +88,7 @@ use std::fmt;
 use reason_arch::ArchConfig;
 use reason_core::Dag;
 
-pub use blocks::{decompose_blocks, Block, BlockDecomposition};
+pub use blocks::{decompose_blocks, BlockDecomposition};
 pub use emit::{CompileReport, CompiledKernel};
 pub use mapping::{assign_banks, BankAssignment};
 pub use schedule::schedule_blocks;

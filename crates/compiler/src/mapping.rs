@@ -17,20 +17,38 @@
 //! minimizes `cost[k] * 4096 + load[k]`, where `cost[k]` is the number of
 //! already-placed co-operands of `v` in bank `k`, counted once per
 //! reading block, and `load[k]` the number of values placed in `k` so
-//! far. All `cost[k]` come out of a single walk over `v`'s co-operands
-//! (each adds one to its own bank's entry), so placing `v` costs
-//! O(co-operands + banks) rather than a walk per candidate bank.
+//! far.
+//!
+//! # Cost of one placement
+//!
+//! The key is unchanged; only how its minimum is found. A value's
+//! readers are a range of one CSR table (the blocks whose operands
+//! contain it, in increasing block order), and every block keeps the
+//! banks of its operands placed so far in a table laid out like the
+//! decomposition's operand array. One walk over the readers' placed banks
+//! adds one to the `cost` entry of each and lists every bank it touches;
+//! only those *touched* banks can have a nonzero cost, and a block reads a
+//! handful of operands, so there are a few of them. Among the *untouched*
+//! banks the key is the load alone, so their winner is the lowest-index
+//! bank at the lowest load. It is read off per-load bitsets — `level[l]`
+//! holds the banks whose load is `l`, one bit per bank in
+//! `num_banks.div_ceil(64)` words — by scanning up from the lowest
+//! nonempty level (which only rises, as loads only grow) for the first
+//! bank outside the touched mask. That winner is compared with each
+//! touched bank's key, lowest index on ties, and only the touched `cost`
+//! entries are reset. A placement costs O(co-operands) plus the levels it
+//! skips, not O(banks).
 
 use reason_core::{Dag, DagOp, NodeId};
 
 use crate::blocks::BlockDecomposition;
+use crate::csr::Csr;
 
 /// The value→bank map produced by [`assign_banks`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankAssignment {
     /// Indexed by [`NodeId::index`]; `None` for nodes fused inside a block.
-    bank_of: Vec<Option<usize>>,
-    num_banks: usize,
+    bank_of: Vec<Option<u16>>,
 }
 
 impl BankAssignment {
@@ -40,19 +58,76 @@ impl BankAssignment {
     ///
     /// Panics if `value` is not a value node (input/const/block root).
     pub(crate) fn bank_of(&self, value: NodeId) -> usize {
-        self.bank_of[value.index()].unwrap_or_else(|| panic!("{value} has no bank assignment"))
+        let bank = self.bank_of[value.index()];
+        usize::from(bank.unwrap_or_else(|| panic!("{value} has no bank assignment")))
     }
 }
 
 /// The values in placement order: inputs and constants (in node order),
 /// then block roots (in schedule order).
-fn placement_order(dag: &Dag, decomposition: &BlockDecomposition, order: &[usize]) -> Vec<NodeId> {
-    let sources = dag
-        .nodes()
-        .enumerate()
-        .filter(|(_, node)| matches!(node.op, DagOp::Input(_) | DagOp::Const(_)))
-        .map(|(i, _)| NodeId::from_index(i));
-    sources.chain(order.iter().map(|&bi| decomposition.blocks[bi].root)).collect()
+fn placement_order<'a>(
+    dag: &'a Dag,
+    decomposition: &'a BlockDecomposition,
+    order: &'a [usize],
+) -> impl Iterator<Item = NodeId> + 'a {
+    let sources = (0..dag.num_nodes())
+        .map(NodeId::from_index)
+        .filter(|&id| matches!(dag.op(id), DagOp::Input(_) | DagOp::Const(_)));
+    sources.chain(order.iter().map(|&b| decomposition.root(b)))
+}
+
+/// Banks grouped by load: `level[l]` is the set of banks whose load is
+/// `l`, `words` words of one bit per bank, stored level after level.
+struct LoadLevels {
+    words: usize,
+    level: Vec<u64>,
+    /// The lowest nonempty level: the minimum load over all banks.
+    min_level: usize,
+}
+
+impl LoadLevels {
+    /// Every bank at load 0, with room for `levels` levels.
+    fn new(num_banks: usize, levels: usize) -> Self {
+        let words = num_banks.div_ceil(64);
+        let mut level = Vec::with_capacity(words * levels);
+        level.extend((0..words).map(|w| {
+            let banks_here = (num_banks - 64 * w).min(64);
+            if banks_here == 64 {
+                u64::MAX
+            } else {
+                (1u64 << banks_here) - 1
+            }
+        }));
+        LoadLevels { words, level, min_level: 0 }
+    }
+
+    /// Moves `bank` from load `load` to `load + 1`.
+    fn raise(&mut self, bank: usize, load: usize) {
+        let (word, bit) = (bank / 64, 1u64 << (bank % 64));
+        if self.level.len() <= (load + 1) * self.words {
+            self.level.resize((load + 2) * self.words, 0);
+        }
+        self.level[load * self.words + word] &= !bit;
+        self.level[(load + 1) * self.words + word] |= bit;
+        if load == self.min_level && self.level_words(load).iter().all(|&w| w == 0) {
+            self.min_level += 1;
+        }
+    }
+
+    fn level_words(&self, load: usize) -> &[u64] {
+        &self.level[load * self.words..(load + 1) * self.words]
+    }
+
+    /// The lowest-index bank at the lowest load outside `excluded` (a
+    /// bank mask of `words` words), if any bank is outside it.
+    fn min_outside(&self, excluded: &[u64]) -> Option<usize> {
+        (self.min_level..self.level.len() / self.words).find_map(|l| {
+            self.level_words(l).iter().zip(excluded).enumerate().find_map(|(w, (&banks, &ex))| {
+                let eligible = banks & !ex;
+                (eligible != 0).then(|| 64 * w + eligible.trailing_zeros() as usize)
+            })
+        })
+    }
 }
 
 /// Assigns every value node a register bank.
@@ -66,46 +141,82 @@ pub fn assign_banks(
     num_banks: usize,
     conflict_aware: bool,
 ) -> BankAssignment {
-    let values = placement_order(dag, decomposition, order);
-
-    // Reader groups: for each value, the blocks whose operand list
-    // (co-read set) contains it.
-    let mut readers_of: Vec<Vec<usize>> = vec![Vec::new(); dag.num_nodes()];
-    for (bi, block) in decomposition.blocks.iter().enumerate() {
-        for op in &block.operands {
-            readers_of[op.index()].push(bi);
+    let n = dag.num_nodes();
+    let mut bank_of: Vec<Option<u16>> = vec![None; n];
+    let bank_index = |k: usize| u16::try_from(k).expect("a bank index fits in 16 bits");
+    if !conflict_aware {
+        for (vi, v) in placement_order(dag, decomposition, order).enumerate() {
+            bank_of[v.index()] = Some(bank_index(vi % num_banks));
         }
+        return BankAssignment { bank_of };
     }
 
-    let mut bank_of: Vec<Option<usize>> = vec![None; dag.num_nodes()];
-    let mut load = vec![0usize; num_banks];
-    let mut cost = vec![0usize; num_banks];
-    for (vi, &v) in values.iter().enumerate() {
-        let bank = if conflict_aware {
-            // Conflict cost per bank: co-operands already placed there,
-            // across every block that reads v (v itself is still
-            // unplaced, so it never counts).
-            cost.fill(0);
-            for &bi in &readers_of[v.index()] {
-                for op in &decomposition.blocks[bi].operands {
-                    if let Some(k) = bank_of[op.index()] {
-                        cost[k] += 1;
-                    }
-                }
+    // Reader groups: for each value, the blocks whose operand list
+    // (co-read set) contains it, in increasing block order.
+    let readers_of = Csr::build(n, |push| {
+        for b in 0..decomposition.num_blocks() {
+            for &op in decomposition.operands(b) {
+                push(op.index(), b);
             }
-            // Weight conflicts heavily; break ties by load balance, then
-            // by bank index (`min_by_key` keeps the first minimum).
-            (0..num_banks)
-                .min_by_key(|&k| cost[k] * 4096 + load[k])
-                .expect("a register file has at least one bank")
+        }
+    });
+
+    // placed[operand_start(b)..][..num_placed[b]]: the banks of block b's
+    // operands placed so far, in placement order.
+    let mut placed = vec![0u16; decomposition.total_operands()];
+    let mut num_placed = vec![0u32; decomposition.num_blocks()];
+    let num_values = n - decomposition.total_members() + decomposition.num_blocks();
+    let mut load = vec![0usize; num_banks];
+    let mut levels = LoadLevels::new(num_banks, 2 + num_values / num_banks);
+    let mut cost = vec![0usize; num_banks];
+    // Banks with a nonzero `cost` for the value being placed, as a list
+    // and as a mask of `levels.words` words.
+    let mut touched: Vec<u16> = Vec::with_capacity(num_banks);
+    let mut touched_mask = vec![0u64; levels.words];
+    for v in placement_order(dag, decomposition, order) {
+        // Conflict cost per bank: co-operands already placed there,
+        // across every block that reads v (v itself is still unplaced, so
+        // it never counts).
+        let readers = readers_of.row(v.index());
+        for &b in readers {
+            let start = decomposition.operand_start(b as usize);
+            for &bank in &placed[start..start + num_placed[b as usize] as usize] {
+                let k = usize::from(bank);
+                if cost[k] == 0 {
+                    touched.push(bank);
+                    touched_mask[k / 64] |= 1 << (k % 64);
+                }
+                cost[k] += 1;
+            }
+        }
+        // Weight conflicts heavily; break ties by load balance, then by
+        // bank index. Untouched banks cost nothing, so only their least
+        // loaded (lowest index first) can win.
+        let key = |k: usize| (cost[k] * 4096 + load[k], k);
+        let untouched = if touched.len() < num_banks {
+            levels.min_outside(&touched_mask).map(key)
         } else {
-            vi % num_banks
+            None
         };
-        bank_of[v.index()] = Some(bank);
+        let best = touched.iter().map(|&k| key(usize::from(k))).chain(untouched).min();
+        let (_, bank) = best.expect("a register file has at least one bank");
+        for &k in &touched {
+            cost[usize::from(k)] = 0;
+            touched_mask[usize::from(k) / 64] = 0;
+        }
+        touched.clear();
+
+        bank_of[v.index()] = Some(bank_index(bank));
+        for &b in readers {
+            let b = b as usize;
+            placed[decomposition.operand_start(b) + num_placed[b] as usize] = bank_index(bank);
+            num_placed[b] += 1;
+        }
+        levels.raise(bank, load[bank]);
         load[bank] += 1;
     }
 
-    BankAssignment { bank_of, num_banks }
+    BankAssignment { bank_of }
 }
 
 #[cfg(test)]
@@ -128,8 +239,8 @@ mod tests {
         num_banks: usize,
     ) -> HashMap<NodeId, usize> {
         let mut readers_of: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        for (bi, block) in decomposition.blocks.iter().enumerate() {
-            for op in &block.operands {
+        for bi in 0..decomposition.num_blocks() {
+            for op in decomposition.operands(bi) {
                 readers_of.entry(*op).or_default().push(bi);
             }
         }
@@ -141,7 +252,7 @@ mod tests {
             for k in 0..num_banks {
                 let mut cost = 0usize;
                 for &bi in readers_of.get(&v).map_or(&[][..], Vec::as_slice) {
-                    for op in &decomposition.blocks[bi].operands {
+                    for op in decomposition.operands(bi) {
                         if *op != v && bank_of.get(op) == Some(&k) {
                             cost += 1;
                         }
@@ -172,8 +283,8 @@ mod tests {
             let dag = random_regular_dag(family, size, seed);
             let d = decompose_blocks(&dag, 3);
             let order = schedule_blocks(&d, pipeline_aware);
-            let values = placement_order(&dag, &d, &order);
-            for num_banks in [2usize, 8, 64] {
+            let values: Vec<NodeId> = placement_order(&dag, &d, &order).collect();
+            for num_banks in [2usize, 8, 64, 128, 256] {
                 let aware = assign_banks(&dag, &d, &order, num_banks, true);
                 let reference = assign_by_rescan(&dag, &d, &order, num_banks);
                 prop_assert_eq!(reference.len(), values.len());
@@ -186,6 +297,39 @@ mod tests {
                     prop_assert_eq!(round_robin.bank_of(v), vi % num_banks);
                 }
             }
+        }
+    }
+
+    /// Past 4,096 values per bank the load term outweighs one conflict,
+    /// so the choice between an untouched and a touched bank turns on
+    /// loads far apart in the level table.
+    #[test]
+    fn two_crowded_banks_match_the_rescan() {
+        let mut b = DagBuilder::without_cse();
+        let mut layer: Vec<NodeId> = (0..9000).map(|i| b.input(i)).collect();
+        let mut step = 0usize;
+        while layer.len() > 1 {
+            layer = layer
+                .chunks(2)
+                .map(|p| match *p {
+                    [x, y] => {
+                        step += 1;
+                        let op = if step.is_multiple_of(3) { DagOp::Mul } else { DagOp::Add };
+                        b.node(op, &[x, y], NodeKind::Generic)
+                    }
+                    _ => p[0],
+                })
+                .collect();
+        }
+        let dag = b.build(layer[0]).unwrap();
+        let d = decompose_blocks(&dag, 3);
+        let order = schedule_blocks(&d, true);
+        let values: Vec<NodeId> = placement_order(&dag, &d, &order).collect();
+        assert!(values.len() > 2 * 4096 + 2000, "{} values", values.len());
+        let aware = assign_banks(&dag, &d, &order, 2, true);
+        let reference = assign_by_rescan(&dag, &d, &order, 2);
+        for &v in &values {
+            assert_eq!(aware.bank_of(v), reference[&v], "{v}");
         }
     }
 
@@ -227,9 +371,9 @@ mod tests {
         let d = decompose_blocks(&dag, 3);
         let order = schedule_blocks(&d, true);
         let assignment = assign_banks(&dag, &d, &order, 16, true);
-        for block in &d.blocks {
-            let _ = assignment.bank_of(block.root);
-            for op in &block.operands {
+        for b in 0..d.num_blocks() {
+            let _ = assignment.bank_of(d.root(b));
+            for op in d.operands(b) {
                 let _ = assignment.bank_of(*op);
             }
         }
@@ -245,11 +389,10 @@ mod tests {
         let aware = assign_banks(&dag, &d, &order, 8, true);
         let naive = assign_banks(&dag, &d, &order, 8, false);
         let conflicts = |a: &BankAssignment| -> usize {
-            d.blocks
-                .iter()
-                .map(|blk| {
+            (0..d.num_blocks())
+                .map(|b| {
                     let mut per_bank = [0usize; 8];
-                    for op in &blk.operands {
+                    for op in d.operands(b) {
                         per_bank[a.bank_of(*op)] += 1;
                     }
                     per_bank.iter().map(|&n| n.saturating_sub(2)).sum::<usize>()

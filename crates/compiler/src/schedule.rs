@@ -18,11 +18,17 @@
 //! therefore a binary heap on that key, and the schedule costs
 //! O(E + B log B) for B blocks and E block-level dependency edges instead
 //! of a scan of the whole ready set per issue.
+//!
+//! The dependency edges are one CSR table (each block's consumers are a
+//! range of one flat array), built by a counting pass and a fill pass over
+//! the blocks in index order, so every consumer list is in increasing
+//! block order and the schedule allocates a fixed number of arrays.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::blocks::BlockDecomposition;
+use crate::csr::Csr;
 
 /// Orders the blocks of `decomposition` for issue.
 ///
@@ -30,37 +36,42 @@ use crate::blocks::BlockDecomposition;
 /// returned (the paper's scheduling ablation); otherwise a slack-greedy
 /// list schedule.
 pub fn schedule_blocks(decomposition: &BlockDecomposition, pipeline_aware: bool) -> Vec<usize> {
-    let n = decomposition.blocks.len();
+    let n = decomposition.num_blocks();
     if !pipeline_aware || n <= 1 {
         return (0..n).collect();
     }
 
     // Block-level dependency edges: block b waits for the producer blocks
     // of its operands, each counted once.
-    let mut pending = vec![0usize; n];
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    // feeds[p] == b once the edge p -> b has been recorded.
+    // feeds[p] == b once the edge p -> b has been recorded in this pass.
     let mut feeds = vec![usize::MAX; n];
-    for (bi, block) in decomposition.blocks.iter().enumerate() {
-        for op in &block.operands {
-            if let Some(producer) = decomposition.block_of[op.index()] {
-                if producer != bi && std::mem::replace(&mut feeds[producer], bi) != bi {
-                    pending[bi] += 1;
-                    consumers[producer].push(bi);
+    let consumers = Csr::build(n, |edge| {
+        feeds.fill(usize::MAX);
+        for b in 0..n {
+            for &op in decomposition.operands(b) {
+                if let Some(producer) = decomposition.block_of(op) {
+                    if producer != b && std::mem::replace(&mut feeds[producer], b) != b {
+                        edge(producer, b);
+                    }
                 }
             }
         }
+    });
+    let mut pending = vec![0u32; n];
+    for &c in consumers.values() {
+        pending[c as usize] += 1;
     }
 
     // Min-heap on (issue slot of the latest producer, block index);
     // `None` (no producer) orders before every `Some`.
-    let mut ready: BinaryHeap<Reverse<(Option<usize>, usize)>> =
-        (0..n).filter(|&b| pending[b] == 0).map(|b| Reverse((None, b))).collect();
+    let mut ready: BinaryHeap<Reverse<(Option<usize>, usize)>> = BinaryHeap::with_capacity(n);
+    ready.extend((0..n).filter(|&b| pending[b] == 0).map(|b| Reverse((None, b))));
     let mut order: Vec<usize> = Vec::with_capacity(n);
     while let Some(Reverse((_, b))) = ready.pop() {
         let now = order.len();
         order.push(b);
-        for &c in &consumers[b] {
+        for &c in consumers.row(b) {
+            let c = c as usize;
             pending[c] -= 1;
             if pending[c] == 0 {
                 // `b` is the last of c's producers to issue, hence the
@@ -84,12 +95,12 @@ mod tests {
     /// The reference list scheduler: rescans the whole ready set at every
     /// issue for the block with the most slack since its latest producer.
     fn schedule_by_slack_scan(decomposition: &BlockDecomposition) -> Vec<usize> {
-        let n = decomposition.blocks.len();
+        let n = decomposition.num_blocks();
         let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (bi, block) in decomposition.blocks.iter().enumerate() {
-            for op in &block.operands {
-                if let Some(producer) = decomposition.block_of[op.index()] {
+        for bi in 0..n {
+            for &op in decomposition.operands(bi) {
+                if let Some(producer) = decomposition.block_of(op) {
                     if producer != bi && !deps[bi].contains(&producer) {
                         deps[bi].push(producer);
                         consumers[producer].push(bi);
@@ -145,8 +156,8 @@ mod tests {
             let d = decompose_blocks(&dag, tree_depth);
             let order = schedule_blocks(&d, true);
             prop_assert_eq!(&order, &schedule_by_slack_scan(&d));
-            prop_assert_eq!(order.len(), d.blocks.len());
-            prop_assert_eq!(schedule_blocks(&d, false), (0..d.blocks.len()).collect::<Vec<_>>());
+            prop_assert_eq!(order.len(), d.num_blocks());
+            prop_assert_eq!(schedule_blocks(&d, false), (0..d.num_blocks()).collect::<Vec<_>>());
         }
     }
 
@@ -174,9 +185,9 @@ mod tests {
         for (pos, &b) in order.iter().enumerate() {
             position[b] = pos;
         }
-        for (bi, block) in d.blocks.iter().enumerate() {
-            for op in &block.operands {
-                if let Some(p) = d.block_of[op.index()] {
+        for bi in 0..d.num_blocks() {
+            for &op in d.operands(bi) {
+                if let Some(p) = d.block_of(op) {
                     assert!(position[p] < position[bi], "producer must precede consumer");
                 }
             }
@@ -192,9 +203,7 @@ mod tests {
         // before consumer): interleaving should avoid most of them.
         let mut adjacent_dependent = 0;
         for w in order.windows(2) {
-            let consumer = &d.blocks[w[1]];
-            let producer_root = d.blocks[w[0]].root;
-            if consumer.operands.contains(&producer_root) {
+            if d.operands(w[1]).contains(&d.root(w[0])) {
                 adjacent_dependent += 1;
             }
         }
@@ -212,6 +221,6 @@ mod tests {
         let dag = two_chains();
         let d = decompose_blocks(&dag, 1);
         let order = schedule_blocks(&d, false);
-        assert_eq!(order, (0..d.blocks.len()).collect::<Vec<_>>());
+        assert_eq!(order, (0..d.num_blocks()).collect::<Vec<_>>());
     }
 }

@@ -18,7 +18,7 @@
 //! switched off, and on a narrow 4-bank register file where the
 //! conflict cost decides most placements and port conflicts do stall.
 
-use reason::arch::{ArchConfig, BlockOperand, VliwExecutor, VliwProgram};
+use reason::arch::{ArchConfig, BankAddr, BlockNode, BlockOperand, VliwExecutor, VliwProgram};
 use reason::compiler::ReasonCompiler;
 use reason::core::{dag_from_circuit, regularize, Dag, DagStats, KernelSource, ReasonPipeline};
 use reason::hmm::Hmm;
@@ -53,6 +53,27 @@ impl Fnv {
     }
 }
 
+/// One instruction as the digest reads it.
+struct Instr<'a> {
+    reads: &'a [BankAddr],
+    nodes: &'a [BlockNode],
+    write_bank: usize,
+    predicted_write: Option<BankAddr>,
+    frees: &'a [BankAddr],
+}
+
+/// The program's instructions in issue order: the one place this file
+/// reads the program's instruction layout.
+fn instructions(p: &VliwProgram) -> impl Iterator<Item = Instr<'_>> {
+    p.instructions().map(|instr| Instr {
+        reads: instr.reads,
+        nodes: instr.nodes,
+        write_bank: instr.write_bank,
+        predicted_write: instr.predicted_write,
+        frees: instr.frees,
+    })
+}
+
 /// A 64-bit digest of every field of the program, in order.
 fn program_digest(p: &VliwProgram) -> u64 {
     let mut h = Fnv::new();
@@ -61,14 +82,14 @@ fn program_digest(p: &VliwProgram) -> u64 {
         h.word(u64::from(at.bank) << 16 | u64::from(at.addr));
         h.word(value.to_bits());
     }
-    h.word(p.instructions.len() as u64);
-    for instr in &p.instructions {
+    h.word(instructions(p).count() as u64);
+    for instr in instructions(p) {
         h.word(instr.reads.len() as u64);
-        for r in &instr.reads {
+        for r in instr.reads {
             h.word(u64::from(r.bank) << 16 | u64::from(r.addr));
         }
         h.word(instr.nodes.len() as u64);
-        for node in &instr.nodes {
+        for node in instr.nodes {
             h.word(node.op as u64);
             for input in node.inputs {
                 match input {
@@ -83,7 +104,7 @@ fn program_digest(p: &VliwProgram) -> u64 {
             None => h.word(0),
         }
         h.word(instr.frees.len() as u64);
-        for f in &instr.frees {
+        for f in instr.frees {
             h.word(u64::from(f.bank) << 16 | u64::from(f.addr));
         }
     }
@@ -98,7 +119,7 @@ fn lower_and_run(dag: &Dag, inputs: &[f64], config: ArchConfig) -> Pin {
     let program = kernel.program(inputs);
     let run = VliwExecutor::new(config).execute(&program);
     assert!(kernel.predicted_cycles(&config) <= run.cycles);
-    assert_eq!(kernel.report.instructions, program.instructions.len());
+    assert_eq!(kernel.report.instructions, instructions(&program).count());
     Pin {
         instructions: kernel.report.instructions,
         reads: kernel.report.reads,
