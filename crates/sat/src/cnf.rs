@@ -124,12 +124,13 @@ impl Cnf {
     /// # Errors
     ///
     /// Returns [`DimacsError`] on malformed headers, out-of-range literals,
-    /// or garbage tokens. A header declaring more than `i32::MAX`
-    /// variables is malformed: a DIMACS literal is an `i32`, so no clause
-    /// could name the variables past it, yet every consumer would size
-    /// its per-variable tables from the declared count. The declared
-    /// clause count must be a number but is advisory (many generators
-    /// emit inaccurate counts).
+    /// or garbage tokens. A second header is malformed: the literals read
+    /// under the first could name variables the second does not declare.
+    /// A header declaring more than `i32::MAX` variables is malformed: a
+    /// DIMACS literal is an `i32`, so no clause could name the variables
+    /// past it, yet every consumer would size its per-variable tables
+    /// from the declared count. The declared clause count must be a
+    /// number but is advisory (many generators emit inaccurate counts).
     ///
     /// ```
     /// use reason_sat::Cnf;
@@ -154,7 +155,10 @@ impl Cnf {
                 }
                 let bad = DimacsError::BadHeader { line: line_no + 1 };
                 let vars: usize = parts[1].parse().map_err(|_| bad.clone())?;
-                if vars > i32::MAX as usize || parts[2].parse::<usize>().is_err() {
+                if vars > i32::MAX as usize
+                    || parts[2].parse::<usize>().is_err()
+                    || num_vars.is_some()
+                {
                     return Err(bad);
                 }
                 num_vars = Some(vars);
@@ -310,6 +314,16 @@ mod tests {
         assert_eq!(cnf.num_vars(), i32::MAX as usize);
         // The clause count must still be a number.
         assert_eq!(Cnf::parse_dimacs("p cnf 2 x\n"), Err(DimacsError::BadHeader { line: 1 }));
+    }
+
+    #[test]
+    fn parse_rejects_a_second_header() {
+        // Shrinking the universe under a literal already read would leave
+        // variable 4 in a 2-variable formula.
+        let shrinking = "p cnf 5 1\n5 0\np cnf 2 1\n1 0\n";
+        assert_eq!(Cnf::parse_dimacs(shrinking), Err(DimacsError::BadHeader { line: 3 }));
+        let repeated = "p cnf 2 1\np cnf 2 1\n1 0\n";
+        assert_eq!(Cnf::parse_dimacs(repeated), Err(DimacsError::BadHeader { line: 2 }));
     }
 
     #[test]

@@ -14,15 +14,17 @@
 //! * [`cnf`] — [`Cnf`] formulas with DIMACS parsing and printing.
 //! * [`cdcl`] — a full CDCL solver: 1UIP learning, VSIDS, phase saving,
 //!   Luby restarts, LBD-based clause-database reduction, assumptions.
-//! * [`lookahead`] — lookahead literal scoring used to pick cube-split
-//!   variables.
+//! * `lookahead` (crate-private) — lookahead literal scoring used to pick
+//!   cube-split variables: each probe is an assumption on the shared
+//!   [`Propagator`].
 //! * [`cube`] — cube-and-conquer: lookahead cube generation plus sequential
 //!   or parallel CDCL conquering.
 //! * [`pool`] — a shared indexed clause pool ([`ClausePool`]) and a
-//!   trail-based unit propagator ([`Propagator`]) for search-style
-//!   consumers that name residual formulas by clause id instead of
-//!   cloning them — the substrate of `reason-pc`'s top-down
-//!   component-caching compiler.
+//!   trail-based unit propagator ([`Propagator`]): the crate's one unit
+//!   propagator outside CDCL's watched literals. Search-style consumers
+//!   name residual formulas by clause id instead of cloning them. It
+//!   runs `reason-pc`'s top-down component-caching compiler, the
+//!   lookahead probes and the preprocessor's unit pass.
 //! * [`preprocess`] — unit/pure-literal simplification, binary implication
 //!   graph construction, failed-literal probing, hidden-literal elimination,
 //!   and equivalent-literal substitution. These are the symbolic half of
@@ -52,7 +54,7 @@ pub mod cdcl;
 pub mod cnf;
 pub mod cube;
 pub mod gen;
-pub mod lookahead;
+mod lookahead;
 pub mod pool;
 pub mod preprocess;
 pub mod types;
@@ -61,9 +63,8 @@ pub use brute::{brute_force, count_models, weighted_count};
 pub use cdcl::{CdclSolver, SolverObserver, SolverStats};
 pub use cnf::{Cnf, DimacsError};
 pub use cube::{CubeAndConquer, CubeConfig, CubeOutcome};
-pub use lookahead::{Lookahead, LookaheadScore};
 pub use pool::{ClausePool, Propagator};
-pub use preprocess::{BinaryImplicationGraph, PreprocessResult, Preprocessor};
+pub use preprocess::{PreprocessResult, Preprocessor};
 pub use types::{Clause, Lit, Var};
 
 /// The outcome of a satisfiability query.

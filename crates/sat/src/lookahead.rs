@@ -5,22 +5,26 @@
 //! each polarity and measuring how strongly the formula shrinks. REASON's
 //! working example (paper Fig. 9, "Lookahead: LA(A) < LA(B)") ranks DPLL
 //! tree nodes by exactly this score.
+//!
+//! A probe runs on the crate's one unit propagator outside CDCL, the
+//! [`Propagator`] over a [`ClausePool`] that the knowledge compiler
+//! also uses: assume the literal, propagate over every clause, read the
+//! trail's growth, roll back.
 
 use crate::cnf::Cnf;
+use crate::pool::{ClausePool, Propagator};
 use crate::types::{Lit, Var};
-
-const UNASSIGNED: u8 = 2;
 
 /// The lookahead measurement for one variable.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LookaheadScore {
+pub(crate) struct LookaheadScore {
     /// The variable measured.
-    pub var: Var,
+    pub(crate) var: Var,
     /// Literals implied when the positive literal is assumed
     /// (`None` encodes an immediate conflict ⇒ failed literal).
-    pub pos_implied: Option<usize>,
+    pub(crate) pos_implied: Option<usize>,
     /// Literals implied when the negative literal is assumed.
-    pub neg_implied: Option<usize>,
+    pub(crate) neg_implied: Option<usize>,
 }
 
 impl LookaheadScore {
@@ -43,31 +47,40 @@ impl LookaheadScore {
     }
 }
 
-/// Lookahead engine over a formula.
-///
-/// ```
-/// use reason_sat::{Cnf, Lookahead};
-/// let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-1, 3], vec![-2, 3]]);
-/// let mut la = Lookahead::new(&cnf);
-/// let scores = la.score_candidates(4, &[]);
-/// assert_eq!(scores.len(), 3);
-/// ```
+/// Lookahead engine over a formula: its clauses as a [`ClausePool`],
+/// one [`Propagator`] every probe pushes onto and rolls back, and the
+/// split candidates ranked once.
 #[derive(Debug)]
-pub struct Lookahead {
-    cnf: Cnf,
-    occurrences: Vec<u32>,
+pub(crate) struct Lookahead {
+    pool: ClausePool,
+    prop: Propagator,
+    /// Every clause id: a probe propagates over the whole formula.
+    all: Vec<u32>,
+    /// The variables that occur, most literal occurrences first (a
+    /// duplicated literal counts twice), ties by index.
+    ranked: Vec<Var>,
 }
 
 impl Lookahead {
     /// Builds a lookahead engine for `cnf`.
-    pub fn new(cnf: &Cnf) -> Self {
+    pub(crate) fn new(cnf: &Cnf) -> Self {
         let mut occurrences = vec![0u32; cnf.num_vars()];
         for clause in cnf.clauses() {
             for lit in clause.iter() {
                 occurrences[lit.var().index()] += 1;
             }
         }
-        Lookahead { cnf: cnf.clone(), occurrences }
+        let mut ranked: Vec<Var> =
+            (0..cnf.num_vars()).filter(|&v| occurrences[v] > 0).map(Var::new).collect();
+        // Stable: equal counts stay in index order.
+        ranked.sort_by_key(|v| std::cmp::Reverse(occurrences[v.index()]));
+        let pool = ClausePool::new(cnf);
+        Lookahead {
+            prop: Propagator::new(pool.num_vars()),
+            all: (0..pool.num_clauses() as u32).collect(),
+            pool,
+            ranked,
+        }
     }
 
     /// Scores a single variable by propagating both polarities.
@@ -80,67 +93,30 @@ impl Lookahead {
     /// Number of literals fixed by unit propagation under `assumption`
     /// (itself included), or `None` if it leads to an immediate conflict:
     /// the per-node broadcast / implication traffic the REASON hardware
-    /// pipelines (paper Fig. 9).
-    fn implied_under(&self, assumption: Lit) -> Option<usize> {
-        let mut assign = vec![UNASSIGNED; self.cnf.num_vars()];
-        assign[assumption.var().index()] = u8::from(!assumption.is_neg());
-        let mut implied = 1;
-        loop {
-            let mut changed = false;
-            for clause in self.cnf.clauses() {
-                let mut unassigned: Option<Lit> = None;
-                let mut num_unassigned = 0;
-                let mut satisfied = false;
-                for &l in clause.iter() {
-                    match assign[l.var().index()] {
-                        UNASSIGNED => {
-                            num_unassigned += 1;
-                            unassigned = Some(l);
-                        }
-                        v => {
-                            if l.eval(v == 1) {
-                                satisfied = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                match (num_unassigned, unassigned) {
-                    (0, _) => return None,
-                    (1, Some(l)) => {
-                        assign[l.var().index()] = u8::from(!l.is_neg());
-                        implied += 1;
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-            if !changed {
-                return Some(implied);
-            }
-        }
+    /// pipelines (paper Fig. 9). A probe starts from the empty
+    /// assignment and leaves it empty.
+    fn implied_under(&mut self, assumption: Lit) -> Option<usize> {
+        self.prop.assume(assumption);
+        let implied = self.prop.propagate(&self.pool, &self.all).then(|| self.prop.trail().len());
+        self.prop.undo_to(0);
+        implied
     }
 
     /// Scores the `num_candidates` most frequently occurring variables,
     /// excluding those listed in `frozen` (already decided in the cube).
-    pub fn score_candidates(
+    pub(crate) fn score_candidates(
         &mut self,
         num_candidates: usize,
         frozen: &[Var],
     ) -> Vec<LookaheadScore> {
-        let mut by_occurrence: Vec<usize> = (0..self.cnf.num_vars()).collect();
-        by_occurrence.sort_by_key(|&v| std::cmp::Reverse(self.occurrences[v]));
-        let frozen_set: std::collections::HashSet<usize> =
-            frozen.iter().map(|v| v.index()).collect();
-        let candidates: Vec<usize> = by_occurrence
-            .into_iter()
-            .filter(|v| !frozen_set.contains(v) && self.occurrences[*v] > 0)
+        let candidates: Vec<Var> = self
+            .ranked
+            .iter()
+            .copied()
+            .filter(|v| !frozen.contains(v))
             .take(num_candidates)
             .collect();
-        candidates.into_iter().map(|v| self.score(Var::new(v))).collect()
+        candidates.into_iter().map(|v| self.score(v)).collect()
     }
 }
 
@@ -191,7 +167,7 @@ mod tests {
     fn propagate_assumption_reports_implications() {
         // !x0 -> x1 -> x2
         let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-2, 3]]);
-        let la = Lookahead::new(&cnf);
+        let mut la = Lookahead::new(&cnf);
         assert_eq!(la.implied_under(Var::new(0).neg()), Some(3));
         assert_eq!(la.implied_under(Var::new(0).pos()), Some(1));
     }
@@ -199,7 +175,7 @@ mod tests {
     #[test]
     fn propagate_assumption_detects_conflict() {
         let cnf = Cnf::from_clauses(2, vec![vec![1], vec![-1, 2], vec![-1, -2]]);
-        let la = Lookahead::new(&cnf);
+        let mut la = Lookahead::new(&cnf);
         assert!(la.implied_under(Var::new(0).pos()).is_none());
     }
 
@@ -209,5 +185,108 @@ mod tests {
         let mut la = Lookahead::new(&cnf);
         let scores = la.score_candidates(3, &[Var::new(0)]);
         assert!(scores.iter().all(|s| s.var.index() != 0));
+    }
+
+    #[test]
+    fn every_occurring_variable_is_a_candidate() {
+        let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-1, 3], vec![-2, 3]]);
+        let mut la = Lookahead::new(&cnf);
+        let scores = la.score_candidates(4, &[]);
+        assert_eq!(scores.len(), 3);
+    }
+
+    #[test]
+    fn candidates_rank_by_literal_occurrences_then_index() {
+        // x0 occurs twice in one clause, x1 in two clauses: literal counts
+        // tie at 2 and the lower index wins (clause counts would rank x1
+        // first); x3 never occurs.
+        let cnf = Cnf::from_clauses(4, vec![vec![1, 1, 3], vec![2, 3], vec![-2, 3]]);
+        let mut la = Lookahead::new(&cnf);
+        let order: Vec<usize> = la.score_candidates(8, &[]).iter().map(|s| s.var.index()).collect();
+        assert_eq!(order, vec![2, 0, 1]);
+    }
+
+    /// The scan [`Lookahead::implied_under`] replaced, kept as its
+    /// oracle: every round rescans every clause of the formula.
+    fn implied_under_full_scan(cnf: &Cnf, assumption: Lit) -> Option<usize> {
+        let mut assign: Vec<Option<bool>> = vec![None; cnf.num_vars()];
+        assign[assumption.var().index()] = Some(!assumption.is_neg());
+        let mut implied = 1;
+        loop {
+            let mut changed = false;
+            for clause in cnf.clauses() {
+                let mut unassigned: Option<Lit> = None;
+                let mut num_unassigned = 0;
+                let mut satisfied = false;
+                for &l in clause.iter() {
+                    match assign[l.var().index()] {
+                        None => {
+                            num_unassigned += 1;
+                            unassigned = Some(l);
+                        }
+                        Some(v) => {
+                            if l.eval(v) {
+                                satisfied = true;
+                                break;
+                            }
+                        }
+                    }
+                }
+                if satisfied {
+                    continue;
+                }
+                match (num_unassigned, unassigned) {
+                    (0, _) => return None,
+                    (1, Some(l)) => {
+                        assign[l.var().index()] = Some(!l.is_neg());
+                        implied += 1;
+                        changed = true;
+                    }
+                    _ => {}
+                }
+            }
+            if !changed {
+                return Some(implied);
+            }
+        }
+    }
+
+    #[test]
+    fn probes_match_the_full_scan_on_seeded_formulas() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for case in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(0x100c_a4ead ^ case);
+            let num_vars = rng.gen_range(1..=20usize);
+            // Widths 0..=4: empty and unit clauses, duplicate and
+            // tautological literals all occur.
+            let clauses: Vec<Vec<i32>> = (0..rng.gen_range(0..=40usize))
+                .map(|_| {
+                    let width = [0, 1, 1, 2, 2, 3, 3, 3, 4, 4][rng.gen_range(0..10usize)];
+                    (0..width)
+                        .map(|_| {
+                            let v = rng.gen_range(1..=num_vars as i32);
+                            if rng.gen_bool(0.5) {
+                                v
+                            } else {
+                                -v
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let cnf = Cnf::from_clauses(num_vars, clauses);
+            // One engine probes every variable in turn, so each probe
+            // starts from whatever the last one left behind.
+            let mut la = Lookahead::new(&cnf);
+            for v in (0..num_vars).map(Var::new) {
+                let s = la.score(v);
+                let want = (
+                    implied_under_full_scan(&cnf, v.pos()),
+                    implied_under_full_scan(&cnf, v.neg()),
+                );
+                assert_eq!((s.pos_implied, s.neg_implied), want, "case {case}, {v}");
+            }
+        }
     }
 }

@@ -1,16 +1,28 @@
 //! Shared indexed clause pool and trail-based unit propagation.
 //!
-//! Search-style consumers — the top-down knowledge compiler in
-//! `reason-pc` is the motivating one — need three things the plain
-//! [`Cnf`] representation does not give them: stable integer clause
-//! ids (so residual formulas can be *named* instead of cloned), a
-//! per-variable occurrence index (so connected components can be found
-//! by flood fill), and an undoable assignment with unit propagation
-//! (so implied literals never become search branches). [`ClausePool`]
-//! and [`Propagator`] provide exactly that, kept separate from the
-//! CDCL solver's internal watched-literal arena: the pool is immutable
-//! and shared, the propagator is a small trail that many nested
-//! queries can push onto and roll back.
+//! Search-style consumers need three things the plain [`Cnf`]
+//! representation does not give them: stable integer clause ids (so
+//! residual formulas can be *named* instead of cloned), a per-variable
+//! occurrence index (so connected components can be found by flood
+//! fill), and an undoable assignment with unit propagation (so implied
+//! literals never become search branches). [`ClausePool`] and
+//! [`Propagator`] provide exactly that, kept separate from the CDCL
+//! solver's internal watched-literal arena: the pool is immutable and
+//! shared, the propagator is a small trail that many nested queries can
+//! push onto and roll back.
+//!
+//! This is the crate's one unit propagator outside CDCL, and it has
+//! three consumers:
+//!
+//! * the top-down knowledge compiler in `reason-pc`, which propagates
+//!   each component's clause ids and emits implied literals in trail
+//!   order;
+//! * cube-and-conquer's lookahead, whose probe assumes a literal,
+//!   propagates over every clause, reads the trail's growth and rolls
+//!   back;
+//! * the preprocessor's unit pass, which propagates the unit clauses
+//!   once and rebuilds the formula without satisfied clauses and false
+//!   literals.
 //!
 //! Propagation is round-based and dirty-filtered, with no watch lists:
 //! a round walks the caller's clause list in order and examines only

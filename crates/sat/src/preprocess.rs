@@ -6,8 +6,8 @@
 //! *hidden literals* that can be dropped from clauses without changing
 //! satisfiability, *failed literals* whose negations are forced, and
 //! strongly connected components of equivalent literals that can be
-//! substituted away. Unit propagation and pure-literal elimination round
-//! out the pipeline.
+//! substituted away. Unit propagation (on the crate's shared
+//! [`Propagator`]) and pure-literal elimination round out the pipeline.
 //!
 //! Every transformation records a reconstruction step so that a model of
 //! the reduced formula can be extended back to a model of the original
@@ -26,6 +26,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::cnf::Cnf;
+use crate::pool::{ClausePool, Propagator};
 use crate::types::{Clause, Lit, Var};
 
 /// The binary implication graph of a CNF formula.
@@ -34,17 +35,8 @@ use crate::types::{Clause, Lit, Var};
 /// `!b -> a`. Reachability over this graph is the pruning relation used by
 /// hidden-literal elimination: if `a` reaches `b`, then whenever `a` holds,
 /// `b` holds.
-///
-/// ```
-/// use reason_sat::{BinaryImplicationGraph, Cnf, Var};
-/// let cnf = Cnf::from_clauses(3, vec![vec![-1, 2], vec![-2, 3]]);
-/// let mut big = BinaryImplicationGraph::new(&cnf);
-/// // x0 -> x1 -> x2
-/// assert!(big.implies(Var::new(0).pos(), Var::new(2).pos()));
-/// assert!(!big.implies(Var::new(2).pos(), Var::new(0).pos()));
-/// ```
 #[derive(Debug, Clone)]
-pub struct BinaryImplicationGraph {
+struct BinaryImplicationGraph {
     /// Successors per literal code.
     succ: Vec<Vec<Lit>>,
     /// Cap on nodes explored per reachability query (soundness is kept:
@@ -55,7 +47,7 @@ pub struct BinaryImplicationGraph {
 
 impl BinaryImplicationGraph {
     /// Builds the BIG from all binary clauses of `cnf`.
-    pub fn new(cnf: &Cnf) -> Self {
+    fn new(cnf: &Cnf) -> Self {
         let mut succ = vec![Vec::new(); 2 * cnf.num_vars()];
         for clause in cnf.clauses() {
             if clause.len() == 2 {
@@ -94,7 +86,7 @@ impl BinaryImplicationGraph {
 
     /// `true` when assigning `from` true forces `to` true through chains of
     /// binary clauses.
-    pub fn implies(&mut self, from: Lit, to: Lit) -> bool {
+    fn implies(&mut self, from: Lit, to: Lit) -> bool {
         self.reachable(from).contains(&to.code())
     }
 
@@ -323,12 +315,9 @@ impl Preprocessor {
         let mut decided: Option<bool> = None;
         'rounds: for _ in 0..ROUNDS {
             // 1. Unit propagation to fixpoint.
-            match propagate_units(&mut work, &mut steps, &mut stats) {
-                UnitOutcome::Conflict => {
-                    decided = Some(false);
-                    break 'rounds;
-                }
-                UnitOutcome::Done => {}
+            if !propagate_units(&mut work, &mut steps, &mut stats) {
+                decided = Some(false);
+                break 'rounds;
             }
             if work.num_clauses() == 0 {
                 decided = Some(true);
@@ -345,12 +334,9 @@ impl Preprocessor {
                         // `l -> !l` forces `!l`.
                         work.add_clause(Clause::new(vec![!l]));
                     }
-                    match propagate_units(&mut work, &mut steps, &mut stats) {
-                        UnitOutcome::Conflict => {
-                            decided = Some(false);
-                            break 'rounds;
-                        }
-                        UnitOutcome::Done => {}
+                    if !propagate_units(&mut work, &mut steps, &mut stats) {
+                        decided = Some(false);
+                        break 'rounds;
                     }
                 }
             }
@@ -395,12 +381,9 @@ impl Preprocessor {
                 if any {
                     apply_substitution(&mut work, &subst);
                     work.normalize();
-                    match propagate_units(&mut work, &mut steps, &mut stats) {
-                        UnitOutcome::Conflict => {
-                            decided = Some(false);
-                            break 'rounds;
-                        }
-                        UnitOutcome::Done => {}
+                    if !propagate_units(&mut work, &mut steps, &mut stats) {
+                        decided = Some(false);
+                        break 'rounds;
                     }
                 }
             }
@@ -440,12 +423,9 @@ impl Preprocessor {
                 for c in new_clauses {
                     work.add_clause(c);
                 }
-                match propagate_units(&mut work, &mut steps, &mut stats) {
-                    UnitOutcome::Conflict => {
-                        decided = Some(false);
-                        break 'rounds;
-                    }
-                    UnitOutcome::Done => {}
+                if !propagate_units(&mut work, &mut steps, &mut stats) {
+                    decided = Some(false);
+                    break 'rounds;
                 }
             }
 
@@ -479,78 +459,31 @@ impl Preprocessor {
     }
 }
 
-enum UnitOutcome {
-    Done,
-    Conflict,
-}
-
-/// Propagates all unit clauses to fixpoint, simplifying in place.
-fn propagate_units(cnf: &mut Cnf, steps: &mut Vec<Step>, stats: &mut PruneStats) -> UnitOutcome {
-    let num_vars = cnf.num_vars();
-    let mut value: Vec<Option<bool>> = vec![None; num_vars];
-    // Seed with current units.
-    let mut queue: Vec<Lit> = Vec::new();
-    for c in cnf.clauses() {
-        if c.is_unit() {
-            queue.push(c.lits()[0]);
-        }
-        if c.is_empty() {
-            return UnitOutcome::Conflict;
-        }
+/// Propagates the unit clauses to fixpoint on the shared [`Propagator`]
+/// and rebuilds the formula in clause and literal order without its
+/// satisfied clauses and false literals. Returns `false` on conflict.
+fn propagate_units(cnf: &mut Cnf, steps: &mut Vec<Step>, stats: &mut PruneStats) -> bool {
+    if !cnf.clauses().iter().any(|c| c.len() <= 1) {
+        return true;
     }
-    let mut clauses: Vec<Clause> = cnf.clauses().to_vec();
-    loop {
-        let mut progressed = false;
-        while let Some(l) = queue.pop() {
-            match value[l.var().index()] {
-                Some(b) if b == l.is_neg() => return UnitOutcome::Conflict,
-                Some(_) => {}
-                None => {
-                    value[l.var().index()] = Some(!l.is_neg());
-                    steps.push(Step::Fixed(l.var(), !l.is_neg()));
-                    stats.units_fixed += 1;
-                    progressed = true;
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
-        // Simplify clauses under the accumulated assignment.
-        let mut next: Vec<Clause> = Vec::with_capacity(clauses.len());
-        for c in &clauses {
-            let mut lits: Vec<Lit> = Vec::with_capacity(c.len());
-            let mut satisfied = false;
-            for &l in c.iter() {
-                match value[l.var().index()] {
-                    Some(b) => {
-                        if l.eval(b) {
-                            satisfied = true;
-                            break;
-                        }
-                    }
-                    None => lits.push(l),
-                }
-            }
-            if satisfied {
-                continue;
-            }
-            if lits.is_empty() {
-                return UnitOutcome::Conflict;
-            }
-            if lits.len() == 1 {
-                queue.push(lits[0]);
-            }
-            next.push(Clause::new(lits));
-        }
-        clauses = next;
+    let pool = ClausePool::new(cnf);
+    let mut prop = Propagator::new(cnf.num_vars());
+    let all: Vec<u32> = (0..pool.num_clauses() as u32).collect();
+    let consistent = prop.propagate(&pool, &all);
+    steps.extend(prop.trail().iter().map(|l| Step::Fixed(l.var(), !l.is_neg())));
+    stats.units_fixed += prop.trail().len();
+    if !consistent {
+        return false;
     }
-    let mut out = Cnf::new(num_vars);
-    for c in clauses {
-        out.add_clause(c);
+    let mut out = Cnf::new(cnf.num_vars());
+    for id in all {
+        if !prop.clause_satisfied(&pool, id) {
+            let free = pool.clause(id).iter().filter(|l| !prop.is_assigned(l.var()));
+            out.add_clause(free.copied().collect());
+        }
     }
     *cnf = out;
-    UnitOutcome::Done
+    true
 }
 
 fn apply_substitution(cnf: &mut Cnf, subst: &[Option<Lit>]) {
@@ -625,6 +558,15 @@ mod tests {
     use crate::cdcl::CdclSolver;
     use crate::gen::random_ksat;
     use crate::Solution;
+
+    #[test]
+    fn big_chains_implications_one_way() {
+        let cnf = Cnf::from_clauses(3, vec![vec![-1, 2], vec![-2, 3]]);
+        let mut big = BinaryImplicationGraph::new(&cnf);
+        // x0 -> x1 -> x2
+        assert!(big.implies(Var::new(0).pos(), Var::new(2).pos()));
+        assert!(!big.implies(Var::new(2).pos(), Var::new(0).pos()));
+    }
 
     #[test]
     fn big_edges_from_binary_clauses() {
@@ -723,6 +665,160 @@ mod tests {
         let cnf = Cnf::from_clauses(2, vec![vec![1], vec![-1]]);
         let result = Preprocessor::new().run(&cnf);
         assert_eq!(result.decided, Some(false));
+    }
+
+    /// The queue-based pass [`propagate_units`] replaced, kept as its
+    /// oracle: it fixes every queued unit, then rewrites every clause
+    /// under the assignment, round after round.
+    fn propagate_units_queue(cnf: &mut Cnf, steps: &mut Vec<Step>, stats: &mut PruneStats) -> bool {
+        let num_vars = cnf.num_vars();
+        let mut value: Vec<Option<bool>> = vec![None; num_vars];
+        let mut queue: Vec<Lit> = Vec::new();
+        for c in cnf.clauses() {
+            if c.is_unit() {
+                queue.push(c.lits()[0]);
+            }
+            if c.is_empty() {
+                return false;
+            }
+        }
+        let mut clauses: Vec<Clause> = cnf.clauses().to_vec();
+        loop {
+            let mut progressed = false;
+            while let Some(l) = queue.pop() {
+                match value[l.var().index()] {
+                    Some(b) if b == l.is_neg() => return false,
+                    Some(_) => {}
+                    None => {
+                        value[l.var().index()] = Some(!l.is_neg());
+                        steps.push(Step::Fixed(l.var(), !l.is_neg()));
+                        stats.units_fixed += 1;
+                        progressed = true;
+                    }
+                }
+            }
+            if !progressed {
+                break;
+            }
+            let mut next: Vec<Clause> = Vec::with_capacity(clauses.len());
+            for c in &clauses {
+                let mut lits: Vec<Lit> = Vec::with_capacity(c.len());
+                let mut satisfied = false;
+                for &l in c.iter() {
+                    match value[l.var().index()] {
+                        Some(b) => {
+                            if l.eval(b) {
+                                satisfied = true;
+                                break;
+                            }
+                        }
+                        None => lits.push(l),
+                    }
+                }
+                if satisfied {
+                    continue;
+                }
+                if lits.is_empty() {
+                    return false;
+                }
+                if lits.len() == 1 {
+                    queue.push(lits[0]);
+                }
+                next.push(Clause::new(lits));
+            }
+            clauses = next;
+        }
+        let mut out = Cnf::new(num_vars);
+        for c in clauses {
+            out.add_clause(c);
+        }
+        *cnf = out;
+        true
+    }
+
+    /// The fixed variables of a step list, by variable.
+    fn fixed_set(steps: &[Step]) -> Vec<Step> {
+        let mut fixed = steps.to_vec();
+        fixed.sort_by_key(|s| match *s {
+            Step::Fixed(v, _) | Step::Subst(v, _) => v,
+        });
+        fixed
+    }
+
+    #[test]
+    fn unit_pass_matches_the_queue_pass_on_seeded_formulas() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut conflicts = 0;
+        for case in 0..3000u64 {
+            let mut rng = StdRng::seed_from_u64(0x0417_5a55 ^ case);
+            let num_vars = rng.gen_range(1..=14usize);
+            // Widths 0..=4: empty and unit clauses, duplicate and
+            // tautological literals all occur; empty clauses are rare so
+            // that most formulas get past the first check.
+            let clauses: Vec<Vec<i32>> = (0..rng.gen_range(0..=30usize))
+                .map(|_| {
+                    let width = if rng.gen_range(0..60u32) == 0 {
+                        0
+                    } else {
+                        [1, 1, 2, 2, 2, 3, 3, 3, 4, 4][rng.gen_range(0..10usize)]
+                    };
+                    (0..width)
+                        .map(|_| {
+                            let v = rng.gen_range(1..=num_vars as i32);
+                            if rng.gen_bool(0.5) {
+                                v
+                            } else {
+                                -v
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let cnf = Cnf::from_clauses(num_vars, clauses);
+            let (mut got, mut got_steps, mut got_stats) =
+                (cnf.clone(), Vec::new(), PruneStats::default());
+            let (mut want, mut want_steps, mut want_stats) =
+                (cnf.clone(), Vec::new(), PruneStats::default());
+            let ok = propagate_units(&mut got, &mut got_steps, &mut got_stats);
+            let want_ok = propagate_units_queue(&mut want, &mut want_steps, &mut want_stats);
+            assert_eq!(ok, want_ok, "case {case}: conflict verdict");
+            if !ok {
+                // How far each got before its conflict depends on the
+                // order it propagates in; only the verdict is shared.
+                conflicts += 1;
+                continue;
+            }
+            assert_eq!(got.clauses(), want.clauses(), "case {case}: reduced clauses");
+            assert_eq!(got_stats.units_fixed, want_stats.units_fixed, "case {case}");
+            assert_eq!(fixed_set(&got_steps), fixed_set(&want_steps), "case {case}");
+        }
+        assert!((300..2700).contains(&conflicts), "{conflicts} conflicts: both sides exercised");
+    }
+
+    #[test]
+    fn a_refuting_unit_pass_stops_at_the_first_falsified_clause() {
+        // x0, x0 -> x1, x1 -> x2, !x2, x3: the propagator fixes x0, x1, x2
+        // in clause order and meets !x2 falsified. The queue pass fixed
+        // x3, !x2, x0 first and found the conflict a layer later, after
+        // fixing four.
+        let cnf = Cnf::from_clauses(4, vec![vec![1], vec![-1, 2], vec![-2, 3], vec![-3], vec![4]]);
+        let (mut work, mut steps, mut stats) = (cnf.clone(), Vec::new(), PruneStats::default());
+        assert!(!propagate_units(&mut work, &mut steps, &mut stats));
+        assert_eq!(stats.units_fixed, 3);
+        let (mut work, mut steps, mut stats) = (cnf, Vec::new(), PruneStats::default());
+        assert!(!propagate_units_queue(&mut work, &mut steps, &mut stats));
+        assert_eq!(stats.units_fixed, 4);
+    }
+
+    #[test]
+    fn a_formula_without_units_is_returned_untouched() {
+        let cnf = Cnf::from_clauses(3, vec![vec![1, -2], vec![2, 3, 3]]);
+        let (mut work, mut steps, mut stats) = (cnf.clone(), Vec::new(), PruneStats::default());
+        assert!(propagate_units(&mut work, &mut steps, &mut stats));
+        assert_eq!(work, cnf);
+        assert!(steps.is_empty());
+        assert_eq!(stats, PruneStats::default());
     }
 
     #[test]

@@ -176,6 +176,7 @@ impl Clause {
     }
 
     /// `true` when the clause has exactly one literal.
+    #[cfg(test)]
     pub(crate) fn is_unit(&self) -> bool {
         self.lits.len() == 1
     }
