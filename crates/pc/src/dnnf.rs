@@ -873,6 +873,7 @@ mod tests {
     use crate::circuit::CircuitBuilder;
     use crate::compile::{compile_cnf, WmcWeights};
     use crate::infer::EvalBuffer;
+    use crate::reference;
     use reason_sat::gen::random_ksat;
     use reason_sat::Cnf;
 
@@ -1027,6 +1028,95 @@ mod tests {
             let arena = Dnnf::from_circuit(circuit).unwrap();
             let want = circuit.probability(&Evidence::empty(circuit.num_vars()));
             assert_eq!(arena.wmc().to_bits(), want.to_bits(), "circuit {k}: {}", arena.wmc());
+        }
+    }
+
+    /// Random 3-CNFs at n = 8..=16 on skewed weights (some at exactly 0
+    /// and 1), plus two taller ones at n = 30 and 36, each with its
+    /// mixed lanes, 40 distinct base-3 lanes and one lane observing
+    /// every variable.
+    fn reference_workload() -> Vec<(Circuit, Vec<Evidence>)> {
+        let mut out = Vec::new();
+        let shapes = (0..24u64).map(|seed| (8 + seed as usize % 9, seed)).chain([(30, 3), (36, 7)]);
+        for (n, seed) in shapes {
+            let cnf = random_ksat(n, 2 * n + seed as usize % 13, 3, 900 + seed);
+            let probs = (0..n).map(|v| match (v * 7 + seed as usize) % 11 {
+                0 => 0.0,
+                1 => 1.0,
+                k => 0.03 + 0.09 * k as f64,
+            });
+            let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs.collect())) else {
+                continue;
+            };
+            let mut lanes = lanes(n);
+            lanes.extend(distinct_lanes(n, 40));
+            lanes.push(Evidence::from_assignment(&(0..n).map(|v| v % 2).collect::<Vec<_>>()));
+            out.push((circuit, lanes));
+        }
+        out
+    }
+
+    /// The arena's largest relative errors against the double-double
+    /// reference over [`reference_workload`], as `(error, error / bound)`
+    /// pairs: probability lanes against `γ_D`, marginals against
+    /// `γ_{2D+1}` (a quotient of two lanes), and the MPE's `ln` weight
+    /// (an absolute error) against `γ_D` plus the two final `ln`
+    /// roundings.
+    fn worst_reference_errors() -> [(f64, f64); 3] {
+        let mut worst = [(0.0f64, 0.0f64); 3];
+        let mut record = |kind: usize, err: f64, bound: f64| {
+            worst[kind] = (worst[kind].0.max(err), worst[kind].1.max(err / bound));
+        };
+        for (circuit, lanes) in reference_workload() {
+            let arena = Dnnf::from_circuit(&circuit).unwrap();
+            let d = reference::rounding_depth(&circuit);
+            let (g, g2) = (reference::gamma(d), reference::gamma(2 * d + 1));
+            let batch = DnnfBatch::pack(&lanes);
+            let mut buf = BatchBuffer::new();
+            let ps = arena.wmc_batch(&batch, &mut buf);
+            let var = circuit.num_vars() / 2;
+            let dists = arena.marginal_batch(&batch, var, &mut buf);
+            let mpes = arena.mpe_batch(&batch, &mut buf);
+            for (k, ev) in lanes.iter().enumerate() {
+                let want = reference::probability(&circuit, ev);
+                record(0, reference::relative_error(ps[k], want), g);
+                let mut e = ev.clone();
+                let t0 = reference::probability(&circuit, e.clear(var));
+                if t0.hi > 0.0 {
+                    for (b, &got) in dists[k].iter().enumerate() {
+                        let tb = reference::probability(&circuit, e.set(var, b));
+                        record(1, reference::relative_error(got, reference::ratio(tb, t0)), g2);
+                    }
+                }
+                let max = reference::max_probability(&circuit, ev);
+                if max.hi > 0.0 {
+                    let ln = max.hi.ln() + max.lo / max.hi;
+                    let slack = g + 2.0 * reference::U * ln.abs();
+                    record(2, (mpes[k].log_prob - ln).abs(), slack);
+                }
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn every_lane_is_within_gamma_d_of_the_double_double_reference() {
+        let [p, m, mpe] = worst_reference_errors();
+        println!(
+            "worst error (error / bound): probability {:.3e} ({:.3}), marginal {:.3e} ({:.3}), \
+             mpe ln weight {:.3e} ({:.3})",
+            p.0, p.1, m.0, m.1, mpe.0, mpe.1
+        );
+    }
+
+    #[test]
+    fn the_double_double_reference_agrees_with_the_circuit() {
+        for (circuit, lanes) in reference_workload().iter().take(6) {
+            for ev in lanes {
+                let want = circuit.probability(ev);
+                let got = reference::probability(circuit, ev);
+                assert!((got.hi - want).abs() <= 1e-12 * want, "{got:?} vs {want}");
+            }
         }
     }
 

@@ -65,6 +65,8 @@ pub mod fingerprint;
 pub mod flows;
 pub mod infer;
 pub mod prune;
+#[cfg(test)]
+mod reference;
 pub mod sample;
 pub mod structure;
 
