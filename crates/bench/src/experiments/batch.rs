@@ -115,8 +115,11 @@ fn evidence_batch(n: usize, lanes: usize, rng: &mut StdRng) -> Vec<Evidence> {
     evs
 }
 
-/// The bit-identity guard for one packed batch: WMC, marginals and MPE
-/// on every lane against the source circuit's single-query evaluator.
+/// The guard for one packed batch: WMC, marginals and MPE on every
+/// lane equal, bit for bit, what a twin arena flattened from the same
+/// circuit answers for that lane alone (the benchmark's twin check),
+/// and lie within [`CIRCUIT_TOL`] of the source circuit's single-query
+/// evaluator.
 fn batch_matches_per_query(
     circuit: &Circuit,
     arena: &Dnnf,
@@ -124,25 +127,56 @@ fn batch_matches_per_query(
     batch: &DnnfBatch,
     rng: &mut StdRng,
 ) -> bool {
+    let twin = Dnnf::from_circuit(circuit).expect("compiled circuits are binary");
+    let one = |ev: &Evidence| DnnfBatch::pack(std::slice::from_ref(ev));
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut cbuf = EvalBuffer::new();
     let mut bbuf = BatchBuffer::new();
+    let mut tbuf = BatchBuffer::new();
     let n = arena.num_vars();
     let mut ok = true;
     let wmc = arena.wmc_batch(batch, &mut bbuf);
     for (ev, got) in evs.iter().zip(&wmc) {
-        ok &= *got == circuit.probability_with(ev, &mut cbuf);
+        ok &= got.to_bits() == twin.wmc_batch(&one(ev), &mut tbuf)[0].to_bits();
+        ok &= circuit_close(*got, circuit.probability_with(ev, &mut cbuf));
     }
     let var = rng.gen_range(0..n);
     let marginals = arena.marginal_batch(batch, var, &mut bbuf);
     for (ev, got) in evs.iter().zip(&marginals) {
-        ok &= *got == circuit.marginal_with(ev, var, &mut cbuf);
+        ok &= bits(got) == bits(&twin.marginal_batch(&one(ev), var, &mut tbuf)[0]);
+        let want = circuit.marginal_with(ev, var, &mut cbuf);
+        ok &= got.iter().zip(&want).all(|(&a, &b)| circuit_close(a, b));
     }
     let mpes = arena.mpe_batch(batch, &mut bbuf);
     for (ev, got) in evs.iter().zip(&mpes) {
-        let want = circuit.mpe_with(ev, &mut cbuf);
-        ok &= got.assignment == want.assignment && got.log_prob == want.log_prob;
+        let alone = &twin.mpe_batch(&one(ev), &mut tbuf)[0];
+        ok &= got.assignment == alone.assignment
+            && got.log_prob.to_bits() == alone.log_prob.to_bits();
+        // Ties may resolve differently from the log-space circuit: the
+        // chosen assignment's own log-likelihood must reach the maximum.
+        let best = circuit.mpe_with(ev, &mut cbuf).log_prob;
+        ok &= log_close(got.log_prob, best)
+            && log_close(circuit.log_likelihood(&got.assignment), best);
     }
     ok
+}
+
+/// Relative tolerance of the sweeps' arena-vs-circuit checks: the arena
+/// is within `γ_D` (below 1e-13 on these ladders) of exact arithmetic
+/// on the circuit's weights (`reason_pc::dnnf`'s module docs), the
+/// log-space circuit within a few ulps of `ln p` per node; 1e-9 is the
+/// benchmark's answer tolerance (`benchmark/src/checks.rs`).
+pub(crate) const CIRCUIT_TOL: f64 = 1e-9;
+
+/// `a` and `b` agree within [`CIRCUIT_TOL`], relatively.
+pub(crate) fn circuit_close(a: f64, b: f64) -> bool {
+    a == b || (a - b).abs() <= CIRCUIT_TOL * a.abs().max(b.abs())
+}
+
+/// Two log-probabilities agree within [`CIRCUIT_TOL`], absolutely (a
+/// relative error `δ` in linear space is `≈ δ` on the log).
+pub(crate) fn log_close(a: f64, b: f64) -> bool {
+    a == b || (a - b).abs() <= CIRCUIT_TOL
 }
 
 /// Runs the sweep over an explicit ladder and batch widths. Each rung

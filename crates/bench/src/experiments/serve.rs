@@ -27,11 +27,12 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use rand::prelude::*;
-use reason_pc::{CompiledWmc, Evidence};
+use reason_pc::{BatchBuffer, CompiledWmc, Dnnf, DnnfBatch, Evidence};
 use reason_serve::{
     Answer, CacheStats, Query, QueryKind, Route, ServeConfig, ServeEngine, ServeReport,
 };
 
+use super::batch::{circuit_close, log_close};
 use super::registry::{Args, Output};
 use super::replay::{instance_with_mass, sweep_predictor, sweep_weights};
 use crate::json::Json;
@@ -146,8 +147,9 @@ fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
         // Warm round: mixed exact queries answered from the hot store.
         // The reference oracle compiles the KB's *canonical* formula
         // (literals sorted within clauses) — the exact presentation the
-        // engine serves — so agreement is checked bit-for-bit.
-        let mut oracle = CompiledWmc::new(&engine.kb(id).cnf(), &weights);
+        // engine serves — so an arena flattened from its circuit agrees
+        // with the engine bit-for-bit.
+        let oracle = CompiledWmc::new(&engine.kb(id).cnf(), &weights);
         let z = oracle.wmc();
         let fallback_contains = cold_report.outcomes.iter().all(|o| match &o.answer {
             Answer::Bounds { lower, upper, .. } => *lower <= z && z <= *upper,
@@ -173,24 +175,45 @@ fn serve_rows_for(sizes: &[(usize, usize)], seed: u64) -> ServeSummary {
             .collect();
         let warm = engine.serve(id, &warm_queries).expect("compiled");
         router.add(&warm);
-        // The serve guard: every exact answer agrees with a freshly
-        // compiled oracle, bit-for-bit.
+        // The serve guard: every exact answer equals, bit for bit, what
+        // a twin arena flattened from the freshly compiled oracle's
+        // circuit answers for that query alone (the engine serves that
+        // same circuit), and lies within `CIRCUIT_TOL` of the oracle's
+        // log-space circuit.
+        let circuit = oracle.circuit().expect("mass");
+        let twin = Dnnf::from_circuit(circuit).expect("compiled circuits are binary");
+        let one = |ev: &Evidence| DnnfBatch::pack(std::slice::from_ref(ev));
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut buf = BatchBuffer::new();
         let mut exact_ok = true;
         for (query, outcome) in warm_queries.iter().zip(&warm.outcomes) {
             match (&query.kind, &outcome.answer) {
-                (QueryKind::Wmc, Answer::Exact(got)) => exact_ok &= *got == z,
+                (QueryKind::Wmc, Answer::Exact(got)) => {
+                    exact_ok &= got.to_bits() == twin.wmc().to_bits() && circuit_close(*got, z)
+                }
                 (QueryKind::Posterior(ev), Answer::Exact(got)) => {
-                    exact_ok &= *got == oracle.posterior(ev).expect("mass")
+                    let alone = twin.probability(ev, &mut buf) / twin.wmc();
+                    let want = circuit.probability(ev) / z;
+                    exact_ok &= got.to_bits() == alone.to_bits() && circuit_close(*got, want)
                 }
                 (QueryKind::Marginal(ev, var), Answer::Distribution(d)) => {
-                    exact_ok &= *d == oracle.circuit().expect("mass").marginal(ev, *var)
+                    let alone = &twin.marginal_batch(&one(ev), *var, &mut buf)[0];
+                    let want = circuit.marginal(ev, *var);
+                    exact_ok &= bits(d) == bits(alone)
+                        && d.iter().zip(&want).all(|(&a, &b)| circuit_close(a, b))
                 }
                 (QueryKind::Mpe(ev), Answer::Assignment { assignment, log_prob }) => {
                     // Under zero-probability evidence the traced
-                    // assignment is arbitrary (log_prob = -inf), so the
-                    // guard is bit-agreement with the oracle's MPE.
-                    let want = oracle.circuit().expect("mass").mpe(ev);
-                    exact_ok &= *assignment == want.assignment && *log_prob == want.log_prob;
+                    // assignment is arbitrary (log_prob = -inf); ties may
+                    // resolve differently from the log-space circuit, so
+                    // the chosen assignment's own weight must reach the
+                    // circuit's maximum.
+                    let alone = &twin.mpe_batch(&one(ev), &mut buf)[0];
+                    let best = circuit.mpe(ev).log_prob;
+                    exact_ok &= *assignment == alone.assignment
+                        && log_prob.to_bits() == alone.log_prob.to_bits()
+                        && log_close(*log_prob, best)
+                        && log_close(circuit.log_likelihood(assignment), best)
                 }
                 _ => exact_ok = false,
             }

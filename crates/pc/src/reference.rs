@@ -22,9 +22,9 @@ use super::{Circuit, Evidence, PcNode};
 /// A double-double number `hi + lo`, `|lo| <= ulp(hi) / 2`. Its
 /// precision holds while `lo` is normal: for values above ~2^-969.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Dd {
-    pub hi: f64,
-    pub lo: f64,
+pub(crate) struct Dd {
+    pub(crate) hi: f64,
+    pub(crate) lo: f64,
 }
 
 /// `a + b` exactly, as a rounded sum and its error (Knuth's TwoSum).
@@ -51,21 +51,21 @@ fn two_prod(a: f64, b: f64) -> Dd {
 const LN2: Dd = Dd { hi: std::f64::consts::LN_2, lo: 2.319_046_813_846_299_6e-17 };
 
 impl Dd {
-    pub const ZERO: Dd = Dd { hi: 0.0, lo: 0.0 };
-    pub const ONE: Dd = Dd { hi: 1.0, lo: 0.0 };
+    pub(crate) const ZERO: Dd = Dd { hi: 0.0, lo: 0.0 };
+    pub(crate) const ONE: Dd = Dd { hi: 1.0, lo: 0.0 };
 
-    pub fn from_f64(x: f64) -> Dd {
+    pub(crate) fn from_f64(x: f64) -> Dd {
         Dd { hi: x, lo: 0.0 }
     }
 
-    pub fn add(self, o: Dd) -> Dd {
+    pub(crate) fn add(self, o: Dd) -> Dd {
         let s = two_sum(self.hi, o.hi);
         let t = two_sum(self.lo, o.lo);
         let v = quick_two_sum(s.hi, s.lo + t.hi);
         quick_two_sum(v.hi, v.lo + t.lo)
     }
 
-    pub fn mul(self, o: Dd) -> Dd {
+    pub(crate) fn mul(self, o: Dd) -> Dd {
         let p = two_prod(self.hi, o.hi);
         quick_two_sum(p.hi, p.lo + (self.hi * o.lo + self.lo * o.hi))
     }
@@ -84,7 +84,7 @@ impl Dd {
     }
 
     /// Strictly greater, comparing the exact values.
-    pub fn gt(self, o: Dd) -> bool {
+    pub(crate) fn gt(self, o: Dd) -> bool {
         self.hi > o.hi || (self.hi == o.hi && self.lo > o.lo)
     }
 
@@ -93,7 +93,7 @@ impl Dd {
     /// squarings and an exact `2^k` scale undo the reduction. Accurate
     /// to ~2^-90 relative while the result's low word stays normal, i.e.
     /// above ~2^-969.
-    pub fn exp(x: f64) -> Dd {
+    pub(crate) fn exp(x: f64) -> Dd {
         if x == f64::NEG_INFINITY {
             return Dd::ZERO;
         }
@@ -114,14 +114,14 @@ impl Dd {
 /// The value of every node of `circuit` under `evidence`, sum-product,
 /// in double-double. A marginalized leaf is 1, as in the circuit's own
 /// evaluator.
-pub fn values(circuit: &Circuit, evidence: &Evidence) -> Vec<Dd> {
+pub(crate) fn values(circuit: &Circuit, evidence: &Evidence) -> Vec<Dd> {
     walk(circuit, evidence, false)
 }
 
 /// The value of every node under `evidence`, max-product: an Or node
 /// takes its largest weighted child, a marginalized leaf its larger
 /// probability.
-pub fn max_values(circuit: &Circuit, evidence: &Evidence) -> Vec<Dd> {
+pub(crate) fn max_values(circuit: &Circuit, evidence: &Evidence) -> Vec<Dd> {
     walk(circuit, evidence, true)
 }
 
@@ -162,12 +162,12 @@ fn walk(circuit: &Circuit, evidence: &Evidence, max: bool) -> Vec<Dd> {
 }
 
 /// `Pr[φ ∧ e]` in double-double.
-pub fn probability(circuit: &Circuit, evidence: &Evidence) -> Dd {
+pub(crate) fn probability(circuit: &Circuit, evidence: &Evidence) -> Dd {
     values(circuit, evidence)[circuit.root().index()]
 }
 
 /// The max-product value of the root under `evidence`.
-pub fn max_probability(circuit: &Circuit, evidence: &Evidence) -> Dd {
+pub(crate) fn max_probability(circuit: &Circuit, evidence: &Evidence) -> Dd {
     max_values(circuit, evidence)[circuit.root().index()]
 }
 
@@ -176,9 +176,9 @@ pub fn max_probability(circuit: &Circuit, evidence: &Evidence) -> Dd {
 /// relative error is below `2u` and it counts as two roundings.
 const CONVERSION: u64 = 2;
 
-/// The rounding depth `D` of an f64 sum-product walk of `circuit`: for
-/// every node, the largest number of relative roundings the node's
-/// value can carry.
+/// The rounding depth of every node of an f64 sum-product walk of
+/// `circuit`: the largest number of relative roundings the node's value
+/// can carry.
 ///
 /// - an indicator is exact: 0;
 /// - a Bernoulli leaf is one weight conversion;
@@ -188,10 +188,11 @@ const CONVERSION: u64 = 2;
 /// - an Or node sums `len` weighted children: the deepest child plus a
 ///   weight conversion and a multiply, plus `len − 1` additions.
 ///
-/// Non-negative terms never cancel, so the root's value `v̂` satisfies
-/// `|v̂ − v| <= γ_D · v` with `D` the root's depth (Higham, *Accuracy and
-/// Stability of Numerical Algorithms*, Lemma 3.1 and §3.1).
-pub fn rounding_depth(circuit: &Circuit) -> u64 {
+/// Non-negative terms never cancel, so a node's computed value `v̂`
+/// satisfies `|v̂ − v| <= γ_d · v` with `d` its depth (Higham, *Accuracy
+/// and Stability of Numerical Algorithms*, Lemma 3.1 and §3.1). A
+/// max-product walk makes a subset of these roundings.
+pub(crate) fn rounding_depths(circuit: &Circuit) -> Vec<u64> {
     let mut depth: Vec<u64> = Vec::with_capacity(circuit.num_nodes());
     for node in circuit.nodes() {
         let d = match node {
@@ -208,21 +209,26 @@ pub fn rounding_depth(circuit: &Circuit) -> u64 {
         };
         depth.push(d);
     }
-    depth[circuit.root().index()]
+    depth
+}
+
+/// The root's rounding depth `D` (see [`rounding_depths`]).
+pub(crate) fn rounding_depth(circuit: &Circuit) -> u64 {
+    rounding_depths(circuit)[circuit.root().index()]
 }
 
 /// Unit roundoff of f64: `2^-53`.
-pub const U: f64 = f64::EPSILON / 2.0;
+pub(crate) const U: f64 = f64::EPSILON / 2.0;
 
 /// `γ_d = d·u / (1 − d·u)`.
-pub fn gamma(d: u64) -> f64 {
+pub(crate) fn gamma(d: u64) -> f64 {
     let du = d as f64 * U;
     du / (1.0 - du)
 }
 
 /// `|got − want| / want`, read in double-double; 0 when both are zero,
 /// infinite when only one is.
-pub fn relative_error(got: f64, want: Dd) -> f64 {
+pub(crate) fn relative_error(got: f64, want: Dd) -> f64 {
     if want.hi == 0.0 {
         return if got == 0.0 { 0.0 } else { f64::INFINITY };
     }
@@ -230,8 +236,90 @@ pub fn relative_error(got: f64, want: Dd) -> f64 {
 }
 
 /// `a / b` of two double-double values.
-pub fn ratio(a: Dd, b: Dd) -> Dd {
+pub(crate) fn ratio(a: Dd, b: Dd) -> Dd {
     a.div_f64(b.hi).mul(Dd { hi: 1.0, lo: -b.lo / b.hi })
+}
+
+/// `got`, an arena's `Pr[φ ∧ e]`, is within `γ_D` of the reference; a
+/// zero-mass lane reads exactly 0.
+pub(crate) fn check_probability(circuit: &Circuit, ev: &Evidence, got: f64) -> Result<(), String> {
+    let bound = gamma(rounding_depth(circuit));
+    let err = relative_error(got, probability(circuit, ev));
+    if err <= bound {
+        Ok(())
+    } else {
+        Err(format!("probability {got}: relative error {err:e} exceeds γ_D = {bound:e}"))
+    }
+}
+
+/// `got`, an arena's marginal of `var` given `ev`: each entry is a
+/// quotient of two lanes, so within `γ_{2D+1}` of the reference
+/// quotient (`(1 + θ_D) / (1 + θ_D) · (1 + δ) = 1 + θ_{2D+1}`, Higham
+/// Lemma 3.3); zero-mass evidence reads uniform.
+pub(crate) fn check_marginal(
+    circuit: &Circuit,
+    ev: &Evidence,
+    var: usize,
+    got: &[f64],
+) -> Result<(), String> {
+    let bound = gamma(2 * rounding_depth(circuit) + 1);
+    let mut e = ev.clone();
+    let t0 = probability(circuit, e.clear(var));
+    if t0.hi == 0.0 {
+        return if got == [0.5, 0.5] {
+            Ok(())
+        } else {
+            Err(format!("zero-mass marginal of x{var} reads {got:?}, not [0.5, 0.5]"))
+        };
+    }
+    for (b, &p) in got.iter().enumerate() {
+        let err = relative_error(p, ratio(probability(circuit, e.set(var, b)), t0));
+        if err > bound {
+            return Err(format!("marginal x{var} = {b}: {p}, relative error {err:e} > {bound:e}"));
+        }
+    }
+    Ok(())
+}
+
+/// An arena's MPE answer `(assignment, log_prob)` under `ev`:
+/// - the assignment keeps the evidence;
+/// - its reference weight is within `γ_{2D}` of the reference maximum.
+///   Ties may resolve differently from exact arithmetic: the chosen
+///   tree's computed value is within `γ_D` of its own and at least
+///   `1 − γ_D` times the best, so the chosen weight is at least
+///   `(1 − γ_D) / (1 + γ_D)` of it;
+/// - `log_prob` is within `γ_{D+1} >= −ln(1 − γ_D)` of the maximum's
+///   log, plus one faithful `ln` (`2u·|ln|`) on each side.
+pub(crate) fn check_mpe(
+    circuit: &Circuit,
+    ev: &Evidence,
+    assignment: &[usize],
+    log_prob: f64,
+) -> Result<(), String> {
+    if let Some(v) = (0..ev.len()).find(|&v| ev.value(v).is_some_and(|b| assignment[v] != b)) {
+        return Err(format!("MPE sets x{v} = {} against its evidence", assignment[v]));
+    }
+    let d = rounding_depth(circuit);
+    let max = max_probability(circuit, ev);
+    if max.hi == 0.0 {
+        return if log_prob == f64::NEG_INFINITY {
+            Ok(())
+        } else {
+            Err(format!("zero-mass MPE reads log_prob {log_prob}"))
+        };
+    }
+    let full: Vec<Option<usize>> = assignment.iter().map(|&b| Some(b)).collect();
+    let weight = max_probability(circuit, &Evidence::from_values(&full));
+    let gap = 1.0 - ratio(weight, max).hi;
+    if gap > gamma(2 * d) {
+        return Err(format!("MPE weight {weight:?} is {gap:e} below the maximum {max:?}"));
+    }
+    let ln = max.hi.ln() + max.lo / max.hi;
+    let slack = gamma(d + 1) + 4.0 * U * ln.abs();
+    if (log_prob - ln).abs() > slack {
+        return Err(format!("MPE log_prob {log_prob} vs reference {ln}: beyond {slack:e}"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

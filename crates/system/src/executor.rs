@@ -1032,33 +1032,39 @@ mod tests {
             ServeQuery::Mpe(ev.clone()),
             ServeQuery::Posterior(ev.clone()), // duplicate lane
         ];
-        // Reference: the oracle (and its source circuit) asked one
-        // query at a time.
+        // Reference: a twin arena flattened from the same circuit,
+        // asked one query at a time — bit for bit — whose answers in
+        // turn sit within `circuit_close` of the oracle's circuit.
+        let twin = Dnnf::from_circuit(&circuit).unwrap();
         let degenerate = |p: f64| Verdict::Wmc { estimate: p, lower: p, upper: p };
         let per_query: Vec<Verdict> = queries
             .iter()
-            .map(|query| match query {
-                ServeQuery::Wmc => degenerate(oracle.wmc()),
-                ServeQuery::Probability(ev) => degenerate(oracle.probability(ev)),
-                ServeQuery::Posterior(ev) => degenerate(oracle.posterior(ev).unwrap()),
-                ServeQuery::Marginal(ev, var) => Verdict::Distribution(circuit.marginal(ev, *var)),
-                ServeQuery::Mpe(ev) => {
-                    let res = circuit.mpe(ev);
-                    Verdict::Assignment { assignment: res.assignment, log_prob: res.log_prob }
+            .map(|query| {
+                let want = twin_answer(&twin, query);
+                let oracle_p = match query {
+                    ServeQuery::Wmc => Some(oracle.wmc()),
+                    ServeQuery::Probability(ev) => Some(oracle.probability(ev)),
+                    ServeQuery::Posterior(ev) => oracle.posterior(ev),
+                    ServeQuery::Marginal(..) | ServeQuery::Mpe(_) => None,
+                };
+                if let (Some(p), Verdict::Wmc { estimate, .. }) = (oracle_p, &want) {
+                    assert!(circuit_close(*estimate, p), "{query:?}: {estimate} vs {p}");
                 }
+                want
             })
             .collect();
+        assert_eq!(per_query[0], degenerate(twin.wmc()));
         let batched = vec![BatchTask {
             name: "batch".into(),
             neural: NeuralStage::Synthetic { duration: Duration::from_millis(1) },
-            symbolic: SymbolicStage::ServeBatch { arena, z: oracle.wmc(), queries },
+            symbolic: SymbolicStage::ServeBatch { arena, z: twin.wmc(), queries },
             deadline: None,
         }];
         let report = BatchExecutor::new(ExecutorConfig::sequential()).run(&batched);
         let Verdict::Batch(answers) = &report.results[0].verdict else {
             panic!("ServeBatch reports a batch verdict");
         };
-        assert_eq!(answers, &per_query, "batched lanes ≡ per-query oracle answers");
+        assert_eq!(answers, &per_query, "batched lanes ≡ per-query twin answers");
         let Verdict::Assignment { assignment, .. } = &answers[6] else {
             panic!("lane 6 is the MPE query");
         };
@@ -1069,13 +1075,42 @@ mod tests {
         assert!(threaded.agrees_with(&report));
     }
 
+    /// Served arena against the log-space circuit: each is within
+    /// ~1e-14 of exact at these sizes (`reason_pc::dnnf`'s γ_D bound,
+    /// and a few ulps of `ln p` per circuit node), so 1e-12 relative
+    /// holds both.
+    fn circuit_close(got: f64, want: f64) -> bool {
+        (got - want).abs() <= 1e-12 * want
+    }
+
+    /// What `run_serve_batch` answers for `query` on `arena` asked
+    /// alone.
+    fn twin_answer(arena: &Dnnf, query: &ServeQuery) -> Verdict {
+        let degenerate = |p: f64| Verdict::Wmc { estimate: p, lower: p, upper: p };
+        let mut buf = BatchBuffer::new();
+        match query {
+            ServeQuery::Wmc => degenerate(arena.wmc()),
+            ServeQuery::Probability(ev) => degenerate(arena.probability(ev, &mut buf)),
+            ServeQuery::Posterior(ev) => degenerate(arena.probability(ev, &mut buf) / arena.wmc()),
+            ServeQuery::Marginal(ev, var) => {
+                let (_, mut dists, _) = arena.query_batch(&[], &[(ev, *var)], &[], &mut buf);
+                Verdict::Distribution(dists.remove(0))
+            }
+            ServeQuery::Mpe(ev) => {
+                let res = arena.query_batch(&[], &[], &[ev], &mut buf).2.remove(0);
+                Verdict::Assignment { assignment: res.assignment, log_prob: res.log_prob }
+            }
+        }
+    }
+
     /// A serve arena with mass, its source circuit and its `Pr[φ]`.
     fn serve_kb(n: usize) -> (Circuit, Arc<Dnnf>, f64) {
         let cnf = random_ksat(n, 2 * n + 6, 3, 8);
         let weights = WmcWeights::new((0..n).map(|v| 0.3 + 0.04 * v as f64).collect());
         let circuit = compile_cnf(&cnf, &weights).expect("seed 8 instance must carry mass");
         let arena = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
-        let z = circuit.probability(&Evidence::empty(n));
+        let z = arena.wmc();
+        assert!(circuit_close(z, circuit.probability(&Evidence::empty(n))));
         (circuit, arena, z)
     }
 
@@ -1093,16 +1128,19 @@ mod tests {
         let (circuit, arena, z) = serve_kb(10);
         let mut ev = Evidence::empty(10);
         ev.set(1, 1);
-        let mpe = circuit.mpe(&ev);
+        let marginal = twin_answer(&arena, &ServeQuery::Marginal(ev.clone(), 4));
+        let Verdict::Distribution(dist) = &marginal else { panic!("{marginal:?}") };
+        for (got, want) in dist.iter().zip(circuit.marginal(&ev, 4)) {
+            assert!(circuit_close(*got, want), "{got} vs {want}");
+        }
+        let mpe = twin_answer(&arena, &ServeQuery::Mpe(ev.clone()));
+        let Verdict::Assignment { assignment, log_prob } = &mpe else { panic!("{mpe:?}") };
+        assert_eq!(*assignment, circuit.mpe(&ev).assignment, "this instance has no MPE tie");
+        assert!((log_prob - circuit.mpe(&ev).log_prob).abs() <= 1e-12);
         let cases = [
             (vec![ServeQuery::Wmc; 3], Verdict::Wmc { estimate: z, lower: z, upper: z }),
-            (vec![ServeQuery::Marginal(ev.clone(), 4); 2], {
-                Verdict::Distribution(circuit.marginal(&ev, 4))
-            }),
-            (
-                vec![ServeQuery::Mpe(ev.clone())],
-                Verdict::Assignment { assignment: mpe.assignment, log_prob: mpe.log_prob },
-            ),
+            (vec![ServeQuery::Marginal(ev.clone(), 4); 2], marginal),
+            (vec![ServeQuery::Mpe(ev.clone())], mpe),
             (Vec::new(), Verdict::Done),
         ];
         for (queries, want) in cases {

@@ -15,12 +15,17 @@ use reason::arch::{ArchConfig, BenesNetwork, VliwExecutor};
 use reason::compiler::ReasonCompiler;
 use reason::core::{dag_from_cnf, regularize};
 use reason::hmm::Hmm;
-use reason::pc::{compile_cnf, Evidence, WmcWeights};
+use reason::pc::{compile_cnf, Circuit, Evidence, PcNode, WmcWeights};
 use reason::sat::{
     brute_force, weighted_count, CdclSolver, Cnf, CubeAndConquer, CubeConfig, Preprocessor,
 };
 use reason::serve::{CacheStats, CircuitStore, FormulaFingerprint, StoreConfig, StoredCircuit};
 use reason::system::{StageCost, TwoLevelPipeline};
+
+/// The double-double reference evaluator of `reason-pc`'s tests, which
+/// the arena's answers are checked against within their stated bounds.
+#[path = "../crates/pc/src/reference.rs"]
+mod reference;
 
 /// A random small CNF as DIMACS-style clause lists.
 fn arb_cnf(max_vars: usize, max_clauses: usize) -> impl Strategy<Value = Cnf> {
@@ -216,9 +221,11 @@ proptest! {
     #[test]
     fn dnnf_arena_evaluation_equals_circuit_wmc(n in 4usize..=16, seed in 0u64..10_000) {
         // The serving layer's flat d-DNNF arena is a 1:1 flattening of
-        // the compiled circuit: on random CNFs across the tractable
-        // range, WMC, partial-evidence probabilities, marginals, and
-        // MPE must agree bit-for-bit with circuit evaluation.
+        // the compiled circuit that walks probabilities instead of
+        // logs: on random CNFs across the tractable range, WMC,
+        // partial-evidence probabilities, marginals, and MPE must agree
+        // with the circuit within the bounds `reference::check_*` state
+        // (γ_D against a double-double evaluation of the circuit).
         use rand::{Rng, SeedableRng};
         let m = 2 * n + (seed % 13) as usize;
         let cnf = reason::sat::gen::random_ksat(n, m, 3, seed);
@@ -228,34 +235,35 @@ proptest! {
             return Ok(());
         };
         let arena = reason::pc::Dnnf::from_circuit(&circuit).expect("binary universe");
-        let mut cbuf = reason::pc::EvalBuffer::new();
         let mut bbuf = reason::pc::BatchBuffer::new();
         // Full marginalization — `Z`, read off the arena's root and
-        // walked as one lane — plus a random partial evidence pattern.
+        // walked as one lane, the same bits — plus a random partial
+        // evidence pattern.
         let mut evidence = Evidence::empty(n);
-        let z = circuit.log_probability_with(&evidence, &mut cbuf);
-        prop_assert_eq!(arena.wmc().to_bits(), z.exp().to_bits());
         let one = reason::pc::DnnfBatch::pack(std::slice::from_ref(&evidence));
-        prop_assert_eq!(z.to_bits(), arena.log_probability_batch(&one, &mut bbuf)[0].to_bits());
+        prop_assert_eq!(arena.wmc().to_bits(), arena.wmc_batch(&one, &mut bbuf)[0].to_bits());
+        let check = reference::check_probability(&circuit, &evidence, arena.wmc());
+        prop_assert!(check.is_ok(), "Z: {:?}", check);
         for v in 0..n {
             if rng.gen_bool(0.4) {
                 evidence.set(v, usize::from(rng.gen_bool(0.5)));
             }
         }
-        // Everything else runs on the arena as a batch of one.
+        // Everything else runs on the arena as a batch of one; the log
+        // lane is one `ln` of the linear lane.
         let one = reason::pc::DnnfBatch::pack(std::slice::from_ref(&evidence));
-        let c = circuit.log_probability_with(&evidence, &mut cbuf);
-        let a = arena.log_probability_batch(&one, &mut bbuf)[0];
-        prop_assert!(c.to_bits() == a.to_bits(), "circuit {} vs arena {}", c, a);
+        let p = arena.wmc_batch(&one, &mut bbuf)[0];
+        let lp = arena.log_probability_batch(&one, &mut bbuf)[0];
+        prop_assert_eq!(lp.to_bits(), p.ln().to_bits());
+        let check = reference::check_probability(&circuit, &evidence, p);
+        prop_assert!(check.is_ok(), "{:?}", check);
         let var = rng.gen_range(0..n);
-        prop_assert_eq!(
-            &circuit.marginal_with(&evidence, var, &mut cbuf),
-            &arena.marginal_batch(&one, var, &mut bbuf)[0]
-        );
-        let cm = circuit.mpe_with(&evidence, &mut cbuf);
+        let dist = &arena.marginal_batch(&one, var, &mut bbuf)[0];
+        let check = reference::check_marginal(&circuit, &evidence, var, dist);
+        prop_assert!(check.is_ok(), "{:?}", check);
         let am = &arena.mpe_batch(&one, &mut bbuf)[0];
-        prop_assert_eq!(&cm.assignment, &am.assignment);
-        prop_assert_eq!(cm.log_prob.to_bits(), am.log_prob.to_bits());
+        let check = reference::check_mpe(&circuit, &evidence, &am.assignment, am.log_prob);
+        prop_assert!(check.is_ok(), "{:?}", check);
     }
 
     #[test]
@@ -264,7 +272,8 @@ proptest! {
         // transformation, not a numerical one: every lane of a mixed
         // WMC/marginal/MPE batch — including duplicated queries, which
         // the packer collapses onto a shared storage lane — must
-        // reproduce the source circuit's single-query answer bit-for-bit.
+        // reproduce the arena's single-query answer bit-for-bit, and
+        // that answer the circuit's within `reference::check_*`'s bounds.
         use rand::{Rng, SeedableRng};
         let m = 2 * n + (seed % 13) as usize;
         let cnf = reason::sat::gen::random_ksat(n, m, 3, seed);
@@ -293,26 +302,31 @@ proptest! {
         }
         let batch = reason::pc::DnnfBatch::pack(&evidences);
         prop_assert_eq!(batch.lanes(), lanes);
-        let mut cbuf = reason::pc::EvalBuffer::new();
         let mut bbuf = reason::pc::BatchBuffer::new();
+        let mut sbuf = reason::pc::BatchBuffer::new();
         let logp = arena.log_probability_batch(&batch, &mut bbuf);
         let wmc = arena.wmc_batch(&batch, &mut bbuf);
         let var = rng.gen_range(0..n);
         let marg = arena.marginal_batch(&batch, var, &mut bbuf);
         let mpe = arena.mpe_batch(&batch, &mut bbuf);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (lane, ev) in evidences.iter().enumerate() {
-            let lp = circuit.log_probability_with(ev, &mut cbuf);
-            prop_assert!(
-                logp[lane].to_bits() == lp.to_bits()
-                    || (logp[lane].is_nan() && lp.is_nan()),
-                "lane {}: batched logp {} vs circuit {}", lane, logp[lane], lp
-            );
-            prop_assert_eq!(wmc[lane].to_bits(), lp.exp().to_bits());
-            let sm = circuit.marginal_with(ev, var, &mut cbuf);
-            prop_assert_eq!(&marg[lane], &sm, "lane {} marginal", lane);
-            let single = circuit.mpe_with(ev, &mut cbuf);
+            let one = reason::pc::DnnfBatch::pack(std::slice::from_ref(ev));
+            let lp = arena.log_probability_batch(&one, &mut sbuf)[0];
+            prop_assert_eq!(logp[lane].to_bits(), lp.to_bits(), "lane {} logp", lane);
+            let p = arena.wmc_batch(&one, &mut sbuf)[0];
+            prop_assert_eq!(wmc[lane].to_bits(), p.to_bits(), "lane {} wmc", lane);
+            let check = reference::check_probability(&circuit, ev, p);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", lane, check);
+            let sm = &arena.marginal_batch(&one, var, &mut sbuf)[0];
+            prop_assert_eq!(bits(&marg[lane]), bits(sm), "lane {} marginal", lane);
+            let check = reference::check_marginal(&circuit, ev, var, sm);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", lane, check);
+            let single = &arena.mpe_batch(&one, &mut sbuf)[0];
             prop_assert_eq!(&mpe[lane].assignment, &single.assignment, "lane {} mpe", lane);
             prop_assert_eq!(mpe[lane].log_prob.to_bits(), single.log_prob.to_bits());
+            let check = reference::check_mpe(&circuit, ev, &single.assignment, single.log_prob);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", lane, check);
         }
     }
 
@@ -325,8 +339,10 @@ proptest! {
         // A `ServeBatch` task packs every probability, posterior and
         // marginal lane into one slab walked in lane tiles. Whatever
         // the mix and the batch width (below, at and across tile
-        // boundaries), every lane must reproduce the source circuit's
-        // single-query answer bit-for-bit, inline and on the pools.
+        // boundaries), every lane must reproduce bit-for-bit, inline
+        // and on the pools, what a twin arena flattened from the same
+        // circuit answers one query at a time — and each such answer
+        // must sit within its bound of the circuit (`reference::check_*`).
         use rand::{Rng, SeedableRng};
         use reason::system::{
             BatchExecutor, BatchTask, ExecutorConfig, NeuralStage, ServeQuery, SymbolicStage,
@@ -344,8 +360,11 @@ proptest! {
             return Ok(());
         };
         let arena = std::sync::Arc::new(reason::pc::Dnnf::from_circuit(&circuit).expect("binary"));
-        let mut cbuf = reason::pc::EvalBuffer::new();
-        let z = circuit.probability_with(&Evidence::empty(n), &mut cbuf);
+        let twin = reason::pc::Dnnf::from_circuit(&circuit).expect("binary");
+        let mut tbuf = reason::pc::BatchBuffer::new();
+        let z = twin.wmc();
+        let check = reference::check_probability(&circuit, &Evidence::empty(n), z);
+        prop_assert!(check.is_ok(), "Z: {:?}", check);
 
         let mut queries: Vec<ServeQuery> = (0..lanes)
             .map(|_| {
@@ -390,21 +409,32 @@ proptest! {
         }
 
         let degenerate = |p: f64| Verdict::Wmc { estimate: p, lower: p, upper: p };
-        let want: Vec<Verdict> = queries
-            .iter()
-            .map(|query| match query {
-                ServeQuery::Wmc => degenerate(z),
-                ServeQuery::Probability(ev) => degenerate(circuit.probability_with(ev, &mut cbuf)),
-                ServeQuery::Posterior(ev) => degenerate(circuit.probability_with(ev, &mut cbuf) / z),
+        let one = |ev: &Evidence| reason::pc::DnnfBatch::pack(std::slice::from_ref(ev));
+        let mut want: Vec<Verdict> = Vec::with_capacity(lanes);
+        for query in &queries {
+            let (answer, check) = match query {
+                ServeQuery::Wmc => (degenerate(z), Ok(())),
+                ServeQuery::Probability(ev) | ServeQuery::Posterior(ev) => {
+                    let p = twin.probability(ev, &mut tbuf);
+                    let check = reference::check_probability(&circuit, ev, p);
+                    let posterior = matches!(query, ServeQuery::Posterior(_));
+                    (degenerate(if posterior { p / z } else { p }), check)
+                }
                 ServeQuery::Marginal(ev, var) => {
-                    Verdict::Distribution(circuit.marginal_with(ev, *var, &mut cbuf))
+                    let dist = twin.marginal_batch(&one(ev), *var, &mut tbuf).remove(0);
+                    let check = reference::check_marginal(&circuit, ev, *var, &dist);
+                    (Verdict::Distribution(dist), check)
                 }
                 ServeQuery::Mpe(ev) => {
-                    let res = circuit.mpe_with(ev, &mut cbuf);
-                    Verdict::Assignment { assignment: res.assignment, log_prob: res.log_prob }
+                    let res = twin.mpe_batch(&one(ev), &mut tbuf).remove(0);
+                    let check =
+                        reference::check_mpe(&circuit, ev, &res.assignment, res.log_prob);
+                    (Verdict::Assignment { assignment: res.assignment, log_prob: res.log_prob }, check)
                 }
-            })
-            .collect();
+            };
+            prop_assert!(check.is_ok(), "{:?}: {:?}", query, check);
+            want.push(answer);
+        }
         if lanes >= TILE - 1 {
             prop_assert_eq!(&want[2], &degenerate(0.0));
             prop_assert_eq!(&want[3], &Verdict::Distribution(vec![0.5, 0.5]));
@@ -454,8 +484,9 @@ proptest! {
         // sparse lanes at and across the 64-lane mask width, one dirty
         // lane first or last in an otherwise clean tile, a tile of
         // empty evidence — and with weights at 0 and 1 (empty values
-        // of -inf), every lane must reproduce the source circuit's
-        // single-query answer bit-for-bit.
+        // of 0), every lane must reproduce the arena's single-query
+        // answer bit-for-bit, and that answer sit within its bound of
+        // the source circuit (`reference::check_*`).
         use rand::{Rng, SeedableRng};
         // reason-pc's private lane-tile width (pinned by
         // tests/batch_traversal_guard.rs).
@@ -520,19 +551,78 @@ proptest! {
         let marginals: Vec<(&Evidence, usize)> =
             lanes.iter().map(|ev| (ev, rng.gen_range(0..n))).collect();
         let mut bbuf = reason::pc::BatchBuffer::new();
-        let mut cbuf = reason::pc::EvalBuffer::new();
+        let mut sbuf = reason::pc::BatchBuffer::new();
         // Probability lanes alone, so storage lane k is query lane k.
         let (ps, _, _) = arena.query_batch(&refs, &[], &[], &mut bbuf);
         let (_, dists, mpes) = arena.query_batch(&[], &marginals, &refs, &mut bbuf);
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (lane, ev) in lanes.iter().enumerate() {
-            let p = circuit.probability_with(ev, &mut cbuf);
-            prop_assert_eq!(ps[lane].to_bits(), p.to_bits(), "lane {} probability", lane);
-            let sm = circuit.marginal_with(ev, marginals[lane].1, &mut cbuf);
-            prop_assert_eq!(bits(&dists[lane]), bits(&sm), "lane {} marginal", lane);
-            let single = circuit.mpe_with(ev, &mut cbuf);
-            prop_assert_eq!(&mpes[lane].assignment, &single.assignment, "lane {} mpe", lane);
-            prop_assert_eq!(mpes[lane].log_prob.to_bits(), single.log_prob.to_bits());
+            let (p, dist, mpe) = arena.query_batch(&[ev], &[marginals[lane]], &[ev], &mut sbuf);
+            prop_assert_eq!(ps[lane].to_bits(), p[0].to_bits(), "lane {} probability", lane);
+            let check = reference::check_probability(&circuit, ev, p[0]);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", lane, check);
+            prop_assert_eq!(bits(&dists[lane]), bits(&dist[0]), "lane {} marginal", lane);
+            let check = reference::check_marginal(&circuit, ev, marginals[lane].1, &dist[0]);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", lane, check);
+            prop_assert_eq!(&mpes[lane].assignment, &mpe[0].assignment, "lane {} mpe", lane);
+            prop_assert_eq!(mpes[lane].log_prob.to_bits(), mpe[0].log_prob.to_bits());
+            let check = reference::check_mpe(&circuit, ev, &mpe[0].assignment, mpe[0].log_prob);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", lane, check);
+        }
+    }
+
+    #[test]
+    fn arena_answers_stay_within_gamma_d_of_a_double_double_reference(
+        n in 2usize..=16,
+        seed in 0u64..100_000,
+    ) {
+        // The linear-domain walk's contract: on random formulas, with
+        // weights anywhere in (0, 1) including 0, 1 and values near
+        // both, every lane of a random batch — probability, marginal
+        // and MPE — lies within `γ_D = D·u / (1 − D·u)` of a
+        // double-double evaluation of the circuit (`γ_{2D+1}` for a
+        // marginal's quotient, `reference::check_mpe`'s terms for the
+        // MPE), and the log lane is one `ln` of the linear lane.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6A3D);
+        let m = rng.gen_range(n..=4 * n);
+        let cnf = reason::sat::gen::random_ksat(n, m, rng.gen_range(2..=3.min(n)), seed);
+        let probs: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => rng.gen_range(1e-12..1e-3),
+                3 => 1.0 - rng.gen_range(1e-12..1e-3),
+                _ => rng.gen_range(0.0..1.0),
+            })
+            .collect();
+        let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs)) else {
+            return Ok(());
+        };
+        let arena = reason::pc::Dnnf::from_circuit(&circuit).expect("binary universe");
+        let evidences: Vec<Evidence> = (0..rng.gen_range(1..=12usize))
+            .map(|_| {
+                let observe = rng.gen_range(0.0..1.0);
+                let values: Vec<Option<usize>> = (0..n)
+                    .map(|_| rng.gen_bool(observe).then(|| usize::from(rng.gen_bool(0.5))))
+                    .collect();
+                Evidence::from_values(&values)
+            })
+            .collect();
+        let refs: Vec<&Evidence> = evidences.iter().collect();
+        let marginals: Vec<(&Evidence, usize)> =
+            evidences.iter().map(|ev| (ev, rng.gen_range(0..n))).collect();
+        let mut bbuf = reason::pc::BatchBuffer::new();
+        let (ps, dists, mpes) = arena.query_batch(&refs, &marginals, &refs, &mut bbuf);
+        let logs = arena.log_probability_batch(&reason::pc::DnnfBatch::pack(&evidences), &mut bbuf);
+        for (k, ev) in evidences.iter().enumerate() {
+            prop_assert_eq!(logs[k].to_bits(), ps[k].ln().to_bits(), "lane {}", k);
+            let check = reference::check_probability(&circuit, ev, ps[k]);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", k, check);
+            let check = reference::check_marginal(&circuit, ev, marginals[k].1, &dists[k]);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", k, check);
+            let check = reference::check_mpe(&circuit, ev, &mpes[k].assignment, mpes[k].log_prob);
+            prop_assert!(check.is_ok(), "lane {}: {:?}", k, check);
         }
     }
 

@@ -123,6 +123,11 @@ const KEPT: &[(&str, &str, &str)] = &[
     ),
     (
         "crates/pc/src/dnnf.rs",
+        "log_probability_batch",
+        "(b) probe: the one arena answer that reads a root below f64's range; the bound tests read it",
+    ),
+    (
+        "crates/pc/src/dnnf.rs",
         "slab_bytes",
         "(b) probe: tests/batch_traversal_guard.rs pins scratch-table bytes through it",
     ),
