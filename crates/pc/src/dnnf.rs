@@ -31,10 +31,12 @@
 //! [`Circuit`].
 //!
 //! **Range.** The bound needs every intermediate to stay a normal f64.
-//! [`Dnnf::from_circuit`] reads, from the circuit's log weights, the
-//! smallest nonzero and the largest value every node can take under any
-//! evidence. If all of them lie inside `[2^-1000, 2^1000]` the arena
-//! walks f64s. Otherwise (very tall formulas, extreme weights) it walks
+//! [`Dnnf::from_circuit`] bounds, in the same pass that flattens, the
+//! smallest nonzero value every node (and every intermediate of its
+//! arithmetic) can take under any evidence, and the largest — its
+//! empty-evidence value, which evidence only lowers; a positive weight
+//! whose `exp` underflowed counts as out of range. If all of them lie
+//! inside `[2^-1000, 2^1000]` the arena walks f64s. Otherwise (very tall formulas, extreme weights) it walks
 //! `(mantissa, exponent)` pairs through the same generic loop: scaling
 //! by a power of two is exact, so the bound is unchanged and no answer
 //! underflows silently; `log_probability_batch` still reads a root far
@@ -140,10 +142,11 @@ impl Node {
     }
 }
 
-/// Bounds on an arena value: no nonzero value a walk of an arena in
-/// range computes lies outside `[2^-1000, 2^1000]`, so none is
-/// subnormal or infinite (f64's normal range is `[2^-1022, 2^1024)`).
-const RANGE_LN: f64 = 1000.0 * LN_2;
+/// The range an f64 arena's nonzero values must stay inside,
+/// `[2^-1000, 2^1000]`: well within f64's normal range
+/// `[2^-1022, 2^1024)`, so no intermediate goes subnormal or infinite.
+const TINY: f64 = f64::from_bits((1023 - 1000) << 52);
+const HUGE: f64 = f64::from_bits((1023 + 1000) << 52);
 
 /// `2^k` for `k` in f64's normal exponent range `-1022..=1023`.
 fn pow2(k: i32) -> f64 {
@@ -226,8 +229,6 @@ trait Value: Copy {
     fn of(x: f64) -> Self;
     /// A node's stored empty value `m · 2^scale`.
     fn stored(m: f64, scale: i32) -> Self;
-    /// The `(m, scale)` a node stores for this value.
-    fn parts(self) -> (f64, i32);
     fn mul(self, o: Self) -> Self;
     fn add(self, o: Self) -> Self;
     /// Strictly greater.
@@ -248,9 +249,6 @@ impl Value for f64 {
     #[inline(always)]
     fn stored(m: f64, _: i32) -> f64 {
         m
-    }
-    fn parts(self) -> (f64, i32) {
-        (self, 0)
     }
     #[inline(always)]
     fn mul(self, o: f64) -> f64 {
@@ -285,9 +283,6 @@ impl Value for Ext {
         } else {
             Ext { m: x.m, e: x.e + scale }
         }
-    }
-    fn parts(self) -> (f64, i32) {
-        (self.m, self.e)
     }
     fn mul(self, o: Ext) -> Ext {
         Ext::norm(self.m * o.m, self.e + o.e)
@@ -575,20 +570,13 @@ impl BatchBuffer {
     }
 }
 
-/// Natural-log bounds `[lo, hi]` on the nonzero values of a Bernoulli
-/// leaf with log-probabilities `lp`: `p0` and `p1` when observed, 1
-/// when marginalized.
-fn leaf_bounds(lp: [f64; 2]) -> [f64; 2] {
-    let lo = lp.iter().filter(|x| x.is_finite()).fold(0.0, |lo: f64, &x| lo.min(x));
-    [lo, lp[0].max(lp[1]).max(0.0)]
-}
-
 impl Dnnf {
     /// Flattens `circuit` into an arena, preserving node order and
     /// child order exactly and exponentiating its log weights. The same
-    /// pass bounds every node's values to pick the value type (see the
-    /// [module docs](self)); a second one stores every interior node's
-    /// empty-evidence value, read off its already-flattened children.
+    /// pass stores every interior node's empty-evidence value, read off
+    /// its already-flattened children, and bounds every node's values
+    /// to pick the value type (see the [module docs](self)); an arena
+    /// out of range stores its empty values again, extended.
     ///
     /// # Errors
     ///
@@ -598,98 +586,103 @@ impl Dnnf {
         if let Some((var, &arity)) = circuit.arities().iter().enumerate().find(|(_, &a)| a != 2) {
             return Err(DnnfError::NonBinaryVariable { var, arity });
         }
-        let mut nodes: Vec<Node> = Vec::with_capacity(circuit.num_nodes());
-        let mut edges: Vec<u32> = Vec::with_capacity(circuit.num_edges());
-        let mut edge_weights: Vec<f64> = Vec::with_capacity(circuit.num_edges());
-        // `[lo, hi]`: the natural log of the smallest nonzero and of the
-        // largest value a node, or any intermediate of its arithmetic,
-        // takes under any evidence (`lo = +inf` if it is always zero).
-        let mut bounds: Vec<[f64; 2]> = Vec::with_capacity(circuit.num_nodes());
-        for node in circuit.nodes() {
-            let (flat, bound) = match node {
-                PcNode::Indicator { var, value } => {
-                    (Node::Indicator { var: *var as u32, value: *value == 1 }, [0.0, 0.0])
-                }
-                PcNode::Categorical { var, log_probs } => {
-                    let lp = [log_probs[0], log_probs[1]];
-                    (Node::Leaf { var: *var as u32, p: lp.map(f64::exp) }, leaf_bounds(lp))
-                }
-                PcNode::Product { children } => {
-                    let start = edges.len() as u32;
-                    // Every prefix of the product is an intermediate.
-                    let (mut run, mut bound) = ([0.0, 0.0], [0.0f64, 0.0f64]);
-                    for c in children {
-                        edges.push(c.index() as u32);
-                        edge_weights.push(1.0);
-                        let b = bounds[c.index()];
-                        run = [run[0] + b[0], run[1] + b[1]];
-                        bound = [bound[0].min(run[0]), bound[1].max(run[1])];
-                    }
-                    (Node::And { start, len: children.len() as u32, empty: 0.0, scale: 0 }, bound)
-                }
-                PcNode::Sum { children, log_weights } => {
-                    let start = edges.len() as u32;
-                    // Each weight and weighted child is an intermediate;
-                    // a partial sum lies between its largest term and
-                    // `len` times the largest.
-                    let mut bound = [f64::INFINITY, f64::NEG_INFINITY];
-                    for (c, &lw) in children.iter().zip(log_weights) {
-                        edges.push(c.index() as u32);
-                        edge_weights.push(lw.exp());
-                        if lw > f64::NEG_INFINITY {
-                            let b = bounds[c.index()];
-                            bound = [bound[0].min(lw).min(lw + b[0]), bound[1].max(lw + b[1])];
-                        }
-                    }
-                    let widest = f64::from(32 - (children.len() as u32).leading_zeros()) * LN_2;
-                    bound[1] += widest;
-                    (Node::Or { start, len: children.len() as u32, empty: 0.0, scale: 0 }, bound)
-                }
-            };
-            nodes.push(flat);
-            bounds.push(bound);
-        }
-        let wide = bounds.iter().any(|&[lo, hi]| lo < -RANGE_LN || hi > RANGE_LN);
         let mut arena = Dnnf {
             num_vars: circuit.num_vars(),
-            nodes,
-            edges,
-            edge_weights,
+            nodes: Vec::with_capacity(circuit.num_nodes()),
+            edges: Vec::with_capacity(circuit.num_edges()),
+            edge_weights: Vec::with_capacity(circuit.num_edges()),
             root: circuit.root().index() as u32,
-            wide,
+            wide: false,
         };
-        if wide {
-            arena.store_empties::<Ext>();
-        } else {
-            arena.store_empties::<f64>();
+        // `lows[i]`: the smallest nonzero value node `i`, or any
+        // intermediate of its arithmetic, takes under any evidence
+        // (`+inf` if it is always zero; 0 if it underflowed). The
+        // largest is its empty value, which any evidence only lowers.
+        let mut lows: Vec<f64> = Vec::with_capacity(circuit.num_nodes());
+        for node in circuit.nodes() {
+            let start = arena.edges.len() as u32;
+            let (flat, low, high) = match node {
+                PcNode::Indicator { var, value } => {
+                    (Node::Indicator { var: *var as u32, value: *value == 1 }, 1.0, 1.0)
+                }
+                PcNode::Categorical { var, log_probs } => {
+                    let p = [log_probs[0].exp(), log_probs[1].exp()];
+                    // Observed, `p0` or `p1`; marginalized, 1. A positive
+                    // probability whose `exp` flushed to 0 reads 0.
+                    let low = (0..2).fold(1.0, |low: f64, b| {
+                        if log_probs[b] == f64::NEG_INFINITY {
+                            low
+                        } else {
+                            low.min(p[b])
+                        }
+                    });
+                    (Node::Leaf { var: *var as u32, p }, low, p[0].max(p[1]))
+                }
+                PcNode::Product { children } => {
+                    // The empty value folds like the walk: `1 · c0 · c1 …`.
+                    // Every prefix of the product is an intermediate.
+                    let (mut low, mut run_low, mut high, mut empty) = (1.0f64, 1.0, 1.0f64, 1.0);
+                    for c in children {
+                        arena.edges.push(c.index() as u32);
+                        arena.edge_weights.push(1.0);
+                        run_low *= lows[c.index()];
+                        empty *= arena.nodes[c.index()].empty::<f64>();
+                        (low, high) = (low.min(run_low), high.max(empty));
+                    }
+                    let len = children.len() as u32;
+                    (Node::And { start, len, empty, scale: 0 }, low, high)
+                }
+                PcNode::Sum { children, log_weights } => {
+                    // The empty value folds like the walk: `0 + w0·c0 + …`.
+                    // Each weight and weighted child is an intermediate;
+                    // a partial sum is at least its largest term.
+                    let (mut low, mut high, mut empty) = (f64::INFINITY, 0.0f64, 0.0);
+                    for (c, &lw) in children.iter().zip(log_weights) {
+                        let w = lw.exp();
+                        arena.edges.push(c.index() as u32);
+                        arena.edge_weights.push(w);
+                        empty += w * arena.nodes[c.index()].empty::<f64>();
+                        if lw > f64::NEG_INFINITY {
+                            (low, high) = (low.min(w).min(w * lows[c.index()]), high.max(w));
+                        }
+                    }
+                    let len = children.len() as u32;
+                    (Node::Or { start, len, empty, scale: 0 }, low, high.max(empty))
+                }
+            };
+            arena.wide |= low < TINY || high > HUGE;
+            arena.nodes.push(flat);
+            lows.push(low);
+        }
+        if arena.wide {
+            for i in 0..arena.nodes.len() {
+                let empty = arena.wide_empty(&arena.nodes[i]);
+                if let Node::And { empty: e, scale, .. } | Node::Or { empty: e, scale, .. } =
+                    &mut arena.nodes[i]
+                {
+                    (*e, *scale) = (empty.m, empty.e);
+                }
+            }
         }
         Ok(arena)
     }
 
-    /// Stores every interior node's empty-evidence value, folded over
-    /// its children's in the walk's own order and arithmetic, so a lane
-    /// that observes nothing in the node's scope would compute the same
-    /// bits.
-    fn store_empties<V: Value>(&mut self) {
-        for i in 0..self.nodes.len() {
-            let value: V = match self.nodes[i] {
-                Node::And { start, len, .. } => {
-                    let edges = &self.edges[start as usize..(start + len) as usize];
-                    edges.iter().fold(V::ONE, |acc, &c| acc.mul(self.nodes[c as usize].empty()))
-                }
-                Node::Or { start, len, .. } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    let terms = self.edges[s..e].iter().zip(&self.edge_weights[s..e]);
-                    terms.fold(V::ZERO, |acc, (&c, &w)| {
-                        acc.add(V::of(w).mul(self.nodes[c as usize].empty()))
-                    })
-                }
-                Node::Indicator { .. } | Node::Leaf { .. } => continue,
-            };
-            if let Node::And { empty, scale, .. } | Node::Or { empty, scale, .. } =
-                &mut self.nodes[i]
-            {
-                (*empty, *scale) = value.parts();
+    /// `node`'s empty-evidence value in extended values, folded over its
+    /// children's stored ones in the walk's own order, so a lane that
+    /// observes nothing in the node's scope computes the same bits.
+    fn wide_empty(&self, node: &Node) -> Ext {
+        match *node {
+            Node::Indicator { .. } | Node::Leaf { .. } => Ext::ONE,
+            Node::And { start, len, .. } => {
+                let edges = &self.edges[start as usize..(start + len) as usize];
+                edges.iter().fold(Ext::ONE, |acc, &c| acc.mul(self.nodes[c as usize].empty()))
+            }
+            Node::Or { start, len, .. } => {
+                let (s, e) = (start as usize, (start + len) as usize);
+                let terms = self.edges[s..e].iter().zip(&self.edge_weights[s..e]);
+                terms.fold(Ext::ZERO, |acc, (&c, &w)| {
+                    acc.add(Ext::new(w).mul(self.nodes[c as usize].empty()))
+                })
             }
         }
     }
@@ -1407,6 +1400,7 @@ mod tests {
                 assert_eq!(x.ratio(y).to_bits(), (a / b).to_bits(), "{a} / {b}");
             }
         }
+        assert_eq!((TINY, HUGE), (2f64.powi(-1000), 2f64.powi(1000)));
         // Subnormals normalize exactly; zero is absorbing and the least.
         assert_eq!(Ext::new(5e-324), Ext { m: 1.0, e: -1074 });
         assert_eq!(Ext::new(5e-324).to_f64(), 5e-324);
@@ -1569,6 +1563,12 @@ mod tests {
                 }
                 let z = brute_log_probability(&cnf, &probs, &Evidence::empty(n));
                 assert!(close(arena.wmc().ln(), z) || (arena.wmc() == 0.0 && z < -745.0));
+                // The walks ran on the extended table alone, and the
+                // buffer's byte count includes it.
+                assert_eq!(buf.vals.capacity(), 0);
+                assert!(buf.wide.len() >= arena.num_nodes());
+                let wide_bytes = buf.wide.capacity() * std::mem::size_of::<Ext>();
+                assert!(buf.slab_bytes() >= wide_bytes + 8 * arena.num_nodes());
                 checked += 1;
             }
         }

@@ -29,7 +29,8 @@
 //!   served answers against.
 //! * [`dnnf`] — compiled circuits flattened into evaluation-ready
 //!   d-DNNF arenas ([`Dnnf`]), the artifact a serving circuit store
-//!   keeps hot; answers are bit-identical to circuit evaluation.
+//!   keeps hot; it walks probabilities, and its answers are within a
+//!   stated `γ_D` bound of exact circuit evaluation.
 //! * [`structure`] — seeded structure generators (mixture-of-factorization
 //!   region trees) for workload synthesis.
 //! * [`mod@sample`] — forward sampling.

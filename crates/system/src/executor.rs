@@ -131,8 +131,8 @@ pub enum SymbolicStage {
     /// traversal (per lane tile; duplicate columns collapse across
     /// kinds), and MPE lanes share one max-product pass. The traversal
     /// scratch is kept per executing thread. Per-query answers are
-    /// bit-identical to evaluating the source circuit one query at a
-    /// time — batching changes the schedule, never the verdicts. This
+    /// bit-identical to asking the arena one query at a time — batching
+    /// changes the schedule, never the verdicts. This
     /// is the lane `reason-serve` routes every exact query through; a
     /// single query is a batch of one.
     ServeBatch {
@@ -627,9 +627,8 @@ thread_local! {
 /// ride one slab through **one** sum-product traversal (per lane tile),
 /// and MPE lanes share one max-product pass. Lanes are packed straight
 /// from the task's evidence. Every per-query verdict is bit-identical
-/// to evaluating the source circuit on that query alone: the batched
-/// kernels replicate the single-query operation order per lane, and
-/// the arena itself evaluates bit-identically to the source circuit.
+/// to asking the arena that query alone: the batched kernels replicate
+/// the single-query operation order per lane.
 fn run_serve_batch(arena: &Dnnf, z: f64, queries: &[ServeQuery]) -> Verdict {
     let mut verdicts: Vec<Option<Verdict>> = vec![None; queries.len()];
     let degenerate = |p: f64| Verdict::Wmc { estimate: p, lower: p, upper: p };
