@@ -1370,9 +1370,6 @@ mod tests {
         assert!(p.1 <= 1.0, "a probability lane exceeds γ_D");
         assert!(m.1 <= 1.0, "a marginal exceeds γ_(2D+1)");
         assert!(mpe.1 <= 1.0, "an MPE log weight exceeds its bound");
-        for (circuit, lanes) in reference_workload() {
-            assert_within_bounds(&circuit, &Dnnf::from_circuit(&circuit).unwrap(), &lanes);
-        }
     }
 
     #[test]

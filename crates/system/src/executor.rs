@@ -1039,7 +1039,7 @@ mod tests {
         let per_query: Vec<Verdict> = queries
             .iter()
             .map(|query| {
-                let want = twin_answer(&twin, query);
+                let want = answer_alone(&twin, query);
                 let oracle_p = match query {
                     ServeQuery::Wmc => Some(oracle.wmc()),
                     ServeQuery::Probability(ev) => Some(oracle.probability(ev)),
@@ -1084,7 +1084,7 @@ mod tests {
 
     /// What `run_serve_batch` answers for `query` on `arena` asked
     /// alone.
-    fn twin_answer(arena: &Dnnf, query: &ServeQuery) -> Verdict {
+    fn answer_alone(arena: &Dnnf, query: &ServeQuery) -> Verdict {
         let degenerate = |p: f64| Verdict::Wmc { estimate: p, lower: p, upper: p };
         let mut buf = BatchBuffer::new();
         match query {
@@ -1127,12 +1127,12 @@ mod tests {
         let (circuit, arena, z) = serve_kb(10);
         let mut ev = Evidence::empty(10);
         ev.set(1, 1);
-        let marginal = twin_answer(&arena, &ServeQuery::Marginal(ev.clone(), 4));
+        let marginal = answer_alone(&arena, &ServeQuery::Marginal(ev.clone(), 4));
         let Verdict::Distribution(dist) = &marginal else { panic!("{marginal:?}") };
         for (got, want) in dist.iter().zip(circuit.marginal(&ev, 4)) {
             assert!(circuit_close(*got, want), "{got} vs {want}");
         }
-        let mpe = twin_answer(&arena, &ServeQuery::Mpe(ev.clone()));
+        let mpe = answer_alone(&arena, &ServeQuery::Mpe(ev.clone()));
         let Verdict::Assignment { assignment, log_prob } = &mpe else { panic!("{mpe:?}") };
         assert_eq!(*assignment, circuit.mpe(&ev).assignment, "this instance has no MPE tie");
         assert!((log_prob - circuit.mpe(&ev).log_prob).abs() <= 1e-12);
