@@ -48,12 +48,12 @@
 //! value with every variable marginalized, computed at flatten time
 //! with the walk's own arithmetic. A batched lane whose evidence
 //! observes no variable in a node's scope would recompute exactly that
-//! value — every leaf below decodes the marginalized code — so the
-//! walk copies it instead of evaluating the node (see
-//! [`BatchBuffer::lanes_computed`]). Arena answers are bit-identical
-//! across paths: a batch and a batch of one, any tile split,
-//! [`Dnnf::query_batch`] and the per-kind kernels, [`Dnnf::wmc`] and an
-//! empty-evidence lane.
+//! value — every leaf below decodes the marginalized code — so a node
+//! that no lane of a tile observes copies it instead of being
+//! evaluated (see [`BatchBuffer::lanes_computed`]). Arena answers are
+//! bit-identical across paths: a batch and a batch of one, any tile
+//! split, [`Dnnf::query_batch`] and the per-kind kernels, [`Dnnf::wmc`]
+//! and an empty-evidence lane.
 //!
 //! Only *binary* universes are accepted (every compiled formula circuit
 //! is one); [`Dnnf::from_circuit`] reports [`DnnfError`] otherwise.
@@ -354,13 +354,89 @@ fn observed_lanes(codes: &[u8]) -> u64 {
     codes.iter().enumerate().fold(0, |mask, (k, &c)| mask | (u64::from(c != MARGINALIZED) << k))
 }
 
-/// The lanes set in `mask`, ascending.
-fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let lane = (mask != 0).then(|| mask.trailing_zeros() as usize);
-        mask &= mask.wrapping_sub(1);
-        lane
-    })
+/// Node `c`'s chunk of a tile's value table `l` lanes wide.
+fn chunk<V>(vals: &[V], c: u32, l: usize) -> &[V] {
+    &vals[c as usize * l..c as usize * l + l]
+}
+
+/// Writes the product `1 · c0 · c1 · …` of `children`'s chunks into
+/// `out`, two children per pass: the first pass computes `(1·c0)·c1`,
+/// each later one `(o·c_i)·c_{i+1}`, and an odd last child takes one
+/// more. Every lane multiplies in the order of a fold from 1, so the
+/// bits are that fold's, but the chunk is written ⌈k/2⌉ times, not
+/// `k + 1`.
+fn product_into<V: Value>(out: &mut [V], lo: &[V], children: &[u32], l: usize) {
+    let mut rest = match *children {
+        [] => return out.fill(V::ONE),
+        [c] => {
+            for (o, &x) in out.iter_mut().zip(chunk(lo, c, l)) {
+                *o = V::ONE.mul(x);
+            }
+            return;
+        }
+        [a, b, ref rest @ ..] => {
+            for ((o, &x), &y) in out.iter_mut().zip(chunk(lo, a, l)).zip(chunk(lo, b, l)) {
+                *o = V::ONE.mul(x).mul(y);
+            }
+            rest
+        }
+    };
+    while let [a, b, ref tail @ ..] = *rest {
+        for ((o, &x), &y) in out.iter_mut().zip(chunk(lo, a, l)).zip(chunk(lo, b, l)) {
+            *o = o.mul(x).mul(y);
+        }
+        rest = tail;
+    }
+    if let [c] = *rest {
+        for (o, &x) in out.iter_mut().zip(chunk(lo, c, l)) {
+            *o = o.mul(x);
+        }
+    }
+}
+
+/// Writes the weighted sum `0 + w0·c0 + w1·c1 + …` of `children`'s
+/// chunks into `out`, two terms per pass, the first pass from
+/// `w0·c0 + w1·c1`. A term is non-negative, so `0 + t` is `t` exactly
+/// and every lane's bits are those of a fold from 0.
+fn weighted_sum_into<V: Value>(
+    out: &mut [V],
+    lo: &[V],
+    children: &[u32],
+    weights: &[f64],
+    l: usize,
+) {
+    let term = |k: usize| (V::of(weights[k]), chunk(lo, children[k], l));
+    let k = children.len();
+    match k {
+        0 => return out.fill(V::ZERO),
+        1 => {
+            let (w, xs) = term(0);
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o = w.mul(x);
+            }
+            return;
+        }
+        _ => {
+            let ((w0, xs), (w1, ys)) = (term(0), term(1));
+            for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+                *o = w0.mul(x).add(w1.mul(y));
+            }
+        }
+    }
+    let mut i = 2;
+    while i + 1 < k {
+        let ((w0, xs), (w1, ys)) = (term(i), term(i + 1));
+        for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+            *o = o.add(w0.mul(x)).add(w1.mul(y));
+        }
+        i += 2;
+    }
+    if i < k {
+        let (w, xs) = term(i);
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = o.add(w.mul(x));
+        }
+    }
 }
 
 /// A batch of B evidence lanes packed structure-of-arrays: one byte per
@@ -553,8 +629,9 @@ impl BatchBuffer {
     /// Node·lanes the sum-product walks against this buffer computed
     /// rather than copied from the node's empty-evidence value: per
     /// tile, the `(node, lane)` pairs whose lane observes a variable in
-    /// the node's scope. (A partly observed And node or leaf recomputes
-    /// its other lanes too, to the same bits; they are not counted.)
+    /// the node's scope. (A partly observed node — leaf, And or Or —
+    /// recomputes its other lanes too, to the same bits as the copy;
+    /// they are not counted.)
     pub fn lanes_computed(&self) -> u64 {
         self.computed
     }
@@ -770,12 +847,13 @@ impl Dnnf {
     ///
     /// Each node first takes its lane mask: the tile's lanes that
     /// observe a variable in its scope (a leaf's observed lanes, an
-    /// interior node's children's masks OR-ed). Every other lane would
-    /// repeat the all-marginalized lane's arithmetic, so a node with no
-    /// lane set copies its `empty` value, and an Or node evaluates only
-    /// the lanes set, copying `empty` into the rest. And nodes and
-    /// leaves with any lane set compute the whole tile: cheap, and the
-    /// same bits.
+    /// interior node's children's masks OR-ed). A node with no lane set
+    /// copies its `empty` value. Any other node computes the whole
+    /// tile, two children per pass: a lane outside its mask recomputes
+    /// the node's `empty` value bit for bit, because every leaf below
+    /// decodes that lane to 1 and the walk folds in the order the
+    /// stored value was folded. Computing those lanes with the rest of
+    /// the tile costs less than picking the masked lanes out.
     fn sum_product_walk<V: Value>(
         &self,
         batch: &DnnfBatch,
@@ -793,8 +871,6 @@ impl Dnnf {
         if buf.dirty.len() < self.nodes.len() {
             buf.dirty.resize(self.nodes.len(), 0);
         }
-        // `1 <= l <= 64`: the shift stays below 64.
-        let all = u64::MAX >> (64 - l);
         for (i, node) in self.nodes.iter().enumerate() {
             let base = i * l;
             // Children precede their parent, so the read side (child
@@ -832,67 +908,12 @@ impl Dnnf {
                         *o = table[c as usize];
                     }
                 }
-                Node::And { start, len: 2, .. } => {
-                    // Fused two-child product: one pass, both children
-                    // in registers. `1 · a` is exact, so it is the
-                    // generic arm's fold bit for bit.
-                    let s = start as usize;
-                    let (c0, c1) = (self.edges[s] as usize * l, self.edges[s + 1] as usize * l);
-                    let (ca, cb) = (&lo[c0..c0 + l], &lo[c1..c1 + l]);
-                    for ((o, &x), &y) in out.iter_mut().zip(ca).zip(cb) {
-                        *o = x.mul(y);
-                    }
-                }
                 Node::And { start, len, .. } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    out.fill(V::ONE);
-                    for &c in &self.edges[s..e] {
-                        let child = &lo[c as usize * l..c as usize * l + l];
-                        for (o, &v) in out.iter_mut().zip(child) {
-                            *o = o.mul(v);
-                        }
-                    }
+                    product_into(out, lo, &self.edges[start as usize..(start + len) as usize], l);
                 }
-                Node::Or { start, len: 2, empty, scale } => {
-                    // Fused two-child weighted sum: the dominant shape
-                    // (the compiler emits binary decision nodes). `0 + t`
-                    // is exact, so it is the generic arm's fold bit for
-                    // bit.
-                    let s = start as usize;
-                    let (c0, c1) = (self.edges[s] as usize * l, self.edges[s + 1] as usize * l);
-                    let (w0, w1) = (V::of(self.edge_weights[s]), V::of(self.edge_weights[s + 1]));
-                    let (ca, cb) = (&lo[c0..c0 + l], &lo[c1..c1 + l]);
-                    if dirty == all {
-                        for ((o, &x), &y) in out.iter_mut().zip(ca).zip(cb) {
-                            *o = w0.mul(x).add(w1.mul(y));
-                        }
-                    } else {
-                        out.fill(V::stored(empty, scale));
-                        for k in lanes_of(dirty) {
-                            out[k] = w0.mul(ca[k]).add(w1.mul(cb[k]));
-                        }
-                    }
-                }
-                Node::Or { start, len, empty, scale } => {
+                Node::Or { start, len, .. } => {
                     let (s, e) = (start as usize, (start + len) as usize);
-                    let edges = self.edges[s..e].iter().zip(&self.edge_weights[s..e]);
-                    if dirty != all {
-                        out.fill(V::stored(empty, scale));
-                        for k in lanes_of(dirty) {
-                            out[k] = edges.clone().fold(V::ZERO, |acc, (&c, &w)| {
-                                acc.add(V::of(w).mul(lo[c as usize * l + k]))
-                            });
-                        }
-                        continue;
-                    }
-                    out.fill(V::ZERO);
-                    for (&c, &w) in edges {
-                        let w = V::of(w);
-                        let child = &lo[c as usize * l..c as usize * l + l];
-                        for (o, &v) in out.iter_mut().zip(child) {
-                            *o = o.add(w.mul(v));
-                        }
-                    }
+                    weighted_sum_into(out, lo, &self.edges[s..e], &self.edge_weights[s..e], l);
                 }
             }
         }
@@ -1069,31 +1090,33 @@ impl Dnnf {
                     }
                 }
                 Node::And { start, len, .. } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    out.fill(V::ONE);
-                    for &c in &self.edges[s..e] {
-                        let child = &lo[c as usize * l..c as usize * l + l];
-                        for (o, &v) in out.iter_mut().zip(child) {
-                            *o = o.mul(v);
-                        }
-                    }
+                    product_into(out, lo, &self.edges[start as usize..(start + len) as usize], l);
                 }
                 Node::Or { start, len, .. } => {
                     let (s, e) = (start as usize, (start + len) as usize);
                     let args = &mut buf.arg[base..base + l];
-                    out.fill(V::ZERO);
-                    args.fill(0);
+                    let mut terms = self.edges[s..e].iter().zip(&self.edge_weights[s..e]);
+                    // The first child seeds every lane. A term is
+                    // non-negative, so this is what a seed of 0 would
+                    // keep: the term if it is positive, else a zero of
+                    // the same bits, with child 0 as the argmax.
+                    let Some((&c, &w)) = terms.next() else {
+                        out.fill(V::ZERO);
+                        args.fill(0);
+                        continue;
+                    };
+                    let w = V::of(w);
+                    for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(chunk(lo, c, l)) {
+                        (*o, *a) = (w.mul(v), 0);
+                    }
                     // Strict `>`: ties keep the earliest child.
-                    for (k, (&c, &w)) in
-                        self.edges[s..e].iter().zip(&self.edge_weights[s..e]).enumerate()
-                    {
+                    for (k, (&c, &w)) in (1..).zip(terms) {
                         let w = V::of(w);
-                        let child = &lo[c as usize * l..c as usize * l + l];
-                        for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(child) {
+                        for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(chunk(lo, c, l))
+                        {
                             let x = w.mul(v);
                             if x.gt(*o) {
-                                *o = x;
-                                *a = k as u32;
+                                (*o, *a) = (x, k);
                             }
                         }
                     }
@@ -1110,6 +1133,7 @@ mod tests {
     use crate::compile::{compile_cnf, WmcWeights};
     use crate::infer::EvalBuffer;
     use crate::reference;
+    use crate::structure::{random_mixture_circuit, StructureConfig};
     use reason_sat::gen::random_ksat;
     use reason_sat::Cnf;
 
@@ -1212,6 +1236,86 @@ mod tests {
             }
         }
         assert!(checked > 0, "at least one instance must carry mass");
+    }
+
+    /// Walks one tile of `lanes` and checks that every `(node, lane)`
+    /// outside the node's lane mask holds the node's stored empty value
+    /// bit for bit. Returns how many And and Or nodes the tile left
+    /// partly masked (some lanes set, not all).
+    fn unmasked_lanes_hold_the_empty_value<V: Value + fmt::Debug>(
+        arena: &Dnnf,
+        lanes: &[Evidence],
+    ) -> [usize; 2] {
+        let batch = DnnfBatch::pack(lanes);
+        let l = batch.distinct_lanes();
+        assert!(l <= TILE, "one tile");
+        let mut buf = BatchBuffer::new();
+        let mut vals: Vec<V> = Vec::new();
+        arena.sum_product_walk(&batch, 0, l, &mut vals, &mut buf);
+        let all = u64::MAX >> (64 - l);
+        let mut partly = [0; 2];
+        for (i, node) in arena.nodes.iter().enumerate() {
+            let mask = buf.dirty[i];
+            if mask != 0 && mask != all {
+                match node {
+                    Node::And { .. } => partly[0] += 1,
+                    Node::Or { .. } => partly[1] += 1,
+                    _ => {}
+                }
+            }
+            let empty = format!("{:?}", node.empty::<V>());
+            for k in (0..l).filter(|&k| mask >> k & 1 == 0) {
+                assert_eq!(format!("{:?}", vals[i * l + k]), empty, "node {i} lane {k}");
+            }
+        }
+        partly
+    }
+
+    /// A mixed tile over `n` variables: a lane observing nothing, one
+    /// lane per variable observing only it, and one observing them all.
+    fn mixed_tile(n: usize) -> Vec<Evidence> {
+        let mut lanes = vec![Evidence::empty(n)];
+        for var in 0..n {
+            lanes.push(Evidence::empty(n));
+            lanes[var + 1].set(var, var % 2);
+        }
+        lanes.push(Evidence::from_assignment(&(0..n).map(|v| (v / 2) % 2).collect::<Vec<_>>()));
+        lanes
+    }
+
+    #[test]
+    fn lanes_outside_a_node_mask_recompute_its_empty_value_bit_for_bit() {
+        // f64 arenas: compiled formulas (binary Or nodes) and mixtures
+        // with 3-, 4- and 5-way Or nodes over Bernoulli leaves, so every
+        // shape of the two-per-pass folds meets the stored fold.
+        let mut partly = [0; 2];
+        for seed in 0..6 {
+            let Some((_, arena)) = compiled(seed, 12, 30) else { continue };
+            let got = unmasked_lanes_hold_the_empty_value::<f64>(&arena, &mixed_tile(12));
+            partly = [partly[0] + got[0], partly[1] + got[1]];
+        }
+        for num_components in [3, 4, 5] {
+            let config = StructureConfig { num_vars: 10, depth: 3, num_components, seed: 11 };
+            let arena = Dnnf::from_circuit(&random_mixture_circuit(&config)).unwrap();
+            assert!(!arena.wide);
+            let got = unmasked_lanes_hold_the_empty_value::<f64>(&arena, &mixed_tile(10));
+            assert!(got[1] > 0, "{num_components}-way mixtures leave Or nodes partly masked");
+        }
+        assert!(partly[0] > 0 && partly[1] > 0, "partly masked And and Or nodes: {partly:?}");
+        // Extended-exponent arenas: 1e-160 on every third variable.
+        let mut checked = 0;
+        for seed in 0..4u64 {
+            let n = 12 + seed as usize;
+            let probs = (0..n).map(|v| [1e-160, 0.5, 0.3][v % 3]).collect();
+            let cnf = random_ksat(n, 2 * n, 3, 40 + seed);
+            let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs)) else { continue };
+            let arena = Dnnf::from_circuit(&circuit).unwrap();
+            assert!(arena.wide, "seed {seed}: values leave f64's range");
+            let got = unmasked_lanes_hold_the_empty_value::<Ext>(&arena, &mixed_tile(n));
+            assert!(got[0] > 0 && got[1] > 0, "seed {seed}: partly masked nodes {got:?}");
+            checked += 1;
+        }
+        assert!(checked > 0, "at least one extended arena must be checked");
     }
 
     #[test]
