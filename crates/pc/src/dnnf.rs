@@ -335,11 +335,13 @@ const MARGINALIZED: u8 = 2;
 
 /// Storage lanes one node-table walk evaluates. A batch wider than this
 /// is walked in tiles, so the value table is `nodes × TILE` however
-/// many lanes arrive. Chosen by measurement on 256-lane serve batches
-/// (`benchmark/`'s `hot_wide`): 32 serves a tenth fewer queries per
-/// second (node decode amortizes over fewer lanes), 128 serves as many
-/// as 64 on a table twice the size. It is also the width of the
-/// per-node lane masks of the sum-product walk (one `u64` per node).
+/// many lanes arrive. Measured on 256-lane serve batches (`benchmark/`'s
+/// `hot_wide`, six alternating 22 s pairs, two-core VM): 32 serves a
+/// median 8 % fewer queries per second than 64 (64 won four pairs of
+/// six, inside the run-to-run spread) at a peak RSS of 64.4 against
+/// 72.5 MiB. 128 would double the table, about 11 MB more on the
+/// tallest arena. It is also the width of the per-node lane masks of
+/// the sum-product walk (one `u64` per node).
 const TILE: usize = 64;
 const _: () = assert!(TILE <= 64);
 
