@@ -14,12 +14,15 @@
 //!    holds at most `nodes × (TILE × 12 + 8)` bytes (an `f64` value and
 //!    a `u32` argmax per node·lane of one tile, plus one `u64` lane mask
 //!    per node);
-//! 3. **lanes computed** — the sum-product walk evaluates a node only in
-//!    the lanes whose evidence observes a variable in its scope and
-//!    copies the node's stored empty-evidence value into the rest: a
-//!    batch of empty-evidence lanes computes no node·lane at all, and
-//!    lanes observing only variable `v` compute exactly the nodes whose
-//!    scope holds `v`, counted here from the source circuit.
+//! 3. **lanes computed** — the sum-product walk counts a node·lane as
+//!    computed only where the lane's evidence observes a variable in the
+//!    node's scope. A node no lane observes copies its stored
+//!    empty-evidence value; a partly observed leaf, And or Or node
+//!    computes its whole tile, and its other lanes recompute that empty
+//!    value to the same bits without being counted. So a batch of
+//!    empty-evidence lanes computes no node·lane at all, and lanes
+//!    observing only variable `v` compute exactly the nodes whose scope
+//!    holds `v`, counted here from the source circuit.
 
 use std::collections::HashSet;
 
