@@ -376,11 +376,11 @@ fn product_into<V: Value>(out: &mut [V], lo: &[V], children: &[u32], l: usize) {
             }
             return;
         }
-        [a, b, ref rest @ ..] => {
+        [a, b, ref tail @ ..] => {
             for ((o, &x), &y) in out.iter_mut().zip(chunk(lo, a, l)).zip(chunk(lo, b, l)) {
                 *o = V::ONE.mul(x).mul(y);
             }
-            rest
+            tail
         }
     };
     while let [a, b, ref tail @ ..] = *rest {
