@@ -6,17 +6,18 @@
 //! idea on this workspace's substrates: a small
 //! [`reason_neural::TrainableMlp`] fit to `(partial evidence →
 //! conditional probability of the formula)` pairs, where the labels
-//! come from the exact engine — a compiled circuit
-//! ([`reason_pc::compile_cnf`]) evaluated per training query.
+//! come from the exact engine — the compiled knowledge base's d-DNNF
+//! arena ([`reason_pc::Dnnf`]), which answers every training query in
+//! one batched walk.
 //!
 //! Once trained, a query costs one tiny MLP forward pass regardless of
 //! circuit size — the amortization A-NeSI trades training time for.
 
 use rand::prelude::*;
 use reason_neural::{Matrix, Mlp, TrainableMlp};
-use reason_pc::{Circuit, EvalBuffer, Evidence, WmcWeights};
+use reason_pc::{BatchBuffer, Dnnf, DnnfBatch, Evidence, WmcWeights};
 
-/// Training schedule for [`PredictionNet::train_from_circuit`].
+/// Training schedule for [`PredictionNet::train_from_arena`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictConfig {
     /// Exact-engine queries generated as the training set.
@@ -31,7 +32,7 @@ pub struct PredictConfig {
 const LEARNING_RATE: f32 = 0.35;
 
 /// Seed for query generation and parameter initialization: training is
-/// a pure function of the circuit, the weights and the schedule.
+/// a pure function of the arena, the weights and the schedule.
 const TRAIN_SEED: u64 = 0;
 
 impl Default for PredictConfig {
@@ -62,70 +63,73 @@ fn encode(evidence: &[Option<bool>]) -> Vec<f32> {
     row
 }
 
-/// Exact conditional `Pr[φ | e]` from a compiled circuit plus the prior
-/// weights: `Pr[φ ∧ e] / Pr[e]`, where `Pr[e]` factorizes over the
-/// independent per-variable marginals. The evidence object and
-/// evaluation buffer are caller-held so training sweeps (thousands of
-/// labels against one circuit) never allocate per query.
-fn exact_conditional(
-    circuit: &Circuit,
+/// Exact conditionals `Pr[φ | e]`, one per evidence pattern, from the
+/// compiled arena plus the prior weights: `Pr[φ ∧ e] / Pr[e]`, where
+/// every joint `Pr[φ ∧ e]` is a lane of one batched arena walk and
+/// `Pr[e]` factorizes over the independent per-variable marginals.
+fn exact_conditionals(
+    arena: &Dnnf,
     weights: &WmcWeights,
-    evidence: &[Option<bool>],
-    ev: &mut Evidence,
-    buf: &mut EvalBuffer,
-) -> f64 {
-    let mut prior = 1.0f64;
-    for (v, e) in evidence.iter().enumerate() {
-        match e {
-            Some(b) => {
-                ev.set(v, usize::from(*b));
-                prior *= if *b { weights.prob(v) } else { 1.0 - weights.prob(v) };
+    patterns: &[Vec<Option<bool>>],
+) -> Vec<f64> {
+    let (evidences, priors): (Vec<Evidence>, Vec<f64>) = patterns
+        .iter()
+        .map(|pattern| {
+            let mut ev = Evidence::empty(pattern.len());
+            let mut prior = 1.0f64;
+            for (v, &e) in pattern.iter().enumerate() {
+                if let Some(b) = e {
+                    ev.set(v, usize::from(b));
+                    prior *= if b { weights.prob(v) } else { 1.0 - weights.prob(v) };
+                }
             }
-            None => {
-                ev.clear(v);
-            }
-        }
-    }
-    if prior == 0.0 {
-        return 0.0;
-    }
-    (circuit.probability_with(ev, buf) / prior).clamp(0.0, 1.0)
+            (ev, prior)
+        })
+        .unzip();
+    let joints = arena.wmc_batch(&DnnfBatch::pack(&evidences), &mut BatchBuffer::new());
+    joints
+        .into_iter()
+        .zip(priors)
+        .map(|(joint, prior)| if prior == 0.0 { 0.0 } else { (joint / prior).clamp(0.0, 1.0) })
+        .collect()
+}
+
+/// `count` random partial-evidence patterns over `n` variables, each
+/// variable independently free / set-1 / set-0.
+fn random_patterns(rng: &mut StdRng, count: usize, n: usize) -> Vec<Vec<Option<bool>>> {
+    (0..count)
+        .map(|_| {
+            (0..n)
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => None,
+                    1 => Some(true),
+                    _ => Some(false),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 impl PredictionNet {
     /// Trains a predictor against the exact engine: generates `queries`
     /// random partial-evidence patterns (each variable independently
-    /// free / set-1 / set-0), labels each with the exact conditional
-    /// from the compiled `circuit`, and fits the MLP. Returns the net
-    /// and the final training loss (mean BCE).
-    pub fn train_from_circuit(
-        circuit: &Circuit,
+    /// free / set-1 / set-0), labels them all with the exact
+    /// conditionals read off the compiled `arena` in one batched walk,
+    /// and fits the MLP. Returns the net and the final training loss
+    /// (mean BCE).
+    pub fn train_from_arena(
+        arena: &Dnnf,
         weights: &WmcWeights,
         cfg: &PredictConfig,
     ) -> (Self, f32) {
-        assert_eq!(weights.len(), circuit.num_vars(), "weights arity mismatch");
+        assert_eq!(weights.len(), arena.num_vars(), "weights arity mismatch");
         assert!(cfg.queries > 0 && cfg.epochs > 0, "training schedule must be positive");
-        let n = circuit.num_vars();
+        let n = arena.num_vars();
         let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
-        let mut xs = Vec::with_capacity(cfg.queries * 2 * n);
-        let mut ys = Vec::with_capacity(cfg.queries);
-        let mut evidence = vec![None; n];
-        // One evidence object and one evaluation buffer serve every
-        // training label — the exact oracle is queried thousands of
-        // times here, so per-query allocation would dominate.
-        let mut ev = Evidence::empty(n);
-        let mut buf = EvalBuffer::new();
-        for _ in 0..cfg.queries {
-            for e in evidence.iter_mut() {
-                *e = match rng.gen_range(0..3u32) {
-                    0 => None,
-                    1 => Some(true),
-                    _ => Some(false),
-                };
-            }
-            xs.extend(encode(&evidence));
-            ys.push(exact_conditional(circuit, weights, &evidence, &mut ev, &mut buf) as f32);
-        }
+        let patterns = random_patterns(&mut rng, cfg.queries, n);
+        let xs: Vec<f32> = patterns.iter().flat_map(|pattern| encode(pattern)).collect();
+        let ys: Vec<f32> =
+            exact_conditionals(arena, weights, &patterns).into_iter().map(|y| y as f32).collect();
         let x = Matrix::from_vec(cfg.queries, 2 * n, xs);
         let y = Matrix::from_vec(cfg.queries, 1, ys);
         let mut net = TrainableMlp::new(&[2 * n, cfg.hidden, 1], TRAIN_SEED.wrapping_add(17));
@@ -180,6 +184,10 @@ mod tests {
         (cnf, w)
     }
 
+    fn arena_of(cnf: &Cnf, w: &WmcWeights) -> Dnnf {
+        Dnnf::from_circuit(&compile_cnf(cnf, w).unwrap()).unwrap()
+    }
+
     #[test]
     fn encoding_is_two_hot() {
         let row = encode(&[Some(true), None, Some(false)]);
@@ -189,7 +197,7 @@ mod tests {
     #[test]
     fn exact_conditional_matches_enumeration() {
         let (cnf, w) = tractable_instance();
-        let circuit = compile_cnf(&cnf, &w).unwrap();
+        let arena = arena_of(&cnf, &w);
         // Condition on x1 = 1: Pr[φ | x1] by brute force over a modified
         // formula, using Pr[φ ∧ x1] = weighted_count(φ ∧ x1).
         let mut with_unit = cnf.clone();
@@ -198,54 +206,35 @@ mod tests {
         let expect = weighted_count(&with_unit, &probs) / w.prob(1);
         let mut evidence = vec![None; 6];
         evidence[1] = Some(true);
-        let mut ev = Evidence::empty(6);
-        let mut buf = EvalBuffer::new();
-        let got = exact_conditional(&circuit, &w, &evidence, &mut ev, &mut buf);
-        assert!((got - expect).abs() < 1e-9);
-        // The shared evidence object is fully reset between queries:
-        // an unrelated follow-up query sees no stale assignments.
-        let free = vec![None; 6];
-        let got_free = exact_conditional(&circuit, &w, &free, &mut ev, &mut buf);
-        assert!((got_free - weighted_count(&cnf, &probs)).abs() < 1e-9);
+        // A free pattern in the same batch reads the whole count.
+        let got = exact_conditionals(&arena, &w, &[evidence, vec![None; 6]]);
+        assert!((got[0] - expect).abs() < 1e-9);
+        assert!((got[1] - weighted_count(&cnf, &probs)).abs() < 1e-9);
     }
 
     #[test]
     fn trained_net_tracks_exact_conditionals() {
         let (cnf, w) = tractable_instance();
-        let circuit = compile_cnf(&cnf, &w).unwrap();
-        let (net, loss) =
-            PredictionNet::train_from_circuit(&circuit, &w, &PredictConfig::default());
+        let arena = arena_of(&cnf, &w);
+        let (net, loss) = PredictionNet::train_from_arena(&arena, &w, &PredictConfig::default());
         assert!(loss.is_finite());
 
         // Held-out evaluation: fresh random evidence patterns not tied to
         // the training stream's seed.
-        let mut rng = StdRng::seed_from_u64(999);
-        let mut evidence: Vec<Option<bool>> = vec![None; 6];
-        let mut ev = Evidence::empty(6);
-        let mut buf = EvalBuffer::new();
-        let mut total_err = 0.0f64;
-        let trials = 60;
-        for _ in 0..trials {
-            for e in evidence.iter_mut() {
-                *e = match rng.gen_range(0..3u32) {
-                    0 => None,
-                    1 => Some(true),
-                    _ => Some(false),
-                };
-            }
-            let exact = exact_conditional(&circuit, &w, &evidence, &mut ev, &mut buf);
-            total_err += (net.predict(&evidence) - exact).abs();
-        }
-        let mae = total_err / trials as f64;
+        let held_out = random_patterns(&mut StdRng::seed_from_u64(999), 60, 6);
+        let exact = exact_conditionals(&arena, &w, &held_out);
+        let total_err: f64 =
+            held_out.iter().zip(&exact).map(|(e, &want)| (net.predict(e) - want).abs()).sum();
+        let mae = total_err / held_out.len() as f64;
         assert!(mae < 0.1, "held-out MAE too high: {mae}");
     }
 
     #[test]
     fn frozen_mlp_agrees_with_predictor() {
         let (cnf, w) = tractable_instance();
-        let circuit = compile_cnf(&cnf, &w).unwrap();
+        let arena = arena_of(&cnf, &w);
         let cfg = PredictConfig { queries: 128, epochs: 100, ..PredictConfig::default() };
-        let (net, _) = PredictionNet::train_from_circuit(&circuit, &w, &cfg);
+        let (net, _) = PredictionNet::train_from_arena(&arena, &w, &cfg);
         let mlp = net.to_mlp();
         let evidence = vec![Some(true), None, None, Some(false), None, None];
         let x = Matrix::from_vec(1, 12, encode(&evidence));
@@ -255,10 +244,10 @@ mod tests {
     #[test]
     fn training_is_deterministic_per_seed() {
         let (cnf, w) = tractable_instance();
-        let circuit = compile_cnf(&cnf, &w).unwrap();
+        let arena = arena_of(&cnf, &w);
         let cfg = PredictConfig { queries: 64, epochs: 50, ..PredictConfig::default() };
-        let (a, la) = PredictionNet::train_from_circuit(&circuit, &w, &cfg);
-        let (b, lb) = PredictionNet::train_from_circuit(&circuit, &w, &cfg);
+        let (a, la) = PredictionNet::train_from_arena(&arena, &w, &cfg);
+        let (b, lb) = PredictionNet::train_from_arena(&arena, &w, &cfg);
         assert_eq!(la, lb);
         let e = vec![None, Some(true), None, None, None, Some(false)];
         assert_eq!(a.predict(&e), b.predict(&e));

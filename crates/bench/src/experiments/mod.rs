@@ -603,8 +603,8 @@ fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
     let batch = reason_system::demo_batch(tasks, seed);
     let _ = writeln!(
         out,
-        "-- determinism: {} real tasks (rotating cube-and-conquer SAT / PC marginal / approx WMC \
-         / shared-KB serve) --",
+        "-- determinism: {} real tasks (rotating cube-and-conquer SAT / mixture-arena serve / \
+         approx WMC / shared-KB serve) --",
         tasks
     );
     let wide_workers = workers.max(1);
@@ -625,18 +625,14 @@ fn pipeline(tasks: usize, workers: usize, seed: u64) -> String {
         .iter()
         .filter(|v| matches!(v, reason_system::Verdict::Sat(s) if s.is_sat()))
         .count();
-    let marginals =
-        verdicts.iter().filter(|v| matches!(v, reason_system::Verdict::LogMarginal(_))).count();
     let wmc = verdicts.iter().filter(|v| matches!(v, reason_system::Verdict::Wmc { .. })).count();
     let served = verdicts.iter().filter(|v| matches!(v, reason_system::Verdict::Batch(_))).count();
     let swept: Vec<String> = sweep.iter().map(|w| format!("{w}-worker")).collect();
     let _ = writeln!(
         out,
-        "verdicts identical across serial / {} runs: {} SAT, {} PC marginals, {} approx WMC, \
-         {} served batches",
+        "verdicts identical across serial / {} runs: {} SAT, {} approx WMC, {} served batches",
         swept.join(" / "),
         sat,
-        marginals,
         wmc,
         served
     );

@@ -77,8 +77,8 @@ impl Evidence {
 /// let mut buf = EvalBuffer::new();
 /// let mut ev = Evidence::empty(1);
 /// ev.set(0, 1);
-/// let lp = c.log_probability_with(&ev, &mut buf);
-/// assert!((lp.exp() - 0.75).abs() < 1e-12);
+/// let p = c.probability_with(&ev, &mut buf);
+/// assert!((p - 0.75).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EvalBuffer {
@@ -184,7 +184,7 @@ impl Circuit {
 
     /// `log_probability` through a reusable
     /// [`EvalBuffer`] — the repeated-query fast path.
-    pub fn log_probability_with(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
+    fn log_probability_with(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
         self.log_values_into(evidence, buf)
     }
 

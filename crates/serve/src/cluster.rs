@@ -784,8 +784,8 @@ impl ServeCluster {
     }
 
     /// Fires every cache wipe scheduled at or before `t` that has not
-    /// fired yet: the shard's store and source circuits are genuinely
-    /// dropped (the next exact query recompiles through the KB's
+    /// fired yet: the shard's stored arenas are genuinely dropped
+    /// (the next exact query recompiles through the KB's
     /// persistent component cache) and the admission model forgets the
     /// artifacts of every home on that shard.
     fn apply_due_wipes(&mut self, t: f64, tel: Option<&Telemetry>) {

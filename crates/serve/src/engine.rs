@@ -10,6 +10,13 @@
 //! of a single `ServeBatch` executor task answered by the batched arena
 //! kernels. A single query is a batch of one.
 //!
+//! The arena is the only compiled artifact the engine serves from. A
+//! knowledge base's entry holds no circuit, only the revision it last
+//! compiled or rehydrated at: a store hit under a stale stamp
+//! rehydrates, and a miss — a new revision, a store wipe, or an
+//! artifact another tenant's insert evicted — compiles through the
+//! knowledge base's persistent component cache.
+//!
 //! Each batch query is admitted by the [`QueryRouter`]: exact compiled
 //! evaluation when the deadline allows, anytime Monte-Carlo bounds with
 //! a deadline-trimmed budget when it does not, one prediction-network
@@ -22,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use reason_approx::{ApproxConfig, Method, PredictConfig, PredictionNet, SampleConfig};
 use reason_neural::Mlp;
-use reason_pc::{Circuit, CompileStats, Dnnf, Evidence, WmcWeights};
+use reason_pc::{CompileStats, Dnnf, Evidence, WmcWeights};
 use reason_sat::Cnf;
 use reason_system::{
     BatchExecutor, BatchTask, ExecutorConfig, NeuralStage, PipelineReport, SymbolicStage,
@@ -47,8 +54,8 @@ pub struct ServeConfig {
     /// Worker-pool shape batches execute with.
     pub executor: ExecutorConfig,
     /// When set, each knowledge base trains a prediction network on
-    /// its first compilation (amortized: labels come from the already
-    /// compiled circuit), enabling the router's last-resort rung.
+    /// its first compilation (amortized: labels are read off the
+    /// compiled arena), enabling the router's last-resort rung.
     pub predictor: Option<PredictConfig>,
     /// Seed for the approximate rung's estimators (per-query streams
     /// are derived from it, so batches are reproducible).
@@ -201,10 +208,11 @@ enum Plan {
 
 struct KbEntry {
     kb: KnowledgeBase,
-    /// The current revision's source circuit — the allocation the
-    /// store's artifact holds, not a copy. Every edit and store wipe
-    /// clears it, so `Some` always means "compiled at this revision".
-    circuit: Option<Arc<Circuit>>,
+    /// The revision this entry last compiled or rehydrated its artifact
+    /// at. Every edit and store wipe clears it, so `Some(revision)`
+    /// means "served from the store at this revision" for as long as
+    /// the store holds the artifact.
+    compiled_at: Option<u64>,
     /// Frozen prediction net plus the `Z` and revision it was trained
     /// against.
     predictor: Option<(Mlp, f64, u64)>,
@@ -215,8 +223,6 @@ struct KbEntry {
     costs: KbTelemetry,
     /// Last compile's counters (persistent-cache reuse shows up here).
     last_stats: CompileStats,
-    /// Last measured compile seconds (0 before the first compile).
-    last_compile_s: f64,
     /// `Z`, read off the arena, and the revision it belongs to: the
     /// approximate rung's normalizer, kept across store evictions.
     z: Option<(f64, u64)>,
@@ -270,11 +276,10 @@ impl ServeEngine {
         let costs = KbTelemetry::prior(kb.num_vars(), kb.num_clauses());
         self.kbs.push(KbEntry {
             kb,
-            circuit: None,
+            compiled_at: None,
             predictor: None,
             costs,
             last_stats: CompileStats::default(),
-            last_compile_s: 0.0,
             z: None,
         });
         KbId(self.kbs.len() - 1)
@@ -286,15 +291,16 @@ impl ServeEngine {
     }
 
     /// The knowledge base's live routing telemetry: its measured costs,
-    /// `compiled` when the entry holds the current revision's circuit
-    /// and the store still holds its artifact (another tenant's insert
-    /// may have evicted it), `has_predictor` when a net was trained at
-    /// the current revision.
+    /// `compiled` when the entry's revision stamp is current and the
+    /// store still holds its artifact (another tenant's insert may have
+    /// evicted it), `has_predictor` when a net was trained at the
+    /// current revision.
     fn telemetry(&self, id: KbId) -> KbTelemetry {
         let entry = &self.kbs[id.0];
         let revision = entry.kb.revision();
         KbTelemetry {
-            compiled: entry.circuit.is_some() && self.store.contains(&entry.kb.fingerprint()),
+            compiled: entry.compiled_at == Some(revision)
+                && self.store.contains(&entry.kb.fingerprint()),
             has_predictor: entry.predictor.as_ref().is_some_and(|(_, _, rev)| *rev == revision),
             ..entry.costs
         }
@@ -311,16 +317,16 @@ impl ServeEngine {
         self.store.stats()
     }
 
-    /// Drops every stored artifact and source circuit — the fault layer's
-    /// cache-wipe injection. Registered knowledge bases (and their
-    /// persistent component caches) survive, so the next exact query
-    /// per KB pays a genuine — but component-cache-accelerated —
-    /// recompile. Trained predictors are kept: they live outside the
+    /// Drops every stored artifact and every entry's revision stamp —
+    /// the fault layer's cache-wipe injection. Registered knowledge
+    /// bases (and their persistent component caches) survive, so the
+    /// next exact query per KB pays a genuine — but
+    /// component-cache-accelerated — recompile. Trained predictors are kept: they live outside the
     /// store and stay valid for their revision.
     pub(crate) fn wipe_store(&mut self) {
         self.store.clear();
         for entry in &mut self.kbs {
-            entry.circuit = None;
+            entry.compiled_at = None;
         }
     }
 
@@ -332,14 +338,14 @@ impl ServeEngine {
     pub fn add_clause(&mut self, id: KbId, dimacs: &[i32]) {
         let entry = &mut self.kbs[id.0];
         entry.kb.add_clause(dimacs);
-        entry.circuit = None;
+        entry.compiled_at = None;
     }
 
     /// Retracts a clause (see [`KnowledgeBase::retract_clause`]).
     pub fn retract_clause(&mut self, id: KbId, index: usize) {
         let entry = &mut self.kbs[id.0];
         entry.kb.retract_clause(index);
-        entry.circuit = None;
+        entry.compiled_at = None;
     }
 
     /// Eagerly compiles (or rehydrates) the knowledge base's artifact.
@@ -618,30 +624,26 @@ impl ServeEngine {
         Ok(ServeReport { outcomes, measured: report.measured })
     }
 
-    /// Guarantees the artifact is hot in the store and the entry holds
-    /// its source circuit; measures compile latency into the cost model;
+    /// Guarantees the artifact is hot in the store and stamps the entry
+    /// with the current revision: a store hit rehydrates the entry, a
+    /// miss compiles through the knowledge base's persistent component
+    /// cache (an artifact another tenant's insert evicted takes this
+    /// path too). Measures compile latency into the cost model and
     /// trains the prediction net once per revision when configured.
     fn ensure_compiled(&mut self, id: KbId) -> Result<(), ServeError> {
         let telemetry = self.telemetry.clone();
         let entry = &mut self.kbs[id.0];
         let revision = entry.kb.revision();
         let fp = entry.kb.fingerprint();
-        let fresh = entry.circuit.is_some();
         // One counted lookup: serving traffic registers as store hits
         // and refreshes the artifact's LRU recency, so a hot KB is
         // never the eviction victim of its own traffic.
         let hot = self.store.get(&fp).is_some();
-        if fresh && hot {
+        if hot && entry.compiled_at == Some(revision) {
             return Ok(());
         }
         if let Some(tel) = &telemetry {
-            let kind = if hot {
-                "rehydrate" // artifact hot, entry's circuit stale
-            } else if fresh {
-                "reflatten" // circuit current, artifact evicted
-            } else {
-                "cold" // full compilation
-            };
+            let kind = if hot { "rehydrate" } else { "cold" };
             tel.registry
                 .counter(
                     "serve_compiles_total",
@@ -649,26 +651,9 @@ impl ServeEngine {
                 )
                 .inc();
         }
-        let flatten = |circuit: &Circuit, name: &str| {
-            Dnnf::from_circuit(circuit)
-                .map(Arc::new)
-                .map_err(|e| ServeError::BadCircuit(format!("{name}: {e:?}")))
-        };
-        let z = if let Some(stored) = self.store.peek(&fp) {
-            // Rehydrate the entry from the stored artifact.
+        let dnnf = if let Some(stored) = self.store.peek(&fp) {
             entry.last_stats = stored.stats;
-            entry.last_compile_s = stored.compile_s;
-            entry.circuit = Some(Arc::clone(&stored.circuit));
-            stored.dnnf.wmc()
-        } else if let Some(circuit) = entry.circuit.clone() {
-            // Evicted while the entry still holds the current
-            // revision's circuit: rebuild the store artifact from it —
-            // a linear flattening, not a recompile.
-            let dnnf = flatten(&circuit, entry.kb.name())?;
-            let z = dnnf.wmc();
-            let (compile_s, stats) = (entry.last_compile_s, entry.last_stats);
-            self.store.insert(fp, StoredCircuit { dnnf, circuit, compile_s, stats });
-            z
+            Arc::clone(&stored.dnnf)
         } else {
             let span = telemetry.as_ref().map(|tel| {
                 tel.tracer.span_on(
@@ -683,24 +668,24 @@ impl ServeEngine {
             if let Some(span) = span {
                 span.end();
             }
-            let Some(circuit) = circuit.map(Arc::new) else {
+            let Some(circuit) = circuit else {
                 return Err(ServeError::NoMass(entry.kb.name().to_string()));
             };
-            let dnnf = flatten(&circuit, entry.kb.name())?;
-            let z = dnnf.wmc();
+            let dnnf = Dnnf::from_circuit(&circuit)
+                .map(Arc::new)
+                .map_err(|e| ServeError::BadCircuit(format!("{}: {e:?}", entry.kb.name())))?;
             entry.last_stats = stats;
-            entry.last_compile_s = compile_s;
             entry.costs.compile_s = compile_s.max(1e-9);
-            entry.circuit = Some(Arc::clone(&circuit));
-            self.store.insert(fp, StoredCircuit { dnnf, circuit, compile_s, stats });
-            z
+            self.store.insert(fp, StoredCircuit { dnnf: Arc::clone(&dnnf), compile_s, stats });
+            dnnf
         };
+        let z = dnnf.wmc();
+        entry.compiled_at = Some(revision);
         entry.z = Some((z, revision));
         // Train the prediction net once per revision, when configured.
-        if let (Some(cfg), Some(circuit)) = (self.config.predictor, &entry.circuit) {
+        if let Some(cfg) = self.config.predictor {
             if entry.predictor.as_ref().is_none_or(|(_, _, rev)| *rev != revision) {
-                let (net, _loss) =
-                    PredictionNet::train_from_circuit(circuit, entry.kb.weights(), &cfg);
+                let (net, _loss) = PredictionNet::train_from_arena(&dnnf, entry.kb.weights(), &cfg);
                 entry.predictor = Some((net.to_mlp(), z, revision));
             }
         }
@@ -1084,8 +1069,8 @@ mod tests {
         let (mut engine, a, b) = two_tenants_one_slot();
         engine.warm(a).unwrap();
         assert!(engine.telemetry(a).compiled);
-        // B's compile evicts A from the one-entry store; A's entry still
-        // holds its circuit, but nothing hot serves it.
+        // B's compile evicts A from the one-entry store; A's revision
+        // stamp is still current, but nothing hot serves it.
         engine.warm(b).unwrap();
         assert_eq!(engine.store_stats().evictions, 1);
         assert!(!engine.telemetry(a).compiled, "an evicted artifact is cold");
@@ -1093,7 +1078,7 @@ mod tests {
     }
 
     #[test]
-    fn every_compile_kind_shares_one_circuit_and_reproduces_z() {
+    fn both_compile_kinds_and_an_eviction_reproduce_every_answer() {
         let tel = Telemetry::shared();
         let (mut engine, a, b) = two_tenants_one_slot();
         engine.attach_telemetry(Arc::clone(&tel), 0);
@@ -1101,35 +1086,75 @@ mod tests {
             let labels = [("shard", "0"), ("tenant", "a"), ("kind", kind)];
             tel.registry.counter("serve_compiles_total", &labels).get()
         };
+        let mut ev = Evidence::empty(9);
+        ev.set(1, 1).set(4, 0);
+        let queries = [Query::exact(QueryKind::Wmc), Query::exact(QueryKind::Probability(ev))];
 
         type Step = fn(&mut ServeEngine, KbId, KbId);
         let steps: [(&str, Step); 3] = [
             ("cold", |_, _, _| {}),
             // Edit and undo without serving in between: the store still
-            // holds the artifact, the entry dropped its circuit.
+            // holds the artifact under a stale revision stamp.
             ("rehydrate", |engine, a, _| {
                 engine.add_clause(a, &[1, -2, 3]);
                 engine.retract_clause(a, engine.kb(a).num_clauses() - 1);
             }),
-            // B's compile evicts A from the 1-entry store; the entry
-            // keeps A's circuit.
-            ("reflatten", |engine, _, b| {
+            // B's compile evicts A from the 1-entry store: A recompiles
+            // through its persistent component cache.
+            ("cold", |engine, _, b| {
                 let _ = exact_one(engine, b, QueryKind::Wmc);
+                assert_eq!(engine.store_stats().evictions, 1);
             }),
         ];
-        let mut z_bits = None;
-        for (kind, disturb) in steps {
+        let mut want: Option<Vec<u64>> = None;
+        for (step, (kind, disturb)) in steps.into_iter().enumerate() {
             disturb(&mut engine, a, b);
-            let before: Vec<u64> = steps.iter().map(|(k, _)| compiles(k)).collect();
-            let z = exact_one(&mut engine, a, QueryKind::Wmc);
-            for ((k, _), was) in steps.iter().zip(before) {
-                assert_eq!(compiles(k) - was, u64::from(*k == kind), "{kind} step, {k} counter");
+            let before = [compiles("cold"), compiles("rehydrate")];
+            let report = engine.serve(a, &queries).unwrap();
+            let after = [compiles("cold"), compiles("rehydrate")];
+            let bumped = [u64::from(kind == "cold"), u64::from(kind == "rehydrate")];
+            assert_eq!([after[0] - before[0], after[1] - before[1]], bumped, "step {step}");
+            let bits: Vec<u64> = report
+                .outcomes
+                .iter()
+                .map(|o| match o.answer {
+                    Answer::Exact(x) => x.to_bits(),
+                    ref other => panic!("step {step}: expected an exact answer, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(want.get_or_insert_with(|| bits.clone()), &bits, "step {step}");
+            assert!(engine.telemetry(a).compiled, "step {step}");
+            if step == 2 {
+                let stats = engine.last_compile_stats(a);
+                assert!(stats.persistent_hits >= 1, "an evicted artifact recompiles warm");
             }
-            assert_eq!(*z_bits.get_or_insert(z.to_bits()), z.to_bits(), "{kind}");
-            let entry = engine.kbs[a.0].circuit.as_ref().expect("compiled");
-            let stored = engine.store.peek(&engine.kb(a).fingerprint()).expect("hot");
-            assert!(Arc::ptr_eq(entry, &stored.circuit), "{kind}: one circuit, not a copy");
         }
+        let snapshot = tel.registry.snapshot();
+        assert!(snapshot.iter().all(|m| m.name != "serve_compiles_total"
+            || m.labels.iter().all(|(k, v)| k != "kind" || v == "cold" || v == "rehydrate")));
+    }
+
+    #[test]
+    fn compiled_flag_follows_the_tenants_own_revision_stamp() {
+        let (cnf, w) = sat_instance(9, 22, 21);
+        let mut engine = engine();
+        let first = engine.register("first", &cnf, w.clone());
+        let second = engine.register("second", &cnf, w);
+        engine.warm(first).unwrap();
+        assert!(engine.telemetry(first).compiled);
+        assert!(
+            !engine.telemetry(second).compiled,
+            "the same formula's stored artifact is not the second tenant's until it serves"
+        );
+        let _ = exact_one(&mut engine, second, QueryKind::Wmc);
+        assert!(engine.telemetry(second).compiled);
+        assert_eq!(engine.store_stats().insertions, 1, "the second tenant rehydrated");
+        engine.wipe_store();
+        assert!(!engine.telemetry(second).compiled, "after a store wipe");
+        let _ = exact_one(&mut engine, second, QueryKind::Wmc);
+        assert!(engine.telemetry(second).compiled);
+        engine.add_clause(second, &[1, -2, 3]);
+        assert!(!engine.telemetry(second).compiled, "after an edit");
     }
 
     #[test]

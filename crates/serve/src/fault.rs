@@ -43,8 +43,8 @@ fn clear_of(windows: &[Window], shard: usize, t_s: f64) -> f64 {
     t
 }
 
-/// A one-shot cache wipe: at `at_s` the shard's circuit store and live
-/// source circuits are dropped, forcing genuine recompiles (through the surviving
+/// A one-shot cache wipe: at `at_s` the shard's circuit store is
+/// dropped, forcing genuine recompiles (through the surviving
 /// per-KB persistent component caches) on the next exact queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheWipe {

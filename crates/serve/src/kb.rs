@@ -66,7 +66,7 @@ pub struct KnowledgeBase {
     weights: WmcWeights,
     cache: PersistentComponentCache,
     /// Bumped on every mutation; serving layers use it to notice stale
-    /// derived state (source circuits, trained predictors).
+    /// derived state (compiled-revision stamps, trained predictors).
     revision: u64,
 }
 

@@ -11,10 +11,10 @@
 //!   [`reason_pc::PersistentComponentCache`] so that clause
 //!   additions/retractions recompile only the components they touch.
 //! * [`CircuitStore`] ([`store`]) — the persistent compiled-circuit
-//!   store: artifacts (flat [`reason_pc::Dnnf`] arenas plus their
-//!   source circuits) keyed by canonical [`FormulaFingerprint`]s
-//!   ([`fingerprint`]), bounded by entries and bytes with cost-aware
-//!   eviction, with
+//!   store: artifacts (flat [`reason_pc::Dnnf`] arenas, the one
+//!   compiled artifact the serving path keeps) keyed by canonical
+//!   [`FormulaFingerprint`]s ([`fingerprint`]), bounded by entries and
+//!   arena bytes with cost-aware eviction, with
 //!   hit/miss/eviction [`CacheStats`]. Eviction is safe: recompiling
 //!   the same key reproduces answers bit-for-bit.
 //! * [`QueryRouter`] ([`router`]) — adaptive admission: each

@@ -3,30 +3,28 @@
 //! A [`CircuitStore`] maps [`FormulaFingerprint`]s to compiled
 //! artifacts so that *every* query after a knowledge base's first
 //! compilation is answered from the store instead of repaying
-//! compilation. Entries carry the flat d-DNNF arena (the serving hot
-//! path, whose root also holds the weighted model count:
-//! [`Dnnf::wmc`]), the source circuit (one allocation shared with the
-//! owning knowledge base's engine entry, which re-flattens it after an
-//! eviction and trains the predictor from it), and the compile
-//! telemetry the router's cost model feeds on.
+//! compilation. An entry is one artifact: the flat d-DNNF arena (the
+//! serving hot path, whose root also holds the weighted model count:
+//! [`Dnnf::wmc`]) plus the compile telemetry the router's cost model
+//! feeds on. No source circuit is kept beside it, so evicting an entry
+//! frees everything the store metered for it.
 //!
-//! The store is bounded two ways — entry count and total artifact
-//! bytes — and evicts entries when either bound is crossed. The victim
-//! is cost-aware: each entry scores `bytes × EWMA recompile seconds`
-//! (the telemetry every insertion already carries) and the *minimum*
-//! goes — the entry whose loss is cheapest to repay — with recency only
-//! breaking ties. Small artifacts that are cheap to rebuild go first,
-//! while large circuits that took real compile time stick around even
-//! when a stream of one-shot keys churns the recency order. The EWMA
-//! survives eviction (keyed by digest), so a key that keeps bouncing in
-//! and out remembers what its recompilations cost. Plain LRU loses to
-//! this rule on recompile-heavy traces (`tests/eviction_regression.rs`
-//! replays one against an LRU model).
+//! The store is bounded two ways — entry count and total arena bytes
+//! ([`Dnnf::bytes`]) — and evicts entries when either bound is crossed.
+//! The victim is cost-aware: each entry scores `bytes × EWMA recompile
+//! seconds` (the telemetry every insertion already carries) and the
+//! *minimum* goes — the entry whose loss is cheapest to repay — with
+//! recency only breaking ties. Small artifacts that are cheap to
+//! rebuild go first, while large circuits that took real compile time
+//! stick around even when a stream of one-shot keys churns the recency
+//! order. The EWMA survives eviction (keyed by digest), so a key that
+//! keeps bouncing in and out remembers what its recompilations cost.
+//! Plain LRU loses to this rule on recompile-heavy traces
+//! (`tests/eviction_regression.rs` replays one against an LRU model).
 //!
-//! Each slot keeps its artifact's size, read once at insert
-//! ([`StoredCircuit::bytes`] walks the circuit), so a victim search is
-//! one O(entries) pass over stored sizes, recompile costs and recency,
-//! and the byte meter moves by the stored size on overwrite and
+//! An arena's size is three length reads, so a victim search is one
+//! O(entries) pass over sizes, recompile costs and recency, and the
+//! byte meter moves by the artifact's size on insert, overwrite and
 //! removal. Eviction is safe by construction: recompiling the same
 //! `(formula, weights)` key reproduces the artifact bit-for-bit (see
 //! the store round-trip property tests), so an evicted entry costs
@@ -35,7 +33,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use reason_pc::{Circuit, CompileStats, Dnnf};
+use reason_pc::{CompileStats, Dnnf};
 use reason_telemetry::{Counter, Gauge, Telemetry};
 
 use crate::fingerprint::FormulaFingerprint;
@@ -45,9 +43,9 @@ use crate::fingerprint::FormulaFingerprint;
 pub struct StoreConfig {
     /// Maximum live entries.
     pub max_entries: usize,
-    /// Maximum total artifact bytes (arena + circuit estimates). A
-    /// single artifact larger than the bound is still admitted — the
-    /// bound then holds everything *else* out.
+    /// Maximum total artifact bytes ([`Dnnf::bytes`] of every stored
+    /// arena). A single artifact larger than the bound is still
+    /// admitted — the bound then holds everything *else* out.
     pub max_bytes: usize,
 }
 
@@ -64,9 +62,6 @@ pub struct StoredCircuit {
     /// hands the same arena to `reason_system`'s batched serve lane
     /// without copying the node table.
     pub dnnf: Arc<Dnnf>,
-    /// The source circuit, shared (not copied) with the engine entry of
-    /// the knowledge base it was compiled for.
-    pub circuit: Arc<Circuit>,
     /// Seconds the producing compilation took.
     pub compile_s: f64,
     /// The producing compilation's counters.
@@ -74,17 +69,10 @@ pub struct StoredCircuit {
 }
 
 impl StoredCircuit {
-    /// Artifact footprint metered against [`StoreConfig::max_bytes`].
-    /// The metered circuit may alias the node array of its knowledge
-    /// base's component cache (a compile whose search left no dead node
-    /// returns that array itself), so evicting the artifact always
-    /// frees the arena but not necessarily the nodes.
-    ///
-    /// This walks the circuit's node array
-    /// ([`Circuit::footprint_bytes`]); a [`CircuitStore`] reads it once
-    /// per insert and keeps the value for scoring and metering.
+    /// Artifact footprint metered against [`StoreConfig::max_bytes`]:
+    /// the arena's [`Dnnf::bytes`], which evicting the artifact frees.
     pub fn bytes(&self) -> usize {
-        self.dnnf.bytes() + self.circuit.footprint_bytes()
+        self.dnnf.bytes()
     }
 }
 
@@ -119,9 +107,6 @@ impl CacheStats {
 
 struct Slot {
     value: StoredCircuit,
-    /// `value.bytes()`, read once when the slot is made: a stored
-    /// artifact never changes, and re-measuring it walks its circuit.
-    bytes: usize,
     last_used: u64,
     /// EWMA of the recompile seconds observed for this key, carried
     /// from `recompile_ewma` at insertion time.
@@ -134,7 +119,7 @@ impl Slot {
     /// grow together on this workload, so the product separates
     /// throwaway artifacts from the ones worth pinning).
     fn score(&self) -> f64 {
-        self.bytes as f64 * self.cost_s
+        self.value.bytes() as f64 * self.cost_s
     }
 }
 
@@ -275,9 +260,9 @@ impl CircuitStore {
             None => value.compile_s.max(0.0),
         };
         self.recompile_ewma.insert(key.digest(), cost_s);
-        let slot = Slot { value, bytes, last_used: self.tick, cost_s };
+        let slot = Slot { value, last_used: self.tick, cost_s };
         if let Some(old) = self.entries.insert(key.clone(), slot) {
-            self.bytes -= old.bytes;
+            self.bytes -= old.value.bytes();
         }
         self.bytes += bytes;
         while self.entries.len() > self.config.max_entries
@@ -317,7 +302,7 @@ impl CircuitStore {
     /// Removes an entry outright (KB deregistration), returning it.
     pub fn remove(&mut self, key: &FormulaFingerprint) -> Option<StoredCircuit> {
         let removed = self.entries.remove(key).map(|slot| {
-            self.bytes -= slot.bytes;
+            self.bytes -= slot.value.bytes();
             slot.value
         });
         self.sync_occupancy_gauges();
@@ -366,10 +351,10 @@ mod tests {
             let cnf = random_ksat(8, 20, 3, s);
             let w = WmcWeights::uniform(8);
             let (circuit, stats) = compile_cnf_with(&cnf, &w, CompileOptions::default());
-            if let Some(circuit) = circuit.map(Arc::new) {
+            if let Some(circuit) = circuit {
                 let dnnf = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
                 let fp = FormulaFingerprint::new(&cnf, &w);
-                return (fp, StoredCircuit { dnnf, circuit, compile_s, stats });
+                return (fp, StoredCircuit { dnnf, compile_s, stats });
             }
             s += 1000;
         }
@@ -500,6 +485,32 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.entries, stats.evictions), (1, 1));
         assert_eq!(stats.bytes, big_bytes);
+    }
+
+    #[test]
+    fn byte_meter_equals_the_live_arenas_bytes() {
+        fn live_arena_bytes(store: &CircuitStore) -> usize {
+            store.entries.values().map(|slot| slot.value.dnnf.bytes()).sum()
+        }
+        let (fp_a, a) = artifact(1);
+        let (fp_b, b) = artifact(2);
+        let (fp_c, c) = artifact(3);
+        let (_, a2) = artifact(4);
+        let mut store = CircuitStore::new(StoreConfig { max_entries: 2, max_bytes: usize::MAX });
+        store.insert(fp_a.clone(), a);
+        store.insert(fp_b.clone(), b);
+        assert_eq!(store.stats().bytes, live_arena_bytes(&store), "after inserts");
+        store.insert(fp_a.clone(), a2);
+        assert_eq!(store.stats().bytes, live_arena_bytes(&store), "after an overwrite");
+        store.insert(fp_c.clone(), c);
+        assert_eq!(store.stats().evictions, 1);
+        assert_eq!(store.stats().bytes, live_arena_bytes(&store), "after an eviction");
+        store.remove(&fp_c);
+        assert_eq!(store.stats().bytes, live_arena_bytes(&store), "after a remove");
+        assert!(store.stats().bytes > 0);
+        store.clear();
+        assert_eq!(store.stats().bytes, 0, "after a clear");
+        assert!(store.is_empty());
     }
 
     #[test]

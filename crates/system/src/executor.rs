@@ -5,10 +5,11 @@
 //! *executes* it: [`BatchExecutor`] runs a queue of neuro-symbolic tasks
 //! on two thread pools — a neural pool computing the GPU-side stage
 //! (`reason-neural` MLP forward passes or LLM-proxy costs) and a symbolic
-//! pool dispatching to `reason-sat` cube-and-conquer or `reason-pc`
-//! circuit inference — with genuine stage overlap: while the symbolic
-//! pool conquers task `N`, the neural pool is already producing task
-//! `N+1`'s results ("Multiple parallelable CDCLs", paper Fig. 9).
+//! pool dispatching to `reason-sat` cube-and-conquer, `reason-approx`
+//! anytime bounds or batched `reason-pc` d-DNNF arena queries — with
+//! genuine stage overlap: while the symbolic pool conquers task `N`,
+//! the neural pool is already producing task `N+1`'s results
+//! ("Multiple parallelable CDCLs", paper Fig. 9).
 //!
 //! Data moves between the pools through the paper's shared-memory flag
 //! protocol ([`crate::sync::SharedMemory`], Sec. VI-B): a neural worker
@@ -45,8 +46,7 @@ use parking_lot::Mutex;
 use reason_approx::{ApproxConfig, ApproxEngine};
 use reason_neural::{LlmProxy, Matrix, Mlp, MlpBuilder};
 use reason_pc::{
-    compile_cnf, random_mixture_circuit, BatchBuffer, Circuit, Dnnf, EvalBuffer, Evidence,
-    StructureConfig, WmcWeights,
+    compile_cnf, random_mixture_circuit, BatchBuffer, Dnnf, Evidence, StructureConfig, WmcWeights,
 };
 use reason_sat::gen::random_ksat;
 use reason_sat::{Cnf, CubeAndConquer, CubeConfig, Solution};
@@ -102,14 +102,6 @@ pub enum SymbolicStage {
         cnf: Cnf,
         /// Cube-and-conquer parameters.
         config: CubeConfig,
-    },
-    /// Probabilistic-circuit marginal inference: the log-probability of
-    /// the evidence.
-    Pc {
-        /// The circuit.
-        circuit: Circuit,
-        /// The (partial) evidence to marginalize over.
-        evidence: Evidence,
     },
     /// Approximate weighted model counting on the `reason-approx`
     /// engine: anytime-bounded WMC where exact compilation would not
@@ -215,8 +207,6 @@ pub fn edf_order(tasks: &[BatchTask]) -> Vec<usize> {
 pub enum Verdict {
     /// SAT outcome (verdict plus model, if satisfiable).
     Sat(Solution),
-    /// Log-probability of the evidence under the circuit.
-    LogMarginal(f64),
     /// Approximate weighted model count with its anytime bracket.
     Wmc {
         /// Point estimate of the weighted model count.
@@ -456,9 +446,6 @@ impl BatchExecutor {
                     t.registry.counter("executor_lane_tasks_total", &[("lane", &lane.to_string())])
                 });
                 scope.spawn(move |_| {
-                    // One evaluation buffer per worker: every PC task
-                    // this worker executes reuses it.
-                    let mut eval_buf = EvalBuffer::new();
                     while let Ok((i, mut neural)) = ready_rx.recv() {
                         if let Some(c) = &lane_tasks {
                             c.inc();
@@ -466,7 +453,7 @@ impl BatchExecutor {
                         neural.buffer = shm
                             .take_neural(i as u64)
                             .expect("neural_ready is raised before dispatch");
-                        *slots[i].lock() = Some(symbolic_stage(&tasks[i], neural, &mut eval_buf));
+                        *slots[i].lock() = Some(symbolic_stage(&tasks[i], neural));
                     }
                 });
             }
@@ -493,10 +480,9 @@ impl BatchExecutor {
 /// dispatch order as the threaded path; results are returned in
 /// submission order either way.
 fn run_serial(tasks: &[BatchTask]) -> Vec<TaskResult> {
-    let mut eval_buf = EvalBuffer::new();
     let mut results: Vec<Option<TaskResult>> = tasks.iter().map(|_| None).collect();
     for i in edf_order(tasks) {
-        results[i] = Some(symbolic_stage(&tasks[i], neural_stage(&tasks[i]), &mut eval_buf));
+        results[i] = Some(symbolic_stage(&tasks[i], neural_stage(&tasks[i])));
     }
     results.into_iter().map(|r| r.expect("every task executed")).collect()
 }
@@ -528,24 +514,18 @@ fn neural_stage(task: &BatchTask) -> NeuralOutcome {
 /// Stage 2 of one task on either schedule, closing its result slot. A
 /// panic here (or one carried from stage 1, which skips the stage)
 /// fails only this slot.
-fn symbolic_stage(
-    task: &BatchTask,
-    neural: NeuralOutcome,
-    eval_buf: &mut EvalBuffer,
-) -> TaskResult {
+fn symbolic_stage(task: &BatchTask, neural: NeuralOutcome) -> TaskResult {
     let (verdict, symbolic_s) = match neural.panicked {
         Some(reason) => (Verdict::Failed { reason }, 0.0),
         None => {
             let t0 = Instant::now();
-            let outcome =
-                panic::catch_unwind(AssertUnwindSafe(|| run_symbolic(&task.symbolic, eval_buf)));
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_symbolic(&task.symbolic)));
             let symbolic_s = t0.elapsed().as_secs_f64();
             match outcome {
                 Ok(verdict) => (verdict, symbolic_s),
                 Err(payload) => {
-                    // The buffers may have been half-updated when the
-                    // task died: start the lane fresh.
-                    *eval_buf = EvalBuffer::new();
+                    // The scratch may have been half-updated when the
+                    // task died: start the thread's lane fresh.
                     SERVE_SCRATCH.with(|buf| *buf.borrow_mut() = BatchBuffer::new());
                     (Verdict::Failed { reason: panic_message(&*payload) }, symbolic_s)
                 }
@@ -594,13 +574,10 @@ fn run_neural(stage: &NeuralStage) -> Vec<f64> {
     }
 }
 
-fn run_symbolic(stage: &SymbolicStage, eval_buf: &mut EvalBuffer) -> Verdict {
+fn run_symbolic(stage: &SymbolicStage) -> Verdict {
     match stage {
         SymbolicStage::Sat { cnf, config } => {
             Verdict::Sat(CubeAndConquer::new(cnf, config.clone()).solve().solution)
-        }
-        SymbolicStage::Pc { circuit, evidence } => {
-            Verdict::LogMarginal(circuit.log_probability_with(evidence, eval_buf))
         }
         SymbolicStage::Approx { cnf, probs, config } => {
             let est = ApproxEngine::new(*config).wmc(cnf, &WmcWeights::new(probs.clone()));
@@ -683,12 +660,13 @@ fn run_serve_batch(arena: &Dnnf, z: f64, queries: &[ServeQuery]) -> Verdict {
 
 /// A seeded mixed batch with MLP neural stages — the workload the
 /// `reason-eval pipeline` experiment drives.
-/// Lanes rotate four symbolic stages: SAT cube-and-conquer, exact PC
-/// marginal inference, anytime approximate WMC (a trimmed-budget
-/// [`ApproxConfig`], so demo batches stay interactive), and serve
-/// queries against one shared compiled knowledge base (the same
-/// `Arc<Dnnf>` arena across every serve task, exercising cross-thread
-/// sharing).
+/// Lanes rotate four symbolic stages: SAT cube-and-conquer, an exact
+/// probability query against a random mixture circuit's arena (a
+/// serve batch of one, over an arena of its own), anytime approximate
+/// WMC (a trimmed-budget [`ApproxConfig`], so demo batches stay
+/// interactive), and serve queries against one shared compiled
+/// knowledge base (the same `Arc<Dnnf>` arena across every such task,
+/// exercising cross-thread sharing).
 pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
     // The serve lane's knowledge base: compiled once, shared by every
     // serve task in the batch. Walk seeds until the formula carries
@@ -726,11 +704,16 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
                         num_components: 2,
                         seed: s + 4,
                     });
-                    // PC tasks land at i = 4k + 1, so alternate the
-                    // evidence value per PC task, not per task index.
+                    let arena = Dnnf::from_circuit(&circuit).expect("mixtures are binary");
+                    // Mixture tasks land at i = 4k + 1, so alternate the
+                    // evidence value per mixture task, not per task index.
                     let mut evidence = Evidence::empty(8);
                     evidence.set(0, (i / 4) % 2);
-                    SymbolicStage::Pc { circuit, evidence }
+                    SymbolicStage::ServeBatch {
+                        z: arena.wmc(),
+                        arena: Arc::new(arena),
+                        queries: vec![ServeQuery::Probability(evidence)],
+                    }
                 }
                 2 => SymbolicStage::Approx {
                     cnf: random_ksat(14, 40, 3, s + 5),
@@ -785,7 +768,7 @@ pub fn synthetic_batch(costs: &[(u64, u64)]) -> Vec<BatchTask> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reason_pc::CompiledWmc;
+    use reason_pc::{Circuit, CompiledWmc};
 
     #[test]
     fn parallel_verdicts_match_sequential() {
@@ -804,19 +787,21 @@ mod tests {
     #[test]
     fn panicking_task_fails_its_slot_and_lanes_keep_draining() {
         // Task 1's symbolic stage panics deliberately: the evidence
-        // arity (4) does not match the circuit (8 vars), which trips
-        // the `evidence arity mismatch` assert inside evaluation.
+        // arity (4) does not match the arena (8 vars), which trips the
+        // lane arity assert while the batch is packed.
         let mut tasks = demo_batch(6, 7);
-        let circuit = random_mixture_circuit(&StructureConfig {
-            num_vars: 8,
-            depth: 3,
-            num_components: 2,
-            seed: 99,
-        });
+        let SymbolicStage::ServeBatch { arena, z, .. } = &tasks[1].symbolic else {
+            panic!("task 1 is a mixture serve batch");
+        };
+        let symbolic = SymbolicStage::ServeBatch {
+            arena: Arc::clone(arena),
+            z: *z,
+            queries: vec![ServeQuery::Probability(Evidence::empty(4))],
+        };
         tasks[1] = BatchTask {
             name: "poison".to_string(),
             neural: tasks[1].neural.clone(),
-            symbolic: SymbolicStage::Pc { circuit, evidence: Evidence::empty(4) },
+            symbolic,
             deadline: None,
         };
 
@@ -974,18 +959,17 @@ mod tests {
     fn demo_batch_rotates_all_four_symbolic_lanes() {
         let tasks = demo_batch(8, 0);
         assert!(matches!(tasks[0].symbolic, SymbolicStage::Sat { .. }));
-        assert!(matches!(tasks[1].symbolic, SymbolicStage::Pc { .. }));
+        assert!(matches!(tasks[1].symbolic, SymbolicStage::ServeBatch { .. }));
         assert!(matches!(tasks[2].symbolic, SymbolicStage::Approx { .. }));
         assert!(matches!(tasks[3].symbolic, SymbolicStage::ServeBatch { .. }));
-        // Every serve task shares the *same* compiled arena.
-        let (
-            SymbolicStage::ServeBatch { arena: a, .. },
-            SymbolicStage::ServeBatch { arena: b, .. },
-        ) = (&tasks[3].symbolic, &tasks[7].symbolic)
-        else {
-            panic!("serve lanes at i = 4k + 3");
+        let arena = |i: usize| match &tasks[i].symbolic {
+            SymbolicStage::ServeBatch { arena, .. } => Arc::clone(arena),
+            _ => panic!("serve lanes at i = 4k + 1 and 4k + 3"),
         };
-        assert!(Arc::ptr_eq(a, b), "serve tasks share one compiled KB");
+        // Every knowledge-base task shares the *same* compiled arena;
+        // each mixture task walks an arena of its own.
+        assert!(Arc::ptr_eq(&arena(3), &arena(7)), "serve tasks share one compiled KB");
+        assert!(!Arc::ptr_eq(&arena(1), &arena(5)), "mixture tasks draw their own circuit");
         let report = BatchExecutor::new(ExecutorConfig::overlapped(2)).run(&tasks);
         // Serve tasks answer their one lane inside a batch verdict.
         let verdicts: Vec<&Verdict> = report
@@ -997,7 +981,7 @@ mod tests {
             })
             .collect();
         let wmc = verdicts.iter().filter(|v| matches!(v, Verdict::Wmc { .. })).count();
-        assert_eq!(wmc, 4, "two approx + two serve verdicts");
+        assert_eq!(wmc, 6, "two approx + four serve verdicts");
         // Serve lanes report degenerate brackets, approx lanes real ones.
         let exact = verdicts
             .iter()
@@ -1006,7 +990,25 @@ mod tests {
                 if lower == estimate && estimate == upper)
             })
             .count();
-        assert_eq!(exact, 2);
+        assert_eq!(exact, 4);
+    }
+
+    #[test]
+    fn mixture_lane_arenas_read_their_circuits_probability() {
+        for seed in 0..50 {
+            let circuit = random_mixture_circuit(&StructureConfig {
+                num_vars: 8,
+                depth: 3,
+                num_components: 2,
+                seed,
+            });
+            let arena = Dnnf::from_circuit(&circuit).expect("mixtures are binary");
+            let mut evidence = Evidence::empty(8);
+            evidence.set(0, seed as usize % 2);
+            let got = arena.probability(&evidence, &mut BatchBuffer::new());
+            let want = circuit.probability(&evidence);
+            assert!(circuit_close(got, want), "seed {seed}: {got} vs {want}");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn sized_artifact(n: usize, seed: u64, compile_s: f64) -> (FormulaFingerprint, S
         if let Some(circuit) = circuit.map(Arc::new) {
             let dnnf = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
             let fp = FormulaFingerprint::new(&cnf, &w);
-            return (fp, StoredCircuit { dnnf, circuit, compile_s, stats });
+            return (fp, StoredCircuit { dnnf, compile_s, stats });
         }
         s += 1000;
     }

@@ -1210,7 +1210,6 @@ fn store_pool() -> &'static [(FormulaFingerprint, StoredCircuit)] {
                 let dnnf = reason::pc::Dnnf::from_circuit(&circuit).expect("binary");
                 let value = StoredCircuit {
                     dnnf: Arc::new(dnnf),
-                    circuit: Arc::new(circuit),
                     compile_s: 0.0,
                     stats: Default::default(),
                 };
