@@ -55,6 +55,17 @@
 //! split, [`Dnnf::query_batch`] and the per-kind kernels, [`Dnnf::wmc`]
 //! and an empty-evidence lane.
 //!
+//! **Slots.** A walk keeps a node's values only until its last reader
+//! has run, the way REASON's compiler recycles its register file by
+//! live range (Sec. V): [`Dnnf::from_circuit`] gives every node a slot
+//! of the walk's value table, reusing a slot once its node's last
+//! reader is flattened. A walk's table is then `slots × TILE` values,
+//! the arena's peak live set, instead of one chunk per node: a few
+//! hundred slots on arenas of tens of thousands of nodes, so a tile's
+//! table sits in the L2 cache. The walks are compiled from one generic
+//! source for the target's baseline and for AVX2, and pick one per walk
+//! from what the CPU reports; both give every answer the same bits.
+//!
 //! Only *binary* universes are accepted (every compiled formula circuit
 //! is one); [`Dnnf::from_circuit`] reports [`DnnfError`] otherwise.
 //!
@@ -77,6 +88,7 @@
 use std::collections::HashMap;
 use std::f64::consts::LN_2;
 use std::fmt;
+use std::marker::PhantomData;
 
 use crate::circuit::{Circuit, PcNode};
 use crate::infer::{Evidence, MpeResult};
@@ -320,28 +332,94 @@ pub struct Dnnf {
     /// Weights (probabilities) parallel to `edges`; meaningful for `Or`
     /// slices, 1 for `And` slices.
     edge_weights: Vec<f64>,
+    /// The value-table slot of each node, by live range: a node's slot
+    /// is free again once its last reader has run, so a walk's table
+    /// holds `slots` chunks, not one per node.
+    slot: Vec<u32>,
+    /// The number of slots: the most node values live at once.
+    slots: u32,
     root: u32,
     /// Some value could leave f64's normal range: walk [`Ext`] values.
     wide: bool,
+}
+
+/// The vector instruction set a walk is compiled for, picked at the
+/// walk's entry: AVX2 where the CPU reports it, else the target's
+/// baseline (SSE2 on `x86_64`). Both variants run the same generic
+/// source with the same fold order and no contraction (no `fma`), so
+/// every answer has the same bits on each. Measured in-process on a
+/// Xeon with AVX-512F (30 random arenas' 256-lane `query_batch` calls,
+/// the variants alternated): AVX2 takes 24–34 % off the baseline's time
+/// and 1–9 % off a one-lane call's. An AVX-512F variant was not kept:
+/// against AVX2 it read +3.0, −10.3 and +5.2 % in three runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Baseline,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest variant this CPU runs. Every `Avx2` is made here (or
+    /// by the tests' `supported`), after the check.
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+}
+
+/// `exp` of the log weights one flatten meets, memoized: a compiled
+/// formula's sums reuse the `ln p` and `ln (1 − p)` of its decision
+/// variables, so most calls repeat an earlier one. Direct-mapped on the
+/// argument's bits; a hit returns the bits `exp` returned. It takes
+/// about 5 ns per node off a flatten of random 3-CNFs at n = 24–48
+/// (in-process, three runs), paying, with one walk of
+/// `Circuit::num_edges` instead of two, for part of
+/// [`Dnnf::assign_slots`].
+struct ExpCache([(u64, f64); 256]);
+
+impl ExpCache {
+    fn new() -> Self {
+        // `exp(0) = 1` exactly: every empty entry is a valid one.
+        ExpCache([(0f64.to_bits(), 1.0); 256])
+    }
+
+    fn exp(&mut self, x: f64) -> f64 {
+        let bits = x.to_bits();
+        let k = (bits ^ bits >> 32).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56;
+        let entry = &mut self.0[k as usize];
+        if entry.0 != bits {
+            *entry = (bits, x.exp());
+        }
+        entry.1
+    }
 }
 
 /// The scratch space of [`Dnnf::probability`], which answers one query
 /// as a batch of one lane.
 pub type DnnfBuffer = BatchBuffer;
 
+/// `last[c]` of a node nothing reads, in [`Dnnf::from_circuit`].
+const NO_READER: u32 = u32::MAX;
+
 /// Evidence code for a marginalized (unobserved) variable in a
 /// [`DnnfBatch`] lane; observed lanes store the value itself (0 or 1).
 const MARGINALIZED: u8 = 2;
 
 /// Storage lanes one node-table walk evaluates. A batch wider than this
-/// is walked in tiles, so the value table is `nodes × TILE` however
-/// many lanes arrive. Measured on 256-lane serve batches (`benchmark/`'s
-/// `hot_wide`, six alternating 22 s pairs, two-core VM): 32 serves a
-/// median 8 % fewer queries per second than 64 (64 won four pairs of
-/// six, inside the run-to-run spread) at a peak RSS of 64.4 against
-/// 72.5 MiB. 128 would double the table, about 11 MB more on the
-/// tallest arena. It is also the width of the per-node lane masks of
-/// the sum-product walk (one `u64` per node).
+/// is walked in tiles, so the value table is `slots × TILE` however
+/// many lanes arrive, where `slots` is the arena's peak live set (see
+/// [`Dnnf::from_circuit`]). It is also the width of the per-slot lane
+/// masks of the sum-product walk (one `u64` per live node). Wider
+/// passes over the slot table were measured and lost: on a Xeon with a
+/// 2 MiB L2 per core, over 30 random arenas' 256-lane `query_batch`
+/// calls (in-process, alternating), capping a pass's table at 2 MiB —
+/// one pass for every distinct lane of a call — ran 11.7 % slower than
+/// 64-lane tiles, and caps of 1 MiB, 512 KiB, 256 KiB and 128 KiB sat
+/// in between.
 const TILE: usize = 64;
 const _: () = assert!(TILE <= 64);
 
@@ -356,9 +434,57 @@ fn observed_lanes(codes: &[u8]) -> u64 {
     codes.iter().enumerate().fold(0, |mask, (k, &c)| mask | (u64::from(c != MARGINALIZED) << k))
 }
 
-/// Node `c`'s chunk of a tile's value table `l` lanes wide.
-fn chunk<V>(vals: &[V], c: u32, l: usize) -> &[V] {
-    &vals[c as usize * l..c as usize * l + l]
+/// A tile's slot-major value table, `l` values per slot, seen through
+/// its base pointer, so that a node writes its own slot's chunk while
+/// it reads its children's. A node never shares a slot with a child
+/// (its children are live when it takes its slot), so those chunks are
+/// disjoint. The safe form, `split_at_mut` around the node's chunk with
+/// each child read from the part below or above it, costs a branch per
+/// child read that the CPU cannot predict (a child's slot lies on
+/// either side): about 45 % on a one-lane walk and 20 % on a 256-lane
+/// one, in-process.
+struct SlotTable<'a, V> {
+    base: *mut V,
+    slots: usize,
+    l: usize,
+    _vals: PhantomData<&'a mut [V]>,
+}
+
+impl<'a, V> SlotTable<'a, V> {
+    /// The first `slots` chunks of `vals`.
+    #[inline(always)]
+    fn new(vals: &'a mut [V], slots: usize, l: usize) -> Self {
+        assert!(vals.len() >= slots * l, "the value table holds every slot");
+        SlotTable { base: vals.as_mut_ptr(), slots, l, _vals: PhantomData }
+    }
+
+    /// Slot `s`'s chunk, to write.
+    ///
+    /// # Safety
+    ///
+    /// No other view of slot `s`'s chunk may be alive while the
+    /// returned one is.
+    #[inline(always)]
+    unsafe fn out(&self, s: usize) -> &'a mut [V] {
+        debug_assert!(s < self.slots, "slot {s} out of range");
+        // SAFETY: every slot is below the arena's slot count
+        // (`Dnnf::assign_slots`) and the table holds `slots × l` values,
+        // so the chunk is in bounds; the caller keeps it unaliased.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(s * self.l), self.l) }
+    }
+
+    /// Slot `s`'s chunk, to read.
+    ///
+    /// # Safety
+    ///
+    /// No view of slot `s`'s chunk from [`out`](Self::out) may be alive
+    /// while the returned one is.
+    #[inline(always)]
+    unsafe fn chunk(&self, s: usize) -> &'a [V] {
+        debug_assert!(s < self.slots, "slot {s} out of range");
+        // SAFETY: as in `out`; the caller keeps the chunk unwritten.
+        unsafe { std::slice::from_raw_parts(self.base.add(s * self.l), self.l) }
+    }
 }
 
 /// Writes the product `1 · c0 · c1 · …` of `children`'s chunks into
@@ -366,31 +492,36 @@ fn chunk<V>(vals: &[V], c: u32, l: usize) -> &[V] {
 /// each later one `(o·c_i)·c_{i+1}`, and an odd last child takes one
 /// more. Every lane multiplies in the order of a fold from 1, so the
 /// bits are that fold's, but the chunk is written ⌈k/2⌉ times, not
-/// `k + 1`.
-fn product_into<V: Value>(out: &mut [V], lo: &[V], children: &[u32], l: usize) {
+/// `k + 1`. `chunk(c)` is child `c`'s values for `out`'s lanes.
+#[inline(always)]
+fn product_into<'a, V: Value + 'a>(
+    out: &mut [V],
+    children: &[u32],
+    chunk: impl Fn(u32) -> &'a [V],
+) {
     let mut rest = match *children {
         [] => return out.fill(V::ONE),
         [c] => {
-            for (o, &x) in out.iter_mut().zip(chunk(lo, c, l)) {
+            for (o, &x) in out.iter_mut().zip(chunk(c)) {
                 *o = V::ONE.mul(x);
             }
             return;
         }
         [a, b, ref tail @ ..] => {
-            for ((o, &x), &y) in out.iter_mut().zip(chunk(lo, a, l)).zip(chunk(lo, b, l)) {
+            for ((o, &x), &y) in out.iter_mut().zip(chunk(a)).zip(chunk(b)) {
                 *o = V::ONE.mul(x).mul(y);
             }
             tail
         }
     };
     while let [a, b, ref tail @ ..] = *rest {
-        for ((o, &x), &y) in out.iter_mut().zip(chunk(lo, a, l)).zip(chunk(lo, b, l)) {
+        for ((o, &x), &y) in out.iter_mut().zip(chunk(a)).zip(chunk(b)) {
             *o = o.mul(x).mul(y);
         }
         rest = tail;
     }
     if let [c] = *rest {
-        for (o, &x) in out.iter_mut().zip(chunk(lo, c, l)) {
+        for (o, &x) in out.iter_mut().zip(chunk(c)) {
             *o = o.mul(x);
         }
     }
@@ -400,14 +531,14 @@ fn product_into<V: Value>(out: &mut [V], lo: &[V], children: &[u32], l: usize) {
 /// chunks into `out`, two terms per pass, the first pass from
 /// `w0·c0 + w1·c1`. A term is non-negative, so `0 + t` is `t` exactly
 /// and every lane's bits are those of a fold from 0.
-fn weighted_sum_into<V: Value>(
+#[inline(always)]
+fn weighted_sum_into<'a, V: Value + 'a>(
     out: &mut [V],
-    lo: &[V],
     children: &[u32],
     weights: &[f64],
-    l: usize,
+    chunk: impl Fn(u32) -> &'a [V],
 ) {
-    let term = |k: usize| (V::of(weights[k]), chunk(lo, children[k], l));
+    let term = |k: usize| (V::of(weights[k]), chunk(children[k]));
     let k = children.len();
     match k {
         0 => return out.fill(V::ZERO),
@@ -596,15 +727,16 @@ fn marginals_from_roots(triplets: &[Ext]) -> Vec<Vec<f64>> {
     triplets.chunks_exact(3).map(marginal).collect()
 }
 
-/// Reusable scratch space for batched arena evaluation: the node-value
-/// table of one lane tile (`nodes × TILE` at most, node-major chunks,
-/// however wide the batch) — f64 values, or extended-exponent values
-/// for an arena out of f64's range —, the per-node argmax table for MPE
-/// and the per-node lane mask of the sum-product walk (one `u64` per
-/// node: the tile's lanes with an observed variable in the node's
-/// scope). The tables only ever grow, to the tallest arena seen; one
-/// buffer per worker thread makes every batch after the first
-/// allocation-free.
+/// Reusable scratch space for batched arena evaluation: the value table
+/// of one lane tile (`slots × TILE` at most, slot-major chunks, however
+/// wide the batch, where `slots` is the arena's peak number of live
+/// node values) — f64 values, or extended-exponent values for an arena
+/// out of f64's range —, the node-indexed argmax table for MPE
+/// (`nodes × TILE` at most) and the per-slot lane mask of the
+/// sum-product walk (one `u64` per live node: the tile's lanes with an
+/// observed variable in the node's scope). The tables only ever grow,
+/// to the largest arena seen; one buffer per worker thread makes every
+/// batch after the first allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct BatchBuffer {
     vals: Vec<f64>,
@@ -654,8 +786,10 @@ impl Dnnf {
     /// child order exactly and exponentiating its log weights. The same
     /// pass stores every interior node's empty-evidence value, read off
     /// its already-flattened children, and bounds every node's values
-    /// to pick the value type (see the [module docs](self)); an arena
-    /// out of range stores its empty values again, extended.
+    /// to pick the value type (see the [module docs](self)), and
+    /// records each node's last reader, from which one more pass
+    /// assigns the walks' value-table slots; an arena out of range
+    /// stores its empty values again, extended.
     ///
     /// # Errors
     ///
@@ -665,11 +799,15 @@ impl Dnnf {
         if let Some((var, &arity)) = circuit.arities().iter().enumerate().find(|(_, &a)| a != 2) {
             return Err(DnnfError::NonBinaryVariable { var, arity });
         }
+        // `Circuit::num_edges` walks every node: count once.
+        let num_edges = circuit.num_edges();
         let mut arena = Dnnf {
             num_vars: circuit.num_vars(),
             nodes: Vec::with_capacity(circuit.num_nodes()),
-            edges: Vec::with_capacity(circuit.num_edges()),
-            edge_weights: Vec::with_capacity(circuit.num_edges()),
+            edges: Vec::with_capacity(num_edges),
+            edge_weights: Vec::with_capacity(num_edges),
+            slot: Vec::new(),
+            slots: 0,
             root: circuit.root().index() as u32,
             wide: false,
         };
@@ -678,14 +816,19 @@ impl Dnnf {
         // (`+inf` if it is always zero; 0 if it underflowed). The
         // largest is its empty value, which any evidence only lowers.
         let mut lows: Vec<f64> = Vec::with_capacity(circuit.num_nodes());
+        let mut exps = ExpCache::new();
+        // `last[c]`: the last node that reads node `c` (`NO_READER` if
+        // none yet).
+        let mut last: Vec<u32> = Vec::with_capacity(circuit.num_nodes());
         for node in circuit.nodes() {
+            let i = arena.nodes.len() as u32;
             let start = arena.edges.len() as u32;
             let (flat, low, high) = match node {
                 PcNode::Indicator { var, value } => {
                     (Node::Indicator { var: *var as u32, value: *value == 1 }, 1.0, 1.0)
                 }
                 PcNode::Categorical { var, log_probs } => {
-                    let p = [log_probs[0].exp(), log_probs[1].exp()];
+                    let p = [exps.exp(log_probs[0]), exps.exp(log_probs[1])];
                     // Observed, `p0` or `p1`; marginalized, 1. A positive
                     // probability whose `exp` flushed to 0 reads 0.
                     let low = (0..2).fold(1.0, |low: f64, b| {
@@ -704,6 +847,7 @@ impl Dnnf {
                     for c in children {
                         arena.edges.push(c.index() as u32);
                         arena.edge_weights.push(1.0);
+                        last[c.index()] = i;
                         run_low *= lows[c.index()];
                         empty *= arena.nodes[c.index()].empty::<f64>();
                         (low, high) = (low.min(run_low), high.max(empty));
@@ -717,9 +861,10 @@ impl Dnnf {
                     // a partial sum is at least its largest term.
                     let (mut low, mut high, mut empty) = (f64::INFINITY, 0.0f64, 0.0);
                     for (c, &lw) in children.iter().zip(log_weights) {
-                        let w = lw.exp();
+                        let w = exps.exp(lw);
                         arena.edges.push(c.index() as u32);
                         arena.edge_weights.push(w);
+                        last[c.index()] = i;
                         empty += w * arena.nodes[c.index()].empty::<f64>();
                         if lw > f64::NEG_INFINITY {
                             (low, high) = (low.min(w).min(w * lows[c.index()]), high.max(w));
@@ -732,7 +877,9 @@ impl Dnnf {
             arena.wide |= low < TINY || high > HUGE;
             arena.nodes.push(flat);
             lows.push(low);
+            last.push(NO_READER);
         }
+        arena.assign_slots(&mut last);
         if arena.wide {
             for i in 0..arena.nodes.len() {
                 let empty = arena.wide_empty(&arena.nodes[i]);
@@ -744,6 +891,47 @@ impl Dnnf {
             }
         }
         Ok(arena)
+    }
+
+    /// Gives every node a value-table slot in one forward pass, from
+    /// each node's last reader `last[i]`: node `i` takes the most
+    /// recently freed slot (still in cache), then frees the slot of
+    /// each child whose last reader it is, once even if the child
+    /// repeats. A node no node reads frees its own slot at once; the
+    /// root's is never freed, since the root need not be the last node.
+    /// A node's children are live while it takes its slot, so it never
+    /// shares one with them.
+    fn assign_slots(&mut self, last: &mut [u32]) {
+        const FREED: u32 = u32::MAX - 1;
+        last[self.root as usize] = FREED;
+        let n = self.nodes.len();
+        // The free slots, a stack: it never holds more than every slot,
+        // and a push writes `free[top]` before deciding to keep it, so
+        // the pass takes no branch it could mispredict per edge.
+        let mut free: Vec<u32> = vec![0; n + 1];
+        let (mut top, mut slots) = (0usize, 0u32);
+        let mut slot: Vec<u32> = vec![0; n];
+        let mut edges = self.edges.iter();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let reuse = top > 0;
+            let s = if reuse { free[top - 1] } else { slots };
+            (slots, top) = (slots + u32::from(!reuse), top - usize::from(reuse));
+            slot[i] = s;
+            let len = match *node {
+                Node::And { len, .. } | Node::Or { len, .. } => len as usize,
+                Node::Indicator { .. } | Node::Leaf { .. } => 0,
+            };
+            for &c in edges.by_ref().take(len) {
+                let c = c as usize;
+                let dies = last[c] == i as u32;
+                free[top] = slot[c];
+                top += usize::from(dies);
+                last[c] = if dies { FREED } else { last[c] };
+            }
+            free[top] = s;
+            top += usize::from(last[i] == NO_READER);
+        }
+        (self.slot, self.slots) = (slot, slots);
     }
 
     /// `node`'s empty-evidence value in extended values, folded over its
@@ -781,13 +969,14 @@ impl Dnnf {
         self.edges.len()
     }
 
-    /// The arena's memory footprint in bytes: the node table plus the
-    /// edge and edge-weight arrays. This is what the serving store's
+    /// The arena's memory footprint in bytes: the node table, the edge
+    /// and edge-weight arrays and the slot map. This is what the serving store's
     /// byte bound meters.
     pub fn bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.edges.len() * std::mem::size_of::<u32>()
             + self.edge_weights.len() * std::mem::size_of::<f64>()
+            + self.slot.len() * std::mem::size_of::<u32>()
     }
 
     /// The weighted model count `Pr[φ]`: the root's stored
@@ -821,31 +1010,37 @@ impl Dnnf {
         batch.fan_out(&roots.into_iter().map(Ext::ln).collect::<Vec<_>>())
     }
 
-    /// The root value per *storage* lane of `batch`.
+    /// The root value per *storage* lane of `batch`, walked on the
+    /// widest vector instruction set the CPU runs.
     fn roots(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<Ext> {
+        self.roots_on(batch, buf, Isa::detect())
+    }
+
+    fn roots_on(&self, batch: &DnnfBatch, buf: &mut BatchBuffer, isa: Isa) -> Vec<Ext> {
         if self.wide {
-            self.roots_of::<Ext>(batch, buf)
+            self.roots_of::<Ext>(batch, buf, isa)
         } else {
-            self.roots_of::<f64>(batch, buf)
+            self.roots_of::<f64>(batch, buf, isa)
         }
     }
 
-    fn roots_of<V: Value>(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<Ext> {
+    fn roots_of<V: Value>(&self, batch: &DnnfBatch, buf: &mut BatchBuffer, isa: Isa) -> Vec<Ext> {
         assert_eq!(batch.num_vars, self.num_vars, "batch arity mismatch");
         let mut roots = Vec::with_capacity(batch.lanes);
         let mut vals = std::mem::take(V::table(buf));
+        let root = self.slot[self.root as usize] as usize;
         for (t0, l) in tiles(batch.lanes) {
-            self.sum_product_walk(batch, t0, l, &mut vals, buf);
-            let root = self.root as usize * l;
-            roots.extend(vals[root..root + l].iter().map(|v| v.wide()));
+            self.sum_product_walk(batch, t0, l, &mut vals, buf, isa);
+            roots.extend(vals[root * l..root * l + l].iter().map(|v| v.wide()));
         }
         *V::table(buf) = vals;
         roots
     }
 
     /// One sum-product walk of the node table over the `l` storage
-    /// lanes from `t0`, leaving node `i`'s values in
-    /// `vals[i * l..(i + 1) * l]`.
+    /// lanes from `t0`, leaving node `i`'s values in its slot's chunk
+    /// `vals[s * l..(s + 1) * l]` (`s = slot[i]`) until its last reader
+    /// has run, and the root's there for good.
     ///
     /// Each node first takes its lane mask: the tile's lanes that
     /// observe a variable in its scope (a leaf's observed lanes, an
@@ -863,34 +1058,79 @@ impl Dnnf {
         l: usize,
         vals: &mut Vec<V>,
         buf: &mut BatchBuffer,
+        isa: Isa,
     ) {
         buf.walks += 1;
-        // Grow only, and no clear: every node chunk and mask is written
+        // Grow only, and no clear: every chunk and mask is written
         // before it is read (children precede parents in the arena).
-        if vals.len() < self.nodes.len() * l {
-            vals.resize(self.nodes.len() * l, V::ZERO);
+        let slots = self.slots as usize;
+        if vals.len() < slots * l {
+            vals.resize(slots * l, V::ZERO);
         }
-        if buf.dirty.len() < self.nodes.len() {
-            buf.dirty.resize(self.nodes.len(), 0);
+        if buf.dirty.len() < slots {
+            buf.dirty.resize(slots, 0);
         }
+        let (vals, dirty) = (&mut vals[..slots * l], &mut buf.dirty[..slots]);
+        buf.computed += match isa {
+            // SAFETY: an `Isa::Avx2` is only made after the CPU
+            // reported AVX2 (`Isa::detect`).
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { self.sum_product_avx2(batch, t0, l, vals, dirty) },
+            Isa::Baseline => self.sum_product_lanes(batch, t0, l, vals, dirty),
+        };
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn sum_product_avx2<V: Value>(
+        &self,
+        batch: &DnnfBatch,
+        t0: usize,
+        l: usize,
+        vals: &mut [V],
+        dirty: &mut [u64],
+    ) -> u64 {
+        self.sum_product_lanes(batch, t0, l, vals, dirty)
+    }
+
+    /// The body of [`sum_product_walk`](Self::sum_product_walk),
+    /// inlined into each instruction-set variant. Returns the
+    /// node·lanes computed.
+    #[inline(always)]
+    fn sum_product_lanes<V: Value>(
+        &self,
+        batch: &DnnfBatch,
+        t0: usize,
+        l: usize,
+        vals: &mut [V],
+        dirty: &mut [u64],
+    ) -> u64 {
+        let mut computed = 0;
+        let table = SlotTable::new(vals, self.slots as usize, l);
         for (i, node) in self.nodes.iter().enumerate() {
-            let base = i * l;
-            // Children precede their parent, so the read side (child
-            // chunks) and write side (this node's chunk) never overlap.
-            let (lo, hi) = vals.split_at_mut(base);
-            let out = &mut hi[..l];
-            let dirty = match *node {
+            let s = self.slot[i] as usize;
+            // SAFETY: node `i`'s chunk is the only one written while it
+            // lives, and every chunk read meanwhile is a child's, in
+            // another slot (`Dnnf::assign_slots`; asserted in `chunk`).
+            let out = unsafe { table.out(s) };
+            let chunk = |c: u32| {
+                let sc = self.slot[c as usize] as usize;
+                debug_assert_ne!(sc, s, "node {i} shares its slot with child {c}");
+                // SAFETY: `sc != s`, so no view of this chunk is written.
+                unsafe { table.chunk(sc) }
+            };
+            let mask = match *node {
                 Node::Indicator { var, .. } | Node::Leaf { var, .. } => {
                     observed_lanes(batch.tile_codes(var as usize, t0, l))
                 }
                 Node::And { start, len, .. } | Node::Or { start, len, .. } => {
                     let edges = &self.edges[start as usize..(start + len) as usize];
-                    edges.iter().fold(0, |mask, &c| mask | buf.dirty[c as usize])
+                    edges.iter().fold(0, |mask, &c| mask | dirty[self.slot[c as usize] as usize])
                 }
             };
-            buf.dirty[i] = dirty;
-            buf.computed += u64::from(dirty.count_ones());
-            if dirty == 0 {
+            dirty[s] = mask;
+            computed += u64::from(mask.count_ones());
+            if mask == 0 {
                 out.fill(node.empty());
                 continue;
             }
@@ -911,14 +1151,15 @@ impl Dnnf {
                     }
                 }
                 Node::And { start, len, .. } => {
-                    product_into(out, lo, &self.edges[start as usize..(start + len) as usize], l);
+                    product_into(out, &self.edges[start as usize..(start + len) as usize], chunk);
                 }
                 Node::Or { start, len, .. } => {
-                    let (s, e) = (start as usize, (start + len) as usize);
-                    weighted_sum_into(out, lo, &self.edges[s..e], &self.edge_weights[s..e], l);
+                    let (a, e) = (start as usize, (start + len) as usize);
+                    weighted_sum_into(out, &self.edges[a..e], &self.edge_weights[a..e], chunk);
                 }
             }
         }
+        computed
     }
 
     /// Batched weighted model counts / evidence probabilities (linear
@@ -1003,19 +1244,29 @@ impl Dnnf {
     ///
     /// Panics if `batch.num_vars() != self.num_vars()`.
     pub fn mpe_batch(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<MpeResult> {
+        self.mpe_on(batch, buf, Isa::detect())
+    }
+
+    fn mpe_on(&self, batch: &DnnfBatch, buf: &mut BatchBuffer, isa: Isa) -> Vec<MpeResult> {
         if self.wide {
-            self.mpe_of::<Ext>(batch, buf)
+            self.mpe_of::<Ext>(batch, buf, isa)
         } else {
-            self.mpe_of::<f64>(batch, buf)
+            self.mpe_of::<f64>(batch, buf, isa)
         }
     }
 
-    fn mpe_of<V: Value>(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<MpeResult> {
+    fn mpe_of<V: Value>(
+        &self,
+        batch: &DnnfBatch,
+        buf: &mut BatchBuffer,
+        isa: Isa,
+    ) -> Vec<MpeResult> {
         assert_eq!(batch.num_vars, self.num_vars, "batch arity mismatch");
         let mut per_storage = Vec::with_capacity(batch.lanes);
         let mut vals = std::mem::take(V::table(buf));
+        let root = self.slot[self.root as usize] as usize;
         for (t0, l) in tiles(batch.lanes) {
-            self.max_product_walk(batch, t0, l, &mut vals, buf);
+            self.max_product_walk(batch, t0, l, &mut vals, buf, isa);
             // Per-storage-lane downward trace selecting one child per
             // disjunction; duplicate query lanes share the traced result.
             let (arg, stack) = (&buf.arg, &mut buf.stack);
@@ -1047,7 +1298,7 @@ impl Dnnf {
                         }
                     }
                 }
-                let log_prob = vals[self.root as usize * l + lane].wide().ln();
+                let log_prob = vals[root * l + lane].wide().ln();
                 MpeResult { assignment, log_prob }
             }));
         }
@@ -1055,9 +1306,11 @@ impl Dnnf {
         batch.fan_out(&per_storage)
     }
 
-    /// One max-product walk of the node table over the `l` storage
-    /// lanes from `t0`: values in `vals`, the winning child of each
-    /// disjunction in `buf.arg`, both `nodes × l`.
+    /// One max-product walk of the node table over the `l <= TILE`
+    /// storage lanes from `t0`: values in the slot table `vals`
+    /// (`slots × l`), the winning child of each disjunction in the
+    /// node-indexed `buf.arg` (`nodes × l`), which the downward trace
+    /// reads by node id.
     fn max_product_walk<V: Value>(
         &self,
         batch: &DnnfBatch,
@@ -1065,19 +1318,63 @@ impl Dnnf {
         l: usize,
         vals: &mut Vec<V>,
         buf: &mut BatchBuffer,
+        isa: Isa,
     ) {
         buf.walks += 1;
-        let n = self.nodes.len();
-        if vals.len() < n * l {
-            vals.resize(n * l, V::ZERO);
+        let (n, slots) = (self.nodes.len(), self.slots as usize);
+        if vals.len() < slots * l {
+            vals.resize(slots * l, V::ZERO);
         }
         if buf.arg.len() < n * l {
             buf.arg.resize(n * l, 0);
         }
+        let (vals, arg) = (&mut vals[..slots * l], &mut buf.arg[..n * l]);
+        match isa {
+            // SAFETY: an `Isa::Avx2` is only made after the CPU
+            // reported AVX2 (`Isa::detect`).
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { self.max_product_avx2(batch, t0, l, vals, arg) },
+            Isa::Baseline => self.max_product_lanes(batch, t0, l, vals, arg),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn max_product_avx2<V: Value>(
+        &self,
+        batch: &DnnfBatch,
+        t0: usize,
+        l: usize,
+        vals: &mut [V],
+        arg: &mut [u32],
+    ) {
+        self.max_product_lanes(batch, t0, l, vals, arg);
+    }
+
+    /// The body of [`max_product_walk`](Self::max_product_walk),
+    /// inlined into each instruction-set variant.
+    #[inline(always)]
+    fn max_product_lanes<V: Value>(
+        &self,
+        batch: &DnnfBatch,
+        t0: usize,
+        l: usize,
+        vals: &mut [V],
+        arg: &mut [u32],
+    ) {
+        let table = SlotTable::new(vals, self.slots as usize, l);
         for (i, node) in self.nodes.iter().enumerate() {
-            let base = i * l;
-            let (lo, hi) = vals.split_at_mut(base);
-            let out = &mut hi[..l];
+            let s = self.slot[i] as usize;
+            // SAFETY: as in `sum_product_lanes`: node `i`'s chunk is
+            // the only one written while it lives, and it reads only its
+            // children's, in other slots.
+            let out = unsafe { table.out(s) };
+            let chunk = |c: u32| {
+                let sc = self.slot[c as usize] as usize;
+                debug_assert_ne!(sc, s, "node {i} shares its slot with child {c}");
+                // SAFETY: `sc != s`, so no view of this chunk is written.
+                unsafe { table.chunk(sc) }
+            };
             match *node {
                 Node::Indicator { var, value } => {
                     for (o, &c) in out.iter_mut().zip(batch.tile_codes(var as usize, t0, l)) {
@@ -1092,11 +1389,11 @@ impl Dnnf {
                     }
                 }
                 Node::And { start, len, .. } => {
-                    product_into(out, lo, &self.edges[start as usize..(start + len) as usize], l);
+                    product_into(out, &self.edges[start as usize..(start + len) as usize], chunk);
                 }
                 Node::Or { start, len, .. } => {
                     let (s, e) = (start as usize, (start + len) as usize);
-                    let args = &mut buf.arg[base..base + l];
+                    let args = &mut arg[i * l..i * l + l];
                     let mut terms = self.edges[s..e].iter().zip(&self.edge_weights[s..e]);
                     // The first child seeds every lane. A term is
                     // non-negative, so this is what a seed of 0 would
@@ -1108,14 +1405,13 @@ impl Dnnf {
                         continue;
                     };
                     let w = V::of(w);
-                    for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(chunk(lo, c, l)) {
+                    for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(chunk(c)) {
                         (*o, *a) = (w.mul(v), 0);
                     }
                     // Strict `>`: ties keep the earliest child.
                     for (k, (&c, &w)) in (1..).zip(terms) {
                         let w = V::of(w);
-                        for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(chunk(lo, c, l))
-                        {
+                        for ((o, a), &v) in out.iter_mut().zip(args.iter_mut()).zip(chunk(c)) {
                             let x = w.mul(v);
                             if x.gt(*o) {
                                 (*o, *a) = (x, k);
@@ -1240,6 +1536,14 @@ mod tests {
         assert!(checked > 0, "at least one instance must carry mass");
     }
 
+    /// `arena` with a slot of its own for every node (`slot[i] = i`):
+    /// a valid slot map, under which the walk leaves every node's
+    /// values in place.
+    fn identity_slots(arena: &Dnnf) -> Dnnf {
+        let n = arena.nodes.len() as u32;
+        Dnnf { slot: (0..n).collect(), slots: n, ..arena.clone() }
+    }
+
     /// Walks one tile of `lanes` and checks that every `(node, lane)`
     /// outside the node's lane mask holds the node's stored empty value
     /// bit for bit. Returns how many And and Or nodes the tile left
@@ -1251,9 +1555,11 @@ mod tests {
         let batch = DnnfBatch::pack(lanes);
         let l = batch.distinct_lanes();
         assert!(l <= TILE, "one tile");
+        // A slot per node, so every node's chunk survives the walk.
+        let arena = &identity_slots(arena);
         let mut buf = BatchBuffer::new();
         let mut vals: Vec<V> = Vec::new();
-        arena.sum_product_walk(&batch, 0, l, &mut vals, &mut buf);
+        arena.sum_product_walk(&batch, 0, l, &mut vals, &mut buf, Isa::detect());
         let all = u64::MAX >> (64 - l);
         let mut partly = [0; 2];
         for (i, node) in arena.nodes.iter().enumerate() {
@@ -1565,14 +1871,13 @@ mod tests {
         lanes
     }
 
-    #[test]
-    fn hostile_inputs_stay_within_their_bounds() {
-        // `compile_golden`'s hostile set: weights at exactly 0 and 1, the
-        // empty formula, n = 0, duplicate and tautological literals, a
-        // 35-literal clause alone and inside a 3-SAT formula — plus a
-        // weight of 1e-160 that keeps every value inside f64's range.
-        // (A weight of 5e-324 never does: it is below 2^-1000 itself;
-        // see the next test.)
+    /// `compile_golden`'s hostile set: weights at exactly 0 and 1, the
+    /// empty formula, n = 0, duplicate and tautological literals, a
+    /// 35-literal clause alone and inside a 3-SAT formula — plus a
+    /// weight of 1e-160 that keeps every value inside f64's range.
+    /// (A weight of 5e-324 never does: it is below 2^-1000 itself; see
+    /// [`extended_inputs`].)
+    fn hostile_inputs() -> Vec<(Cnf, Vec<f64>)> {
         let skewed = |n: usize| (0..n).map(|v| 0.2 + 0.15 * (v % 5) as f64).collect::<Vec<_>>();
         let wide: Vec<i32> = (1..=35).map(|v| if v % 3 == 0 { -v } else { v }).collect();
         let mut mixed = random_ksat(36, 60, 3, 91);
@@ -1591,8 +1896,13 @@ mod tests {
             let probs = (0..n).map(|v| [0.0, 1.0, 0.25, 0.6][(v + seed as usize) % 4]).collect();
             inputs.push((random_ksat(n, 2 * n, 3, 500 + seed), probs));
         }
+        inputs
+    }
+
+    #[test]
+    fn hostile_inputs_stay_within_their_bounds() {
         let mut checked = 0;
-        for (k, (cnf, probs)) in inputs.iter().enumerate() {
+        for (k, (cnf, probs)) in hostile_inputs().iter().enumerate() {
             let Some(circuit) = compile_cnf(cnf, &WmcWeights::new(probs.clone())) else {
                 continue;
             };
@@ -1611,6 +1921,25 @@ mod tests {
         }
     }
 
+    /// Formulas with a weight of 1e-160 or 5e-324 on every third
+    /// variable, as `(tiny, seed, cnf, probs)`; at seed 3 every tiny
+    /// variable is forced true, so `Z` itself is below f64's range.
+    fn extended_inputs() -> Vec<(f64, u64, Cnf, Vec<f64>)> {
+        let mut inputs = Vec::new();
+        for tiny in [1e-160, 5e-324] {
+            for seed in 0..4u64 {
+                let n = 12 + seed as usize;
+                let mut cnf = random_ksat(n, 2 * n, 3, 40 + seed);
+                if seed == 3 {
+                    (0..n).step_by(3).for_each(|v| cnf.add_dimacs_clause(&[v as i32 + 1]));
+                }
+                let probs: Vec<f64> = (0..n).map(|v| [tiny, 0.5, 0.3][v % 3]).collect();
+                inputs.push((tiny, seed, cnf, probs));
+            }
+        }
+        inputs
+    }
+
     #[test]
     fn arenas_out_of_range_walk_extended_values_and_match_log_space_enumeration() {
         // Weights of 1e-160 or 5e-324 on every third variable: no single
@@ -1619,61 +1948,52 @@ mod tests {
         // only `Z`) would let these underflow. f64 brute force
         // underflows too; enumeration in log space does not.
         let mut checked = 0;
-        for tiny in [1e-160, 5e-324] {
-            for seed in 0..4u64 {
-                let n = 12 + seed as usize;
-                let mut cnf = random_ksat(n, 2 * n, 3, 40 + seed);
-                if seed == 3 {
-                    // Force every tiny variable true: `Z` itself is
-                    // below f64's range.
-                    (0..n).step_by(3).for_each(|v| cnf.add_dimacs_clause(&[v as i32 + 1]));
+        for (tiny, seed, cnf, probs) in extended_inputs() {
+            let n = cnf.num_vars();
+            let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs.clone())) else {
+                continue;
+            };
+            let arena = Dnnf::from_circuit(&circuit).unwrap();
+            assert!(arena.wide, "tiny {tiny:e} seed {seed}: values leave f64's range");
+            let lanes = hostile_lanes(&cnf);
+            let batch = DnnfBatch::pack(&lanes);
+            let mut buf = BatchBuffer::new();
+            let logs = arena.log_probability_batch(&batch, &mut buf);
+            let var = 1;
+            let dists = arena.marginal_batch(&batch, var, &mut buf);
+            let mpes = arena.mpe_batch(&batch, &mut buf);
+            // Tolerance: enumeration sums n logs of up to 745 per
+            // model (~n²·745·u ≈ 2e-11), the arena's one `ln` adds
+            // ~|e|·ln 2·u; 1e-9 absolute on a log covers both.
+            let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-9;
+            for (k, ev) in lanes.iter().enumerate() {
+                let want = brute_log_probability(&cnf, &probs, ev);
+                assert!(close(logs[k], want), "seed {seed} lane {k}: {} vs {want}", logs[k]);
+                let mut e = ev.clone();
+                let t0 = brute_log_probability(&cnf, &probs, e.clear(var));
+                for (b, &p) in dists[k].iter().enumerate() {
+                    let tb = brute_log_probability(&cnf, &probs, e.set(var, b));
+                    let want = if t0 == f64::NEG_INFINITY { 0.5 } else { (tb - t0).exp() };
+                    assert!((p - want).abs() <= 1e-9 * want.max(1e-300), "lane {k}: {p}");
                 }
-                let probs: Vec<f64> = (0..n).map(|v| [tiny, 0.5, 0.3][v % 3]).collect();
-                let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs.clone())) else {
-                    continue;
-                };
-                let arena = Dnnf::from_circuit(&circuit).unwrap();
-                assert!(arena.wide, "tiny {tiny:e} seed {seed}: values leave f64's range");
-                let lanes = hostile_lanes(&cnf);
-                let batch = DnnfBatch::pack(&lanes);
-                let mut buf = BatchBuffer::new();
-                let logs = arena.log_probability_batch(&batch, &mut buf);
-                let var = 1;
-                let dists = arena.marginal_batch(&batch, var, &mut buf);
-                let mpes = arena.mpe_batch(&batch, &mut buf);
-                // Tolerance: enumeration sums n logs of up to 745 per
-                // model (~n²·745·u ≈ 2e-11), the arena's one `ln` adds
-                // ~|e|·ln 2·u; 1e-9 absolute on a log covers both.
-                let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-9;
-                for (k, ev) in lanes.iter().enumerate() {
-                    let want = brute_log_probability(&cnf, &probs, ev);
-                    assert!(close(logs[k], want), "seed {seed} lane {k}: {} vs {want}", logs[k]);
-                    let mut e = ev.clone();
-                    let t0 = brute_log_probability(&cnf, &probs, e.clear(var));
-                    for (b, &p) in dists[k].iter().enumerate() {
-                        let tb = brute_log_probability(&cnf, &probs, e.set(var, b));
-                        let want = if t0 == f64::NEG_INFINITY { 0.5 } else { (tb - t0).exp() };
-                        assert!((p - want).abs() <= 1e-9 * want.max(1e-300), "lane {k}: {p}");
-                    }
-                    let MpeResult { assignment, log_prob } = &mpes[k];
-                    let own = Evidence::from_assignment(assignment);
-                    let weight = brute_log_probability(&cnf, &probs, &own);
-                    assert!(close(*log_prob, weight), "lane {k}: {log_prob} vs {weight}");
-                    let full = (0..n).all(|v| ev.value(v).is_some());
-                    if full || want == f64::NEG_INFINITY {
-                        assert!(close(*log_prob, want), "lane {k}: {log_prob} vs {want}");
-                    }
+                let MpeResult { assignment, log_prob } = &mpes[k];
+                let own = Evidence::from_assignment(assignment);
+                let weight = brute_log_probability(&cnf, &probs, &own);
+                assert!(close(*log_prob, weight), "lane {k}: {log_prob} vs {weight}");
+                let full = (0..n).all(|v| ev.value(v).is_some());
+                if full || want == f64::NEG_INFINITY {
+                    assert!(close(*log_prob, want), "lane {k}: {log_prob} vs {want}");
                 }
-                let z = brute_log_probability(&cnf, &probs, &Evidence::empty(n));
-                assert!(close(arena.wmc().ln(), z) || (arena.wmc() == 0.0 && z < -745.0));
-                // The walks ran on the extended table alone, and the
-                // buffer's byte count includes it.
-                assert_eq!(buf.vals.capacity(), 0);
-                assert!(buf.wide.len() >= arena.num_nodes());
-                let wide_bytes = buf.wide.capacity() * std::mem::size_of::<Ext>();
-                assert!(buf.slab_bytes() >= wide_bytes + 8 * arena.num_nodes());
-                checked += 1;
             }
+            let z = brute_log_probability(&cnf, &probs, &Evidence::empty(n));
+            assert!(close(arena.wmc().ln(), z) || (arena.wmc() == 0.0 && z < -745.0));
+            // The walks ran on the extended table alone, and the
+            // buffer's byte count includes it.
+            assert_eq!(buf.vals.capacity(), 0);
+            assert!(buf.wide.len() >= arena.slots as usize * batch.distinct_lanes());
+            let wide_bytes = buf.wide.capacity() * std::mem::size_of::<Ext>();
+            assert!(buf.slab_bytes() >= wide_bytes + 8 * arena.num_nodes());
+            checked += 1;
         }
         assert!(checked >= 6, "most instances carry mass ({checked})");
     }
@@ -1874,5 +2194,117 @@ mod tests {
         let _ = arena.probability(&ev, &mut buf);
         let again = arena.probability(&empty, &mut buf);
         assert_eq!(first, again, "a reused buffer must not leak state between queries");
+    }
+
+    /// Replays a walk's slot traffic: no node reads a child's slot
+    /// after another node took it, no node shares a slot with a child,
+    /// and the root's value survives to the end.
+    fn assert_slots_hold_until_the_last_reader(arena: &Dnnf) {
+        let kids = |node: &Node| match *node {
+            Node::And { start, len, .. } | Node::Or { start, len, .. } => {
+                &arena.edges[start as usize..(start + len) as usize]
+            }
+            Node::Indicator { .. } | Node::Leaf { .. } => &[],
+        };
+        let slot = |i: u32| arena.slot[i as usize] as usize;
+        let mut holder: Vec<Option<u32>> = vec![None; arena.slots as usize];
+        for (i, node) in (0..).zip(&arena.nodes) {
+            for &c in kids(node) {
+                assert_ne!(slot(i), slot(c), "node {i} shares its slot with child {c}");
+                assert_eq!(
+                    holder[slot(c)],
+                    Some(c),
+                    "node {i} reads child {c} after its slot moved"
+                );
+            }
+            holder[slot(i)] = Some(i);
+        }
+        assert_eq!(holder[slot(arena.root)], Some(arena.root), "the root's slot was reused");
+        assert_eq!(arena.slot.iter().max().map(|&s| s + 1), Some(arena.slots));
+    }
+
+    #[test]
+    fn slots_hold_every_value_until_its_last_reader() {
+        let mut arenas: Vec<Dnnf> = reference_workload()
+            .iter()
+            .map(|(circuit, _)| Dnnf::from_circuit(circuit).unwrap())
+            .collect();
+        for num_components in [3, 4, 5] {
+            let config = StructureConfig { num_vars: 10, depth: 3, num_components, seed: 11 };
+            arenas.push(Dnnf::from_circuit(&random_mixture_circuit(&config)).unwrap());
+        }
+        // A root that is not the last node, a sum that repeats a child,
+        // a node read only after the root and a node nothing reads.
+        let mut b = CircuitBuilder::new(vec![2, 2]);
+        let (a0, a1) = (b.indicator(0, 0), b.indicator(0, 1));
+        let (b0, b1) = (b.indicator(1, 0), b.indicator(1, 1));
+        let sa = b.sum(vec![a0, a1, a0], vec![0.3, 0.5, 0.2]);
+        let sb = b.sum(vec![b0, b1], vec![0.4, 0.6]);
+        let root = b.product(vec![sa, sb]);
+        b.product(vec![sa]);
+        b.sum(vec![b1, b1], vec![0.5, 0.5]);
+        let circuit = b.build(root).unwrap();
+        let arena = Dnnf::from_circuit(&circuit).unwrap();
+        assert!((arena.root as usize) < arena.num_nodes() - 1);
+        assert_within_bounds(&circuit, &arena, &lanes(2));
+        arenas.push(arena);
+        for (k, arena) in arenas.iter().enumerate() {
+            assert_slots_hold_until_the_last_reader(arena);
+            assert!(arena.slots as usize <= arena.num_nodes(), "arena {k}");
+        }
+        let (slots, nodes) =
+            arenas.iter().fold((0, 0), |(s, n), a| (s + a.slots, n + a.nodes.len()));
+        println!("{} arenas: {slots} slots for {nodes} nodes", arenas.len());
+    }
+
+    /// The instruction-set variants this CPU runs, baseline first.
+    fn supported() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut isas = vec![Isa::Baseline];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                isas.push(Isa::Avx2);
+            }
+        }
+        isas
+    }
+
+    #[test]
+    fn every_instruction_set_variant_gives_the_baseline_bits() {
+        let mut cases: Vec<(Circuit, Vec<Evidence>)> = reference_workload();
+        let inputs = hostile_inputs()
+            .into_iter()
+            .chain(extended_inputs().into_iter().map(|(_, _, cnf, probs)| (cnf, probs)));
+        for (cnf, probs) in inputs {
+            if let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs)) {
+                cases.push((circuit, hostile_lanes(&cnf)));
+            }
+        }
+        let isas = supported();
+        let wide = cases.iter().filter(|(c, _)| Dnnf::from_circuit(c).unwrap().wide).count();
+        println!("variants {isas:?} on {} arenas ({wide} extended)", cases.len());
+        assert!(wide > 0);
+        let bits = |roots: &[Ext]| roots.iter().map(|r| (r.m.to_bits(), r.e)).collect::<Vec<_>>();
+        let mpe_bits = |mpes: &[MpeResult]| {
+            mpes.iter().map(|m| (m.assignment.clone(), m.log_prob.to_bits())).collect::<Vec<_>>()
+        };
+        for (k, (circuit, lanes)) in cases.iter().enumerate() {
+            let arena = Dnnf::from_circuit(circuit).unwrap();
+            let batch = DnnfBatch::pack(lanes);
+            // Triplets span several tiles.
+            let triplets = batch.triplets(circuit.num_vars() / 2);
+            let run = |isa: Isa| {
+                let mut buf = BatchBuffer::new();
+                let roots = bits(&arena.roots_on(&batch, &mut buf, isa));
+                let wide = (circuit.num_vars() > 0)
+                    .then(|| bits(&arena.roots_on(&triplets, &mut buf, isa)));
+                (roots, wide, mpe_bits(&arena.mpe_on(&batch, &mut buf, isa)))
+            };
+            let baseline = run(Isa::Baseline);
+            for &isa in &isas[1..] {
+                assert!(run(isa) == baseline, "case {k}: {isa:?} differs from the baseline");
+            }
+        }
     }
 }

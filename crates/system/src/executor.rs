@@ -594,7 +594,11 @@ fn run_symbolic(stage: &SymbolicStage) -> Verdict {
 thread_local! {
     /// The batched kernels' scratch tables, one per executing thread:
     /// they outlive the task, so a thread's serve batches after its
-    /// first allocate nothing for the traversal.
+    /// first allocate nothing for the traversal. They grow to the
+    /// largest arena served: a 64-lane value table per live slot (a few
+    /// hundred slots on arenas of tens of thousands of nodes, 323 KB on
+    /// the tallest benchmark arena) and a 64-lane argmax table per node
+    /// once an MPE lane arrives.
     static SERVE_SCRATCH: RefCell<BatchBuffer> = RefCell::new(BatchBuffer::new());
 }
 

@@ -2,9 +2,11 @@
 //!
 //! The batched kernels walk the node table once per *tile* of distinct
 //! evidence columns, whatever the mix of query kinds, against a value
-//! table that is `nodes × TILE` whatever the batch width. Both are
-//! properties a wall clock only shows on a quiet machine, so they are
-//! pinned here as counts read off [`BatchBuffer`]:
+//! table that is `slots × TILE` whatever the batch width (`slots`: the
+//! arena's peak number of live node values, a node's slot being reused
+//! once its last reader has run). Both are properties a wall clock only
+//! shows on a quiet machine, so they are pinned here as counts read off
+//! [`BatchBuffer`]:
 //!
 //! 1. **walks** — a mixed probability + marginal batch costs
 //!    `⌈distinct columns / TILE⌉` sum-product walks (not one walk for
@@ -13,7 +15,9 @@
 //! 2. **bytes** — after a 256-lane call on a tall arena the buffer
 //!    holds at most `nodes × (TILE × 12 + 8)` bytes (an `f64` value and
 //!    a `u32` argmax per node·lane of one tile, plus one `u64` lane mask
-//!    per node);
+//!    per node), and exactly what its slot table needs: an `f64` value
+//!    and a `u64` mask per slot·lane and per slot, beside the
+//!    node-indexed `u32` argmax table;
 //! 3. **lanes computed** — the sum-product walk counts a node·lane as
 //!    computed only where the lane's evidence observes a variable in the
 //!    node's scope. A node no lane observes copies its stored
@@ -131,6 +135,10 @@ fn the_scratch_tables_are_bounded_by_one_tile_however_wide_the_batch() {
         buf.slab_bytes(),
         arena.num_nodes()
     );
+    // 204 live slots × (64 f64 values + one u64 mask) + 2,802 nodes × 64
+    // u32 argmaxes; 2,174,352 bytes when every node had a chunk.
+    assert_eq!(arena.num_nodes(), 2_802);
+    assert_eq!(buf.slab_bytes(), 204 * (TILE * 8 + 8) + 2_802 * TILE * 4);
 }
 
 #[test]

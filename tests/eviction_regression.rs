@@ -235,11 +235,11 @@ fn byte_bound_eviction_order<S: Store>() -> String {
 const LRU_ORDER: &str = concat!(
     "5:2,5 7:13 10:1 11:0,5 12:9 13:7,11 14:2 15:13 16:5 17:1,12 18:4 20:6 22:13 23:10 ",
     "24:0,2 25:9,13 27:6 28:11 29:10 30:4 32:13 33:2 34:1 35:3 37:12 38:5 39:0 40:7 41:8 ",
-    "42:11 43:1 44:2 45:0 46:4,10 47:5 50:3 51:13 54:5,11 55:8 57:0,9 60:2,7 61:10 62:0,6 ",
-    "63:9 64:1 65:10,11 66:3 67:12 68:4 71:13 72:10 73:1 74:0,6 75:5 76:11 77:2,8 78:13 ",
-    "80:7 81:4 83:0,1 85:2 86:11,12 87:3 90:4 92:8,13 93:3,10 95:4 97:1 98:5,12 100:7 ",
-    "101:3 103:0,2,5 104:1 107:13 109:3,12 110:11 111:7 112:13 113:10 114:2 115:5,6 116:4 ",
-    "117:11 118:13 121:1 122:10 123:6,7",
+    "42:11 43:1 44:2 45:0 46:4,10 47:5 50:3 51:13 54:5,11 55:8 57:0,9 59:2 60:7 61:10 ",
+    "62:0,6 63:9 64:1 65:10,11 66:3 67:12 68:4 71:13 72:10 73:1 74:0,6 75:5 76:11 77:2,8 ",
+    "78:13 80:7 81:4 83:0,1 85:2 86:11,12 87:3 90:4 92:8,13 93:3,10 95:4 97:1 98:5,12 ",
+    "100:7 101:3 103:0,2,5 104:1 107:13 109:3,12 110:11 111:7 112:13 113:10 114:2 115:5,6 ",
+    "116:4 117:11 118:13 121:1 122:10 123:6,7",
 );
 
 /// [`byte_bound_eviction_order`] on the [`CircuitStore`].
