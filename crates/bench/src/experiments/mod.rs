@@ -27,7 +27,7 @@ use reason_arch::{
     SymbolicEngine, TechNode, VliwExecutor,
 };
 use reason_compiler::ReasonCompiler;
-use reason_core::{KernelSource, PipelineConfig, ReasonPipeline};
+use reason_core::{KernelSource, ReasonPipeline};
 use reason_sim::{roofline_point, DpuModel, GpuModel, KernelProfile, TpuModel};
 use reason_workloads::scaling::{accuracy_scaling, runtime_scaling, TaskFamily};
 use reason_workloads::{batch_score, model_for, Dataset, Scale, TaskSpec, Workload};
@@ -512,8 +512,7 @@ fn ablation() -> String {
         num_components: 3,
         seed: 3,
     });
-    let pipeline = ReasonPipeline::with_config(PipelineConfig { prune: false, regularize: true });
-    let kernel = pipeline.compile(KernelSource::Pc(&circuit)).expect("compiles");
+    let kernel = ReasonPipeline::new().compile(KernelSource::Pc(&circuit)).expect("compiles");
     let mut no_sched = full;
     no_sched.ablation.scheduling = false;
     let mut no_reconf = full;

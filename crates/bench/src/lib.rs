@@ -27,7 +27,7 @@ pub mod json;
 
 use reason_arch::{ArchConfig, SymbolicEngine, VliwExecutor};
 use reason_compiler::ReasonCompiler;
-use reason_core::{KernelSource, PipelineConfig, ReasonPipeline};
+use reason_core::{KernelSource, ReasonPipeline};
 use reason_hmm::Hmm;
 use reason_neural::LlmProxy;
 use reason_sim::{CpuModel, GpuModel};
@@ -135,8 +135,8 @@ fn compile_pc_kernel(
     circuit: &reason_pc::Circuit,
     config: &ArchConfig,
 ) -> reason_compiler::CompiledKernel {
-    let pipeline = ReasonPipeline::with_config(PipelineConfig { prune: false, regularize: true });
-    let kernel = pipeline.compile(KernelSource::Pc(circuit)).expect("pc kernel compiles");
+    let kernel =
+        ReasonPipeline::new().compile(KernelSource::Pc(circuit)).expect("pc kernel compiles");
     ReasonCompiler::new(*config).compile(&kernel.dag).expect("pc DAG maps onto the configuration")
 }
 

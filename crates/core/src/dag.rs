@@ -678,6 +678,7 @@ mod tests {
         let (compacted, dropped) = dag.compact();
         assert_eq!(dropped, 1);
         assert_eq!(compacted.num_nodes(), 2);
+        assert!(compacted.stats().footprint_bytes < dag.stats().footprint_bytes);
         assert_eq!(compacted.evaluate_output(&[0.0]), dag.evaluate_output(&[0.0]));
     }
 

@@ -4,11 +4,11 @@
 //! as a flow-shop schedule over per-task stage costs. This module
 //! *executes* it: [`BatchExecutor`] runs a queue of neuro-symbolic tasks
 //! on two thread pools — a neural pool computing the GPU-side stage
-//! (`reason-neural` MLP forward passes or LLM-proxy costs) and a symbolic
-//! pool dispatching to `reason-sat` cube-and-conquer, `reason-approx`
-//! anytime bounds or batched `reason-pc` d-DNNF arena queries — with
-//! genuine stage overlap: while the symbolic pool conquers task `N`,
-//! the neural pool is already producing task `N+1`'s results
+//! (`reason-neural` MLP forward passes) and a symbolic pool dispatching
+//! to `reason-sat` cube-and-conquer, `reason-approx` anytime bounds or
+//! batched `reason-pc` d-DNNF arena queries — with genuine stage
+//! overlap: while the symbolic pool conquers task `N`, the neural pool
+//! is already producing task `N+1`'s results
 //! ("Multiple parallelable CDCLs", paper Fig. 9).
 //!
 //! Data moves between the pools through the paper's shared-memory flag
@@ -44,7 +44,7 @@ use crossbeam::channel;
 use crossbeam::thread;
 use parking_lot::Mutex;
 use reason_approx::{ApproxConfig, ApproxEngine};
-use reason_neural::{LlmProxy, Matrix, Mlp, MlpBuilder};
+use reason_neural::{Matrix, Mlp, MlpBuilder};
 use reason_pc::{
     compile_cnf, random_mixture_circuit, BatchBuffer, Dnnf, Evidence, StructureConfig, WmcWeights,
 };
@@ -65,22 +65,6 @@ pub enum NeuralStage {
         mlp: Mlp,
         /// The input batch (rows = samples).
         input: Matrix,
-    },
-    /// An LLM cost-model evaluation on the companion GPU hosting the
-    /// neural stage; the buffer is the modeled latency in seconds.
-    Proxy {
-        /// The model proxy.
-        proxy: LlmProxy,
-        /// Prompt tokens processed.
-        prompt_tokens: u64,
-        /// Output tokens generated.
-        output_tokens: u64,
-        /// Peak compute of the hosting GPU, in FLOP/s (e.g. `38.7e12`
-        /// for the A6000-class host used across `reason-bench`).
-        flops_per_sec: f64,
-        /// Memory bandwidth of the hosting GPU, in bytes/s (e.g.
-        /// `768e9` for the A6000 class).
-        bytes_per_sec: f64,
     },
     /// A synthetic stage of known duration (sleeps), used to calibrate
     /// the executor against the cost model under controlled stage costs.
@@ -556,16 +540,6 @@ fn run_neural(stage: &NeuralStage) -> Vec<f64> {
     match stage {
         NeuralStage::Mlp { mlp, input } => {
             mlp.forward(input).data().iter().map(|&x| f64::from(x)).collect()
-        }
-        NeuralStage::Proxy {
-            proxy,
-            prompt_tokens,
-            output_tokens,
-            flops_per_sec,
-            bytes_per_sec,
-        } => {
-            let cost = proxy.cost(*prompt_tokens, *output_tokens, *flops_per_sec, *bytes_per_sec);
-            vec![cost.seconds]
         }
         NeuralStage::Synthetic { duration } => {
             std::thread::sleep(*duration);
@@ -1188,25 +1162,6 @@ mod tests {
             );
             assert_eq!(report.results[2].verdict, report.results[0].verdict, "{config:?}");
         }
-    }
-
-    #[test]
-    fn proxy_stage_publishes_modeled_latency() {
-        let tasks = vec![BatchTask {
-            name: "proxy".into(),
-            neural: NeuralStage::Proxy {
-                proxy: LlmProxy::preset("7B"),
-                prompt_tokens: 128,
-                output_tokens: 32,
-                flops_per_sec: 38.7e12,
-                bytes_per_sec: 768e9,
-            },
-            symbolic: SymbolicStage::Synthetic { duration: Duration::from_millis(1) },
-            deadline: None,
-        }];
-        let report = BatchExecutor::new(ExecutorConfig::default()).run(&tasks);
-        assert_eq!(report.results[0].neural_output.len(), 1);
-        assert!(report.results[0].neural_output[0] > 0.0);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * the reasoning substrates — SAT ([`sat`]), first-order logic
 //!   ([`fol`]), probabilistic circuits ([`pc`]), hidden Markov models
 //!   ([`hmm`]), and a neural proxy ([`neural`]);
-//! * the paper's algorithm layer — the unified DAG representation with
-//!   adaptive pruning and two-input regularization ([`core`]);
+//! * the paper's algorithm layer — the unified DAG representation and
+//!   two-input regularization ([`core`]), over kernels the substrate
+//!   crates have already pruned;
 //! * the hardware model — reconfigurable tree PEs, a real Benes operand
 //!   network, watched-literal BCP hardware, and an energy/area model
 //!   ([`arch`]) with its mapping compiler ([`compiler`]);
@@ -42,7 +43,7 @@
 //! // 1. A logical kernel: (x0 ∨ x1) ∧ (¬x0 ∨ x2).
 //! let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-1, 3]]);
 //!
-//! // 2. REASON algorithm layer: unify → prune → regularize.
+//! // 2. REASON algorithm layer: unify → regularize.
 //! let kernel = ReasonPipeline::new().compile(KernelSource::Sat(&cnf))?;
 //!
 //! // 3. Map onto the paper's hardware configuration and execute
@@ -51,6 +52,8 @@
 //! let compiled = ReasonCompiler::new(config).compile(&kernel.dag)?;
 //! let report = VliwExecutor::new(config).execute(&compiled.program(&[1.0, 0.0, 1.0]));
 //! assert_eq!(report.output, 1.0); // the assignment satisfies the formula
+//! let report = VliwExecutor::new(config).execute(&compiled.program(&[0.0, 0.0, 1.0]));
+//! assert_eq!(report.output, 0.0); // and this one falsifies (x0 ∨ x1)
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -7,7 +7,6 @@
 //! for a justified option).
 
 use reason::approx::{AdaptConfig, ApproxConfig, PredictConfig, SampleConfig};
-use reason::core::PipelineConfig;
 use reason::pc::CompileOptions;
 use reason::sat::preprocess::PreprocessConfig;
 use reason::sat::CubeConfig;
@@ -44,8 +43,6 @@ const CENSUS: &[(&str, &str, &str)] = &[
     ("CompileOptions", "order", "one value (MostOccurrences); Scored awaits ROADMAP item 5"),
     ("CompileOptions", "cache", "serve kb.rs passes its persistent cache | compile_cnf None"),
     ("CompileOptions", "telemetry", "serve kb.rs compile_observed | compile_cnf None"),
-    ("PipelineConfig", "prune", "bench lib.rs and experiments/mod.rs false | default true"),
-    ("PipelineConfig", "regularize", "one value (true); the stage ablation is tests only"),
     ("ApproxConfig", "method", "serve engine.rs MonteCarlo | default Importance"),
     ("ApproxConfig", "sampling", "serve engine.rs deadline-fitted | bench approx.rs 2048 per var"),
     ("ApproxConfig", "adapt", "system demo_approx_config 4 rounds | default"),
@@ -88,7 +85,6 @@ fn every_public_config_field_is_in_the_census() {
         fields!(ExecutorConfig { symbolic_workers, overlap } = ExecutorConfig::default()),
         fields!(CubeConfig { max_depth, workers } = CubeConfig::default()),
         fields!(CompileOptions { order, cache, telemetry } = CompileOptions::default()),
-        fields!(PipelineConfig { prune, regularize } = PipelineConfig::default()),
         fields!(ApproxConfig { method, sampling, adapt } = ApproxConfig::default()),
         fields!(SampleConfig { samples, checkpoint, seed } = SampleConfig::default()),
         fields!(AdaptConfig { rounds, batch, components } = AdaptConfig::default()),
@@ -104,6 +100,6 @@ fn every_public_config_field_is_in_the_census() {
         .collect();
     let listed: Vec<(&str, &str)> = CENSUS.iter().map(|&(ty, field, _)| (ty, field)).collect();
     assert_eq!(found, listed, "CENSUS must list every field, in declaration order");
-    assert_eq!(found.len(), 34, "a knob was added or removed: update the count with the table");
+    assert_eq!(found.len(), 32, "a knob was added or removed: update the count with the table");
     assert!(CENSUS.iter().all(|(_, _, differs)| !differs.is_empty()));
 }

@@ -265,36 +265,19 @@ fn emitted_programs_and_cycle_counts_are_pinned() {
     assert!(drift.is_empty(), "lowering drifted from its pins:\n{}", drift.join("\n"));
 }
 
-/// `ReasonPipeline::compile` reports the shape of the unpruned,
-/// unregularized lowering in `stats.before`; the no-prune arms hand that
-/// very DAG on instead of a copy, which must not change what is reported.
+/// `ReasonPipeline::compile` reports the shape of the unregularized
+/// lowering in `stats.before`; it hands that very DAG on to `regularize`
+/// instead of a copy, which must not change what is reported.
 #[test]
 fn pipeline_before_stats_are_pinned() {
     let circuit = mixture(3);
     let hmm = Hmm::random(7, 8, 5);
     let cnf = planted_ksat(12, 36, 3, 2);
     let pipeline = ReasonPipeline::new();
-    let no_prune = ReasonPipeline::with_config(reason::core::PipelineConfig {
-        prune: false,
-        regularize: true,
-    });
-    let calibration = vec![vec![1usize; 12]; 4];
     let got: Vec<(&str, DagStats)> = vec![
         ("pc", pipeline.compile(KernelSource::Pc(&circuit)).unwrap().stats.before),
         ("hmm", pipeline.compile(KernelSource::Hmm { hmm: &hmm, len: 16 }).unwrap().stats.before),
-        ("sat-no-prune", no_prune.compile(KernelSource::Sat(&cnf)).unwrap().stats.before),
-        (
-            "pc-data-no-prune",
-            no_prune
-                .compile(KernelSource::PcWithData {
-                    circuit: &circuit,
-                    data: &calibration,
-                    prune_fraction: 0.3,
-                })
-                .unwrap()
-                .stats
-                .before,
-        ),
+        ("sat", pipeline.compile(KernelSource::Sat(&cnf)).unwrap().stats.before),
     ];
     let stats = |nodes, edges, inputs, depth, max_fan_in, footprint_bytes| DagStats {
         nodes,
@@ -304,12 +287,10 @@ fn pipeline_before_stats_are_pinned() {
         max_fan_in,
         footprint_bytes,
     };
-    let pc = stats(5314, 6801, 24, 14, 3, 139_432);
     let pinned: Vec<(&str, DagStats)> = vec![
-        ("pc", pc),
+        ("pc", stats(5314, 6801, 24, 14, 3, 139_432)),
         ("hmm", stats(2201, 5124, 128, 49, 8, 76_208)),
-        ("sat-no-prune", stats(61, 156, 12, 3, 36, 2224)),
-        ("pc-data-no-prune", pc),
+        ("sat", stats(61, 156, 12, 3, 36, 2224)),
     ];
     assert_eq!(got, pinned);
 }
