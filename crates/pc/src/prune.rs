@@ -124,6 +124,7 @@ fn prune_with_flows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::CircuitBuilder;
     use crate::flows::mean_log_likelihood;
     use crate::structure::{random_mixture_circuit, StructureConfig};
     use crate::Evidence;
@@ -205,6 +206,30 @@ mod tests {
             }
         }
         report.circuit.validate().unwrap();
+    }
+
+    #[test]
+    fn dead_node_pruning() {
+        // Cutting the root's low-flow edge leaves `rare` and its two leaves
+        // unreachable; compaction must drop exactly those three nodes.
+        let mut b = CircuitBuilder::new(vec![2, 2]);
+        let c0 = b.categorical(0, &[0.9, 0.1]);
+        let c1 = b.categorical(1, &[0.9, 0.1]);
+        let common = b.product(vec![c0, c1]);
+        let r0 = b.categorical(0, &[0.1, 0.9]);
+        let r1 = b.categorical(1, &[0.1, 0.9]);
+        let rare = b.product(vec![r0, r1]);
+        let root = b.sum(vec![common, rare], vec![0.5, 0.5]);
+        let c = b.build(root).unwrap();
+        let data = vec![vec![0, 0]; 10];
+        let report = prune_by_flow(&c, &data, 0.5);
+        assert_eq!(report.edges_removed, 1);
+        assert_eq!(report.nodes_removed, 3);
+        assert_eq!(report.circuit.num_nodes(), c.num_nodes() - 3);
+        assert!(report.bytes_after < report.bytes_before);
+        report.circuit.validate().unwrap();
+        let p = report.circuit.probability(&Evidence::from_values(&[Some(0), Some(0)]));
+        assert!((p - 0.81).abs() < 1e-12, "surviving branch should read 0.9 * 0.9, got {p}");
     }
 
     #[test]
