@@ -32,7 +32,7 @@ use rand::prelude::*;
 use reason_arch::{ArchConfig, VliwExecutor};
 use reason_compiler::ReasonCompiler;
 use reason_core::{dag_from_circuit, regularize};
-use reason_pc::{BatchBuffer, Circuit, CompiledWmc, Dnnf, DnnfBatch, EvalBuffer, Evidence};
+use reason_pc::{BatchBuffer, Circuit, CompiledWmc, Dnnf, DnnfBatch, Evidence};
 
 use super::registry::{Args, Output};
 use super::replay::{instance_with_mass, sweep_weights};
@@ -130,7 +130,6 @@ fn batch_matches_per_query(
     let twin = Dnnf::from_circuit(circuit).expect("compiled circuits are binary");
     let one = |ev: &Evidence| DnnfBatch::pack(std::slice::from_ref(ev));
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let mut cbuf = EvalBuffer::new();
     let mut bbuf = BatchBuffer::new();
     let mut tbuf = BatchBuffer::new();
     let n = arena.num_vars();
@@ -138,13 +137,13 @@ fn batch_matches_per_query(
     let wmc = arena.wmc_batch(batch, &mut bbuf);
     for (ev, got) in evs.iter().zip(&wmc) {
         ok &= got.to_bits() == twin.wmc_batch(&one(ev), &mut tbuf)[0].to_bits();
-        ok &= circuit_close(*got, circuit.probability_with(ev, &mut cbuf));
+        ok &= circuit_close(*got, circuit.probability(ev));
     }
     let var = rng.gen_range(0..n);
     let marginals = arena.marginal_batch(batch, var, &mut bbuf);
     for (ev, got) in evs.iter().zip(&marginals) {
         ok &= bits(got) == bits(&twin.marginal_batch(&one(ev), var, &mut tbuf)[0]);
-        let want = circuit.marginal_with(ev, var, &mut cbuf);
+        let want = circuit.marginal(ev, var);
         ok &= got.iter().zip(&want).all(|(&a, &b)| circuit_close(a, b));
     }
     let mpes = arena.mpe_batch(batch, &mut bbuf);
@@ -154,7 +153,7 @@ fn batch_matches_per_query(
             && got.log_prob.to_bits() == alone.log_prob.to_bits();
         // Ties may resolve differently from the log-space circuit: the
         // chosen assignment's own log-likelihood must reach the maximum.
-        let best = circuit.mpe_with(ev, &mut cbuf).log_prob;
+        let best = circuit.mpe(ev).log_prob;
         ok &= log_close(got.log_prob, best)
             && log_close(circuit.log_likelihood(&got.assignment), best);
     }

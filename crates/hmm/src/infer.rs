@@ -1,4 +1,4 @@
-//! Forward-backward inference: filtering, smoothing, posteriors.
+//! Forward-backward inference: likelihoods, smoothing, posteriors.
 //!
 //! These are the "sequential message passing" kernels the paper maps onto
 //! the unified DAG (Sec. IV-A): each time step aggregates predecessor state
@@ -7,10 +7,9 @@
 //!
 //! Two domains live here:
 //!
-//! * **Log space** — `Hmm::forward`, [`Hmm::log_likelihood`] and
-//!   [`Hmm::filter`] (plus the test-only `backward` and
-//!   `forward_backward` oracles) add log-probabilities and combine them
-//!   with `log_sum_exp`. Their outputs are bit-exact constants of the
+//! * **Log space** — `Hmm::forward` and [`Hmm::log_likelihood`] (plus
+//!   the test-only `backward` and `forward_backward` oracles) add
+//!   log-probabilities and combine them with `log_sum_exp`. Their outputs are bit-exact constants of the
 //!   repository: GeLaTo's fluency score reads `log_likelihood`.
 //! * **Linear domain** — `Hmm::posteriors` (and through it Baum–Welch
 //!   and `prune_transitions`) runs a *scaled* (Rabiner) forward-backward
@@ -109,18 +108,6 @@ impl Hmm {
     /// Log-likelihood of an observation sequence.
     pub fn log_likelihood(&self, obs: &[usize]) -> f64 {
         self.forward(obs).1
-    }
-
-    /// Filtering distribution `p(z_t = s | x_0..x_t)` for every `t`.
-    pub fn filter(&self, obs: &[usize]) -> Vec<Vec<f64>> {
-        let (alpha, _) = self.forward(obs);
-        alpha
-            .iter()
-            .map(|row| {
-                let z = log_sum_exp(row);
-                row.iter().map(|a| (a - z).exp()).collect()
-            })
-            .collect()
     }
 
     /// Smoothing posteriors: state posteriors `gamma` and transition
@@ -392,15 +379,6 @@ mod tests {
             total += hmm.log_likelihood(&obs).exp();
         }
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn filtering_distributions_normalize() {
-        let hmm = toy();
-        let f = hmm.filter(&[0, 2, 1, 1]);
-        for row in f {
-            assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
     }
 
     #[test]

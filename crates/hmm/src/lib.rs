@@ -8,7 +8,7 @@
 //!
 //! Modules:
 //!
-//! * [`infer`] — log-space forward/backward, filtering and likelihood;
+//! * [`infer`] — log-space forward/backward and likelihood;
 //!   posterior state and transition probabilities from a scaled
 //!   linear-domain forward-backward.
 //! * [`viterbi`] — maximum a-posteriori state decoding.

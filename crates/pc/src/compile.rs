@@ -25,8 +25,9 @@
 //!    flood-filled straight onto the stack tops and truncated when the
 //!    search node returns; no search node owns a `Vec`;
 //! 3. **decide** — a branching variable is chosen *dynamically* per
-//!    component (most residual occurrences by default; see [`VarOrder`]
-//!    for the external-score hook used by learned proxies);
+//!    component: the one with the most residual occurrences (ties to the
+//!    lowest index), which maximizes how much each decision satisfies
+//!    or shrinks;
 //! 4. **cache** — components are memoized under hashed fingerprints
 //!    whose words are `(clause id << 32) | surviving-literal mask` over
 //!    the shared pool, so a cache probe is linear in the component and
@@ -56,7 +57,7 @@ use reason_sat::{ClausePool, Cnf, Lit, Propagator, Var};
 use reason_telemetry::Telemetry;
 
 use crate::circuit::{Circuit, CircuitBuilder, NodeId, PcNode};
-use crate::infer::{EvalBuffer, Evidence};
+use crate::infer::Evidence;
 
 /// Per-variable Bernoulli marginals used as weights for weighted model
 /// counting.
@@ -108,35 +109,10 @@ impl WmcWeights {
     }
 }
 
-/// How the top-down compiler picks the branching variable inside a
-/// component.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum VarOrder {
-    /// Branch on the variable with the most occurrences in the
-    /// component's residual clauses (ties broken by lowest index) —
-    /// the default dynamic order, which maximizes how much each
-    /// decision satisfies/shrinks.
-    #[default]
-    MostOccurrences,
-    /// Branch on the component variable with the highest external
-    /// score (ties broken by lowest index). This is the hook for
-    /// learned branching proxies: any per-variable score vector works —
-    /// e.g. the polarization scores a `reason-approx` proposal or
-    /// prediction network exposes for guided CDCL branching.
-    ///
-    /// # Panics
-    ///
-    /// Compilation panics if the score vector's length differs from
-    /// the formula's variable count.
-    Scored(Vec<f64>),
-}
-
 /// What one [`compile_cnf_with`] call runs with; `default()` is what
 /// [`compile_cnf`] uses.
 #[derive(Debug, Default)]
 pub struct CompileOptions<'a> {
-    /// Branching-variable order (see [`VarOrder`]).
-    pub order: VarOrder,
     /// A caller-held cross-query cache: components whose fingerprints
     /// survive from earlier compilations of *related* formulas (same
     /// clause-pool ids, same weights) are spliced from the cached node
@@ -228,18 +204,15 @@ pub fn compile_cnf(cnf: &Cnf, weights: &WmcWeights) -> Option<Circuit> {
 ///
 /// # Panics
 ///
-/// Panics on weight/score arity mismatches and if `options.cache` was
+/// Panics on a weight arity mismatch and if `options.cache` was
 /// previously used with different weights.
 pub fn compile_cnf_with(
     cnf: &Cnf,
     weights: &WmcWeights,
     options: CompileOptions<'_>,
 ) -> (Option<Circuit>, CompileStats) {
-    let CompileOptions { order, cache: mut persistent, telemetry } = options;
+    let CompileOptions { cache: mut persistent, telemetry } = options;
     assert_eq!(weights.len(), cnf.num_vars(), "weights arity mismatch");
-    if let VarOrder::Scored(scores) = &order {
-        assert_eq!(scores.len(), cnf.num_vars(), "score vector arity mismatch");
-    }
     if let Some(cache) = persistent.as_deref_mut() {
         cache.bind_weights(weights);
     }
@@ -253,7 +226,6 @@ pub fn compile_cnf_with(
         prop: Propagator::new(num_vars),
         builder: CircuitBuilder::new(vec![2; num_vars]),
         weights,
-        order: &order,
         cache: HashMap::new(),
         persistent,
         persist_depth,
@@ -595,7 +567,6 @@ struct TopDown<'a> {
     prop: Propagator,
     builder: CircuitBuilder,
     weights: &'a WmcWeights,
-    order: &'a VarOrder,
     /// Component cache: fingerprint of the residual clause set → the
     /// compiled node (`None` caches UNSAT components too). A key is
     /// allocated once, on a miss, and shared with `persisted`.
@@ -976,40 +947,26 @@ impl TopDown<'_> {
         }
     }
 
-    /// The decide step's variable choice (see [`VarOrder`]).
+    /// The decide step's variable choice: the component variable with
+    /// the most occurrences in its residual clauses, ties to the lowest
+    /// index.
     fn pick_var(&mut self, comp: Span) -> Var {
-        let vars = &self.var_stack[comp.var_lo..comp.var_hi];
-        match self.order {
-            VarOrder::MostOccurrences => {
-                for &c in &self.clause_stack[comp.clause_lo..comp.clause_hi] {
-                    for l in residual_lits(&self.pool, &self.prop, self.narrow, &self.masks, c) {
-                        self.occ_scratch[l.var().index()] += 1;
-                    }
-                }
-                let mut best = vars[0];
-                let mut best_count = 0u32;
-                for &v in vars {
-                    let count = std::mem::take(&mut self.occ_scratch[v.index()]);
-                    if count > best_count {
-                        best = v;
-                        best_count = count;
-                    }
-                }
-                best
-            }
-            VarOrder::Scored(scores) => {
-                let mut best = vars[0];
-                let mut best_score = f64::NEG_INFINITY;
-                for &v in vars {
-                    let s = scores[v.index()];
-                    if s > best_score {
-                        best = v;
-                        best_score = s;
-                    }
-                }
-                best
+        for &c in &self.clause_stack[comp.clause_lo..comp.clause_hi] {
+            for l in residual_lits(&self.pool, &self.prop, self.narrow, &self.masks, c) {
+                self.occ_scratch[l.var().index()] += 1;
             }
         }
+        let vars = &self.var_stack[comp.var_lo..comp.var_hi];
+        let mut best = vars[0];
+        let mut best_count = 0u32;
+        for &v in vars {
+            let count = std::mem::take(&mut self.occ_scratch[v.index()]);
+            if count > best_count {
+                best = v;
+                best_count = count;
+            }
+        }
+        best
     }
 
     /// Hash-consed indicator leaf `[x_v = value]`.
@@ -1056,7 +1013,7 @@ impl TopDown<'_> {
 /// A compiled-once, query-many exact WMC oracle.
 ///
 /// Compiles the formula a single time and answers every subsequent
-/// query from the cached circuit through a reused [`EvalBuffer`]. No
+/// query from the cached circuit through [`Circuit::probability`]. No
 /// serving path evaluates it: it is the reference the tests, benches
 /// and `reason-eval` sweeps hold served answers against.
 ///
@@ -1065,7 +1022,7 @@ impl TopDown<'_> {
 /// use reason_pc::{CompiledWmc, Evidence, WmcWeights};
 ///
 /// let cnf = Cnf::from_clauses(2, vec![vec![1, 2]]);
-/// let mut oracle = CompiledWmc::new(&cnf, &WmcWeights::uniform(2));
+/// let oracle = CompiledWmc::new(&cnf, &WmcWeights::uniform(2));
 /// assert!((oracle.wmc() - 0.75).abs() < 1e-12);
 /// // Pr[φ ∧ x0=1] = 0.5 — answered from the cached circuit.
 /// let mut ev = Evidence::empty(2);
@@ -1076,7 +1033,6 @@ impl TopDown<'_> {
 pub struct CompiledWmc {
     circuit: Option<Circuit>,
     z: f64,
-    buf: EvalBuffer,
 }
 
 impl CompiledWmc {
@@ -1088,11 +1044,8 @@ impl CompiledWmc {
     /// Panics if `weights.len() != cnf.num_vars()`.
     pub fn new(cnf: &Cnf, weights: &WmcWeights) -> Self {
         let circuit = compile_cnf(cnf, weights);
-        let mut buf = EvalBuffer::new();
-        let z = circuit
-            .as_ref()
-            .map_or(0.0, |c| c.probability_with(&Evidence::empty(cnf.num_vars()), &mut buf));
-        CompiledWmc { circuit, z, buf }
+        let z = circuit.as_ref().map_or(0.0, |c| c.probability(&Evidence::empty(cnf.num_vars())));
+        CompiledWmc { circuit, z }
     }
 
     /// The weighted model count `Pr[φ]` (0 for unsatisfiable formulas).
@@ -1116,18 +1069,15 @@ impl CompiledWmc {
     }
 
     /// `Pr[φ ∧ e]`: the probability mass of models consistent with the
-    /// (partial) evidence. Evaluated on the cached circuit through the
-    /// reused buffer; 0 for unsatisfiable formulas.
-    pub fn probability(&mut self, evidence: &Evidence) -> f64 {
-        match &self.circuit {
-            Some(c) => c.probability_with(evidence, &mut self.buf),
-            None => 0.0,
-        }
+    /// (partial) evidence, evaluated on the cached circuit; 0 for
+    /// unsatisfiable formulas.
+    pub fn probability(&self, evidence: &Evidence) -> f64 {
+        self.circuit.as_ref().map_or(0.0, |c| c.probability(evidence))
     }
 
     /// `Pr[e | φ]`: the conditional probability of the evidence given
     /// the formula. Returns `None` for unsatisfiable formulas.
-    pub fn posterior(&mut self, evidence: &Evidence) -> Option<f64> {
+    pub fn posterior(&self, evidence: &Evidence) -> Option<f64> {
         if self.z == 0.0 {
             return None;
         }
@@ -1368,6 +1318,11 @@ mod tests {
             let expect = brute_wmc(&cnf, &weights);
             assert!((wmc - expect).abs() < 1e-9, "seed {seed}");
         }
+        // Graded weights on a wider formula.
+        let cnf = random_ksat(8, 20, 3, 77);
+        let weights = WmcWeights::new((0..8).map(|v| 0.35 + 0.04 * v as f64).collect());
+        let (wmc, expect) = (CompiledWmc::new(&cnf, &weights).wmc(), brute_wmc(&cnf, &weights));
+        assert!((wmc - expect).abs() < 1e-9, "{wmc} vs {expect}");
     }
 
     #[test]
@@ -1519,20 +1474,6 @@ mod tests {
     }
 
     #[test]
-    fn every_var_order_agrees_with_brute_force() {
-        let cnf = random_ksat(8, 20, 3, 77);
-        let weights = WmcWeights::new((0..8).map(|v| 0.35 + 0.04 * v as f64).collect());
-        let expect = brute_wmc(&cnf, &weights);
-        let scored = VarOrder::Scored((0..8).map(|v| ((v * 7) % 5) as f64).collect());
-        for order in [VarOrder::MostOccurrences, scored] {
-            let options = CompileOptions { order: order.clone(), ..CompileOptions::default() };
-            let (c, _) = compile_cnf_with(&cnf, &weights, options);
-            let z = c.map_or(0.0, |c| c.probability(&Evidence::empty(8)));
-            assert!((z - expect).abs() < 1e-9, "{order:?}: {z} vs {expect}");
-        }
-    }
-
-    #[test]
     fn compilation_is_deterministic_across_runs() {
         let cnf = random_ksat(11, 30, 3, 13);
         let w = WmcWeights::uniform(11);
@@ -1545,7 +1486,7 @@ mod tests {
     fn compiled_wmc_reuses_one_compilation() {
         let cnf = Cnf::from_clauses(3, vec![vec![1, 2], vec![-2, 3]]);
         let w = WmcWeights::new(vec![0.4, 0.6, 0.5]);
-        let mut oracle = CompiledWmc::new(&cnf, &w);
+        let oracle = CompiledWmc::new(&cnf, &w);
         assert!(oracle.has_mass());
         let expect = brute_wmc(&cnf, &w);
         assert!((oracle.wmc() - expect).abs() < 1e-12);
@@ -1562,7 +1503,7 @@ mod tests {
     #[test]
     fn compiled_wmc_on_unsat_is_zero() {
         let cnf = Cnf::from_clauses(2, vec![vec![1], vec![-1]]);
-        let mut oracle = CompiledWmc::new(&cnf, &WmcWeights::uniform(2));
+        let oracle = CompiledWmc::new(&cnf, &WmcWeights::uniform(2));
         assert!(!oracle.has_mass());
         assert_eq!(oracle.wmc(), 0.0);
         assert_eq!(oracle.probability(&Evidence::empty(2)), 0.0);
@@ -1771,11 +1712,7 @@ mod tests {
         let tel = Telemetry::with_clock(VirtualClock::shared());
         let cnf = random_ksat(9, 24, 3, 11);
         let mut cache = PersistentComponentCache::new();
-        let options = CompileOptions {
-            cache: Some(&mut cache),
-            telemetry: Some(&tel),
-            ..CompileOptions::default()
-        };
+        let options = CompileOptions { cache: Some(&mut cache), telemetry: Some(&tel) };
         let _ = compile_cnf_with(&cnf, &WmcWeights::uniform(9), options);
         let gauge = tel.registry.snapshot().into_iter().find_map(|m| match m.value {
             MetricValue::Gauge(v) if m.name == "pc_persistent_cache_bytes" => Some(v),

@@ -714,7 +714,7 @@ impl DnnfBatch {
 /// `[Pr[v = 0 | e], Pr[v = 1 | e]]` per marginal lane, from the root
 /// values `t0, t1, t2` of its three consecutive columns (`e∖v`,
 /// `e ∧ v=0`, `e ∧ v=1`): `t1/t0` and `t2/t0`, with
-/// [`Circuit::marginal_with`]'s uniform fallback for zero-probability
+/// [`Circuit::marginal`]'s uniform fallback for zero-probability
 /// evidence.
 fn marginals_from_roots(triplets: &[Ext]) -> Vec<Vec<f64>> {
     let marginal = |t: &[Ext]| {
@@ -1173,7 +1173,7 @@ impl Dnnf {
     /// contributes its three columns (`var` marginalized, `= 0`, `= 1`)
     /// to one slab of triple width, walked like any other — one
     /// traversal per lane tile, not three per call — answering
-    /// [`Circuit::marginal_with`]'s question lane for lane (including
+    /// [`Circuit::marginal`]'s question lane for lane (including
     /// the uniform fallback for zero-probability evidence).
     ///
     /// # Panics
@@ -1236,7 +1236,7 @@ impl Dnnf {
 
     /// Batched most-probable explanations: one max-product up-pass per
     /// lane tile plus a per-lane downward trace, answering
-    /// [`Circuit::mpe_with`]'s question lane for lane. An Or node keeps
+    /// [`Circuit::mpe`]'s question lane for lane. An Or node keeps
     /// its earliest child among equal weighted values, and `log_prob`
     /// is one `ln` of the root's max-product value.
     ///
@@ -1429,7 +1429,6 @@ mod tests {
     use super::*;
     use crate::circuit::CircuitBuilder;
     use crate::compile::{compile_cnf, WmcWeights};
-    use crate::infer::EvalBuffer;
     use crate::reference;
     use crate::structure::{random_mixture_circuit, StructureConfig};
     use reason_sat::gen::random_ksat;
@@ -1654,7 +1653,7 @@ mod tests {
             for (k, ev) in lanes.iter().enumerate() {
                 assert_eq!(logp[k].to_bits(), 0f64.to_bits(), "n = {n} lane {k}");
                 assert_eq!(ps[k].to_bits(), 1f64.to_bits(), "n = {n} lane {k}");
-                let want = circuit.mpe_with(ev, &mut EvalBuffer::new());
+                let want = circuit.mpe(ev);
                 assert_eq!(mpes[k].assignment, want.assignment, "n = {n} lane {k}");
                 assert_eq!(mpes[k].log_prob.to_bits(), 0f64.to_bits(), "n = {n} lane {k}");
             }

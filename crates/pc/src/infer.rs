@@ -4,8 +4,13 @@
 //! tractability property that makes PCs the probabilistic backbone of
 //! neuro-symbolic systems (paper Sec. II-C). Arithmetic is done in
 //! log-space throughout.
+//!
+//! This is the log-space reference evaluator: serving walks the
+//! flattened arena in [`crate::dnnf`] instead, and tests hold the two
+//! together. Each query keeps its scratch arrays as locals, shared
+//! across the evaluations one query makes (a marginal's `arity + 1`).
 
-use crate::circuit::{Circuit, NodeId, PcNode};
+use crate::circuit::{Circuit, PcNode};
 
 /// Partial evidence over the circuit's variables: `Some(v)` fixes a value,
 /// `None` marginalizes the variable out.
@@ -59,41 +64,6 @@ impl Evidence {
     }
 }
 
-/// Reusable scratch space for circuit evaluation.
-///
-/// Every query needs a per-node value array (and MPE additionally an
-/// argmax array and a traversal stack); allocating those afresh per
-/// call dominates the cost of *repeated* queries on one circuit —
-/// marginal sweeps, MPE sweeps, the approximate engine's exact-oracle
-/// training labels. A caller-held `EvalBuffer` amortizes them: the
-/// first query sizes the buffers, every later query reuses them.
-///
-/// ```
-/// use reason_pc::{CircuitBuilder, EvalBuffer, Evidence};
-///
-/// let mut b = CircuitBuilder::new(vec![2]);
-/// let leaf = b.categorical(0, &[0.25, 0.75]);
-/// let c = b.build(leaf).unwrap();
-/// let mut buf = EvalBuffer::new();
-/// let mut ev = Evidence::empty(1);
-/// ev.set(0, 1);
-/// let p = c.probability_with(&ev, &mut buf);
-/// assert!((p - 0.75).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EvalBuffer {
-    vals: Vec<f64>,
-    arg: Vec<usize>,
-    stack: Vec<NodeId>,
-}
-
-impl EvalBuffer {
-    /// An empty buffer; the first query sizes it.
-    pub fn new() -> Self {
-        EvalBuffer::default()
-    }
-}
-
 /// Result of a most-probable-explanation query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MpeResult {
@@ -110,36 +80,29 @@ impl Circuit {
     /// log-value per node. `out[root]` is the log-probability of the
     /// evidence.
     ///
-    /// Allocates a fresh value vector; repeated queries should prefer
-    /// [`log_values_into`](Self::log_values_into) with a caller-held
-    /// [`EvalBuffer`].
-    ///
     /// # Panics
     ///
     /// Panics if `evidence.len() != self.num_vars()`.
     pub(crate) fn log_values(&self, evidence: &Evidence) -> Vec<f64> {
-        let mut buf = EvalBuffer::new();
-        self.log_values_into(evidence, &mut buf);
-        buf.vals
+        let mut vals = Vec::new();
+        self.log_values_into(evidence, &mut vals);
+        vals
     }
 
-    /// Evaluates every node bottom-up under `evidence` into `buf`,
+    /// Evaluates every node bottom-up under `evidence` into `vals`,
     /// returning the root's log-value (the log-probability of the
-    /// evidence).
-    ///
-    /// This is the flattened, allocation-free evaluator: one linear
-    /// sweep over the node array, no per-call heap traffic once the
-    /// buffer is warm (sum mixtures are folded inline in two passes
-    /// instead of materializing a scratch vector).
+    /// evidence): one linear sweep over the node array, sum mixtures
+    /// folded inline in two passes instead of materializing a scratch
+    /// vector. A query that evaluates more than once (a marginal)
+    /// passes the same `vals` to every evaluation.
     ///
     /// # Panics
     ///
     /// Panics if `evidence.len() != self.num_vars()`.
-    fn log_values_into(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
+    fn log_values_into(&self, evidence: &Evidence, vals: &mut Vec<f64>) -> f64 {
         assert_eq!(evidence.len(), self.num_vars(), "evidence arity mismatch");
-        buf.vals.clear();
-        buf.vals.resize(self.num_nodes(), 0.0);
-        let vals = &mut buf.vals;
+        vals.clear();
+        vals.resize(self.num_nodes(), 0.0);
         for (i, node) in self.nodes().iter().enumerate() {
             vals[i] = match node {
                 PcNode::Indicator { var, value } => match evidence.value(*var) {
@@ -179,24 +142,12 @@ impl Circuit {
 
     /// Log-probability of the evidence.
     pub(crate) fn log_probability(&self, evidence: &Evidence) -> f64 {
-        self.log_values(evidence)[self.root().index()]
-    }
-
-    /// `log_probability` through a reusable
-    /// [`EvalBuffer`] — the repeated-query fast path.
-    fn log_probability_with(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
-        self.log_values_into(evidence, buf)
+        self.log_values_into(evidence, &mut Vec::new())
     }
 
     /// Probability of the evidence (linear space).
     pub fn probability(&self, evidence: &Evidence) -> f64 {
         self.log_probability(evidence).exp()
-    }
-
-    /// [`probability`](Self::probability) through a reusable
-    /// [`EvalBuffer`].
-    pub fn probability_with(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> f64 {
-        self.log_values_into(evidence, buf).exp()
     }
 
     /// Log-likelihood of a complete assignment.
@@ -209,19 +160,12 @@ impl Circuit {
     ///
     /// Returns a normalized probability vector of length `arity(var)`.
     /// Returns a uniform distribution when the evidence itself has zero
-    /// probability.
+    /// probability. The `arity + 1` evaluations share one value array.
     pub fn marginal(&self, evidence: &Evidence, var: usize) -> Vec<f64> {
-        self.marginal_with(evidence, var, &mut EvalBuffer::new())
-    }
-
-    /// [`marginal`](Self::marginal) through a reusable [`EvalBuffer`]:
-    /// the `arity + 1` circuit evaluations of one marginal query share
-    /// the buffer, and sweeps over many variables reuse it across
-    /// calls.
-    pub fn marginal_with(&self, evidence: &Evidence, var: usize, buf: &mut EvalBuffer) -> Vec<f64> {
+        let mut vals = Vec::new();
         let mut ev = evidence.clone();
         ev.clear(var);
-        let log_z = self.log_probability_with(&ev, buf);
+        let log_z = self.log_values_into(&ev, &mut vals);
         let arity = self.arities()[var];
         if log_z == f64::NEG_INFINITY {
             return vec![1.0 / arity as f64; arity];
@@ -229,7 +173,7 @@ impl Circuit {
         (0..arity)
             .map(|v| {
                 ev.set(var, v);
-                (self.log_probability_with(&ev, buf) - log_z).exp()
+                (self.log_values_into(&ev, &mut vals) - log_z).exp()
             })
             .collect()
     }
@@ -258,20 +202,10 @@ impl Circuit {
     /// the result is the exact MPE; otherwise it is the standard
     /// max-product approximation.
     pub fn mpe(&self, evidence: &Evidence) -> MpeResult {
-        self.mpe_with(evidence, &mut EvalBuffer::new())
-    }
-
-    /// [`mpe`](Self::mpe) through a reusable [`EvalBuffer`] — MPE
-    /// sweeps over many evidence patterns reuse the value/argmax
-    /// arrays and the traversal stack.
-    pub fn mpe_with(&self, evidence: &Evidence, buf: &mut EvalBuffer) -> MpeResult {
         // Upward max pass.
         let n = self.num_nodes();
-        buf.vals.clear();
-        buf.vals.resize(n, 0.0);
-        buf.arg.clear();
-        buf.arg.resize(n, 0); // argmax child position for sums
-        let (vals, arg) = (&mut buf.vals, &mut buf.arg);
+        let mut vals = vec![0.0; n];
+        let mut arg = vec![0usize; n]; // argmax child position for sums
         for (i, node) in self.nodes().iter().enumerate() {
             match node {
                 PcNode::Indicator { var, value } => {
@@ -305,9 +239,7 @@ impl Circuit {
         // Downward trace selecting one child per sum.
         let mut assignment: Vec<usize> =
             (0..self.num_vars()).map(|v| evidence.value(v).unwrap_or(0)).collect();
-        let stack = &mut buf.stack;
-        stack.clear();
-        stack.push(self.root());
+        let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
             match self.node(id) {
                 PcNode::Indicator { var, value } => {

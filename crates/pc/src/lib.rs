@@ -74,12 +74,12 @@ pub mod structure;
 pub use circuit::{Circuit, CircuitBuilder, CircuitError, NodeId, PcNode};
 pub use compile::{
     compile_cnf, compile_cnf_shannon, compile_cnf_with, CompileOptions, CompileStats, CompiledWmc,
-    PersistentCacheStats, PersistentComponentCache, VarOrder, WmcWeights,
+    PersistentCacheStats, PersistentComponentCache, WmcWeights,
 };
 pub use dnnf::{BatchBuffer, Dnnf, DnnfBatch, DnnfBuffer, DnnfError};
 pub use fingerprint::{ring_mix, FormulaFingerprint};
 pub use flows::{dataset_flows, em_step, EdgeFlows};
-pub use infer::{EvalBuffer, Evidence, MpeResult};
+pub use infer::{Evidence, MpeResult};
 pub use prune::{prune_by_flow, PruneReport};
 pub use sample::sample;
 pub use structure::{random_mixture_circuit, StructureConfig};

@@ -19,7 +19,7 @@
 //! models that set it the other way, and a fixed or substituted
 //! variable takes its weight out of the formula. On `(x1 ∨ x2) ∧ (¬x2 ∨
 //! x3)` under uniform weights the count is 1/2 before and 1 after the
-//! default pass (pinned in `tests/property_invariants.rs`), so it must
+//! pass (pinned in `tests/property_invariants.rs`), so it must
 //! not front a model counter or `reason_pc::compile_cnf`; that needs a
 //! count-preserving mode, which does not exist yet.
 
@@ -220,29 +220,9 @@ impl PruneStats {
     }
 }
 
-/// Configuration of the preprocessing pipeline.
-#[derive(Debug, Clone)]
-pub struct PreprocessConfig {
-    /// Enable pure-literal elimination (satisfiability-preserving but not
-    /// model-count-preserving). Turning it off is necessary for counting
-    /// but not sufficient: units, failed literals and equivalences still
-    /// remove variables and their weights (see the [module docs](self)).
-    pub pure_literals: bool,
-    /// Enable equivalent-literal substitution via BIG SCCs.
-    pub equivalences: bool,
-    /// Enable failed-literal detection over the BIG.
-    pub failed_literals: bool,
-}
-
 /// Pipeline rounds (the reductions enable one another). Hidden-literal
 /// elimination runs in every round.
 const ROUNDS: usize = 2;
-
-impl Default for PreprocessConfig {
-    fn default() -> Self {
-        PreprocessConfig { pure_literals: true, equivalences: true, failed_literals: true }
-    }
-}
 
 /// Result of preprocessing: the reduced formula plus everything needed to
 /// lift models back to the original variable universe.
@@ -287,20 +267,12 @@ impl PreprocessResult {
 /// assert_eq!(result.decided, Some(true)); // fully solved by propagation
 /// ```
 #[derive(Debug, Default)]
-pub struct Preprocessor {
-    config: PreprocessConfig,
-}
+pub struct Preprocessor;
 
 impl Preprocessor {
-    /// Creates a preprocessor with the default configuration.
+    /// Creates the preprocessor.
     pub fn new() -> Self {
-        Preprocessor { config: PreprocessConfig::default() }
-    }
-
-    /// Creates a preprocessor with an explicit configuration.
-    #[cfg(test)]
-    fn with_config(config: PreprocessConfig) -> Self {
-        Preprocessor { config }
+        Preprocessor
     }
 
     /// Runs the pipeline on `cnf`.
@@ -325,66 +297,62 @@ impl Preprocessor {
             }
 
             // 2. Failed literals over the BIG.
-            if self.config.failed_literals {
-                let mut big = BinaryImplicationGraph::new(&work);
-                let failed = big.failed_literals();
-                if !failed.is_empty() {
-                    stats.failed_literals += failed.len();
-                    for l in failed {
-                        // `l -> !l` forces `!l`.
-                        work.add_clause(Clause::new(vec![!l]));
-                    }
-                    if !propagate_units(&mut work, &mut steps, &mut stats) {
-                        decided = Some(false);
-                        break 'rounds;
-                    }
+            let mut big = BinaryImplicationGraph::new(&work);
+            let failed = big.failed_literals();
+            if !failed.is_empty() {
+                stats.failed_literals += failed.len();
+                for l in failed {
+                    // `l -> !l` forces `!l`.
+                    work.add_clause(Clause::new(vec![!l]));
+                }
+                if !propagate_units(&mut work, &mut steps, &mut stats) {
+                    decided = Some(false);
+                    break 'rounds;
                 }
             }
 
             // 3. Equivalent-literal substitution via SCCs.
-            if self.config.equivalences {
-                let big = BinaryImplicationGraph::new(&work);
-                let comp = big.sccs();
-                // Detect l ~ !l: unsatisfiable.
-                let mut rep_of_comp: HashMap<u32, Lit> = HashMap::new();
-                for code in 0..comp.len() {
-                    let lit = Lit::from_code(code);
-                    if comp[code] == comp[(!lit).code()] && comp[code] != u32::MAX {
-                        // A literal equivalent to its own negation.
-                        decided = Some(false);
-                        break 'rounds;
-                    }
-                    let entry = rep_of_comp.entry(comp[code]).or_insert(lit);
-                    if lit.code() < entry.code() {
-                        *entry = lit;
+            let big = BinaryImplicationGraph::new(&work);
+            let comp = big.sccs();
+            // Detect l ~ !l: unsatisfiable.
+            let mut rep_of_comp: HashMap<u32, Lit> = HashMap::new();
+            for code in 0..comp.len() {
+                let lit = Lit::from_code(code);
+                if comp[code] == comp[(!lit).code()] && comp[code] != u32::MAX {
+                    // A literal equivalent to its own negation.
+                    decided = Some(false);
+                    break 'rounds;
+                }
+                let entry = rep_of_comp.entry(comp[code]).or_insert(lit);
+                if lit.code() < entry.code() {
+                    *entry = lit;
+                }
+            }
+            let mut subst: Vec<Option<Lit>> = vec![None; work.num_vars()];
+            for code in 0..comp.len() {
+                let lit = Lit::from_code(code);
+                let rep = rep_of_comp[&comp[code]];
+                if rep != lit && rep.var() != lit.var() {
+                    // Record once per variable using the positive polarity.
+                    if !lit.is_neg() && subst[lit.var().index()].is_none() {
+                        subst[lit.var().index()] = Some(rep);
                     }
                 }
-                let mut subst: Vec<Option<Lit>> = vec![None; work.num_vars()];
-                for code in 0..comp.len() {
-                    let lit = Lit::from_code(code);
-                    let rep = rep_of_comp[&comp[code]];
-                    if rep != lit && rep.var() != lit.var() {
-                        // Record once per variable using the positive polarity.
-                        if !lit.is_neg() && subst[lit.var().index()].is_none() {
-                            subst[lit.var().index()] = Some(rep);
-                        }
-                    }
+            }
+            let mut any = false;
+            for (v, rep) in subst.iter().enumerate() {
+                if let Some(rep) = rep {
+                    steps.push(Step::Subst(Var::new(v), *rep));
+                    stats.equivalences += 1;
+                    any = true;
                 }
-                let mut any = false;
-                for (v, rep) in subst.iter().enumerate() {
-                    if let Some(rep) = rep {
-                        steps.push(Step::Subst(Var::new(v), *rep));
-                        stats.equivalences += 1;
-                        any = true;
-                    }
-                }
-                if any {
-                    apply_substitution(&mut work, &subst);
-                    work.normalize();
-                    if !propagate_units(&mut work, &mut steps, &mut stats) {
-                        decided = Some(false);
-                        break 'rounds;
-                    }
+            }
+            if any {
+                apply_substitution(&mut work, &subst);
+                work.normalize();
+                if !propagate_units(&mut work, &mut steps, &mut stats) {
+                    decided = Some(false);
+                    break 'rounds;
                 }
             }
 
@@ -430,14 +398,7 @@ impl Preprocessor {
             }
 
             // 5. Pure-literal elimination.
-            if self.config.pure_literals {
-                let fixed = eliminate_pure_literals(&mut work, &mut steps, &mut stats);
-                if fixed && work.num_clauses() == 0 {
-                    decided = Some(true);
-                    break 'rounds;
-                }
-            }
-
+            eliminate_pure_literals(&mut work, &mut steps, &mut stats);
             if work.num_clauses() == 0 {
                 decided = Some(true);
                 break 'rounds;
@@ -508,8 +469,7 @@ fn apply_substitution(cnf: &mut Cnf, subst: &[Option<Lit>]) {
     *cnf = out;
 }
 
-fn eliminate_pure_literals(cnf: &mut Cnf, steps: &mut Vec<Step>, stats: &mut PruneStats) -> bool {
-    let mut any = false;
+fn eliminate_pure_literals(cnf: &mut Cnf, steps: &mut Vec<Step>, stats: &mut PruneStats) {
     loop {
         let n = cnf.num_vars();
         let mut pos = vec![false; n];
@@ -532,9 +492,8 @@ fn eliminate_pure_literals(cnf: &mut Cnf, steps: &mut Vec<Step>, stats: &mut Pru
             }
         }
         if pure.is_empty() {
-            return any;
+            return;
         }
-        any = true;
         let pure_set: HashSet<usize> = pure.iter().map(|l| l.code()).collect();
         for l in &pure {
             steps.push(Step::Fixed(l.var(), !l.is_neg()));
@@ -609,14 +568,14 @@ mod tests {
     #[test]
     fn hidden_literal_elimination_example() {
         // Paper example: clause (l | l') with l -> l' drops l, leaving (l').
-        // l = x0, l' = x1; implication from clause (!x0 | x1).
+        // l = x0, l' = x1; implication from clause (!x0 | x1). No unit,
+        // failed literal or equivalence fires first, so the pipeline
+        // reaches the step; pure literals then clear what is left.
         let cnf = Cnf::from_clauses(3, vec![vec![-1, 2], vec![1, 2, 3]]);
-        let config =
-            PreprocessConfig { pure_literals: false, equivalences: false, failed_literals: false };
-        let result = Preprocessor::with_config(config).run(&cnf);
-        assert!(result.stats.hidden_literals >= 1);
-        // The wide clause shrank.
-        assert!(result.cnf.clauses().iter().all(|c| c.len() <= 2));
+        let result = Preprocessor::new().run(&cnf);
+        assert_eq!(result.stats.hidden_literals, 1);
+        assert_eq!(result.decided, Some(true));
+        assert!(cnf.eval(&result.reconstruct_model(&[false; 3])));
     }
 
     #[test]

@@ -902,7 +902,7 @@ mod tests {
         ];
         let report = engine.serve(id, &queries).unwrap();
         assert_eq!(report.outcomes.len(), 5);
-        let mut oracle = CompiledWmc::new(&cnf, &w);
+        let oracle = CompiledWmc::new(&cnf, &w);
         // The served arena walks probabilities, the oracle's circuit
         // logs: each is within ~1e-14 of exact here (`reason_pc::dnnf`'s
         // γ_D bound, and a few ulps of `ln p` per node), so 1e-12

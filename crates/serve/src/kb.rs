@@ -194,8 +194,7 @@ impl KnowledgeBase {
         telemetry: Option<&Telemetry>,
     ) -> (Option<Circuit>, CompileStats) {
         let cnf = self.cnf();
-        let options =
-            CompileOptions { cache: Some(&mut self.cache), telemetry, ..CompileOptions::default() };
+        let options = CompileOptions { cache: Some(&mut self.cache), telemetry };
         compile_cnf_with(&cnf, &self.weights, options)
     }
 

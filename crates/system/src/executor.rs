@@ -993,7 +993,7 @@ mod tests {
     fn serve_batch_stage_matches_per_query_serve_tasks() {
         let cnf = random_ksat(10, 26, 3, 8);
         let weights = WmcWeights::new((0..10).map(|v| 0.3 + 0.04 * v as f64).collect());
-        let mut oracle = CompiledWmc::new(&cnf, &weights);
+        let oracle = CompiledWmc::new(&cnf, &weights);
         assert!(oracle.has_mass(), "seed 8 instance must carry mass");
         let circuit = oracle.circuit().expect("mass implies circuit").clone();
         let arena = Arc::new(Dnnf::from_circuit(&circuit).unwrap());

@@ -21,8 +21,7 @@
 use std::fmt::{self, Write};
 
 use reason::pc::{
-    compile_cnf_with, Circuit, CompileOptions, CompileStats, PersistentComponentCache, VarOrder,
-    WmcWeights,
+    compile_cnf_with, Circuit, CompileOptions, CompileStats, PersistentComponentCache, WmcWeights,
 };
 use reason::sat::gen::{planted_ksat, random_ksat};
 use reason::sat::{Clause, Cnf};
@@ -365,39 +364,6 @@ fn degenerate_inputs_are_pinned() {
                 built_nodes: 5865,
                 nodes: 5785,
                 edges: 17571,
-            },
-        }
-    );
-}
-
-#[test]
-fn scored_order_is_pinned() {
-    let mut group = Group::new();
-    for (n, ratio, seed) in [(12usize, 3usize, 1u64), (18, 2, 2), (24, 3, 3), (26, 4, 4)] {
-        let cnf = random_ksat(n, ratio * n, 3, 700 + seed);
-        // Ties included, so the lowest-index tie-break is exercised.
-        let scores: Vec<f64> = (0..n).map(|v| ((v * 5 + seed as usize) % 7) as f64).collect();
-        let options = CompileOptions { order: VarOrder::Scored(scores), ..Default::default() };
-        group.record(compile_cnf_with(&cnf, &skewed_weights(n), options));
-    }
-    assert_eq!(
-        group.pin(),
-        Pin {
-            formulas: 4,
-            unsat: 0,
-            circuits: 0x9305dc34ed2be492,
-            stats: 0x28a040caccbcdeca,
-            totals: CompileStats {
-                decisions: 943,
-                propagations: 2282,
-                components: 1216,
-                cache_hits: 273,
-                cache_misses: 943,
-                persistent_hits: 0,
-                persistent_stores: 0,
-                built_nodes: 2416,
-                nodes: 2410,
-                edges: 6414,
             },
         }
     );

@@ -8,7 +8,6 @@
 
 use reason::approx::{AdaptConfig, ApproxConfig, PredictConfig, SampleConfig};
 use reason::pc::CompileOptions;
-use reason::sat::preprocess::PreprocessConfig;
 use reason::sat::CubeConfig;
 use reason::serve::{ClusterConfig, RouterConfig, ServeConfig, StoreConfig};
 use reason::system::ExecutorConfig;
@@ -40,7 +39,6 @@ const CENSUS: &[(&str, &str, &str)] = &[
     ("ExecutorConfig", "overlap", "benchmark layers.rs sequential() | default overlapped"),
     ("CubeConfig", "max_depth", "system demo_batch 3 | workloads alphageometry default 4"),
     ("CubeConfig", "workers", "one value (1); > 1 is the paper's parallel conquer, tests only"),
-    ("CompileOptions", "order", "one value (MostOccurrences); Scored awaits ROADMAP item 5"),
     ("CompileOptions", "cache", "serve kb.rs passes its persistent cache | compile_cnf None"),
     ("CompileOptions", "telemetry", "serve kb.rs compile_observed | compile_cnf None"),
     ("ApproxConfig", "method", "serve engine.rs MonteCarlo | default Importance"),
@@ -55,21 +53,6 @@ const CENSUS: &[(&str, &str, &str)] = &[
     ("PredictConfig", "queries", "bench replay.rs sweep_predictor 128 | default 512"),
     ("PredictConfig", "epochs", "bench replay.rs sweep_predictor 150 | default 600"),
     ("PredictConfig", "hidden", "bench replay.rs sweep_predictor 16 | default 32"),
-    (
-        "PreprocessConfig",
-        "pure_literals",
-        "one value (true); ROADMAP item 6's count-preserving mode turns it off",
-    ),
-    (
-        "PreprocessConfig",
-        "equivalences",
-        "one value (true); ROADMAP item 6's counting mode folds substitutions back",
-    ),
-    (
-        "PreprocessConfig",
-        "failed_literals",
-        "one value (true); ROADMAP item 6's counting mode folds them back",
-    ),
 ];
 
 #[test]
@@ -84,15 +67,11 @@ fn every_public_config_field_is_in_the_census() {
         fields!(ClusterConfig { shards, engine } = ClusterConfig::default()),
         fields!(ExecutorConfig { symbolic_workers, overlap } = ExecutorConfig::default()),
         fields!(CubeConfig { max_depth, workers } = CubeConfig::default()),
-        fields!(CompileOptions { order, cache, telemetry } = CompileOptions::default()),
+        fields!(CompileOptions { cache, telemetry } = CompileOptions::default()),
         fields!(ApproxConfig { method, sampling, adapt } = ApproxConfig::default()),
         fields!(SampleConfig { samples, checkpoint, seed } = SampleConfig::default()),
         fields!(AdaptConfig { rounds, batch, components } = AdaptConfig::default()),
         fields!(PredictConfig { queries, epochs, hidden } = PredictConfig::default()),
-        fields!(
-            PreprocessConfig { pure_literals, equivalences, failed_literals } =
-                PreprocessConfig::default()
-        ),
     ];
     let found: Vec<(&str, &str)> = structs
         .iter()
@@ -100,6 +79,6 @@ fn every_public_config_field_is_in_the_census() {
         .collect();
     let listed: Vec<(&str, &str)> = CENSUS.iter().map(|&(ty, field, _)| (ty, field)).collect();
     assert_eq!(found, listed, "CENSUS must list every field, in declaration order");
-    assert_eq!(found.len(), 32, "a knob was added or removed: update the count with the table");
+    assert_eq!(found.len(), 28, "a knob was added or removed: update the count with the table");
     assert!(CENSUS.iter().all(|(_, _, differs)| !differs.is_empty()));
 }

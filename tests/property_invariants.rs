@@ -14,7 +14,6 @@ use proptest::prelude::*;
 use reason::arch::{ArchConfig, BenesNetwork, VliwExecutor};
 use reason::compiler::ReasonCompiler;
 use reason::core::{dag_from_cnf, regularize};
-use reason::hmm::Hmm;
 use reason::pc::{compile_cnf, Circuit, Evidence, PcNode, WmcWeights};
 use reason::sat::{
     brute_force, weighted_count, CdclSolver, Cnf, CubeAndConquer, CubeConfig, Preprocessor,
@@ -114,16 +113,6 @@ proptest! {
         let out = routing.apply(&(0..n).collect::<Vec<_>>());
         for (i, &o) in perm.iter().enumerate() {
             prop_assert_eq!(out[o], i);
-        }
-    }
-
-    #[test]
-    fn hmm_filtering_normalizes(states in 2usize..5, symbols in 2usize..5, seed in 0u64..100, len in 1usize..12) {
-        let hmm = Hmm::random(states, symbols, seed);
-        let obs: Vec<usize> = (0..len).map(|t| (t * 7 + seed as usize) % symbols).collect();
-        for row in hmm.filter(&obs) {
-            let total: f64 = row.iter().sum();
-            prop_assert!((total - 1.0).abs() < 1e-6);
         }
     }
 
@@ -1175,18 +1164,6 @@ fn pinned_wmc_matches_hand_computed_probability() {
     let pr = circuit.probability(&Evidence::empty(2));
     assert!((pr - 0.75).abs() < 1e-12, "got {pr}");
     circuit.validate().unwrap();
-}
-
-/// Length-1 observation sequences exercise the filter's base case.
-#[test]
-fn pinned_hmm_filter_normalizes_on_single_observation() {
-    let hmm = Hmm::random(3, 4, 2024);
-    for symbol in 0..4 {
-        let rows = hmm.filter(&[symbol]);
-        assert_eq!(rows.len(), 1);
-        let total: f64 = rows[0].iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "symbol {symbol}: total {total}");
-    }
 }
 
 /// Keys in [`store_pool`].

@@ -18,7 +18,10 @@
 //! The scan attributes by identifier, so a name defined `pub` in more
 //! than one place (`new`, `len`, `stats`, …) cannot be attributed and is
 //! skipped; [`AMBIGUOUS_NAMES`] pins how many, so a new `pub fn new`
-//! does not silently widen the blind spot. [`PUB_ITEMS`] pins the size
+//! does not silently widen the blind spot. A second blind spot is not
+//! counted: a name shared with a std method (`filter`, `map`, `get`, …)
+//! is credited with every call of that method, so an item only tests
+//! reach can pass. [`PUB_ITEMS`] pins the size
 //! of the surface itself: the compiler already refuses a `pub` item
 //! nothing outside its crate needs to be `pub` for (every `pub fn` is
 //! as narrow as the workspace, `benchmark/` and the doctests allow, and
@@ -219,7 +222,7 @@ const KEPT: &[(&str, &str, &str)] = &[
 ];
 
 /// `pub` items under `crates/*/src`, re-exports not counted.
-const PUB_ITEMS: usize = 731;
+const PUB_ITEMS: usize = 723;
 
 /// Names with more than one `pub` definition under `crates/*/src`.
 const AMBIGUOUS_NAMES: usize = 53;
