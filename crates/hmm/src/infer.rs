@@ -9,8 +9,9 @@
 //!
 //! * **Log space** — `Hmm::forward` and [`Hmm::log_likelihood`] (plus
 //!   the test-only `backward` and `forward_backward` oracles) add
-//!   log-probabilities and combine them with `log_sum_exp`. Their outputs are bit-exact constants of the
-//!   repository: GeLaTo's fluency score reads `log_likelihood`.
+//!   log-probabilities and combine them with `log_sum_exp`. Their
+//!   outputs are bit-exact constants of the repository: GeLaTo's
+//!   fluency score reads `log_likelihood`.
 //! * **Linear domain** — `Hmm::posteriors` (and through it Baum–Welch
 //!   and `prune_transitions`) runs a *scaled* (Rabiner) forward-backward
 //!   over tables exponentiated once per call (`LinearTables`): every
