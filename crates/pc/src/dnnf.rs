@@ -66,6 +66,24 @@
 //! source for the target's baseline and for AVX2, and pick one per walk
 //! from what the CPU reports; both give every answer the same bits.
 //!
+//! **Tiles and threads.** A call's lane tiles — every max-product tile
+//! of its MPE lanes, then every sum-product tile of its other lanes —
+//! are one job list. The calling thread walks the first job on the
+//! [`BatchBuffer`] it was given and then claims jobs from the list's
+//! atomic counter. When the call has two tiles or more and enough
+//! node·lanes to pay for the hand-off (2^16; `FAN_OUT_NODE_LANES`
+//! gives the measured basis), the list is first published to a
+//! process-wide pool of helper threads, one per core beyond the
+//! caller's, spawned on the first call that fans out; each helper that
+//! wakes before the list is empty claims jobs from the same counter. A
+//! helper walks on its own buffer, so its scratch is bounded by one
+//! tile's value table plus one argmax table, grown to the largest arena
+//! it walked. A lane's bits do not depend on which thread walked its
+//! tile, so every answer is the same on every path. One call holds the pool at a time: a call that
+//! finds it held walks all of its tiles on the caller, through the same
+//! code. A panic in a helper's tile is re-raised on the caller once
+//! every claimed tile has finished.
+//!
 //! Only *binary* universes are accepted (every compiled formula circuit
 //! is one); [`Dnnf::from_circuit`] reports [`DnnfError`] otherwise.
 //!
@@ -85,13 +103,14 @@
 //! assert!((p - circuit.probability(&ev)).abs() <= 1e-15 * p);
 //! ```
 
-use std::collections::HashMap;
 use std::f64::consts::LN_2;
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::Mutex;
 
 use crate::circuit::{Circuit, PcNode};
 use crate::infer::{Evidence, MpeResult};
+use crate::tile_pool::{self, Pool};
 
 /// Why a circuit could not be flattened into a [`Dnnf`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -423,9 +442,36 @@ const MARGINALIZED: u8 = 2;
 const TILE: usize = 64;
 const _: () = assert!(TILE <= 64);
 
-/// The storage-lane tiles `(first lane, width)` of a `lanes`-wide slab.
-fn tiles(lanes: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..lanes).step_by(TILE).map(move |t0| (t0, TILE.min(lanes - t0)))
+/// Node·lanes (arena nodes × storage lanes, summed over a call's
+/// sum-product and max-product slabs) a call of two or more tiles must
+/// walk before its tiles go to the tile pool: below it, waking a helper
+/// costs more than the helper saves. A parked helper's condvar wake
+/// reads p50 14–44 µs and p90 19–82 µs on a 2-core VM, and a walk costs
+/// 0.9–1.2 ns per sum-product node·lane and 1.3–2.4 ns per max-product
+/// one there (in-process, 64-lane tiles of random 3-CNF arenas of 510
+/// to 8,042 nodes), so 2^16 node·lanes is about 65 µs of walking: the
+/// p90 wake plus the publish. The serving benchmark's 256-query calls
+/// on 1.4k-node arenas walk ~400k; four exact queries on a 500-node
+/// arena walk a few thousand, and a one-lane call has one tile.
+const FAN_OUT_NODE_LANES: usize = 1 << 16;
+
+/// Grows `table` to at least `len` values, to exactly `len` if it grows,
+/// so the value table's size does not depend on the order in which a
+/// buffer walked tiles of different widths.
+fn grow<V: Copy>(table: &mut Vec<V>, len: usize, fill: V) {
+    if table.len() < len {
+        table.reserve_exact(len - table.len());
+        table.resize(len, fill);
+    }
+}
+
+/// One job of a batch's tile list: the storage lanes from `t0` of one
+/// tile, and where their answers go.
+enum Tile<'a> {
+    /// A sum-product walk; `out` takes the root value per lane.
+    Sum { batch: &'a DnnfBatch, t0: usize, out: &'a mut [Ext] },
+    /// A max-product walk and its traces; `out` takes the MPE per lane.
+    Max { batch: &'a DnnfBatch, t0: usize, out: &'a mut [MpeResult] },
 }
 
 /// The lanes of one tile's code run that observe their variable, as a
@@ -572,6 +618,108 @@ fn weighted_sum_into<'a, V: Value + 'a>(
     }
 }
 
+/// The storage lanes of a batch being packed, by column: open
+/// addressing over a power-of-two table of lane ids, keyed by a word
+/// hash of the column's codes, never more than half full. The hash has
+/// no random seed, so a batch of columns chosen to collide costs
+/// quadratic time in its own width, and nothing beyond it.
+struct LaneIndex {
+    /// Lane id per table slot, [`LaneIndex::EMPTY`] if none.
+    table: Vec<u32>,
+    /// Each lane's column hash, to grow the table without rehashing.
+    hashes: Vec<u64>,
+}
+
+impl LaneIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    /// An index sized for `columns` distinct columns; it allocates
+    /// nothing for none.
+    fn with_capacity(columns: usize) -> Self {
+        let size = if columns == 0 { 0 } else { (2 * columns).next_power_of_two().max(16) };
+        LaneIndex { table: vec![Self::EMPTY; size], hashes: Vec::with_capacity(columns) }
+    }
+
+    /// Distinct columns seen.
+    fn lanes(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// A word hash of a column's codes, 8 at a time.
+    fn hash(col: &[u8]) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut words = col.chunks_exact(8);
+        let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+        let mut h = words.by_ref().fold(col.len() as u64, |h, w| {
+            mix(h, u64::from_le_bytes(w.try_into().expect("eight bytes")))
+        });
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            h = mix(h, u64::from_le_bytes(w));
+        }
+        h
+    }
+
+    /// The table slot to probe first for `hash`: its high bits, which
+    /// the multiply mixes best.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// The storage lane of the last column of `distinct` (columns of
+    /// `n` codes, the earlier ones pairwise distinct and indexed), and
+    /// whether it is new: a new column takes the next lane id.
+    fn lane_of(&mut self, distinct: &[u8], n: usize) -> (u32, bool) {
+        let start = distinct.len() - n;
+        let col = &distinct[start..];
+        let hash = Self::hash(col);
+        if 2 * (self.hashes.len() + 1) > self.table.len() {
+            self.rehash((2 * self.table.len()).max(16));
+        }
+        let mask = self.table.len() - 1;
+        let mut at = self.home(hash);
+        loop {
+            match self.table[at] {
+                Self::EMPTY => break,
+                id => {
+                    let s = id as usize;
+                    if self.hashes[s] == hash && &distinct[s * n..s * n + n] == col {
+                        return (id, false);
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
+        let id = self.hashes.len() as u32;
+        self.table[at] = id;
+        self.hashes.push(hash);
+        (id, true)
+    }
+
+    /// Moves every lane into a table of `size` slots.
+    fn rehash(&mut self, size: usize) {
+        self.table = vec![Self::EMPTY; size];
+        let mask = size - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut at = self.home(hash);
+            while self.table[at] != Self::EMPTY {
+                at = (at + 1) & mask;
+            }
+            self.table[at] = id as u32;
+        }
+    }
+}
+
+// The tile pool's helpers walk one arena and one batch from several
+// threads at once: a field that is not `Send + Sync` would break that.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<Dnnf>();
+    shared::<DnnfBatch>();
+};
+
 /// A batch of B evidence lanes packed structure-of-arrays: one byte per
 /// `(variable, lane)` pair, variable-major, so a batched traversal reads
 /// each variable's codes as one contiguous run. This is the weight
@@ -618,32 +766,31 @@ impl DnnfBatch {
         num_vars: usize,
         columns: impl Iterator<Item = (&'a Evidence, Option<(usize, u8)>)>,
     ) -> Self {
-        let mut index: HashMap<Vec<u8>, u32> = HashMap::new();
         let mut expand = Vec::with_capacity(columns.size_hint().0);
-        let mut col = vec![MARGINALIZED; num_vars];
+        // The distinct columns in order of first arrival, `num_vars`
+        // codes each: storage lane `s` is `distinct[s * num_vars..]`.
+        // Each arriving column is written at the end and dropped again
+        // if it repeats one.
+        let mut distinct: Vec<u8> = Vec::with_capacity(num_vars * expand.capacity());
+        let mut index = LaneIndex::with_capacity(expand.capacity());
         for (lane, (ev, set)) in columns.enumerate() {
             assert_eq!(ev.len(), num_vars, "lane {lane} arity mismatch");
-            for (var, c) in col.iter_mut().enumerate() {
-                *c = ev.value(var).map_or(MARGINALIZED, |v| v as u8);
-            }
+            let start = distinct.len();
+            distinct.extend(ev.values().iter().map(|v| v.map_or(MARGINALIZED, |v| v as u8)));
             if let Some((var, code)) = set {
-                col[var] = code;
+                distinct[start + var] = code;
             }
-            let id = match index.get(&col) {
-                Some(&id) => id,
-                None => {
-                    let id = index.len() as u32;
-                    index.insert(col.clone(), id);
-                    id
-                }
-            };
+            let (id, new) = index.lane_of(&distinct, num_vars);
+            if !new {
+                distinct.truncate(start);
+            }
             expand.push(id);
         }
-        let lanes = index.len();
+        let lanes = index.lanes();
         let mut codes = vec![MARGINALIZED; num_vars * lanes];
-        for (col, &lane) in &index {
+        for (lane, col) in distinct.chunks_exact(num_vars.max(1)).enumerate() {
             for (var, &c) in col.iter().enumerate() {
-                codes[var * lanes + lane as usize] = c;
+                codes[var * lanes + lane] = c;
             }
         }
         DnnfBatch { num_vars, lanes, codes, expand }
@@ -737,6 +884,12 @@ fn marginals_from_roots(triplets: &[Ext]) -> Vec<Vec<f64>> {
 /// observed variable in the node's scope). The tables only ever grow,
 /// to the largest arena seen; one buffer per worker thread makes every
 /// batch after the first allocation-free.
+///
+/// The buffer a call is given walks the call's first tile and every
+/// tile the calling thread claims; a wide call's other tiles are
+/// walked by the tile pool's helpers (see the [module docs](self)),
+/// each on a buffer of its own, and their walks and computed node·lanes
+/// are added to this buffer's counts.
 #[derive(Debug, Clone, Default)]
 pub struct BatchBuffer {
     vals: Vec<f64>,
@@ -755,19 +908,32 @@ impl BatchBuffer {
     }
 
     /// Node-table walks (sum-product or max-product, one per lane tile)
-    /// run against this buffer since it was created.
+    /// run against this buffer since it was created, counting the tiles
+    /// the tile pool's helpers walked for its calls.
     pub fn walks(&self) -> u64 {
         self.walks
     }
 
-    /// Node·lanes the sum-product walks against this buffer computed
-    /// rather than copied from the node's empty-evidence value: per
-    /// tile, the `(node, lane)` pairs whose lane observes a variable in
-    /// the node's scope. (A partly observed node — leaf, And or Or —
-    /// recomputes its other lanes too, to the same bits as the copy;
-    /// they are not counted.)
+    /// Node·lanes the sum-product walks against this buffer (or the
+    /// helpers', for its calls) computed rather than copied from the
+    /// node's empty-evidence value: per tile, the `(node, lane)` pairs
+    /// whose lane observes a variable in the node's scope. (A partly
+    /// observed node — leaf, And or Or — recomputes its other lanes too,
+    /// to the same bits as the copy; they are not counted.)
     pub fn lanes_computed(&self) -> u64 {
         self.computed
+    }
+
+    /// The buffer's walks and computed node·lanes.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (self.walks, self.computed)
+    }
+
+    /// Adds walks and computed node·lanes that other threads' buffers
+    /// counted for a batch walked on this one's behalf.
+    pub(crate) fn add_counts(&mut self, (walks, computed): (u64, u64)) {
+        self.walks += walks;
+        self.computed += computed;
     }
 
     /// Bytes held by the value tables (f64 and, once an arena out of
@@ -1010,31 +1176,99 @@ impl Dnnf {
         batch.fan_out(&roots.into_iter().map(Ext::ln).collect::<Vec<_>>())
     }
 
-    /// The root value per *storage* lane of `batch`, walked on the
-    /// widest vector instruction set the CPU runs.
+    /// The root value per *storage* lane of `batch`.
     fn roots(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<Ext> {
-        self.roots_on(batch, buf, Isa::detect())
+        self.walk_tiles(Some(batch), None, buf).0
     }
 
-    fn roots_on(&self, batch: &DnnfBatch, buf: &mut BatchBuffer, isa: Isa) -> Vec<Ext> {
+    /// Walks every lane tile of `sum` (sum-product) and of `max`
+    /// (max-product), on the widest vector instruction set the CPU
+    /// runs, and returns the root value per storage lane of `sum` and
+    /// the most probable explanation per storage lane of `max`. The
+    /// tiles are one job list, walked beside the caller by the tile
+    /// pool when the batch is wide enough to pay for the hand-off (see
+    /// [`FAN_OUT_NODE_LANES`]).
+    fn walk_tiles(
+        &self,
+        sum: Option<&DnnfBatch>,
+        max: Option<&DnnfBatch>,
+        buf: &mut BatchBuffer,
+    ) -> (Vec<Ext>, Vec<MpeResult>) {
+        let lanes = |b: Option<&DnnfBatch>| b.map_or(0, |b| b.lanes);
+        let jobs = lanes(sum).div_ceil(TILE) + lanes(max).div_ceil(TILE);
+        let node_lanes = self.nodes.len() * (lanes(sum) + lanes(max));
+        let pool = (jobs >= 2 && node_lanes >= FAN_OUT_NODE_LANES).then(Pool::global);
+        let (roots, mpes, _) = self.walk_tiles_on(sum, max, buf, Isa::detect(), pool);
+        (roots, mpes)
+    }
+
+    /// [`walk_tiles`](Self::walk_tiles) on `isa`, offering the tiles to
+    /// `pool`'s helpers if one is given; also returns whether they were
+    /// offered (the pool may be held by another caller).
+    fn walk_tiles_on(
+        &self,
+        sum: Option<&DnnfBatch>,
+        max: Option<&DnnfBatch>,
+        buf: &mut BatchBuffer,
+        isa: Isa,
+        pool: Option<&Pool>,
+    ) -> (Vec<Ext>, Vec<MpeResult>, bool) {
         if self.wide {
-            self.roots_of::<Ext>(batch, buf, isa)
+            self.tiles_of::<Ext>(sum, max, buf, isa, pool)
         } else {
-            self.roots_of::<f64>(batch, buf, isa)
+            self.tiles_of::<f64>(sum, max, buf, isa, pool)
         }
     }
 
-    fn roots_of<V: Value>(&self, batch: &DnnfBatch, buf: &mut BatchBuffer, isa: Isa) -> Vec<Ext> {
-        assert_eq!(batch.num_vars, self.num_vars, "batch arity mismatch");
-        let mut roots = Vec::with_capacity(batch.lanes);
-        let mut vals = std::mem::take(V::table(buf));
-        let root = self.slot[self.root as usize] as usize;
-        for (t0, l) in tiles(batch.lanes) {
-            self.sum_product_walk(batch, t0, l, &mut vals, buf, isa);
-            roots.extend(vals[root * l..root * l + l].iter().map(|v| v.wide()));
+    fn tiles_of<V: Value>(
+        &self,
+        sum: Option<&DnnfBatch>,
+        max: Option<&DnnfBatch>,
+        buf: &mut BatchBuffer,
+        isa: Isa,
+        pool: Option<&Pool>,
+    ) -> (Vec<Ext>, Vec<MpeResult>, bool) {
+        for batch in sum.iter().chain(&max) {
+            assert_eq!(batch.num_vars, self.num_vars, "batch arity mismatch");
         }
-        *V::table(buf) = vals;
-        roots
+        let mut roots = vec![Ext::ZERO; sum.map_or(0, |b| b.lanes)];
+        let unset = MpeResult { assignment: Vec::new(), log_prob: 0.0 };
+        let mut mpes = vec![unset; max.map_or(0, |b| b.lanes)];
+        // MPE tiles first: a max-product walk and its per-lane traces
+        // take longest, so they should not be the last jobs claimed.
+        let mut tiles: Vec<Mutex<Tile<'_>>> = Vec::new();
+        if let Some(batch) = max {
+            for (k, out) in mpes.chunks_mut(TILE).enumerate() {
+                tiles.push(Mutex::new(Tile::Max { batch, t0: k * TILE, out }));
+            }
+        }
+        if let Some(batch) = sum {
+            for (k, out) in roots.chunks_mut(TILE).enumerate() {
+                tiles.push(Mutex::new(Tile::Sum { batch, t0: k * TILE, out }));
+            }
+        }
+        let walk = |i: usize, buf: &mut BatchBuffer| {
+            let mut tile = tiles[i].lock().expect("every tile is claimed once");
+            let mut vals = std::mem::take(V::table(buf));
+            match &mut *tile {
+                Tile::Sum { batch, t0, out } => {
+                    let l = out.len();
+                    self.sum_product_walk(batch, *t0, l, &mut vals, buf, isa);
+                    let root = self.slot[self.root as usize] as usize;
+                    for (o, v) in out.iter_mut().zip(&vals[root * l..root * l + l]) {
+                        *o = v.wide();
+                    }
+                }
+                Tile::Max { batch, t0, out } => {
+                    self.max_product_walk(batch, *t0, out.len(), &mut vals, buf, isa);
+                    self.trace_tile(batch, *t0, out, &vals, buf);
+                }
+            }
+            *V::table(buf) = vals;
+        };
+        let fanned = tile_pool::walk_jobs(pool, tiles.len(), buf, &walk);
+        drop(tiles);
+        (roots, mpes, fanned)
     }
 
     /// One sum-product walk of the node table over the `l` storage
@@ -1064,9 +1298,7 @@ impl Dnnf {
         // Grow only, and no clear: every chunk and mask is written
         // before it is read (children precede parents in the arena).
         let slots = self.slots as usize;
-        if vals.len() < slots * l {
-            vals.resize(slots * l, V::ZERO);
-        }
+        grow(vals, slots * l, V::ZERO);
         if buf.dirty.len() < slots {
             buf.dirty.resize(slots, 0);
         }
@@ -1201,8 +1433,10 @@ impl Dnnf {
     /// are packed into **one** slab, so duplicate columns collapse
     /// across kinds and the whole batch costs one sum-product traversal
     /// per lane tile, however many variables the marginals ask about.
-    /// MPE lanes share one max-product pass of their own. Any group may
-    /// be empty. Answers are bit-identical per lane to
+    /// MPE lanes share one max-product pass of their own. Both passes'
+    /// tiles are one job list, which a wide batch shares with the tile
+    /// pool (see the [module docs](self)). Any group may be empty.
+    /// Answers are bit-identical per lane to
     /// [`wmc_batch`](Self::wmc_batch),
     /// [`marginal_batch`](Self::marginal_batch) and
     /// [`mpe_batch`](Self::mpe_batch).
@@ -1223,14 +1457,15 @@ impl Dnnf {
             [MARGINALIZED, 0, 1].map(|code| (ev, Some((var, code))))
         });
         let sum_lanes = probabilities.iter().map(|&ev| (ev, None)).chain(columns);
-        let batch = DnnfBatch::from_columns(self.num_vars, sum_lanes);
-        let roots = batch.fan_out(&self.roots(&batch, buf));
+        let sum = DnnfBatch::from_columns(self.num_vars, sum_lanes);
+        let max = DnnfBatch::from_columns(self.num_vars, mpes.iter().map(|&ev| (ev, None)));
+        let (roots, results) = self.walk_tiles(Some(&sum), Some(&max), buf);
+        let roots = sum.fan_out(&roots);
         let (ps, triplets) = roots.split_at(probabilities.len());
-        let max_lanes = mpes.iter().map(|&ev| (ev, None));
         (
             ps.iter().map(|p| p.to_f64()).collect(),
             marginals_from_roots(triplets),
-            self.mpe_batch(&DnnfBatch::from_columns(self.num_vars, max_lanes), buf),
+            max.fan_out(&results),
         )
     }
 
@@ -1244,66 +1479,55 @@ impl Dnnf {
     ///
     /// Panics if `batch.num_vars() != self.num_vars()`.
     pub fn mpe_batch(&self, batch: &DnnfBatch, buf: &mut BatchBuffer) -> Vec<MpeResult> {
-        self.mpe_on(batch, buf, Isa::detect())
+        batch.fan_out(&self.walk_tiles(None, Some(batch), buf).1)
     }
 
-    fn mpe_on(&self, batch: &DnnfBatch, buf: &mut BatchBuffer, isa: Isa) -> Vec<MpeResult> {
-        if self.wide {
-            self.mpe_of::<Ext>(batch, buf, isa)
-        } else {
-            self.mpe_of::<f64>(batch, buf, isa)
-        }
-    }
-
-    fn mpe_of<V: Value>(
+    /// The downward trace of one max-product tile: per storage lane
+    /// from `t0`, the assignment its argmaxes select (one child per
+    /// disjunction, observed variables kept) and the `ln` of its root
+    /// value, into `out`.
+    fn trace_tile<V: Value>(
         &self,
         batch: &DnnfBatch,
+        t0: usize,
+        out: &mut [MpeResult],
+        vals: &[V],
         buf: &mut BatchBuffer,
-        isa: Isa,
-    ) -> Vec<MpeResult> {
-        assert_eq!(batch.num_vars, self.num_vars, "batch arity mismatch");
-        let mut per_storage = Vec::with_capacity(batch.lanes);
-        let mut vals = std::mem::take(V::table(buf));
+    ) {
+        let l = out.len();
         let root = self.slot[self.root as usize] as usize;
-        for (t0, l) in tiles(batch.lanes) {
-            self.max_product_walk(batch, t0, l, &mut vals, buf, isa);
-            // Per-storage-lane downward trace selecting one child per
-            // disjunction; duplicate query lanes share the traced result.
-            let (arg, stack) = (&buf.arg, &mut buf.stack);
-            per_storage.extend((0..l).map(|lane| {
-                let observed = |var: usize| batch.storage_value(var, t0 + lane);
-                let mut assignment: Vec<usize> =
-                    (0..self.num_vars).map(|v| observed(v).unwrap_or(0)).collect();
-                stack.clear();
-                stack.push(self.root);
-                while let Some(id) = stack.pop() {
-                    match self.nodes[id as usize] {
-                        Node::Indicator { var, value } => {
-                            if observed(var as usize).is_none() {
-                                assignment[var as usize] = usize::from(value);
-                            }
-                        }
-                        Node::Leaf { var, p } => {
-                            if observed(var as usize).is_none() {
-                                assignment[var as usize] = usize::from(p[1] > p[0]);
-                            }
-                        }
-                        Node::And { start, len, .. } => {
-                            let (s, e) = (start as usize, (start + len) as usize);
-                            stack.extend(self.edges[s..e].iter().copied());
-                        }
-                        Node::Or { start, .. } => {
-                            let k = arg[id as usize * l + lane];
-                            stack.push(self.edges[(start + k) as usize]);
+        let (arg, stack) = (&buf.arg, &mut buf.stack);
+        for (lane, out) in out.iter_mut().enumerate() {
+            let observed = |var: usize| batch.storage_value(var, t0 + lane);
+            let mut assignment: Vec<usize> =
+                (0..self.num_vars).map(|v| observed(v).unwrap_or(0)).collect();
+            stack.clear();
+            stack.push(self.root);
+            while let Some(id) = stack.pop() {
+                match self.nodes[id as usize] {
+                    Node::Indicator { var, value } => {
+                        if observed(var as usize).is_none() {
+                            assignment[var as usize] = usize::from(value);
                         }
                     }
+                    Node::Leaf { var, p } => {
+                        if observed(var as usize).is_none() {
+                            assignment[var as usize] = usize::from(p[1] > p[0]);
+                        }
+                    }
+                    Node::And { start, len, .. } => {
+                        let (s, e) = (start as usize, (start + len) as usize);
+                        stack.extend(self.edges[s..e].iter().copied());
+                    }
+                    Node::Or { start, .. } => {
+                        let k = arg[id as usize * l + lane];
+                        stack.push(self.edges[(start + k) as usize]);
+                    }
                 }
-                let log_prob = vals[root * l + lane].wide().ln();
-                MpeResult { assignment, log_prob }
-            }));
+            }
+            let log_prob = vals[root * l + lane].wide().ln();
+            *out = MpeResult { assignment, log_prob };
         }
-        *V::table(buf) = vals;
-        batch.fan_out(&per_storage)
     }
 
     /// One max-product walk of the node table over the `l <= TILE`
@@ -1322,9 +1546,7 @@ impl Dnnf {
     ) {
         buf.walks += 1;
         let (n, slots) = (self.nodes.len(), self.slots as usize);
-        if vals.len() < slots * l {
-            vals.resize(slots * l, V::ZERO);
-        }
+        grow(vals, slots * l, V::ZERO);
         if buf.arg.len() < n * l {
             buf.arg.resize(n * l, 0);
         }
@@ -2295,14 +2517,125 @@ mod tests {
             let triplets = batch.triplets(circuit.num_vars() / 2);
             let run = |isa: Isa| {
                 let mut buf = BatchBuffer::new();
-                let roots = bits(&arena.roots_on(&batch, &mut buf, isa));
-                let wide = (circuit.num_vars() > 0)
-                    .then(|| bits(&arena.roots_on(&triplets, &mut buf, isa)));
-                (roots, wide, mpe_bits(&arena.mpe_on(&batch, &mut buf, isa)))
+                let mut walk = |sum, max| arena.walk_tiles_on(sum, max, &mut buf, isa, None);
+                let roots = bits(&walk(Some(&batch), None).0);
+                let wide = (circuit.num_vars() > 0).then(|| bits(&walk(Some(&triplets), None).0));
+                (roots, wide, mpe_bits(&walk(None, Some(&batch)).1))
             };
             let baseline = run(Isa::Baseline);
             for &isa in &isas[1..] {
                 assert!(run(isa) == baseline, "case {k}: {isa:?} differs from the baseline");
+            }
+        }
+    }
+
+    /// Walks `sum` and `max` as one tile list through the process's
+    /// tile pool until a call fans out (the pool may be held by a test
+    /// on another thread), and returns the answers' bits, the walk
+    /// counts and whether a call fanned out.
+    fn fanned_bits(arena: &Dnnf, sum: &DnnfBatch, max: &DnnfBatch) -> (TileBits, bool) {
+        let pool = Some(Pool::global());
+        for _ in 0..1_000 {
+            let mut buf = BatchBuffer::new();
+            let (roots, mpes, fanned) =
+                arena.walk_tiles_on(Some(sum), Some(max), &mut buf, Isa::detect(), pool);
+            if fanned || std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+                return (tile_bits(&roots, &mpes, &buf), fanned);
+            }
+            std::thread::yield_now();
+        }
+        panic!("the tile pool stayed held by other callers");
+    }
+
+    /// The bits of a walk's roots and MPEs, its walks and its computed
+    /// node·lanes.
+    type TileBits = (Vec<(u64, i32)>, Vec<(Vec<usize>, u64)>, u64, u64);
+
+    fn tile_bits(roots: &[Ext], mpes: &[MpeResult], buf: &BatchBuffer) -> TileBits {
+        (
+            roots.iter().map(|r| (r.m.to_bits(), r.e)).collect(),
+            mpes.iter().map(|m| (m.assignment.clone(), m.log_prob.to_bits())).collect(),
+            buf.walks(),
+            buf.lanes_computed(),
+        )
+    }
+
+    #[test]
+    fn a_fanned_out_batch_has_the_bits_of_one_walked_a_tile_at_a_time() {
+        // Extended-exponent arenas and f64 ones, each with a sum slab
+        // and an MPE slab of several tiles.
+        let mut arenas: Vec<(Dnnf, usize)> = Vec::new();
+        for (_, _, cnf, probs) in extended_inputs() {
+            if let Some(circuit) = compile_cnf(&cnf, &WmcWeights::new(probs)) {
+                arenas.push((Dnnf::from_circuit(&circuit).unwrap(), cnf.num_vars()));
+            }
+        }
+        let extended = arenas.len();
+        assert!(extended >= 6 && arenas.iter().all(|(a, _)| a.wide));
+        arenas.extend(
+            [(3, 9, 22), (5, 12, 30)]
+                .iter()
+                .filter_map(|&(seed, n, m)| compiled(seed, n, m).map(|(_, arena)| (arena, n))),
+        );
+        let mut fanned_out = 0;
+        for (k, (arena, n)) in arenas.iter().enumerate() {
+            let lanes = distinct_lanes(*n, 2 * TILE + 20);
+            let sum = DnnfBatch::pack(&lanes).triplets(n / 2);
+            let max = DnnfBatch::pack(&lanes[..TILE + 7]);
+            let mut buf = BatchBuffer::new();
+            let (roots, mpes, fanned) =
+                arena.walk_tiles_on(Some(&sum), Some(&max), &mut buf, Isa::detect(), None);
+            assert!(!fanned, "no pool, no fan-out");
+            let inline = tile_bits(&roots, &mpes, &buf);
+            let (spread, fanned) = fanned_bits(arena, &sum, &max);
+            assert!(
+                spread == inline,
+                "arena {k} (extended: {}): the fan-out moved a bit",
+                k < extended
+            );
+            fanned_out += usize::from(fanned);
+        }
+        println!("{fanned_out} of {} arenas fanned out", arenas.len());
+    }
+
+    #[test]
+    fn two_threads_batching_on_one_arena_at_once_get_the_sequential_bits() {
+        let (_, arena) = compiled(5, 24, 60).expect("seed 5 is satisfiable");
+        let lanes = distinct_lanes(24, 3 * TILE);
+        assert!(
+            arena.num_nodes() * lanes.len() >= FAN_OUT_NODE_LANES,
+            "{} nodes",
+            arena.num_nodes()
+        );
+        let refs: Vec<&Evidence> = lanes.iter().collect();
+        let marginals: Vec<(&Evidence, usize)> = refs.iter().map(|&ev| (ev, 3)).collect();
+        let ask = |buf: &mut BatchBuffer| {
+            let (ps, dists, mpes) = arena.query_batch(&refs, &marginals, &refs[..TILE + 1], buf);
+            let dists: Vec<f64> = dists.concat();
+            let ps: Vec<u64> = ps.iter().chain(&dists).map(|x| x.to_bits()).collect();
+            let mpes: Vec<(Vec<usize>, u64)> =
+                mpes.into_iter().map(|m| (m.assignment, m.log_prob.to_bits())).collect();
+            (ps, mpes, buf.walks(), buf.lanes_computed())
+        };
+        // The call made alone; then two at once, many times: one of
+        // the two holds the pool, the other walks its tiles inline.
+        let alone = ask(&mut BatchBuffer::new());
+        let start = std::sync::Barrier::new(2);
+        for round in 0..20 {
+            let both = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut buf = BatchBuffer::new();
+                            start.wait();
+                            ask(&mut buf)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().expect("no racer panics")).collect::<Vec<_>>()
+            });
+            for got in both {
+                assert!(got == alone, "round {round}: a racing call moved a bit");
             }
         }
     }

@@ -41,6 +41,11 @@ impl Evidence {
         self.values[var]
     }
 
+    /// Every variable's optional value, in variable order.
+    pub(crate) fn values(&self) -> &[Option<usize>] {
+        &self.values
+    }
+
     /// Sets variable `var` to `value`.
     pub fn set(&mut self, var: usize, value: usize) -> &mut Self {
         self.values[var] = Some(value);

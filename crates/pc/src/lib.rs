@@ -70,6 +70,7 @@ pub mod prune;
 mod reference;
 pub mod sample;
 pub mod structure;
+mod tile_pool;
 
 pub use circuit::{Circuit, CircuitBuilder, CircuitError, NodeId, PcNode};
 pub use compile::{

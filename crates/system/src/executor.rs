@@ -572,7 +572,11 @@ thread_local! {
     /// largest arena served: a 64-lane value table per live slot (a few
     /// hundred slots on arenas of tens of thousands of nodes, 323 KB on
     /// the tallest benchmark arena) and a 64-lane argmax table per node
-    /// once an MPE lane arrives.
+    /// once an MPE lane arrives. This buffer walks the first tile of
+    /// every batch and as many more as the thread claims; a wide
+    /// batch's other tiles are walked on the `reason-pc` tile pool's
+    /// helpers, each with a buffer of its own of the same bound, and
+    /// their walk counts are added to this one's.
     static SERVE_SCRATCH: RefCell<BatchBuffer> = RefCell::new(BatchBuffer::new());
 }
 
@@ -1132,35 +1136,52 @@ mod tests {
 
     #[test]
     fn panicking_serve_batch_leaves_the_threads_next_batch_correct() {
-        let (_, arena, z) = serve_kb(10);
-        let mut ev = Evidence::empty(10);
-        ev.set(2, 0).set(5, 1);
-        let good = vec![
-            ServeQuery::Posterior(ev.clone()),
-            ServeQuery::Marginal(ev.clone(), 3),
-            ServeQuery::Mpe(ev.clone()),
-        ];
-        // Variable 10 does not exist: the kernel's range assert fires
-        // after the thread's scratch has been borrowed.
-        let poison = vec![ServeQuery::Probability(ev.clone()), ServeQuery::Marginal(ev, 10)];
-        let tasks = [
-            serve_task("before", &arena, z, good.clone()),
-            serve_task("poison", &arena, z, poison),
-            serve_task("after", &arena, z, good),
-        ];
-        // Inline, and one symbolic worker: all three tasks share a thread.
-        for config in [ExecutorConfig::sequential(), ExecutorConfig::overlapped(1)] {
-            let report = BatchExecutor::new(config).run(&tasks);
-            match &report.results[1].verdict {
-                Verdict::Failed { reason } => {
-                    assert!(reason.contains("out of range"), "unexpected panic message: {reason}");
+        // A three-lane batch on a small arena, and a batch of several
+        // lane tiles on a taller one, wide enough for its tiles to go
+        // to the arena's tile pool.
+        for (n, lanes) in [(10, 1), (16, 150)] {
+            let (_, arena, z) = serve_kb(n);
+            let mut good = Vec::new();
+            for k in 0..lanes {
+                let mut ev = Evidence::empty(n);
+                ev.set(2, 0).set(5, 1);
+                for var in (6..n).filter(|var| k >> (var - 6) & 1 == 1) {
+                    ev.set(var, k % 2);
                 }
-                other => panic!("poisoned slot must fail, got {other:?}"),
+                good.extend([
+                    ServeQuery::Posterior(ev.clone()),
+                    ServeQuery::Marginal(ev.clone(), 3),
+                    ServeQuery::Mpe(ev),
+                ]);
             }
-            assert!(
-                matches!(&report.results[0].verdict, Verdict::Batch(lanes) if lanes.len() == 3)
-            );
-            assert_eq!(report.results[2].verdict, report.results[0].verdict, "{config:?}");
+            // Variable `n` does not exist: the kernel's range assert
+            // fires after the thread's scratch has been borrowed.
+            let mut poison = good.clone();
+            poison.push(ServeQuery::Marginal(Evidence::empty(n), n));
+            let tasks = [
+                serve_task("before", &arena, z, good.clone()),
+                serve_task("poison", &arena, z, poison),
+                serve_task("after", &arena, z, good.clone()),
+            ];
+            // Inline, and one symbolic worker: all three tasks share a
+            // thread.
+            for config in [ExecutorConfig::sequential(), ExecutorConfig::overlapped(1)] {
+                let report = BatchExecutor::new(config).run(&tasks);
+                match &report.results[1].verdict {
+                    Verdict::Failed { reason } => {
+                        assert!(reason.contains("out of range"), "unexpected panic: {reason}");
+                    }
+                    other => panic!("poisoned slot must fail, got {other:?}"),
+                }
+                let Verdict::Batch(verdicts) = &report.results[0].verdict else {
+                    panic!("n = {n}: {:?}", report.results[0].verdict);
+                };
+                assert_eq!(verdicts.len(), good.len());
+                assert_eq!(report.results[2].verdict, report.results[0].verdict, "{config:?}");
+                for (q, query) in good.iter().enumerate().step_by(7) {
+                    assert_eq!(verdicts[q], answer_alone(&arena, query), "n = {n} query {q}");
+                }
+            }
         }
     }
 
