@@ -24,8 +24,8 @@
 //!
 //! Both [`Mlp`] forward passes and [`LlmProxy`] evaluations also serve as
 //! the *neural stage* of `reason_system::BatchExecutor` tasks: the
-//! executor's GPU-side worker pool runs them concurrently with symbolic
-//! work, realizing the stage overlap of Sec. VI-C.
+//! executor's caller runs them while its symbolic lanes reason over
+//! earlier tasks, realizing the stage overlap of Sec. VI-C.
 //!
 //! # Example
 //!

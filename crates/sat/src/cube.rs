@@ -3,11 +3,10 @@
 //! Cube-and-conquer (paper references \[27\], \[28\]) splits a hard formula
 //! into a tree of *cubes* — conjunctions of assumed literals chosen by
 //! lookahead — and solves each leaf cube with a CDCL "conquer" solver. The
-//! cubes are independent, so the conquer phase parallelizes; REASON's
-//! architecture exploits exactly this structure ("Multiple parallelable
-//! CDCLs", paper Fig. 9).
-
-use crossbeam::thread;
+//! cubes are independent; REASON's hardware conquers them side by side
+//! ("Multiple parallelable CDCLs", paper Fig. 9), which the BCP model in
+//! `reason-arch` (`SymbolicEngine`) accounts for. Here one incremental
+//! solver conquers them in order.
 
 use crate::cdcl::CdclSolver;
 use crate::cnf::Cnf;
@@ -23,15 +22,11 @@ const LOOKAHEAD_CANDIDATES: usize = 8;
 pub struct CubeConfig {
     /// Maximum cube depth (number of split literals per cube).
     pub max_depth: usize,
-    /// Number of conquer worker threads (1 = sequential incremental
-    /// solving; > 1 = threaded conquering with deterministic answer
-    /// selection — see [`CubeAndConquer::solve`]).
-    pub workers: usize,
 }
 
 impl Default for CubeConfig {
     fn default() -> Self {
-        CubeConfig { max_depth: 4, workers: 1 }
+        CubeConfig { max_depth: 4 }
     }
 }
 
@@ -119,18 +114,11 @@ impl CubeAndConquer {
     /// formula is UNSAT (the cubes partition the search space, with
     /// failed-literal branches already refuted during cubing).
     ///
-    /// With `workers > 1` the conquer phase is threaded, and the answer is
-    /// selected **deterministically**: the model returned is always the one
-    /// found in the lowest-indexed satisfiable cube, solved by a fresh CDCL
-    /// solver, so repeated parallel runs (and runs with different worker
-    /// counts) return bit-identical models. Only [`CubeOutcome::cubes_solved`]
-    /// is timing-dependent — workers may conquer a few extra cubes that were
-    /// already in flight when the winning cube was found.
-    ///
-    /// The sequential path (`workers <= 1`) instead reuses one incremental
-    /// solver across cubes so learned clauses carry over; its verdict always
-    /// matches the parallel path, but a SAT model may differ (both are
-    /// checked models of the formula).
+    /// The conquer phase runs one incremental CDCL solver over the cubes
+    /// in order, so clauses learned on one cube carry over to the next; it
+    /// stops at the first satisfiable cube and returns its model. The run
+    /// is deterministic: the same formula and depth give the same cubes,
+    /// the same model and the same [`CubeOutcome::cubes_solved`].
     pub fn solve(&self) -> CubeOutcome {
         let (cubes, refuted_during_cubing) = self.generate_cubes();
         if cubes.is_empty() {
@@ -142,15 +130,11 @@ impl CubeAndConquer {
                 cubes_solved: 0,
             };
         }
-        let (solution, cubes_solved) = if self.config.workers <= 1 {
-            self.conquer_sequential(&cubes)
-        } else {
-            self.conquer_parallel(&cubes)
-        };
+        let (solution, cubes_solved) = self.conquer(&cubes);
         CubeOutcome { solution, cubes, refuted_during_cubing, cubes_solved }
     }
 
-    fn conquer_sequential(&self, cubes: &[Vec<Lit>]) -> (Solution, usize) {
+    fn conquer(&self, cubes: &[Vec<Lit>]) -> (Solution, usize) {
         let mut solver = CdclSolver::new(&self.cnf);
         for (i, cube) in cubes.iter().enumerate() {
             if let Solution::Sat(model) = solver.solve_with_assumptions(cube) {
@@ -158,59 +142,6 @@ impl CubeAndConquer {
             }
         }
         (Solution::Unsat, cubes.len())
-    }
-
-    /// Threaded conquer with deterministic answer selection.
-    ///
-    /// Workers claim cube indices in increasing order from a shared
-    /// counter and solve each claimed cube with a *fresh* CDCL solver, so
-    /// every cube's result is a pure function of `(cnf, cube)`.
-    /// The first-found SAT cube only *bounds* the search: claims stop past
-    /// the best (lowest) SAT index seen so far, but every lower-indexed
-    /// cube was already claimed and will be finished, so after the join
-    /// the lowest SAT index — and therefore the returned model — is
-    /// independent of thread timing.
-    fn conquer_parallel(&self, cubes: &[Vec<Lit>]) -> (Solution, usize) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        let next = AtomicUsize::new(0);
-        let best_sat = AtomicUsize::new(usize::MAX);
-        let solved = AtomicUsize::new(0);
-        let models: Vec<Mutex<Option<Vec<bool>>>> =
-            cubes.iter().map(|_| Mutex::new(None)).collect();
-
-        thread::scope(|scope| {
-            for _ in 0..self.config.workers {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    // A cube past the best-known SAT index can never win
-                    // the deterministic selection; indices below it were
-                    // claimed earlier (claims are monotone) and complete
-                    // before the scope joins.
-                    if i >= cubes.len() || i > best_sat.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let mut solver = CdclSolver::new(&self.cnf);
-                    let sol = solver.solve_with_assumptions(&cubes[i]);
-                    solved.fetch_add(1, Ordering::SeqCst);
-                    if let Solution::Sat(model) = sol {
-                        *models[i].lock().unwrap() = Some(model);
-                        best_sat.fetch_min(i, Ordering::SeqCst);
-                    }
-                });
-            }
-        })
-        .expect("conquer worker panicked");
-
-        let solved = solved.into_inner();
-        match best_sat.into_inner() {
-            usize::MAX => (Solution::Unsat, solved),
-            best => {
-                let model = models[best].lock().unwrap().take().expect("winning cube has a model");
-                (Solution::Sat(model), solved)
-            }
-        }
     }
 }
 
@@ -231,18 +162,9 @@ mod tests {
 
     #[test]
     fn matches_brute_force_sequential() {
-        for seed in 0..10 {
+        for seed in (0..10).chain(100..106) {
             let cnf = random_ksat(10, 42, 3, seed);
             check(&cnf, CubeConfig::default());
-        }
-    }
-
-    #[test]
-    fn matches_brute_force_parallel() {
-        let config = CubeConfig { workers: 4, ..CubeConfig::default() };
-        for seed in 0..6 {
-            let cnf = random_ksat(10, 42, 3, 100 + seed);
-            check(&cnf, config.clone());
         }
     }
 
@@ -257,51 +179,15 @@ mod tests {
     #[test]
     fn planted_sat_found() {
         let cnf = planted_ksat(20, 80, 3, 5);
-        let config = CubeConfig { max_depth: 3, workers: 2 };
+        let config = CubeConfig { max_depth: 3 };
         let outcome = CubeAndConquer::new(&cnf, config).solve();
         assert!(outcome.solution.is_sat());
     }
 
     #[test]
-    fn parallel_and_sequential_agree_on_random_ksat() {
-        // The satellite guarantee: same SAT/UNSAT verdict with workers > 1
-        // as with the sequential conquer, across SAT and UNSAT instances.
-        for seed in 0..12 {
-            let cnf = random_ksat(10, 44, 3, 300 + seed);
-            let seq = CubeAndConquer::new(&cnf, CubeConfig::default()).solve();
-            let par = CubeAndConquer::new(&cnf, CubeConfig { workers: 4, ..CubeConfig::default() })
-                .solve();
-            assert_eq!(seq.solution.is_sat(), par.solution.is_sat(), "seed {seed}");
-            if let Solution::Sat(m) = &par.solution {
-                assert!(cnf.eval(m), "seed {seed}: parallel model must satisfy the formula");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_answer_selection_is_deterministic() {
-        // Repeated parallel runs (and different worker counts) must return
-        // bit-identical models: the lowest-indexed SAT cube always wins.
-        for seed in 0..4 {
-            let cnf = planted_ksat(18, 70, 3, 40 + seed);
-            let solve = |workers: usize| {
-                CubeAndConquer::new(&cnf, CubeConfig { workers, ..CubeConfig::default() })
-                    .solve()
-                    .solution
-            };
-            let reference = solve(2);
-            assert!(reference.is_sat());
-            for run in 0..3 {
-                assert_eq!(reference, solve(2), "seed {seed} run {run}");
-            }
-            assert_eq!(reference, solve(8), "seed {seed}: worker count changes the answer");
-        }
-    }
-
-    #[test]
     fn cube_count_bounded_by_depth() {
         let cnf = random_ksat(12, 50, 3, 11);
-        let config = CubeConfig { max_depth: 3, ..CubeConfig::default() };
+        let config = CubeConfig { max_depth: 3 };
         let (cubes, _) = CubeAndConquer::new(&cnf, config).generate_cubes();
         assert!(cubes.len() <= 8, "at most 2^3 cubes, got {}", cubes.len());
         for cube in &cubes {

@@ -3,19 +3,21 @@
 //! [`crate::pipeline::TwoLevelPipeline`] *models* the two-level pipeline
 //! as a flow-shop schedule over per-task stage costs. This module
 //! *executes* it: [`BatchExecutor`] runs a queue of neuro-symbolic tasks
-//! on two thread pools — a neural pool computing the GPU-side stage
-//! (`reason-neural` MLP forward passes) and a symbolic pool dispatching
-//! to `reason-sat` cube-and-conquer, `reason-approx` anytime bounds or
+//! with the caller as the neural stage and `n` symbolic lanes. The caller
+//! computes every task's GPU-side stage (`reason-neural` MLP forward
+//! passes), one device as in the paper's pipeline; the lanes dispatch to
+//! `reason-sat` cube-and-conquer, `reason-approx` anytime bounds or
 //! batched `reason-pc` d-DNNF arena queries — with genuine stage
-//! overlap: while the symbolic pool conquers task `N`, the neural pool
-//! is already producing task `N+1`'s results
-//! ("Multiple parallelable CDCLs", paper Fig. 9).
+//! overlap: while a lane reasons over task `N`, the caller is already
+//! producing task `N+1`'s neural results. With no lanes
+//! ([`ExecutorConfig::sequential`]) the caller runs both stages itself.
 //!
-//! Data moves between the pools through the paper's shared-memory flag
-//! protocol ([`crate::sync::SharedMemory`], Sec. VI-B): a neural worker
-//! publishes the batch's buffer and raises `neural_ready`; the dispatch
-//! queue (a `crossbeam` channel) hands the batch id to a symbolic worker,
-//! which consumes the buffer and runs the reasoning kernel.
+//! Data moves from the caller to the lanes through the paper's
+//! shared-memory flag protocol ([`crate::sync::SharedMemory`], Sec.
+//! VI-B): the caller publishes the task's buffer and raises
+//! `neural_ready`; the ready queue (a `crossbeam` channel) hands the task
+//! id to a symbolic lane, which consumes the buffer and runs the
+//! reasoning kernel.
 //!
 //! The executor measures wall-clock per stage and reports a
 //! [`PipelineReport`]-compatible measurement, so the cost model's
@@ -28,7 +30,7 @@
 //! let tasks = reason_system::executor::demo_batch(4, 0);
 //! // Serial reference: both stages inline on the caller thread.
 //! let serial = BatchExecutor::new(ExecutorConfig::sequential()).run(&tasks);
-//! // Overlapped execution with two symbolic workers.
+//! // Overlapped execution with two symbolic lanes.
 //! let threaded = BatchExecutor::new(ExecutorConfig::overlapped(2)).run(&tasks);
 //! // Threading changes the schedule, never the answers.
 //! assert!(threaded.agrees_with(&serial));
@@ -42,7 +44,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use crossbeam::thread;
-use parking_lot::Mutex;
 use reason_approx::{ApproxConfig, ApproxEngine};
 use reason_neural::{Matrix, Mlp, MlpBuilder};
 use reason_pc::{
@@ -77,10 +78,9 @@ pub enum NeuralStage {
 /// The REASON-side (stage 2) work of one task.
 #[derive(Debug, Clone)]
 pub enum SymbolicStage {
-    /// SAT deduction via lookahead cube-and-conquer; `config.workers`
-    /// adds intra-task parallelism on top of the executor's inter-task
-    /// overlap (deterministic either way — see
-    /// [`reason_sat::CubeAndConquer::solve`]).
+    /// SAT deduction via lookahead cube-and-conquer
+    /// ([`reason_sat::CubeAndConquer::solve`]), deterministic on every
+    /// executor configuration.
     Sat {
         /// The formula.
         cnf: Cnf,
@@ -149,9 +149,9 @@ pub enum ServeQuery {
 pub struct BatchTask {
     /// Task label, carried into [`TaskResult`].
     pub name: String,
-    /// Stage 1 (GPU pool).
+    /// Stage 1 (the neural stage, run on the caller).
     pub neural: NeuralStage,
-    /// Stage 2 (symbolic pool).
+    /// Stage 2 (a symbolic lane, or the caller when there is none).
     pub symbolic: SymbolicStage,
     /// Answer-by budget. Deadlined tasks are *dispatched*
     /// earliest-deadline-first ahead of deadline-free ones (see
@@ -169,7 +169,8 @@ impl BatchTask {
     }
 }
 
-/// The dispatch order the executor feeds its neural pool: tasks with
+/// The order the caller runs the tasks' neural stages in, and so
+/// dispatches them to the symbolic lanes: tasks with
 /// deadlines first, earliest deadline first (ties by submission index),
 /// then deadline-free tasks in submission order. A batch without
 /// deadlines dispatches exactly in submission order, so the reorder is
@@ -239,33 +240,27 @@ pub struct TaskResult {
     pub symbolic_s: f64,
 }
 
-/// Worker-pool shape of a [`BatchExecutor`].
+/// Lane count of a [`BatchExecutor`]. The neural stage (one device in
+/// the paper's pipeline) always runs on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
-    /// Threads in the symbolic (stage 2) pool; the neural stage (one
-    /// device in the paper's pipeline) always runs on one thread.
+    /// Threads draining stage 2 while the caller runs stage 1. 0 runs
+    /// both stages inline on the caller — the serial baseline the paper
+    /// ablates against (no overlap, no threads).
     pub symbolic_workers: usize,
-    /// `false` runs both stages inline on the caller thread — the serial
-    /// baseline the paper ablates against (no overlap, no pools).
-    pub overlap: bool,
 }
 
 impl ExecutorConfig {
-    /// The serial baseline: no threads, no overlap.
+    /// The serial baseline: no symbolic lane, so no threads and no
+    /// overlap.
     pub fn sequential() -> Self {
-        ExecutorConfig { symbolic_workers: 1, overlap: false }
+        ExecutorConfig { symbolic_workers: 0 }
     }
 
     /// The paper's two-level pipeline (one device per stage), widened to
-    /// `symbolic_workers` parallel symbolic lanes.
+    /// `symbolic_workers` parallel symbolic lanes (at least one).
     pub fn overlapped(symbolic_workers: usize) -> Self {
-        ExecutorConfig { symbolic_workers: symbolic_workers.max(1), overlap: true }
-    }
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig::overlapped(1)
+        ExecutorConfig { symbolic_workers: symbolic_workers.max(1) }
     }
 }
 
@@ -295,7 +290,7 @@ impl BatchReport {
     /// What the flow-shop cost model predicts for the *measured* stage
     /// costs. With one symbolic lane the prediction is a lower bound on
     /// the measured makespan (the model has no scheduling overhead);
-    /// extra symbolic workers can beat it, since the model assumes a
+    /// extra symbolic lanes can beat it, since the model assumes a
     /// single symbolic device.
     pub fn predicted(&self) -> PipelineReport {
         TwoLevelPipeline::new().schedule(&self.stage_costs())
@@ -320,20 +315,20 @@ impl BatchReport {
 }
 
 /// The threaded two-level batch executor.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct BatchExecutor {
     config: ExecutorConfig,
 }
 
 impl BatchExecutor {
-    /// An executor with the given pool shape.
+    /// An executor with the given lane count.
     pub fn new(config: ExecutorConfig) -> Self {
         BatchExecutor { config }
     }
 
     /// Executes every task and reports per-task verdicts plus the
     /// measured schedule. Results are ordered by submission index no
-    /// matter which worker finished first.
+    /// matter which lane finished first.
     pub fn run(&self, tasks: &[BatchTask]) -> BatchReport {
         self.run_with_telemetry(tasks, None)
     }
@@ -342,14 +337,16 @@ impl BatchExecutor {
     /// attached, the executor records (all counters lock-free on the
     /// hot path, nothing recorded when `telemetry` is `None`):
     ///
-    /// * `executor_tasks_total{mode=overlap|serial}` — tasks executed;
+    /// * `executor_tasks_total{mode=overlap|serial}` — tasks executed
+    ///   (`serial` exactly when the config has no symbolic lane);
     /// * `executor_edf_reorder_depth` — histogram of
     ///   `|dispatch position − submission index|` under [`edf_order`]
     ///   (0 everywhere for deadline-free batches); a pure function of
     ///   the batch's deadlines, so deterministic across runs;
     /// * `executor_lane_tasks_total{lane}` — per-symbolic-lane
-    ///   occupancy (which worker drained each task; scheduling-
-    ///   dependent, so *not* replay-deterministic);
+    ///   occupancy (which lane drained each task; scheduling-dependent,
+    ///   so *not* replay-deterministic; absent when the batch ran
+    ///   inline);
     /// * `executor_stage_seconds{stage=neural|symbolic}` — measured
     ///   wall-clock stage durations;
     /// * the measured [`PipelineReport`] gauges via
@@ -360,17 +357,23 @@ impl BatchExecutor {
         telemetry: Option<&Telemetry>,
     ) -> BatchReport {
         let start = Instant::now();
-        // A one-task batch has nothing to overlap: skip the thread scope.
-        let results = if self.config.overlap && tasks.len() > 1 {
-            self.run_overlapped(tasks, telemetry)
+        let lanes = self.config.symbolic_workers;
+        let mut slots: Vec<Option<TaskResult>> = tasks.iter().map(|_| None).collect();
+        // A one-task batch has nothing to overlap: it runs inline too.
+        if lanes == 0 || tasks.len() <= 1 {
+            neural_stages(tasks, |i, neural| slots[i] = Some(symbolic_stage(&tasks[i], neural)));
         } else {
-            run_serial(tasks)
-        };
+            for (i, result) in run_on_lanes(tasks, lanes, telemetry) {
+                slots[i] = Some(result);
+            }
+        }
+        let results: Vec<TaskResult> =
+            slots.into_iter().map(|r| r.expect("every task executed")).collect();
         let pipelined_s = start.elapsed().as_secs_f64();
         let serial_s: f64 = results.iter().map(|r| r.neural_s + r.symbolic_s).sum();
         let measured = PipelineReport { pipelined_s, serial_s, tasks: tasks.len() };
         if let Some(tel) = telemetry {
-            let mode = if self.config.overlap { "overlap" } else { "serial" };
+            let mode = if lanes == 0 { "serial" } else { "overlap" };
             tel.registry.counter("executor_tasks_total", &[("mode", mode)]).add(tasks.len() as u64);
             let depth = tel.registry.histogram("executor_edf_reorder_depth", &[]);
             for (pos, &i) in edf_order(tasks).iter().enumerate() {
@@ -387,49 +390,43 @@ impl BatchExecutor {
         }
         BatchReport { results, measured }
     }
+}
 
-    /// Threaded path: one neural producer feeds `symbolic_workers`
-    /// consumers through shared memory plus a ready queue.
-    fn run_overlapped(
-        &self,
-        tasks: &[BatchTask],
-        telemetry: Option<&Telemetry>,
-    ) -> Vec<TaskResult> {
-        let shm = SharedMemory::new();
-        // Stage-1 work queue, pre-loaded with every task index.
-        let (task_tx, task_rx) = channel::unbounded::<usize>();
-        // Stage-2 ready queue: `neural_ready` notifications in completion
-        // order, carrying the stage-1 outcome.
-        let (ready_tx, ready_rx) = channel::unbounded::<(usize, NeuralOutcome)>();
-        let slots: Vec<Mutex<Option<TaskResult>>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
+/// The caller is the neural stage: it runs stage 1 of every task in
+/// earliest-deadline-first dispatch order ([`edf_order`]) and hands each
+/// outcome to `hand_off`, which runs stage 2 inline or queues it for a
+/// symbolic lane. Deadline-pressed tasks reach stage 2 (and clear it)
+/// first; results land in per-index slots, so the report still reads in
+/// submission order.
+fn neural_stages(tasks: &[BatchTask], mut hand_off: impl FnMut(usize, NeuralOutcome)) {
+    for i in edf_order(tasks) {
+        hand_off(i, neural_stage(&tasks[i]));
+    }
+}
 
-        thread::scope(|scope| {
-            // The neural worker owns the only ready-queue sender:
-            // symbolic workers drain until it exits.
-            let neural_shm = shm.clone();
-            scope.spawn(move |_| {
-                while let Ok(i) = task_rx.recv() {
-                    // The buffer crosses through shared memory; the
-                    // ready queue carries the rest of the outcome.
-                    let mut neural = neural_stage(&tasks[i]);
-                    neural_shm.publish_neural(i as u64, std::mem::take(&mut neural.buffer));
-                    // Receivers only disappear if a symbolic worker
-                    // died; the scope join will surface that.
-                    let _ = ready_tx.send((i, neural));
-                }
-            });
-
-            for lane in 0..self.config.symbolic_workers.max(1) {
-                let ready_rx = ready_rx.clone();
-                let shm = shm.clone();
-                let slots = &slots;
+/// Threaded path: the caller runs the neural stages and feeds `lanes`
+/// symbolic threads through shared memory plus a ready queue. Returns
+/// every task's result with its index, in no particular order.
+fn run_on_lanes(
+    tasks: &[BatchTask],
+    lanes: usize,
+    telemetry: Option<&Telemetry>,
+) -> Vec<(usize, TaskResult)> {
+    let shm = SharedMemory::new();
+    // The ready queue: `neural_ready` notifications in dispatch order,
+    // carrying the rest of the stage-1 outcome.
+    let (ready_tx, ready_rx) = channel::unbounded::<(usize, NeuralOutcome)>();
+    thread::scope(|scope| {
+        let drains: Vec<_> = (0..lanes)
+            .map(|lane| {
+                let (ready_rx, shm) = (ready_rx.clone(), shm.clone());
                 // The handle is created once per lane (registry lock),
                 // then incremented lock-free inside the drain loop.
                 let lane_tasks = telemetry.map(|t| {
                     t.registry.counter("executor_lane_tasks_total", &[("lane", &lane.to_string())])
                 });
                 scope.spawn(move |_| {
+                    let mut done = Vec::new();
                     while let Ok((i, mut neural)) = ready_rx.recv() {
                         if let Some(c) = &lane_tasks {
                             c.inc();
@@ -437,38 +434,24 @@ impl BatchExecutor {
                         neural.buffer = shm
                             .take_neural(i as u64)
                             .expect("neural_ready is raised before dispatch");
-                        *slots[i].lock() = Some(symbolic_stage(&tasks[i], neural));
+                        done.push((i, symbolic_stage(&tasks[i], neural)));
                     }
-                });
-            }
-
-            // Earliest-deadline-first dispatch: the queue is loaded in
-            // EDF order, so deadline-pressed tasks reach the pools (and
-            // clear them) first. Result slots are per-index, so the
-            // report still reads in submission order.
-            for i in edf_order(tasks) {
-                task_tx.send(i).expect("neural pool outlives submission");
-            }
-            drop(task_tx);
-        })
-        .expect("executor workers joined");
-
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every task produced a result"))
-            .collect()
-    }
-}
-
-/// Serial reference path: both stages inline. Executes in the same EDF
-/// dispatch order as the threaded path; results are returned in
-/// submission order either way.
-fn run_serial(tasks: &[BatchTask]) -> Vec<TaskResult> {
-    let mut results: Vec<Option<TaskResult>> = tasks.iter().map(|_| None).collect();
-    for i in edf_order(tasks) {
-        results[i] = Some(symbolic_stage(&tasks[i], neural_stage(&tasks[i])));
-    }
-    results.into_iter().map(|r| r.expect("every task executed")).collect()
+                    done
+                })
+            })
+            .collect();
+        neural_stages(tasks, |i, mut neural| {
+            // The buffer crosses through shared memory; the ready queue
+            // carries the rest of the outcome. The queue's own receiver
+            // outlives the scope, so the send cannot fail.
+            shm.publish_neural(i as u64, std::mem::take(&mut neural.buffer));
+            let _ = ready_tx.send((i, neural));
+        });
+        // The caller holds the only sender: dropping it ends every drain.
+        drop(ready_tx);
+        drains.into_iter().flat_map(|lane| lane.join().expect("symbolic lane joined")).collect()
+    })
+    .expect("executor lanes joined")
 }
 
 /// What stage 1 of one task hands to stage 2.
@@ -481,8 +464,8 @@ struct NeuralOutcome {
 }
 
 /// Stage 1 of one task on either schedule. A panicking task yields an
-/// empty buffer and carries the panic downstream; the lane itself keeps
-/// draining.
+/// empty buffer and carries the panic downstream; the caller goes on to
+/// the next task.
 fn neural_stage(task: &BatchTask) -> NeuralOutcome {
     let t0 = Instant::now();
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_neural(&task.neural)));
@@ -677,7 +660,7 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
             let symbolic = match i % 4 {
                 0 => SymbolicStage::Sat {
                     cnf: random_ksat(12, 50, 3, s + 3),
-                    config: CubeConfig { max_depth: 3, ..CubeConfig::default() },
+                    config: CubeConfig { max_depth: 3 },
                 },
                 1 => {
                     let circuit = random_mixture_circuit(&StructureConfig {
@@ -818,7 +801,7 @@ mod tests {
     fn neural_stage_panic_is_contained_too() {
         let mut tasks = demo_batch(4, 3);
         // An MLP input whose width (8) does not match the layer (16)
-        // panics inside the forward pass — on the neural pool.
+        // panics inside the forward pass — on the caller, the neural stage.
         let mlp = MlpBuilder::new(16).layer(8, false, 5).build();
         tasks[2] = BatchTask {
             name: "poison-neural".to_string(),
@@ -925,8 +908,8 @@ mod tests {
         }];
         let serial = BatchExecutor::new(ExecutorConfig::sequential()).run(&tasks);
         let threaded = BatchExecutor::new(ExecutorConfig::overlapped(2)).run(&tasks);
-        // Seeded estimation: identical verdicts bit-for-bit across pool
-        // shapes, and the bracket is well-formed.
+        // Seeded estimation: identical verdicts bit-for-bit across lane
+        // counts, and the bracket is well-formed.
         assert!(threaded.agrees_with(&serial));
         match &serial.results[0].verdict {
             Verdict::Wmc { estimate, lower, upper } => {
@@ -1086,10 +1069,11 @@ mod tests {
         }
     }
 
-    /// A serve arena with mass, its source circuit and its `Pr[φ]`.
+    /// A serve arena with mass, its source circuit and its `Pr[φ]`. The
+    /// weights cycle every 17 variables, so they stay below 1 at any `n`.
     fn serve_kb(n: usize) -> (Circuit, Arc<Dnnf>, f64) {
         let cnf = random_ksat(n, 2 * n + 6, 3, 8);
-        let weights = WmcWeights::new((0..n).map(|v| 0.3 + 0.04 * v as f64).collect());
+        let weights = WmcWeights::new((0..n).map(|v| 0.3 + 0.04 * (v % 17) as f64).collect());
         let circuit = compile_cnf(&cnf, &weights).expect("seed 8 instance must carry mass");
         let arena = Arc::new(Dnnf::from_circuit(&circuit).unwrap());
         let z = arena.wmc();
@@ -1136,10 +1120,10 @@ mod tests {
 
     #[test]
     fn panicking_serve_batch_leaves_the_threads_next_batch_correct() {
-        // A three-lane batch on a small arena, and a batch of several
-        // lane tiles on a taller one, wide enough for its tiles to go
+        // A three-lane batch on a small arena, and batches of several
+        // lane tiles on taller ones, wide enough for their tiles to go
         // to the arena's tile pool.
-        for (n, lanes) in [(10, 1), (16, 150)] {
+        for (n, lanes) in [(10, 1), (16, 150), (24, 150)] {
             let (_, arena, z) = serve_kb(n);
             let mut good = Vec::new();
             for k in 0..lanes {
@@ -1163,7 +1147,7 @@ mod tests {
                 serve_task("poison", &arena, z, poison),
                 serve_task("after", &arena, z, good.clone()),
             ];
-            // Inline, and one symbolic worker: all three tasks share a
+            // Inline, and one symbolic lane: all three tasks share a
             // thread.
             for config in [ExecutorConfig::sequential(), ExecutorConfig::overlapped(1)] {
                 let report = BatchExecutor::new(config).run(&tasks);
@@ -1267,7 +1251,7 @@ mod tests {
     #[test]
     fn edf_dispatch_preserves_submission_order_results_and_verdicts() {
         // Give the demo batch a scrambled deadline profile and check the
-        // determinism contract survives the reorder on every pool shape.
+        // determinism contract survives the reorder on every lane count.
         let mut tasks = demo_batch(6, 7);
         let deadlines = [None, Some(3), None, Some(50), Some(1), None];
         for (task, d) in tasks.iter_mut().zip(deadlines) {

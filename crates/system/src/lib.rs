@@ -22,10 +22,10 @@
 //!   two-stage flow-shop schedule over per-task stage costs.
 //! * [`executor`] — the cost model made real: [`BatchExecutor`] runs
 //!   mixed batches (SAT, PC inference, approximate WMC, and serve
-//!   queries against shared compiled knowledge bases) on neural and
-//!   symbolic worker pools with genuine thread-level stage overlap (a
-//!   one-task batch, having nothing to overlap, runs inline), moves
-//!   data through the
+//!   queries against shared compiled knowledge bases) with the caller
+//!   as the neural stage and `n` symbolic lanes, for genuine
+//!   thread-level stage overlap (with no lane, or a one-task batch, both
+//!   stages run inline on the caller), moves data through the
 //!   [`sync`] flag protocol, and reports measured schedules in the same
 //!   [`PipelineReport`] vocabulary so model and execution can be
 //!   compared directly.

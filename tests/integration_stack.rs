@@ -305,9 +305,9 @@ fn device_interface_round_trips_through_shared_memory() {
 
 #[test]
 fn threaded_executor_is_deterministic_across_the_stack() {
-    // The acceptance contract of the batch executor: any worker
-    // configuration — serial, single-lane overlap, wide symbolic pool,
-    // multiple neural producers — returns identical verdicts and
+    // The acceptance contract of the batch executor: any lane count —
+    // serial, single-lane overlap, several symbolic lanes — returns
+    // identical verdicts and
     // marginals on the same mixed SAT/PC batch, and the measured schedule
     // stays consistent with the flow-shop cost model's vocabulary.
     let tasks = reason::system::demo_batch(8, 123);

@@ -15,9 +15,7 @@ use reason::arch::{ArchConfig, BenesNetwork, VliwExecutor};
 use reason::compiler::ReasonCompiler;
 use reason::core::{dag_from_cnf, regularize};
 use reason::pc::{compile_cnf, Circuit, Evidence, PcNode, WmcWeights};
-use reason::sat::{
-    brute_force, weighted_count, CdclSolver, Cnf, CubeAndConquer, CubeConfig, Preprocessor,
-};
+use reason::sat::{brute_force, weighted_count, CdclSolver, Cnf, Preprocessor};
 use reason::serve::{CacheStats, CircuitStore, FormulaFingerprint, StoreConfig, StoredCircuit};
 use reason::system::{StageCost, TwoLevelPipeline};
 
@@ -113,22 +111,6 @@ proptest! {
         let out = routing.apply(&(0..n).collect::<Vec<_>>());
         for (i, &o) in perm.iter().enumerate() {
             prop_assert_eq!(out[o], i);
-        }
-    }
-
-    #[test]
-    fn parallel_cube_and_conquer_agrees_with_sequential(cnf in arb_cnf(8, 20)) {
-        // The conquer phase's worker knob changes the schedule, never the
-        // verdict; the parallel answer selection is deterministic (see
-        // CubeAndConquer::solve), so one parallel run fully represents
-        // every parallel run.
-        let config = CubeConfig { max_depth: 3, ..CubeConfig::default() };
-        let seq = CubeAndConquer::new(&cnf, config.clone()).solve();
-        let par =
-            CubeAndConquer::new(&cnf, CubeConfig { workers: 3, ..config }).solve();
-        prop_assert_eq!(seq.solution.is_sat(), par.solution.is_sat());
-        if let reason::sat::Solution::Sat(model) = &par.solution {
-            prop_assert!(cnf.eval(model));
         }
     }
 

@@ -274,7 +274,7 @@ fn preprocess_digest(cnf: &Cnf) -> (usize, u64) {
 }
 
 fn cube_digest(h: &mut Fnv, cnf: &Cnf, max_depth: usize) {
-    let outcome = CubeAndConquer::new(cnf, CubeConfig { max_depth, workers: 1 }).solve();
+    let outcome = CubeAndConquer::new(cnf, CubeConfig { max_depth }).solve();
     h.word(outcome.cubes.len() as u64);
     for cube in &outcome.cubes {
         h.word(cube.len() as u64);
