@@ -214,7 +214,7 @@ pub enum Verdict {
     /// Per-query verdicts of a [`SymbolicStage::ServeBatch`] task, in
     /// query order.
     Batch(Vec<Verdict>),
-    /// The task's worker panicked. The panic is contained to this slot:
+    /// A stage of the task panicked. The panic is contained to this slot:
     /// the lane keeps draining and every other task in the batch still
     /// reports its real verdict.
     Failed {
@@ -302,8 +302,8 @@ impl BatchReport {
     }
 
     /// `true` iff both runs produced identical verdicts (and marginals)
-    /// task by task — the executor's determinism contract across worker
-    /// configurations.
+    /// task by task — the executor's determinism contract across lane
+    /// counts.
     pub fn agrees_with(&self, other: &BatchReport) -> bool {
         self.results.len() == other.results.len()
             && self
