@@ -13,7 +13,7 @@
 //! 1. [`adapt_mixture`] — self-normalized cross-entropy adaptation:
 //!    iterate sampling and refit `q` to the weighted satisfying
 //!    samples. No oracle needed; this is the default inside
-//!    [`crate::ApproxEngine`].
+//!    [`crate::approx_wmc`].
 //! 2. `Proposal::from_circuit` — exact posterior marginals read off a
 //!    compiled circuit: the best mean-field proposal the exact engine
 //!    can teach, used to validate the adaptive path.

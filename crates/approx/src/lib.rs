@@ -23,17 +23,19 @@
 //! * [`importance`] — defensive importance sampling with learned
 //!   proposals: mean-field or mixture-of-mean-fields, adapted by
 //!   cross-entropy EM or read off the exact engine's marginals.
-//! * [`prediction`] — the A-NeSI-style prediction network, trained on
-//!   exact-engine queries and frozen into a `reason_neural` MLP.
+//! * [`prediction`] — the A-NeSI-style prediction network: a
+//!   `reason_neural` MLP trained on exact-engine queries, which serves
+//!   as the same MLP.
 //!
-//! [`ApproxEngine`] bundles the estimators behind one seeded
-//! configuration; `reason_system::BatchExecutor` runs it as a symbolic
-//! lane, and `reason-eval approx` sweeps it against the exact engine.
+//! [`approx_wmc`] runs either estimator under one seeded
+//! [`ApproxConfig`]; `reason_system::BatchExecutor` runs it as a
+//! symbolic lane, and `reason-eval approx` sweeps it against the exact
+//! engine.
 //!
 //! # Example
 //!
 //! ```
-//! use reason_approx::{ApproxConfig, ApproxEngine};
+//! use reason_approx::{approx_wmc, ApproxConfig};
 //! use reason_pc::{compile_cnf, Evidence, WmcWeights};
 //! use reason_sat::gen::random_ksat;
 //!
@@ -46,7 +48,7 @@
 //!
 //! // ...and the anytime approximation: the bracket contains the exact
 //! // answer and the estimate lands within a few percent.
-//! let est = ApproxEngine::new(ApproxConfig::default()).wmc(&cnf, &weights);
+//! let est = approx_wmc(&cnf, &weights, &ApproxConfig::default());
 //! assert!(est.lower <= exact && exact <= est.upper);
 //! assert!(est.rel_error(exact) < 0.05);
 //! ```
@@ -62,13 +64,13 @@ pub use importance::{
     PROPOSAL_CLAMP,
 };
 pub use montecarlo::{mc_wmc, SampleConfig};
-pub use prediction::{PredictConfig, PredictionNet};
+pub use prediction::{encode_evidence, prior_mass, train_from_arena, PredictConfig};
 
 use rand::prelude::*;
 use reason_pc::WmcWeights;
 use reason_sat::Cnf;
 
-/// Which estimator an [`ApproxEngine`] runs.
+/// Which estimator [`approx_wmc`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Direct Monte-Carlo sampling from the weight distribution.
@@ -88,7 +90,7 @@ impl Method {
     }
 }
 
-/// Configuration of an [`ApproxEngine`]: estimator choice, sampling
+/// Configuration of [`approx_wmc`]: estimator choice, sampling
 /// budget, adaptation schedule, and the seed that makes every run
 /// reproducible.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,34 +121,20 @@ impl ApproxConfig {
     }
 }
 
-/// The approximate-inference engine: one configuration, one `wmc` call
-/// per query, deterministic per seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxEngine {
-    config: ApproxConfig,
-}
-
-impl ApproxEngine {
-    /// An engine with the given configuration.
-    pub fn new(config: ApproxConfig) -> Self {
-        ApproxEngine { config }
-    }
-
-    /// Estimates the weighted model count of `cnf` under `weights` with
-    /// anytime bounds. The importance method first learns a mixture
-    /// proposal by cross-entropy EM (seeded from the sampling seed),
-    /// then estimates under the defensive mixture; the Monte-Carlo
-    /// method samples the weights directly.
-    pub fn wmc(&self, cnf: &Cnf, weights: &WmcWeights) -> AnytimeEstimate {
-        match self.config.method {
-            Method::MonteCarlo => mc_wmc(cnf, weights, &self.config.sampling),
-            Method::Importance => {
-                // Adaptation draws from its own stream so the estimation
-                // stream stays aligned with `SampleConfig::seed`.
-                let mut rng = StdRng::seed_from_u64(self.config.sampling.seed ^ 0x5EED_ADA9);
-                let mix = adapt_mixture(cnf, weights, &self.config.adapt, &mut rng);
-                is_wmc_mixture(cnf, weights, &mix, &self.config.sampling)
-            }
+/// Estimates the weighted model count of `cnf` under `weights` with
+/// anytime bounds, deterministic per seed. The importance method first
+/// learns a mixture proposal by cross-entropy EM (seeded from the
+/// sampling seed), then estimates under the defensive mixture; the
+/// Monte-Carlo method samples the weights directly ([`mc_wmc`]).
+pub fn approx_wmc(cnf: &Cnf, weights: &WmcWeights, config: &ApproxConfig) -> AnytimeEstimate {
+    match config.method {
+        Method::MonteCarlo => mc_wmc(cnf, weights, &config.sampling),
+        Method::Importance => {
+            // Adaptation draws from its own stream so the estimation
+            // stream stays aligned with `SampleConfig::seed`.
+            let mut rng = StdRng::seed_from_u64(config.sampling.seed ^ 0x5EED_ADA9);
+            let mix = adapt_mixture(cnf, weights, &config.adapt, &mut rng);
+            is_wmc_mixture(cnf, weights, &mix, &config.sampling)
         }
     }
 }
@@ -166,7 +154,7 @@ mod tests {
             let w = WmcWeights::new(probs);
             for method in [Method::MonteCarlo, Method::Importance] {
                 let cfg = ApproxConfig { method, ..ApproxConfig::seeded(seed) };
-                let est = ApproxEngine::new(cfg).wmc(&cnf, &w);
+                let est = approx_wmc(&cnf, &w, &cfg);
                 assert!(
                     est.contains(exact),
                     "{} seed {seed}: [{}, {}] vs {exact}",
@@ -182,9 +170,9 @@ mod tests {
     fn engine_is_deterministic_per_seed() {
         let cnf = random_ksat(10, 28, 3, 3);
         let w = WmcWeights::uniform(10);
-        let engine = ApproxEngine::new(ApproxConfig::seeded(11));
-        let a = engine.wmc(&cnf, &w);
-        let b = engine.wmc(&cnf, &w);
+        let config = ApproxConfig::seeded(11);
+        let a = approx_wmc(&cnf, &w, &config);
+        let b = approx_wmc(&cnf, &w, &config);
         assert_eq!(a.estimate, b.estimate);
         assert_eq!(a.lower, b.lower);
         assert_eq!(a.upper, b.upper);

@@ -2,22 +2,24 @@
 //!
 //! A-NeSI (van Krieken et al., PAPERS.md) replaces repeated exact
 //! probabilistic inference with a neural *prediction network* trained
-//! on samples labeled by the exact engine. [`PredictionNet`] is that
-//! idea on this workspace's substrates: a small
-//! [`reason_neural::TrainableMlp`] fit to `(partial evidence →
-//! conditional probability of the formula)` pairs, where the labels
-//! come from the exact engine — the compiled knowledge base's d-DNNF
-//! arena ([`reason_pc::Dnnf`]), which answers every training query in
-//! one batched walk.
+//! on samples labeled by the exact engine. [`train_from_arena`] is that
+//! idea on this workspace's substrates: a small sigmoid-headed
+//! [`reason_neural::Mlp`] fit to `(partial evidence → conditional
+//! probability of the formula)` pairs, where the labels come from the
+//! exact engine — the compiled knowledge base's d-DNNF arena
+//! ([`reason_pc::Dnnf`]), which answers every training query in one
+//! batched walk. The trained `Mlp` is what serves: a query is encoded by
+//! the same [`encode_evidence`] training used, and its joint or
+//! posterior is recovered with the same [`prior_mass`].
 //!
 //! Once trained, a query costs one tiny MLP forward pass regardless of
 //! circuit size — the amortization A-NeSI trades training time for.
 
 use rand::prelude::*;
-use reason_neural::{Matrix, Mlp, TrainableMlp};
+use reason_neural::{Matrix, Mlp, MlpBuilder};
 use reason_pc::{BatchBuffer, Dnnf, DnnfBatch, Evidence, WmcWeights};
 
-/// Training schedule for [`PredictionNet::train_from_arena`].
+/// Training schedule for [`train_from_arena`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictConfig {
     /// Exact-engine queries generated as the training set.
@@ -41,132 +43,114 @@ impl Default for PredictConfig {
     }
 }
 
-/// A trained predictor of conditional formula probabilities
-/// `Pr[φ | e]` for partial evidence `e`.
-#[derive(Debug, Clone)]
-pub struct PredictionNet {
-    net: TrainableMlp,
-}
-
-/// Encodes partial evidence as a two-hot feature row: feature `2v` is 1
-/// iff `x_v` is set to 1, feature `2v + 1` is 1 iff set to 0; free
-/// variables contribute zeros.
-fn encode(evidence: &[Option<bool>]) -> Vec<f32> {
-    let mut row = vec![0.0f32; 2 * evidence.len()];
-    for (v, e) in evidence.iter().enumerate() {
-        match e {
-            Some(true) => row[2 * v] = 1.0,
-            Some(false) => row[2 * v + 1] = 1.0,
-            None => {}
+/// Encodes partial evidence as the net's input, one two-hot row per
+/// evidence: feature `2v` is 1 iff `x_v` is set to 1, feature `2v + 1`
+/// is 1 iff set to 0; free variables contribute zeros. Training encodes
+/// its whole query set with it and serving one query.
+///
+/// # Panics
+///
+/// Panics if `evidences` is empty or their arities differ.
+pub fn encode_evidence(evidences: &[Evidence]) -> Matrix {
+    let width = 2 * evidences[0].len();
+    let mut x = vec![0.0f32; evidences.len() * width];
+    for (r, ev) in evidences.iter().enumerate() {
+        assert_eq!(2 * ev.len(), width, "evidence arity mismatch");
+        for v in 0..ev.len() {
+            match ev.value(v) {
+                Some(1) => x[r * width + 2 * v] = 1.0,
+                Some(_) => x[r * width + 2 * v + 1] = 1.0,
+                None => {}
+            }
         }
     }
-    row
+    Matrix::from_vec(evidences.len(), width, x)
+}
+
+/// The prior mass `Pr[e]` of partial evidence under the independent
+/// per-variable marginals, multiplied in ascending variable order.
+pub fn prior_mass(weights: &WmcWeights, evidence: &Evidence) -> f64 {
+    (0..weights.len())
+        .map(|v| match evidence.value(v) {
+            Some(1) => weights.prob(v),
+            Some(_) => 1.0 - weights.prob(v),
+            None => 1.0,
+        })
+        .product()
 }
 
 /// Exact conditionals `Pr[φ | e]`, one per evidence pattern, from the
 /// compiled arena plus the prior weights: `Pr[φ ∧ e] / Pr[e]`, where
 /// every joint `Pr[φ ∧ e]` is a lane of one batched arena walk and
-/// `Pr[e]` factorizes over the independent per-variable marginals.
-fn exact_conditionals(
-    arena: &Dnnf,
-    weights: &WmcWeights,
-    patterns: &[Vec<Option<bool>>],
-) -> Vec<f64> {
-    let (evidences, priors): (Vec<Evidence>, Vec<f64>) = patterns
-        .iter()
-        .map(|pattern| {
-            let mut ev = Evidence::empty(pattern.len());
-            let mut prior = 1.0f64;
-            for (v, &e) in pattern.iter().enumerate() {
-                if let Some(b) = e {
-                    ev.set(v, usize::from(b));
-                    prior *= if b { weights.prob(v) } else { 1.0 - weights.prob(v) };
-                }
-            }
-            (ev, prior)
-        })
-        .unzip();
-    let joints = arena.wmc_batch(&DnnfBatch::pack(&evidences), &mut BatchBuffer::new());
+/// `Pr[e]` is [`prior_mass`].
+fn exact_conditionals(arena: &Dnnf, weights: &WmcWeights, patterns: &[Evidence]) -> Vec<f64> {
+    let joints = arena.wmc_batch(&DnnfBatch::pack(patterns), &mut BatchBuffer::new());
     joints
         .into_iter()
-        .zip(priors)
-        .map(|(joint, prior)| if prior == 0.0 { 0.0 } else { (joint / prior).clamp(0.0, 1.0) })
+        .zip(patterns)
+        .map(|(joint, ev)| {
+            let prior = prior_mass(weights, ev);
+            if prior == 0.0 {
+                0.0
+            } else {
+                (joint / prior).clamp(0.0, 1.0)
+            }
+        })
         .collect()
 }
 
 /// `count` random partial-evidence patterns over `n` variables, each
 /// variable independently free / set-1 / set-0.
-fn random_patterns(rng: &mut StdRng, count: usize, n: usize) -> Vec<Vec<Option<bool>>> {
+fn random_patterns(rng: &mut StdRng, count: usize, n: usize) -> Vec<Evidence> {
     (0..count)
         .map(|_| {
-            (0..n)
-                .map(|_| match rng.gen_range(0..3u32) {
-                    0 => None,
-                    1 => Some(true),
-                    _ => Some(false),
-                })
-                .collect()
+            let mut ev = Evidence::empty(n);
+            for v in 0..n {
+                let value = match rng.gen_range(0..3u32) {
+                    0 => continue,
+                    1 => 1,
+                    _ => 0,
+                };
+                ev.set(v, value);
+            }
+            ev
         })
         .collect()
 }
 
-impl PredictionNet {
-    /// Trains a predictor against the exact engine: generates `queries`
-    /// random partial-evidence patterns (each variable independently
-    /// free / set-1 / set-0), labels them all with the exact
-    /// conditionals read off the compiled `arena` in one batched walk,
-    /// and fits the MLP. Returns the net and the final training loss
-    /// (mean BCE).
-    pub fn train_from_arena(
-        arena: &Dnnf,
-        weights: &WmcWeights,
-        cfg: &PredictConfig,
-    ) -> (Self, f32) {
-        assert_eq!(weights.len(), arena.num_vars(), "weights arity mismatch");
-        assert!(cfg.queries > 0 && cfg.epochs > 0, "training schedule must be positive");
-        let n = arena.num_vars();
-        let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
-        let patterns = random_patterns(&mut rng, cfg.queries, n);
-        let xs: Vec<f32> = patterns.iter().flat_map(|pattern| encode(pattern)).collect();
-        let ys: Vec<f32> =
-            exact_conditionals(arena, weights, &patterns).into_iter().map(|y| y as f32).collect();
-        let x = Matrix::from_vec(cfg.queries, 2 * n, xs);
-        let y = Matrix::from_vec(cfg.queries, 1, ys);
-        let mut net = TrainableMlp::new(&[2 * n, cfg.hidden, 1], TRAIN_SEED.wrapping_add(17));
-        let mut loss = f32::INFINITY;
-        for _ in 0..cfg.epochs {
-            loss = net.train_batch(&x, &y, LEARNING_RATE);
-        }
-        (PredictionNet { net }, loss)
+/// Trains a predictor of conditional formula probabilities `Pr[φ | e]`
+/// against the exact engine: generates `queries` random
+/// partial-evidence patterns (each variable independently free / set-1
+/// / set-0), labels them all with the exact conditionals read off the
+/// compiled `arena` in one batched walk, and fits a `2n → hidden → 1`
+/// ReLU net with a sigmoid head. Returns the net and the final training
+/// loss (mean BCE).
+///
+/// # Panics
+///
+/// Panics if the weights' arity differs from the arena's, or if the
+/// schedule has no queries or no epochs.
+pub fn train_from_arena(arena: &Dnnf, weights: &WmcWeights, cfg: &PredictConfig) -> (Mlp, f32) {
+    assert_eq!(weights.len(), arena.num_vars(), "weights arity mismatch");
+    assert!(cfg.queries > 0 && cfg.epochs > 0, "training schedule must be positive");
+    let n = arena.num_vars();
+    let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
+    let patterns = random_patterns(&mut rng, cfg.queries, n);
+    let x = encode_evidence(&patterns);
+    let ys: Vec<f32> =
+        exact_conditionals(arena, weights, &patterns).into_iter().map(|y| y as f32).collect();
+    let y = Matrix::from_vec(cfg.queries, 1, ys);
+    let seed = TRAIN_SEED.wrapping_add(17);
+    let mut net = MlpBuilder::new(2 * n)
+        .layer(cfg.hidden, true, seed)
+        .layer(1, false, seed.wrapping_add(1))
+        .sigmoid()
+        .build();
+    let mut loss = f32::INFINITY;
+    for _ in 0..cfg.epochs {
+        loss = net.train_batch(&x, &y, LEARNING_RATE);
     }
-
-    /// Predicted `Pr[φ | e]` for partial evidence `e`: the trainable
-    /// net's own forward pass, the reference the frozen net is held to.
-    #[cfg(test)]
-    fn predict(&self, evidence: &[Option<bool>]) -> f64 {
-        let x = Self::encode_query(evidence, evidence.len());
-        f64::from(self.net.forward(&x).at(0, 0))
-    }
-
-    /// Encodes partial evidence as the net's `1 × 2n` input matrix —
-    /// the two-hot feature layout the net trains on,
-    /// exposed so a serving router can run the frozen net
-    /// ([`to_mlp`](Self::to_mlp)) as a `reason_system` neural stage and
-    /// read the prediction off the stage's output buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `evidence.len() != num_vars`.
-    pub fn encode_query(evidence: &[Option<bool>], num_vars: usize) -> Matrix {
-        assert_eq!(evidence.len(), num_vars, "evidence arity mismatch");
-        Matrix::from_vec(1, 2 * num_vars, encode(evidence))
-    }
-
-    /// Freezes the predictor into an inference [`Mlp`] (sigmoid head),
-    /// runnable as a `reason_system` neural stage.
-    pub fn to_mlp(&self) -> Mlp {
-        self.net.to_mlp()
-    }
+    (net, loss)
 }
 
 #[cfg(test)]
@@ -188,10 +172,17 @@ mod tests {
         Dnnf::from_circuit(&compile_cnf(cnf, w).unwrap()).unwrap()
     }
 
+    /// The net's predicted `Pr[φ | e]` for one evidence pattern.
+    fn predict(net: &Mlp, evidence: &Evidence) -> f64 {
+        f64::from(net.forward(&encode_evidence(std::slice::from_ref(evidence))).at(0, 0))
+    }
+
     #[test]
     fn encoding_is_two_hot() {
-        let row = encode(&[Some(true), None, Some(false)]);
-        assert_eq!(row, vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
+        let mut ev = Evidence::empty(3);
+        ev.set(0, 1).set(2, 0);
+        let row = encode_evidence(&[ev]);
+        assert_eq!(row.data(), &[1.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -204,10 +195,10 @@ mod tests {
         with_unit.add_dimacs_clause(&[2]);
         let probs: Vec<f64> = (0..6).map(|v| w.prob(v)).collect();
         let expect = weighted_count(&with_unit, &probs) / w.prob(1);
-        let mut evidence = vec![None; 6];
-        evidence[1] = Some(true);
+        let mut evidence = Evidence::empty(6);
+        evidence.set(1, 1);
         // A free pattern in the same batch reads the whole count.
-        let got = exact_conditionals(&arena, &w, &[evidence, vec![None; 6]]);
+        let got = exact_conditionals(&arena, &w, &[evidence, Evidence::empty(6)]);
         assert!((got[0] - expect).abs() < 1e-9);
         assert!((got[1] - weighted_count(&cnf, &probs)).abs() < 1e-9);
     }
@@ -216,7 +207,7 @@ mod tests {
     fn trained_net_tracks_exact_conditionals() {
         let (cnf, w) = tractable_instance();
         let arena = arena_of(&cnf, &w);
-        let (net, loss) = PredictionNet::train_from_arena(&arena, &w, &PredictConfig::default());
+        let (net, loss) = train_from_arena(&arena, &w, &PredictConfig::default());
         assert!(loss.is_finite());
 
         // Held-out evaluation: fresh random evidence patterns not tied to
@@ -224,21 +215,9 @@ mod tests {
         let held_out = random_patterns(&mut StdRng::seed_from_u64(999), 60, 6);
         let exact = exact_conditionals(&arena, &w, &held_out);
         let total_err: f64 =
-            held_out.iter().zip(&exact).map(|(e, &want)| (net.predict(e) - want).abs()).sum();
+            held_out.iter().zip(&exact).map(|(e, &want)| (predict(&net, e) - want).abs()).sum();
         let mae = total_err / held_out.len() as f64;
         assert!(mae < 0.1, "held-out MAE too high: {mae}");
-    }
-
-    #[test]
-    fn frozen_mlp_agrees_with_predictor() {
-        let (cnf, w) = tractable_instance();
-        let arena = arena_of(&cnf, &w);
-        let cfg = PredictConfig { queries: 128, epochs: 100, ..PredictConfig::default() };
-        let (net, _) = PredictionNet::train_from_arena(&arena, &w, &cfg);
-        let mlp = net.to_mlp();
-        let evidence = vec![Some(true), None, None, Some(false), None, None];
-        let x = Matrix::from_vec(1, 12, encode(&evidence));
-        assert!((f64::from(mlp.forward(&x).at(0, 0)) - net.predict(&evidence)).abs() < 1e-6);
     }
 
     #[test]
@@ -246,10 +225,11 @@ mod tests {
         let (cnf, w) = tractable_instance();
         let arena = arena_of(&cnf, &w);
         let cfg = PredictConfig { queries: 64, epochs: 50, ..PredictConfig::default() };
-        let (a, la) = PredictionNet::train_from_arena(&arena, &w, &cfg);
-        let (b, lb) = PredictionNet::train_from_arena(&arena, &w, &cfg);
+        let (a, la) = train_from_arena(&arena, &w, &cfg);
+        let (b, lb) = train_from_arena(&arena, &w, &cfg);
         assert_eq!(la, lb);
-        let e = vec![None, Some(true), None, None, None, Some(false)];
-        assert_eq!(a.predict(&e), b.predict(&e));
+        let mut e = Evidence::empty(6);
+        e.set(1, 1).set(5, 0);
+        assert_eq!(predict(&a, &e), predict(&b, &e));
     }
 }

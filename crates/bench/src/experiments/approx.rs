@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use reason_approx::{ApproxConfig, ApproxEngine, SampleConfig};
+use reason_approx::{approx_wmc, ApproxConfig, SampleConfig};
 use reason_pc::{compile_cnf, Evidence};
 use reason_sat::gen::random_ksat;
 
@@ -80,7 +80,7 @@ fn approx_rows_for(sizes: &[(usize, usize)], seed: u64) -> Vec<ApproxRow> {
                 let exact = compiled.as_ref().map(|c| (c.probability(&Evidence::empty(n)), c));
                 match exact {
                     Some((exact, circuit)) if exact > 0.0 => {
-                        let est = ApproxEngine::new(sweep_config(n, seed)).wmc(&cnf, &weights);
+                        let est = approx_wmc(&cnf, &weights, &sweep_config(n, seed));
                         return ApproxRow {
                             num_vars: n,
                             num_clauses: m,

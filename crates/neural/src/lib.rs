@@ -15,9 +15,10 @@
 //!   kernel the tree-PE executes in SpMSpM mode).
 //! * [`mlp`] — multi-layer perceptron inference with parameter and FLOP
 //!   accounting.
-//! * [`train`] — SGD backpropagation for small MLPs: the substrate of
-//!   the A-NeSI-style prediction networks in `reason-approx`, frozen
-//!   back into inference [`Mlp`]s via [`TrainableMlp::to_mlp`].
+//! * [`train`] — SGD backpropagation for small sigmoid-headed [`Mlp`]s
+//!   ([`Mlp::train_batch`]): the substrate of the A-NeSI-style
+//!   prediction networks in `reason-approx`, which serve as the same
+//!   `Mlp` they trained as.
 //! * [`proxy`] — an LLM cost proxy: FLOPs, bytes moved, and token-loop
 //!   latency modeling calibrated by parameter count, standing in for the
 //!   LLaMA-class models of the paper's workloads.
@@ -50,4 +51,3 @@ pub use mlp::{Mlp, MlpBuilder};
 pub use proxy::{LlmProxy, NeuralCost};
 pub use sparse::CsrMatrix;
 pub use tensor::Matrix;
-pub use train::TrainableMlp;

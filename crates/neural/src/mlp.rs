@@ -3,25 +3,27 @@
 //! NeuroPC-style workloads (paper Table I) pair a small DNN feature
 //! extractor with a probabilistic circuit head; this MLP is that DNN
 //! substrate, with parameter/FLOP accounting for the characterization
-//! experiments.
+//! experiments. A sigmoid-headed [`Mlp`] also trains in place
+//! ([`Mlp::train_batch`], in [`crate::train`]).
 
 use crate::tensor::Matrix;
 
 /// One dense layer.
 #[derive(Debug, Clone, PartialEq)]
-struct Layer {
-    weight: Matrix,
-    bias: Vec<f32>,
-    relu: bool,
+pub(crate) struct Layer {
+    /// `in_dim × out_dim` weight matrix.
+    pub(crate) weight: Matrix,
+    pub(crate) bias: Vec<f32>,
+    pub(crate) relu: bool,
 }
 
 /// A feed-forward network of dense layers with optional ReLU activations
 /// and a softmax or sigmoid output head.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
-    layers: Vec<Layer>,
-    softmax_output: bool,
-    sigmoid_output: bool,
+    pub(crate) layers: Vec<Layer>,
+    pub(crate) softmax_output: bool,
+    pub(crate) sigmoid_output: bool,
 }
 
 /// Builder for [`Mlp`].
@@ -64,23 +66,6 @@ impl MlpBuilder {
         self
     }
 
-    /// Appends a dense layer with explicit parameters — how trained
-    /// networks ([`crate::train::TrainableMlp`]) are frozen into
-    /// inference [`Mlp`]s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight.rows()` does not match the previous layer's
-    /// output width (or `input_dim` for the first layer), or if
-    /// `bias.len() != weight.cols()`.
-    pub(crate) fn layer_with_params(mut self, weight: Matrix, bias: Vec<f32>, relu: bool) -> Self {
-        let in_dim = self.layers.last().map_or(self.input_dim, |l| l.weight.cols());
-        assert_eq!(weight.rows(), in_dim, "layer input width mismatch");
-        assert_eq!(bias.len(), weight.cols(), "bias length mismatch");
-        self.layers.push(Layer { weight, bias, relu });
-        self
-    }
-
     /// Enables a softmax output head.
     pub fn softmax(mut self) -> Self {
         self.softmax_output = true;
@@ -88,8 +73,9 @@ impl MlpBuilder {
     }
 
     /// Enables an elementwise sigmoid output head (probability outputs,
-    /// as in the approximate-inference prediction networks).
-    pub(crate) fn sigmoid(mut self) -> Self {
+    /// as in the approximate-inference prediction networks); such a
+    /// network can learn through [`Mlp::train_batch`].
+    pub fn sigmoid(mut self) -> Self {
         self.sigmoid_output = true;
         self
     }
@@ -111,6 +97,24 @@ impl Mlp {
     ///
     /// Panics if `input.cols()` differs from the first layer's input width.
     pub fn forward(&self, input: &Matrix) -> Matrix {
+        let mut x = self.layers_forward(input, None);
+        if self.softmax_output {
+            x.softmax_rows();
+        }
+        if self.sigmoid_output {
+            x.sigmoid();
+        }
+        x
+    }
+
+    /// The dense layers on a batch: the head's input. With a `trace`,
+    /// every layer's input (the batch first, then each hidden layer's
+    /// post-activation output) is pushed onto it, for backpropagation.
+    pub(crate) fn layers_forward(
+        &self,
+        input: &Matrix,
+        mut trace: Option<&mut Vec<Matrix>>,
+    ) -> Matrix {
         let mut x = input.clone();
         for layer in &self.layers {
             let mut y = x.matmul(&layer.weight);
@@ -118,13 +122,10 @@ impl Mlp {
             if layer.relu {
                 y.relu();
             }
-            x = y;
-        }
-        if self.softmax_output {
-            x.softmax_rows();
-        }
-        if self.sigmoid_output {
-            x.sigmoid();
+            match trace.as_deref_mut() {
+                Some(trace) => trace.push(std::mem::replace(&mut x, y)),
+                None => x = y,
+            }
         }
         x
     }

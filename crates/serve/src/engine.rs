@@ -27,13 +27,15 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use reason_approx::{ApproxConfig, Method, PredictConfig, PredictionNet, SampleConfig};
+use reason_approx::{
+    encode_evidence, prior_mass, train_from_arena, ApproxConfig, Method, PredictConfig,
+    SampleConfig,
+};
 use reason_neural::Mlp;
 use reason_pc::{CompileStats, Dnnf, Evidence, WmcWeights};
 use reason_sat::Cnf;
 use reason_system::{
-    BatchExecutor, BatchTask, ExecutorConfig, NeuralStage, PipelineReport, SymbolicStage,
-    TaskResult, Verdict,
+    BatchExecutor, BatchTask, ExecutorConfig, NeuralStage, SymbolicStage, TaskResult, Verdict,
 };
 use reason_telemetry::Telemetry;
 
@@ -176,8 +178,6 @@ pub struct ServeOutcome {
 pub struct ServeReport {
     /// Per-query outcomes, in submission order.
     pub outcomes: Vec<ServeOutcome>,
-    /// The executor's measured schedule for the batch.
-    pub measured: PipelineReport,
 }
 
 /// How one query maps onto executor tasks.
@@ -213,9 +213,9 @@ struct KbEntry {
     /// means "served from the store at this revision" for as long as
     /// the store holds the artifact.
     compiled_at: Option<u64>,
-    /// Frozen prediction net plus the `Z` and revision it was trained
-    /// against.
-    predictor: Option<(Mlp, f64, u64)>,
+    /// The trained prediction net plus the `Z` and revision it was
+    /// trained against; every predicted query's neural stage shares it.
+    predictor: Option<(Arc<Mlp>, f64, u64)>,
     /// The router's cost numbers (`compile_s`, `eval_s`, `sample_s`).
     /// Its `compiled` and `has_predictor` bits are never written: the
     /// engine reads them off the store and the predictor's revision
@@ -432,8 +432,6 @@ impl ServeEngine {
 
         let entry = &self.kbs[id.0];
         let base_cnf = entry.kb.cnf();
-        let probs: Vec<f64> =
-            (0..entry.kb.num_vars()).map(|v| entry.kb.weights().prob(v)).collect();
         let z_trusted = entry.z.and_then(|(z, rev)| (rev == entry.kb.revision()).then_some(z));
 
         let mut tasks: Vec<BatchTask> = Vec::new();
@@ -477,7 +475,7 @@ impl ServeEngine {
                 Route::Approx { samples } => {
                     let stage = |cnf: Cnf, samples: u64, seed: u64| SymbolicStage::Approx {
                         cnf,
-                        probs: probs.clone(),
+                        weights: entry.kb.weights().clone(),
                         config: approx_config(samples, seed),
                     };
                     match &query.kind {
@@ -541,23 +539,24 @@ impl ServeEngine {
                         .predictor
                         .as_ref()
                         .ok_or_else(|| ServeError::PredictorMissing(entry.kb.name().to_string()))?;
+                    let empty;
                     let (evidence, is_posterior, is_probability) = match &query.kind {
-                        QueryKind::Wmc => (Evidence::empty(entry.kb.num_vars()), false, false),
-                        QueryKind::Probability(ev) => (ev.clone(), false, true),
-                        QueryKind::Posterior(ev) => (ev.clone(), true, false),
+                        QueryKind::Wmc => {
+                            empty = Evidence::empty(entry.kb.num_vars());
+                            (&empty, false, false)
+                        }
+                        QueryKind::Probability(ev) => (ev, false, true),
+                        QueryKind::Posterior(ev) => (ev, true, false),
                         QueryKind::Marginal(..) | QueryKind::Mpe(..) => {
                             return Err(ServeError::NotDegradable(entry.kb.name().to_string()));
                         }
                     };
-                    let options: Vec<Option<bool>> = (0..entry.kb.num_vars())
-                        .map(|v| evidence.value(v).map(|x| x == 1))
-                        .collect();
-                    let input = PredictionNet::encode_query(&options, entry.kb.num_vars());
-                    let prior = prior_mass(entry.kb.weights(), &evidence);
+                    let input = encode_evidence(std::slice::from_ref(evidence));
+                    let prior = prior_mass(entry.kb.weights(), evidence);
                     let task_idx = tasks.len();
                     tasks.push(BatchTask {
                         name: format!("query-{qi}"),
-                        neural: NeuralStage::Mlp { mlp: mlp.clone(), input },
+                        neural: NeuralStage::Mlp { mlp: Arc::clone(mlp), input },
                         symbolic: SymbolicStage::Synthetic { duration: Duration::ZERO },
                         deadline: query.deadline,
                     });
@@ -621,7 +620,7 @@ impl ServeEngine {
                 latency.record(o.latency_s);
             }
         }
-        Ok(ServeReport { outcomes, measured: report.measured })
+        Ok(ServeReport { outcomes })
     }
 
     /// Guarantees the artifact is hot in the store and stamps the entry
@@ -685,8 +684,8 @@ impl ServeEngine {
         // Train the prediction net once per revision, when configured.
         if let Some(cfg) = self.config.predictor {
             if entry.predictor.as_ref().is_none_or(|(_, _, rev)| *rev != revision) {
-                let (net, _loss) = PredictionNet::train_from_arena(&dnnf, entry.kb.weights(), &cfg);
-                entry.predictor = Some((net.to_mlp(), z, revision));
+                let (net, _loss) = train_from_arena(&dnnf, entry.kb.weights(), &cfg);
+                entry.predictor = Some((Arc::new(net), z, revision));
             }
         }
         Ok(())
@@ -850,18 +849,6 @@ fn conjoin(cnf: &Cnf, evidence: &Evidence) -> Cnf {
         }
     }
     out
-}
-
-/// The prior mass `Pr[e]` of partial evidence under independent
-/// per-variable marginals.
-fn prior_mass(weights: &WmcWeights, evidence: &Evidence) -> f64 {
-    (0..weights.len())
-        .map(|v| match evidence.value(v) {
-            Some(1) => weights.prob(v),
-            Some(_) => 1.0 - weights.prob(v),
-            None => 1.0,
-        })
-        .product()
 }
 
 #[cfg(test)]

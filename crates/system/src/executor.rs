@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use crossbeam::thread;
-use reason_approx::{ApproxConfig, ApproxEngine};
+use reason_approx::{approx_wmc, ApproxConfig};
 use reason_neural::{Matrix, Mlp, MlpBuilder};
 use reason_pc::{
     compile_cnf, random_mixture_circuit, BatchBuffer, Dnnf, Evidence, StructureConfig, WmcWeights,
@@ -62,8 +62,9 @@ pub enum NeuralStage {
     /// A real MLP forward pass; the flattened output matrix becomes the
     /// neural buffer handed to the symbolic stage.
     Mlp {
-        /// The network.
-        mlp: Mlp,
+        /// The network, shared with its owner (a serving engine's trained
+        /// predictor is not copied per query).
+        mlp: Arc<Mlp>,
         /// The input batch (rows = samples).
         input: Matrix,
     },
@@ -94,8 +95,8 @@ pub enum SymbolicStage {
     Approx {
         /// The formula.
         cnf: Cnf,
-        /// Per-variable Bernoulli marginals, `probs[v] = p(X_v = 1)`.
-        probs: Vec<f64>,
+        /// Per-variable Bernoulli marginals.
+        weights: WmcWeights,
         /// Estimator configuration (method, budget, seed).
         config: ApproxConfig,
     },
@@ -536,8 +537,8 @@ fn run_symbolic(stage: &SymbolicStage) -> Verdict {
         SymbolicStage::Sat { cnf, config } => {
             Verdict::Sat(CubeAndConquer::new(cnf, config.clone()).solve().solution)
         }
-        SymbolicStage::Approx { cnf, probs, config } => {
-            let est = ApproxEngine::new(*config).wmc(cnf, &WmcWeights::new(probs.clone()));
+        SymbolicStage::Approx { cnf, weights, config } => {
+            let est = approx_wmc(cnf, weights, config);
             Verdict::Wmc { estimate: est.estimate, lower: est.lower, upper: est.upper }
         }
         SymbolicStage::ServeBatch { arena, z, queries } => run_serve_batch(arena, *z, queries),
@@ -656,7 +657,7 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
             let mlp =
                 MlpBuilder::new(16).layer(32, true, s).layer(8, false, s + 1).softmax().build();
             let input = Matrix::random(4, 16, 1.0, s + 2);
-            let neural = NeuralStage::Mlp { mlp, input };
+            let neural = NeuralStage::Mlp { mlp: Arc::new(mlp), input };
             let symbolic = match i % 4 {
                 0 => SymbolicStage::Sat {
                     cnf: random_ksat(12, 50, 3, s + 3),
@@ -682,7 +683,7 @@ pub fn demo_batch(tasks: usize, seed: u64) -> Vec<BatchTask> {
                 }
                 2 => SymbolicStage::Approx {
                     cnf: random_ksat(14, 40, 3, s + 5),
-                    probs: (0..14).map(|v| 0.35 + 0.02 * v as f64).collect(),
+                    weights: WmcWeights::new((0..14).map(|v| 0.35 + 0.02 * v as f64).collect()),
                     config: demo_approx_config(s + 6),
                 },
                 _ => {
@@ -802,7 +803,7 @@ mod tests {
         let mut tasks = demo_batch(4, 3);
         // An MLP input whose width (8) does not match the layer (16)
         // panics inside the forward pass — on the caller, the neural stage.
-        let mlp = MlpBuilder::new(16).layer(8, false, 5).build();
+        let mlp = Arc::new(MlpBuilder::new(16).layer(8, false, 5).build());
         tasks[2] = BatchTask {
             name: "poison-neural".to_string(),
             neural: NeuralStage::Mlp { mlp, input: Matrix::random(4, 8, 1.0, 5) },
@@ -901,7 +902,7 @@ mod tests {
             neural: NeuralStage::Synthetic { duration: Duration::from_millis(1) },
             symbolic: SymbolicStage::Approx {
                 cnf: random_ksat(12, 36, 3, 9),
-                probs: vec![0.5; 12],
+                weights: WmcWeights::uniform(12),
                 config: demo_approx_config(42),
             },
             deadline: None,

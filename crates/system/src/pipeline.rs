@@ -85,25 +85,20 @@ impl PipelineReport {
     }
 }
 
-/// The two-level pipeline scheduler.
+/// The two-level pipeline scheduler. Its serial baseline is every
+/// report's `serial_s`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TwoLevelPipeline {
-    /// Disable the overlap (the serial baseline used in ablations).
-    pub disable_overlap: bool,
-}
+pub struct TwoLevelPipeline;
 
 impl TwoLevelPipeline {
-    /// A pipeline with overlap enabled.
+    /// The pipeline scheduler.
     pub fn new() -> Self {
-        TwoLevelPipeline::default()
+        TwoLevelPipeline
     }
 
     /// Schedules a task sequence.
     pub fn schedule(&self, tasks: &[StageCost]) -> PipelineReport {
         let serial: f64 = tasks.iter().map(|t| t.neural_s + t.symbolic_s).sum();
-        if self.disable_overlap {
-            return PipelineReport { pipelined_s: serial, serial_s: serial, tasks: tasks.len() };
-        }
         // Two-stage flow shop: stage 1 (GPU) streams tasks back to back;
         // stage 2 (REASON) starts a task when both its neural result and
         // the device are free.
@@ -139,15 +134,6 @@ mod tests {
         let report = pipe.schedule(&tasks);
         // Symbolic dominates: makespan ≈ 0.1 + 50 * 1.0.
         assert!((report.pipelined_s - 50.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn disabled_overlap_is_serial() {
-        let pipe = TwoLevelPipeline { disable_overlap: true };
-        let tasks = vec![StageCost { neural_s: 1.0, symbolic_s: 2.0 }; 10];
-        let report = pipe.schedule(&tasks);
-        assert_eq!(report.pipelined_s, report.serial_s);
-        assert_eq!(report.overlap_gain(), 0.0);
     }
 
     #[test]
