@@ -140,10 +140,10 @@ pub fn train_from_arena(arena: &Dnnf, weights: &WmcWeights, cfg: &PredictConfig)
     let ys: Vec<f32> =
         exact_conditionals(arena, weights, &patterns).into_iter().map(|y| y as f32).collect();
     let y = Matrix::from_vec(cfg.queries, 1, ys);
-    let seed = TRAIN_SEED.wrapping_add(17);
+    let seed = TRAIN_SEED + 17;
     let mut net = MlpBuilder::new(2 * n)
         .layer(cfg.hidden, true, seed)
-        .layer(1, false, seed.wrapping_add(1))
+        .layer(1, false, seed + 1)
         .sigmoid()
         .build();
     let mut loss = f32::INFINITY;
