@@ -52,7 +52,7 @@ impl PcDagMap {
 /// let mut b = CircuitBuilder::new(vec![2]);
 /// let t = b.indicator(0, 1);
 /// let f = b.indicator(0, 0);
-/// let root = b.sum(vec![t, f], vec![0.3, 0.7]);
+/// let root = b.sum(&[t, f], &[0.3, 0.7]);
 /// let circuit = b.build(root).unwrap();
 /// let (dag, map) = dag_from_circuit(&circuit);
 /// let inputs = map.inputs_for_evidence(circuit.arities(), &[Some(1)]);
@@ -94,10 +94,10 @@ pub fn dag_from_circuit(circuit: &Circuit) -> (Dag, PcDagMap) {
     for node in circuit.nodes() {
         parts.clear();
         let id = match node {
-            PcNode::Indicator { var, value } => b.input((slot_of[*var] + value) as u32),
+            PcNode::Indicator { var, value } => b.input((slot_of[var] + value) as u32),
             PcNode::Categorical { var, log_probs } => {
                 for (value, lp) in log_probs.iter().enumerate() {
-                    let lambda = b.input((slot_of[*var] + value) as u32);
+                    let lambda = b.input((slot_of[var] + value) as u32);
                     let w = b.constant(lp.exp());
                     parts.push(b.node(DagOp::Mul, &[w, lambda], NodeKind::Leaf));
                 }

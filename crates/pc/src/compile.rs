@@ -39,11 +39,12 @@
 //! keeps a literal-scanning path for steps 2–4 (and tagged literal codes
 //! in its fingerprints), chosen once per compile from the formula.
 //!
-//! What a search node allocates is therefore what the nodes it emits
-//! own, plus one key per cache miss; and the finished node vector is
-//! handed on, not copied: [`Circuit`] holds its nodes behind an `Arc`,
-//! and when the search left no dead node the returned circuit *is* the
-//! array an attached [`PersistentComponentCache`] adopts.
+//! What a search node allocates is therefore one key per cache miss:
+//! the nodes it emits append to the builder's flat tables, and a node
+//! owns no allocation. The finished tables are handed on, not copied:
+//! [`Circuit`] holds them behind an `Arc`, and when the search left no
+//! dead node the returned circuit *is* the tables an attached
+//! [`PersistentComponentCache`] adopts.
 //!
 //! The PR-3-era static-order Shannon expansion survives as
 //! [`compile_cnf_shannon`]: it is the baseline the `reason-eval compile`
@@ -56,7 +57,7 @@ use std::sync::Arc;
 use reason_sat::{ClausePool, Cnf, Lit, Propagator, Var};
 use reason_telemetry::Telemetry;
 
-use crate::circuit::{Circuit, CircuitBuilder, NodeId, PcNode};
+use crate::circuit::{Circuit, CircuitBuilder, NodeId, PcNode, Tables};
 use crate::infer::Evidence;
 
 /// Per-variable Bernoulli marginals used as weights for weighted model
@@ -116,7 +117,7 @@ pub struct CompileOptions<'a> {
     /// A caller-held cross-query cache: components whose fingerprints
     /// survive from earlier compilations of *related* formulas (same
     /// clause-pool ids, same weights) are spliced from the cached node
-    /// arrays instead of recompiled — how a serving knowledge base
+    /// tables instead of recompiled — how a serving knowledge base
     /// recompiles only the components an added clause touches. The cache
     /// binds to the first weight vector it compiles under.
     pub cache: Option<&'a mut PersistentComponentCache>,
@@ -259,8 +260,8 @@ pub fn compile_cnf_with(
     let TopDown { builder, persistent, persisted, mut stats, .. } = compiler;
     let (arities, mut nodes) = builder.into_parts();
     stats.built_nodes = nodes.len();
-    // The search's own vector, dead branches and all, becomes the one
-    // array the circuit and every component persisted by this
+    // The search's own tables, dead branches and all, become the one
+    // set the circuit and every component persisted by this
     // compilation point into; held for as long as either is.
     nodes.shrink_to_fit();
     let nodes = Arc::new(nodes);
@@ -347,15 +348,14 @@ const WIDE_LIT: u64 = 1 << 62;
 /// miss, and shared between the in-compile and the cross-query cache.
 type Key = Arc<[u64]>;
 
-/// One compilation's node array, shared by every component that
-/// compilation persisted, with its estimated heap footprint.
-#[derive(Debug)]
-struct SharedNodes {
-    /// Also the node array of the compilation's own [`Circuit`] when
-    /// its search left no dead node.
-    nodes: Arc<Vec<PcNode>>,
-    bytes: usize,
-}
+/// One compilation's node tables, shared by every component that
+/// compilation persisted; also the tables of the compilation's own
+/// [`Circuit`] when its search left no dead node.
+type SharedNodes = Arc<Tables>;
+
+/// What one cache entry holds: the tables its component's root lives in
+/// and that root, or `None` for a component cached as UNSAT.
+type Entry = Option<(SharedNodes, NodeId)>;
 
 /// Counters of a [`PersistentComponentCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -381,14 +381,15 @@ pub struct PersistentCacheStats {
 /// retraction shifts ids.
 ///
 /// Every compiled node is stored once. A compilation shares its whole
-/// node array with the cache when it finishes — the same array its own
-/// [`Circuit`] reads, unless the search left dead nodes and the circuit
-/// had to be a compacted copy — and each component it persisted is a
-/// root id into that one array (or a cached UNSAT verdict); a later hit
-/// walks from the root and splices what it reaches into the new
+/// node tables with the cache when it finishes — the same tables its
+/// own [`Circuit`] reads, unless the search left dead nodes and the
+/// circuit had to be a compacted copy — and each component it persisted
+/// is a root id into those tables (or a cached UNSAT verdict); a later
+/// hit walks from the root and splices what it reaches into the new
 /// compilation's builder, log-weights preserved bit-for-bit. The cache
-/// holds an array exactly as long as some entry points into it, so it
-/// holds at most the nodes of the compilations it still references.
+/// holds a compilation's tables exactly as long as some entry points
+/// into them, so it holds at most the nodes of the compilations it
+/// still references, at about 32 bytes per node.
 ///
 /// Only components discovered within `persist_depth` decisions of the
 /// root are persisted. That costs a key and a map insert, never a copy:
@@ -400,7 +401,7 @@ pub struct PersistentCacheStats {
 /// probabilities, so [`compile_cnf_with`] panics on a mismatch.
 #[derive(Debug, Clone)]
 pub struct PersistentComponentCache {
-    entries: HashMap<Key, Option<(Arc<SharedNodes>, NodeId)>>,
+    entries: HashMap<Key, Entry>,
     persist_depth: u32,
     weights_sig: Option<Vec<u64>>,
     stats: PersistentCacheStats,
@@ -454,8 +455,8 @@ impl PersistentComponentCache {
         self.stats
     }
 
-    /// The distinct node arrays some entry still points into.
-    fn arrays(&self) -> impl Iterator<Item = &Arc<SharedNodes>> {
+    /// The distinct node tables some entry still points into.
+    fn arrays(&self) -> impl Iterator<Item = &SharedNodes> {
         let mut seen = HashSet::new();
         self.entries
             .values()
@@ -463,16 +464,19 @@ impl PersistentComponentCache {
             .filter(move |array| seen.insert(Arc::as_ptr(array)))
     }
 
-    /// Nodes held across all shared arrays, each array counted once.
+    /// Nodes held across all shared tables, each compilation's counted
+    /// once.
     pub fn retained_nodes(&self) -> usize {
-        self.arrays().map(|array| array.nodes.len()).sum()
+        self.arrays().map(|array| array.len()).sum()
     }
 
-    /// Estimated heap footprint in bytes: every key, plus every shared
-    /// node array once.
+    /// Heap footprint in bytes, read off the capacities the cache holds:
+    /// every key's allocation and map slot, plus every shared set of
+    /// node tables once. The map's spare slots are not counted.
     pub fn bytes(&self) -> usize {
-        let keys: usize = self.entries.keys().map(|k| k.len() * 8).sum();
-        keys + self.arrays().map(|array| array.bytes).sum::<usize>()
+        let slot = std::mem::size_of::<(Key, Entry)>();
+        let keys: usize = self.entries.keys().map(|k| key_bytes(k) + slot).sum();
+        keys + self.arrays().map(|array| array.shared_bytes()).sum::<usize>()
     }
 
     /// Drops everything, including the weight binding — with no
@@ -509,9 +513,9 @@ impl PersistentComponentCache {
         }
     }
 
-    /// `Some(entry)` on a hit; the entry shares its array, it copies
+    /// `Some(entry)` on a hit; the entry shares its tables, it copies
     /// no node.
-    fn probe(&mut self, key: &[u64]) -> Option<Option<(Arc<SharedNodes>, NodeId)>> {
+    fn probe(&mut self, key: &[u64]) -> Option<Entry> {
         let hit = self.entries.get(key).cloned();
         match hit {
             Some(_) => self.stats.hits += 1,
@@ -520,18 +524,20 @@ impl PersistentComponentCache {
         hit
     }
 
-    /// Takes a share of a finished compilation's node array and points
-    /// every component it persisted (`None` = UNSAT verdict) into it.
-    fn adopt(&mut self, nodes: Arc<Vec<PcNode>>, persisted: Vec<(Key, Option<NodeId>)>) {
+    /// Takes a share of a finished compilation's node tables and points
+    /// every component it persisted (`None` = UNSAT verdict) into them.
+    fn adopt(&mut self, nodes: SharedNodes, persisted: Vec<(Key, Option<NodeId>)>) {
         self.stats.stores += persisted.len() as u64;
-        let edges: usize = nodes.iter().map(|n| n.children().len()).sum();
-        let bytes = nodes.len() * std::mem::size_of::<PcNode>()
-            + edges * (std::mem::size_of::<NodeId>() + 8);
-        let array = Arc::new(SharedNodes { nodes, bytes });
         for (key, root) in persisted {
-            self.entries.insert(key, root.map(|root| (Arc::clone(&array), root)));
+            self.entries.insert(key, root.map(|root| (Arc::clone(&nodes), root)));
         }
     }
+}
+
+/// The allocation behind a [`Key`]: the `Arc`'s two counters and the
+/// words.
+fn key_bytes(key: &Key) -> usize {
+    2 * std::mem::size_of::<usize>() + 8 * key.len()
 }
 
 /// `true` when a fingerprint references any clause id `>= first`.
@@ -578,10 +584,10 @@ struct TopDown<'a> {
     persistent: Option<&'a mut PersistentComponentCache>,
     persist_depth: u32,
     persisted: Vec<(Key, Option<NodeId>)>,
-    /// Per cached array (by address; the cache keeps it alive), the
-    /// builder id each of its nodes was spliced to, so hits whose
+    /// Per cached set of tables (by address; the cache keeps it alive),
+    /// the builder id each of its nodes was spliced to, so hits whose
     /// subgraphs overlap share nodes.
-    spliced: HashMap<*const SharedNodes, Vec<Option<NodeId>>>,
+    spliced: HashMap<*const Tables, Vec<Option<NodeId>>>,
     /// Decisions on the current search path.
     depth: u32,
     /// Hash-consed leaves: indicator `[x_v = b]`, free Bernoulli leaf,
@@ -693,7 +699,7 @@ impl TopDown<'_> {
         }
         let node = self.compile_residual(span).then(|| match self.factors.len() - base {
             1 => self.factors[base],
-            _ => self.builder.product(self.factors[base..].to_vec()),
+            _ => self.builder.product(&self.factors[base..]),
         });
         self.factors.truncate(base);
         node
@@ -847,8 +853,8 @@ impl TopDown<'_> {
         // total at most 1.
         let result = (live > 0).then(|| {
             self.builder.push_raw(PcNode::Sum {
-                children: children[..live].to_vec(),
-                log_weights: log_weights[..live].to_vec(),
+                children: &children[..live],
+                log_weights: &log_weights[..live],
             })
         });
         if persist {
@@ -859,37 +865,35 @@ impl TopDown<'_> {
         result
     }
 
-    /// Splices the subgraph under `root` of a cached array into the
+    /// Splices the subgraph under `root` of cached tables into the
     /// builder, recursing no deeper than the search that built it:
     /// leaves are hash-consed through the usual memos, interior nodes
-    /// appended raw so their log-weights survive bit-for-bit, nodes an
+    /// copied raw so their log-weights survive bit-for-bit, nodes an
     /// earlier hit spliced reused. Returns the builder id of `root`.
-    fn splice(&mut self, array: &Arc<SharedNodes>, root: NodeId) -> NodeId {
-        let nodes = &array.nodes;
+    fn splice(&mut self, array: &SharedNodes, root: NodeId) -> NodeId {
         let mut memo =
-            self.spliced.remove(&Arc::as_ptr(array)).unwrap_or_else(|| vec![None; nodes.len()]);
-        let spliced = self.splice_node(nodes, &mut memo, root);
+            self.spliced.remove(&Arc::as_ptr(array)).unwrap_or_else(|| vec![None; array.len()]);
+        let spliced = self.splice_node(array, &mut memo, root);
         self.spliced.insert(Arc::as_ptr(array), memo);
         spliced
     }
 
-    fn splice_node(&mut self, nodes: &[PcNode], memo: &mut [Option<NodeId>], id: NodeId) -> NodeId {
+    fn splice_node(&mut self, nodes: &Tables, memo: &mut [Option<NodeId>], id: NodeId) -> NodeId {
         if let Some(spliced) = memo[id.index()] {
             return spliced;
         }
-        let spliced = match &nodes[id.index()] {
-            PcNode::Indicator { var, value } => self.indicator_leaf(Var::new(*var), *value == 1),
+        let node = nodes.node(id);
+        let spliced = match node {
+            PcNode::Indicator { var, value } => self.indicator_leaf(Var::new(var), value == 1),
             // Free Bernoulli leaves are the only categoricals the
             // compiler emits; the cache's weight binding guarantees
             // the memoized leaf carries the same probabilities.
-            PcNode::Categorical { var, .. } => self.free_leaf(Var::new(*var)),
-            PcNode::Sum { children, log_weights } => {
-                let children = children.iter().map(|&c| self.splice_node(nodes, memo, c)).collect();
-                self.builder.push_raw(PcNode::Sum { children, log_weights: log_weights.clone() })
-            }
-            PcNode::Product { children } => {
-                let children = children.iter().map(|&c| self.splice_node(nodes, memo, c)).collect();
-                self.builder.push_raw(PcNode::Product { children })
+            PcNode::Categorical { var, .. } => self.free_leaf(Var::new(var)),
+            PcNode::Sum { children, .. } | PcNode::Product { children } => {
+                for &c in children {
+                    self.splice_node(nodes, memo, c);
+                }
+                self.builder.push_mapped(node, |c| memo[c.index()].expect("spliced above"))
             }
         };
         memo[id.index()] = Some(spliced);
@@ -1004,7 +1008,7 @@ impl TopDown<'_> {
             return id;
         }
         let ind = self.indicator_leaf(v, value);
-        let id = self.builder.sum(vec![ind], vec![self.weights.lit_prob(lit)]);
+        let id = self.builder.sum(&[ind], &[self.weights.lit_prob(lit)]);
         self.implied_memo[v.index()][usize::from(value)] = Some(id);
         id
     }
@@ -1146,7 +1150,7 @@ impl Shannon<'_> {
             let tail = self.compile(clauses, var + 1);
             tail.map(|t| {
                 let leaf = self.free_leaf(var);
-                self.builder.product(vec![leaf, t])
+                self.builder.product(&[leaf, t])
             })
         } else {
             let pos = cofactor(&clauses, Var::new(var).pos());
@@ -1158,12 +1162,12 @@ impl Shannon<'_> {
             let mut ws: Vec<f64> = Vec::with_capacity(2);
             if let Some(n) = pos_node {
                 let ind = self.builder.indicator(var, 1);
-                children.push(self.builder.product(vec![ind, n]));
+                children.push(self.builder.product(&[ind, n]));
                 ws.push(p);
             }
             if let Some(n) = neg_node {
                 let ind = self.builder.indicator(var, 0);
-                children.push(self.builder.product(vec![ind, n]));
+                children.push(self.builder.product(&[ind, n]));
                 ws.push(1.0 - p);
             }
             if children.is_empty() {
@@ -1171,7 +1175,7 @@ impl Shannon<'_> {
             } else {
                 // Sub-normalized like the top-down compiler: mass of an
                 // unsatisfiable branch is lost, root value is Pr[φ].
-                Some(self.builder.sum(children, ws))
+                Some(self.builder.sum(&children, &ws))
             }
         };
         self.cache.insert(key, result);
@@ -1185,7 +1189,7 @@ impl Shannon<'_> {
         if leaves.len() == 1 {
             leaves[0]
         } else {
-            self.builder.product(leaves)
+            self.builder.product(&leaves)
         }
     }
 
@@ -1620,14 +1624,15 @@ mod tests {
         let (circuit, stats) = cached(&cnf, &w, &mut cache);
         let circuit = circuit.unwrap();
         assert_eq!(stats.built_nodes, stats.nodes, "pick a formula whose search kills no branch");
-        // One array, two owners: the circuit's nodes are the cache's.
-        let array = Arc::clone(&cache.arrays().next().unwrap().nodes);
-        assert!(std::ptr::eq(circuit.nodes(), array.as_slice()));
-        assert_eq!(Arc::strong_count(&array), 3, "cache + circuit + this handle");
+        // One set of tables, two owners: the circuit's nodes are the cache's.
+        let array = Arc::clone(cache.arrays().next().unwrap());
+        assert!(Arc::ptr_eq(circuit.tables(), &array));
+        let entries = cache.entries.values().flatten().count();
+        assert_eq!(Arc::strong_count(&array), entries + 2, "entries + circuit + this handle");
         assert_eq!(cache.retained_nodes(), circuit.num_nodes());
         // A clone of the circuit is a share, and equal.
         let twin = circuit.clone();
-        assert!(std::ptr::eq(twin.nodes(), circuit.nodes()));
+        assert!(Arc::ptr_eq(twin.tables(), circuit.tables()));
         assert_eq!(twin, circuit);
         // The array outlives the cache for as long as a circuit reads it.
         let weak = Arc::downgrade(&array);
@@ -1647,9 +1652,14 @@ mod tests {
         let (circuit, stats) = cached(&cnf, &w, &mut cache);
         let circuit = circuit.unwrap();
         assert!(stats.nodes < stats.built_nodes, "pick a formula whose search kills a branch");
-        let array = Arc::clone(&cache.arrays().next().unwrap().nodes);
-        assert!(!std::ptr::eq(circuit.nodes(), array.as_slice()));
-        assert_eq!(Arc::strong_count(&array), 2, "cache + this handle: the circuit is a copy");
+        let array = Arc::clone(cache.arrays().next().unwrap());
+        assert!(!Arc::ptr_eq(circuit.tables(), &array));
+        let entries = cache.entries.values().flatten().count();
+        assert_eq!(
+            Arc::strong_count(&array),
+            entries + 1,
+            "entries + this handle: a copied circuit"
+        );
         assert_eq!(circuit.num_nodes(), stats.nodes);
         circuit.validate().unwrap();
         // The cache keeps the search's whole vector, dead nodes included.
@@ -1671,14 +1681,43 @@ mod tests {
         let keys: usize = cache.entries.keys().map(|k| k.len() * 8).sum();
         assert!(cache.bytes() > keys);
         let array = Arc::downgrade(cache.arrays().next().unwrap());
-        let nodes = Arc::downgrade(&cache.arrays().next().unwrap().nodes);
-        // The circuit may share the node array, so it goes first.
+        // The circuit may share the node tables, so it goes first.
         drop(circuit);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!((cache.bytes(), cache.retained_nodes()), (0, 0));
-        assert!(array.upgrade().is_none(), "clear() must release the array");
-        assert!(nodes.upgrade().is_none(), "clear() must release the nodes");
+        assert!(array.upgrade().is_none(), "clear() must release the tables");
+    }
+
+    #[test]
+    fn bytes_are_the_capacities_the_cache_holds() {
+        use std::mem::size_of;
+        let cnf = random_ksat(12, 32, 3, 5);
+        let w = WmcWeights::uniform(12);
+        let mut cache = PersistentComponentCache::new();
+        let (_, stats) = cached(&cnf, &w, &mut cache);
+        let tables = cache.arrays().next().unwrap();
+        // The adopted tables are shrunk to fit: one 16-byte record per
+        // built node, a 4-byte id per edge, an 8-byte parameter per sum
+        // weight and per categorical probability.
+        let (edges, params) = tables
+            .nodes()
+            .map(|n| (n.children().len(), n.num_params()))
+            .fold((0, 0), |(e, p), (de, dp)| (e + de, p + dp));
+        assert_eq!(tables.len(), stats.built_nodes);
+        let table_bytes = 2 * size_of::<usize>()
+            + size_of::<Tables>()
+            + 16 * stats.built_nodes
+            + 4 * edges
+            + 8 * params;
+        assert_eq!(tables.shared_bytes(), table_bytes);
+        // Each key: its allocation (two counters and its words) and the
+        // map slot holding it with its entry.
+        let slot = size_of::<(Key, Entry)>();
+        let keys: usize =
+            cache.entries.keys().map(|k| 2 * size_of::<usize>() + 8 * k.len() + slot).sum();
+        assert_eq!(cache.bytes(), table_bytes + keys);
+        assert!(cache.bytes() < 40 * stats.built_nodes + keys, "about 32 bytes per node");
     }
 
     #[test]

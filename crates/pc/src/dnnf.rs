@@ -1,12 +1,14 @@
 //! Flat, evaluation-ready d-DNNF arenas extracted from compiled circuits.
 //!
-//! [`crate::compile::compile_cnf`] emits a [`Circuit`]: enum nodes with
-//! per-node child vectors, ideal for construction and structural
-//! validation but pointer-chasing for the serving hot path. A [`Dnnf`]
-//! is the same circuit flattened into arrays — one node table, one
-//! contiguous edge array, one parallel edge-weight array — so a
-//! repeated-query engine (the `reason-serve` circuit store) evaluates
-//! it with nothing but linear index arithmetic.
+//! [`crate::compile::compile_cnf`] emits a [`Circuit`]: flat tables of
+//! node records, child ids and log-space parameters, shaped for
+//! construction, splicing and structural validation. A [`Dnnf`] is the
+//! same circuit laid out for the serving hot path — one node table
+//! carrying each node's empty value, one contiguous edge array, one
+//! parallel edge-weight array in the linear domain, and each node's
+//! liveness slot — so a repeated-query engine (the `reason-serve`
+//! circuit store) evaluates it with nothing but linear index
+//! arithmetic.
 //!
 //! Extraction is **1:1 and order-preserving**: node `i` of the arena is
 //! node `i` of the source circuit and children keep their order. The
@@ -991,7 +993,7 @@ impl Dnnf {
             let start = arena.edges.len() as u32;
             let (flat, low, high) = match node {
                 PcNode::Indicator { var, value } => {
-                    (Node::Indicator { var: *var as u32, value: *value == 1 }, 1.0, 1.0)
+                    (Node::Indicator { var: var as u32, value: value == 1 }, 1.0, 1.0)
                 }
                 PcNode::Categorical { var, log_probs } => {
                     let p = [exps.exp(log_probs[0]), exps.exp(log_probs[1])];
@@ -1004,7 +1006,7 @@ impl Dnnf {
                             low.min(p[b])
                         }
                     });
-                    (Node::Leaf { var: *var as u32, p }, low, p[0].max(p[1]))
+                    (Node::Leaf { var: var as u32, p }, low, p[0].max(p[1]))
                 }
                 PcNode::Product { children } => {
                     // The empty value folds like the walk: `1 · c0 · c1 …`.
@@ -1856,7 +1858,7 @@ mod tests {
         let nothing = compile_cnf(&Cnf::from_clauses(0, vec![]), &WmcWeights::uniform(0))
             .expect("the empty formula has mass");
         let mut b = CircuitBuilder::new(vec![2]);
-        let root = b.product(vec![]);
+        let root = b.product(&[]);
         let bare = b.build(root).unwrap();
         for circuit in [nothing, bare] {
             let arena = Dnnf::from_circuit(&circuit).unwrap();
@@ -1913,7 +1915,7 @@ mod tests {
         }
         // An empty-product root.
         let mut b = CircuitBuilder::new(vec![2, 2]);
-        let root = b.product(vec![]);
+        let root = b.product(&[]);
         circuits.push(b.build(root).unwrap());
         let mut buf = BatchBuffer::new();
         for (k, circuit) in circuits.iter().enumerate() {
@@ -2459,11 +2461,11 @@ mod tests {
         let mut b = CircuitBuilder::new(vec![2, 2]);
         let (a0, a1) = (b.indicator(0, 0), b.indicator(0, 1));
         let (b0, b1) = (b.indicator(1, 0), b.indicator(1, 1));
-        let sa = b.sum(vec![a0, a1, a0], vec![0.3, 0.5, 0.2]);
-        let sb = b.sum(vec![b0, b1], vec![0.4, 0.6]);
-        let root = b.product(vec![sa, sb]);
-        b.product(vec![sa]);
-        b.sum(vec![b1, b1], vec![0.5, 0.5]);
+        let sa = b.sum(&[a0, a1, a0], &[0.3, 0.5, 0.2]);
+        let sb = b.sum(&[b0, b1], &[0.4, 0.6]);
+        let root = b.product(&[sa, sb]);
+        b.product(&[sa]);
+        b.sum(&[b1, b1], &[0.5, 0.5]);
         let circuit = b.build(root).unwrap();
         let arena = Dnnf::from_circuit(&circuit).unwrap();
         assert!((arena.root as usize) < arena.num_nodes() - 1);

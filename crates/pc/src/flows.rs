@@ -6,34 +6,33 @@
 //! carries; REASON prunes the lowest-flow edges ([`crate::prune`]) and the
 //! same quantities are the expected sufficient statistics of EM.
 
-use crate::circuit::{Circuit, NodeId, PcNode};
+use crate::circuit::{Circuit, CircuitBuilder, NodeId, PcNode};
 use crate::infer::Evidence;
 
 /// Per-edge flows of a circuit. Edges are addressed as
 /// `(sum node id, child position)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeFlows {
-    /// `flows[n][k]` = flow through child `k` of node `n` (0 for leaves and
-    /// products, which are not separately addressed).
-    flows: Vec<Vec<f64>>,
+    /// One flow per edge of the circuit, in its child table's order:
+    /// child `k` of node `n` at [`Circuit::edge_range`]`(n).start + k`
+    /// (products carry their node's flow; leaves have no edges).
+    flows: Vec<f64>,
 }
 
 impl EdgeFlows {
     fn zeros(circuit: &Circuit) -> Self {
-        EdgeFlows { flows: circuit.nodes().iter().map(|n| vec![0.0; n.children().len()]).collect() }
+        EdgeFlows { flows: vec![0.0; circuit.num_edges()] }
     }
 
-    /// All edge flows for node `n`.
-    fn node(&self, n: NodeId) -> &[f64] {
-        &self.flows[n.index()]
+    /// All edge flows for node `n` of `circuit`.
+    fn node(&self, circuit: &Circuit, n: NodeId) -> &[f64] {
+        &self.flows[circuit.edge_range(n)]
     }
 
     /// Accumulates another flow set (used to form dataset flows).
     fn accumulate(&mut self, other: &EdgeFlows) {
-        for (a, b) in self.flows.iter_mut().zip(&other.flows) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += *y;
-            }
+        for (x, y) in self.flows.iter_mut().zip(&other.flows) {
+            *x += *y;
         }
     }
 
@@ -42,15 +41,9 @@ impl EdgeFlows {
         &'a self,
         circuit: &'a Circuit,
     ) -> impl Iterator<Item = (NodeId, usize, f64)> + 'a {
-        circuit.nodes().iter().enumerate().flat_map(move |(i, node)| {
-            let is_sum = node.is_sum();
-            self.flows[i].iter().enumerate().filter_map(move |(k, &f)| {
-                if is_sum {
-                    Some((NodeId(i as u32), k, f))
-                } else {
-                    None
-                }
-            })
+        (0..circuit.num_nodes()).map(|i| NodeId(i as u32)).flat_map(move |n| {
+            let flows = if circuit.node(n).is_sum() { self.node(circuit, n) } else { &[] };
+            flows.iter().enumerate().map(move |(k, &f)| (n, k, f))
         })
     }
 }
@@ -73,10 +66,12 @@ impl Circuit {
             if f_n == 0.0 {
                 continue;
             }
-            match &self.nodes()[i] {
+            let id = NodeId(i as u32);
+            let edges = &mut out.flows[self.edge_range(id)];
+            match self.node(id) {
                 PcNode::Sum { children, log_weights } => {
                     let log_pn = vals[i];
-                    for (k, (c, lw)) in children.iter().zip(log_weights).enumerate() {
+                    for ((c, lw), edge) in children.iter().zip(log_weights).zip(edges) {
                         let log_pc = vals[c.index()];
                         let share = if log_pc == f64::NEG_INFINITY {
                             0.0
@@ -84,13 +79,13 @@ impl Circuit {
                             (lw + log_pc - log_pn).exp()
                         };
                         let f_edge = share * f_n;
-                        out.flows[i][k] = f_edge;
+                        *edge = f_edge;
                         node_flow[c.index()] += f_edge;
                     }
                 }
                 PcNode::Product { children } => {
-                    for (k, c) in children.iter().enumerate() {
-                        out.flows[i][k] = f_n;
+                    for (c, edge) in children.iter().zip(edges) {
+                        *edge = f_n;
                         node_flow[c.index()] += f_n;
                     }
                 }
@@ -119,19 +114,25 @@ pub fn dataset_flows(circuit: &Circuit, data: &[Vec<usize>]) -> EdgeFlows {
 /// under repeated application (checked by tests).
 pub fn em_step(circuit: &Circuit, data: &[Vec<usize>], alpha: f64) -> Circuit {
     let flows = dataset_flows(circuit, data);
-    let mut nodes = circuit.nodes().to_vec();
-    for (i, node) in nodes.iter_mut().enumerate() {
-        if let PcNode::Sum { children, log_weights } = node {
-            let f = flows.node(NodeId(i as u32));
-            let total: f64 = f.iter().sum::<f64>() + alpha * children.len() as f64;
-            if total > 0.0 {
-                for (k, lw) in log_weights.iter_mut().enumerate() {
-                    *lw = ((f[k] + alpha) / total).ln();
-                }
-            }
+    let mut b = CircuitBuilder::new(circuit.arities().to_vec());
+    let mut updated: Vec<f64> = Vec::new();
+    for (i, node) in circuit.nodes().enumerate() {
+        let PcNode::Sum { children, log_weights } = node else {
+            b.push_raw(node);
+            continue;
+        };
+        let f = flows.node(circuit, NodeId(i as u32));
+        let total: f64 = f.iter().sum::<f64>() + alpha * children.len() as f64;
+        updated.clear();
+        if total > 0.0 {
+            updated.extend(f.iter().map(|f| ((f + alpha) / total).ln()));
+        } else {
+            updated.extend_from_slice(log_weights);
         }
+        b.push_raw(PcNode::Sum { children, log_weights: &updated });
     }
-    Circuit::from_parts(circuit.arities().to_vec(), nodes, circuit.root())
+    let (arities, tables) = b.into_parts();
+    Circuit::from_parts(arities, tables, circuit.root())
 }
 
 /// Mean train log-likelihood of a dataset.
@@ -154,9 +155,9 @@ mod tests {
         let x0f = b.indicator(0, 0);
         let c0 = b.categorical(1, &[0.9, 0.1]);
         let c1 = b.categorical(1, &[0.2, 0.8]);
-        let p0 = b.product(vec![x0t, c0]);
-        let p1 = b.product(vec![x0f, c1]);
-        let root = b.sum(vec![p0, p1], vec![0.4, 0.6]);
+        let p0 = b.product(&[x0t, c0]);
+        let p1 = b.product(&[x0f, c1]);
+        let root = b.sum(&[p0, p1], &[0.4, 0.6]);
         b.build(root).unwrap()
     }
 
@@ -165,7 +166,7 @@ mod tests {
         let c = mixture();
         let f = c.flows(&Evidence::from_assignment(&[1, 0]));
         // Root flow is 1; sum of root edge flows must be 1.
-        let root_flows = f.node(c.root());
+        let root_flows = f.node(&c, c.root());
         assert!((root_flows.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
@@ -174,7 +175,7 @@ mod tests {
         let c = mixture();
         // x0=1 selects the first branch exclusively.
         let f = c.flows(&Evidence::from_assignment(&[1, 0]));
-        let rf = f.node(c.root());
+        let rf = f.node(&c, c.root());
         assert!((rf[0] - 1.0).abs() < 1e-12);
         assert!(rf[1].abs() < 1e-12);
     }
@@ -184,10 +185,10 @@ mod tests {
         let mut b = CircuitBuilder::new(vec![2]);
         let t = b.indicator(0, 1);
         let f_ = b.indicator(0, 1);
-        let root = b.sum(vec![t, f_], vec![0.5, 0.5]);
+        let root = b.sum(&[t, f_], &[0.5, 0.5]);
         let c = b.build(root).unwrap();
         let f = c.flows(&Evidence::from_assignment(&[0]));
-        assert!(f.node(c.root()).iter().all(|&x| x == 0.0));
+        assert!(f.node(&c, c.root()).iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -195,7 +196,7 @@ mod tests {
         let c = mixture();
         let data = vec![vec![1, 0], vec![0, 1], vec![0, 1]];
         let total = dataset_flows(&c, &data);
-        let rf = total.node(c.root());
+        let rf = total.node(&c, c.root());
         // Three unit flows distributed across the two edges.
         assert!((rf.iter().sum::<f64>() - 3.0).abs() < 1e-9);
     }

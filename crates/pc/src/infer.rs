@@ -108,14 +108,14 @@ impl Circuit {
         assert_eq!(evidence.len(), self.num_vars(), "evidence arity mismatch");
         vals.clear();
         vals.resize(self.num_nodes(), 0.0);
-        for (i, node) in self.nodes().iter().enumerate() {
+        for (i, node) in self.nodes().enumerate() {
             vals[i] = match node {
-                PcNode::Indicator { var, value } => match evidence.value(*var) {
-                    Some(v) if v == *value => 0.0,
+                PcNode::Indicator { var, value } => match evidence.value(var) {
+                    Some(v) if v == value => 0.0,
                     Some(_) => f64::NEG_INFINITY,
                     None => 0.0, // marginalized: Σ_v [v = value] = 1
                 },
-                PcNode::Categorical { var, log_probs } => match evidence.value(*var) {
+                PcNode::Categorical { var, log_probs } => match evidence.value(var) {
                     Some(v) => log_probs[v],
                     None => 0.0, // distributions sum to 1
                 },
@@ -211,17 +211,17 @@ impl Circuit {
         let n = self.num_nodes();
         let mut vals = vec![0.0; n];
         let mut arg = vec![0usize; n]; // argmax child position for sums
-        for (i, node) in self.nodes().iter().enumerate() {
+        for (i, node) in self.nodes().enumerate() {
             match node {
                 PcNode::Indicator { var, value } => {
-                    vals[i] = match evidence.value(*var) {
-                        Some(v) if v == *value => 0.0,
+                    vals[i] = match evidence.value(var) {
+                        Some(v) if v == value => 0.0,
                         Some(_) => f64::NEG_INFINITY,
                         None => 0.0,
                     };
                 }
                 PcNode::Categorical { var, log_probs } => {
-                    vals[i] = match evidence.value(*var) {
+                    vals[i] = match evidence.value(var) {
                         Some(v) => log_probs[v],
                         None => log_probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
                     };
@@ -248,12 +248,12 @@ impl Circuit {
         while let Some(id) = stack.pop() {
             match self.node(id) {
                 PcNode::Indicator { var, value } => {
-                    if evidence.value(*var).is_none() {
-                        assignment[*var] = *value;
+                    if evidence.value(var).is_none() {
+                        assignment[var] = value;
                     }
                 }
                 PcNode::Categorical { var, log_probs } => {
-                    if evidence.value(*var).is_none() {
+                    if evidence.value(var).is_none() {
                         let best =
                             log_probs
                                 .iter()
@@ -266,7 +266,7 @@ impl Circuit {
                                     }
                                 })
                                 .0;
-                        assignment[*var] = best;
+                        assignment[var] = best;
                     }
                 }
                 PcNode::Product { children } => stack.extend(children.iter().copied()),
@@ -289,9 +289,9 @@ mod tests {
         let x0f = b.indicator(0, 0);
         let x1t = b.indicator(1, 1);
         let cat = b.categorical(1, &[0.2, 0.8]);
-        let p0 = b.product(vec![x0t, x1t]);
-        let p1 = b.product(vec![x0f, cat]);
-        let root = b.sum(vec![p0, p1], vec![0.3, 0.7]);
+        let p0 = b.product(&[x0t, x1t]);
+        let p1 = b.product(&[x0f, cat]);
+        let root = b.sum(&[p0, p1], &[0.3, 0.7]);
         b.build(root).unwrap()
     }
 

@@ -46,9 +46,9 @@
 //! let x0_f = b.indicator(0, 0);
 //! let x1_t = b.indicator(1, 1);
 //! let x1_f = b.indicator(1, 0);
-//! let c0 = b.product(vec![x0_t, x1_t]);
-//! let c1 = b.product(vec![x0_f, x1_f]);
-//! let root = b.sum(vec![c0, c1], vec![0.25, 0.75]);
+//! let c0 = b.product(&[x0_t, x1_t]);
+//! let c1 = b.product(&[x0_f, x1_f]);
+//! let root = b.sum(&[c0, c1], &[0.25, 0.75]);
 //! let circuit = b.build(root).unwrap();
 //!
 //! // p(x0=1, x1=1) = 0.25

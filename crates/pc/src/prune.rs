@@ -7,7 +7,7 @@
 //! total mass share. After edge removal the remaining weights are
 //! renormalized and unreachable nodes are compacted away.
 
-use crate::circuit::{Circuit, NodeId, PcNode};
+use crate::circuit::{Circuit, CircuitBuilder, NodeId, PcNode};
 use crate::flows::{dataset_flows, EdgeFlows};
 use crate::log_sum_exp;
 
@@ -71,8 +71,8 @@ fn prune_with_flows(
 
     // Select edges to remove, keeping >= 1 child per sum node.
     let mut removed_per_node = vec![0usize; circuit.num_nodes()];
-    let mut remove: Vec<Vec<bool>> =
-        circuit.nodes().iter().map(|n| vec![false; n.children().len()]).collect();
+    // One mark per edge of the circuit, numbered as `EdgeFlows` numbers them.
+    let mut remove = vec![false; circuit.num_edges()];
     let mut removed = 0usize;
     let mut flow_removed = 0.0f64;
     for (n, k, f) in edges {
@@ -83,31 +83,41 @@ fn prune_with_flows(
         if child_count - removed_per_node[n.index()] <= 1 {
             continue;
         }
-        remove[n.index()][k] = true;
+        remove[circuit.edge_range(n).start + k] = true;
         removed_per_node[n.index()] += 1;
         removed += 1;
         flow_removed += f;
     }
 
     // Rebuild nodes with surviving edges, renormalizing sum weights.
-    let mut nodes = circuit.nodes().to_vec();
-    for (i, node) in nodes.iter_mut().enumerate() {
-        if let PcNode::Sum { children, log_weights } = node {
-            if removed_per_node[i] == 0 {
-                continue;
-            }
-            let survivors: Vec<(NodeId, f64)> = children
-                .iter()
-                .zip(log_weights.iter())
-                .enumerate()
-                .filter_map(|(k, (c, lw))| if remove[i][k] { None } else { Some((*c, *lw)) })
-                .collect();
-            let log_z = log_sum_exp(&survivors.iter().map(|(_, lw)| *lw).collect::<Vec<_>>());
-            *children = survivors.iter().map(|(c, _)| *c).collect();
-            *log_weights = survivors.iter().map(|(_, lw)| lw - log_z).collect();
+    let mut b = CircuitBuilder::new(circuit.arities().to_vec());
+    let (mut children, mut log_weights) = (Vec::new(), Vec::new());
+    for (i, node) in circuit.nodes().enumerate() {
+        let PcNode::Sum { children: all, log_weights: all_weights } = node else {
+            b.push_raw(node);
+            continue;
+        };
+        if removed_per_node[i] == 0 {
+            b.push_raw(node);
+            continue;
         }
+        let removed = &remove[circuit.edge_range(NodeId(i as u32))];
+        children.clear();
+        log_weights.clear();
+        for ((&c, &lw), &cut) in all.iter().zip(all_weights).zip(removed) {
+            if !cut {
+                children.push(c);
+                log_weights.push(lw);
+            }
+        }
+        let log_z = log_sum_exp(&log_weights);
+        for lw in &mut log_weights {
+            *lw -= log_z;
+        }
+        b.push_raw(PcNode::Sum { children: &children, log_weights: &log_weights });
     }
-    let rebuilt = Circuit::from_parts(circuit.arities().to_vec(), nodes, circuit.root());
+    let (arities, tables) = b.into_parts();
+    let rebuilt = Circuit::from_parts(arities, tables, circuit.root());
     let (compacted, nodes_removed) = rebuilt.compact();
     let bytes_after = compacted.footprint_bytes();
 
@@ -215,11 +225,11 @@ mod tests {
         let mut b = CircuitBuilder::new(vec![2, 2]);
         let c0 = b.categorical(0, &[0.9, 0.1]);
         let c1 = b.categorical(1, &[0.9, 0.1]);
-        let common = b.product(vec![c0, c1]);
+        let common = b.product(&[c0, c1]);
         let r0 = b.categorical(0, &[0.1, 0.9]);
         let r1 = b.categorical(1, &[0.1, 0.9]);
-        let rare = b.product(vec![r0, r1]);
-        let root = b.sum(vec![common, rare], vec![0.5, 0.5]);
+        let rare = b.product(&[r0, r1]);
+        let root = b.sum(&[common, rare], &[0.5, 0.5]);
         let c = b.build(root).unwrap();
         let data = vec![vec![0, 0]; 10];
         let report = prune_by_flow(&c, &data, 0.5);

@@ -131,11 +131,11 @@ fn walk(circuit: &Circuit, evidence: &Evidence, max: bool) -> Vec<Dd> {
     for node in circuit.nodes() {
         let v =
             match node {
-                PcNode::Indicator { var, value } => match evidence.value(*var) {
-                    Some(v) if v != *value => Dd::ZERO,
+                PcNode::Indicator { var, value } => match evidence.value(var) {
+                    Some(v) if v != value => Dd::ZERO,
                     _ => Dd::ONE,
                 },
-                PcNode::Categorical { var, log_probs } => match evidence.value(*var) {
+                PcNode::Categorical { var, log_probs } => match evidence.value(var) {
                     Some(v) => Dd::exp(log_probs[v]),
                     None if max => log_probs
                         .iter()

@@ -19,17 +19,21 @@ use crate::circuit::{Circuit, NodeId, PcNode};
 pub fn sample<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Vec<usize> {
     let mut assignment = vec![0usize; circuit.num_vars()];
     let mut stack: Vec<NodeId> = vec![circuit.root()];
+    // One scratch for every leaf's and sum's linear-space weights.
+    let mut probs: Vec<f64> = Vec::new();
     while let Some(id) = stack.pop() {
         match circuit.node(id) {
-            PcNode::Indicator { var, value } => assignment[*var] = *value,
+            PcNode::Indicator { var, value } => assignment[var] = value,
             PcNode::Categorical { var, log_probs } => {
-                let probs: Vec<f64> = log_probs.iter().map(|lp| lp.exp()).collect();
-                assignment[*var] = sample_categorical(rng, &probs);
+                probs.clear();
+                probs.extend(log_probs.iter().map(|lp| lp.exp()));
+                assignment[var] = sample_categorical(rng, &probs);
             }
             PcNode::Product { children } => stack.extend(children.iter().copied()),
             PcNode::Sum { children, log_weights } => {
-                let ws: Vec<f64> = log_weights.iter().map(|lw| lw.exp()).collect();
-                stack.push(children[sample_categorical(rng, &ws)]);
+                probs.clear();
+                probs.extend(log_weights.iter().map(|lw| lw.exp()));
+                stack.push(children[sample_categorical(rng, &probs)]);
             }
         }
     }
@@ -51,9 +55,9 @@ mod tests {
         let x0f = b.indicator(0, 0);
         let c0 = b.categorical(1, &[0.9, 0.1]);
         let c1 = b.categorical(1, &[0.2, 0.8]);
-        let p0 = b.product(vec![x0t, c0]);
-        let p1 = b.product(vec![x0f, c1]);
-        let root = b.sum(vec![p0, p1], vec![0.3, 0.7]);
+        let p0 = b.product(&[x0t, c0]);
+        let p1 = b.product(&[x0f, c1]);
+        let root = b.sum(&[p0, p1], &[0.3, 0.7]);
         let circuit = b.build(root).unwrap();
 
         let mut rng = StdRng::seed_from_u64(123);
@@ -78,9 +82,9 @@ mod tests {
         let bb = b.indicator(1, 1);
         let c = b.indicator(0, 0);
         let d = b.indicator(1, 0);
-        let p0 = b.product(vec![a, bb]);
-        let p1 = b.product(vec![c, d]);
-        let root = b.sum(vec![p0, p1], vec![0.5, 0.5]);
+        let p0 = b.product(&[a, bb]);
+        let p1 = b.product(&[c, d]);
+        let root = b.sum(&[p0, p1], &[0.5, 0.5]);
         let circuit = b.build(root).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..100 {

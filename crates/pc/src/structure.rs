@@ -71,7 +71,7 @@ fn build_region(
                 builder.categorical(v, &[1.0 - p, p])
             })
             .collect();
-        return builder.product(children);
+        return builder.product(&children);
     }
     // Mixture over alternative balanced partitions of this region.
     let mut components: Vec<NodeId> = Vec::with_capacity(num_components);
@@ -82,10 +82,10 @@ fn build_region(
         let (left, right) = shuffled.split_at(mid);
         let l = build_region(builder, rng, left, depth - 1, num_components);
         let r = build_region(builder, rng, right, depth - 1, num_components);
-        components.push(builder.product(vec![l, r]));
+        components.push(builder.product(&[l, r]));
     }
     let weights = random_simplex(rng, components.len());
-    builder.sum(components, weights)
+    builder.sum(&components, &weights)
 }
 
 fn random_simplex(rng: &mut StdRng, n: usize) -> Vec<f64> {

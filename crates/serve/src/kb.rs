@@ -22,31 +22,29 @@
 //!
 //! # Does the cache earn its keep? (ROADMAP, Settled)
 //!
-//! Yes, by more than the earlier readings said. The prototype is one
-//! line on a scratch copy — `cache: None` in
-//! `KnowledgeBase::compile_observed`, every check kept — run as four
-//! alternating 22 s pairs of `benchmark/run.sh` at seed 42, `--trace 0`,
-//! on a 2-core VM, against a store that ranks eviction victims from
-//! sizes kept at insert:
+//! Yes, on the workload built for it. The prototype is one line on a
+//! scratch copy — `cache: None` in `KnowledgeBase::compile_observed`,
+//! every check kept — run as 22 s `benchmark/run.sh` rounds at seed 42,
+//! `--trace 0`, on a 2-core VM, on the commit before the circuit became
+//! flat tables and on the flat one (medians of five alternating pairs,
+//! ten for `edit_churn` with the cache):
 //!
-//! | `edit_churn` | with the cache | `cache: None` |
+//! | workload, metric | before: cache / `cache: None` | flat: cache / `cache: None` |
 //! |---|---|---|
-//! | `ops_per_s` | 1,487–1,618 (median 1,518) | 1,092–1,210 (median 1,133, −25 %; cache wins 4/4) |
-//! | `call_p50_us` | 534–589 | 747–820 |
-//! | `peak_rss_mb` | 36.8 | 20.2 |
+//! | `edit_churn` `ops_per_s` | 1,607 / 1,112 (cache +45 %) | 1,742 / 1,245 (cache +40 %) |
+//! | `edit_churn` `peak_rss_mb` | 36.4 / 11.1 | 22.5 / 11.1 |
+//! | `hot_wide` `ops_per_s` | 451k / 459k | 440k / 431k |
+//! | `hot_wide` `peak_rss_mb` | 59.1 / 38.1 | 49.6 / 37.5 |
+//! | `cold_ladder` `ops_per_s` | 499 / 541 | 495 / 568 |
+//! | `cold_ladder` `peak_rss_mb` | 10.4 / 9.9 | 9.6 / 9.1 |
 //!
-//! Every earlier margin was measured while half of every edit went to
-//! the store's victim scan, which re-walked all 64 stored circuits on
-//! each evicting insert. Both arms paid that scan, so it diluted the
-//! compile the cache saves: the two earlier readings were −14 % and
-//! then −7 % (cache winning 4/4, then 3/4). Without the scan the cache
-//! is worth about +34 % on the workload built for it, for about 17 MiB.
-//! `cold_ladder` (five pairs, in a slow host phase) read 327–483 with
-//! and 438–506 without, a difference this host does not resolve; the
-//! earlier reading put the bookkeeping of a cache nothing hits at about
-//! 2 % of a cold compile. The cache stays. Four pairs is below the
-//! ten-pair house rule: this is evidence for keeping the cache, not a
-//! claimed gain, and the next compile speed-up should re-run it.
+//! The cache buys about +40 % `edit_churn` throughput. Since the node
+//! tables are flat it costs about 11 MiB there instead of 25, and about
+//! 12 MiB on `hot_wide` instead of 21. `cold_ladder` hits nothing and
+//! pays the cache's keys and map inserts: 8–13 % of its throughput in
+//! these runs, a cost the earlier readings (about 2 %) did not show.
+//! `hot_wide` compiles only while warming up, so its throughput moves
+//! within the runs' spread either way. The cache stays.
 
 use reason_pc::{
     compile_cnf_with, Circuit, CompileOptions, CompileStats, PersistentComponentCache, WmcWeights,

@@ -86,14 +86,14 @@ impl NeuroPc {
                         .enumerate()
                         .map(|(a, &p)| b.categorical(1 + a, &[1.0 - p, p]))
                         .collect();
-                    b.product(kids)
+                    b.product(&kids)
                 })
                 .collect();
-            let mix = b.sum(alts, vec![0.9, 0.1]);
+            let mix = b.sum(&alts, &[0.9, 0.1]);
             let ind = b.indicator(0, c);
-            components.push(b.product(vec![ind, mix]));
+            components.push(b.product(&[ind, mix]));
         }
-        let root = b.sum(components, prior);
+        let root = b.sum(&components, &prior);
         let circuit = b.build(root).expect("naive Bayes circuit is valid");
 
         // Sample labeled instances and push them through a noisy

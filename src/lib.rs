@@ -57,6 +57,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+/// The `rust` blocks of `README.md`, compiled as doctests so the tour
+/// keeps building against the API it shows.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use reason_approx as approx;
 pub use reason_arch as arch;
 pub use reason_compiler as compiler;

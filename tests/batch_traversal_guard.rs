@@ -160,7 +160,7 @@ fn lanes_compute_only_the_nodes_their_evidence_reaches() {
         let mut reaches: Vec<bool> = Vec::with_capacity(circuit.num_nodes());
         for node in circuit.nodes() {
             let hit = match node {
-                PcNode::Indicator { var, .. } | PcNode::Categorical { var, .. } => *var == v,
+                PcNode::Indicator { var, .. } | PcNode::Categorical { var, .. } => var == v,
                 _ => node.children().iter().any(|c| reaches[c.index()]),
             };
             reaches.push(hit);

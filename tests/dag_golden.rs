@@ -176,10 +176,10 @@ fn empty_product_circuit() -> Circuit {
     let mut b = CircuitBuilder::new(vec![2]);
     let t = b.indicator(0, 1);
     let f = b.indicator(0, 0);
-    let one = b.product(vec![]);
-    let p = b.product(vec![t, one]);
-    let q = b.product(vec![f, one]);
-    let root = b.sum(vec![p, q], vec![0.4, 0.6]);
+    let one = b.product(&[]);
+    let p = b.product(&[t, one]);
+    let q = b.product(&[f, one]);
+    let root = b.sum(&[p, q], &[0.4, 0.6]);
     b.build(root).expect("smooth and decomposable")
 }
 

@@ -138,12 +138,12 @@ fn hash_circuit(h: &mut Fnv, circuit: &Circuit) {
             PcNode::Product { .. } => h.word(1),
             PcNode::Indicator { var, value } => {
                 h.word(2);
-                h.word(*var as u64);
-                h.word(*value as u64);
+                h.word(var as u64);
+                h.word(value as u64);
             }
             PcNode::Categorical { var, log_probs } => {
                 h.word(3);
-                h.word(*var as u64);
+                h.word(var as u64);
                 h.floats(log_probs);
             }
         }

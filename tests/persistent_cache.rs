@@ -3,15 +3,17 @@
 //!
 //! A [`KnowledgeBase`] recompiles through a
 //! [`reason::pc::PersistentComponentCache`] that points into the node
-//! arrays of earlier compilations instead of copying out of them. Three
+//! tables of earlier compilations instead of copying out of them. Four
 //! things can go wrong with that, and none of them shows on a clock this
 //! host can gate on, so they are pinned here as counts and bit patterns:
 //!
 //! 1. **storage stops being linear** — a node kept once per enclosing
 //!    component instead of once;
-//! 2. **overlapping hits stop sharing** — two spliced components that
+//! 2. **a node grows** — a retained node costs more bytes than its flat
+//!    table rows and its share of the keys;
+//! 3. **overlapping hits stop sharing** — two spliced components that
 //!    reach the same cached node emit it twice;
-//! 3. **an edit sequence drifts from a from-scratch compile** — after any
+//! 4. **an edit sequence drifts from a from-scratch compile** — after any
 //!    add/retract program, suffix invalidation and entries surviving
 //!    from older arrays included.
 
@@ -127,6 +129,59 @@ fn overlapping_hits_share_spliced_nodes() {
             assert_eq!(z.to_bits(), z_bits, "n={n} seed={seed} {clause:?}: Z moved ({z})");
         }
     }
+}
+
+/// Ceiling on `PersistentComponentCache::bytes()` per retained node
+/// after [`cache_bytes_per_retained_node_stay_pinned`]'s script. The
+/// flat node tables cost 32.1 bytes per node there and the fingerprint
+/// keys with their map slots 9.2 more (41.3 in all); the ceiling leaves
+/// about 10 % headroom. When every node was an enum owning its child
+/// and weight vectors, `bytes()` read 84.6 on the same script while
+/// leaving those vectors' heap uncounted.
+const MAX_CACHE_BYTES_PER_NODE: f64 = 45.5;
+
+#[test]
+fn cache_bytes_per_retained_node_stay_pinned() {
+    // `edit_churn`'s shape: knowledge bases of n = 20, 22 and 24 on the
+    // m = n + 24 planted ladder, six edits each — add until three added
+    // clauses are live, then retract the oldest — with a compile after
+    // every edit. Added clauses come from the same planted stream, so
+    // every revision keeps mass.
+    let (mut bytes, mut retained) = (0usize, 0usize);
+    for n in [20usize, 22, 24] {
+        for seed in 1..=4u64 {
+            let full = planted_ksat(n, n + 30, 3, seed);
+            let dimacs: Vec<Vec<i32>> = full
+                .clauses()
+                .iter()
+                .map(|c| c.lits().iter().map(|l| l.to_dimacs()).collect())
+                .collect();
+            let base = Cnf::from_clauses(n, dimacs[..n + 24].to_vec());
+            let mut kb = KnowledgeBase::new("churn", &base, alternating_weights(n));
+            kb.compile();
+            let first_added = kb.num_clauses();
+            let mut added = dimacs[n + 24..].iter();
+            let mut live = 0;
+            for _ in 0..6 {
+                if live < 3 {
+                    kb.add_clause(added.next().expect("six planted extras"));
+                    live += 1;
+                } else {
+                    kb.retract_clause(first_added);
+                    live -= 1;
+                }
+                kb.compile();
+            }
+            bytes += kb.component_cache().bytes();
+            retained += kb.component_cache().retained_nodes();
+        }
+    }
+    let per_node = bytes as f64 / retained as f64;
+    println!("{bytes} cache bytes over {retained} retained nodes: {per_node:.1} per node");
+    assert!(
+        per_node <= MAX_CACHE_BYTES_PER_NODE,
+        "{per_node:.1} cache bytes per retained node exceeds {MAX_CACHE_BYTES_PER_NODE}"
+    );
 }
 
 #[derive(Debug, Clone)]
