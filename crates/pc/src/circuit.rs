@@ -6,7 +6,7 @@
 //! offsets into the other two tables), one [`NodeId`] table holding
 //! every node's children back to back, and one `f64` table holding sum
 //! log-weights and categorical log-probabilities. No node owns a heap
-//! allocation: a compiled circuit costs about 28 bytes per node, and
+//! allocation: a compiled circuit costs about 28–32 bytes per node, and
 //! building one appends to three vectors.
 //!
 //! [`Circuit::nodes`] yields [`PcNode`] views — `Copy` values whose
@@ -684,7 +684,7 @@ impl Circuit {
             // Children precede parents, so an all-live table ends at its root.
             return Circuit { arities, tables: Arc::clone(all), root };
         }
-        let mut remap: Vec<NodeId> = vec![NodeId(u32::MAX); all.len()];
+        let mut remap: Vec<Option<NodeId>> = vec![None; all.len()];
         let mut tables = Tables {
             records: Vec::with_capacity(live),
             edges: Vec::with_capacity(edges),
@@ -692,10 +692,14 @@ impl Circuit {
         };
         for (i, node) in all.nodes().enumerate() {
             if reachable[i] {
-                remap[i] = tables.push_mapped(node, |c| remap[c.index()]);
+                let id = tables.push_mapped(node, |c| {
+                    remap[c.index()].expect("child must be reachable before parent")
+                });
+                remap[i] = Some(id);
             }
         }
-        Circuit::from_parts(arities, tables, remap[root.index()])
+        let root = remap[root.index()].expect("root is reachable");
+        Circuit::from_parts(arities, tables, root)
     }
 }
 
